@@ -1,0 +1,73 @@
+"""Golden trace pins: every pinned run must reproduce its recorded trace.
+
+Each pin is (trace hash, verdict, steps) for one deterministic run.  A
+refactor that changes none of them changed no observable behaviour.  The
+pins are never re-recorded to make a change pass; a differing pin means
+the code is wrong.
+
+Print the pins of the current code with
+``PYTHONPATH=src python tests/test_golden_traces.py``.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PINS = pathlib.Path(__file__).with_name("golden_traces.json")
+SEEDS = range(10)
+
+
+def _keychain(scn):
+    return validate({**scn, "oracle": "keychain"})
+
+
+def golden_runs() -> dict:
+    """Name -> zero-argument builder of the scenario to run."""
+    runs = {}
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        runs[f"file/{path.name}"] = lambda path=path: json.loads(path.read_text())
+    for fam in ("dbla-smoke", "reconfig-dbla", "reconfig-maxreg", "ac-quorum-race"):
+        for s in SEEDS:
+            runs[f"{fam}/{s}"] = lambda fam=fam, s=s: FAMILIES[fam](s)
+    for k in (1, 2, 3):
+        for s in SEEDS:
+            runs[f"chain-k{k}/{s}"] = lambda k=k, s=s: FAMILIES["chain"](s, k)
+    for fam in ("reconfig-dbla", "reconfig-maxreg"):
+        for s in SEEDS:
+            runs[f"{fam}/keychain/{s}"] = lambda fam=fam, s=s: _keychain(FAMILIES[fam](s))
+    for name in sorted(ATTACKS):
+        for s in SEEDS:
+            runs[f"{name}/{s}"] = lambda name=name, s=s: ATTACKS[name][0](s)
+    for mask in range(16):
+        runs[f"ac-pattern/{mask:04b}"] = lambda mask=mask: FAMILIES["ac-pattern"](mask)
+    return runs
+
+
+def pin_of(scn) -> dict:
+    rep = run_scenario(scn)
+    return {"hash": rep.hash, "verdict": rep.verdict, "steps": rep.steps}
+
+
+RUNS = golden_runs()
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text())
+
+
+def test_pins_cover_every_run(pins):
+    assert sorted(pins) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_trace(name, pins):
+    assert pin_of(RUNS[name]()) == pins[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: pin_of(build()) for name, build in RUNS.items()}, indent=1, sort_keys=True))
