@@ -18,6 +18,7 @@ are pinned.
 
 from __future__ import annotations
 
+from .dbla import QuorumSession, fs_signed
 from .fscrypto import FsSig
 from .lattice import canon, fault_budget, value_from_jsonable, value_to_jsonable, Config
 from .simnet import Msg
@@ -135,21 +136,11 @@ def verify_cert(ac: AccessControl, oracle, cert) -> bool:
     config = cert.config
     if not isinstance(config, Config):
         return False
-    ts = config.height()
-    members = config.replicas()
-    if not set(cert.approvals) <= members or len(cert.approvals) < ac.needed(config):
-        return False
     apl = appr_payload(ac.object_id, config, cert.slot, cert.value)
-    for pid, sig in cert.approvals.items():
-        if not oracle.fs_verify(apl, pid, sig, ts):
-            return False
-    if not config.is_quorum(cert.cacks.keys()):
+    if not fs_signed(oracle, config, apl, cert.approvals, ac.needed(config)):
         return False
     cpl = accf_payload(ac.object_id, config, cert.slot, cert.value, cert.approvals)
-    for pid, sig in cert.cacks.items():
-        if not oracle.fs_verify(cpl, pid, sig, ts):
-            return False
-    return True
+    return fs_signed(oracle, config, cpl, cert.cacks, config.quorum_size())
 
 
 def make_ac_input_check(ac: AccessControl, oracle):
@@ -233,131 +224,57 @@ class AcStore:
                 self.approved.setdefault(item[0], item[1])
 
 
-class AcClient:
-    """Certificate-request session attached to a ClientHub."""
+class AcClient(QuorumSession):
+    """Certificate-request session: collect approvals, then countersign."""
 
     def __init__(self, hub, ac: AccessControl):
         if ac.mode == "admin":
             raise ValueError("admin certificates are made offline, not requested")
-        self.hub = hub
+        super().__init__(hub, ac.object_id)
         self.ac = ac
-        self.sn = 0
-        self.phase = "idle"
-        self.anchor = None
-        self.restarts = 0
         self._slot = None
         self._value = None
-        self._done = None
         self._approvals = {}
         self._denials = set()
-        self._cacks = {}
-        hub.add(self)
-
-    def busy(self) -> bool:
-        return self.phase != "idle"
 
     def request(self, slot: str, value, done) -> None:
-        if self.busy():
-            raise RuntimeError("one request at a time per client")
-        self._slot, self._value, self._done = slot, value, done
-        self._req_round()
+        self._begin(done)
+        self._slot, self._value = slot, value
+        self._start()
 
-    def _req_round(self) -> None:
-        self.sn += 1
-        self.phase = "req"
-        self.anchor = self.hub.anchor()
-        self._approvals = {}
+    def _start(self) -> None:
         self._denials = set()
-        msg = Msg(
-            "ac.req",
-            self.ac.object_id,
-            {"slot": self._slot, "value": self._value, "sn": self.sn, "config": self.anchor},
-        )
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
-
-    def on_adopt(self) -> None:
-        if self.busy():
-            self.restarts += 1
-            self._req_round()
+        self._round("req", "ac.req", {"slot": self._slot, "value": self._value})
 
     def on_deliver(self, frm, msg) -> bool:
-        if msg.obj != self.ac.object_id:
-            return False
-        if msg.desc == "ac.approve":
-            self._on_approve(frm, msg)
+        # denials are unsigned and tallied apart from approvals
+        if msg.obj == self.object_id and msg.desc == "ac.deny":
+            if self._answers(frm, msg, "req"):
+                self._denials.add(frm)
+                if len(self._denials) >= self.ac.denials_decisive(self.anchor):
+                    self._finish(None)
             return True
-        if msg.desc == "ac.deny":
-            self._on_deny(frm, msg)
-            return True
-        if msg.desc == "ac.cresp":
-            self._on_cresp(frm, msg)
-            return True
-        return False
-
-    def _finish(self, cert) -> None:
-        self.phase = "idle"
-        done, self._done = self._done, None
-        done(cert)
+        return super().on_deliver(frm, msg)
 
     def _on_approve(self, frm, msg) -> None:
-        if self.phase != "req" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas() or frm in self._approvals:
-            return
-        sig = msg.body.get("sig")
-        pl = appr_payload(self.ac.object_id, self.anchor, self._slot, self._value)
-        if not self.hub.api.oracle.fs_verify(pl, frm, sig, self.anchor.height()):
-            return
-        self._approvals[frm] = sig
-        if len(self._approvals) >= self.ac.needed(self.anchor):
-            self._confirm_round()
-
-    def _on_deny(self, frm, msg) -> None:
-        if self.phase != "req" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas():
-            return
-        self._denials.add(frm)
-        if len(self._denials) >= self.ac.denials_decisive(self.anchor):
-            self._finish(None)
-
-    def _confirm_round(self) -> None:
-        self.sn += 1
-        self.phase = "confirm"
-        self._cacks = {}
-        msg = Msg(
-            "ac.confirm",
-            self.ac.object_id,
-            {
-                "slot": self._slot,
-                "value": self._value,
-                "approvals": dict(self._approvals),
-                "sn": self.sn,
-                "config": self.anchor,
-            },
-        )
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
+        pl = appr_payload(self.object_id, self.anchor, self._slot, self._value)
+        if self._take_sig(frm, msg, pl) and len(self.got) >= self.ac.needed(self.anchor):
+            self._approvals = self.got
+            body = {"slot": self._slot, "value": self._value, "approvals": dict(self._approvals)}
+            self._round("confirm", "ac.confirm", body, keep_anchor=True)
 
     def _on_cresp(self, frm, msg) -> None:
-        if self.phase != "confirm" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas() or frm in self._cacks:
-            return
-        sig = msg.body.get("sig")
-        cpl = accf_payload(self.ac.object_id, self.anchor, self._slot, self._value, self._approvals)
-        if not self.hub.api.oracle.fs_verify(cpl, frm, sig, self.anchor.height()):
-            return
-        self._cacks[frm] = sig
-        if self.anchor.is_quorum(self._cacks.keys()):
+        cpl = accf_payload(self.object_id, self.anchor, self._slot, self._value, self._approvals)
+        if self._take_sig(frm, msg, cpl) and self.anchor.is_quorum(self.got):
             cert = AcCert(
                 self.ac.mode,
-                self.ac.object_id,
+                self.object_id,
                 self._slot,
                 self._value,
                 self.anchor,
                 self._approvals,
-                self._cacks,
+                self.got,
             )
             self._finish(cert)
+
+    REPLIES = {"ac.approve": ("req", _on_approve), "ac.cresp": ("confirm", _on_cresp)}

@@ -1,14 +1,20 @@
 """Dynamic Byzantine lattice agreement.
 
-Client side: a two-phase propose. Phase one refines a value set against one
-configuration until a quorum signs byte-identical copies; phase two has a
-quorum countersign the collected acks with forward-secure keys at the
-configuration's height. The pair of quorums makes the output self-verifying
-and, via the key watermarks, impossible to anchor at a superseded
-configuration after its keys moved on.
+Client side: every session (lattice agreement here, the max-register and
+access control elsewhere) is a QuorumSession. It anchors at the hub's
+highest adopted configuration, fans each round out to that configuration's
+replicas, counts at most one valid reply per member for the current round,
+and restarts when the hub adopts a longer history. Propose is two such
+rounds. Phase one refines a value set against one configuration until a
+quorum signs byte-identical copies; phase two has a quorum countersign the
+collected acks with forward-secure keys at the configuration's height. The
+pair of quorums makes the output self-verifying and, via the key
+watermarks, impossible to anchor at a superseded configuration after its
+keys moved on.
 
-Replica side (DynamicReplica): serves requests only at its installed,
-current, highest-known configuration; adopting a longer history immediately
+Replica side (DynamicReplica): one router, _route, serves, parks or drops
+every request. It serves requests only at its installed, current,
+highest-known configuration; adopting a longer history immediately
 raises the signing watermark; joining a higher configuration runs state
 transfer (read a quorum of every configuration from the current one up to,
 not including, the target) before announcing completion; a quorum of
@@ -167,6 +173,15 @@ def cresp_payload(object_id: str, config: Config, packs: dict[str, FsSig]) -> by
     return canon(["cresp", object_id, config, packs])
 
 
+def fs_signed(oracle, config: Config, payload: bytes, sigs: dict, need: int) -> bool:
+    """At least need replicas of config, and no one else, signed payload
+    with forward-secure keys at config's height."""
+    if not set(sigs) <= config.replicas() or len(sigs) < need:
+        return False
+    ts = config.height()
+    return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in sigs.items())
+
+
 def join_values(values: list[InputValue]):
     return functools.reduce(lambda a, b: a.join(b), (iv.value for iv in values))
 
@@ -246,21 +261,12 @@ def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
     if not obj.check_history(cert.history, cert.hist_cert):
         return False
     config = cert.anchor()
-    ts = config.height()
-    if not config.is_quorum(cert.packs.keys()):
-        return False
     vlist = sorted(cert.values, key=lambda iv: iv.canon())
     ppl = presp_payload(obj.object_id, config, vlist)
-    for pid, sig in cert.packs.items():
-        if not oracle.fs_verify(ppl, pid, sig, ts):
-            return False
-    if not config.is_quorum(cert.cacks.keys()):
+    if not fs_signed(oracle, config, ppl, cert.packs, config.quorum_size()):
         return False
     cpl = cresp_payload(obj.object_id, config, cert.packs)
-    for pid, sig in cert.cacks.items():
-        if not oracle.fs_verify(cpl, pid, sig, ts):
-            return False
-    return True
+    return fs_signed(oracle, config, cpl, cert.cacks, config.quorum_size())
 
 
 # -- client side ------------------------------------------------------------
@@ -328,19 +334,28 @@ class ClientHub:
             s.on_adopt()
 
 
-class DblaClient:
-    """One lattice-agreement session attached to a ClientHub."""
+class QuorumSession:
+    """One client protocol session attached to a ClientHub.
 
-    def __init__(self, hub: ClientHub, obj: DynamicObject):
+    An operation is a sequence of rounds. Each round has a fresh ``sn``,
+    fans one request out to every replica of the anchor configuration and
+    tallies the replies in ``got``: one entry per member that answered the
+    current round, at most one each. Adopting a longer history restarts
+    the operation from its first round at the new anchor.
+
+    Subclasses map each reply ``desc`` to (phase it answers, handler) in
+    REPLIES and define ``_start``, the operation's first round.
+    """
+
+    REPLIES: dict = {}
+
+    def __init__(self, hub: ClientHub, object_id: str):
         self.hub = hub
-        self.obj = obj
-        self.vals: dict[bytes, InputValue] = {iv.canon(): iv for iv in obj.genesis_values}
+        self.object_id = object_id
         self.sn = 0
         self.phase = "idle"
         self.anchor = None
-        self.packs: dict[str, FsSig] = {}
-        self.cpacks: dict[str, FsSig] = {}
-        self.cacks: dict[str, FsSig] = {}
+        self.got: dict = {}
         self.restarts = 0
         self._done = None
         hub.add(self)
@@ -348,54 +363,79 @@ class DblaClient:
     def busy(self) -> bool:
         return self.phase != "idle"
 
-    def propose(self, value, cert: dict, done) -> None:
+    def _begin(self, done) -> None:
         if self.busy():
-            raise RuntimeError("one propose at a time per client")
-        if not self.obj.check_value(value, cert):
-            raise ValueError("propose requires a verifiable input value")
-        iv = InputValue(value, cert)
-        self.vals.setdefault(iv.canon(), iv)
+            raise RuntimeError("one operation at a time per client")
         self._done = done
-        self._refine()
 
-    def _sorted_vals(self) -> list[InputValue]:
-        return [self.vals[k] for k in sorted(self.vals)]
-
-    def _refine(self) -> None:
+    def _round(self, phase: str, desc: str, body: dict, keep_anchor: bool = False) -> None:
+        """Start a round; only countersigning rounds keep the current anchor."""
         self.sn += 1
-        self.phase = "refine"
-        self.anchor = self.hub.anchor()
-        self.packs = {}
-        vlist = self._sorted_vals()
-        msg = Msg(
-            "bla.propose",
-            self.obj.object_id,
-            {"values": vlist, "sn": self.sn, "config": self.anchor},
-        )
+        self.phase = phase
+        if not keep_anchor:
+            self.anchor = self.hub.anchor()
+        self.got = {}
+        msg = Msg(desc, self.object_id, {**body, "sn": self.sn, "config": self.anchor})
         for r in sorted(self.anchor.replicas()):
             self.hub.api.send(r, msg)
 
     def on_adopt(self) -> None:
         if self.busy():
             self.restarts += 1
-            self._refine()
+            self._start()
 
     def on_deliver(self, frm, msg) -> bool:
-        if msg.obj != self.obj.object_id:
+        if msg.obj != self.object_id or msg.desc not in self.REPLIES:
             return False
-        if msg.desc == "bla.presp":
-            self._on_presp(frm, msg)
-            return True
-        if msg.desc == "bla.cresp":
-            self._on_cresp(frm, msg)
-            return True
-        return False
+        phase, handler = self.REPLIES[msg.desc]
+        if self._answers(frm, msg, phase) and frm not in self.got:
+            handler(self, frm, msg)
+        return True
+
+    def _answers(self, frm, msg, phase: str) -> bool:
+        """frm is a member of the anchor replying to the current round."""
+        if self.phase != phase or msg.body.get("sn") != self.sn:
+            return False
+        return frm in self.anchor.replicas()
+
+    def _take_sig(self, frm, msg, payload: bytes) -> bool:
+        """Count frm's reply if it signs payload at the anchor's height."""
+        sig = msg.body.get("sig")
+        if not self.hub.api.oracle.fs_verify(payload, frm, sig, self.anchor.height()):
+            return False
+        self.got[frm] = sig
+        return True
+
+    def _finish(self, *result) -> None:
+        self.phase = "idle"
+        done, self._done = self._done, None
+        done(*result)
+
+
+class DblaClient(QuorumSession):
+    """One lattice-agreement session: refine to a quorum, then countersign."""
+
+    def __init__(self, hub: ClientHub, obj: DynamicObject):
+        super().__init__(hub, obj.object_id)
+        self.obj = obj
+        self.vals: dict[bytes, InputValue] = {iv.canon(): iv for iv in obj.genesis_values}
+        self.cpacks: dict[str, FsSig] = {}
+
+    def propose(self, value, cert: dict, done) -> None:
+        self._begin(done)
+        if not self.obj.check_value(value, cert):
+            raise ValueError("propose requires a verifiable input value")
+        iv = InputValue(value, cert)
+        self.vals.setdefault(iv.canon(), iv)
+        self._start()
+
+    def _sorted_vals(self) -> list[InputValue]:
+        return [self.vals[k] for k in sorted(self.vals)]
+
+    def _start(self) -> None:
+        self._round("refine", "bla.propose", {"values": self._sorted_vals()})
 
     def _on_presp(self, frm, msg) -> None:
-        if self.phase != "refine" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas():
-            return
         rvals = msg.body.get("values")
         if not isinstance(rvals, list) or not all(isinstance(iv, InputValue) for iv in rvals):
             return
@@ -405,50 +445,25 @@ class DblaClient:
             for iv in new:
                 self.vals[iv.canon()] = iv
             self.restarts += 1
-            self._refine()
+            self._start()
             return
         if len(valid) != len(rvals):
             return
         if [iv.canon() for iv in rvals] != [iv.canon() for iv in self._sorted_vals()]:
             return
-        ppl = presp_payload(self.obj.object_id, self.anchor, self._sorted_vals())
-        sig = msg.body.get("sig")
-        if not self.hub.api.oracle.fs_verify(ppl, frm, sig, self.anchor.height()):
-            return
-        self.packs[frm] = sig
-        if self.anchor.is_quorum(self.packs.keys()):
-            self._confirm()
-
-    def _confirm(self) -> None:
-        self.sn += 1
-        self.phase = "confirm"
-        self.cpacks = dict(self.packs)
-        self.cacks = {}
-        msg = Msg(
-            "bla.confirm",
-            self.obj.object_id,
-            {"packs": self.cpacks, "sn": self.sn, "config": self.anchor},
-        )
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
+        ppl = presp_payload(self.object_id, self.anchor, self._sorted_vals())
+        if self._take_sig(frm, msg, ppl) and self.anchor.is_quorum(self.got):
+            self.cpacks = self.got
+            self._round("confirm", "bla.confirm", {"packs": self.cpacks}, keep_anchor=True)
 
     def _on_cresp(self, frm, msg) -> None:
-        if self.phase != "confirm" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas() or frm in self.cacks:
-            return
-        cpl = cresp_payload(self.obj.object_id, self.anchor, self.cpacks)
-        sig = msg.body.get("sig")
-        if not self.hub.api.oracle.fs_verify(cpl, frm, sig, self.anchor.height()):
-            return
-        self.cacks[frm] = sig
-        if self.anchor.is_quorum(self.cacks.keys()):
+        cpl = cresp_payload(self.object_id, self.anchor, self.cpacks)
+        if self._take_sig(frm, msg, cpl) and self.anchor.is_quorum(self.got):
             vlist = self._sorted_vals()
-            w = join_values(vlist)
-            cert = OutputCert(vlist, self.hub.history, self.hub.hist_cert, self.cpacks, self.cacks)
-            self.phase = "idle"
-            done, self._done = self._done, None
-            done(w, cert)
+            cert = OutputCert(vlist, self.hub.history, self.hub.hist_cert, self.cpacks, self.got)
+            self._finish(join_values(vlist), cert)
+
+    REPLIES = {"bla.presp": ("refine", _on_presp), "bla.cresp": ("confirm", _on_cresp)}
 
 
 # -- replica side ------------------------------------------------------------
@@ -552,57 +567,47 @@ class DynamicReplica:
             return
         if self.urb.handle(frm, msg):
             return
-        if msg.desc == "xfer.read":
-            self._on_xfer_read(frm, msg)
-            return
         if msg.desc == "xfer.resp":
             self._on_xfer_resp(frm, msg)
             return
-        self._gate(frm, msg)
+        self._route(frm, msg, first=True)
 
-    def _gate(self, frm, msg) -> None:
-        config = msg.body.get("config")
+    def _route(self, frm, msg, first: bool) -> None:
+        """Serve, park or drop one request.
+
+        A request is servable at the highest known configuration once that
+        configuration is installed; an xfer.read is servable once its target
+        is superseded. On first receipt a servable request is served, on
+        re-gating it is requeued. Otherwise xfer.reads and requests for the
+        highest or a higher configuration park until history or installs
+        change; stale, incomparable and malformed requests are dropped.
+        """
+        config = msg.body.get("config") if isinstance(msg.body, dict) else None
         if not isinstance(config, Config):
             self.dropped += 1
             return
         ch = self.chighest()
-        if config == ch:
-            if self.cinst == config:
-                for store in self.stores:
-                    if store.handle(self, frm, msg):
-                        return
-                self.dropped += 1
-            else:
-                self.buffered.append((frm, msg))
-        elif config.leq(ch):
-            self.dropped += 1
-        elif ch.leq(config):
-            self.buffered.append((frm, msg))
+        if msg.desc == "xfer.read":
+            servable = config != ch and config.leq(ch)
         else:
+            servable = config == ch and self.cinst == config
+        if not servable:
+            if msg.desc == "xfer.read" or ch.leq(config):
+                self.buffered.append((frm, msg))
+            else:
+                self.dropped += 1
+        elif not first:
+            self.api.requeue(frm, msg)
+        elif msg.desc == "xfer.read":
+            payload = {s.store_id: s.xfer_snapshot() for s in self.stores}
+            self.api.send(frm, Msg("xfer.resp", self.group, {"sn": msg.body["sn"], "payload": payload}))
+        elif not any(store.handle(self, frm, msg) for store in self.stores):
             self.dropped += 1
 
     def _regate(self) -> None:
         buffered, self.buffered = self.buffered, []
-        ch = self.chighest()
         for frm, msg in buffered:
-            if msg.desc == "xfer.read":
-                if msg.body["config"] != ch and msg.body["config"].leq(ch):
-                    self.api.requeue(frm, msg)
-                else:
-                    self.buffered.append((frm, msg))
-                continue
-            config = msg.body["config"]
-            if config == ch:
-                if self.cinst == config:
-                    self.api.requeue(frm, msg)
-                else:
-                    self.buffered.append((frm, msg))
-            elif config.leq(ch):
-                self.dropped += 1
-            elif ch.leq(config):
-                self.buffered.append((frm, msg))
-            else:
-                self.dropped += 1
+            self._route(frm, msg, first=False)
 
     # -- history adoption ----------------------------------------------------
 
@@ -686,17 +691,6 @@ class DynamicReplica:
                 for r in sorted(target.replicas()):
                     self.api.send(r, msg)
             return
-
-    def _on_xfer_read(self, frm, msg) -> None:
-        config = msg.body.get("config")
-        if not isinstance(config, Config):
-            return
-        ch = self.chighest()
-        if config != ch and config.leq(ch):
-            payload = {s.store_id: s.xfer_snapshot() for s in self.stores}
-            self.api.send(frm, Msg("xfer.resp", self.group, {"sn": msg.body["sn"], "payload": payload}))
-        else:
-            self.buffered.append((frm, msg))
 
     def _on_xfer_resp(self, frm, msg) -> None:
         if self.xfer_target is None or msg.body.get("sn") != self.xfer_sn:

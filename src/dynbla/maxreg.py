@@ -10,12 +10,23 @@ the write-back always share a configuration.
 
 from __future__ import annotations
 
+from .dbla import QuorumSession
 from .lattice import canon
 from .simnet import Msg
 
 
 def setresp_payload(object_id: str, config, v: int) -> bytes:
     return canon(["setresp", object_id, config, v])
+
+
+def valid_cell(check_write, cell) -> bool:
+    """cell is a (value, cert) pair whose integer value carries a valid write cert."""
+    return (
+        isinstance(cell, (tuple, list))
+        and len(cell) == 2
+        and isinstance(cell[0], int)
+        and check_write(cell[0], cell[1])
+    )
 
 
 class MaxRegStore:
@@ -26,14 +37,6 @@ class MaxRegStore:
         self.object_id = object_id
         self.check_write = check_write
         self.cell = None  # (value, cert) or None
-
-    def _valid_cell(self, cell) -> bool:
-        return (
-            isinstance(cell, (tuple, list))
-            and len(cell) == 2
-            and isinstance(cell[0], int)
-            and self.check_write(cell[0], cell[1])
-        )
 
     def handle(self, core, frm, msg) -> bool:
         if msg.obj != self.object_id:
@@ -59,143 +62,77 @@ class MaxRegStore:
 
     def xfer_merge(self, payload) -> None:
         cell = tuple(payload) if isinstance(payload, list) else payload
-        if cell is not None and self._valid_cell(cell):
+        if valid_cell(self.check_write, cell):
             if self.cell is None or cell[0] > self.cell[0]:
                 self.cell = (cell[0], cell[1])
 
 
-class MaxRegClient:
-    """Max-register session attached to a ClientHub."""
+class MaxRegClient(QuorumSession):
+    """Max-register session: a write is one set round, a read is a get round
+    followed by a set round writing the largest value back."""
 
     def __init__(self, hub, object_id: str, check_write):
-        self.hub = hub
-        self.object_id = object_id
+        super().__init__(hub, object_id)
         self.check_write = check_write
-        self.sn = 0
-        self.phase = "idle"
-        self.anchor = None
-        self.restarts = 0
         self._mode = None
-        self._done = None
         self._val = None
         self._cert = None
         self._readv = None
-        self._acks = {}
-        self._cells = {}
-        hub.add(self)
-
-    def busy(self) -> bool:
-        return self.phase != "idle"
 
     def write(self, v: int, cert, done) -> None:
-        if self.busy():
-            raise RuntimeError("one operation at a time per client")
+        self._begin(done)
         if not isinstance(v, int) or not self.check_write(v, cert):
             raise ValueError("write requires a certified integer")
         self._mode = "write"
-        self._done = done
         self._val, self._cert = v, cert
-        self._set_round()
+        self._start()
 
     def read(self, done) -> None:
-        if self.busy():
-            raise RuntimeError("one operation at a time per client")
+        self._begin(done)
         self._mode = "read"
-        self._done = done
-        self._get_round()
+        self._start()
+
+    def _start(self) -> None:
+        if self._mode == "write":
+            self._set_round()
+        else:
+            self._round("get", "mr.get", {})
 
     def _set_round(self) -> None:
-        self.sn += 1
-        self.phase = "set"
-        self.anchor = self.hub.anchor()
-        self._acks = {}
-        msg = Msg(
-            "mr.set",
-            self.object_id,
-            {"v": self._val, "cert": self._cert, "sn": self.sn, "config": self.anchor},
-        )
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
-
-    def _get_round(self) -> None:
-        self.sn += 1
-        self.phase = "get"
-        self.anchor = self.hub.anchor()
-        self._cells = {}
-        msg = Msg("mr.get", self.object_id, {"sn": self.sn, "config": self.anchor})
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
-
-    def on_adopt(self) -> None:
-        if self.phase == "set" and self._mode == "write":
-            self.restarts += 1
-            self._set_round()
-        elif self.busy() and self._mode == "read":
-            self.restarts += 1
-            self._get_round()
-
-    def on_deliver(self, frm, msg) -> bool:
-        if msg.obj != self.object_id:
-            return False
-        if msg.desc == "mr.setresp":
-            self._on_setresp(frm, msg)
-            return True
-        if msg.desc == "mr.getresp":
-            self._on_getresp(frm, msg)
-            return True
-        return False
+        self._round("set", "mr.set", {"v": self._val, "cert": self._cert})
 
     def _on_setresp(self, frm, msg) -> None:
-        if self.phase != "set" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas() or frm in self._acks:
-            return
-        sig = msg.body.get("sig")
         pl = setresp_payload(self.object_id, self.anchor, self._val)
-        if not self.hub.api.oracle.fs_verify(pl, frm, sig, self.anchor.height()):
-            return
-        self._acks[frm] = sig
-        if self.anchor.is_quorum(self._acks.keys()):
+        if self._take_sig(frm, msg, pl) and self.anchor.is_quorum(self.got):
             ack = {
                 "cid": self.anchor.cid(),
                 "h": self.anchor.height(),
                 "v": self._val,
                 "config": self.anchor,
-                "acks": dict(self._acks),
+                "acks": dict(self.got),
             }
-            self.phase = "idle"
-            done, self._done = self._done, None
             if self._mode == "write":
-                done(ack)
+                self._finish(ack)
             else:
-                done(self._readv, ack)
+                self._finish(self._readv, ack)
 
     def _on_getresp(self, frm, msg) -> None:
-        if self.phase != "get" or msg.body.get("sn") != self.sn:
-            return
-        if frm not in self.anchor.replicas() or frm in self._cells:
-            return
         cell = msg.body.get("cell")
         if cell is None:
-            self._cells[frm] = None
-        elif (
-            isinstance(cell, (tuple, list))
-            and len(cell) == 2
-            and isinstance(cell[0], int)
-            and self.check_write(cell[0], cell[1])
-        ):
-            self._cells[frm] = (cell[0], cell[1])
+            self.got[frm] = None
+        elif valid_cell(self.check_write, cell):
+            self.got[frm] = (cell[0], cell[1])
         else:
             return  # garbage cells do not count toward the quorum
-        if self.anchor.is_quorum(self._cells.keys()):
+        if self.anchor.is_quorum(self.got):
             best = None
-            for c in self._cells.values():
+            for c in self.got.values():
                 if c is not None and (best is None or c[0] > best[0]):
                     best = c
             if best is None:
-                self.phase = "idle"
-                done, self._done = self._done, None
-                done(None, None)
+                self._finish(None, None)
             else:
                 self._readv, self._val, self._cert = best[0], best[0], best[1]
                 self._set_round()
+
+    REPLIES = {"mr.setresp": ("set", _on_setresp), "mr.getresp": ("get", _on_getresp)}

@@ -280,6 +280,27 @@ def test_byzantine_replica_garbage_is_ignored():
     assert verify_output(w.obj, w.oracle, out, cert)
 
 
+@pytest.mark.parametrize(
+    "msg",
+    [
+        Msg("bla.propose", "obj", None),
+        Msg("bla.propose", "obj", {"sn": 1, "config": "c"}),
+        Msg("xfer.read", "grp", None),
+        Msg("xfer.read", "grp", {"sn": 1, "config": ["r1"]}),
+    ],
+    ids=["propose-no-body", "propose-bad-config", "xfer-no-body", "xfer-bad-config"],
+)
+def test_malformed_request_is_a_counted_drop(msg):
+    w = World(cids=())
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r1", msg), to="z", desc="probe")
+    assert w.sim.run()["verdict"] == "quiescent"
+    assert w.replicas["r1"].dropped == 1
+    assert w.replicas["r1"].buffered == []
+    assert probe.got == []
+
+
 def test_invalid_input_cert_rejected_at_propose():
     w = World(cids=("p",))
     w.obj.set_check_value(check_plain_input(w.oracle, "obj"))
