@@ -98,6 +98,8 @@ class UrbEndpoint:
             inner = msg.body["inner"]
             config: Config = inner["config"]
             mid = self._mid(inner, msg.obj)
+            if mid in self._certed:     # already forwarded and delivered
+                return True
             if frm in config.replicas() and self.api.oracle.plain_verify(
                 self._echo_payload(mid), frm, msg.body["sig"]
             ):
@@ -112,9 +114,12 @@ class UrbEndpoint:
             inner = msg.body["inner"]
             config: Config = inner["config"]
             mid = self._mid(inner, msg.obj)
+            if mid in self._certed:
+                return True
             cert = msg.body["cert"]
+            payload = self._echo_payload(mid)
             ok = config.is_quorum(cert.keys()) and all(
-                self.api.oracle.plain_verify(self._echo_payload(mid), pid, sig)
+                self.api.oracle.plain_verify(payload, pid, sig)
                 for pid, sig in cert.items()
             )
             if ok:

@@ -18,7 +18,7 @@ Two interchangeable backends:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -44,9 +44,12 @@ class FsSig:
     signer: str
     ts: int
     data: bytes
+    _canon: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def canon(self) -> bytes:
-        return canon(["fsig", self.signer, self.ts, self.data])
+        if self._canon is None:
+            object.__setattr__(self, "_canon", canon(["fsig", self.signer, self.ts, self.data]))
+        return self._canon
 
     def to_jsonable(self):
         return {"signer": self.signer, "ts": self.ts, "data": self.data.hex()}

@@ -3,11 +3,14 @@
 One scheduled event per step, chosen by a seeded RNG with weight 1 + age so
 that no deliverable message starves. Identical (scenario, seed) pairs yield
 byte-identical traces; the RNG is consulted nowhere else.
+
+The weighted draw costs O(log n) in the number of pending events
+(`PendingQueue`), and picks the same event as a prefix sum over the queue
+followed by `bisect_right` on `randrange(total)`.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import random
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 from .lattice import digest
 
 DEFAULT_STEP_CAP = 200_000
+MIN_SLOTS = 64
 
 IDLE = "I"
 CORRECT = "C"
@@ -47,6 +51,100 @@ class Event:
     frm: str
     to: str
     msg: Msg
+
+
+class PendingQueue:
+    """Pending events in send order, drawn with weight 1 + age in O(log n).
+
+    Events sit in append-only slots. Every weight changes each step, so the
+    two Fenwick trees (Fenwick 1994) over the slots hold what does not: the
+    live count and the sum of enqueue steps. At step base the weight of a
+    prefix is count * (1 + base) - sum(enq); a removed slot weighs 0. When
+    the slots fill, or fewer than an eighth of them are live, they are
+    rebuilt compacted, so memory stays proportional to the live events.
+    """
+
+    __slots__ = ("_slots", "_cap", "_cnt", "_enq", "_live", "_enq_total")
+
+    def __init__(self, events=()):
+        self._rebuild(list(events))
+
+    def _rebuild(self, events: list) -> None:
+        cap = MIN_SLOTS
+        while cap < 2 * len(events):
+            cap *= 2
+        # nodes 1 .. cap - 1; node cap would sum every slot, and the descent
+        # never reads it
+        cnt = [0] * cap
+        enq = [0] * cap
+        total = 0
+        for i, ev in enumerate(events, 1):
+            cnt[i] = 1
+            enq[i] = ev.enq
+            total += ev.enq
+        for i in range(1, cap):
+            j = i + (i & -i)
+            if j < cap:
+                cnt[j] += cnt[i]
+                enq[j] += enq[i]
+        self._slots = events
+        self._cap = cap
+        self._cnt = cnt
+        self._enq = enq
+        self._live = len(events)
+        self._enq_total = total
+
+    def __len__(self) -> int:
+        return self._live
+
+    def __iter__(self):
+        return (ev for ev in self._slots if ev is not None)
+
+    def append(self, ev: Event) -> None:
+        slots = self._slots
+        if len(slots) == self._cap:
+            self._rebuild(list(self))
+            slots = self._slots
+        slots.append(ev)
+        cap, cnt, enq, t = self._cap, self._cnt, self._enq, ev.enq
+        i = len(slots)
+        while i < cap:
+            cnt[i] += 1
+            enq[i] += t
+            i += i & -i
+        self._live += 1
+        self._enq_total += t
+
+    def pop_weighted(self, rng: random.Random, base: int) -> Event:
+        """Remove and return the event of weight 1 + (base - enq) that the
+        prefix sum picks: the first whose running weight exceeds
+        rng.randrange(total weight)."""
+        w = 1 + base
+        r = rng.randrange(self._live * w - self._enq_total)
+        cap, cnt, enq = self._cap, self._cnt, self._enq
+        # binary descent: pos ends as the longest prefix of weight <= r
+        pos = c = s = 0
+        half = cap >> 1
+        while half:
+            nxt = pos + half
+            cn = c + cnt[nxt]
+            sn = s + enq[nxt]
+            if cn * w - sn <= r:
+                pos, c, s = nxt, cn, sn
+            half >>= 1
+        ev = self._slots[pos]
+        self._slots[pos] = None
+        t = ev.enq
+        i = pos + 1
+        while i < cap:
+            cnt[i] -= 1
+            enq[i] -= t
+            i += i & -i
+        self._live -= 1
+        self._enq_total -= t
+        if self._live * 8 < cap > MIN_SLOTS:
+            self._rebuild(list(self))
+        return ev
 
 
 @dataclass(slots=True)
@@ -173,7 +271,7 @@ class Simulator:
         self.oracle = oracle
         self.rng = random.Random(seed)
         self._procs: dict[str, _Proc] = {}
-        self.pending: list[Event] = []
+        self.pending = PendingQueue()
         self.holds: list[HoldRule] = []
         self.externals: list[_External] = []
         self.facts: dict[str, int] = {}
@@ -228,7 +326,7 @@ class Simulator:
         if proc.status != CORRECT:
             raise ValueError(f"cannot halt {pid} while {proc.status}")
         proc.status = HALTED
-        self.pending = [e for e in self.pending if e.to != pid]
+        self.pending = PendingQueue(e for e in self.pending if e.to != pid)
         for rule in self.holds:
             rule.buffer = [e for e in rule.buffer if e[1] != pid]
 
@@ -307,13 +405,7 @@ class Simulator:
 
     def _deliver(self) -> str:
         base = self.next_step
-        acc = []
-        total = 0
-        for ev in self.pending:
-            total += 1 + (base - ev.enq)
-            acc.append(total)
-        idx = bisect.bisect_right(acc, self.rng.randrange(total))
-        ev = self.pending.pop(idx)
+        ev = self.pending.pop_weighted(self.rng, base)
         self.latencies.append(base - ev.enq)
         self.metrics["delivered"] += 1
         proc = self._procs[ev.to]
@@ -337,7 +429,8 @@ class Simulator:
                 return self._fire(ext)
         if self.pending:
             return self._deliver()
-        # idle network: fast-fire the earliest pending bound
+        # idle network: fast-fire the first registered external whose bound
+        # is known (not the earliest), else release the first such hold
         for ext in self.externals:
             if not ext.done and ext.trigger.eventually(self):
                 return self._fire(ext)

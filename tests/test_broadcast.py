@@ -78,8 +78,18 @@ def test_rb_survives_partial_origin_send():
         assert nodes[p].delivered == [("p0", "x.note", 9)]
 
 
-def urb_world(seed, n=4):
-    sim = Simulator(seed, LedgerFsOracle())
+class CountingOracle(LedgerFsOracle):
+    def __init__(self):
+        super().__init__()
+        self.plain_verifies = 0
+
+    def plain_verify(self, msg, pid, data):
+        self.plain_verifies += 1
+        return super().plain_verify(msg, pid, data)
+
+
+def urb_world(seed, n=4, oracle=None):
+    sim = Simulator(seed, oracle or LedgerFsOracle())
     roster = [f"r{i}" for i in range(1, n + 1)]
     config = Config((ADD, r) for r in roster)
     nodes = {r: UrbNode() for r in roster}
@@ -134,3 +144,36 @@ def test_urb_uniformity_after_early_deliverer_turns_byzantine():
     for r, node in nodes.items():
         if r != first:
             assert node.delivered == [("r1", "done", 2)]
+
+
+def test_urb_certified_message_is_not_verified_again():
+    oracle = CountingOracle()
+    sim, nodes, config = urb_world(5, oracle=oracle)
+    node = nodes["r1"]
+    inner = {"origin": "r2", "desc": "done", "body": {"n": 1}, "config": config}
+    payload = node.urb._echo_payload(node.urb._mid(inner, "t"))
+    sigs = {r: oracle.plain_sign(r, payload) for r in ("r1", "r2", "r3", "r4")}
+    for r in ("r2", "r3", "r4"):
+        node.on_deliver(r, Msg("urb.echo", "t", {"inner": inner, "sig": sigs[r]}))
+    assert node.delivered == [("r2", "done", 1)]
+    verified, queued = oracle.plain_verifies, len(sim.pending)
+    node.on_deliver("r1", Msg("urb.echo", "t", {"inner": inner, "sig": sigs["r1"]}))
+    cert = {r: sigs[r] for r in ("r1", "r3", "r4")}
+    node.on_deliver("r3", Msg("urb.cert", "t", {"inner": inner, "cert": cert}))
+    assert oracle.plain_verifies == verified
+    assert len(sim.pending) == queued
+    assert node.delivered == [("r2", "done", 1)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_urb_verifies_only_until_certified(seed):
+    # every replica delivers once; each verifies at most its first quorum of
+    # echoes plus one certificate's signatures before it is certified
+    oracle = CountingOracle()
+    sim, nodes, config = urb_world(seed, oracle=oracle)
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
+    assert sim.run(5000)["verdict"] == "quiescent"
+    for node in nodes.values():
+        assert node.delivered == [("r1", "done", 5)]
+    n, q = len(nodes), 3
+    assert oracle.plain_verifies <= n * (q + q)

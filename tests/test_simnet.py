@@ -1,9 +1,23 @@
 """Scheduler determinism, status transitions, fairness, quiescence."""
 
+import bisect
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynbla.fscrypto import LedgerFsOracle
-from dynbla.simnet import DEFAULT_STEP_CAP, HoldRule, Msg, Simulator, Trigger, trace_hash
+from dynbla.simnet import (
+    DEFAULT_STEP_CAP,
+    MIN_SLOTS,
+    Event,
+    HoldRule,
+    Msg,
+    PendingQueue,
+    Simulator,
+    Trigger,
+    trace_hash,
+)
 
 
 class Echo:
@@ -220,3 +234,111 @@ def test_holds_divert_until_released():
     sim.note_fact("open")
     sim.run(50)
     assert [d for (_, d, _) in c.got] == ["t.free", "t.h"]
+
+
+# -- the weighted draw against the O(n) prefix-sum reference -------------------
+
+PIDS = ("a", "b", "c", "d")
+OPS = ("send", "send", "send", "held", "requeue", "step", "step", "step", "halt", "open")
+
+
+class Recorder:
+    def bind(self, api):
+        self.api = api
+        self.got = []
+
+    def on_deliver(self, frm, msg):
+        self.got.append(msg)
+
+
+def reference_pick(model, base, rng):
+    """The draw the queue replaces: prefix sums of 1 + age, then bisect_right."""
+    acc, total = [], 0
+    for enq, _, _, _ in model:
+        total += 1 + (base - enq)
+        acc.append(total)
+    return bisect.bisect_right(acc, rng.randrange(total))
+
+
+def replay(seed, ops):
+    """Apply ops to a Simulator and to a plain list of (enq, frm, to, msg) in
+    send order; every delivery must be the event the reference draw picks."""
+    sim = Simulator(seed, LedgerFsOracle())
+    procs = {p: Recorder() for p in PIDS}
+    for p, proc in procs.items():
+        sim.spawn(p, proc)
+    hold = HoldRule(to={"c"}, desc="t.held", until=Trigger(fact="open"))
+    sim.add_hold(hold)
+    rng = random.Random(seed)
+    model, buffered = [], []
+    for n, (op, frm, to) in enumerate(ops):
+        now = sim.now()
+        if op in ("send", "held"):
+            msg = Msg("t.held" if op == "held" else "t.x", "t", {"n": n})
+            halted, held = sim.status(to) == "H", hold.matches(frm, to, msg)
+            sim.api(frm).send(to, msg)
+            if held and not halted:
+                buffered.append((frm, to, msg))
+            elif not halted:
+                model.append((now, frm, to, msg))
+        elif op == "requeue" and sim.status(to) != "H":
+            msg = Msg("t.again", "t", {"n": n})
+            sim.api(to).requeue(frm, msg)
+            model.append((now, frm, to, msg))
+        elif op == "halt" and sim.status(to) == "C":
+            sim.halt(to)
+            model = [e for e in model if e[2] != to]
+            buffered = [e for e in buffered if e[1] != to]
+        elif op == "open":
+            sim.note_fact("open")
+        elif op == "step":
+            if buffered and "open" in sim.facts:
+                model.extend((now, f, t, m) for f, t, m in buffered)
+                buffered = []
+                assert sim.step() == "adversary"
+            elif model:
+                _, _, dest, msg = model.pop(reference_pick(model, now, rng))
+                assert sim.step() == "deliver"
+                assert procs[dest].got[-1] is msg
+            else:
+                assert sim.step() is None
+        assert len(sim.pending) == len(model)
+        assert bool(sim.pending) == bool(model)
+        assert [(e.enq, e.frm, e.to, e.msg) for e in sim.pending] == model
+    assert sim.rng.getstate() == rng.getstate()
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32),
+    st.lists(st.tuples(st.sampled_from(OPS), st.sampled_from(PIDS), st.sampled_from(PIDS)), max_size=300),
+)
+def test_draw_matches_prefix_sum_reference(seed, ops):
+    replay(seed, ops)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_draw_matches_reference_through_growth_and_drain(seed):
+    # the queue grows to several hundred events through compactions, loses
+    # one process's events to a halt, grows again, then drains
+    gen = random.Random(seed)
+
+    def mix(n):
+        return [(gen.choice(("send", "send", "requeue", "step", "step")), gen.choice(PIDS), gen.choice(PIDS))
+                for _ in range(n)]
+
+    ops = mix(1500) + [("halt", "a", "b")] + mix(1500) + [("step", "a", "a")] * 1000
+    sim = replay(seed, ops)
+    assert not sim.pending
+
+
+def test_queue_memory_follows_live_events():
+    q = PendingQueue()
+    msg = Msg("t.x", "t", {})
+    for i in range(1000):
+        q.append(Event(i, "a", "b", msg))
+    rng = random.Random(0)
+    while len(q) > 3:
+        q.pop_weighted(rng, 1000)
+    assert len(q._slots) <= MIN_SLOTS and q._cap == MIN_SLOTS
