@@ -1,14 +1,24 @@
 """Golden trace pins: every pinned run must reproduce its recorded trace.
 
-Each pin is (trace hash, verdict, steps) for one deterministic run.  A
-refactor that changes none of them changed no observable behaviour.  The
-pins are never re-recorded to make a change pass; a differing pin means
-the code is wrong.
+Each pin records four facts of one deterministic run:
+
+- ``hash``: the trace hash, which covers message hashes and the JSON of
+  returned certificates, so it depends on how certificates are encoded;
+- ``shape``: a SHA-256 over what the run did regardless of encoding: the
+  trace lines with every ``hash``, ``cert`` and ``acks`` key removed at any
+  depth, the ledger's (signer, ts, step) sequence and the ``final`` section;
+- ``verdict`` and ``steps``.
+
+``shape``, ``verdict`` and ``steps`` are never re-recorded: a differing
+value means the code is wrong.  ``hash`` is re-recorded only by a
+deliberate encoding change, in a commit of its own that leaves the other
+three untouched.
 
 Print the pins of the current code with
 ``PYTHONPATH=src python tests/test_golden_traces.py``.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -19,6 +29,7 @@ from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = pathlib.Path(__file__).with_name("golden_traces.json")
 SEEDS = range(10)
+ENCODED_KEYS = ("hash", "cert", "acks")
 
 
 def _keychain(scn):
@@ -47,9 +58,27 @@ def golden_runs() -> dict:
     return runs
 
 
+def _without_encoded(x):
+    if isinstance(x, dict):
+        return {k: _without_encoded(v) for k, v in x.items() if k not in ENCODED_KEYS}
+    if isinstance(x, (list, tuple)):
+        return [_without_encoded(v) for v in x]
+    return x
+
+
+def shape_of(rep) -> str:
+    bundle = rep.bundle()
+    body = {
+        "trace": _without_encoded(bundle["trace"]),
+        "ledger": [[e["signer"], e["ts"], e["step"]] for e in bundle["ledger"]],
+        "final": bundle["final"],
+    }
+    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def pin_of(scn) -> dict:
     rep = run_scenario(scn)
-    return {"hash": rep.hash, "verdict": rep.verdict, "steps": rep.steps}
+    return {"hash": rep.hash, "shape": shape_of(rep), "verdict": rep.verdict, "steps": rep.steps}
 
 
 RUNS = golden_runs()
