@@ -13,14 +13,14 @@ Three interchangeable modes issue the same certificate shape:
 
 Replica-backed certificates are finished with a countersigning round, which
 pins them to the configuration's key epoch the same way agreement outputs
-are pinned.
+are pinned. The certificate class, AcCert, lives in dbla beside OutputCert,
+so an input value's certificate decodes there without an import cycle.
 """
 
 from __future__ import annotations
 
-from .dbla import QuorumSession, fs_signed
-from .fscrypto import FsSig
-from .lattice import canon, fault_budget, value_from_jsonable, value_to_jsonable, Config
+from .dbla import AcCert, QuorumSession, fs_signed
+from .lattice import canon, fault_budget, Config
 from .simnet import Msg
 
 MODES = ("admin", "sanity", "quorum")
@@ -62,56 +62,6 @@ def admin_payload(object_id: str, slot: str, value) -> bytes:
     return canon(["acadmin", object_id, slot, value])
 
 
-class AcCert:
-    __slots__ = ("mode", "object_id", "slot", "value", "config", "approvals", "cacks", "_canon")
-
-    def __init__(self, mode, object_id, slot, value, config, approvals, cacks):
-        self.mode = mode
-        self.object_id = object_id
-        self.slot = slot
-        self.value = value
-        self.config = config
-        self.approvals = dict(approvals)
-        self.cacks = dict(cacks)
-        self._canon = None
-
-    def canon(self) -> bytes:
-        if self._canon is None:
-            self._canon = canon(
-                ["accert", self.mode, self.object_id, self.slot, self.value, self.config, self.approvals, self.cacks]
-            )
-        return self._canon
-
-    def to_jsonable(self):
-        if self.mode == "admin":
-            approvals = dict(self.approvals)
-            cacks = {}
-        else:
-            approvals = {p: s.to_jsonable() for p, s in self.approvals.items()}
-            cacks = {p: s.to_jsonable() for p, s in self.cacks.items()}
-        return {
-            "ackind": self.mode,
-            "oid": self.object_id,
-            "slot": self.slot,
-            "v": value_to_jsonable(self.value),
-            "cfg": None if self.config is None else self.config.to_jsonable()["cfg"],
-            "appr": approvals,
-            "cacks": cacks,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d) -> "AcCert":
-        mode = d["ackind"]
-        config = None if d["cfg"] is None else Config.from_jsonable({"cfg": d["cfg"]})
-        if mode == "admin":
-            approvals = dict(d["appr"])
-            cacks = {}
-        else:
-            approvals = {p: FsSig.from_jsonable(s) for p, s in d["appr"].items()}
-            cacks = {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()}
-        return cls(mode, d["oid"], d["slot"], value_from_jsonable(d["v"]), config, approvals, cacks)
-
-
 def make_admin_cert(oracle, ac: AccessControl, slot: str, value, signers) -> AcCert:
     pl = admin_payload(ac.object_id, slot, value)
     sigs = {s: oracle.plain_sign(s, pl).hex() for s in signers}
@@ -147,11 +97,6 @@ def make_ac_input_check(ac: AccessControl, oracle):
     """Input-value predicate: the certificate must cover this exact value."""
 
     def check(value, cert) -> bool:
-        if isinstance(cert, dict):
-            try:
-                cert = AcCert.from_jsonable(cert)
-            except (KeyError, TypeError, ValueError):
-                return False
         return (
             isinstance(cert, AcCert)
             and canon(cert.value) == canon(value)

@@ -23,6 +23,11 @@ completion announcements installs the configuration.
 The replica core is value-agnostic: per-object stores plug in to serve
 reads/writes and to snapshot/merge state for transfer, so the max-register
 and access-control objects reuse the same gating and transfer machinery.
+
+Certificates stay objects from creation to verification: token dicts
+(genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
+They become JSON only where a trace is written or read, through the one pair
+cert_to_jsonable / cert_from_jsonable.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ GENESIS_CERT = {"kind": "genesis"}
 class InputValue:
     __slots__ = ("value", "cert", "_canon")
 
-    def __init__(self, value, cert: dict):
+    def __init__(self, value, cert):
         self.value = value
         self.cert = cert
         self._canon = None
@@ -51,11 +56,11 @@ class InputValue:
         return self._canon
 
     def to_jsonable(self):
-        return {"v": value_to_jsonable(self.value), "c": self.cert}
+        return {"v": value_to_jsonable(self.value), "c": cert_to_jsonable(self.cert)}
 
     @classmethod
     def from_jsonable(cls, d) -> "InputValue":
-        return cls(value_from_jsonable(d["v"]), d["c"])
+        return cls(value_from_jsonable(d["v"]), cert_from_jsonable(d["c"]))
 
     def __eq__(self, other):
         return isinstance(other, InputValue) and self.canon() == other.canon()
@@ -87,20 +92,15 @@ class DynamicObject:
     def set_check_value(self, fn) -> None:
         self._check_value = fn
 
-    def check_value(self, value, cert) -> bool:
-        key = canon(["iv", value, cert])
+    def check_value(self, iv: InputValue) -> bool:
+        key = iv.canon()
         hit = self._vcache.get(key)
         if hit is None:
-            for gv in self.genesis_values:
-                if gv.value == value and gv.cert == cert:
-                    hit = True
-                    break
-            else:
-                hit = bool(self._check_value and self._check_value(value, cert))
+            hit = iv in self.genesis_values or bool(self._check_value and self._check_value(iv.value, iv.cert))
             self._vcache[key] = hit
         return hit
 
-    def check_history(self, h: History, cert: dict) -> bool:
+    def check_history(self, h: History, cert) -> bool:
         key = canon(["h", h, cert])
         hit = self._hcache.get(key)
         if hit is None:
@@ -186,19 +186,22 @@ def join_values(values: list[InputValue]):
     return functools.reduce(lambda a, b: a.join(b), (iv.value for iv in values))
 
 
-# -- output certificates ---------------------------------------------------
+# -- certificates ------------------------------------------------------------
 
 
 class OutputCert:
-    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon")
+    """An agreement output's proof; immutable once built."""
 
-    def __init__(self, values, history: History, hist_cert: dict, packs: dict, cacks: dict):
+    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_json")
+
+    def __init__(self, values, history: History, hist_cert, packs: dict, cacks: dict):
         self.values = tuple(values)
         self.history = history
         self.hist_cert = hist_cert
         self.packs = dict(packs)
         self.cacks = dict(cacks)
         self._canon = None
+        self._json = None
 
     def anchor(self) -> Config:
         return self.history.max_element()
@@ -211,39 +214,96 @@ class OutputCert:
         return self._canon
 
     def to_jsonable(self):
-        # the history certificate may itself be an output certificate (one
-        # level of chaining per adopted history), so tag that case
-        if isinstance(self.hist_cert, OutputCert):
-            hcert = {"kind": "ocert", "oc": self.hist_cert.to_jsonable()}
-        else:
-            hcert = self.hist_cert
-        return {
-            "values": [iv.to_jsonable() for iv in self.values],
-            "hist": self.history.to_jsonable(),
-            "hcert": hcert,
-            "packs": {p: s.to_jsonable() for p, s in self.packs.items()},
-            "cacks": {p: s.to_jsonable() for p, s in self.cacks.items()},
-        }
+        # memoised, so a certificate nested in many others is one JSON tree
+        if self._json is None:
+            self._json = {
+                "values": [iv.to_jsonable() for iv in self.values],
+                "hist": self.history.to_jsonable(),
+                "hcert": cert_to_jsonable(self.hist_cert),
+                "packs": {p: s.to_jsonable() for p, s in self.packs.items()},
+                "cacks": {p: s.to_jsonable() for p, s in self.cacks.items()},
+            }
+        return self._json
 
     @classmethod
     def from_jsonable(cls, d) -> "OutputCert":
-        hcert = d["hcert"]
-        if isinstance(hcert, dict) and hcert.get("kind") == "ocert":
-            hcert = cls.from_jsonable(hcert["oc"])
         return cls(
             [InputValue.from_jsonable(v) for v in d["values"]],
             History.from_jsonable(d["hist"]),
-            hcert,
+            cert_from_jsonable(d["hcert"]),
             {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
             {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
         )
+
+
+class AcCert:
+    """An access-control grant (see access_control) for one slot's value."""
+
+    __slots__ = ("mode", "object_id", "slot", "value", "config", "approvals", "cacks", "_canon")
+
+    def __init__(self, mode, object_id, slot, value, config, approvals, cacks):
+        self.mode = mode
+        self.object_id = object_id
+        self.slot = slot
+        self.value = value
+        self.config = config
+        self.approvals = dict(approvals)
+        self.cacks = dict(cacks)
+        self._canon = None
+
+    def canon(self) -> bytes:
+        if self._canon is None:
+            self._canon = canon(
+                ["accert", self.mode, self.object_id, self.slot, self.value, self.config, self.approvals, self.cacks]
+            )
+        return self._canon
+
+    def to_jsonable(self):
+        # admin approvals are plain signatures in hex, and admin certificates have no acks
+        admin = self.mode == "admin"
+        return {
+            "ackind": self.mode,
+            "oid": self.object_id,
+            "slot": self.slot,
+            "v": value_to_jsonable(self.value),
+            "cfg": None if self.config is None else self.config.to_jsonable()["cfg"],
+            "appr": dict(self.approvals) if admin else {p: s.to_jsonable() for p, s in self.approvals.items()},
+            "cacks": {} if admin else {p: s.to_jsonable() for p, s in self.cacks.items()},
+        }
+
+    @classmethod
+    def from_jsonable(cls, d) -> "AcCert":
+        admin = d["ackind"] == "admin"
+        config = None if d["cfg"] is None else Config.from_jsonable({"cfg": d["cfg"]})
+        approvals = dict(d["appr"]) if admin else {p: FsSig.from_jsonable(s) for p, s in d["appr"].items()}
+        cacks = {} if admin else {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()}
+        return cls(d["ackind"], d["oid"], d["slot"], value_from_jsonable(d["v"]), config, approvals, cacks)
+
+
+def cert_to_jsonable(cert):
+    """The JSON form of an input or history certificate; token dicts are their own."""
+    if isinstance(cert, OutputCert):
+        return {"kind": "ocert", "oc": cert.to_jsonable()}
+    if isinstance(cert, AcCert):
+        return cert.to_jsonable()
+    return cert
+
+
+def cert_from_jsonable(d):
+    """Inverse of cert_to_jsonable."""
+    if isinstance(d, dict) and d.get("kind") == "ocert":
+        return OutputCert.from_jsonable(d["oc"])
+    if isinstance(d, dict) and "ackind" in d:
+        return AcCert.from_jsonable(d)
+    return d
 
 
 def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:
     """Pure check that (w, cert) is a legitimate output of this object."""
     if not isinstance(cert, OutputCert) or not cert.values:
         return False
-    key = (id(oracle), canon(["oc", w, cert.canon()]))
+    # keyed on the oracle itself, which the key keeps alive: a freed oracle's id is reused
+    key = (oracle, canon(["oc", w, cert.canon()]))
     hit = obj._ocache.get(key)
     if hit is not None:
         return hit
@@ -253,9 +313,8 @@ def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:
 
 
 def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
-    for iv in cert.values:
-        if not obj.check_value(iv.value, iv.cert):
-            return False
+    if not all(obj.check_value(iv) for iv in cert.values):
+        return False
     if canon(join_values(list(cert.values))) != canon(w):
         return False
     if not obj.check_history(cert.history, cert.hist_cert):
@@ -302,7 +361,7 @@ class ClientHub:
     def anchor(self) -> Config:
         return self.history.max_element()
 
-    def update_history(self, h: History, cert: dict, done=None) -> None:
+    def update_history(self, h: History, cert, done=None) -> None:
         self.rb.broadcast("hist.new", self.group, {"hist": h, "cert": cert})
         if h.contained_in(self.history):
             if done:
@@ -315,7 +374,7 @@ class ClientHub:
             return
         self.consider(body["hist"], body["cert"])
 
-    def consider(self, h: History, cert: dict) -> None:
+    def consider(self, h: History, cert) -> None:
         if h == self.history or not self.history.contained_in(h):
             return
         if not self.hobj.check_history(h, cert):
@@ -421,11 +480,11 @@ class DblaClient(QuorumSession):
         self.vals: dict[bytes, InputValue] = {iv.canon(): iv for iv in obj.genesis_values}
         self.cpacks: dict[str, FsSig] = {}
 
-    def propose(self, value, cert: dict, done) -> None:
+    def propose(self, value, cert, done) -> None:
         self._begin(done)
-        if not self.obj.check_value(value, cert):
-            raise ValueError("propose requires a verifiable input value")
         iv = InputValue(value, cert)
+        if not self.obj.check_value(iv):
+            raise ValueError("propose requires a verifiable input value")
         self.vals.setdefault(iv.canon(), iv)
         self._start()
 
@@ -439,7 +498,7 @@ class DblaClient(QuorumSession):
         rvals = msg.body.get("values")
         if not isinstance(rvals, list) or not all(isinstance(iv, InputValue) for iv in rvals):
             return
-        valid = [iv for iv in rvals if self.obj.check_value(iv.value, iv.cert)]
+        valid = [iv for iv in rvals if self.obj.check_value(iv)]
         new = [iv for iv in valid if iv.canon() not in self.vals]
         if new:
             for iv in new:
@@ -484,9 +543,8 @@ class DblaStore:
 
     def merge(self, ivs) -> None:
         for iv in ivs:
-            if isinstance(iv, InputValue) and iv.canon() not in self.vals:
-                if self.obj.check_value(iv.value, iv.cert):
-                    self.vals[iv.canon()] = iv
+            if isinstance(iv, InputValue) and iv.canon() not in self.vals and self.obj.check_value(iv):
+                self.vals[iv.canon()] = iv
 
     def handle(self, core, frm, msg) -> bool:
         if msg.obj != self.obj.object_id:

@@ -27,6 +27,10 @@ GROUP = "g"
 APP_OBJ = GROUP + "/obj"
 ACL_OBJ = GROUP + "/acl"
 TRACE_FORMAT = "dynbla-trace"
+# version 2: history inputs and access-controlled configuration inputs are
+# signed over their certificate objects' canonical bytes, not over JSON, so
+# version-1 files cannot be re-verified
+TRACE_VERSION = 2
 
 
 @dataclass
@@ -223,13 +227,13 @@ def _make_fire(ctx, idx, spec, rec):
                 elif ctx.acl_mode == "admin":
                     signers = sorted(ctx.ac.admins)[: ctx.ac.admin_threshold()]
                     cert = make_admin_cert(ctx.oracle, ctx.ac, f"h{target.height()}", target, signers)
-                    ctx.rcs[c].update_config(target, cert.to_jsonable(), done)
+                    ctx.rcs[c].update_config(target, cert, done)
                 else:
                     def got(cert):
                         if cert is None:
                             finish({"denied": True, "target": target.cid()})
                         else:
-                            ctx.rcs[c].update_config(target, cert.to_jsonable(), done)
+                            ctx.rcs[c].update_config(target, cert, done)
                     ctx.acls[c].request(f"next:{target.cid()}", target, got)
             except RuntimeError:
                 finish({"error": "busy"})
@@ -348,7 +352,7 @@ def run_scenario(scn, seed=None) -> RunReport:
 def save_trace(path, bundle) -> None:
     """One JSON object per line: head, events, final, ledger, hash."""
     with open(path, "w") as f:
-        head = {"t": "head", "format": TRACE_FORMAT, "version": 1,
+        head = {"t": "head", "format": TRACE_FORMAT, "version": TRACE_VERSION,
                 "scenario": bundle["scenario"], "seed": bundle["seed"],
                 "verdict": bundle["verdict"], "steps": bundle["steps"]}
         f.write(json.dumps(head, sort_keys=True) + "\n")
@@ -369,6 +373,9 @@ def load_trace(path) -> dict:
             line = json.loads(raw)
             t = line.pop("t", None)
             if t == "head":
+                if (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
+                    raise ValueError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
+                                     f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
                 bundle["scenario"] = line["scenario"]
                 bundle["seed"] = line["seed"]
                 bundle["verdict"] = line["verdict"]

@@ -5,9 +5,10 @@ first runs over configurations and certifies the next configuration as the
 join of everything concurrently proposed. The second runs over sets of
 configurations and extends the history with that output; its inputs are only
 accepted when backed by a first-agreement certificate, so every element of a
-certified history is itself a certified configuration. The resulting history
-certificate is broadcast, and adoption drives key updates, state transfer
-and installation in the replica core.
+certified history is itself a certified configuration. That certificate is
+the first agreement's OutputCert object itself, not a copy of it. The
+resulting history certificate is broadcast, and adoption drives key
+updates, state transfer and installation in the replica core.
 
 Both agreements are pre-seeded with genesis under a distinguished
 certificate, which makes every output contain the initial configuration and
@@ -31,24 +32,20 @@ from .dbla import (
 from .lattice import Config, ConfSet, History
 
 
-def wrap_conf_cert(tc: OutputCert) -> dict:
-    return {"kind": "confout", "oc": tc.to_jsonable()}
+def wrap_conf_cert(tc: OutputCert) -> OutputCert:
+    """The certificate of the history input {c'}: the output that certified c'."""
+    return tc
 
 
 def make_hist_input_check(conf_obj: DynamicObject, oracle):
-    """History-agreement inputs: singleton sets of certified configurations."""
+    """History-agreement inputs: singleton sets of configurations, each
+    certified by a configuration-agreement OutputCert."""
 
     def check(value, cert) -> bool:
         if not isinstance(value, ConfSet) or len(value.confs) != 1:
             return False
-        if not isinstance(cert, dict) or cert.get("kind") != "confout":
-            return False
-        try:
-            tc = OutputCert.from_jsonable(cert["oc"])
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return False
         (config,) = tuple(value.confs)
-        return verify_output(conf_obj, oracle, config, tc)
+        return verify_output(conf_obj, oracle, config, cert)
 
     return check
 

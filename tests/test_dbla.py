@@ -161,6 +161,17 @@ def test_output_cert_jsonable_round_trip():
     assert verify_output(w.obj, w.oracle, out, back)
 
 
+def test_output_verdict_is_not_reused_by_another_oracle():
+    w = World(cids=("p",))
+    w.propose(Trigger(at=0), "p", FinSet({"a"}))
+    w.sim.run()
+    out, cert = w.returns["p"][0]
+    assert verify_output(w.obj, LedgerVerifier(w.oracle.dump_ledger()), out, cert)
+    # each fresh verifier may land at the address of a freed one
+    for _ in range(50):
+        assert not verify_output(w.obj, LedgerVerifier([]), out, cert)
+
+
 def test_reconfig_transfer_carries_values_and_updates_keys():
     rids = ("r1", "r2", "r3", "r4", "r5")
     w = World(seed=13, rids=rids, cids=("p", "q", "u"), genesis_rids=rids[:4])

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -8,10 +9,12 @@ from dynbla.dbla import (
     DblaClient,
     DblaStore,
     DynamicObject,
+    OutputCert,
     accept_all,
+    cert_to_jsonable,
     verify_output,
 )
-from dynbla.fscrypto import LedgerFsOracle
+from dynbla.fscrypto import LedgerFsOracle, LedgerVerifier
 from dynbla.lattice import ADD, REMOVE, Config, ConfSet, FinSet, History, genesis_config
 from dynbla.reconfig import ReconfigClient, ReconfigGroup, make_hist_input_check, wrap_conf_cert
 from dynbla.simnet import Simulator, Trigger
@@ -183,7 +186,7 @@ def test_access_controlled_reconfiguration():
             def done(h, th):
                 ns.returns.setdefault("u", []).append((h, th))
 
-            ns.rcs["u"].update_config(c1, cert.to_jsonable(), done)
+            ns.rcs["u"].update_config(c1, cert, done)
 
         ns.acls["u"].request("next", c1, got_cert)
 
@@ -192,6 +195,14 @@ def test_access_controlled_reconfiguration():
     h, th = ns.returns["u"][0]
     assert h.max_element() == c1
     assert ns.grp.check_history(h, th)
+
+    # the certificate chain, AcCert included, survives the trace boundary and
+    # re-verifies offline in a view with empty caches
+    back = OutputCert.from_jsonable(json.loads(json.dumps(th.to_jsonable())))
+    assert back.canon() == th.canon()
+    offline = LedgerVerifier(ns.oracle.dump_ledger())
+    view = ReconfigGroup("grp", ns.genesis, offline, conf_input_check=make_ac_input_check(ns.ac, offline))
+    assert view.check_history(h, back)
 
 
 def test_uncertified_config_rejected_when_acl_gates():
@@ -222,6 +233,28 @@ def test_hist_input_check_rejects_malformed():
     assert not check(ConfSet({c1}), {"kind": "other"})
     assert not check(ConfSet({c1}), {"kind": "confout", "oc": {"bogus": 1}})
     assert not check(FinSet({"x"}), {"kind": "confout", "oc": {}})
+
+
+def test_hist_input_check_takes_the_conf_output_object():
+    rids = ("r1", "r2", "r3", "r4", "r5")
+    ns = build(5, rids, ("u",), genesis_rids=rids[:4])
+    c1 = grown(ns.genesis, "r5")
+    outs = []
+    ns.sim.add_external(
+        Trigger(at=0),
+        "invoke",
+        lambda: ns.rcs["u"].conf.propose(c1, {"kind": "any"}, lambda c, tc: outs.append((c, tc))),
+        to="u",
+        desc="conf-propose",
+    )
+    assert ns.sim.run()["verdict"] == "quiescent"
+    ((cprime, tc),) = outs
+    assert cprime == c1
+    check = ns.grp.hist_obj._check_value
+    assert check(ConfSet({c1}), wrap_conf_cert(tc))
+    assert not check(ConfSet({c1}), tc.to_jsonable())
+    assert not check(ConfSet({c1}), cert_to_jsonable(tc))
+    assert not check(ConfSet({ns.genesis}), tc)
 
 
 def test_forged_history_never_adopted():
