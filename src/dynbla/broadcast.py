@@ -5,6 +5,10 @@ seen message to the whole roster, so one correct recipient suffices for
 eventual delivery everywhere. Message ids are recomputed from content;
 duplicate content from the same origin is delivered once.
 
+Both endpoints ignore malformed bodies, and identify each message object
+once: the id is memoised in ``Msg.mid`` on first delivery and handed on to
+the forwards, echoes and certificates derived from it.
+
 UrbEndpoint: uniform broadcast within one configuration. Replicas echo a
 plain-signed acknowledgment; a quorum of echoes forms a certificate that is
 re-forwarded before local delivery, so a process that delivers and then
@@ -16,6 +20,20 @@ from __future__ import annotations
 
 from .lattice import Config, canon, digest
 from .simnet import Msg
+
+
+def _payload_ok(b) -> bool:
+    """b names a str origin and desc and carries a dict body."""
+    return (
+        isinstance(b, dict)
+        and isinstance(b.get("origin"), str)
+        and isinstance(b.get("desc"), str)
+        and isinstance(b.get("body"), dict)
+    )
+
+
+def _inner_ok(inner) -> bool:
+    return _payload_ok(inner) and isinstance(inner.get("config"), Config)
 
 
 class RbEndpoint:
@@ -31,20 +49,24 @@ class RbEndpoint:
     def _mid(self, origin, desc, obj, body) -> str:
         return digest(["rb", origin, desc, obj, body])[:16]
 
-    def _forward(self, origin, desc, obj, body) -> None:
+    def _forward(self, origin, desc, obj, body, mid=None) -> None:
         msg = Msg("rb.fwd", obj, {"origin": origin, "desc": desc, "body": body})
+        msg.mid = mid
         for pid in self.roster:
             self.api.send(pid, msg)
 
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc != "rb.fwd":
             return False
-        origin = msg.body["origin"]
-        desc, body = msg.body["desc"], msg.body["body"]
-        mid = self._mid(origin, desc, msg.obj, body)
+        if not _payload_ok(msg.body):
+            return True
+        origin, desc, body = msg.body["origin"], msg.body["desc"], msg.body["body"]
+        mid = msg.mid
+        if mid is None:
+            mid = msg.mid = self._mid(origin, desc, msg.obj, body)
         if mid not in self._seen:
             self._seen.add(mid)
-            self._forward(origin, desc, msg.obj, body)
+            self._forward(origin, desc, msg.obj, body, mid)
             self.deliver(origin, desc, msg.obj, body)
         return True
 
@@ -80,43 +102,58 @@ class UrbEndpoint:
             return
         self._certed.add(mid)
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
+        msg.mid = mid
         for pid in sorted(inner["config"].replicas()):
             self.api.send(pid, msg)
+
+    def _msg_mid(self, msg: Msg, inner) -> str:
+        mid = msg.mid
+        if mid is None:
+            mid = msg.mid = self._mid(inner, msg.obj)
+        return mid
 
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc == "urb.init":
             inner = msg.body
-            mid = self._mid(inner, msg.obj)
+            if not _inner_ok(inner):
+                return True
+            mid = self._msg_mid(msg, inner)
             if mid not in self._echoed:
                 self._echoed.add(mid)
                 sig = self.api.oracle.plain_sign(self.api.pid, self._echo_payload(mid))
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
+                out.mid = mid
                 for pid in sorted(inner["config"].replicas()):
                     self.api.send(pid, out)
             return True
         if msg.desc == "urb.echo":
-            inner = msg.body["inner"]
+            b = msg.body
+            if not (isinstance(b, dict) and _inner_ok(b.get("inner")) and "sig" in b):
+                return True
+            inner = b["inner"]
             config: Config = inner["config"]
-            mid = self._mid(inner, msg.obj)
+            mid = self._msg_mid(msg, inner)
             if mid in self._certed:     # already forwarded and delivered
                 return True
             if frm in config.replicas() and self.api.oracle.plain_verify(
-                self._echo_payload(mid), frm, msg.body["sig"]
+                self._echo_payload(mid), frm, b["sig"]
             ):
                 got = self._echoes.setdefault(mid, {})
-                got.setdefault(frm, msg.body["sig"])
+                got.setdefault(frm, b["sig"])
                 if config.is_quorum(got.keys()):
                     cert = dict(got)
                     self._send_cert(mid, inner, msg.obj, cert)
                     self._deliver_once(mid, inner, msg.obj)
             return True
         if msg.desc == "urb.cert":
-            inner = msg.body["inner"]
+            b = msg.body
+            if not (isinstance(b, dict) and _inner_ok(b.get("inner")) and isinstance(b.get("cert"), dict)):
+                return True
+            inner, cert = b["inner"], b["cert"]
             config: Config = inner["config"]
-            mid = self._mid(inner, msg.obj)
+            mid = self._msg_mid(msg, inner)
             if mid in self._certed:
                 return True
-            cert = msg.body["cert"]
             payload = self._echo_payload(mid)
             ok = config.is_quorum(cert.keys()) and all(
                 self.api.oracle.plain_verify(payload, pid, sig)

@@ -370,9 +370,10 @@ class ClientHub:
             self._uh_waiting.append((h, done))
 
     def _on_rb(self, origin, desc, obj, body):
-        if desc != "hist.new":
+        h = body.get("hist")
+        if desc != "hist.new" or not isinstance(h, History):
             return
-        self.consider(body["hist"], body["cert"])
+        self.consider(h, body.get("cert"))
 
     def consider(self, h: History, cert) -> None:
         if h == self.history or not self.history.contained_in(h):

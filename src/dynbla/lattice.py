@@ -20,8 +20,35 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(4, "big") + payload
 
 
+# Builtin types the isinstance chain encodes; a subclass of one of them is
+# encoded as its base even when it has a canon() method.
+_BUILTIN = (int, str, bytes, list, tuple, set, frozenset, dict, type(None))
+
+
 def canon(x) -> bytes:
-    """Deterministic tag-length-value encoding. Dict keys must be strings."""
+    """Deterministic tag-length-value encoding. Dict keys must be strings.
+
+    The common exact types are dispatched on type(x) and framed inline;
+    None, bool, sets and subclasses of builtins take the isinstance chain.
+    """
+    t = type(x)
+    if t is str:
+        b = x.encode("utf-8")
+        return b"S" + len(b).to_bytes(4, "big") + b
+    if t is dict:
+        b = b"".join([canon(k) + canon(v) for k, v in sorted(x.items())])
+        return b"D" + len(b).to_bytes(4, "big") + b
+    if t is list or t is tuple:
+        b = b"".join([canon(e) for e in x])
+        return b"L" + len(b).to_bytes(4, "big") + b
+    if t is int:
+        b = str(x).encode()
+        return b"I" + len(b).to_bytes(4, "big") + b
+    if t is bytes:
+        return b"Y" + len(x).to_bytes(4, "big") + x
+    enc = getattr(x, "canon", None)
+    if enc is not None and not isinstance(x, _BUILTIN):
+        return enc()
     if x is None:
         return _frame(b"N", b"")
     if isinstance(x, bool):
@@ -33,15 +60,11 @@ def canon(x) -> bytes:
     if isinstance(x, bytes):
         return _frame(b"Y", x)
     if isinstance(x, (list, tuple)):
-        return _frame(b"L", b"".join(canon(e) for e in x))
+        return _frame(b"L", b"".join([canon(e) for e in x]))
     if isinstance(x, (set, frozenset)):
-        return _frame(b"E", b"".join(sorted(canon(e) for e in x)))
+        return _frame(b"E", b"".join(sorted([canon(e) for e in x])))
     if isinstance(x, dict):
-        body = b"".join(canon(k) + canon(v) for k, v in sorted(x.items()))
-        return _frame(b"D", body)
-    enc = getattr(x, "canon", None)
-    if enc is not None:
-        return enc()
+        return _frame(b"D", b"".join([canon(k) + canon(v) for k, v in sorted(x.items())]))
     raise TypeError(f"not canonically encodable: {type(x).__name__}")
 
 
@@ -79,7 +102,7 @@ class FinSet:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = _frame(b"F", b"".join(canon(e) for e in sorted(self.elems)))
+            self._canon = _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)]))
         return self._canon
 
     def bottom(self) -> "FinSet":
@@ -109,7 +132,7 @@ class Config:
     over any add of the same id forever, so removed ids cannot come back.
     """
 
-    __slots__ = ("updates", "_canon", "_replicas")
+    __slots__ = ("updates", "_canon", "_replicas", "_cid")
 
     def __init__(self, updates: Iterable[tuple[str, str]] = ()):
         ups = frozenset((str(op), str(r)) for op, r in updates)
@@ -119,6 +142,7 @@ class Config:
         self.updates = ups
         self._canon = None
         self._replicas = None
+        self._cid = None
 
     def join(self, other: "Config") -> "Config":
         return Config(self.updates | other.updates)
@@ -150,7 +174,7 @@ class Config:
     def canon(self) -> bytes:
         if self._canon is None:
             self._canon = _frame(
-                b"C", b"".join(sorted(canon(list(u)) for u in self.updates))
+                b"C", b"".join(sorted([canon(list(u)) for u in self.updates]))
             )
         return self._canon
 
@@ -158,7 +182,9 @@ class Config:
         return Config()
 
     def cid(self) -> str:
-        return short_digest(self)
+        if self._cid is None:
+            self._cid = short_digest(self)
+        return self._cid
 
     def to_jsonable(self):
         return {"cfg": sorted(list(u) for u in self.updates)}
@@ -194,7 +220,7 @@ class ConfSet:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = _frame(b"H", b"".join(sorted(c.canon() for c in self.confs)))
+            self._canon = _frame(b"H", b"".join(sorted([c.canon() for c in self.confs])))
         return self._canon
 
     def bottom(self) -> "ConfSet":

@@ -7,6 +7,13 @@ byte-identical traces; the RNG is consulted nowhere else.
 The weighted draw costs O(log n) in the number of pending events
 (`PendingQueue`), and picks the same event as a prefix sum over the queue
 followed by `bisect_right` on `randrange(total)`.
+
+`trace_hash` is SHA-256 over the trace's lines, each followed by a newline.
+A line is its dict as `json.dumps(line, sort_keys=True, separators=(",", ":"))`
+writes it; `trace_line` writes the simulator's own lines (the keys `desc`,
+`frm`, `hash`, `kind`, `st`, `step`, `to` and an optional `detail`) directly
+in that form, and any other line through the same encoder. Lines are
+joined and hashed a chunk at a time.
 """
 
 from __future__ import annotations
@@ -28,13 +35,21 @@ BYZANTINE = "B"
 
 
 class Msg:
-    __slots__ = ("desc", "obj", "body", "_hash")
+    """A message; one object may be sent to many recipients.
+
+    ``mid`` memoises the broadcast id a broadcast endpoint derives from the
+    body, so each message object is identified once however many
+    recipients it reaches.
+    """
+
+    __slots__ = ("desc", "obj", "body", "_hash", "mid")
 
     def __init__(self, desc: str, obj: str, body: dict):
         self.desc = desc
         self.obj = obj
         self.body = body
         self._hash = None
+        self.mid = None
 
     def mhash(self) -> str:
         if self._hash is None:
@@ -253,6 +268,11 @@ class AdvApi:
     def send(self, frm: str, to: str, msg: Msg) -> None:
         if self._sim.status(frm) != BYZANTINE:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
+        try:
+            msg.mhash()
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"adversary message {msg.desc!r} is not encodable: {e}") from None
+        msg.mid = None      # recipients derive an adversary message's broadcast id themselves
         self._sim._send(frm, to, msg)
 
     def state(self, pid: str):
@@ -452,9 +472,36 @@ class Simulator:
         return {"verdict": "cap", "steps": self.next_step}
 
 
+_escape = json.encoder.encode_basestring_ascii
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_HASH_CHUNK = 1024      # lines encoded and hashed at a time, to bound the text held
+
+
+def trace_line(line: dict) -> str:
+    """One trace line as sorted, compact, ASCII-escaped JSON."""
+    try:
+        desc, frm, h, kind = line["desc"], line["frm"], line["hash"], line["kind"]
+        st, step, to = line["st"], line["step"], line["to"]
+    except (KeyError, TypeError):
+        return _JSON.encode(line)
+    n = len(line)
+    if (
+        (n == 7 or n == 8 and "detail" in line)
+        and type(desc) is str and type(frm) is str and type(kind) is str
+        and type(st) is str and type(to) is str and type(step) is int
+        and (h is None or type(h) is str)
+    ):
+        detail = ',"detail":' + _JSON.encode(line["detail"]) if n == 8 else ""
+        return (
+            f'{{"desc":{_escape(desc)}{detail},"frm":{_escape(frm)},'
+            f'"hash":{"null" if h is None else _escape(h)},"kind":{_escape(kind)},'
+            f'"st":{_escape(st)},"step":{step},"to":{_escape(to)}}}'
+        )
+    return _JSON.encode(line)
+
+
 def trace_hash(trace: list[dict]) -> str:
     out = hashlib.sha256()
-    for line in trace:
-        out.update(json.dumps(line, sort_keys=True, separators=(",", ":")).encode())
-        out.update(b"\n")
+    for i in range(0, len(trace), _HASH_CHUNK):
+        out.update("".join([trace_line(line) + "\n" for line in trace[i:i + _HASH_CHUNK]]).encode())
     return out.hexdigest()

@@ -177,3 +177,66 @@ def test_urb_verifies_only_until_certified(seed):
         assert node.delivered == [("r1", "done", 5)]
     n, q = len(nodes), 3
     assert oracle.plain_verifies <= n * (q + q)
+
+
+def count_mids(monkeypatch, cls):
+    calls = []
+    orig = cls._mid
+
+    def counted(self, *args):
+        calls.append(args)
+        return orig(self, *args)
+
+    monkeypatch.setattr(cls, "_mid", counted)
+    return calls
+
+
+def test_rb_identifies_each_broadcast_once(monkeypatch):
+    # every rb.fwd goes to the whole roster and every first receipt forwards
+    # again, yet only the first delivery of the origin's message derives the id
+    calls = count_mids(monkeypatch, RbEndpoint)
+    sim, nodes = rb_world(2)
+    def go():
+        nodes["p0"].rb.broadcast("x.note", "t", {"n": 1})
+        nodes["p0"].rb.broadcast("x.note", "t", {"n": 1})
+        nodes["p0"].rb.broadcast("x.note", "t", {"n": 2})
+    sim.add_external(Trigger(at=0), "invoke", go, to="p0")
+    assert sim.run(10000)["verdict"] == "quiescent"
+    for node in nodes.values():
+        assert sorted(d[2] for d in node.delivered) == [1, 2]
+    n = len(nodes)
+    assert sim.metrics["delivered"] == 3 * n + 2 * n * n
+    assert len(calls) == 3
+
+
+def test_urb_identifies_each_broadcast_once(monkeypatch):
+    calls = count_mids(monkeypatch, UrbEndpoint)
+    sim, nodes, config = urb_world(3)
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
+    assert sim.run(5000)["verdict"] == "quiescent"
+    for node in nodes.values():
+        assert node.delivered == [("r1", "done", 5)]
+    assert sim.metrics["delivered"] > 2 * len(nodes) ** 2
+    assert len(calls) == 1
+
+
+def test_adversary_cannot_supply_a_broadcast_id():
+    # a corrupted process sends other content under the id of p0's coming
+    # broadcast; the recipients derive ids themselves and still deliver it
+    sim, nodes = rb_world(4)
+    sim.api("p4").send("p4", Msg("t.noop", "t", {}))
+    sim.run(1)
+    sim.corrupt("p4", lambda api, ev: None)
+    real = nodes["p0"].rb._mid("p0", "x.note", "t", {"n": 1})
+
+    def forge():
+        for pid in ("p0", "p1", "p2", "p3"):
+            fake = Msg("rb.fwd", "t", {"origin": "p4", "desc": "x.note", "body": {"n": 6}})
+            fake.mid = real
+            sim.adv_api.send("p4", pid, fake)
+
+    sim.add_external(Trigger(at=1), "adversary", forge, to="p4")
+    sim.add_external(Trigger(at=40), "invoke", lambda: nodes["p0"].rb.broadcast("x.note", "t", {"n": 1}), to="p0")
+    sim.run(10000)
+    for p in ("p0", "p1", "p2", "p3"):
+        assert sorted(d[2] for d in nodes[p].delivered) == [1, 6]

@@ -312,6 +312,81 @@ def test_malformed_request_is_a_counted_drop(msg):
     assert probe.got == []
 
 
+_WITH_Z = Config((ADD, r) for r in ("r1", "r2", "r3", "r4", "z"))
+_MISSING = object()
+
+
+def _inner(**fields):
+    inner = {"origin": "r2", "desc": "xfer.done", "body": {}, "config": _WITH_Z}
+    inner.update(fields)
+    return {k: v for k, v in inner.items() if v is not _MISSING}
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        Msg("rb.fwd", "grp", None),
+        Msg("rb.fwd", "grp", {"desc": "hist.new", "body": {}}),
+        Msg("rb.fwd", "grp", {"origin": "r2", "body": {}}),
+        Msg("rb.fwd", "grp", {"origin": "r2", "desc": "hist.new"}),
+        Msg("rb.fwd", "grp", {"origin": ["r2"], "desc": "hist.new", "body": {}}),
+        Msg("rb.fwd", "grp", {"origin": "r2", "desc": 7, "body": {}}),
+        Msg("rb.fwd", "grp", {"origin": "r2", "desc": "hist.new", "body": None}),
+        Msg("urb.init", "grp", None),
+        Msg("urb.init", "grp", _inner(config=_MISSING)),
+        Msg("urb.init", "grp", _inner(config="c")),
+        Msg("urb.init", "grp", _inner(origin=["r2"])),
+        Msg("urb.init", "grp", _inner(body=None)),
+        Msg("urb.echo", "grp", None),
+        Msg("urb.echo", "grp", {"sig": b""}),
+        Msg("urb.echo", "grp", {"inner": _inner()}),
+        Msg("urb.echo", "grp", {"inner": _inner(desc=_MISSING), "sig": b""}),
+        Msg("urb.cert", "grp", {"inner": _inner(config="c"), "cert": {}}),
+        Msg("urb.cert", "grp", {"inner": _inner()}),
+        Msg("urb.cert", "grp", {"inner": _inner(), "cert": ["r1"]}),
+    ],
+    ids=[
+        "rb-no-body", "rb-no-origin", "rb-no-desc", "rb-no-body-field", "rb-origin-list",
+        "rb-desc-int", "rb-body-none",
+        "urb-init-no-body", "urb-init-no-config", "urb-init-config-str", "urb-init-origin-list",
+        "urb-init-body-none",
+        "urb-echo-no-body", "urb-echo-no-inner", "urb-echo-no-sig", "urb-echo-inner-no-desc",
+        "urb-cert-config-str", "urb-cert-no-cert", "urb-cert-cert-list",
+    ],
+)
+def test_malformed_broadcast_is_ignored(msg):
+    w = World(cids=())
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r1", msg), to="z", desc="probe")
+    assert w.sim.run()["verdict"] == "quiescent"
+    assert w.sim.metrics["sent"] == 1       # no forward, echo or certificate
+    assert w.replicas["r1"].dropped == 0
+    assert probe.got == []
+
+
+def test_client_ignores_hist_new_without_history():
+    w = World(cids=("p",))
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    msg = Msg("rb.fwd", "grp", {"origin": "z", "desc": "hist.new", "body": {"cert": {}}})
+    w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("p", msg), to="z", desc="probe")
+    assert w.sim.run()["verdict"] == "quiescent"
+    assert w.hubs["p"].history == w.obj.genesis_history
+
+
+def test_adversary_cannot_send_an_unencodable_body():
+    w = World(cids=())
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    probe.api.send("z", Msg("noop", "grp", {}))
+    w.sim.run(1)
+    w.sim.corrupt("z", lambda api, ev: None)
+    with pytest.raises(ValueError):
+        w.sim.adv_api.send("z", "r1", Msg("rb.fwd", "grp", {"origin": "z", "desc": "x", "body": {"f": 1.5}}))
+    assert len(w.sim.pending) == 0
+
+
 def test_invalid_input_cert_rejected_at_propose():
     w = World(cids=("p",))
     w.obj.set_check_value(check_plain_input(w.oracle, "obj"))

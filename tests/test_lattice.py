@@ -187,6 +187,110 @@ def test_canon_version_pin():
     assert digest(sample) == "4ec5d7b338746af0189b9c99e17c7737e3f567bf7cf35b7d5b6244e4e5dac5fc"
 
 
+def _frame(tag, payload):
+    return tag + len(payload).to_bytes(4, "big") + payload
+
+
+def reference_canon(x):
+    """The plain isinstance-chain encoding that canon must reproduce."""
+    if x is None:
+        return _frame(b"N", b"")
+    if isinstance(x, bool):
+        return _frame(b"B", b"\x01" if x else b"\x00")
+    if isinstance(x, int):
+        return _frame(b"I", str(x).encode())
+    if isinstance(x, str):
+        return _frame(b"S", x.encode("utf-8"))
+    if isinstance(x, bytes):
+        return _frame(b"Y", x)
+    if isinstance(x, (list, tuple)):
+        return _frame(b"L", b"".join(reference_canon(e) for e in x))
+    if isinstance(x, (set, frozenset)):
+        return _frame(b"E", b"".join(sorted(reference_canon(e) for e in x)))
+    if isinstance(x, dict):
+        body = b"".join(reference_canon(k) + reference_canon(v) for k, v in sorted(x.items()))
+        return _frame(b"D", body)
+    enc = getattr(x, "canon", None)
+    if enc is not None:
+        return enc()
+    raise TypeError(f"not canonically encodable: {type(x).__name__}")
+
+
+class StrSub(str):
+    pass
+
+
+class IntSub(int):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+class StrWithCanon(str):
+    """A str subclass with canon(): still encoded as a str."""
+
+    def canon(self):
+        return b"never used"
+
+
+class Encoded:
+    """A value that encodes itself."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def canon(self):
+        return _frame(b"X", self.data)
+
+
+class Opaque:
+    pass
+
+
+_keys = st.one_of(st.text(max_size=6), st.text(max_size=6).map(StrSub))
+_hashable = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.integers().map(IntSub),
+    st.text(max_size=8).map(StrSub),
+    st.text(max_size=8).map(StrWithCanon),
+)
+_leaves = st.one_of(
+    _hashable,
+    st.binary(max_size=8).map(Encoded),
+    st.frozensets(_hashable, max_size=4),
+    st.sets(_hashable, max_size=4),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+        st.dictionaries(_keys, kids, max_size=4).map(DictSub),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_trees)
+def test_canon_matches_the_isinstance_chain(x):
+    assert canon(x) == reference_canon(x)
+
+
+@pytest.mark.parametrize("x", [1.5, Opaque(), [1, Opaque()], {"k": 1.5}])
+def test_canon_rejects_what_the_isinstance_chain_rejects(x):
+    with pytest.raises(TypeError):
+        reference_canon(x)
+    with pytest.raises(TypeError):
+        canon(x)
+
+
 def test_lattice_values_round_trip_jsonable():
     c = conf(adds=["r1", "r2"], removes=["r2"])
     for v in (FinSet({"a", "b"}), c, ConfSet([c])):

@@ -1,6 +1,8 @@
 """Scheduler determinism, status transitions, fairness, quiescence."""
 
 import bisect
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from dynbla.simnet import (
     Simulator,
     Trigger,
     trace_hash,
+    trace_line,
 )
 
 
@@ -342,3 +345,74 @@ def test_queue_memory_follows_live_events():
     while len(q) > 3:
         q.pop_weighted(rng, 1000)
     assert len(q._slots) <= MIN_SLOTS and q._cap == MIN_SLOTS
+
+
+def reference_trace_hash(trace):
+    """One json.dumps per line: the format trace_hash must reproduce."""
+    out = hashlib.sha256()
+    for line in trace:
+        out.update(json.dumps(line, sort_keys=True, separators=(",", ":")).encode())
+        out.update(b"\n")
+    return out.hexdigest()
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_json = st.recursive(
+    _json_leaf,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=10,
+)
+_field = st.text(max_size=8)        # non-ASCII, quotes and control characters included
+_line = st.fixed_dictionaries(
+    {
+        "step": st.one_of(st.integers(min_value=0), st.booleans()),
+        "kind": st.sampled_from(["deliver", "invoke", "upcall", "return", "adversary"]),
+        "frm": _field,
+        "to": _field,
+        "desc": st.one_of(_field, st.integers(), st.none()),
+        "hash": st.one_of(st.none(), st.text(alphabet="0123456789abcdef", min_size=16, max_size=16), _field, st.integers()),
+        "st": st.sampled_from(["CC", "CB", "-C", "IC", "--"]),
+    },
+    optional={"detail": _json, "extra": _json},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_line, st.dictionaries(_field, _json, max_size=4)), max_size=20))
+def test_trace_hash_matches_one_dumps_per_line(trace):
+    assert trace_hash(trace) == reference_trace_hash(trace)
+
+
+_LINE = {"step": 3, "kind": "deliver", "frm": "r1", "to": "c1", "desc": "bla.propose", "hash": "0f" * 8, "st": "CC"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _LINE,
+        {**_LINE, "desc": "r\u00e9sum\u00e9 \u2603 \"q\"\n\ud83d\ude00"},
+        {**_LINE, "hash": None},
+        {**_LINE, "hash": 5},
+        {**_LINE, "detail": {"result": {"b": [1, None, {"z": "\u00ff"}], "a": True}, "idx": 0}},
+        {**_LINE, "desc": 7},
+        {**_LINE, "step": True},
+        {**_LINE, "extra": 1},
+        {k: v for k, v in _LINE.items() if k != "st"},
+        {**_LINE, "detail": None, "extra": [1.5]},
+    ],
+    ids=["plain", "non-ascii-desc", "hash-none", "hash-int", "nested-detail", "int-desc", "bool-step",
+         "extra-key", "missing-key", "detail-and-extra"],
+)
+def test_trace_line_matches_json_dumps(line):
+    assert trace_line(line) == json.dumps(line, sort_keys=True, separators=(",", ":"))
+    assert trace_hash([line, line]) == reference_trace_hash([line, line])
+
+
+def test_trace_hash_across_chunks():
+    lines = [{**_LINE, "step": i, "hash": None if i % 3 else "ab" * 8} for i in range(2500)]
+    lines[1500]["detail"] = {"idx": 1}
+    for n in (1023, 1024, 1025, 2500):
+        assert trace_hash(lines[:n]) == reference_trace_hash(lines[:n])
