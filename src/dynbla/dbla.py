@@ -639,10 +639,13 @@ class DynamicReplica:
         is superseded. On first receipt a servable request is served, on
         re-gating it is requeued. Otherwise xfer.reads and requests for the
         highest or a higher configuration park until history or installs
-        change; stale, incomparable and malformed requests are dropped.
+        change; stale, incomparable and malformed requests are dropped. A
+        request is malformed unless its body is a dict with a Config under
+        "config" and an int (not a bool) under "sn".
         """
-        config = msg.body.get("config") if isinstance(msg.body, dict) else None
-        if not isinstance(config, Config):
+        body = msg.body if isinstance(msg.body, dict) else {}
+        config = body.get("config")
+        if not isinstance(config, Config) or type(body.get("sn")) is not int:
             self.dropped += 1
             return
         ch = self.chighest()

@@ -13,6 +13,14 @@ Two interchangeable backends:
   hash chain. Raising the watermark advances the chain, which physically
   destroys older private keys; public keys are cached on first use and stay
   available for verification.
+
+  Ed25519 signing is deterministic (RFC 8032), so each oracle performs every
+  Ed25519 operation once: it keeps the private key derived for (p, t), the
+  signature issued for (p, t, sha256(m)), and each successful verification
+  of (p, t, sha256(m), signature). Failed verifications are not kept, so
+  junk cannot grow the cache. Raising p's watermark to t erases p's keys and
+  signatures below t together with the chain seed; verifications stay, as
+  the public keys do.
 """
 
 from __future__ import annotations
@@ -84,10 +92,11 @@ class _FsOracleBase:
     def fs_sign(self, pid: str, msg: bytes, ts: int) -> FsSig | None:
         if ts < self._st[pid]:
             return None
-        data = self._issue(pid, msg, ts)
+        md = hashlib.sha256(msg).digest()
+        data = self._issue(pid, msg, md, ts)
         entry = {
             "signer": pid,
-            "mhash": hashlib.sha256(msg).hexdigest(),
+            "mhash": md.hex(),
             "ts": ts,
             "sig": data.hex(),
         }
@@ -116,7 +125,8 @@ class _FsOracleBase:
     def _on_advance(self, pid: str, ts: int) -> None:
         pass
 
-    def _issue(self, pid: str, msg: bytes, ts: int) -> bytes:
+    def _issue(self, pid: str, msg: bytes, md: bytes, ts: int) -> bytes:
+        """Signature bytes for msg, whose SHA-256 digest is md."""
         raise NotImplementedError
 
     def _check(self, pid: str, msg: bytes, data: bytes, ts: int) -> bool:
@@ -130,11 +140,11 @@ class LedgerFsOracle(_FsOracleBase):
         super().__init__()
         self._issued: dict[tuple[str, bytes, int], bytes] = {}
 
-    def _issue(self, pid, msg, ts):
-        key = (pid, hashlib.sha256(msg).digest(), ts)
+    def _issue(self, pid, msg, md, ts):
+        key = (pid, md, ts)
         data = self._issued.get(key)
         if data is None:
-            data = _h(b"fs-issue", pid.encode(), key[1], str(ts).encode())
+            data = _h(b"fs-issue", pid.encode(), md, str(ts).encode())
             self._issued[key] = data
         return data
 
@@ -150,14 +160,23 @@ class KeyChainFsOracle(_FsOracleBase):
         self.span = span
         self._chain: dict[str, tuple[int, bytes]] = {}
         self._pubs: dict[tuple[str, int], Ed25519PublicKey] = {}
+        # erased below the watermark by _on_advance
+        self._keys: dict[str, dict[int, Ed25519PrivateKey]] = {}
+        self._sigs: dict[str, dict[tuple[int, bytes], bytes]] = {}
+        # successful verifications only, keyed (pid, ts, sha256(msg), sig)
+        self._verified: set[tuple[str, int, bytes, bytes]] = set()
 
     def _on_register(self, pid):
         self._chain[pid] = (0, _h(b"chain-seed", pid.encode()))
+        self._keys[pid] = {}
+        self._sigs[pid] = {}
 
     def _on_advance(self, pid, ts):
         if ts >= self.span:
             raise ValueError(f"timestamp {ts} outside key-chain span {self.span}")
         self._chain[pid] = (ts, self._seed_at(pid, ts))
+        self._keys[pid] = {t: k for t, k in self._keys[pid].items() if t >= ts}
+        self._sigs[pid] = {k: s for k, s in self._sigs[pid].items() if k[0] >= ts}
 
     def _seed_at(self, pid: str, ts: int) -> bytes:
         t0, seed = self._chain[pid]
@@ -170,18 +189,30 @@ class KeyChainFsOracle(_FsOracleBase):
     def _priv_seed(self, pid: str, ts: int) -> bytes:
         return _h(b"chain-key", self._seed_at(pid, ts))
 
-    def _priv(self, pid: str, ts: int) -> Ed25519PrivateKey:
+    def _derive(self, pid: str, ts: int) -> Ed25519PrivateKey:
         return Ed25519PrivateKey.from_private_bytes(self._priv_seed(pid, ts))
 
-    def _issue(self, pid, msg, ts):
+    def _priv(self, pid: str, ts: int) -> Ed25519PrivateKey:
+        keys = self._keys[pid]
+        priv = keys.get(ts)
+        if priv is None:
+            priv = keys[ts] = self._derive(pid, ts)
+            self._pubs.setdefault((pid, ts), priv.public_key())
+        return priv
+
+    def _issue(self, pid, msg, md, ts):
         if ts >= self.span:
             raise ValueError(f"timestamp {ts} outside key-chain span {self.span}")
-        priv = self._priv(pid, ts)
-        if (pid, ts) not in self._pubs:
-            self._pubs[(pid, ts)] = priv.public_key()
-        return priv.sign(msg)
+        sigs = self._sigs[pid]
+        data = sigs.get((ts, md))
+        if data is None:
+            data = sigs[(ts, md)] = self._priv(pid, ts).sign(msg)
+        return data
 
     def _check(self, pid, msg, data, ts):
+        key = (pid, ts, hashlib.sha256(msg).digest(), data)
+        if key in self._verified:
+            return True
         pub = self._pubs.get((pid, ts))
         if pub is None:
             t0, _ = self._chain[pid]
@@ -189,13 +220,16 @@ class KeyChainFsOracle(_FsOracleBase):
                 # the key was destroyed before anything was signed with it,
                 # or never existed: no valid signature can exist
                 return False
-            pub = self._priv(pid, ts).public_key()
+            # derived without keeping the private key: a claimed timestamp
+            # nothing was signed at must not fill the key cache
+            pub = self._derive(pid, ts).public_key()
             self._pubs[(pid, ts)] = pub
         try:
             pub.verify(data, msg)
-            return True
         except InvalidSignature:
             return False
+        self._verified.add(key)
+        return True
 
 
 class LedgerVerifier:

@@ -18,6 +18,7 @@ from dynbla.dbla import (
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
 from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
+from dynbla.maxreg import MaxRegStore
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger, trace_hash
 
 
@@ -35,7 +36,9 @@ class Probe:
 
 
 class World:
-    def __init__(self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, check_value=None):
+    def __init__(
+        self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, check_value=None, maxreg=False
+    ):
         self.oracle = LedgerFsOracle()
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
@@ -44,7 +47,10 @@ class World:
         roster = list(rids) + list(cids)
         self.replicas = {}
         for r in rids:
-            rep = DynamicReplica("grp", self.genesis, [DblaStore("la", self.obj)], self.obj.check_history, roster)
+            stores = [DblaStore("la", self.obj)]
+            if maxreg:
+                stores.append(MaxRegStore("mr", "mr", accept_all))
+            rep = DynamicReplica("grp", self.genesis, stores, self.obj.check_history, roster)
             self.replicas[r] = rep
             self.sim.spawn(r, rep)
         self.hubs = {}
@@ -314,6 +320,46 @@ def test_malformed_request_is_a_counted_drop(msg):
 
 _WITH_Z = Config((ADD, r) for r in ("r1", "r2", "r3", "r4", "z"))
 _MISSING = object()
+
+
+@pytest.mark.parametrize("sn", [_MISSING, None, "1", True, [1]], ids=["no-sn", "none", "str", "bool", "list"])
+@pytest.mark.parametrize(
+    "desc, obj, fields",
+    [
+        ("bla.propose", "obj", {"values": []}),
+        ("bla.confirm", "obj", {"packs": {}}),
+        ("mr.set", "mr", {"v": 1, "cert": {"kind": "any"}}),
+        ("mr.get", "mr", {}),
+        ("xfer.read", "grp", {}),
+    ],
+    ids=["propose", "confirm", "mr-set", "mr-get", "xfer-read"],
+)
+def test_request_without_int_sn_is_a_counted_drop(desc, obj, fields, sn):
+    # every request here is servable: it names the installed configuration,
+    # or for xfer.read the superseded genesis
+    rids = ("r1", "r2", "r3", "r4", "r5")
+    w = World(seed=4, rids=rids, cids=("u",), genesis_rids=rids[:4], maxreg=True)
+    c1 = w.grown("r5")
+    w.update_history(Trigger(at=0), "u", History([w.genesis, c1]))
+    assert w.sim.run()["verdict"] == "quiescent"
+    r1 = w.replicas["r1"]
+    assert r1.cinst == c1
+    dropped = r1.dropped
+
+    body = {**fields, "config": w.genesis if desc == "xfer.read" else c1}
+    if sn is not _MISSING:
+        body["sn"] = sn
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    w.sim.add_external(
+        Trigger(at=w.sim.next_step), "invoke", lambda: probe.api.send("r1", Msg(desc, obj, body)), to="z", desc="probe"
+    )
+    assert w.sim.run()["verdict"] == "quiescent"
+    assert r1.dropped == dropped + 1
+    assert r1.buffered == []
+    assert probe.got == []
+
+
 
 
 def _inner(**fields):

@@ -1,6 +1,12 @@
 """Both signing backends must satisfy the same forward-security contract."""
 
+import hashlib
+
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.serialization import Encoding, NoEncryption, PrivateFormat
+from hypothesis import given, settings, strategies as st
 
 from dynbla.fscrypto import (
     KEY_CHAIN_SPAN,
@@ -8,6 +14,7 @@ from dynbla.fscrypto import (
     KeyChainFsOracle,
     LedgerFsOracle,
     LedgerVerifier,
+    _h,
 )
 
 
@@ -128,3 +135,203 @@ def test_ledger_dump_supports_offline_verification():
     assert not v.fs_verify(b"msg", "p1", FsSig("p1", 2, b"zz"), 2)
     assert not v.fs_verify(b"other", "p1", sig, 2)
     assert v.plain_verify(b"doc", "p1", plain)
+
+
+# -- the keychain oracle's caches ----------------------------------------------
+
+
+def _ref_key(pid: str, ts: int) -> Ed25519PrivateKey:
+    seed = _h(b"chain-seed", pid.encode())
+    for _ in range(ts):
+        seed = _h(b"chain-step", seed)
+    return Ed25519PrivateKey.from_private_bytes(_h(b"chain-key", seed))
+
+
+class RefKeyChain:
+    """Uncached keychain semantics: every key is derived from the chain's
+    start and every signature and verification is computed afresh."""
+
+    def __init__(self, span):
+        self.span = span
+        self.st = {}
+        self.ledger = []
+        self.published = set()  # (pid, ts) whose public key was ever taken
+
+    def register(self, pid):
+        self.st[pid] = 0
+
+    def update_fs_keys(self, pid, ts):
+        if ts > self.st[pid]:
+            if ts >= self.span:
+                raise ValueError(ts)
+            self.st[pid] = ts
+
+    def fs_sign(self, pid, msg, ts):
+        if ts < self.st[pid]:
+            return None
+        if ts >= self.span:
+            raise ValueError(ts)
+        self.published.add((pid, ts))
+        data = _ref_key(pid, ts).sign(msg)
+        self.ledger.append({"signer": pid, "mhash": hashlib.sha256(msg).hexdigest(), "ts": ts, "sig": data.hex()})
+        return FsSig(pid, ts, data)
+
+    def fs_verify(self, msg, pid, sig, ts):
+        if not isinstance(sig, FsSig) or sig.signer != pid or sig.ts != ts:
+            return False
+        if (pid, ts) not in self.published:
+            if ts < self.st[pid] or ts >= self.span:
+                return False
+            self.published.add((pid, ts))
+        try:
+            _ref_key(pid, ts).public_key().verify(sig.data, msg)
+        except InvalidSignature:
+            return False
+        return True
+
+
+_PIDS = ("p1", "p2")
+_MSGS = (b"a", b"b", b"c")
+_SPAN = 16
+_ts = st.integers(min_value=0, max_value=_SPAN + 1)
+_op = st.one_of(
+    st.tuples(st.just("sign"), st.sampled_from(_PIDS), st.sampled_from(_MSGS), _ts),
+    st.tuples(st.just("update"), st.sampled_from(_PIDS), _ts),
+    st.tuples(
+        st.just("verify"),
+        st.sampled_from(["genuine", "message", "signature", "ts", "pid"]),
+        st.integers(min_value=0, max_value=1000),
+    ),
+)
+
+
+def _call(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return "ValueError"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_op, max_size=60))
+def test_keychain_matches_uncached_reference(ops):
+    o, ref = KeyChainFsOracle(span=_SPAN), RefKeyChain(_SPAN)
+    for p in _PIDS:
+        o.register(p)
+        ref.register(p)
+    issued = []  # (msg, sig)
+    for op in ops:
+        if op[0] == "sign":
+            _, pid, msg, ts = op
+            got = _call(o.fs_sign, pid, msg, ts)
+            assert got == _call(ref.fs_sign, pid, msg, ts)
+            if isinstance(got, FsSig):
+                issued.append((msg, got))
+        elif op[0] == "update":
+            _, pid, ts = op
+            assert _call(o.update_fs_keys, pid, ts) == _call(ref.update_fs_keys, pid, ts)
+            assert o.st(pid) == ref.st[pid]
+        elif issued:
+            _, kind, i = op
+            msg, sig = issued[i % len(issued)]
+            pid, ts = sig.signer, sig.ts
+            if kind == "message":
+                msg = msg + b"!"
+            elif kind == "signature":
+                sig = FsSig(pid, ts, bytes([sig.data[0] ^ 1]) + sig.data[1:])
+            elif kind == "ts":
+                ts = (ts + 1) % _SPAN
+                sig = FsSig(pid, ts, sig.data)
+            elif kind == "pid":
+                pid = "p2" if pid == "p1" else "p1"
+                sig = FsSig(pid, ts, sig.data)
+            assert o.fs_verify(msg, pid, sig, ts) == ref.fs_verify(msg, pid, sig, ts)
+    assert o.ledger == ref.ledger
+
+
+def _private_keys(obj, seen=None):
+    """Every Ed25519 private key reachable from obj's attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Ed25519PrivateKey):
+        return [obj]
+    if isinstance(obj, dict):
+        kids = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        kids = list(obj)
+    elif hasattr(obj, "__dict__"):
+        kids = list(vars(obj).values())
+    else:
+        return []
+    return [k for kid in kids for k in _private_keys(kid, seen)]
+
+
+def _raw(key):
+    return key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
+
+
+def test_keychain_erasure_covers_keys_and_signatures():
+    o = KeyChainFsOracle(span=32)
+    o.register("p")
+    old = o.fs_sign("p", b"m", 1)
+    ahead = o.fs_sign("p", b"m", 7)
+    held = {_raw(k) for k in _private_keys(o)}
+    assert _raw(_ref_key("p", 1)) in held  # the cache did keep the key
+
+    o.update_fs_keys("p", 5)
+    assert o.fs_sign("p", b"m", 1) is None
+    below = {_raw(_ref_key("p", t)) for t in range(5)}
+    assert not below & {_raw(k) for k in _private_keys(o)}
+    assert all(t >= 5 for t in o._keys["p"])
+    assert all(t >= 5 for t, _ in o._sigs["p"])
+    assert o._chain["p"][0] == 5
+    # what is still signable stays cached; the old signature still verifies
+    assert o.fs_sign("p", b"m", 7) == ahead
+    assert o.fs_verify(b"m", "p", old, 1)
+
+
+class CountingPub:
+    def __init__(self, pub):
+        self.pub = pub
+        self.calls = 0
+
+    def verify(self, data, msg):
+        self.calls += 1
+        self.pub.verify(data, msg)
+
+
+def test_keychain_verifies_each_distinct_signature_once():
+    o = KeyChainFsOracle(span=32)
+    o.register("p")
+    sig_a = o.fs_sign("p", b"a", 3)
+    sig_b = o.fs_sign("p", b"b", 3)
+    assert o.fs_sign("p", b"a", 3) == sig_a  # a repeat returns the same bytes
+    pub = o._pubs[("p", 3)] = CountingPub(o._pubs[("p", 3)])
+
+    for _ in range(3):
+        assert o.fs_verify(b"a", "p", sig_a, 3)
+    assert pub.calls == 1
+    for _ in range(2):
+        assert o.fs_verify(b"b", "p", sig_b, 3)
+    assert pub.calls == 2
+    # the same signature bytes over another message are a distinct tuple
+    assert not o.fs_verify(b"b", "p", sig_a, 3)
+    assert pub.calls == 3
+
+    forged = FsSig("p", 3, bytes([sig_a.data[0] ^ 1]) + sig_a.data[1:])
+    for n in range(1, 4):
+        assert not o.fs_verify(b"a", "p", forged, 3)
+        assert pub.calls == 3 + n
+    assert not o.fs_verify(b"b", "p", sig_a, 3)
+    assert pub.calls == 7
+
+
+def test_keychain_junk_leaves_no_key_or_verdict_behind():
+    o = KeyChainFsOracle(span=32)
+    o.register("p")
+    for ts in (2, 9):
+        assert not o.fs_verify(b"m", "p", FsSig("p", ts, b"\x00" * 64), ts)
+    assert _private_keys(o) == []
+    assert not o._verified
