@@ -28,6 +28,15 @@ Certificates stay objects from creation to verification: token dicts
 (genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
 They become JSON only where a trace is written or read, through the one pair
 cert_to_jsonable / cert_from_jsonable.
+
+An OutputCert encodes as its digest frame (lattice.merkle_frame): the
+SHA-256 of its node body, in which a nested OutputCert (the history
+certificate, or an input value's certificate) appears as its own 37-byte
+frame. Message hashes, broadcast ids, signed payloads and the verification
+caches' keys therefore stay the size of one node however long the chain of
+earlier certificates is, while the frame still commits to every byte of
+that chain. Verification is unchanged: it recurses into every
+sub-certificate, once per distinct certificate and DynamicObject.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import functools
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import Config, History, canon, value_from_jsonable, value_to_jsonable
+from .lattice import Config, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
 from .simnet import Msg
 
 GENESIS_CERT = {"kind": "genesis"}
@@ -59,8 +68,8 @@ class InputValue:
         return {"v": value_to_jsonable(self.value), "c": cert_to_jsonable(self.cert)}
 
     @classmethod
-    def from_jsonable(cls, d) -> "InputValue":
-        return cls(value_from_jsonable(d["v"]), cert_from_jsonable(d["c"]))
+    def from_jsonable(cls, d, memo=None) -> "InputValue":
+        return cls(value_from_jsonable(d["v"]), cert_from_jsonable(d["c"], memo))
 
     def __eq__(self, other):
         return isinstance(other, InputValue) and self.canon() == other.canon()
@@ -206,11 +215,13 @@ class OutputCert:
     def anchor(self) -> Config:
         return self.history.max_element()
 
+    def node(self) -> bytes:
+        """The node body; nested certificates appear as their digest frames."""
+        return canon(["ocert", list(self.values), self.history, self.hist_cert, self.packs, self.cacks])
+
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = canon(
-                ["ocert", list(self.values), self.history, self.hist_cert, self.packs, self.cacks]
-            )
+            self._canon = merkle_frame(self.node())
         return self._canon
 
     def to_jsonable(self):
@@ -226,14 +237,28 @@ class OutputCert:
         return self._json
 
     @classmethod
-    def from_jsonable(cls, d) -> "OutputCert":
-        return cls(
-            [InputValue.from_jsonable(v) for v in d["values"]],
+    def from_jsonable(cls, d, memo=None) -> "OutputCert":
+        """Decode d; with a memo dict, each JSON dict object is decoded once.
+
+        The memo maps id(d) to (d, cert) and so keeps d alive while it is in
+        use: a live run's certificates share their nested JSON dicts, so
+        each node is decoded once, while the separate copies of a trace read
+        from a file are decoded one by one.
+        """
+        if memo is not None:
+            hit = memo.get(id(d))
+            if hit is not None:
+                return hit[1]
+        cert = cls(
+            [InputValue.from_jsonable(v, memo) for v in d["values"]],
             History.from_jsonable(d["hist"]),
-            cert_from_jsonable(d["hcert"]),
+            cert_from_jsonable(d["hcert"], memo),
             {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
             {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
         )
+        if memo is not None:
+            memo[id(d)] = (d, cert)
+        return cert
 
 
 class AcCert:
@@ -289,10 +314,10 @@ def cert_to_jsonable(cert):
     return cert
 
 
-def cert_from_jsonable(d):
-    """Inverse of cert_to_jsonable."""
+def cert_from_jsonable(d, memo=None):
+    """Inverse of cert_to_jsonable; memo as in OutputCert.from_jsonable."""
     if isinstance(d, dict) and d.get("kind") == "ocert":
-        return OutputCert.from_jsonable(d["oc"])
+        return OutputCert.from_jsonable(d["oc"], memo)
     if isinstance(d, dict) and "ackind" in d:
         return AcCert.from_jsonable(d)
     return d

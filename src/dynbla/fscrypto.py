@@ -11,8 +11,10 @@ Two interchangeable backends:
   verification is ledger membership, so unissued bytes never verify.
 - KeyChainFsOracle: one Ed25519 key per timestamp, derived from a one-way
   hash chain. Raising the watermark advances the chain, which physically
-  destroys older private keys; public keys are cached on first use and stay
-  available for verification.
+  destroys older private keys; the public key of every key that signed is
+  kept and stays available for verification. A signature claimed for a
+  timestamp at which its signer never signed is refused at once: no key is
+  derived for it and nothing is kept.
 
   Ed25519 signing is deterministic (RFC 8032), so each oracle performs every
   Ed25519 operation once: it keeps the private key derived for (p, t), the
@@ -189,14 +191,11 @@ class KeyChainFsOracle(_FsOracleBase):
     def _priv_seed(self, pid: str, ts: int) -> bytes:
         return _h(b"chain-key", self._seed_at(pid, ts))
 
-    def _derive(self, pid: str, ts: int) -> Ed25519PrivateKey:
-        return Ed25519PrivateKey.from_private_bytes(self._priv_seed(pid, ts))
-
     def _priv(self, pid: str, ts: int) -> Ed25519PrivateKey:
         keys = self._keys[pid]
         priv = keys.get(ts)
         if priv is None:
-            priv = keys[ts] = self._derive(pid, ts)
+            priv = keys[ts] = Ed25519PrivateKey.from_private_bytes(self._priv_seed(pid, ts))
             self._pubs.setdefault((pid, ts), priv.public_key())
         return priv
 
@@ -215,15 +214,8 @@ class KeyChainFsOracle(_FsOracleBase):
             return True
         pub = self._pubs.get((pid, ts))
         if pub is None:
-            t0, _ = self._chain[pid]
-            if ts < t0 or ts >= self.span:
-                # the key was destroyed before anything was signed with it,
-                # or never existed: no valid signature can exist
-                return False
-            # derived without keeping the private key: a claimed timestamp
-            # nothing was signed at must not fill the key cache
-            pub = self._derive(pid, ts).public_key()
-            self._pubs[(pid, ts)] = pub
+            # only a sign derives a key, so no valid signature exists
+            return False
         try:
             pub.verify(data, msg)
         except InvalidSignature:

@@ -75,8 +75,14 @@ def check_liveness(bundle, view):
 
 
 def check_certificates(bundle, view):
-    """Re-verify every certificate embedded in an operation return."""
+    """Re-verify every certificate embedded in an operation return.
+
+    Decoding shares one memo across the returns (see
+    OutputCert.from_jsonable): a live bundle's nested certificates are
+    decoded once each, a loaded trace's copies one by one.
+    """
     table = ops_table(bundle)
+    memo = {}
     bad = []
     for idx, row in sorted(table.items()):
         r = row["result"]
@@ -87,12 +93,12 @@ def check_certificates(bundle, view):
         try:
             if kind == "propose":
                 w = value_from_jsonable(r["w"])
-                cert = OutputCert.from_jsonable(r["cert"])
+                cert = OutputCert.from_jsonable(r["cert"], memo)
                 if not verify_output(view.app_obj, view.oracle, w, cert):
                     bad.append(idx)
             elif kind == "update_config":
                 h = value_from_jsonable(r["hist"])
-                th = OutputCert.from_jsonable(r["cert"])
+                th = OutputCert.from_jsonable(r["cert"], memo)
                 if not view.grp.check_history(h, th):
                     bad.append(idx)
             elif kind in ("write", "read"):

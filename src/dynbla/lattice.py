@@ -3,6 +3,13 @@
 Also home of the canonical byte encoding used for signing payloads, message
 hashing and value dedup: every encodable value maps to one byte string,
 independent of dict/set iteration order.
+
+A certificate encodes as its digest frame (``merkle_frame``): tag ``O``,
+length 32 and the SHA-256 of the certificate's node body, in which every
+nested certificate again appears as its own frame. So encoding, hashing or
+signing over a certificate costs the size of one node, not of the whole
+chain of certificates below it, and the frame still commits to all of it,
+as in a Merkle DAG (Merkle 1987).
 """
 
 from __future__ import annotations
@@ -66,6 +73,11 @@ def canon(x) -> bytes:
     if isinstance(x, dict):
         return _frame(b"D", b"".join([canon(k) + canon(v) for k, v in sorted(x.items())]))
     raise TypeError(f"not canonically encodable: {type(x).__name__}")
+
+
+def merkle_frame(body: bytes) -> bytes:
+    """The fixed-size canonical encoding of a node whose body is body."""
+    return _frame(b"O", hashlib.sha256(body).digest())
 
 
 def digest(x) -> str:

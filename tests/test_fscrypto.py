@@ -8,6 +8,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from cryptography.hazmat.primitives.serialization import Encoding, NoEncryption, PrivateFormat
 from hypothesis import given, settings, strategies as st
 
+from dynbla import fscrypto
 from dynbla.fscrypto import (
     KEY_CHAIN_SPAN,
     FsSig,
@@ -335,3 +336,21 @@ def test_keychain_junk_leaves_no_key_or_verdict_behind():
         assert not o.fs_verify(b"m", "p", FsSig("p", ts, b"\x00" * 64), ts)
     assert _private_keys(o) == []
     assert not o._verified
+
+
+def test_keychain_junk_timestamps_derive_nothing(monkeypatch):
+    o = KeyChainFsOracle()
+    o.register("p")
+    steps = 0
+
+    def counting_h(*parts):
+        nonlocal steps
+        steps += parts[0] == b"chain-step"
+        return _h(*parts)
+
+    monkeypatch.setattr(fscrypto, "_h", counting_h)
+    pubs = dict(o._pubs)
+    for ts in range(65000, 65100):
+        assert not o.fs_verify(b"m", "p", FsSig("p", ts, b"\x00" * 64), ts)
+    assert o._pubs == pubs
+    assert steps == 0

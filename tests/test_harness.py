@@ -4,11 +4,13 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dynbla.dbla import OutputCert
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import ops_table, run_checks
 from dynbla.harness.runner import load_trace, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
+from dynbla.lattice import value_from_jsonable
 
 
 def passed(results, name):
@@ -461,6 +463,97 @@ def test_cli_families():
     assert r.exit_code == 0
     for name in FAMILIES:
         assert name in r.output
+
+
+# -- certificates as a Merkle DAG ------------------------------------------------
+
+
+def _last_update(bundle):
+    """(op index, result) of the run's last update_config return."""
+    rows = [(i, row) for i, row in sorted(ops_table(bundle).items()) if row["spec"]["op"] == "update_config"]
+    idx, row = rows[-1]
+    return idx, row["result"]
+
+
+def _dag(cert):
+    """The distinct certificates reachable from cert, keyed by canon()."""
+    seen = {}
+    stack = [cert]
+    while stack:
+        c = stack.pop()
+        if c.canon() not in seen:
+            seen[c.canon()] = c
+            stack += [x for x in (c.hist_cert, *(iv.cert for iv in c.values)) if isinstance(x, OutputCert)]
+    return seen
+
+
+def _flip_sig(sigs):
+    pid = sorted(sigs)[0]
+    data = bytes.fromhex(sigs[pid]["data"])
+    sigs[pid]["data"] = (bytes([data[0] ^ 1]) + data[1:]).hex()
+
+
+@pytest.fixture(scope="module")
+def chain3():
+    return run_scenario(FAMILIES["chain"](0, 3)).bundle()
+
+
+def test_certificate_frame_commits_to_nested_certificates(chain3):
+    _, r = _last_update(chain3)
+    top = OutputCert.from_jsonable(r["cert"])
+    assert all(len(c.canon()) == 37 and c.canon()[:1] == b"O" for c in _dag(top).values())
+
+    def verifies(cert_json):
+        view = checks.rebuild_view(chain3["scenario"], ledger=chain3["ledger"])
+        return view.grp.check_history(value_from_jsonable(r["hist"]), OutputCert.from_jsonable(cert_json))
+
+    assert verifies(r["cert"])
+    # one signature of the history certificate two levels down
+    sig = copy.deepcopy(r["cert"])
+    _flip_sig(sig["hcert"]["oc"]["hcert"]["oc"]["packs"])
+    # one configuration inside the configuration certificate two levels down
+    val = copy.deepcopy(r["cert"])
+    conf_cert = next(iv["c"]["oc"] for iv in val["hcert"]["oc"]["values"] if iv["c"].get("kind") == "ocert")
+    iv = next(iv for iv in conf_cert["values"] if "cfg" in iv["v"])
+    iv["v"]["cfg"].append(["+", "r99"])
+    for bad in (sig, val):
+        assert OutputCert.from_jsonable(bad).canon() != top.canon()
+        assert not verifies(bad)
+
+
+def test_certificate_dag_grows_polynomially_and_its_json_exponentially():
+    ks = range(1, 7)
+    nodes, largest, total, json_bytes = [], [], [], []
+    for k in ks:
+        _, r = _last_update(run_scenario(FAMILIES["chain"](0, k)).bundle())
+        bodies = [len(c.node()) for c in _dag(OutputCert.from_jsonable(r["cert"])).values()]
+        nodes.append(len(bodies))
+        largest.append(max(bodies))
+        total.append(sum(bodies))
+        json_bytes.append(len(json.dumps(r["cert"], sort_keys=True, separators=(",", ":"))))
+    # one configuration and one history certificate per reconfiguration
+    assert nodes == [2 * k for k in ks]
+    # a node body holds its own history and quorums, and only the frames of
+    # the nodes below it; the chain adds a replica per reconfiguration, so
+    # bodies grow linearly and their sum at most quadratically
+    assert all(largest[k - 1] <= largest[0] * k for k in ks)
+    assert all(total[k - 1] <= total[0] * k * k for k in ks)
+    # the JSON form spells out every copy of every sub-certificate
+    assert all(b >= 2 * a for a, b in zip(json_bytes, json_bytes[1:]))
+
+
+def test_loaded_trace_decodes_and_checks_copy_by_copy(tmp_path, chain3):
+    path = tmp_path / "chain3.trace"
+    save_trace(path, chain3)
+    loaded = load_trace(path)
+    assert run_checks(loaded) == run_checks(chain3)
+    assert all(ok for _, ok, _ in run_checks(loaded))
+    # other returns hold untampered copies of the same sub-certificate
+    idx, r = _last_update(loaded)
+    _flip_sig(r["cert"]["hcert"]["oc"]["hcert"]["oc"]["packs"])
+    results = {n: (ok, info) for n, ok, info in run_checks(loaded)}
+    assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
+    assert all(ok for n, (ok, _) in results.items() if n != "safety.certificates_verify")
 
 
 # -- offline view ------------------------------------------------------------------
