@@ -19,7 +19,7 @@ so an input value's certificate decodes there without an import cycle.
 
 from __future__ import annotations
 
-from .dbla import AcCert, QuorumSession, fs_signed
+from .dbla import AcCert, QuorumSession, fs_signed, plain_verify_hex
 from .lattice import canon, fault_budget, Config
 from .simnet import Msg
 
@@ -77,9 +77,7 @@ def verify_cert(ac: AccessControl, oracle, cert) -> bool:
         pl = admin_payload(ac.object_id, cert.slot, cert.value)
         good = 0
         for pid, hexsig in cert.approvals.items():
-            if pid not in ac.admins or not isinstance(hexsig, str):
-                return False
-            if not oracle.plain_verify(pl, pid, bytes.fromhex(hexsig)):
+            if pid not in ac.admins or not plain_verify_hex(oracle, pl, pid, hexsig):
                 return False
             good += 1
         return good >= ac.admin_threshold()
@@ -130,11 +128,7 @@ class AcStore:
         if msg.obj != self.ac.object_id:
             return False
         if msg.desc == "ac.req":
-            slot, value = msg.body.get("slot"), msg.body.get("value")
-            config = msg.body["config"]
-            sn = msg.body.get("sn")
-            if not isinstance(slot, str):
-                return True
+            slot, value, config, sn = msg.body["slot"], msg.body["value"], msg.body["config"], msg.body["sn"]
             if self._decide(slot, value):
                 sig = core.fs_sign(appr_payload(self.ac.object_id, config, slot, value), config.height())
                 if sig is not None:
@@ -143,16 +137,13 @@ class AcStore:
                 core.api.send(frm, Msg("ac.deny", self.ac.object_id, {"sn": sn}))
             return True
         if msg.desc == "ac.confirm":
-            slot, value = msg.body.get("slot"), msg.body.get("value")
-            approvals = msg.body.get("approvals")
-            config = msg.body["config"]
-            if not isinstance(approvals, dict):
-                return True
+            slot, value, config = msg.body["slot"], msg.body["value"], msg.body["config"]
+            approvals = msg.body["approvals"]
             sig = core.fs_sign(
                 accf_payload(self.ac.object_id, config, slot, value, approvals), config.height()
             )
             if sig is not None:
-                core.api.send(frm, Msg("ac.cresp", self.ac.object_id, {"sig": sig, "sn": msg.body.get("sn")}))
+                core.api.send(frm, Msg("ac.cresp", self.ac.object_id, {"sig": sig, "sn": msg.body["sn"]}))
             return True
         return False
 

@@ -5,9 +5,11 @@ seen message to the whole roster, so one correct recipient suffices for
 eventual delivery everywhere. Message ids are recomputed from content;
 duplicate content from the same origin is delivered once.
 
-Both endpoints ignore malformed bodies, and identify each message object
-once: the id is memoised in ``Msg.mid`` on first delivery and handed on to
-the forwards, echoes and certificates derived from it.
+Both endpoints read bodies directly: the process hosting them passes on
+only messages that fit the wire table, ``dbla.WIRE``, where an envelope's
+inner body must fit the entry of the kind it names. Both identify each
+message object once: the id is memoised in ``Msg.mid`` on first delivery
+and handed on to the forwards, echoes and certificates derived from it.
 
 UrbEndpoint: uniform broadcast within one configuration. Replicas echo a
 plain-signed acknowledgment; a quorum of echoes forms a certificate that is
@@ -20,20 +22,6 @@ from __future__ import annotations
 
 from .lattice import Config, canon, digest
 from .simnet import Msg
-
-
-def _payload_ok(b) -> bool:
-    """b names a str origin and desc and carries a dict body."""
-    return (
-        isinstance(b, dict)
-        and isinstance(b.get("origin"), str)
-        and isinstance(b.get("desc"), str)
-        and isinstance(b.get("body"), dict)
-    )
-
-
-def _inner_ok(inner) -> bool:
-    return _payload_ok(inner) and isinstance(inner.get("config"), Config)
 
 
 class RbEndpoint:
@@ -58,8 +46,6 @@ class RbEndpoint:
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc != "rb.fwd":
             return False
-        if not _payload_ok(msg.body):
-            return True
         origin, desc, body = msg.body["origin"], msg.body["desc"], msg.body["body"]
         mid = msg.mid
         if mid is None:
@@ -115,8 +101,6 @@ class UrbEndpoint:
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc == "urb.init":
             inner = msg.body
-            if not _inner_ok(inner):
-                return True
             mid = self._msg_mid(msg, inner)
             if mid not in self._echoed:
                 self._echoed.add(mid)
@@ -127,29 +111,23 @@ class UrbEndpoint:
                     self.api.send(pid, out)
             return True
         if msg.desc == "urb.echo":
-            b = msg.body
-            if not (isinstance(b, dict) and _inner_ok(b.get("inner")) and "sig" in b):
-                return True
-            inner = b["inner"]
+            inner, sig = msg.body["inner"], msg.body["sig"]
             config: Config = inner["config"]
             mid = self._msg_mid(msg, inner)
             if mid in self._certed:     # already forwarded and delivered
                 return True
             if frm in config.replicas() and self.api.oracle.plain_verify(
-                self._echo_payload(mid), frm, b["sig"]
+                self._echo_payload(mid), frm, sig
             ):
                 got = self._echoes.setdefault(mid, {})
-                got.setdefault(frm, b["sig"])
+                got.setdefault(frm, sig)
                 if config.is_quorum(got.keys()):
                     cert = dict(got)
                     self._send_cert(mid, inner, msg.obj, cert)
                     self._deliver_once(mid, inner, msg.obj)
             return True
         if msg.desc == "urb.cert":
-            b = msg.body
-            if not (isinstance(b, dict) and _inner_ok(b.get("inner")) and isinstance(b.get("cert"), dict)):
-                return True
-            inner, cert = b["inner"], b["cert"]
+            inner, cert = msg.body["inner"], msg.body["cert"]
             config: Config = inner["config"]
             mid = self._msg_mid(msg, inner)
             if mid in self._certed:

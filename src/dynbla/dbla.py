@@ -12,6 +12,11 @@ pair of quorums makes the output self-verifying and, via the key
 watermarks, impossible to anchor at a superseded configuration after its
 keys moved on.
 
+Both process kinds check every message once, where it enters the process,
+against one table, WIRE: the fields each message kind must carry and their
+exact types. A replica counts a message that does not fit as dropped, a
+client ignores it, and every handler past that gate reads fields directly.
+
 Replica side (DynamicReplica): one router, _route, serves, parks or drops
 every request. It serves requests only at its installed, current,
 highest-known configuration; adopting a longer history immediately
@@ -45,7 +50,7 @@ import functools
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import Config, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
+from .lattice import Config, ConfSet, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
 from .simnet import Msg
 
 GENESIS_CERT = {"kind": "genesis"}
@@ -133,16 +138,23 @@ def make_plain_input_cert(oracle, object_id: str, signer: str, value) -> dict:
     return {"kind": "plain", "signer": signer, "sig": sig.hex()}
 
 
+def plain_verify_hex(oracle, payload: bytes, signer, hexsig) -> bool:
+    """A plain signature given in hex verifies; a non-str signer or
+    signature, or one that is not hex, does not."""
+    if type(signer) is not str or type(hexsig) is not str:
+        return False
+    try:
+        return oracle.plain_verify(payload, signer, bytes.fromhex(hexsig))
+    except ValueError:
+        return False
+
+
 def check_plain_input(oracle, object_id: str):
     def check(value, cert) -> bool:
         return (
             isinstance(cert, dict)
             and cert.get("kind") == "plain"
-            and oracle.plain_verify(
-                input_value_payload(object_id, value),
-                cert.get("signer", ""),
-                bytes.fromhex(cert.get("sig", "")),
-            )
+            and plain_verify_hex(oracle, input_value_payload(object_id, value), cert.get("signer"), cert.get("sig"))
         )
 
     return check
@@ -166,9 +178,7 @@ def check_authority_history(oracle, group: str):
         return (
             isinstance(cert, dict)
             and cert.get("kind") == "authority"
-            and oracle.plain_verify(
-                history_payload(group, h), "authority", bytes.fromhex(cert.get("sig", ""))
-            )
+            and plain_verify_hex(oracle, history_payload(group, h), "authority", cert.get("sig"))
         )
 
     return check
@@ -377,7 +387,7 @@ class ClientHub:
         return session
 
     def on_deliver(self, frm, msg):
-        if self.rb.handle(frm, msg):
+        if not wire_ok(msg) or self.rb.handle(frm, msg):
             return
         for s in self.sessions:
             if s.on_deliver(frm, msg):
@@ -395,10 +405,8 @@ class ClientHub:
             self._uh_waiting.append((h, done))
 
     def _on_rb(self, origin, desc, obj, body):
-        h = body.get("hist")
-        if desc != "hist.new" or not isinstance(h, History):
-            return
-        self.consider(h, body.get("cert"))
+        if desc == "hist.new":
+            self.consider(body["hist"], body["cert"])
 
     def consider(self, h: History, cert) -> None:
         if h == self.history or not self.history.contained_in(h):
@@ -479,13 +487,13 @@ class QuorumSession:
 
     def _answers(self, frm, msg, phase: str) -> bool:
         """frm is a member of the anchor replying to the current round."""
-        if self.phase != phase or msg.body.get("sn") != self.sn:
+        if self.phase != phase or msg.body["sn"] != self.sn:
             return False
         return frm in self.anchor.replicas()
 
     def _take_sig(self, frm, msg, payload: bytes) -> bool:
         """Count frm's reply if it signs payload at the anchor's height."""
-        sig = msg.body.get("sig")
+        sig = msg.body["sig"]
         if not self.hub.api.oracle.fs_verify(payload, frm, sig, self.anchor.height()):
             return False
         self.got[frm] = sig
@@ -521,9 +529,7 @@ class DblaClient(QuorumSession):
         self._round("refine", "bla.propose", {"values": self._sorted_vals()})
 
     def _on_presp(self, frm, msg) -> None:
-        rvals = msg.body.get("values")
-        if not isinstance(rvals, list) or not all(isinstance(iv, InputValue) for iv in rvals):
-            return
+        rvals = msg.body["values"]
         valid = [iv for iv in rvals if self.obj.check_value(iv)]
         new = [iv for iv in valid if iv.canon() not in self.vals]
         if new:
@@ -577,9 +583,7 @@ class DblaStore:
             return False
         if msg.desc == "bla.propose":
             config = msg.body["config"]
-            vals = msg.body.get("values")
-            if isinstance(vals, list):
-                self.merge(vals)
+            self.merge(msg.body["values"])
             vlist = self.snapshot_sorted()
             sig = core.fs_sign(presp_payload(self.obj.object_id, config, vlist), config.height())
             if sig is not None:
@@ -589,10 +593,7 @@ class DblaStore:
                 )
             return True
         if msg.desc == "bla.confirm":
-            config = msg.body["config"]
-            packs = msg.body.get("packs")
-            if not isinstance(packs, dict):
-                return True
+            config, packs = msg.body["config"], msg.body["packs"]
             # countersigning does not validate the acks; verifiers do
             sig = core.fs_sign(cresp_payload(self.obj.object_id, config, packs), config.height())
             if sig is not None:
@@ -606,6 +607,83 @@ class DblaStore:
     def xfer_merge(self, payload) -> None:
         if isinstance(payload, list):
             self.merge(payload)
+
+
+# -- the wire gate -------------------------------------------------------------
+
+# A field's entry is one exact type, a tuple of them, [T] for a list of
+# exact type T's, a nested table for a dict, or BODY. Every field is
+# required; extra fields are ignored. Exact types keep a bool out of an int
+# field and a subclass out of a certificate or configuration field.
+BODY = object()     # an envelope's body: a dict fitting the entry of the kind its "desc" (listed first) names
+CERTS = (dict, OutputCert, AcCert)      # token dicts, access grants, agreement outputs
+VALUES = (int, str, FinSet, Config, ConfSet, History)  # what an access request may guard
+_URB = {"origin": str, "desc": str, "body": BODY, "config": Config}
+
+WIRE = {
+    # broadcast envelopes and the payloads they carry
+    "rb.fwd": {"origin": str, "desc": str, "body": BODY},
+    "urb.init": _URB,
+    "urb.echo": {"inner": _URB, "sig": bytes},
+    "urb.cert": {"inner": _URB, "cert": dict},
+    "hist.new": {"hist": History, "cert": CERTS},
+    "xfer.done": {},
+    # requests, served at "config" by DynamicReplica._route
+    "bla.propose": {"sn": int, "config": Config, "values": [InputValue]},
+    "bla.confirm": {"sn": int, "config": Config, "packs": dict},
+    "mr.set": {"sn": int, "config": Config, "v": int, "cert": CERTS},
+    "mr.get": {"sn": int, "config": Config},
+    "ac.req": {"sn": int, "config": Config, "slot": str, "value": VALUES},
+    "ac.confirm": {"sn": int, "config": Config, "slot": str, "value": VALUES, "approvals": dict},
+    "xfer.read": {"sn": int, "config": Config},
+    # replies
+    "bla.presp": {"sn": int, "values": [InputValue], "sig": FsSig},
+    "bla.cresp": {"sn": int, "sig": FsSig},
+    "mr.setresp": {"sn": int, "sig": FsSig},
+    "mr.getresp": {"sn": int, "cell": (type(None), tuple, list)},
+    "ac.approve": {"sn": int, "sig": FsSig},
+    "ac.deny": {"sn": int},
+    "ac.cresp": {"sn": int, "sig": FsSig},
+    "xfer.resp": {"sn": int, "payload": dict},
+}
+REQUESTS = frozenset(["bla.propose", "bla.confirm", "mr.set", "mr.get", "ac.req", "ac.confirm", "xfer.read"])
+
+
+def _fits(x, table: dict) -> bool:
+    """x is a dict that carries every field of table at its type."""
+    if type(x) is not dict:
+        return False
+    for name, entry in table.items():
+        v = x.get(name, _fits)      # _fits itself stands for a missing field
+        kind = type(entry)
+        if kind is type:
+            if type(v) is not entry:
+                return False
+        elif kind is tuple:
+            if type(v) not in entry:
+                return False
+        elif kind is list:
+            if type(v) is not list:
+                return False
+            for e in v:
+                if type(e) is not entry[0]:
+                    return False
+        elif kind is dict:
+            if not _fits(v, entry):
+                return False
+        elif x["desc"] not in WIRE or not _fits(v, WIRE[x["desc"]]):     # BODY
+            return False
+    return True
+
+
+def wire_ok(msg: Msg) -> bool:
+    """msg is of a kind in WIRE and its body fits that kind's entry; the
+    verdict is memoised on the message object."""
+    ok = msg.ok
+    if ok is None:
+        table = WIRE.get(msg.desc)
+        ok = msg.ok = table is not None and _fits(msg.body, table)
+    return ok
 
 
 class DynamicReplica:
@@ -647,14 +725,14 @@ class DynamicReplica:
     # -- delivery routing --------------------------------------------------
 
     def on_deliver(self, frm, msg) -> None:
-        if self.rb.handle(frm, msg):
-            return
-        if self.urb.handle(frm, msg):
-            return
-        if msg.desc == "xfer.resp":
+        if not wire_ok(msg):
+            self.dropped += 1
+        elif msg.desc in REQUESTS:
+            self._route(frm, msg, first=True)
+        elif msg.desc == "xfer.resp":
             self._on_xfer_resp(frm, msg)
-            return
-        self._route(frm, msg, first=True)
+        elif not (self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
+            self.dropped += 1       # a reply or a bare payload: no replica takes one
 
     def _route(self, frm, msg, first: bool) -> None:
         """Serve, park or drop one request.
@@ -664,15 +742,10 @@ class DynamicReplica:
         is superseded. On first receipt a servable request is served, on
         re-gating it is requeued. Otherwise xfer.reads and requests for the
         highest or a higher configuration park until history or installs
-        change; stale, incomparable and malformed requests are dropped. A
-        request is malformed unless its body is a dict with a Config under
-        "config" and an int (not a bool) under "sn".
+        change; stale and incomparable requests are dropped. The request
+        already fits its entry in WIRE: on_deliver drops one that does not.
         """
-        body = msg.body if isinstance(msg.body, dict) else {}
-        config = body.get("config")
-        if not isinstance(config, Config) or type(body.get("sn")) is not int:
-            self.dropped += 1
-            return
+        config = msg.body["config"]
         ch = self.chighest()
         if msg.desc == "xfer.read":
             servable = config != ch and config.leq(ch)
@@ -701,9 +774,7 @@ class DynamicReplica:
     def _on_rb(self, origin, desc, obj, body) -> None:
         if desc != "hist.new":
             return
-        h, cert = body.get("hist"), body.get("cert")
-        if not isinstance(h, History):
-            return
+        h, cert = body["hist"], body["cert"]
         if h == self.history or not self.history.contained_in(h):
             return
         if not self.check_history(h, cert):
@@ -780,13 +851,11 @@ class DynamicReplica:
             return
 
     def _on_xfer_resp(self, frm, msg) -> None:
-        if self.xfer_target is None or msg.body.get("sn") != self.xfer_sn:
+        if self.xfer_target is None or msg.body["sn"] != self.xfer_sn:
             return
         if frm not in self.xfer_target.replicas() or frm in self.xfer_acks:
             return
-        payload = msg.body.get("payload")
-        if not isinstance(payload, dict):
-            return
+        payload = msg.body["payload"]
         for store in self.stores:
             if store.store_id in payload:
                 store.xfer_merge(payload[store.store_id])

@@ -83,9 +83,6 @@ class _FsOracleBase:
     def st(self, pid: str) -> int:
         return self._st[pid]
 
-    def processes(self):
-        return list(self._st)
-
     def update_fs_keys(self, pid: str, ts: int) -> None:
         if ts > self._st[pid]:
             self._on_advance(pid, ts)
@@ -232,7 +229,6 @@ class LedgerVerifier:
             (e["signer"], e["mhash"], e["ts"]): bytes.fromhex(e["sig"])
             for e in entries
         }
-        self.entries = entries
 
     def fs_verify(self, msg: bytes, pid: str, sig, ts: int) -> bool:
         if not isinstance(sig, FsSig) or sig.signer != pid or sig.ts != ts:

@@ -15,6 +15,7 @@ from ..dbla import (
     cresp_payload,
     presp_payload,
     verify_output,
+    wire_ok,
 )
 from ..fscrypto import FsSig
 from ..lattice import (
@@ -56,40 +57,33 @@ def retainer_script(ctx):
 
     def script(adv, ev):
         pid, frm, msg = ev.to, ev.frm, ev.msg
+        if not wire_ok(msg):
+            return
         body = msg.body
         if msg.desc == "bla.propose":
-            config = body.get("config")
-            vals = body.get("values")
-            if not isinstance(config, Config) or not isinstance(vals, list):
-                return
-            vals = [iv for iv in vals if isinstance(iv, InputValue)]
-            pl = presp_payload(msg.obj, config, vals)
+            config = body["config"]
+            pl = presp_payload(msg.obj, config, body["values"])
             sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
             adv.send(frm=pid, to=frm, msg=Msg(
-                "bla.presp", msg.obj, {"values": vals, "sig": sig, "sn": body.get("sn")}))
+                "bla.presp", msg.obj, {"values": body["values"], "sig": sig, "sn": body["sn"]}))
         elif msg.desc == "bla.confirm":
-            config = body.get("config")
-            packs = body.get("packs")
-            if not isinstance(config, Config) or not isinstance(packs, dict):
-                return
-            pl = cresp_payload(msg.obj, config, packs)
+            config = body["config"]
+            pl = cresp_payload(msg.obj, config, body["packs"])
             sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
             adv.send(frm=pid, to=frm, msg=Msg(
-                "bla.cresp", msg.obj, {"sig": sig, "sn": body.get("sn")}))
+                "bla.cresp", msg.obj, {"sig": sig, "sn": body["sn"]}))
         elif msg.desc == "mr.set":
-            config, v = body.get("config"), body.get("v")
-            if not isinstance(config, Config) or not isinstance(v, int):
-                return
-            pl = setresp_payload(msg.obj, config, v)
+            config = body["config"]
+            pl = setresp_payload(msg.obj, config, body["v"])
             sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
             adv.send(frm=pid, to=frm, msg=Msg(
-                "mr.setresp", msg.obj, {"sig": sig, "sn": body.get("sn")}))
+                "mr.setresp", msg.obj, {"sig": sig, "sn": body["sn"]}))
         elif msg.desc == "mr.get":
             adv.send(frm=pid, to=frm, msg=Msg(
-                "mr.getresp", msg.obj, {"cell": None, "sn": body.get("sn")}))
+                "mr.getresp", msg.obj, {"cell": None, "sn": body["sn"]}))
         elif msg.desc == "xfer.read":
             adv.send(frm=pid, to=frm, msg=Msg(
-                "xfer.resp", msg.obj, {"sn": body.get("sn"), "payload": {}}))
+                "xfer.resp", msg.obj, {"sn": body["sn"], "payload": {}}))
 
     return script
 

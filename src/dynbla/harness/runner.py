@@ -174,8 +174,7 @@ def _make_fire(ctx, idx, spec, rec):
         sim.note_fact(f"ret:{c}")
 
     if kind == "propose":
-        def fire():
-            rec.invoked_at = sim.now()
+        def start():
             def done(w, cert):
                 finish({
                     "w": value_to_jsonable(w),
@@ -183,34 +182,19 @@ def _make_fire(ctx, idx, spec, rec):
                     "anchor": cert.anchor().cid(),
                     "anchor_h": cert.anchor().height(),
                 })
-            try:
-                ctx.apps[c].propose(FinSet(spec["value"]), {"kind": "any"}, done)
-            except RuntimeError:
-                finish({"error": "busy"})
-        return fire
+            ctx.apps[c].propose(FinSet(spec["value"]), {"kind": "any"}, done)
 
-    if kind == "write":
-        def fire():
-            rec.invoked_at = sim.now()
-            try:
-                ctx.apps[c].write(spec["value"], {"kind": "any"},
-                                  lambda ack: finish({"ack": _ack_jsonable(ack)}))
-            except RuntimeError:
-                finish({"error": "busy"})
-        return fire
+    elif kind == "write":
+        def start():
+            ctx.apps[c].write(spec["value"], {"kind": "any"},
+                              lambda ack: finish({"ack": _ack_jsonable(ack)}))
 
-    if kind == "read":
-        def fire():
-            rec.invoked_at = sim.now()
-            try:
-                ctx.apps[c].read(lambda v, ack: finish({"v": v, "ack": _ack_jsonable(ack)}))
-            except RuntimeError:
-                finish({"error": "busy"})
-        return fire
+    elif kind == "read":
+        def start():
+            ctx.apps[c].read(lambda v, ack: finish({"v": v, "ack": _ack_jsonable(ack)}))
 
-    if kind == "update_config":
-        def fire():
-            rec.invoked_at = sim.now()
+    elif kind == "update_config":
+        def start():
             ups = [(ADD, r) for r in spec.get("add", [])]
             ups += [(REMOVE, r) for r in spec.get("remove", [])]
             target = ctx.hubs[c].anchor().join(Config(ups))
@@ -221,27 +205,22 @@ def _make_fire(ctx, idx, spec, rec):
                     "target": target.cid(),
                     "target_h": target.height(),
                 })
-            try:
-                if ctx.acl_mode == "none":
-                    ctx.rcs[c].update_config(target, {"kind": "any"}, done)
-                elif ctx.acl_mode == "admin":
-                    signers = sorted(ctx.ac.admins)[: ctx.ac.admin_threshold()]
-                    cert = make_admin_cert(ctx.oracle, ctx.ac, f"h{target.height()}", target, signers)
-                    ctx.rcs[c].update_config(target, cert, done)
-                else:
-                    def got(cert):
-                        if cert is None:
-                            finish({"denied": True, "target": target.cid()})
-                        else:
-                            ctx.rcs[c].update_config(target, cert, done)
-                    ctx.acls[c].request(f"next:{target.cid()}", target, got)
-            except RuntimeError:
-                finish({"error": "busy"})
-        return fire
+            if ctx.acl_mode == "none":
+                ctx.rcs[c].update_config(target, {"kind": "any"}, done)
+            elif ctx.acl_mode == "admin":
+                signers = sorted(ctx.ac.admins)[: ctx.ac.admin_threshold()]
+                cert = make_admin_cert(ctx.oracle, ctx.ac, f"h{target.height()}", target, signers)
+                ctx.rcs[c].update_config(target, cert, done)
+            else:
+                def got(cert):
+                    if cert is None:
+                        finish({"denied": True, "target": target.cid()})
+                    else:
+                        ctx.rcs[c].update_config(target, cert, done)
+                ctx.acls[c].request(f"next:{target.cid()}", target, got)
 
-    if kind == "ac_request":
-        def fire():
-            rec.invoked_at = sim.now()
+    elif kind == "ac_request":
+        def start():
             def done(cert):
                 finish({
                     "granted": cert is not None,
@@ -249,13 +228,19 @@ def _make_fire(ctx, idx, spec, rec):
                     "slot": spec["slot"],
                     "value": spec["value"],
                 })
-            try:
-                ctx.acls[c].request(spec["slot"], spec["value"], done)
-            except RuntimeError:
-                finish({"error": "busy"})
-        return fire
+            ctx.acls[c].request(spec["slot"], spec["value"], done)
 
-    raise ScenarioError(f"unhandled op kind {kind!r}")
+    else:
+        raise ScenarioError(f"unhandled op kind {kind!r}")
+
+    def fire():
+        rec.invoked_at = sim.now()
+        try:
+            start()
+        except RuntimeError:
+            finish({"error": "busy"})
+
+    return fire
 
 
 def _schedule(ctx, scn, records, corruptions):

@@ -61,12 +61,36 @@ def _is_exempt(corruption):
     return str(corruption.get("after", "")).startswith("inst:")
 
 
+def _pids(x) -> bool:
+    return isinstance(x, list) and all(isinstance(p, str) for p in x)
+
+
+def _dicts(x) -> bool:
+    return isinstance(x, list) and all(isinstance(d, dict) for d in x)
+
+
+def _dict(x) -> bool:
+    return isinstance(x, dict)
+
+
+def _part(d, key, default, ok, errors, problem):
+    """d[key], filled with default when absent; an empty stand-in, and an
+    error, when it is not ok."""
+    val = d.setdefault(key, default)
+    if ok(val):
+        return val
+    errors.append(problem)
+    return type(default)()
+
+
 def validate(scn):
     """Check a scenario dict and return a normalized copy.
 
     Raises ScenarioError listing every problem found.  Normalization fills
     defaults (seed, app, acl, adversary, max_steps) so the runner can rely
-    on all keys being present.
+    on all keys being present.  A part of the wrong shape (a list where a
+    dict belongs, a process id that is not a string) is reported, and the
+    checks that would read inside it are skipped.
     """
     if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a dict")
@@ -83,33 +107,33 @@ def validate(scn):
         errors.append("seed must be a non-negative int")
 
     genesis = out.get("genesis")
-    if not isinstance(genesis, list) or not genesis:
+    if not _pids(genesis) or not genesis:
         errors.append("genesis must be a non-empty list of replica ids")
         genesis = []
     clients = out.get("clients")
-    if not isinstance(clients, list) or not clients:
-        errors.append("clients must be a non-empty list")
+    if not _pids(clients) or not clients:
+        errors.append("clients must be a non-empty list of client ids")
         clients = []
-    extra = out.setdefault("extra_replicas", [])
+    extra = _part(out, "extra_replicas", [], _pids, errors, "extra_replicas must be a list of replica ids")
     replicas = list(genesis) + list(extra)
     everyone = replicas + list(clients)
     if len(set(everyone)) != len(everyone):
         errors.append("process ids must be unique across genesis, extra_replicas and clients")
 
-    app = out.setdefault("app", {"kind": "dbla"})
+    app = _part(out, "app", {"kind": "dbla"}, _dict, errors, "app must be a dict")
     if app.get("kind") not in APP_KINDS:
         errors.append(f"app.kind must be one of {APP_KINDS}")
-    acl = out.setdefault("acl", {"mode": "none"})
+    acl = _part(out, "acl", {"mode": "none"}, _dict, errors, "acl must be a dict")
     if acl.get("mode") not in ACL_MODES:
         errors.append(f"acl.mode must be one of {ACL_MODES}")
     if acl.get("mode") == "admin":
         admins = acl.get("admins")
-        if not isinstance(admins, list) or not admins:
+        if not _pids(admins) or not admins:
             errors.append("acl.mode admin requires a non-empty acl.admins list")
     if out.setdefault("oracle", "ledger") not in ORACLE_KINDS:
         errors.append(f"oracle must be one of {ORACLE_KINDS}")
 
-    ops = out.setdefault("ops", [])
+    ops = _part(out, "ops", [], _dicts, errors, "ops must be a list of dicts")
     known = set(everyone)
     for i, op in enumerate(ops):
         where = f"ops[{i}]"
@@ -136,9 +160,12 @@ def validate(scn):
         elif kind == "update_config":
             add = op.get("add", [])
             rem = op.get("remove", [])
+            if not _pids(add) or not _pids(rem):
+                errors.append(f"{where}: add and remove must be lists of replica ids")
+                continue
             if not add and not rem:
                 errors.append(f"{where}: update_config needs add or remove")
-            for r in list(add) + list(rem):
+            for r in add + rem:
                 if r not in known:
                     errors.append(f"{where}: unknown replica {r!r}")
         elif kind == "ac_request":
@@ -149,22 +176,22 @@ def validate(scn):
             if not isinstance(op.get("value"), str):
                 errors.append(f"{where}: value must be a string")
 
-    adv = out.setdefault("adversary", {})
-    corruptions = adv.setdefault("corruptions", [])
+    adv = _part(out, "adversary", {}, _dict, errors, "adversary must be a dict")
+    corruptions = _part(adv, "corruptions", [], _dicts, errors, "adversary.corruptions must be a list of dicts")
     for i, c in enumerate(corruptions):
         where = f"adversary.corruptions[{i}]"
-        if c.get("pid") not in known:
+        if not isinstance(c.get("pid"), str) or c["pid"] not in known:
             errors.append(f"{where}: unknown pid")
         if not isinstance(c.get("script", "silent"), str):
             errors.append(f"{where}: script must be a name")
         c.setdefault("script", "silent")
         _check_trigger(c, where, errors)
-    holds = adv.setdefault("holds", [])
+    holds = _part(adv, "holds", [], _dicts, errors, "adversary.holds must be a list of dicts")
     for i, h in enumerate(holds):
         where = f"adversary.holds[{i}]"
         for side in ("frm", "to"):
             val = h.get(side)
-            if val is not None and not (isinstance(val, list) and set(val) <= known):
+            if val is not None and not (_pids(val) and set(val) <= known):
                 errors.append(f"{where}: {side} must be a list of known pids or absent")
         if not isinstance(h.get("desc", ""), str):
             errors.append(f"{where}: desc must be a string prefix")
@@ -182,12 +209,13 @@ def validate(scn):
     # Availability: within each configuration era the adversary may corrupt
     # at most the fault budget of that era's membership.  Eras are a static
     # approximation from declared update ops, in order.
-    bad = {c["pid"] for c in corruptions if not _is_exempt(c) and c.get("pid") in known}
+    bad = {c["pid"] for c in corruptions if not _is_exempt(c) and isinstance(c.get("pid"), str) and c["pid"] in known}
     era = set(genesis)
     eras = [era]
     for op in ops:
-        if op.get("op") == "update_config":
-            era = (era | set(op.get("add", []))) - set(op.get("remove", []))
+        add, rem = op.get("add", []), op.get("remove", [])
+        if op.get("op") == "update_config" and _pids(add) and _pids(rem):
+            era = (era | set(add)) - set(rem)
             eras.append(era)
     for members in eras:
         if members and len(bad & members) > fault_budget(len(members)):
@@ -196,9 +224,9 @@ def validate(scn):
                 % (len(bad & members), sorted(members), fault_budget(len(members)))
             )
 
+    _part(out, "meta", {}, _dict, errors, "meta must be a dict")
     if errors:
         raise ScenarioError("; ".join(errors))
-    out.setdefault("meta", {})
     return out
 
 

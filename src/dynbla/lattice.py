@@ -117,9 +117,6 @@ class FinSet:
             self._canon = _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)]))
         return self._canon
 
-    def bottom(self) -> "FinSet":
-        return FinSet()
-
     def to_jsonable(self):
         return {"set": sorted(self.elems)}
 
@@ -190,9 +187,6 @@ class Config:
             )
         return self._canon
 
-    def bottom(self) -> "Config":
-        return Config()
-
     def cid(self) -> str:
         if self._cid is None:
             self._cid = short_digest(self)
@@ -234,9 +228,6 @@ class ConfSet:
         if self._canon is None:
             self._canon = _frame(b"H", b"".join(sorted([c.canon() for c in self.confs])))
         return self._canon
-
-    def bottom(self) -> "ConfSet":
-        return ConfSet()
 
     def to_jsonable(self):
         return {"cfgs": sorted((c.to_jsonable()["cfg"] for c in self.confs))}
@@ -286,9 +277,6 @@ class History:
     def contained_in(self, other: "History") -> bool:
         return set(self.configs) <= set(other.configs)
 
-    def contains(self, config: Config) -> bool:
-        return config in set(self.configs)
-
     def canon(self) -> bytes:
         if self._canon is None:
             self._canon = self.as_confset().canon()
@@ -306,12 +294,6 @@ class History:
 
     def __hash__(self):
         return hash(self.configs)
-
-    def __len__(self):
-        return len(self.configs)
-
-    def __iter__(self):
-        return iter(self.configs)
 
     def __repr__(self):
         return f"History({[c.height() for c in self.configs]})"

@@ -42,8 +42,8 @@ class MaxRegStore:
         if msg.obj != self.object_id:
             return False
         if msg.desc == "mr.set":
-            v, cert = msg.body.get("v"), msg.body.get("cert")
-            if not isinstance(v, int) or not self.check_write(v, cert):
+            v, cert = msg.body["v"], msg.body["cert"]
+            if not self.check_write(v, cert):
                 return True  # uncertified writes earn no ack
             if self.cell is None or v > self.cell[0]:
                 self.cell = (v, cert)
@@ -81,7 +81,7 @@ class MaxRegClient(QuorumSession):
 
     def write(self, v: int, cert, done) -> None:
         self._begin(done)
-        if not isinstance(v, int) or not self.check_write(v, cert):
+        if type(v) is not int or not self.check_write(v, cert):
             raise ValueError("write requires a certified integer")
         self._mode = "write"
         self._val, self._cert = v, cert
@@ -117,7 +117,7 @@ class MaxRegClient(QuorumSession):
                 self._finish(self._readv, ack)
 
     def _on_getresp(self, frm, msg) -> None:
-        cell = msg.body.get("cell")
+        cell = msg.body["cell"]
         if cell is None:
             self.got[frm] = None
         elif valid_cell(self.check_write, cell):
@@ -125,10 +125,7 @@ class MaxRegClient(QuorumSession):
         else:
             return  # garbage cells do not count toward the quorum
         if self.anchor.is_quorum(self.got):
-            best = None
-            for c in self.got.values():
-                if c is not None and (best is None or c[0] > best[0]):
-                    best = c
+            best = max((c for c in self.got.values() if c is not None), key=lambda c: c[0], default=None)
             if best is None:
                 self._finish(None, None)
             else:

@@ -38,11 +38,12 @@ class Msg:
     """A message; one object may be sent to many recipients.
 
     ``mid`` memoises the broadcast id a broadcast endpoint derives from the
-    body, so each message object is identified once however many
+    body, and ``ok`` the verdict of the wire gate (``dbla.wire_ok``), so
+    each message object is identified and checked once however many
     recipients it reaches.
     """
 
-    __slots__ = ("desc", "obj", "body", "_hash", "mid")
+    __slots__ = ("desc", "obj", "body", "_hash", "mid", "ok")
 
     def __init__(self, desc: str, obj: str, body: dict):
         self.desc = desc
@@ -50,6 +51,7 @@ class Msg:
         self.body = body
         self._hash = None
         self.mid = None
+        self.ok = None
 
     def mhash(self) -> str:
         if self._hash is None:
@@ -268,21 +270,15 @@ class AdvApi:
     def send(self, frm: str, to: str, msg: Msg) -> None:
         if self._sim.status(frm) != BYZANTINE:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
+        if type(msg.desc) is not str or type(msg.obj) is not str:
+            raise ValueError(f"adversary message {msg.desc!r} for {msg.obj!r}: desc and obj must be str")
+        # hash what is sent now; recipients derive the broadcast id and verdict themselves
+        msg._hash = msg.mid = msg.ok = None
         try:
             msg.mhash()
         except (TypeError, ValueError) as e:
             raise ValueError(f"adversary message {msg.desc!r} is not encodable: {e}") from None
-        msg.mid = None      # recipients derive an adversary message's broadcast id themselves
         self._sim._send(frm, to, msg)
-
-    def state(self, pid: str):
-        return self._sim._procs[pid].automaton
-
-    def trace(self, desc: str, detail: dict | None = None) -> None:
-        self._sim.trace_aux("adversary", "-", desc, detail)
-
-    def fact(self, name: str) -> None:
-        self._sim.note_fact(name)
 
 
 class Simulator:
@@ -311,14 +307,8 @@ class Simulator:
         self.oracle.register(pid)
         automaton.bind(api)
 
-    def roster(self) -> list[str]:
-        return sorted(self._procs)
-
     def api(self, pid: str) -> Api:
         return self._procs[pid].api
-
-    def automaton(self, pid: str):
-        return self._procs[pid].automaton
 
     def add_external(self, trigger: Trigger, kind: str, fire, to: str = "-", desc: str = "", detail: dict | None = None) -> None:
         self.externals.append(_External(trigger, kind, fire, to, desc, detail))

@@ -189,6 +189,36 @@ def test_admin_cert_thresholds():
     assert not verify_cert(ac, oracle, tampered)
 
 
+@pytest.mark.parametrize("hexsig", ["zz", "0", 5, None], ids=["not-hex", "odd-length", "int", "none"])
+def test_admin_cert_with_a_malformed_signature_is_refused_not_raised(hexsig):
+    oracle = LedgerFsOracle()
+    ac = AccessControl("ac", "admin", admins=("d1", "d2", "d3", "d4"))
+    good = make_admin_cert(oracle, ac, "s", "x", ["d1", "d2"])
+    bad = AcCert("admin", "ac", "s", "x", None, {**good.approvals, "d3": hexsig}, {})
+    assert not verify_cert(ac, oracle, bad)
+
+
+def test_byzantine_client_cannot_crash_a_replica_with_an_admin_cert():
+    # a well-formed bla.propose whose input value carries an admin grant
+    # with a non-hex signature reaches the value check of a correct replica
+    from dynbla.dbla import InputValue
+    from dynbla.harness.runner import build_world
+    from dynbla.harness.scenario import validate
+    from dynbla.simnet import Msg
+
+    scn = validate({"version": 1, "name": "t", "genesis": ["r1", "r2", "r3", "r4"], "clients": ["c", "z"],
+                    "acl": {"mode": "admin", "admins": ["d1", "d2", "d3", "d4"]}})
+    ctx = build_world(scn)
+    target = ctx.genesis.join(Config([(ADD, "r5")]))
+    iv = InputValue(target, AcCert("admin", "g/acl", "s", target, None, {"d1": "zz", "d2": "zz"}, {}))
+    ctx.sim.add_external(Trigger(at=0), "invoke", lambda: ctx.sim.api("z").send("z", Msg("noop", "g", {})), to="z")
+    ctx.sim.run(2)
+    ctx.sim.corrupt("z", lambda adv, ev: None)
+    ctx.sim.adv_api.send("z", "r1", Msg("bla.propose", "g/conf", {"sn": 1, "config": ctx.genesis, "values": [iv]}))
+    assert ctx.sim.run()["verdict"] == "quiescent"
+    assert iv.canon() not in ctx.replicas["r1"].stores[0].vals
+
+
 def test_input_check_binds_value_and_round_trips():
     w = World(mode="sanity")
     w.request(Trigger(at=0), "a", "s", "x")

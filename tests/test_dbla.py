@@ -407,7 +407,7 @@ def test_malformed_broadcast_is_ignored(msg):
     w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r1", msg), to="z", desc="probe")
     assert w.sim.run()["verdict"] == "quiescent"
     assert w.sim.metrics["sent"] == 1       # no forward, echo or certificate
-    assert w.replicas["r1"].dropped == 0
+    assert w.replicas["r1"].dropped == 1    # the wire gate counts it
     assert probe.got == []
 
 
@@ -431,6 +431,48 @@ def test_adversary_cannot_send_an_unencodable_body():
     with pytest.raises(ValueError):
         w.sim.adv_api.send("z", "r1", Msg("rb.fwd", "grp", {"origin": "z", "desc": "x", "body": {"f": 1.5}}))
     assert len(w.sim.pending) == 0
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        Msg(["bla.presp"], "obj", {"values": [], "sig": None, "sn": 1}),
+        Msg(7, "obj", {"sn": 1}),
+        Msg("bla.presp", 7, {"values": [], "sig": None, "sn": 1}),
+    ],
+    ids=["desc-list", "desc-int", "obj-int"],
+)
+def test_adversary_cannot_send_a_non_str_desc_or_obj(msg):
+    # at a client a list desc used to raise in QuorumSession.on_deliver, and
+    # with a hold rule matching the sender an int desc raised in HoldRule.matches
+    w = World(cids=("p",))
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    w.sim.add_hold(HoldRule(frm={"z"}, desc="zz"))
+    probe.api.send("z", Msg("noop", "grp", {}))
+    w.sim.run(1)
+    w.sim.corrupt("z", lambda api, ev: None)
+    with pytest.raises(ValueError, match="must be str"):
+        w.sim.adv_api.send("z", "p", msg)
+    assert len(w.sim.pending) == 0 and w.sim.metrics["held"] == 0
+    assert w.sim.run()["verdict"] == "quiescent"
+
+
+@pytest.mark.parametrize(
+    "cert",
+    [
+        {"kind": "plain", "signer": "p", "sig": "zz"},
+        {"kind": "plain", "signer": "p", "sig": 5},
+        {"kind": "plain", "signer": 5, "sig": "00"},
+        {"kind": "plain", "sig": "00"},
+    ],
+    ids=["sig-not-hex", "sig-int", "signer-int", "no-signer"],
+)
+def test_malformed_plain_signatures_are_refused_not_raised(cert):
+    oracle = LedgerFsOracle()
+    assert not check_plain_input(oracle, "obj")(FinSet({"a"}), cert)
+    authority = {**cert, "kind": "authority"}
+    assert not check_authority_history(oracle, "grp")(History([genesis_config(["r1"])]), authority)
 
 
 def test_invalid_input_cert_rejected_at_propose():

@@ -92,6 +92,37 @@ def test_validate_rejects_ops(op, msg):
         validate(scn)
 
 
+@pytest.mark.parametrize(
+    "patch,msg",
+    [
+        ({"ops": ["x"]}, "ops must be a list of dicts"),
+        ({"ops": "abc"}, "ops must be a list of dicts"),
+        ({"adversary": {"corruptions": [1]}}, "corruptions must be a list of dicts"),
+        ({"adversary": {"holds": [None]}}, "holds must be a list of dicts"),
+        ({"app": "dbla"}, "app must be a dict"),
+        ({"acl": []}, "acl must be a dict"),
+        ({"adversary": []}, "adversary must be a dict"),
+        ({"genesis": [["r1"]]}, "genesis"),
+        ({"clients": [{"c": 1}]}, "clients"),
+        ({"extra_replicas": "r9"}, "extra_replicas"),
+        ({"ops": [{"op": "update_config", "client": "c", "add": "r3"}]}, "add and remove"),
+        ({"ops": [{"op": "update_config", "client": "c", "remove": [["r1"]]}]}, "add and remove"),
+        ({"adversary": {"corruptions": [{"pid": ["r1"]}]}}, "unknown pid"),
+        ({"adversary": {"holds": [{"to": [["r1"]]}]}}, "list of known pids"),
+        ({"acl": {"mode": "admin", "admins": [["d1"]]}}, "admins"),
+        ({"meta": []}, "meta must be a dict"),
+    ],
+    ids=["ops-str-item", "ops-str", "corruption-int", "hold-none", "app-str", "acl-list",
+         "adversary-list", "genesis-nested", "client-dict", "extra-str", "add-str",
+         "remove-nested", "pid-list", "hold-to-nested", "admins-nested", "meta-list"],
+)
+def test_validate_rejects_malformed_structure(patch, msg):
+    scn = {"version": 1, "name": "t", "genesis": ["r1", "r2", "r3", "r4"], "clients": ["c"]}
+    scn.update(patch)
+    with pytest.raises(ScenarioError, match=msg):
+        validate(scn)
+
+
 def test_validate_collects_all_errors():
     scn = {"version": 9, "name": "", "genesis": [], "clients": []}
     with pytest.raises(ScenarioError) as exc:

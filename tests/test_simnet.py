@@ -157,6 +157,26 @@ def test_byzantine_script_gets_deliveries_and_cannot_spoof():
     assert [(f, d) for (f, d, _) in v.got] == [("b", "t.fake")]
 
 
+def test_adversary_resend_is_traced_under_its_new_hash():
+    # a script that edits a message it received and passes it on is traced
+    # with the hash of what it sent, not of what it received
+    sim = Simulator(0, LedgerFsOracle())
+
+    def script(api, ev):
+        ev.msg.body["n"] = 666
+        api.send("b", "v", ev.msg)
+
+    for pid in ("a", "b", "v"):
+        sim.spawn(pid, Collector())
+    sim.api("a").send("b", Msg("t.poke", "t", {}))
+    sim.run(5)
+    sim.corrupt("b", script)
+    sim.api("a").send("b", Msg("t.x", "t", {"n": 1}))
+    sim.run(20)
+    (line,) = [l for l in sim.trace if l["kind"] == "deliver" and l["to"] == "v"]
+    assert line["hash"] == Msg("t.x", "t", {"n": 666}).mhash()
+
+
 def test_trigger_is_a_not_before_bound_under_traffic():
     sim = Simulator(5, LedgerFsOracle())
     f = Flood(rounds=50)
