@@ -12,10 +12,10 @@ pair of quorums makes the output self-verifying and, via the key
 watermarks, impossible to anchor at a superseded configuration after its
 keys moved on.
 
-Both process kinds check every message once, where it enters the process,
-against one table, WIRE: the fields each message kind must carry and their
-exact types. A replica counts a message that does not fit as dropped, a
-client ignores it, and every handler past that gate reads fields directly.
+Both process kinds check every message where it enters the process against
+one table, WIRE: the fields each message kind must carry and their exact
+types. A replica counts a message that does not fit as dropped, a client
+ignores it, and every handler past that gate reads fields directly.
 
 Replica side (DynamicReplica): one router, _route, serves, parks or drops
 every request. It serves requests only at its installed, current,
@@ -646,7 +646,7 @@ WIRE = {
     "ac.cresp": {"sn": int, "sig": FsSig},
     "xfer.resp": {"sn": int, "payload": dict},
 }
-REQUESTS = frozenset(["bla.propose", "bla.confirm", "mr.set", "mr.get", "ac.req", "ac.confirm", "xfer.read"])
+REQUESTS = frozenset(d for d, t in WIRE.items() if "sn" in t and "config" in t)
 
 
 def _fits(x, table: dict) -> bool:
@@ -677,13 +677,13 @@ def _fits(x, table: dict) -> bool:
 
 
 def wire_ok(msg: Msg) -> bool:
-    """msg is of a kind in WIRE and its body fits that kind's entry; the
-    verdict is memoised on the message object."""
-    ok = msg.ok
-    if ok is None:
-        table = WIRE.get(msg.desc)
-        ok = msg.ok = table is not None and _fits(msg.body, table)
-    return ok
+    """msg is of a kind in WIRE and its body fits that kind's entry.
+
+    Checked on every delivery, not once per message object: a Byzantine
+    recipient is handed the object other recipients are sent and may edit it.
+    """
+    table = WIRE.get(msg.desc)
+    return table is not None and _fits(msg.body, table)
 
 
 class DynamicReplica:
@@ -767,7 +767,10 @@ class DynamicReplica:
     def _regate(self) -> None:
         buffered, self.buffered = self.buffered, []
         for frm, msg in buffered:
-            self._route(frm, msg, first=False)
+            if wire_ok(msg):        # it may have been edited while parked
+                self._route(frm, msg, first=False)
+            else:
+                self.dropped += 1
 
     # -- history adoption ----------------------------------------------------
 

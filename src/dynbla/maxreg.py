@@ -125,7 +125,10 @@ class MaxRegClient(QuorumSession):
         else:
             return  # garbage cells do not count toward the quorum
         if self.anchor.is_quorum(self.got):
-            best = max((c for c in self.got.values() if c is not None), key=lambda c: c[0], default=None)
+            best = None
+            for c in self.got.values():
+                if c is not None and (best is None or c[0] > best[0]):
+                    best = c
             if best is None:
                 self._finish(None, None)
             else:

@@ -38,12 +38,11 @@ class Msg:
     """A message; one object may be sent to many recipients.
 
     ``mid`` memoises the broadcast id a broadcast endpoint derives from the
-    body, and ``ok`` the verdict of the wire gate (``dbla.wire_ok``), so
-    each message object is identified and checked once however many
+    body, so each message object is identified once however many
     recipients it reaches.
     """
 
-    __slots__ = ("desc", "obj", "body", "_hash", "mid", "ok")
+    __slots__ = ("desc", "obj", "body", "_hash", "mid")
 
     def __init__(self, desc: str, obj: str, body: dict):
         self.desc = desc
@@ -51,7 +50,6 @@ class Msg:
         self.body = body
         self._hash = None
         self.mid = None
-        self.ok = None
 
     def mhash(self) -> str:
         if self._hash is None:
@@ -272,8 +270,8 @@ class AdvApi:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
         if type(msg.desc) is not str or type(msg.obj) is not str:
             raise ValueError(f"adversary message {msg.desc!r} for {msg.obj!r}: desc and obj must be str")
-        # hash what is sent now; recipients derive the broadcast id and verdict themselves
-        msg._hash = msg.mid = msg.ok = None
+        # hash what is sent now; recipients derive the broadcast id themselves
+        msg._hash = msg.mid = None
         try:
             msg.mhash()
         except (TypeError, ValueError) as e:

@@ -28,7 +28,7 @@ from dynbla.dbla import (
 from dynbla.fscrypto import FsSig, LedgerFsOracle
 from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
 from dynbla.maxreg import MaxRegClient, MaxRegStore
-from dynbla.simnet import Msg, Simulator, Trigger
+from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
 
 RIDS = ("r1", "r2", "r3", "r4")
 GENESIS = genesis_config(RIDS)
@@ -132,7 +132,7 @@ def world():
     sim.spawn("p", hub)
     probe = Probe()
     sim.spawn("z", probe)
-    return sim, replicas["r1"], hub, probe
+    return sim, replicas, hub, probe
 
 
 def waiting(hub, kind):
@@ -150,7 +150,7 @@ def client_state(hub):
 
 def deliver(kind, body):
     """Send one message from the probe to r1 and p; return the world after the run."""
-    sim, r1, hub, probe = world()
+    sim, replicas, hub, probe = world()
     waiting(hub, kind)
     before = client_state(hub)
     obj, _ = SAMPLES[kind]
@@ -162,7 +162,7 @@ def deliver(kind, body):
 
     sim.add_external(Trigger(at=0), "invoke", send, to="z", desc="probe")
     assert sim.run()["verdict"] == "quiescent"
-    return sim, r1, hub, before
+    return sim, replicas["r1"], hub, before
 
 
 def test_every_kind_has_a_sample_that_fits():
@@ -191,3 +191,35 @@ def test_a_waiting_session_takes_a_well_formed_reply():
     assert client_state(hub) != before
     (mr,) = [s for s in hub.sessions if s.object_id == "mr"]
     assert mr.got == {"z": None}
+
+
+def test_a_script_that_edits_a_message_in_place_leaves_a_later_recipient_a_drop():
+    # one message object reaches every recipient: r1 takes it, then Byzantine
+    # r4 deletes its sn, so the copy held for r2 no longer fits when it lands
+    sim, replicas, hub, probe = world()
+    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [IV]})
+
+    def edit(adv, ev):
+        if ev.msg is msg:
+            del ev.msg.body["sn"]
+
+    sim.add_hold(HoldRule(frm={"z"}, to={"r4"}, desc="bla", until=Trigger(at=5)))
+    sim.add_hold(HoldRule(frm={"z"}, to={"r2"}, desc="bla", until=Trigger(at=20)))
+    sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "obj", {})), to="z")
+    sim.add_external(Trigger(at=2), "adversary", lambda: sim.corrupt("r4", edit), to="r4")
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r1", "r4", "r2")], to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert "sn" not in msg.body
+    assert (replicas["r1"].dropped, replicas["r2"].dropped) == (0, 1)
+    assert sim.metrics["sent"] == 5          # the probe's four and r1's presp; r2 answers nothing
+
+
+def test_a_parked_request_edited_in_place_is_dropped_when_regated():
+    sim, replicas, hub, probe = world()
+    r2 = replicas["r2"]
+    msg = Msg("bla.propose", "obj", {"sn": 1, "config": ANCHOR, "values": [IV]})
+    r2.on_deliver("z", msg)
+    assert r2.buffered == [("z", msg)]      # ANCHOR is above r2's history: parked
+    del msg.body["config"]
+    r2._regate()
+    assert r2.buffered == [] and r2.dropped == 1
