@@ -19,9 +19,8 @@ so an input value's certificate decodes there without an import cycle.
 
 from __future__ import annotations
 
-from .dbla import AcCert, QuorumSession, fs_signed, plain_verify_hex
+from .dbla import AcCert, QuorumSession, Store, fs_signed, plain_verify_hex
 from .lattice import canon, fault_budget, Config
-from .simnet import Msg
 
 MODES = ("admin", "sanity", "quorum")
 
@@ -104,7 +103,7 @@ def make_ac_input_check(ac: AccessControl, oracle):
     return check
 
 
-class AcStore:
+class AcStore(Store):
     """Replica endpoint for sanity/quorum approvals."""
 
     def __init__(self, store_id: str, ac: AccessControl, decide=None):
@@ -112,6 +111,7 @@ class AcStore:
             raise ValueError("admin mode has no replica store")
         self.store_id = store_id
         self.ac = ac
+        self.object_id = ac.object_id
         self.decide = decide
         self.approved: dict[str, object] = {}
 
@@ -124,28 +124,17 @@ class AcStore:
             self.approved[slot] = value
         return True
 
-    def handle(self, core, frm, msg) -> bool:
-        if msg.obj != self.ac.object_id:
-            return False
-        if msg.desc == "ac.req":
-            slot, value, config, sn = msg.body["slot"], msg.body["value"], msg.body["config"], msg.body["sn"]
-            if self._decide(slot, value):
-                sig = core.fs_sign(appr_payload(self.ac.object_id, config, slot, value), config.height())
-                if sig is not None:
-                    core.api.send(frm, Msg("ac.approve", self.ac.object_id, {"sig": sig, "sn": sn}))
-            else:
-                core.api.send(frm, Msg("ac.deny", self.ac.object_id, {"sn": sn}))
-            return True
-        if msg.desc == "ac.confirm":
-            slot, value, config = msg.body["slot"], msg.body["value"], msg.body["config"]
-            approvals = msg.body["approvals"]
-            sig = core.fs_sign(
-                accf_payload(self.ac.object_id, config, slot, value, approvals), config.height()
-            )
-            if sig is not None:
-                core.api.send(frm, Msg("ac.cresp", self.ac.object_id, {"sig": sig, "sn": msg.body["sn"]}))
-            return True
-        return False
+    def _req(self, body):
+        slot, value = body["slot"], body["value"]
+        if not self._decide(slot, value):
+            return "ac.deny", None, {}     # denials are unsigned
+        return "ac.approve", appr_payload(self.object_id, body["config"], slot, value), {}
+
+    def _confirm(self, body):
+        pl = accf_payload(self.object_id, body["config"], body["slot"], body["value"], body["approvals"])
+        return "ac.cresp", pl, {}
+
+    SERVES = {"ac.req": _req, "ac.confirm": _confirm}
 
     def xfer_snapshot(self):
         if self.ac.mode != "quorum":

@@ -63,7 +63,6 @@ class UrbEndpoint:
         self.deliver = deliver
         self._echoed: set[str] = set()
         self._echoes: dict[str, dict[str, bytes]] = {}
-        self._delivered: set[str] = set()
         self._certed: set[str] = set()
 
     def broadcast(self, config: Config, desc: str, obj: str, body: dict) -> None:
@@ -78,19 +77,17 @@ class UrbEndpoint:
     def _echo_payload(self, mid: str) -> bytes:
         return canon(["urbecho", mid])
 
-    def _deliver_once(self, mid, inner, obj) -> None:
-        if mid not in self._delivered:
-            self._delivered.add(mid)
-            self.deliver(inner["origin"], inner["desc"], obj, inner["body"], inner["config"])
+    def _certify(self, mid, inner, obj, cert) -> None:
+        """Mark mid certified, forward its certificate, then deliver it.
 
-    def _send_cert(self, mid, inner, obj, cert) -> None:
-        if mid in self._certed:
-            return
+        Both callers return early on a certified mid, so each is delivered once.
+        """
         self._certed.add(mid)
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
         msg.mid = mid
         for pid in sorted(inner["config"].replicas()):
             self.api.send(pid, msg)
+        self.deliver(inner["origin"], inner["desc"], obj, inner["body"], inner["config"])
 
     def _msg_mid(self, msg: Msg, inner) -> str:
         mid = msg.mid
@@ -122,9 +119,7 @@ class UrbEndpoint:
                 got = self._echoes.setdefault(mid, {})
                 got.setdefault(frm, sig)
                 if config.is_quorum(got.keys()):
-                    cert = dict(got)
-                    self._send_cert(mid, inner, msg.obj, cert)
-                    self._deliver_once(mid, inner, msg.obj)
+                    self._certify(mid, inner, msg.obj, dict(got))
             return True
         if msg.desc == "urb.cert":
             inner, cert = msg.body["inner"], msg.body["cert"]
@@ -138,7 +133,6 @@ class UrbEndpoint:
                 for pid, sig in cert.items()
             )
             if ok:
-                self._send_cert(mid, inner, msg.obj, cert)
-                self._deliver_once(mid, inner, msg.obj)
+                self._certify(mid, inner, msg.obj, cert)
             return True
         return False

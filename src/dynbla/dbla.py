@@ -25,9 +25,15 @@ transfer (read a quorum of every configuration from the current one up to,
 not including, the target) before announcing completion; a quorum of
 completion announcements installs the configuration.
 
-The replica core is value-agnostic: per-object stores plug in to serve
-reads/writes and to snapshot/merge state for transfer, so the max-register
-and access-control objects reuse the same gating and transfer machinery.
+The replica core is value-agnostic: per-object stores plug in, so the
+max-register and access-control objects reuse the same gating, answering
+and transfer machinery. A store (Store) declares SERVES, a table from
+request kind to a handler that updates the store and names its answer, and
+snapshots/merges its state for transfer. DynamicReplica.reply sends every
+answer and is the one place a replica fs-signs: at the height of the
+configuration the request names, and not at all once its keys moved past
+that height. That silence is what starves a superseded configuration's
+quorum.
 
 Certificates stay objects from creation to verification: token dicts
 (genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
@@ -560,12 +566,33 @@ class DblaClient(QuorumSession):
 # -- replica side ------------------------------------------------------------
 
 
-class DblaStore:
+class Store:
+    """A replica's state for one object, answering the requests in SERVES.
+
+    SERVES maps each request kind to handler(store, body), which returns
+    None (no answer) or (reply desc, payload to fs-sign or None, reply
+    body). DynamicReplica.reply signs and sends every answer.
+    """
+
+    SERVES: dict = {}
+    object_id: str
+
+    def handle(self, core, frm, msg) -> bool:
+        if msg.obj != self.object_id or msg.desc not in self.SERVES:
+            return False
+        answer = self.SERVES[msg.desc](self, msg.body)
+        if answer is not None:
+            core.reply(frm, msg, *answer)
+        return True
+
+
+class DblaStore(Store):
     """Replica value-set store for one lattice-agreement object."""
 
     def __init__(self, store_id: str, obj: DynamicObject):
         self.store_id = store_id
         self.obj = obj
+        self.object_id = obj.object_id
         self.vals: dict[bytes, InputValue] = {}
         for iv in obj.genesis_values:
             self.vals[iv.canon()] = iv
@@ -578,28 +605,16 @@ class DblaStore:
             if isinstance(iv, InputValue) and iv.canon() not in self.vals and self.obj.check_value(iv):
                 self.vals[iv.canon()] = iv
 
-    def handle(self, core, frm, msg) -> bool:
-        if msg.obj != self.obj.object_id:
-            return False
-        if msg.desc == "bla.propose":
-            config = msg.body["config"]
-            self.merge(msg.body["values"])
-            vlist = self.snapshot_sorted()
-            sig = core.fs_sign(presp_payload(self.obj.object_id, config, vlist), config.height())
-            if sig is not None:
-                core.api.send(
-                    frm,
-                    Msg("bla.presp", self.obj.object_id, {"values": vlist, "sig": sig, "sn": msg.body["sn"]}),
-                )
-            return True
-        if msg.desc == "bla.confirm":
-            config, packs = msg.body["config"], msg.body["packs"]
-            # countersigning does not validate the acks; verifiers do
-            sig = core.fs_sign(cresp_payload(self.obj.object_id, config, packs), config.height())
-            if sig is not None:
-                core.api.send(frm, Msg("bla.cresp", self.obj.object_id, {"sig": sig, "sn": msg.body["sn"]}))
-            return True
-        return False
+    def _propose(self, body):
+        self.merge(body["values"])
+        vlist = self.snapshot_sorted()
+        return "bla.presp", presp_payload(self.object_id, body["config"], vlist), {"values": vlist}
+
+    def _confirm(self, body):
+        # countersigning does not validate the acks; verifiers do
+        return "bla.cresp", cresp_payload(self.object_id, body["config"], body["packs"]), {}
+
+    SERVES = {"bla.propose": _propose, "bla.confirm": _confirm}
 
     def xfer_snapshot(self):
         return self.snapshot_sorted()
@@ -719,8 +734,20 @@ class DynamicReplica:
     def chighest(self) -> Config:
         return self.history.max_element()
 
-    def fs_sign(self, payload: bytes, ts: int):
-        return self.api.oracle.fs_sign(self.api.pid, payload, ts)
+    def reply(self, frm, req: Msg, desc: str, payload, body: dict) -> None:
+        """Answer req on its object with its sn; the one place a replica fs-signs.
+
+        A payload is signed at the height of the configuration req names;
+        once this replica's keys moved past that height the oracle refuses
+        and nothing is sent. A None payload is an unsigned answer.
+        """
+        if payload is not None:
+            sig = self.api.oracle.fs_sign(self.api.pid, payload, req.body["config"].height())
+            if sig is None:
+                return
+            body["sig"] = sig
+        body["sn"] = req.body["sn"]
+        self.api.send(frm, Msg(desc, req.obj, body))
 
     # -- delivery routing --------------------------------------------------
 
@@ -744,6 +771,9 @@ class DynamicReplica:
         highest or a higher configuration park until history or installs
         change; stale and incomparable requests are dropped. The request
         already fits its entry in WIRE: on_deliver drops one that does not.
+        A served request is answered through reply, the one place a replica
+        fs-signs: by the store whose SERVES table takes it, or here for an
+        xfer.read.
         """
         config = msg.body["config"]
         ch = self.chighest()
@@ -760,7 +790,7 @@ class DynamicReplica:
             self.api.requeue(frm, msg)
         elif msg.desc == "xfer.read":
             payload = {s.store_id: s.xfer_snapshot() for s in self.stores}
-            self.api.send(frm, Msg("xfer.resp", self.group, {"sn": msg.body["sn"], "payload": payload}))
+            self.reply(frm, msg, "xfer.resp", None, {"payload": payload})
         elif not any(store.handle(self, frm, msg) for store in self.stores):
             self.dropped += 1
 

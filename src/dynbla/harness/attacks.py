@@ -60,30 +60,24 @@ def retainer_script(ctx):
         if not wire_ok(msg):
             return
         body = msg.body
+
+        def answer(desc, payload, out):
+            if payload is not None:
+                h = body["config"].height()
+                out["sig"] = oracle.fs_sign(pid, payload, h) or _junk(pid, h)
+            out["sn"] = body["sn"]
+            adv.send(frm=pid, to=frm, msg=Msg(desc, msg.obj, out))
+
         if msg.desc == "bla.propose":
-            config = body["config"]
-            pl = presp_payload(msg.obj, config, body["values"])
-            sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
-            adv.send(frm=pid, to=frm, msg=Msg(
-                "bla.presp", msg.obj, {"values": body["values"], "sig": sig, "sn": body["sn"]}))
+            answer("bla.presp", presp_payload(msg.obj, body["config"], body["values"]), {"values": body["values"]})
         elif msg.desc == "bla.confirm":
-            config = body["config"]
-            pl = cresp_payload(msg.obj, config, body["packs"])
-            sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
-            adv.send(frm=pid, to=frm, msg=Msg(
-                "bla.cresp", msg.obj, {"sig": sig, "sn": body["sn"]}))
+            answer("bla.cresp", cresp_payload(msg.obj, body["config"], body["packs"]), {})
         elif msg.desc == "mr.set":
-            config = body["config"]
-            pl = setresp_payload(msg.obj, config, body["v"])
-            sig = oracle.fs_sign(pid, pl, config.height()) or _junk(pid, config.height())
-            adv.send(frm=pid, to=frm, msg=Msg(
-                "mr.setresp", msg.obj, {"sig": sig, "sn": body["sn"]}))
+            answer("mr.setresp", setresp_payload(msg.obj, body["config"], body["v"]), {})
         elif msg.desc == "mr.get":
-            adv.send(frm=pid, to=frm, msg=Msg(
-                "mr.getresp", msg.obj, {"cell": None, "sn": body["sn"]}))
+            answer("mr.getresp", None, {"cell": None})
         elif msg.desc == "xfer.read":
-            adv.send(frm=pid, to=frm, msg=Msg(
-                "xfer.resp", msg.obj, {"sn": body["sn"], "payload": {}}))
+            answer("xfer.resp", None, {"payload": {}})
 
     return script
 

@@ -9,33 +9,17 @@ LedgerVerifier standing in for the signature oracle.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
-from ..access_control import AcCert, AccessControl, make_ac_input_check, verify_cert
-from ..dbla import DynamicObject, OutputCert, accept_all, verify_output
+from ..access_control import AcCert, verify_cert
+from ..dbla import OutputCert, fs_signed, verify_output
 from ..fscrypto import FsSig, LedgerVerifier
-from ..lattice import FinSet, genesis_config, quorum_size, value_from_jsonable
+from ..lattice import FinSet, quorum_size, value_from_jsonable
 from ..maxreg import setresp_payload
-from ..reconfig import ReconfigGroup
-from .runner import ACL_OBJ, APP_OBJ, GROUP
+from .runner import APP_OBJ, build_objects
 
 
 def rebuild_view(scn, oracle=None, ledger=None):
     """Reconstruct the verification-side objects a run was built from."""
-    if oracle is None:
-        oracle = LedgerVerifier(ledger or [])
-    genesis = genesis_config(scn["genesis"])
-    ac = None
-    conf_check = None
-    if scn["acl"]["mode"] != "none":
-        ac = AccessControl(ACL_OBJ, scn["acl"]["mode"], admins=scn["acl"].get("admins", ()))
-        conf_check = make_ac_input_check(ac, oracle)
-    grp = ReconfigGroup(GROUP, genesis, oracle, conf_input_check=conf_check)
-    app_obj = None
-    if scn["app"]["kind"] == "dbla":
-        app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all)
-        grp.govern(app_obj)
-    return SimpleNamespace(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
+    return build_objects(scn, LedgerVerifier(ledger or []) if oracle is None else oracle)
 
 
 def ops_table(bundle):
@@ -108,9 +92,7 @@ def check_certificates(bundle, view):
                 cfg = value_from_jsonable(ack["cfg"])
                 pl = setresp_payload(APP_OBJ, cfg, ack["v"])
                 sigs = {p: FsSig.from_jsonable(s) for p, s in ack["acks"].items()}
-                okq = cfg.is_quorum(sigs.keys()) and all(
-                    view.oracle.fs_verify(pl, p, s, cfg.height()) for p, s in sigs.items())
-                if not okq:
+                if not fs_signed(view.oracle, cfg, pl, sigs, cfg.quorum_size()):
                     bad.append(idx)
             elif kind == "ac_request" and r.get("granted"):
                 cert = AcCert.from_jsonable(r["cert"])

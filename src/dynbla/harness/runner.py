@@ -30,7 +30,10 @@ TRACE_FORMAT = "dynbla-trace"
 # version 2: history inputs and access-controlled configuration inputs are
 # signed over their certificate objects' canonical bytes, not over JSON, so
 # version-1 files cannot be re-verified
-TRACE_VERSION = 2
+# version 3: an OutputCert is signed over as its digest frame, so the
+# signatures in a version-2 file cover another encoding and cannot be
+# re-verified
+TRACE_VERSION = 3
 
 
 @dataclass
@@ -79,27 +82,31 @@ class RunReport:
         }
 
 
-def build_world(scn) -> SimpleNamespace:
-    ctx = SimpleNamespace()
-    ctx.scenario = scn
-    ctx.oracle = LedgerFsOracle() if scn["oracle"] == "ledger" else KeyChainFsOracle()
-    ctx.sim = Simulator(scn["seed"], ctx.oracle)
-    ctx.oracle.audit_hook = lambda: {"step": ctx.sim.next_step}
-    ctx.genesis = genesis_config(scn["genesis"])
-
-    ctx.acl_mode = scn["acl"]["mode"]
-    ctx.ac = None
+def build_objects(scn, oracle) -> SimpleNamespace:
+    """The scenario's group objects over oracle: genesis, access control and
+    its input check, the reconfiguration group and the governed app object."""
+    genesis = genesis_config(scn["genesis"])
+    ac = None
     conf_check = None
-    if ctx.acl_mode != "none":
-        ctx.ac = AccessControl(ACL_OBJ, ctx.acl_mode, admins=scn["acl"].get("admins", ()))
-        conf_check = make_ac_input_check(ctx.ac, ctx.oracle)
-    ctx.grp = ReconfigGroup(GROUP, ctx.genesis, ctx.oracle, conf_input_check=conf_check)
+    if scn["acl"]["mode"] != "none":
+        ac = AccessControl(ACL_OBJ, scn["acl"]["mode"], admins=scn["acl"].get("admins", ()))
+        conf_check = make_ac_input_check(ac, oracle)
+    grp = ReconfigGroup(GROUP, genesis, oracle, conf_input_check=conf_check)
+    app_obj = None
+    if scn["app"]["kind"] == "dbla":
+        app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all)
+        grp.govern(app_obj)
+    return SimpleNamespace(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
+
+def build_world(scn) -> SimpleNamespace:
+    oracle = LedgerFsOracle() if scn["oracle"] == "ledger" else KeyChainFsOracle()
+    ctx = build_objects(scn, oracle)
+    ctx.scenario = scn
+    ctx.sim = Simulator(scn["seed"], oracle)
+    oracle.audit_hook = lambda: {"step": ctx.sim.next_step}
+    ctx.acl_mode = scn["acl"]["mode"]
     ctx.app_kind = scn["app"]["kind"]
-    ctx.app_obj = None
-    if ctx.app_kind == "dbla":
-        ctx.app_obj = DynamicObject(APP_OBJ, ctx.genesis, check_value=accept_all)
-        ctx.grp.govern(ctx.app_obj)
 
     rids = list(scn["genesis"]) + list(scn["extra_replicas"])
     ctx.roster = rids + list(scn["clients"])

@@ -10,9 +10,8 @@ the write-back always share a configuration.
 
 from __future__ import annotations
 
-from .dbla import QuorumSession
+from .dbla import QuorumSession, Store
 from .lattice import canon
-from .simnet import Msg
 
 
 def setresp_payload(object_id: str, config, v: int) -> bytes:
@@ -29,7 +28,7 @@ def valid_cell(check_write, cell) -> bool:
     )
 
 
-class MaxRegStore:
+class MaxRegStore(Store):
     """Replica cell for one max-register object."""
 
     def __init__(self, store_id: str, object_id: str, check_write):
@@ -38,24 +37,18 @@ class MaxRegStore:
         self.check_write = check_write
         self.cell = None  # (value, cert) or None
 
-    def handle(self, core, frm, msg) -> bool:
-        if msg.obj != self.object_id:
-            return False
-        if msg.desc == "mr.set":
-            v, cert = msg.body["v"], msg.body["cert"]
-            if not self.check_write(v, cert):
-                return True  # uncertified writes earn no ack
-            if self.cell is None or v > self.cell[0]:
-                self.cell = (v, cert)
-            config = msg.body["config"]
-            sig = core.fs_sign(setresp_payload(self.object_id, config, v), config.height())
-            if sig is not None:
-                core.api.send(frm, Msg("mr.setresp", self.object_id, {"sig": sig, "sn": msg.body["sn"]}))
-            return True
-        if msg.desc == "mr.get":
-            core.api.send(frm, Msg("mr.getresp", self.object_id, {"cell": self.cell, "sn": msg.body["sn"]}))
-            return True
-        return False
+    def _set(self, body):
+        v, cert = body["v"], body["cert"]
+        if not self.check_write(v, cert):
+            return None  # uncertified writes earn no ack
+        if self.cell is None or v > self.cell[0]:
+            self.cell = (v, cert)
+        return "mr.setresp", setresp_payload(self.object_id, body["config"], v), {}
+
+    def _get(self, body):
+        return "mr.getresp", None, {"cell": self.cell}
+
+    SERVES = {"mr.set": _set, "mr.get": _get}
 
     def xfer_snapshot(self):
         return self.cell

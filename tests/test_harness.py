@@ -380,15 +380,17 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 2
-    path.write_text("\n".join([json.dumps({**head, "version": 1}), *lines[1:]]) + "\n")
-    with pytest.raises(ValueError, match="version 1"):
-        load_trace(path)
-    # the commands stop on the error instead of reporting false verdicts
-    for cmd in ("check", "replay"):
-        r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
-        assert isinstance(r.exception, ValueError) and "version 1" in str(r.exception)
-        assert "PASS" not in r.output and "FAIL" not in r.output
+    assert head["version"] == 3
+    # version 2 signed certificates over another encoding: it is refused too
+    for old in (1, 2):
+        path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
+        with pytest.raises(ValueError, match=f"version {old}"):
+            load_trace(path)
+        # the commands stop on the error instead of reporting false verdicts
+        for cmd in ("check", "replay"):
+            r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
+            assert isinstance(r.exception, ValueError) and f"version {old}" in str(r.exception)
+            assert "PASS" not in r.output and "FAIL" not in r.output
 
 
 def test_replay_reproduces_hash(tmp_path):
