@@ -17,6 +17,12 @@ one table, WIRE: the fields each message kind must carry and their exact
 types. A replica counts a message that does not fit as dropped, a client
 ignores it, and every handler past that gate reads fields directly.
 
+Client hubs and replicas follow the group's history through one rule, in
+their shared base Follower: a gossiped history is adopted only if it strictly
+extends the current one and check_history accepts its certificate. A group's
+check_history is the history agreement's output check, whose verdicts are
+cached in one place, the output cache of verify_output.
+
 Replica side (DynamicReplica): one router, _route, serves, parks or drops
 every request. It serves requests only at its installed, current,
 highest-known configuration; adopting a longer history immediately
@@ -103,11 +109,7 @@ class DynamicObject:
         self._check_value = check_value
         self._check_history = check_history
         self._vcache: dict[bytes, bool] = {}
-        self._hcache: dict[bytes, bool] = {}
         self._ocache: dict = {}
-
-    def set_check_history(self, fn) -> None:
-        self._check_history = fn
 
     def set_check_value(self, fn) -> None:
         self._check_value = fn
@@ -121,15 +123,9 @@ class DynamicObject:
         return hit
 
     def check_history(self, h: History, cert) -> bool:
-        key = canon(["h", h, cert])
-        hit = self._hcache.get(key)
-        if hit is None:
-            if h == self.genesis_history and cert == GENESIS_CERT:
-                hit = True
-            else:
-                hit = bool(self._check_history and self._check_history(h, cert))
-            self._hcache[key] = hit
-        return hit
+        if h == self.genesis_history and cert == GENESIS_CERT:
+            return True
+        return bool(self._check_history and self._check_history(h, cert))
 
 
 # -- signed payloads ------------------------------------------------------
@@ -369,24 +365,57 @@ def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
     return fs_signed(oracle, config, cpl, cert.cacks, config.quorum_size())
 
 
-# -- client side ------------------------------------------------------------
+# -- following the group's history ---------------------------------------------
 
 
-class ClientHub:
-    """Client process hosting protocol sessions that share one history."""
+class Follower:
+    """A process that follows its group's history: a client hub or a replica.
 
-    def __init__(self, group: str, obj_for_history: DynamicObject, roster):
+    Both adopt a gossiped history through one rule, _on_rb: only a hist.new
+    whose history strictly extends the current one and whose certificate
+    check_history accepts. Adoption is traced as an adopt upcall, then the
+    subclass reacts in _adopted.
+    """
+
+    def __init__(self, group: str, genesis: Config, check_history, roster):
         self.group = group
-        self.hobj = obj_for_history
+        self.genesis = genesis
+        self.check_history = check_history
         self.roster = roster
-        self.history = obj_for_history.genesis_history
+        self.history = History([genesis])
         self.hist_cert = GENESIS_CERT
-        self.sessions = []
-        self._uh_waiting: list[tuple[History, object]] = []
 
     def bind(self, api):
         self.api = api
         self.rb = RbEndpoint(api, self.roster, self._on_rb)
+
+    def _on_rb(self, origin, desc, obj, body) -> None:
+        if desc != "hist.new":
+            return
+        h, cert = body["hist"], body["cert"]
+        if h == self.history or not self.history.contained_in(h):
+            return
+        if not self.check_history(h, cert):
+            return
+        self.history = h
+        self.hist_cert = cert
+        self.api.upcall("adopt", {"hmax": h.max_element().height()})
+        self._adopted()
+
+    def _adopted(self) -> None:
+        raise NotImplementedError
+
+
+# -- client side ------------------------------------------------------------
+
+
+class ClientHub(Follower):
+    """Client process hosting protocol sessions that share one history."""
+
+    def __init__(self, group: str, genesis: Config, check_history, roster):
+        super().__init__(group, genesis, check_history, roster)
+        self.sessions = []
+        self._uh_waiting: list[tuple[History, object]] = []
 
     def add(self, session):
         self.sessions.append(session)
@@ -410,18 +439,7 @@ class ClientHub:
         elif done:
             self._uh_waiting.append((h, done))
 
-    def _on_rb(self, origin, desc, obj, body):
-        if desc == "hist.new":
-            self.consider(body["hist"], body["cert"])
-
-    def consider(self, h: History, cert) -> None:
-        if h == self.history or not self.history.contained_in(h):
-            return
-        if not self.hobj.check_history(h, cert):
-            return
-        self.history = h
-        self.hist_cert = cert
-        self.api.upcall("adopt", {"hmax": h.max_element().height()})
+    def _adopted(self) -> None:
         still = []
         for target, done in self._uh_waiting:
             if target.contained_in(self.history):
@@ -701,17 +719,12 @@ def wire_ok(msg: Msg) -> bool:
     return table is not None and _fits(msg.body, table)
 
 
-class DynamicReplica:
+class DynamicReplica(Follower):
     """Gating, history adoption, state transfer and installs; stores plug in."""
 
     def __init__(self, group: str, genesis: Config, stores, check_history, roster):
-        self.group = group
-        self.genesis = genesis
+        super().__init__(group, genesis, check_history, roster)
         self.stores = list(stores)
-        self.check_history = check_history
-        self.roster = roster
-        self.history = History([genesis])
-        self.hist_cert = GENESIS_CERT
         self.ccurr = genesis
         self.cinst = genesis
         self.installed = {genesis}
@@ -726,8 +739,7 @@ class DynamicReplica:
         self.dropped = 0
 
     def bind(self, api):
-        self.api = api
-        self.rb = RbEndpoint(api, self.roster, self._on_rb)
+        super().bind(api)
         self.urb = UrbEndpoint(api, self._on_urb)
         api.oracle.update_fs_keys(api.pid, self.genesis.height())
 
@@ -804,18 +816,9 @@ class DynamicReplica:
 
     # -- history adoption ----------------------------------------------------
 
-    def _on_rb(self, origin, desc, obj, body) -> None:
-        if desc != "hist.new":
-            return
-        h, cert = body["hist"], body["cert"]
-        if h == self.history or not self.history.contained_in(h):
-            return
-        if not self.check_history(h, cert):
-            return
-        self.history = h
-        self.hist_cert = cert
-        self.api.oracle.update_fs_keys(self.api.pid, h.max_element().height())
-        self.api.upcall("adopt", {"hmax": h.max_element().height()})
+    def _adopted(self) -> None:
+        # adopting a longer history immediately raises the signing watermark
+        self.api.oracle.update_fs_keys(self.api.pid, self.chighest().height())
         self._check_installs()
         self._regate()
         self._advance_xfer()

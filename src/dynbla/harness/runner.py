@@ -84,7 +84,8 @@ class RunReport:
 
 def build_objects(scn, oracle) -> SimpleNamespace:
     """The scenario's group objects over oracle: genesis, access control and
-    its input check, the reconfiguration group and the governed app object."""
+    its input check, the reconfiguration group and the app object, which
+    trusts the group's histories."""
     genesis = genesis_config(scn["genesis"])
     ac = None
     conf_check = None
@@ -94,8 +95,7 @@ def build_objects(scn, oracle) -> SimpleNamespace:
     grp = ReconfigGroup(GROUP, genesis, oracle, conf_input_check=conf_check)
     app_obj = None
     if scn["app"]["kind"] == "dbla":
-        app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all)
-        grp.govern(app_obj)
+        app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all, check_history=grp.certifies)
     return SimpleNamespace(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
 

@@ -19,11 +19,12 @@ def setresp_payload(object_id: str, config, v: int) -> bytes:
 
 
 def valid_cell(check_write, cell) -> bool:
-    """cell is a (value, cert) pair whose integer value carries a valid write cert."""
+    """cell is a (value, cert) pair whose integer value, an int as on the wire
+    (not a bool), carries a valid write cert."""
     return (
         isinstance(cell, (tuple, list))
         and len(cell) == 2
-        and isinstance(cell[0], int)
+        and type(cell[0]) is int
         and check_write(cell[0], cell[1])
     )
 

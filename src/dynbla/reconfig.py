@@ -51,7 +51,14 @@ def make_hist_input_check(conf_obj: DynamicObject, oracle):
 
 
 class ReconfigGroup:
-    """Shared wiring for one reconfigurable object group."""
+    """Shared wiring for one reconfigurable object group.
+
+    A history is the group's when the history agreement certified it:
+    certifies is the predicate, handed to every object of the group at
+    construction, and check_history (genesis, or certifies) is what
+    replicas and hubs adopt histories by. Verdicts are cached once, in
+    hist_obj's output cache.
+    """
 
     def __init__(self, group: str, genesis: Config, oracle, conf_input_check=None):
         self.group = group
@@ -61,36 +68,30 @@ class ReconfigGroup:
             f"{group}/conf",
             genesis,
             check_value=conf_input_check or accept_all,
+            check_history=self.certifies,
             genesis_values=[InputValue(genesis, GENESIS_CERT)],
         )
         self.hist_obj = DynamicObject(
             f"{group}/hist",
             genesis,
+            check_value=make_hist_input_check(self.conf_obj, oracle),
+            check_history=self.certifies,
             genesis_values=[InputValue(ConfSet({genesis}), GENESIS_CERT)],
         )
-        self.hist_obj.set_check_value(make_hist_input_check(self.conf_obj, oracle))
-        self.view_obj = DynamicObject(f"{group}/view", genesis, check_history=self._check_history_cert)
-        self.govern(self.conf_obj)
-        self.govern(self.hist_obj)
 
-    def _check_history_cert(self, h: History, cert) -> bool:
-        if not isinstance(cert, OutputCert):
-            return False
+    def certifies(self, h: History, cert) -> bool:
+        """cert is a history-agreement output for h."""
         return verify_output(self.hist_obj, self.oracle, h.as_confset(), cert)
 
-    def govern(self, obj: DynamicObject) -> None:
-        """Make this group's histories the ones the object trusts."""
-        obj.set_check_history(self._check_history_cert)
-
     def check_history(self, h: History, cert) -> bool:
-        return self.view_obj.check_history(h, cert)
+        return self.hist_obj.check_history(h, cert)
 
     def make_replica(self, roster, extra_stores=()) -> DynamicReplica:
         stores = [DblaStore("conf", self.conf_obj), DblaStore("hist", self.hist_obj), *extra_stores]
         return DynamicReplica(self.group, self.genesis, stores, self.check_history, roster)
 
     def make_hub(self, roster) -> ClientHub:
-        return ClientHub(self.group, self.view_obj, roster)
+        return ClientHub(self.group, self.genesis, self.check_history, roster)
 
 
 class ReconfigClient:

@@ -261,10 +261,6 @@ class AdvApi:
     def __init__(self, sim):
         self._sim = sim
 
-    @property
-    def oracle(self):
-        return self._sim.oracle
-
     def send(self, frm: str, to: str, msg: Msg) -> None:
         if self._sim.status(frm) != BYZANTINE:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
@@ -280,7 +276,7 @@ class AdvApi:
 
 
 class Simulator:
-    def __init__(self, seed: int, oracle, trace: list | None = None):
+    def __init__(self, seed: int, oracle):
         self.seed = seed
         self.oracle = oracle
         self.rng = random.Random(seed)
@@ -289,7 +285,7 @@ class Simulator:
         self.holds: list[HoldRule] = []
         self.externals: list[_External] = []
         self.facts: dict[str, int] = {}
-        self.trace = trace if trace is not None else []
+        self.trace: list[dict] = []
         self.next_step = 0
         self.latencies: list[int] = []
         self.metrics = {"sent": 0, "delivered": 0, "dropped_halted": 0, "held": 0, "requeued": 0}

@@ -27,9 +27,7 @@ class World:
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
         self.ac = AccessControl("ac", mode)
-        hobj = DynamicObject("ac", self.genesis)
-        hobj.set_check_history(check_authority_history(self.oracle, "grp"))
-        self.hobj = hobj
+        hobj = DynamicObject("ac", self.genesis, check_history=check_authority_history(self.oracle, "grp"))
         roster = list(rids) + list(cids)
         self.replicas = {}
         for r in rids:
@@ -39,7 +37,7 @@ class World:
         self.hubs = {}
         self.clients = {}
         for c in cids:
-            hub = ClientHub("grp", hobj, roster)
+            hub = ClientHub("grp", self.genesis, hobj.check_history, roster)
             self.hubs[c] = hub
             self.clients[c] = AcClient(hub, self.ac)
             self.sim.spawn(c, hub)
@@ -240,7 +238,7 @@ def test_admin_mode_has_no_store_or_client():
         AcStore("ac", ac)
     oracle = LedgerFsOracle()
     sim = Simulator(1, oracle)
-    hobj = DynamicObject("ac", genesis_config(["r1", "r2", "r3", "r4"]))
-    hub = ClientHub("grp", hobj, ["a"])
+    genesis = genesis_config(["r1", "r2", "r3", "r4"])
+    hub = ClientHub("grp", genesis, DynamicObject("ac", genesis).check_history, ["a"])
     with pytest.raises(ValueError):
         AcClient(hub, ac)

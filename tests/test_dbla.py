@@ -42,8 +42,12 @@ class World:
         self.oracle = LedgerFsOracle()
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
-        self.obj = DynamicObject("obj", self.genesis, check_value=check_value or accept_all)
-        self.obj.set_check_history(check_authority_history(self.oracle, "grp"))
+        self.obj = DynamicObject(
+            "obj",
+            self.genesis,
+            check_value=check_value or accept_all,
+            check_history=check_authority_history(self.oracle, "grp"),
+        )
         roster = list(rids) + list(cids)
         self.replicas = {}
         for r in rids:
@@ -56,7 +60,7 @@ class World:
         self.hubs = {}
         self.clients = {}
         for c in cids:
-            hub = ClientHub("grp", self.obj, roster)
+            hub = ClientHub("grp", self.genesis, self.obj.check_history, roster)
             self.hubs[c] = hub
             self.clients[c] = DblaClient(hub, self.obj)
             self.sim.spawn(c, hub)

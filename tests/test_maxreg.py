@@ -33,9 +33,7 @@ class World:
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
         self.check_write = check_write or accept_all
-        hobj = DynamicObject("mr", self.genesis)
-        hobj.set_check_history(check_authority_history(self.oracle, "grp"))
-        self.hobj = hobj
+        hobj = DynamicObject("mr", self.genesis, check_history=check_authority_history(self.oracle, "grp"))
         roster = list(rids) + list(cids)
         self.replicas = {}
         for r in rids:
@@ -47,7 +45,7 @@ class World:
         self.hubs = {}
         self.clients = {}
         for c in cids:
-            hub = ClientHub("grp", hobj, roster)
+            hub = ClientHub("grp", self.genesis, hobj.check_history, roster)
             self.hubs[c] = hub
             self.clients[c] = MaxRegClient(hub, "mr", self.check_write)
             self.sim.spawn(c, hub)
@@ -198,3 +196,26 @@ def test_client_rejects_uncertified_write():
     w.clients["a"].check_write = check_plain_input(w.oracle, "mr")
     with pytest.raises(ValueError):
         w.clients["a"].write(3, {"kind": "plain", "signer": "a", "sig": "00"}, lambda ack: None)
+
+
+def test_bool_cell_from_a_byzantine_replica_does_not_count():
+    # True passes isinstance(_, int) but no mr.set may carry it, so taking
+    # it as the largest cell would stall the read in its write-back round
+    w = World(cids=("c",))
+
+    def evil(adv, ev):
+        if ev.msg.desc == "mr.get":
+            body = {"sn": ev.msg.body["sn"], "cell": [True, {"kind": "any"}]}
+            adv.send("r4", ev.frm, Msg("mr.getresp", "mr", body))
+
+    probe = Probe()
+    w.sim.spawn("z", probe)
+    w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "mr", {})), to="z", desc="kick")
+    w.sim.add_external(Trigger(at=3), "adversary", lambda: w.sim.corrupt("r4", evil), to="r4", desc="corrupt")
+    w.read(Trigger(at=4), "c")
+    assert w.sim.run()["verdict"] == "quiescent"
+    assert w.returns.get("c") == [("read", None, None)]
+    # nor may state transfer plant it in a joining replica
+    store = MaxRegStore("mr", "mr", accept_all)
+    store.xfer_merge([True, {"kind": "any"}])
+    assert store.cell is None

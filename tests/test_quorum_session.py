@@ -33,7 +33,7 @@ class StubApi:
 
 
 def _dbla(hub, done):
-    s = DblaClient(hub, DynamicObject("obj", hub.hobj.genesis, check_value=accept_all))
+    s = DblaClient(hub, DynamicObject("obj", hub.genesis, check_value=accept_all))
     s.propose(FinSet({"a"}), {"kind": "any"}, done)
 
     def reply(sig, sn):
@@ -68,7 +68,7 @@ def test_responder_filter_counts_only_fresh_signed_member_replies(make):
     for pid in RIDS + ("x9",):
         oracle.register(pid)
     genesis = genesis_config(RIDS)
-    hub = ClientHub("grp", DynamicObject("h", genesis), list(RIDS) + ["c"])
+    hub = ClientHub("grp", genesis, DynamicObject("h", genesis).check_history, list(RIDS) + ["c"])
     hub.bind(StubApi(oracle))
     returned = []
     session, reply, payload = make(hub, lambda *out: returned.append(out))

@@ -33,8 +33,7 @@ def build(seed, rids, cids, genesis_rids=None, app=False, acl_mode=None):
     ns.grp = ReconfigGroup("grp", ns.genesis, ns.oracle, conf_input_check=conf_check)
     ns.app_obj = None
     if app:
-        ns.app_obj = DynamicObject("grp/obj", ns.genesis, check_value=accept_all)
-        ns.grp.govern(ns.app_obj)
+        ns.app_obj = DynamicObject("grp/obj", ns.genesis, check_value=accept_all, check_history=ns.grp.certifies)
     roster = list(rids) + list(cids)
     ns.replicas = {}
     for r in rids:
@@ -257,20 +256,25 @@ def test_hist_input_check_takes_the_conf_output_object():
     assert not check(ConfSet({ns.genesis}), tc)
 
 
-def test_forged_history_never_adopted():
+@pytest.mark.parametrize("sender", ["u", "r1"], ids=["from-hub", "from-replica"])
+def test_forged_history_never_adopted(sender):
     rids = ("r1", "r2", "r3", "r4", "r5")
-    ns = build(4, rids, ("u",), genesis_rids=rids[:4])
+    ns = build(4, rids, ("u", "v"), genesis_rids=rids[:4])
     fake = History([ns.genesis, grown(ns.genesis, "r5")])
     assert not ns.grp.check_history(fake, GENESIS_CERT)
     assert not ns.grp.check_history(fake, {"kind": "authority", "sig": "00"})
 
-    # a broadcast of the forged pair leaves everyone at genesis
+    # a broadcast of the forged pair, by a hub or by a replica, leaves every
+    # follower of the group at genesis: hubs and replicas share one rule
+    follower = {**ns.hubs, **ns.replicas}[sender]
     ns.sim.add_external(
         Trigger(at=0),
         "invoke",
-        lambda: ns.hubs["u"].rb.broadcast("hist.new", "grp", {"hist": fake, "cert": GENESIS_CERT}),
-        to="u",
+        lambda: follower.rb.broadcast("hist.new", "grp", {"hist": fake, "cert": GENESIS_CERT}),
+        to=sender,
         desc="forged-history",
     )
     assert ns.sim.run()["verdict"] == "quiescent"
-    assert all(rep.history == History([ns.genesis]) for rep in ns.replicas.values())
+    followers = [*ns.hubs.values(), *ns.replicas.values()]
+    assert all(f.history == History([ns.genesis]) and f.hist_cert == GENESIS_CERT for f in followers)
+    assert not [l for l in ns.sim.trace if l["kind"] == "upcall" and l["desc"] == "adopt"]

@@ -116,8 +116,7 @@ class Probe:
 def world():
     oracle = LedgerFsOracle()
     sim = Simulator(5, oracle)
-    obj = DynamicObject("obj", GENESIS, check_value=accept_all)
-    obj.set_check_history(check_authority_history(oracle, "grp"))
+    obj = DynamicObject("obj", GENESIS, check_value=accept_all, check_history=check_authority_history(oracle, "grp"))
     ac = AccessControl("acl", "quorum")
     roster = [*RIDS, "p", "z"]
     replicas = {}
@@ -125,7 +124,7 @@ def world():
         stores = [DblaStore("la", obj), MaxRegStore("mr", "mr", accept_all), AcStore("ac", ac)]
         replicas[r] = DynamicReplica("grp", GENESIS, stores, obj.check_history, roster)
         sim.spawn(r, replicas[r])
-    hub = ClientHub("grp", obj, roster)
+    hub = ClientHub("grp", GENESIS, obj.check_history, roster)
     DblaClient(hub, obj)
     MaxRegClient(hub, "mr", accept_all)
     AcClient(hub, ac)
