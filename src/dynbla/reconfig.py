@@ -1,4 +1,4 @@
-"""Reconfiguration: turning the dynamic group into a self-governing one.
+"""Reconfiguration: turning the dynamic group into one that reconfigures itself.
 
 A configuration update is two lattice agreements chained end to end. The
 first runs over configurations and certifies the next configuration as the
