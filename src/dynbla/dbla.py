@@ -19,7 +19,8 @@ ignores it, and every handler past that gate reads fields directly.
 
 Client hubs and replicas follow the group's history through one rule, in
 their shared base Follower: a gossiped history is adopted only if it strictly
-extends the current one and check_history accepts its certificate. A group's
+extends the current one and check_history accepts its certificate, and a
+follower relays what it adopts, and nothing else, to the whole roster. A group's
 check_history is the history agreement's output check, whose verdicts are
 cached in one place, the output cache of verify_output.
 
@@ -373,8 +374,11 @@ class Follower:
 
     Both adopt a gossiped history through one rule, _on_rb: only a hist.new
     whose history strictly extends the current one and whose certificate
-    check_history accepts. Adoption is traced as an adopt upcall, then the
-    subclass reacts in _adopted.
+    check_history accepts. A follower relays what it adopts: the same
+    envelope, with its origin, goes to the whole roster before the adopt
+    upcall is traced and the subclass reacts in _adopted. Certified
+    histories are comparable, so a history skipped as not longer has a
+    longer one already relayed, and a forged or stale one goes no further.
     """
 
     def __init__(self, group: str, genesis: Config, check_history, roster):
@@ -399,6 +403,7 @@ class Follower:
             return
         self.history = h
         self.hist_cert = cert
+        self.rb.broadcast(origin, desc, obj, body)
         self.api.upcall("adopt", {"hmax": h.max_element().height()})
         self._adopted()
 
@@ -432,7 +437,7 @@ class ClientHub(Follower):
         return self.history.max_element()
 
     def update_history(self, h: History, cert, done=None) -> None:
-        self.rb.broadcast("hist.new", self.group, {"hist": h, "cert": cert})
+        self.rb.broadcast(self.api.pid, "hist.new", self.group, {"hist": h, "cert": cert})
         if h.contained_in(self.history):
             if done:
                 done()
@@ -740,7 +745,7 @@ class DynamicReplica(Follower):
 
     def bind(self, api):
         super().bind(api)
-        self.urb = UrbEndpoint(api, self._on_urb)
+        self.urb = UrbEndpoint(api, self.roster, self._on_urb)
         api.oracle.update_fs_keys(api.pid, self.genesis.height())
 
     def chighest(self) -> Config:
@@ -781,8 +786,10 @@ class DynamicReplica(Follower):
         is superseded. On first receipt a servable request is served, on
         re-gating it is requeued. Otherwise xfer.reads and requests for the
         highest or a higher configuration park until history or installs
-        change; stale and incomparable requests are dropped. The request
-        already fits its entry in WIRE: on_deliver drops one that does not.
+        change, at most one per sender, object and xfer or not: the latest
+        replaces the one before. Stale and incomparable requests are
+        dropped. The request already fits its entry in WIRE: on_deliver
+        drops one that does not.
         A served request is answered through reply, the one place a replica
         fs-signs: by the store whose SERVES table takes it, or here for an
         xfer.read.
@@ -795,7 +802,7 @@ class DynamicReplica(Follower):
             servable = config == ch and self.cinst == config
         if not servable:
             if msg.desc == "xfer.read" or ch.leq(config):
-                self.buffered.append((frm, msg))
+                self._park(frm, msg)
             else:
                 self.dropped += 1
         elif not first:
@@ -805,6 +812,11 @@ class DynamicReplica(Follower):
             self.reply(frm, msg, "xfer.resp", None, {"payload": payload})
         elif not any(store.handle(self, frm, msg) for store in self.stores):
             self.dropped += 1
+
+    def _park(self, frm, msg) -> None:
+        key = (frm, msg.obj, msg.desc == "xfer.read")
+        self.buffered = [(f, m) for f, m in self.buffered if (f, m.obj, m.desc == "xfer.read") != key]
+        self.buffered.append((frm, msg))
 
     def _regate(self) -> None:
         buffered, self.buffered = self.buffered, []

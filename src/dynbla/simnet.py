@@ -37,8 +37,8 @@ BYZANTINE = "B"
 class Msg:
     """A message; one object may be sent to many recipients.
 
-    ``mid`` memoises the broadcast id a broadcast endpoint derives from the
-    body, so each message object is identified once however many
+    ``mid`` memoises the broadcast id the uniform broadcast endpoint derives
+    from the body, so each message object is identified once however many
     recipients it reaches.
     """
 

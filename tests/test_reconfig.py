@@ -17,7 +17,7 @@ from dynbla.dbla import (
 from dynbla.fscrypto import LedgerFsOracle, LedgerVerifier
 from dynbla.lattice import ADD, REMOVE, Config, ConfSet, FinSet, History, genesis_config
 from dynbla.reconfig import ReconfigClient, ReconfigGroup, make_hist_input_check, wrap_conf_cert
-from dynbla.simnet import Simulator, Trigger
+from dynbla.simnet import Msg, Simulator, Trigger
 
 
 def build(seed, rids, cids, genesis_rids=None, app=False, acl_mode=None):
@@ -270,7 +270,7 @@ def test_forged_history_never_adopted(sender):
     ns.sim.add_external(
         Trigger(at=0),
         "invoke",
-        lambda: follower.rb.broadcast("hist.new", "grp", {"hist": fake, "cert": GENESIS_CERT}),
+        lambda: follower.rb.broadcast(sender, "hist.new", "grp", {"hist": fake, "cert": GENESIS_CERT}),
         to=sender,
         desc="forged-history",
     )
@@ -278,3 +278,26 @@ def test_forged_history_never_adopted(sender):
     followers = [*ns.hubs.values(), *ns.replicas.values()]
     assert all(f.history == History([ns.genesis]) and f.hist_cert == GENESIS_CERT for f in followers)
     assert not [l for l in ns.sim.trace if l["kind"] == "upcall" and l["desc"] == "adopt"]
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_a_flood_of_parked_requests_keeps_one_per_sender(k):
+    # corrupted r4 sends r1 k xfer.reads for fabricated higher configurations:
+    # each would park, but r1 keeps only the latest of r4's parked reads
+    rids = ("r1", "r2", "r3", "r4")
+    ns = build(6, rids, ("u",))
+    ns.sim.api("r4").send("r4", Msg("t.noop", "grp", {}))
+    ns.sim.run(1)
+    ns.sim.corrupt("r4", lambda api, ev: None)
+
+    def flood():
+        for i in range(k):
+            read = Msg("xfer.read", "grp", {"sn": i, "config": grown(ns.genesis, f"x{i}")})
+            ns.sim.adv_api.send("r4", "r1", read)
+
+    ns.sim.add_external(Trigger(at=1), "adversary", flood, to="r4")
+    assert ns.sim.run()["verdict"] == "quiescent"
+    delivered = [l["hash"] for l in ns.sim.trace if l["kind"] == "deliver" and l["desc"] == "xfer.read"]
+    assert len(delivered) == k
+    ((frm, msg),) = ns.replicas["r1"].buffered
+    assert frm == "r4" and msg.mhash() == delivered[-1]
