@@ -1,18 +1,24 @@
 """Golden trace pins: every pinned run must reproduce its recorded trace.
 
-Each pin records four facts of one deterministic run:
+Each pin records five facts of one deterministic run:
 
 - ``hash``: the trace hash, which covers message hashes and the JSON of
   returned certificates, so it depends on how certificates are encoded;
 - ``shape``: a SHA-256 over what the run did regardless of encoding: the
   trace lines with every ``hash``, ``cert`` and ``acks`` key removed at any
   depth, the ledger's (signer, ts, step) sequence and the ``final`` section;
+- ``semantics``: a SHA-256 over what the run computed, whatever messages
+  carried it: the verdict, each operation's return detail keyed by its
+  index (``None`` if it never returned) with the same keys removed, and the
+  installed configuration ids of every replica whose final status is
+  correct;
 - ``verdict`` and ``steps``.
 
-``shape``, ``verdict`` and ``steps`` are never re-recorded: a differing
-value means the code is wrong.  ``hash`` is re-recorded only by a
-deliberate encoding change, in a commit of its own that leaves the other
-three untouched.
+``steps``, ``verdict`` and ``semantics`` are never re-recorded: a differing
+value means the code is wrong.  ``hash`` is re-recorded by a deliberate
+encoding change, and ``hash`` and ``shape`` by a change that only renames
+message kinds or fields; either goes in a commit of its own that leaves
+``steps``, ``verdict`` and ``semantics`` untouched.
 
 Print the pins of the current code with
 ``PYTHONPATH=src python tests/test_golden_traces.py``.
@@ -66,6 +72,10 @@ def _without_encoded(x):
     return x
 
 
+def _digest(body) -> str:
+    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
 def shape_of(rep) -> str:
     bundle = rep.bundle()
     body = {
@@ -73,12 +83,22 @@ def shape_of(rep) -> str:
         "ledger": [[e["signer"], e["ts"], e["step"]] for e in bundle["ledger"]],
         "final": bundle["final"],
     }
-    return hashlib.sha256(json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    return _digest(body)
+
+
+def semantics_of(rep) -> str:
+    replicas = rep.finals["replicas"]
+    return _digest({
+        "verdict": rep.verdict,
+        "returns": {str(op.idx): _without_encoded(op.result) for op in rep.ops},
+        "installed": {p: r["installed"] for p, r in replicas.items() if rep.statuses[p] == "C"},
+    })
 
 
 def pin_of(scn) -> dict:
     rep = run_scenario(scn)
-    return {"hash": rep.hash, "shape": shape_of(rep), "verdict": rep.verdict, "steps": rep.steps}
+    return {"hash": rep.hash, "shape": shape_of(rep), "semantics": semantics_of(rep),
+            "verdict": rep.verdict, "steps": rep.steps}
 
 
 RUNS = golden_runs()
