@@ -186,7 +186,7 @@ class AcClient(QuorumSession):
         if self._take_sig(frm, msg, pl) and len(self.got) >= self.ac.needed(self.anchor):
             self._approvals = self.got
             body = {"slot": self._slot, "value": self._value, "approvals": dict(self._approvals)}
-            self._round("confirm", "ac.confirm", body, keep_anchor=True)
+            self._round("confirm", "ac.confirm", body, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
         cpl = accf_payload(self.object_id, self.anchor, self._slot, self._value, self._approvals)

@@ -388,10 +388,19 @@ class Follower:
         self.roster = roster
         self.history = History([genesis])
         self.hist_cert = GENESIS_CERT
+        self.sessions = []
 
     def bind(self, api):
         self.api = api
         self.rb = RbEndpoint(api, self.roster, self._on_rb)
+
+    def add(self, session):
+        self.sessions.append(session)
+        return session
+
+    def anchor(self) -> Config:
+        """The highest configuration of the adopted history."""
+        return self.history.max_element()
 
     def _on_rb(self, origin, desc, obj, body) -> None:
         if desc != "hist.new":
@@ -419,12 +428,7 @@ class ClientHub(Follower):
 
     def __init__(self, group: str, genesis: Config, check_history, roster):
         super().__init__(group, genesis, check_history, roster)
-        self.sessions = []
         self._uh_waiting: list[tuple[History, object]] = []
-
-    def add(self, session):
-        self.sessions.append(session)
-        return session
 
     def on_deliver(self, frm, msg):
         if not wire_ok(msg) or self.rb.handle(frm, msg):
@@ -432,9 +436,6 @@ class ClientHub(Follower):
         for s in self.sessions:
             if s.on_deliver(frm, msg):
                 return
-
-    def anchor(self) -> Config:
-        return self.history.max_element()
 
     def update_history(self, h: History, cert, done=None) -> None:
         self.rb.broadcast(self.api.pid, "hist.new", self.group, {"hist": h, "cert": cert})
@@ -457,21 +458,22 @@ class ClientHub(Follower):
 
 
 class QuorumSession:
-    """One client protocol session attached to a ClientHub.
+    """One protocol session hosted by a Follower: a client operation on a
+    ClientHub, or a replica's state transfer (XferSession).
 
     An operation is a sequence of rounds. Each round has a fresh ``sn``,
-    fans one request out to every replica of the anchor configuration and
+    fans one request out to every replica of its anchor configuration and
     tallies the replies in ``got``: one entry per member that answered the
-    current round, at most one each. Adopting a longer history restarts
-    the operation from its first round at the new anchor.
+    current round, at most one each. On a hub, adopting a longer history
+    restarts the operation from its first round at the new anchor.
 
     Subclasses map each reply ``desc`` to (phase it answers, handler) in
-    REPLIES and define ``_start``, the operation's first round.
+    REPLIES; a client session defines ``_start``, the operation's first round.
     """
 
     REPLIES: dict = {}
 
-    def __init__(self, hub: ClientHub, object_id: str):
+    def __init__(self, hub: Follower, object_id: str):
         self.hub = hub
         self.object_id = object_id
         self.sn = 0
@@ -490,12 +492,11 @@ class QuorumSession:
             raise RuntimeError("one operation at a time per client")
         self._done = done
 
-    def _round(self, phase: str, desc: str, body: dict, keep_anchor: bool = False) -> None:
-        """Start a round; only countersigning rounds keep the current anchor."""
+    def _round(self, phase: str, desc: str, body: dict, anchor: Config | None = None) -> None:
+        """Start a round at anchor, by default the hub's highest configuration."""
         self.sn += 1
         self.phase = phase
-        if not keep_anchor:
-            self.anchor = self.hub.anchor()
+        self.anchor = self.hub.anchor() if anchor is None else anchor
         self.got = {}
         msg = Msg(desc, self.object_id, {**body, "sn": self.sn, "config": self.anchor})
         for r in sorted(self.anchor.replicas()):
@@ -574,7 +575,7 @@ class DblaClient(QuorumSession):
         ppl = presp_payload(self.object_id, self.anchor, self._sorted_vals())
         if self._take_sig(frm, msg, ppl) and self.anchor.is_quorum(self.got):
             self.cpacks = self.got
-            self._round("confirm", "bla.confirm", {"packs": self.cpacks}, keep_anchor=True)
+            self._round("confirm", "bla.confirm", {"packs": self.cpacks}, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
         cpl = cresp_payload(self.object_id, self.anchor, self.cpacks)
@@ -724,6 +725,31 @@ def wire_ok(msg: Msg) -> bool:
     return table is not None and _fits(msg.body, table)
 
 
+class XferSession(QuorumSession):
+    """A replica's state transfer: one round reads a quorum of one
+    configuration's stores, merging each reply, and ends in transferred."""
+
+    def __init__(self, replica: "DynamicReplica"):
+        super().__init__(replica, replica.group)
+        self.transferred: set[Config] = set()
+
+    def read(self, target: Config) -> None:
+        self._round("read", "xfer.read", {}, target)
+
+    def _on_resp(self, frm, msg) -> None:
+        payload = msg.body["payload"]
+        for store in self.hub.stores:
+            if store.store_id in payload:
+                store.xfer_merge(payload[store.store_id])
+        self.got[frm] = True
+        if self.anchor.is_quorum(self.got):
+            self.transferred.add(self.anchor)
+            self.phase = "idle"
+            self.hub._advance_xfer()
+
+    REPLIES = {"xfer.resp": ("read", _on_resp)}
+
+
 class DynamicReplica(Follower):
     """Gating, history adoption, state transfer and installs; stores plug in."""
 
@@ -735,10 +761,7 @@ class DynamicReplica(Follower):
         self.installed = {genesis}
         self.install_votes: dict[Config, set[str]] = {}
         self.buffered: list[tuple[str, Msg]] = []
-        self.xfer_done: set[Config] = set()
-        self.xfer_target: Config | None = None
-        self.xfer_sn = 0
-        self.xfer_acks: set[str] = set()
+        self.xfer = XferSession(self)
         self.xfer_targets_sent: set[str] = set()
         self.install_hook = None
         self.dropped = 0
@@ -747,9 +770,6 @@ class DynamicReplica(Follower):
         super().bind(api)
         self.urb = UrbEndpoint(api, self.roster, self._on_urb)
         api.oracle.update_fs_keys(api.pid, self.genesis.height())
-
-    def chighest(self) -> Config:
-        return self.history.max_element()
 
     def reply(self, frm, req: Msg, desc: str, payload, body: dict) -> None:
         """Answer req on its object with its sn; the one place a replica fs-signs.
@@ -773,9 +793,7 @@ class DynamicReplica(Follower):
             self.dropped += 1
         elif msg.desc in REQUESTS:
             self._route(frm, msg, first=True)
-        elif msg.desc == "xfer.resp":
-            self._on_xfer_resp(frm, msg)
-        elif not (self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
+        elif not (self.xfer.on_deliver(frm, msg) or self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
             self.dropped += 1       # a reply or a bare payload: no replica takes one
 
     def _route(self, frm, msg, first: bool) -> None:
@@ -795,7 +813,7 @@ class DynamicReplica(Follower):
         xfer.read.
         """
         config = msg.body["config"]
-        ch = self.chighest()
+        ch = self.anchor()
         if msg.desc == "xfer.read":
             servable = config != ch and config.leq(ch)
         else:
@@ -830,7 +848,7 @@ class DynamicReplica(Follower):
 
     def _adopted(self) -> None:
         # adopting a longer history immediately raises the signing watermark
-        self.api.oracle.update_fs_keys(self.api.pid, self.chighest().height())
+        self.api.oracle.update_fs_keys(self.api.pid, self.anchor().height())
         self._check_installs()
         self._regate()
         self._advance_xfer()
@@ -872,42 +890,24 @@ class DynamicReplica(Follower):
         return None
 
     def _advance_xfer(self) -> None:
+        xfer = self.xfer
         while True:
             cnext = self._cnext()
             if cnext is None or cnext.leq(self.ccurr):
-                self.xfer_target = None
+                xfer.phase = "idle"
                 return
             remaining = [
                 c
                 for c in self.history.configs
-                if c != cnext and self.ccurr.leq(c) and c not in self.xfer_done
+                if c != cnext and self.ccurr.leq(c) and c not in xfer.transferred
             ]
             if not remaining:
                 self.ccurr = cnext
-                self.xfer_target = None
+                xfer.phase = "idle"
                 self.urb.broadcast(cnext, "xfer.done", self.group, {})
                 continue
             target = remaining[0]
-            if target != self.xfer_target:
-                self.xfer_target = target
-                self.xfer_sn += 1
-                self.xfer_acks = set()
+            if not xfer.busy() or xfer.anchor != target:
                 self.xfer_targets_sent.add(target.cid())
-                msg = Msg("xfer.read", self.group, {"sn": self.xfer_sn, "config": target})
-                for r in sorted(target.replicas()):
-                    self.api.send(r, msg)
+                xfer.read(target)
             return
-
-    def _on_xfer_resp(self, frm, msg) -> None:
-        if self.xfer_target is None or msg.body["sn"] != self.xfer_sn:
-            return
-        if frm not in self.xfer_target.replicas() or frm in self.xfer_acks:
-            return
-        payload = msg.body["payload"]
-        for store in self.stores:
-            if store.store_id in payload:
-                store.xfer_merge(payload[store.store_id])
-        self.xfer_acks.add(frm)
-        if self.xfer_target.is_quorum(self.xfer_acks):
-            self.xfer_done.add(self.xfer_target)
-            self._advance_xfer()

@@ -296,8 +296,8 @@ def _finals(ctx):
             "heights": [c.height() for c in rep.history.configs],
             "ccurr": rep.ccurr.cid(),
             "cinst": rep.cinst.cid(),
-            "chighest": rep.chighest().cid(),
-            "member": pid in rep.chighest().replicas(),
+            "chighest": rep.anchor().cid(),
+            "member": pid in rep.anchor().replicas(),
             "installed": sorted(c.cid() for c in rep.installed),
             "xfer_targets": sorted(rep.xfer_targets_sent),
             "buffered": len(rep.buffered),
