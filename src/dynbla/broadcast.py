@@ -1,30 +1,31 @@
-"""Broadcast primitives: the history envelope and uniform broadcast.
+"""Broadcast primitives: history gossip and uniform broadcast.
 
-RbEndpoint: the rb.fwd envelope, {origin, desc, body} on an object, sent to
-the whole roster. It keeps no state and relays nothing by itself: whether to
-relay is the receiver's decision. A history follower (dbla.Follower) relays
-exactly the histories it adopts, so the greatest certified history reaches
-every correct process while forged and stale ones stop at their first
-recipients.
+RbEndpoint: history gossip, a bare hist.new {hist, cert} on an object, sent
+to the whole roster. It keeps no state and relays nothing by itself: whether
+to relay is the receiver's decision. A history follower (dbla.Follower)
+relays the same hist.new for exactly the histories it adopts, so the
+greatest certified history reaches every correct process while forged and
+stale ones stop at their first recipients.
 
 Both endpoints read bodies directly: the process hosting them passes on
-only messages that fit the wire table, ``dbla.WIRE``, where an envelope's
-inner body must fit the entry of the kind it names.
+only messages that fit the wire table, ``dbla.WIRE``.
 
 UrbEndpoint: uniform broadcast within one configuration, used for install
-announcements. Replicas echo a plain-signed acknowledgment; a quorum of
-echoes forms a certificate that is re-forwarded before local delivery, so a
-process that delivers and then turns Byzantine has already propagated the
-certificate. Totality holds while the configuration has an available quorum
-and is not superseded. Each message object is identified once: the id is
-memoised in ``Msg.mid`` on first delivery and handed on to the echoes and
-certificates derived from it. A message whose configuration has a replica
-outside the roster is not taken: its echoes could not be sent there.
+announcements. A message is {origin, config} on an object, and its content
+is its id: (origin, object, config), read from the body at every delivery.
+A replica echoes a urb.init with a plain-signed acknowledgment of that id;
+a quorum of echoes forms a certificate that is re-forwarded before local
+delivery, so a process that delivers and then turns Byzantine has already
+propagated the certificate.
+Totality holds while the configuration has an available quorum and is not
+superseded. A message whose configuration has a replica outside the roster
+is not taken: its echoes could not be sent there.
 """
 
 from __future__ import annotations
 
-from .lattice import Config, canon, digest
+from .lattice import Config, canon
+from .lattice import digest  # noqa: F401  unused here; bench/tracing.py patches broadcast.digest
 from .simnet import Msg
 
 
@@ -34,15 +35,15 @@ class RbEndpoint:
         self.roster = sorted(roster)
         self.deliver = deliver
 
-    def broadcast(self, origin: str, desc: str, obj: str, body: dict) -> None:
-        msg = Msg("rb.fwd", obj, {"origin": origin, "desc": desc, "body": body})
+    def broadcast(self, obj: str, body: dict) -> None:
+        msg = Msg("hist.new", obj, body)
         for pid in self.roster:
             self.api.send(pid, msg)
 
     def handle(self, frm: str, msg: Msg) -> bool:
-        if msg.desc != "rb.fwd":
+        if msg.desc != "hist.new":
             return False
-        self.deliver(msg.body["origin"], msg.body["desc"], msg.obj, msg.body["body"])
+        self.deliver(msg.obj, msg.body)
         return True
 
 
@@ -51,21 +52,17 @@ class UrbEndpoint:
         self.api = api
         self.roster = frozenset(roster)
         self.deliver = deliver
-        self._echoed: set[str] = set()
-        self._echoes: dict[str, dict[str, bytes]] = {}
-        self._certed: set[str] = set()
+        self._echoed: set[tuple] = set()
+        self._echoes: dict[tuple, dict[str, bytes]] = {}
+        self._certed: set[tuple] = set()
 
-    def broadcast(self, config: Config, desc: str, obj: str, body: dict) -> None:
-        inner = {"origin": self.api.pid, "desc": desc, "body": body, "config": config}
-        msg = Msg("urb.init", obj, inner)
+    def broadcast(self, config: Config, obj: str) -> None:
+        msg = Msg("urb.init", obj, {"origin": self.api.pid, "config": config})
         for pid in sorted(config.replicas()):
             self.api.send(pid, msg)
 
-    def _mid(self, inner, obj) -> str:
-        return digest(["urb", inner["origin"], inner["desc"], obj, inner["body"], inner["config"]])[:16]
-
-    def _echo_payload(self, mid: str) -> bytes:
-        return canon(["urbecho", mid])
+    def _echo_payload(self, mid: tuple) -> bytes:
+        return canon(["urbecho", *mid])
 
     def _certify(self, mid, inner, obj, cert) -> None:
         """Mark mid certified, forward its certificate, then deliver it.
@@ -74,10 +71,10 @@ class UrbEndpoint:
         """
         self._certed.add(mid)
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
-        msg.mid = mid
-        for pid in sorted(inner["config"].replicas()):
+        origin, _, config = mid
+        for pid in sorted(config.replicas()):
             self.api.send(pid, msg)
-        self.deliver(inner["origin"], inner["desc"], obj, inner["body"], inner["config"])
+        self.deliver(origin, config)
 
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc == "urb.init":
@@ -89,15 +86,12 @@ class UrbEndpoint:
         config: Config = inner["config"]
         if not config.replicas() <= self.roster:
             return False
-        mid = msg.mid
-        if mid is None:
-            mid = msg.mid = self._mid(inner, msg.obj)
+        mid = (inner["origin"], msg.obj, config)
         if msg.desc == "urb.init":
             if mid not in self._echoed:
                 self._echoed.add(mid)
                 sig = self.api.oracle.plain_sign(self.api.pid, self._echo_payload(mid))
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
-                out.mid = mid
                 for pid in sorted(config.replicas()):
                     self.api.send(pid, out)
             return True

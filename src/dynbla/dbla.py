@@ -18,11 +18,12 @@ types. A replica counts a message that does not fit as dropped, a client
 ignores it, and every handler past that gate reads fields directly.
 
 Client hubs and replicas follow the group's history through one rule, in
-their shared base Follower: a gossiped history is adopted only if it strictly
-extends the current one and check_history accepts its certificate, and a
-follower relays what it adopts, and nothing else, to the whole roster. A group's
-check_history is the history agreement's output check, whose verdicts are
-cached in one place, the output cache of verify_output.
+their shared base Follower: a gossiped hist.new is adopted only if its
+history strictly extends the current one and check_history accepts its
+certificate, and a follower relays the same hist.new for what it adopts,
+and nothing else, to the whole roster. A group's check_history is the
+history agreement's output check, whose verdicts are cached in one place,
+the output cache of verify_output.
 
 Replica side (DynamicReplica): one router, _route, serves, parks or drops
 every request. It serves requests only at its installed, current,
@@ -30,7 +31,9 @@ highest-known configuration; adopting a longer history immediately
 raises the signing watermark; joining a higher configuration runs state
 transfer (read a quorum of every configuration from the current one up to,
 not including, the target) before announcing completion; a quorum of
-completion announcements installs the configuration.
+completion announcements installs the configuration. State transfer is a
+QuorumSession too (XferSession): each read is one round at the
+configuration it reads, so every quorum round starts in QuorumSession._round.
 
 The replica core is value-agnostic: per-object stores plug in, so the
 max-register and access-control objects reuse the same gating, answering
@@ -50,10 +53,9 @@ cert_to_jsonable / cert_from_jsonable.
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
 certificate, or an input value's certificate) appears as its own 37-byte
-frame. Message hashes, broadcast ids, signed payloads and the verification
-caches' keys therefore stay the size of one node however long the chain of
-earlier certificates is, while the frame still commits to every byte of
-that chain. Verification is unchanged: it recurses into every
+frame. Message hashes, signed payloads and the verification caches' keys
+therefore stay the size of one node however long the chain of earlier
+certificates is, while the frame still commits to every byte of that chain. Verification is unchanged: it recurses into every
 sub-certificate, once per distinct certificate and DynamicObject.
 """
 
@@ -375,8 +377,8 @@ class Follower:
     Both adopt a gossiped history through one rule, _on_rb: only a hist.new
     whose history strictly extends the current one and whose certificate
     check_history accepts. A follower relays what it adopts: the same
-    envelope, with its origin, goes to the whole roster before the adopt
-    upcall is traced and the subclass reacts in _adopted. Certified
+    hist.new goes to the whole roster before the adopt upcall is traced and
+    the subclass reacts in _adopted. Certified
     histories are comparable, so a history skipped as not longer has a
     longer one already relayed, and a forged or stale one goes no further.
     """
@@ -402,9 +404,7 @@ class Follower:
         """The highest configuration of the adopted history."""
         return self.history.max_element()
 
-    def _on_rb(self, origin, desc, obj, body) -> None:
-        if desc != "hist.new":
-            return
+    def _on_rb(self, obj, body) -> None:
         h, cert = body["hist"], body["cert"]
         if h == self.history or not self.history.contained_in(h):
             return
@@ -412,7 +412,7 @@ class Follower:
             return
         self.history = h
         self.hist_cert = cert
-        self.rb.broadcast(origin, desc, obj, body)
+        self.rb.broadcast(obj, body)
         self.api.upcall("adopt", {"hmax": h.max_element().height()})
         self._adopted()
 
@@ -438,7 +438,7 @@ class ClientHub(Follower):
                 return
 
     def update_history(self, h: History, cert, done=None) -> None:
-        self.rb.broadcast(self.api.pid, "hist.new", self.group, {"hist": h, "cert": cert})
+        self.rb.broadcast(self.group, {"hist": h, "cert": cert})
         if h.contained_in(self.history):
             if done:
                 done()
@@ -651,22 +651,19 @@ class DblaStore(Store):
 # -- the wire gate -------------------------------------------------------------
 
 # A field's entry is one exact type, a tuple of them, [T] for a list of
-# exact type T's, a nested table for a dict, or BODY. Every field is
-# required; extra fields are ignored. Exact types keep a bool out of an int
-# field and a subclass out of a certificate or configuration field.
-BODY = object()     # an envelope's body: a dict fitting the entry of the kind its "desc" (listed first) names
+# exact type T's, or a nested table for a dict. Every field is required;
+# extra fields are ignored. Exact types keep a bool out of an int field and
+# a subclass out of a certificate or configuration field.
 CERTS = (dict, OutputCert, AcCert)      # token dicts, access grants, agreement outputs
 VALUES = (int, str, FinSet, Config, ConfSet, History)  # what an access request may guard
-_URB = {"origin": str, "desc": str, "body": BODY, "config": Config}
+_URB = {"origin": str, "config": Config}      # an install announcement
 
 WIRE = {
-    # broadcast envelopes and the payloads they carry
-    "rb.fwd": {"origin": str, "desc": str, "body": BODY},
+    # history gossip and the uniform broadcast of install announcements
+    "hist.new": {"hist": History, "cert": CERTS},
     "urb.init": _URB,
     "urb.echo": {"inner": _URB, "sig": bytes},
     "urb.cert": {"inner": _URB, "cert": dict},
-    "hist.new": {"hist": History, "cert": CERTS},
-    "xfer.done": {},
     # requests, served at "config" by DynamicReplica._route
     "bla.propose": {"sn": int, "config": Config, "values": [InputValue]},
     "bla.confirm": {"sn": int, "config": Config, "packs": dict},
@@ -707,10 +704,7 @@ def _fits(x, table: dict) -> bool:
             for e in v:
                 if type(e) is not entry[0]:
                     return False
-        elif kind is dict:
-            if not _fits(v, entry):
-                return False
-        elif x["desc"] not in WIRE or not _fits(v, WIRE[x["desc"]]):     # BODY
+        elif not _fits(v, entry):     # a nested table
             return False
     return True
 
@@ -794,7 +788,7 @@ class DynamicReplica(Follower):
         elif msg.desc in REQUESTS:
             self._route(frm, msg, first=True)
         elif not (self.xfer.on_deliver(frm, msg) or self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
-            self.dropped += 1       # a reply or a bare payload: no replica takes one
+            self.dropped += 1       # a reply: no replica takes one
 
     def _route(self, frm, msg, first: bool) -> None:
         """Serve, park or drop one request.
@@ -855,8 +849,8 @@ class DynamicReplica(Follower):
 
     # -- installs --------------------------------------------------------------
 
-    def _on_urb(self, origin, desc, obj, body, config: Config) -> None:
-        if desc != "xfer.done" or origin not in config.replicas():
+    def _on_urb(self, origin, config: Config) -> None:
+        if origin not in config.replicas():
             return
         self.install_votes.setdefault(config, set()).add(origin)
         self._check_installs()
@@ -904,7 +898,7 @@ class DynamicReplica(Follower):
             if not remaining:
                 self.ccurr = cnext
                 xfer.phase = "idle"
-                self.urb.broadcast(cnext, "xfer.done", self.group, {})
+                self.urb.broadcast(cnext, self.group)
                 continue
             target = remaining[0]
             if not xfer.busy() or xfer.anchor != target:

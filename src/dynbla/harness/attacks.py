@@ -126,8 +126,8 @@ def slow_reader_dbla(seed):
             ],
             "holds": [
                 {"frm": ["q"], "to": ["r2"], "desc": "bla.", "until": None},
-                {"to": ["r1"], "desc": "rb.fwd", "until": None},
-                {"to": ["p"], "desc": "rb.fwd",
+                {"to": ["r1"], "desc": "hist.new", "until": None},
+                {"to": ["p"], "desc": "hist.new",
                  "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
             ],
         },
@@ -158,8 +158,8 @@ def slow_reader_maxreg(seed):
             ],
             "holds": [
                 {"frm": ["q"], "to": ["r2"], "desc": "mr.", "until": None},
-                {"to": ["r1"], "desc": "rb.fwd", "until": None},
-                {"to": ["p"], "desc": "rb.fwd",
+                {"to": ["r1"], "desc": "hist.new", "until": None},
+                {"to": ["p"], "desc": "hist.new",
                  "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
             ],
         },
@@ -202,7 +202,7 @@ def i_still_work_here(seed):
                 for i, r in enumerate(["r1", "r2", "r3", "r4"])
             ],
             "holds": [
-                {"to": ["c2"], "desc": "rb.fwd",
+                {"to": ["c2"], "desc": "hist.new",
                  "until": {"after": f"inst:h{_IW_H1}", "offset": 200}},
             ],
         },

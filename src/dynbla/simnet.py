@@ -37,19 +37,18 @@ BYZANTINE = "B"
 class Msg:
     """A message; one object may be sent to many recipients.
 
-    ``mid`` memoises the broadcast id the uniform broadcast endpoint derives
-    from the body, so each message object is identified once however many
-    recipients it reaches.
+    Only its trace hash is memoised on it. Recipients read everything they
+    act on, the uniform broadcast's message id included, from the body at
+    each delivery.
     """
 
-    __slots__ = ("desc", "obj", "body", "_hash", "mid")
+    __slots__ = ("desc", "obj", "body", "_hash")
 
     def __init__(self, desc: str, obj: str, body: dict):
         self.desc = desc
         self.obj = obj
         self.body = body
         self._hash = None
-        self.mid = None
 
     def mhash(self) -> str:
         if self._hash is None:
@@ -266,8 +265,8 @@ class AdvApi:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
         if type(msg.desc) is not str or type(msg.obj) is not str:
             raise ValueError(f"adversary message {msg.desc!r} for {msg.obj!r}: desc and obj must be str")
-        # hash what is sent now; recipients derive the broadcast id themselves
-        msg._hash = msg.mid = None
+        # hash what is sent now
+        msg._hash = None
         try:
             msg.mhash()
         except (TypeError, ValueError) as e:

@@ -9,7 +9,7 @@ from dynbla.lattice import ADD, Config, History
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
 from test_reconfig import build, grown, update_at
 
-# -- the history envelope: followers relay what they adopt -------------------
+# -- history gossip: followers relay what they adopt -------------------------
 
 RIDS = ("r1", "r2", "r3", "r4", "r5")
 
@@ -31,8 +31,8 @@ def adopts(ns) -> Counter:
 
 
 def rb_sends(ns) -> Counter:
-    """rb.fwd deliveries by sender: every send, in a run that holds and halts nothing."""
-    return Counter(l["frm"] for l in ns.sim.trace if l["kind"] == "deliver" and l["desc"] == "rb.fwd")
+    """hist.new deliveries by sender: every send, in a run that holds and halts nothing."""
+    return Counter(l["frm"] for l in ns.sim.trace if l["kind"] == "deliver" and l["desc"] == "hist.new")
 
 
 def test_rb_delivers_everywhere_exactly_once():
@@ -63,7 +63,7 @@ def test_rb_identical_content_is_deduplicated():
 def test_rb_survives_partial_origin_send():
     # the origin's hub reaches only r2 (not even itself); r2's relay covers the rest
     ns = follower_world(3)
-    ns.sim.add_hold(HoldRule(frm={"u"}, to=set(followers(ns)) - {"r2"}, desc="rb.fwd", until=None))
+    ns.sim.add_hold(HoldRule(frm={"u"}, to=set(followers(ns)) - {"r2"}, desc="hist.new", until=None))
     ns.sim.run()
     ((h, _),) = ns.returns["u"]
     assert adopts(ns) == Counter(followers(ns).keys())
@@ -72,7 +72,7 @@ def test_rb_survives_partial_origin_send():
 
 def test_rb_sends_the_roster_once_per_broadcast_and_adopter():
     # the origin sends to the whole roster, self included, and so does every
-    # adopter, the origin again among them: rb.fwd sends = n * (1 + adopters)
+    # adopter, the origin again among them: hist.new sends = n * (1 + adopters)
     ns = follower_world(2)
     assert ns.sim.run()["verdict"] == "quiescent"
     n = len(followers(ns))
@@ -95,7 +95,7 @@ def test_no_correct_process_relays_a_forged_or_stale_history():
 
     def forge():
         for h, cert in forged:
-            msg = Msg("rb.fwd", "grp", {"origin": "r4", "desc": "hist.new", "body": {"hist": h, "cert": cert}})
+            msg = Msg("hist.new", "grp", {"hist": h, "cert": cert})
             for pid in followers(ns):
                 ns.sim.adv_api.send("r4", pid, msg)
 
@@ -117,8 +117,8 @@ class UrbNode:
         self.api = api
         self.urb = UrbEndpoint(api, self.roster, self.on_urb)
 
-    def on_urb(self, origin, desc, obj, body, config):
-        self.delivered.append((origin, desc, body.get("n")))
+    def on_urb(self, origin, config):
+        self.delivered.append(origin)
 
     def on_deliver(self, frm, msg):
         self.urb.handle(frm, msg)
@@ -146,10 +146,10 @@ def urb_world(seed, n=4, oracle=None):
 
 def test_urb_all_correct_deliver_once():
     sim, nodes, config = urb_world(3)
-    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
     assert sim.run(5000)["verdict"] == "quiescent"
     for node in nodes.values():
-        assert node.delivered == [("r1", "done", 5)]
+        assert node.delivered == ["r1"]
 
 
 def test_urb_tolerates_one_silent_byzantine():
@@ -157,16 +157,16 @@ def test_urb_tolerates_one_silent_byzantine():
     sim.api("r4").send("r4", Msg("t.noop", "t", {}))
     sim.run(2)
     sim.corrupt("r4", lambda api, ev: None)
-    sim.add_external(Trigger(at=2), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
+    sim.add_external(Trigger(at=2), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
     sim.run(5000)
     for r in ("r1", "r2", "r3"):
-        assert nodes[r].delivered == [("r1", "done", 5)]
+        assert nodes[r].delivered == ["r1"]
 
 
 def test_urb_forged_echoes_do_not_count():
     sim, nodes, config = urb_world(5)
     node = nodes["r1"]
-    inner = {"origin": "r2", "desc": "done", "body": {"n": 1}, "config": config}
+    inner = {"origin": "r2", "config": config}
     for forger in ("r2", "r3", "r4"):
         node.on_deliver(forger, Msg("urb.echo", "t", {"inner": inner, "sig": b"junk"}))
     assert node.delivered == []
@@ -179,7 +179,7 @@ def test_urb_uniformity_after_early_deliverer_turns_byzantine():
     # whoever delivers first has already re-forwarded the echo certificate,
     # so corrupting it immediately afterwards cannot block the others
     sim, nodes, config = urb_world(7)
-    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 2}), to="r1")
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
     first = None
     while sim.step() is not None:
         delivered = [r for r, node in nodes.items() if node.delivered]
@@ -189,26 +189,26 @@ def test_urb_uniformity_after_early_deliverer_turns_byzantine():
     assert first is not None
     for r, node in nodes.items():
         if r != first:
-            assert node.delivered == [("r1", "done", 2)]
+            assert node.delivered == ["r1"]
 
 
 def test_urb_certified_message_is_not_verified_again():
     oracle = CountingOracle()
     sim, nodes, config = urb_world(5, oracle=oracle)
     node = nodes["r1"]
-    inner = {"origin": "r2", "desc": "done", "body": {"n": 1}, "config": config}
-    payload = node.urb._echo_payload(node.urb._mid(inner, "t"))
+    inner = {"origin": "r2", "config": config}
+    payload = node.urb._echo_payload(("r2", "t", config))
     sigs = {r: oracle.plain_sign(r, payload) for r in ("r1", "r2", "r3", "r4")}
     for r in ("r2", "r3", "r4"):
         node.on_deliver(r, Msg("urb.echo", "t", {"inner": inner, "sig": sigs[r]}))
-    assert node.delivered == [("r2", "done", 1)]
+    assert node.delivered == ["r2"]
     verified, queued = oracle.plain_verifies, len(sim.pending)
     node.on_deliver("r1", Msg("urb.echo", "t", {"inner": inner, "sig": sigs["r1"]}))
     cert = {r: sigs[r] for r in ("r1", "r3", "r4")}
     node.on_deliver("r3", Msg("urb.cert", "t", {"inner": inner, "cert": cert}))
     assert oracle.plain_verifies == verified
     assert len(sim.pending) == queued
-    assert node.delivered == [("r2", "done", 1)]
+    assert node.delivered == ["r2"]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -217,58 +217,34 @@ def test_urb_verifies_only_until_certified(seed):
     # echoes plus one certificate's signatures before it is certified
     oracle = CountingOracle()
     sim, nodes, config = urb_world(seed, oracle=oracle)
-    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
     assert sim.run(5000)["verdict"] == "quiescent"
     for node in nodes.values():
-        assert node.delivered == [("r1", "done", 5)]
+        assert node.delivered == ["r1"]
     n, q = len(nodes), 3
     assert oracle.plain_verifies <= n * (q + q)
 
 
-def count_mids(monkeypatch, cls):
-    calls = []
-    orig = cls._mid
-
-    def counted(self, *args):
-        calls.append(args)
-        return orig(self, *args)
-
-    monkeypatch.setattr(cls, "_mid", counted)
-    return calls
-
-
-def test_urb_identifies_each_broadcast_once(monkeypatch):
-    calls = count_mids(monkeypatch, UrbEndpoint)
-    sim, nodes, config = urb_world(3)
-    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 5}), to="r1")
-    assert sim.run(5000)["verdict"] == "quiescent"
-    for node in nodes.values():
-        assert node.delivered == [("r1", "done", 5)]
-    assert sim.metrics["delivered"] > 2 * len(nodes) ** 2
-    assert len(calls) == 1
-
-
 def test_adversary_cannot_supply_a_broadcast_id():
-    # corrupted r4 sends other content under the id of r1's coming broadcast;
-    # the recipients derive ids themselves, so they echo each broadcast under
-    # its own id and deliver both
+    # a message carries no id of its own: recipients identify a broadcast by
+    # its content, so corrupted r4's init for the configuration r1 is about
+    # to broadcast in is a broadcast of its own, and both are delivered
     sim, nodes, config = urb_world(4)
     sim.api("r4").send("r4", Msg("t.noop", "t", {}))
     sim.run(1)
     sim.corrupt("r4", lambda api, ev: None)
-    real = nodes["r1"].urb._mid({"origin": "r1", "desc": "done", "body": {"n": 1}, "config": config}, "t")
+    fake = Msg("urb.init", "t", {"origin": "r4", "config": config})
+    assert not hasattr(fake, "mid")
 
     def forge():
-        fake = Msg("urb.init", "t", {"origin": "r4", "desc": "done", "body": {"n": 6}, "config": config})
-        fake.mid = real
         for r in ("r1", "r2", "r3"):
             sim.adv_api.send("r4", r, fake)
 
     sim.add_external(Trigger(at=1), "adversary", forge, to="r4")
-    sim.add_external(Trigger(at=40), "invoke", lambda: nodes["r1"].urb.broadcast(config, "done", "t", {"n": 1}), to="r1")
+    sim.add_external(Trigger(at=40), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
     sim.run(10000)
     for r in ("r1", "r2", "r3"):
-        assert sorted(d[2] for d in nodes[r].delivered) == [1, 6]
+        assert sorted(nodes[r].delivered) == ["r1", "r4"]
 
 
 @pytest.mark.parametrize("kind", ["urb.init", "urb.echo", "urb.cert"])
@@ -278,8 +254,8 @@ def test_urb_naming_a_process_outside_the_roster_is_dropped(kind):
     ns = build(3, RIDS[:4], ())
     r1 = ns.replicas["r1"]
     config = ns.genesis.join(Config([(ADD, "ghost")]))
-    inner = {"origin": "r4", "desc": "xfer.done", "body": {}, "config": config}
-    payload = r1.urb._echo_payload(r1.urb._mid(inner, "grp"))
+    inner = {"origin": "r4", "config": config}
+    payload = r1.urb._echo_payload(("r4", "grp", config))
     sigs = {r: ns.oracle.plain_sign(r, payload) for r in RIDS[:4]}     # a quorum of config
     if kind == "urb.init":
         deliveries = [("r4", Msg(kind, "grp", inner))]

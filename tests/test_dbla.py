@@ -219,7 +219,7 @@ def test_client_blind_to_new_history_restarts_after_release():
     c1 = w.grown("r5")
     h1 = History([w.genesis, c1])
 
-    w.sim.add_hold(HoldRule(to={"q"}, desc="rb.fwd", until=Trigger(fact=f"inst:h{c1.height()}", offset=30)))
+    w.sim.add_hold(HoldRule(to={"q"}, desc="hist.new", until=Trigger(fact=f"inst:h{c1.height()}", offset=30)))
     w.update_history(Trigger(at=0), "u", h1)
     w.propose(Trigger(fact=f"inst:h{c1.height()}", offset=2), "q", FinSet({"b"}))
 
@@ -323,6 +323,7 @@ def test_malformed_request_is_a_counted_drop(msg):
 
 
 _WITH_Z = Config((ADD, r) for r in ("r1", "r2", "r3", "r4", "z"))
+_HIST = History([genesis_config(("r1", "r2", "r3", "r4")), _WITH_Z])
 _MISSING = object()
 
 
@@ -367,7 +368,7 @@ def test_request_without_int_sn_is_a_counted_drop(desc, obj, fields, sn):
 
 
 def _inner(**fields):
-    inner = {"origin": "r2", "desc": "xfer.done", "body": {}, "config": _WITH_Z}
+    inner = {"origin": "r2", "config": _WITH_Z}
     inner.update(fields)
     return {k: v for k, v in inner.items() if v is not _MISSING}
 
@@ -375,32 +376,27 @@ def _inner(**fields):
 @pytest.mark.parametrize(
     "msg",
     [
-        Msg("rb.fwd", "grp", None),
-        Msg("rb.fwd", "grp", {"desc": "hist.new", "body": {}}),
-        Msg("rb.fwd", "grp", {"origin": "r2", "body": {}}),
-        Msg("rb.fwd", "grp", {"origin": "r2", "desc": "hist.new"}),
-        Msg("rb.fwd", "grp", {"origin": ["r2"], "desc": "hist.new", "body": {}}),
-        Msg("rb.fwd", "grp", {"origin": "r2", "desc": 7, "body": {}}),
-        Msg("rb.fwd", "grp", {"origin": "r2", "desc": "hist.new", "body": None}),
+        Msg("hist.new", "grp", None),
+        Msg("hist.new", "grp", {"cert": {}}),
+        Msg("hist.new", "grp", {"hist": _HIST}),
+        Msg("hist.new", "grp", {"hist": [_WITH_Z], "cert": {}}),
+        Msg("hist.new", "grp", {"hist": _HIST, "cert": "c"}),
         Msg("urb.init", "grp", None),
         Msg("urb.init", "grp", _inner(config=_MISSING)),
         Msg("urb.init", "grp", _inner(config="c")),
         Msg("urb.init", "grp", _inner(origin=["r2"])),
-        Msg("urb.init", "grp", _inner(body=None)),
         Msg("urb.echo", "grp", None),
         Msg("urb.echo", "grp", {"sig": b""}),
         Msg("urb.echo", "grp", {"inner": _inner()}),
-        Msg("urb.echo", "grp", {"inner": _inner(desc=_MISSING), "sig": b""}),
+        Msg("urb.echo", "grp", {"inner": _inner(origin=_MISSING), "sig": b""}),
         Msg("urb.cert", "grp", {"inner": _inner(config="c"), "cert": {}}),
         Msg("urb.cert", "grp", {"inner": _inner()}),
         Msg("urb.cert", "grp", {"inner": _inner(), "cert": ["r1"]}),
     ],
     ids=[
-        "rb-no-body", "rb-no-origin", "rb-no-desc", "rb-no-body-field", "rb-origin-list",
-        "rb-desc-int", "rb-body-none",
+        "hist-no-body", "hist-no-hist", "hist-no-cert", "hist-hist-list", "hist-cert-str",
         "urb-init-no-body", "urb-init-no-config", "urb-init-config-str", "urb-init-origin-list",
-        "urb-init-body-none",
-        "urb-echo-no-body", "urb-echo-no-inner", "urb-echo-no-sig", "urb-echo-inner-no-desc",
+        "urb-echo-no-body", "urb-echo-no-inner", "urb-echo-no-sig", "urb-echo-inner-no-origin",
         "urb-cert-config-str", "urb-cert-no-cert", "urb-cert-cert-list",
     ],
 )
@@ -419,7 +415,7 @@ def test_client_ignores_hist_new_without_history():
     w = World(cids=("p",))
     probe = Probe()
     w.sim.spawn("z", probe)
-    msg = Msg("rb.fwd", "grp", {"origin": "z", "desc": "hist.new", "body": {"cert": {}}})
+    msg = Msg("hist.new", "grp", {"cert": {}})
     w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("p", msg), to="z", desc="probe")
     assert w.sim.run()["verdict"] == "quiescent"
     assert w.hubs["p"].history == w.obj.genesis_history
@@ -433,7 +429,7 @@ def test_adversary_cannot_send_an_unencodable_body():
     w.sim.run(1)
     w.sim.corrupt("z", lambda api, ev: None)
     with pytest.raises(ValueError):
-        w.sim.adv_api.send("z", "r1", Msg("rb.fwd", "grp", {"origin": "z", "desc": "x", "body": {"f": 1.5}}))
+        w.sim.adv_api.send("z", "r1", Msg("hist.new", "grp", {"hist": 1.5, "cert": {}}))
     assert len(w.sim.pending) == 0
 
 

@@ -270,7 +270,7 @@ def test_forged_history_never_adopted(sender):
     ns.sim.add_external(
         Trigger(at=0),
         "invoke",
-        lambda: follower.rb.broadcast(sender, "hist.new", "grp", {"hist": fake, "cert": GENESIS_CERT}),
+        lambda: follower.rb.broadcast("grp", {"hist": fake, "cert": GENESIS_CERT}),
         to=sender,
         desc="forged-history",
     )

@@ -2,8 +2,7 @@
 
 Every field of every message kind in WIRE is sent missing and with a bool in
 its place (a wrong type for every entry, an int's included), and so is every
-field of a nested table, an element of a typed list and a field of an
-envelope's inner body. Each malformed message goes from a probe process to a
+field of a nested table and an element of a typed list. Each malformed message goes from a probe process to a
 replica, which must count exactly one drop, and to a client whose matching
 session waits in the phase that kind answers, which must not change. Neither
 may raise or send anything.
@@ -13,7 +12,6 @@ import pytest
 
 from dynbla.access_control import AcClient, AccessControl, AcStore
 from dynbla.dbla import (
-    BODY,
     WIRE,
     ClientHub,
     DblaClient,
@@ -36,17 +34,14 @@ GENESIS = genesis_config(RIDS)
 ANCHOR = Config((ADD, r) for r in (*RIDS, "z"))
 IV = InputValue(FinSet({"a"}), {"kind": "any"})
 SIG = FsSig("z", ANCHOR.height(), b"junk")
-_URB = {"origin": "z", "desc": "xfer.done", "body": {}, "config": ANCHOR}
+_URB = {"origin": "z", "config": ANCHOR}
 
 # one well-formed (object id, body) per kind
 SAMPLES = {
-    "rb.fwd": ("grp", {"origin": "z", "desc": "hist.new",
-                       "body": {"hist": History([GENESIS, ANCHOR]), "cert": {"kind": "any"}}}),
     "urb.init": ("grp", _URB),
     "urb.echo": ("grp", {"inner": _URB, "sig": b"junk"}),
     "urb.cert": ("grp", {"inner": _URB, "cert": {}}),
     "hist.new": ("grp", {"hist": History([GENESIS, ANCHOR]), "cert": {"kind": "any"}}),
-    "xfer.done": ("grp", {}),
     "bla.propose": ("obj", {"sn": 1, "config": ANCHOR, "values": [IV]}),
     "bla.confirm": ("obj", {"sn": 1, "config": ANCHOR, "packs": {}}),
     "mr.set": ("mr", {"sn": 1, "config": ANCHOR, "v": 1, "cert": {"kind": "any"}}),
@@ -85,9 +80,7 @@ def mutations(body, table, path=""):
         if type(entry) is list:
             yield f"{where}:bool-element", {**body, name: [*body[name], True]}
             continue
-        if entry is BODY:
-            entry = WIRE[body["desc"]]
-        elif type(entry) is not dict:
+        if type(entry) is not dict:
             continue
         for label, inner in mutations(body[name], entry, where + "."):
             yield label, {**body, name: inner}
@@ -99,10 +92,6 @@ CASES = [
     for label, body in mutations(good, WIRE[kind])
 ]
 CASES += [(kind, "body:none", None) for kind in SAMPLES]
-CASES += [
-    ("rb.fwd", "body:unknown-kind", {**SAMPLES["rb.fwd"][1], "desc": "x.note"}),
-    ("urb.init", "body:unknown-kind", {**_URB, "desc": "x.note"}),
-]
 
 
 class Probe:
