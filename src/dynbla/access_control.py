@@ -160,7 +160,6 @@ class AcClient(QuorumSession):
         self._slot = None
         self._value = None
         self._approvals = {}
-        self._denials = set()
 
     def request(self, slot: str, value, done) -> None:
         self._begin(done)
@@ -168,23 +167,21 @@ class AcClient(QuorumSession):
         self._start()
 
     def _start(self) -> None:
-        self._denials = set()
         self._round("req", "ac.req", {"slot": self._slot, "value": self._value})
 
-    def on_deliver(self, frm, msg) -> bool:
-        # denials are unsigned and tallied apart from approvals
-        if msg.obj == self.object_id and msg.desc == "ac.deny":
-            if self._answers(frm, msg, "req"):
-                self._denials.add(frm)
-                if len(self._denials) >= self.ac.denials_decisive(self.anchor):
-                    self._finish(None)
-            return True
-        return super().on_deliver(frm, msg)
+    def _on_deny(self, frm, msg) -> None:
+        # denials are unsigned: a denier's entry in got is None
+        self.got[frm] = None
+        if sum(sig is None for sig in self.got.values()) >= self.ac.denials_decisive(self.anchor):
+            self._finish(None)
 
     def _on_approve(self, frm, msg) -> None:
         pl = appr_payload(self.object_id, self.anchor, self._slot, self._value)
-        if self._take_sig(frm, msg, pl) and len(self.got) >= self.ac.needed(self.anchor):
-            self._approvals = self.got
+        if not self._take_sig(frm, msg, pl):
+            return
+        approvals = {p: sig for p, sig in self.got.items() if sig is not None}
+        if len(approvals) >= self.ac.needed(self.anchor):
+            self._approvals = approvals
             body = {"slot": self._slot, "value": self._value, "approvals": dict(self._approvals)}
             self._round("confirm", "ac.confirm", body, self.anchor)
 
@@ -202,4 +199,5 @@ class AcClient(QuorumSession):
             )
             self._finish(cert)
 
-    REPLIES = {"ac.approve": ("req", _on_approve), "ac.cresp": ("confirm", _on_cresp)}
+    REPLIES = {"ac.approve": ("req", _on_approve), "ac.deny": ("req", _on_deny),
+               "ac.cresp": ("confirm", _on_cresp)}

@@ -13,10 +13,13 @@ only messages that fit the wire table, ``dbla.WIRE``.
 UrbEndpoint: uniform broadcast within one configuration, used for install
 announcements. A message is {origin, config} on an object, and its content
 is its id: (origin, object, config), read from the body at every delivery.
-A replica echoes a urb.init with a plain-signed acknowledgment of that id;
-a quorum of echoes forms a certificate that is re-forwarded before local
-delivery, so a process that delivers and then turns Byzantine has already
-propagated the certificate.
+A replica echoes only an origin's own urb.init, as in Bracha's reliable
+broadcast (1987), with a plain-signed acknowledgment of its id. So neither
+an init naming another member as origin nor an edit of a shared init gets
+an announcement echoed for someone else; a forged urb.cert still can while
+plain signatures are unkeyed hashes. A quorum of echoes forms a
+certificate that is re-forwarded before local delivery, so a process that
+delivers and then turns Byzantine has already propagated the certificate.
 Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
@@ -88,7 +91,7 @@ class UrbEndpoint:
             return False
         mid = (inner["origin"], msg.obj, config)
         if msg.desc == "urb.init":
-            if mid not in self._echoed:
+            if frm == mid[0] and mid not in self._echoed:
                 self._echoed.add(mid)
                 sig = self.api.oracle.plain_sign(self.api.pid, self._echo_payload(mid))
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})

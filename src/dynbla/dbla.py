@@ -55,8 +55,9 @@ SHA-256 of its node body, in which a nested OutputCert (the history
 certificate, or an input value's certificate) appears as its own 37-byte
 frame. Message hashes, signed payloads and the verification caches' keys
 therefore stay the size of one node however long the chain of earlier
-certificates is, while the frame still commits to every byte of that chain. Verification is unchanged: it recurses into every
-sub-certificate, once per distinct certificate and DynamicObject.
+certificates is, while the frame still commits to every byte of that chain.
+Verification is unchanged: it recurses into every sub-certificate, once per
+distinct certificate and DynamicObject.
 """
 
 from __future__ import annotations
@@ -111,19 +112,21 @@ class DynamicObject:
         self.genesis_values = list(genesis_values)
         self._check_value = check_value
         self._check_history = check_history
-        self._vcache: dict[bytes, bool] = {}
-        self._ocache: dict = {}
+        # successes only: a flood of distinct junk must not grow them
+        self._vcache: set[bytes] = set()
+        self._ocache: set = set()
 
     def set_check_value(self, fn) -> None:
         self._check_value = fn
 
     def check_value(self, iv: InputValue) -> bool:
         key = iv.canon()
-        hit = self._vcache.get(key)
-        if hit is None:
-            hit = iv in self.genesis_values or bool(self._check_value and self._check_value(iv.value, iv.cert))
-            self._vcache[key] = hit
-        return hit
+        if key in self._vcache:
+            return True
+        ok = iv in self.genesis_values or bool(self._check_value and self._check_value(iv.value, iv.cert))
+        if ok:
+            self._vcache.add(key)
+        return ok
 
     def check_history(self, h: History, cert) -> bool:
         if h == self.genesis_history and cert == GENESIS_CERT:
@@ -344,11 +347,11 @@ def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:
         return False
     # keyed on the oracle itself, which the key keeps alive: a freed oracle's id is reused
     key = (oracle, canon(["oc", w, cert.canon()]))
-    hit = obj._ocache.get(key)
-    if hit is not None:
-        return hit
+    if key in obj._ocache:
+        return True
     ok = _verify_output(obj, oracle, w, cert)
-    obj._ocache[key] = ok
+    if ok:
+        obj._ocache.add(key)
     return ok
 
 
@@ -378,9 +381,10 @@ class Follower:
     whose history strictly extends the current one and whose certificate
     check_history accepts. A follower relays what it adopts: the same
     hist.new goes to the whole roster before the adopt upcall is traced and
-    the subclass reacts in _adopted. Certified
-    histories are comparable, so a history skipped as not longer has a
-    longer one already relayed, and a forged or stale one goes no further.
+    the subclass reacts in _adopted. Certified histories are comparable, so
+    a history skipped as not longer has a longer one already relayed, and a
+    forged or stale one goes no further. A follower also hosts the
+    QuorumSessions that round at its anchor().
     """
 
     def __init__(self, group: str, genesis: Config, check_history, roster):
@@ -401,7 +405,6 @@ class Follower:
         return session
 
     def anchor(self) -> Config:
-        """The highest configuration of the adopted history."""
         return self.history.max_element()
 
     def _on_rb(self, obj, body) -> None:
@@ -511,15 +514,11 @@ class QuorumSession:
         if msg.obj != self.object_id or msg.desc not in self.REPLIES:
             return False
         phase, handler = self.REPLIES[msg.desc]
-        if self._answers(frm, msg, phase) and frm not in self.got:
-            handler(self, frm, msg)
+        # one reply per member of the anchor, to the current round
+        if self.phase == phase and msg.body["sn"] == self.sn:
+            if frm in self.anchor.replicas() and frm not in self.got:
+                handler(self, frm, msg)
         return True
-
-    def _answers(self, frm, msg, phase: str) -> bool:
-        """frm is a member of the anchor replying to the current round."""
-        if self.phase != phase or msg.body["sn"] != self.sn:
-            return False
-        return frm in self.anchor.replicas()
 
     def _take_sig(self, frm, msg, payload: bytes) -> bool:
         """Count frm's reply if it signs payload at the anchor's height."""

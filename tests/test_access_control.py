@@ -5,6 +5,7 @@ from dynbla.access_control import (
     AcClient,
     AcStore,
     AccessControl,
+    appr_payload,
     make_ac_input_check,
     make_admin_cert,
     verify_cert,
@@ -18,7 +19,7 @@ from dynbla.dbla import (
 )
 from dynbla.fscrypto import LedgerFsOracle
 from dynbla.lattice import ADD, Config, History, genesis_config
-from dynbla.simnet import HoldRule, Simulator, Trigger
+from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
 
 
 class World:
@@ -132,6 +133,41 @@ def test_quorum_memory_transfers_to_new_configuration():
     assert w.returns["a"][0] is not None
     assert w.returns["b"][0] is None
     assert w.replicas["r5"].stores[0].approved.get("s") == "x"
+
+
+@pytest.mark.parametrize("first", ["ac.approve", "ac.deny"])
+def test_a_member_answers_a_request_once(first):
+    # r4 answers twice, approving with a valid signature and denying, and r3
+    # denies. r4 counts once, by its first answer: as an approver, two
+    # denials are not yet decisive and r1's and r2's approvals complete the
+    # quorum; as a denier, it and r3 deny the request
+    w = World(mode="quorum")
+    w.sim.add_hold(HoldRule(frm={"a"}, desc="ac.req", until=None))
+    w.request(Trigger(at=0), "a", "s", "x")
+    w.sim.run()
+    client, hub = w.clients["a"], w.hubs["a"]
+    assert client.phase == "req"
+
+    def answer(r, desc):
+        body = {"sn": client.sn}
+        if desc == "ac.approve":
+            body["sig"] = w.oracle.fs_sign(r, appr_payload("ac", w.genesis, "s", "x"), w.genesis.height())
+        hub.on_deliver(r, Msg(desc, "ac", body))
+
+    second = "ac.deny" if first == "ac.approve" else "ac.approve"
+    for r, desc in [("r4", first), ("r4", second), ("r3", "ac.deny")]:
+        answer(r, desc)
+    if first == "ac.deny":
+        assert w.returns["a"] == [None]
+        return
+    answer("r1", "ac.approve")
+    assert "a" not in w.returns and client.phase == "req"
+    answer("r2", "ac.approve")
+    assert client.phase == "confirm"
+    w.sim.run()     # stalled: the held requests are never released
+    (cert,) = w.returns["a"]
+    assert cert is not None and set(cert.approvals) == {"r1", "r2", "r4"}
+    assert verify_cert(w.ac, w.oracle, cert)
 
 
 def test_request_restarts_after_adoption():

@@ -5,9 +5,9 @@ import pytest
 from dynbla.broadcast import UrbEndpoint
 from dynbla.dbla import GENESIS_CERT
 from dynbla.fscrypto import LedgerFsOracle
-from dynbla.lattice import ADD, Config, History
+from dynbla.lattice import ADD, Config, FinSet, History
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
-from test_reconfig import build, grown, update_at
+from test_reconfig import build, grown, propose_at, update_at
 
 # -- history gossip: followers relay what they adopt -------------------------
 
@@ -245,6 +245,56 @@ def test_adversary_cannot_supply_a_broadcast_id():
     sim.run(10000)
     for r in ("r1", "r2", "r3"):
         assert sorted(nodes[r].delivered) == ["r1", "r4"]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_an_init_edited_in_place_is_not_delivered_as_another_origins(seed):
+    # one init object reaches every replica; Byzantine r4 renames its origin
+    # to r2 when it lands there, and later recipients read the edited body
+    sim, nodes, config = urb_world(seed)
+    sim.api("r4").send("r4", Msg("t.noop", "t", {}))
+    sim.run(1)
+
+    def edit(adv, ev):
+        if ev.msg.desc == "urb.init":
+            ev.msg.body["origin"] = "r2"
+
+    sim.corrupt("r4", edit)
+    sim.add_external(Trigger(at=1), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
+    sim.run(5000)
+    for r in ("r1", "r2", "r3"):
+        assert set(nodes[r].delivered) <= {"r1"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_member_cannot_announce_install_votes_for_others(seed):
+    # r1-r4 hand over to r5-r8; corrupted r8 sends r5-r7 one urb.init for C1
+    # in the name of each new member before anyone holds C1's history. Had
+    # r5-r7 echoed them, they would install C1 on adopting it, with no state
+    # transfer, and q's proposal at C1 would miss p's {a}
+    rids = tuple(f"r{i}" for i in range(1, 9))
+    ns = build(seed, rids, ("p", "q", "u"), genesis_rids=rids[:4], app=True)
+    c1 = grown(ns.genesis, *rids[4:], drops=rids[:4])
+    ns.sim.api("r8").send("r8", Msg("t.noop", "grp", {}))
+    ns.sim.run(1)
+    ns.sim.corrupt("r8", lambda adv, ev: None)
+
+    def forge():
+        for origin in rids[4:]:
+            msg = Msg("urb.init", "grp", {"origin": origin, "config": c1})
+            for r in rids[4:7]:
+                ns.sim.adv_api.send("r8", r, msg)
+
+    ns.sim.add_external(Trigger(at=1), "adversary", forge, to="r8")
+    propose_at(ns, Trigger(at=1), "p", FinSet({"a"}))
+    update_at(ns, Trigger(fact="appret:p", offset=1), "u", c1)
+    propose_at(ns, Trigger(fact=f"inst:h{c1.height()}", offset=400), "q", FinSet({"b"}))
+    assert ns.sim.run()["verdict"] == "quiescent"
+    for r in rids[4:7]:
+        assert c1 in ns.replicas[r].installed
+        assert ns.replicas[r].xfer_targets_sent == {ns.genesis.cid()}
+    (wq, _), = ns.returns[("app", "q")]
+    assert wq == FinSet({"a", "b"})
 
 
 @pytest.mark.parametrize("kind", ["urb.init", "urb.echo", "urb.cert"])

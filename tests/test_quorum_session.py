@@ -1,11 +1,21 @@
-"""The responder filter shared by every client session (QuorumSession)."""
+"""The responder filter shared by every QuorumSession: each client session
+and a replica's state transfer (XferSession)."""
 
 import pytest
 
 from dynbla.access_control import AccessControl, AcClient, appr_payload
-from dynbla.dbla import ClientHub, DblaClient, DynamicObject, accept_all, presp_payload
+from dynbla.dbla import (
+    ClientHub,
+    DblaClient,
+    DblaStore,
+    DynamicObject,
+    DynamicReplica,
+    InputValue,
+    accept_all,
+    presp_payload,
+)
 from dynbla.fscrypto import FsSig, LedgerFsOracle
-from dynbla.lattice import FinSet, genesis_config
+from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
 from dynbla.maxreg import MaxRegClient, setresp_payload
 from dynbla.simnet import Msg
 
@@ -99,3 +109,80 @@ def test_responder_filter_counts_only_fresh_signed_member_replies(make):
     session.on_deliver("r2", signed("r2"))
     session.on_deliver("r3", signed("r3"))
     assert returned or session.phase == "confirm"
+
+
+class RecordingApi(StubApi):
+    def __init__(self, oracle, pid):
+        super().__init__(oracle)
+        self.pid = pid
+        self.sent = []
+
+    def send(self, to, msg):
+        self.sent.append((to, msg))
+
+    def upcall(self, desc, detail=None):
+        pass
+
+    def fact(self, name):
+        pass
+
+
+def joining_replica():
+    """r5, joining genesis r1-r4 as C1, has adopted [genesis, C1] and reads genesis."""
+    oracle = LedgerFsOracle()
+    for pid in RIDS + ("r5", "x9"):
+        oracle.register(pid)
+    genesis = genesis_config(RIDS)
+    c1 = genesis.join(Config([(ADD, "r5")]))
+    store = DblaStore("obj", DynamicObject("obj", genesis, check_value=accept_all))
+    rep = DynamicReplica("grp", genesis, [store], lambda h, cert: True, [*RIDS, "r5"])
+    api = RecordingApi(oracle, "r5")
+    rep.bind(api)
+    rep.history = History([genesis, c1])
+    rep._advance_xfer()
+    assert (rep.xfer.phase, rep.xfer.anchor) == ("read", genesis)
+    assert [(to, m.desc, m.body["config"]) for to, m in api.sent] == [(r, "xfer.read", genesis) for r in RIDS]
+    return rep, api, store, genesis, c1
+
+
+def resp(sn, tag):
+    iv = InputValue(FinSet({tag}), {"kind": "any"})
+    return Msg("xfer.resp", "grp", {"sn": sn, "payload": {"obj": [iv]}})
+
+
+def held(store):
+    return {tag for iv in store.vals.values() for tag in iv.value.elems}
+
+
+def test_state_transfer_counts_one_fresh_reply_per_member():
+    rep, api, store, genesis, c1 = joining_replica()
+    sn = rep.xfer.sn
+    rep.on_deliver("r1", resp(sn, "r1"))
+    for frm, msg in [
+        ("r2", resp(sn - 1, "stale")),      # stale sn
+        ("x9", resp(sn, "x9")),             # not a member of genesis
+        ("r1", resp(sn, "again")),          # already counted
+    ]:
+        rep.on_deliver(frm, msg)
+    assert held(store) == {"r1"} and list(rep.xfer.got) == ["r1"]
+    rep.on_deliver("r2", resp(sn, "r2"))
+    rep.on_deliver("r3", resp(sn, "r3"))
+    # a quorum of genesis: transferred, so r5 announces its completion for C1
+    assert held(store) == {"r1", "r2", "r3"}
+    assert rep.xfer.transferred == {genesis} and not rep.xfer.busy()
+    assert rep.ccurr == c1
+    assert api.sent[-1][1].desc == "urb.init" and api.sent[-1][1].body == {"origin": "r5", "config": c1}
+    assert rep.xfer_targets_sent == {genesis.cid()}
+    assert rep.dropped == 0
+
+
+def test_state_transfer_abandoned_by_an_install_ignores_late_replies():
+    # C1 installs from others' votes while r5 still reads genesis: the read
+    # is abandoned, and a reply to it no longer merges
+    rep, api, store, genesis, c1 = joining_replica()
+    sn = rep.xfer.sn
+    rep.install_votes[c1] = {"r1", "r2", "r3", "r4"}
+    rep._check_installs()
+    assert rep.ccurr == c1 and not rep.xfer.busy()
+    rep.on_deliver("r1", resp(sn, "late"))
+    assert held(store) == set() and rep.xfer.transferred == set()

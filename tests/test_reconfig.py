@@ -9,6 +9,7 @@ from dynbla.dbla import (
     DblaClient,
     DblaStore,
     DynamicObject,
+    InputValue,
     OutputCert,
     accept_all,
     cert_to_jsonable,
@@ -301,3 +302,29 @@ def test_a_flood_of_parked_requests_keeps_one_per_sender(k):
     assert len(delivered) == k
     ((frm, msg),) = ns.replicas["r1"].buffered
     assert frm == "r4" and msg.mhash() == delivered[-1]
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_a_flood_of_junk_certificates_leaves_the_verification_caches_as_they_were(k):
+    # corrupted r4 sends r1 k hist.news whose certificates are distinct junk:
+    # each names an input value no configuration agreement certified. Failed
+    # verifications are not cached, so the caches end as they began
+    rids = ("r1", "r2", "r3", "r4")
+    ns = build(6, rids, ("u",))
+    objs = (ns.grp.conf_obj, ns.grp.hist_obj)
+    sizes = [(len(o._vcache), len(o._ocache)) for o in objs]
+    ns.sim.api("r4").send("r4", Msg("t.noop", "grp", {}))
+    ns.sim.run(1)
+    ns.sim.corrupt("r4", lambda api, ev: None)
+    fake = History([ns.genesis, grown(ns.genesis, "x")])
+
+    def flood():
+        for i in range(k):
+            iv = InputValue(ConfSet({grown(ns.genesis, f"x{i}")}), {"kind": "any"})
+            junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, {}, {})
+            ns.sim.adv_api.send("r4", "r1", Msg("hist.new", "grp", {"hist": fake, "cert": junk}))
+
+    ns.sim.add_external(Trigger(at=1), "adversary", flood, to="r4")
+    assert ns.sim.run()["verdict"] == "quiescent"
+    assert ns.replicas["r1"].history == History([ns.genesis])
+    assert [(len(o._vcache), len(o._ocache)) for o in objs] == sizes

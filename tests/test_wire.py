@@ -133,7 +133,7 @@ def waiting(hub, kind):
 
 
 def client_state(hub):
-    return hub.history, [(s.phase, dict(s.got), set(getattr(s, "_denials", ()))) for s in hub.sessions]
+    return hub.history, [(s.phase, dict(s.got)) for s in hub.sessions]
 
 
 def deliver(kind, body):
