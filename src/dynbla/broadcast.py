@@ -67,14 +67,14 @@ class UrbEndpoint:
     def _echo_payload(self, mid: tuple) -> bytes:
         return canon(["urbecho", *mid])
 
-    def _certify(self, mid, inner, obj, cert) -> None:
+    def _certify(self, mid, inner, cert) -> None:
         """Mark mid certified, forward its certificate, then deliver it.
 
         Both callers return early on a certified mid, so each is delivered once.
         """
         self._certed.add(mid)
+        origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
-        origin, _, config = mid
         for pid in sorted(config.replicas()):
             self.api.send(pid, msg)
         self.deliver(origin, config)
@@ -107,7 +107,7 @@ class UrbEndpoint:
                 got = self._echoes.setdefault(mid, {})
                 got.setdefault(frm, sig)
                 if config.is_quorum(got.keys()):
-                    self._certify(mid, inner, msg.obj, dict(got))
+                    self._certify(mid, inner, dict(got))
             return True
         cert = msg.body["cert"]
         ok = config.is_quorum(cert.keys()) and all(
@@ -115,5 +115,5 @@ class UrbEndpoint:
             for pid, sig in cert.items()
         )
         if ok:
-            self._certify(mid, inner, msg.obj, cert)
+            self._certify(mid, inner, cert)
         return True
