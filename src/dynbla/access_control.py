@@ -176,8 +176,7 @@ class AcClient(QuorumSession):
             self._finish(None)
 
     def _on_approve(self, frm, msg) -> None:
-        pl = appr_payload(self.object_id, self.anchor, self._slot, self._value)
-        if not self._take_sig(frm, msg, pl):
+        if not self._take_sig(frm, msg):
             return
         approvals = {p: sig for p, sig in self.got.items() if sig is not None}
         if len(approvals) >= self.ac.needed(self.anchor):
@@ -186,8 +185,7 @@ class AcClient(QuorumSession):
             self._round("confirm", "ac.confirm", body, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
-        cpl = accf_payload(self.object_id, self.anchor, self._slot, self._value, self._approvals)
-        if self._take_sig(frm, msg, cpl) and self.anchor.is_quorum(self.got):
+        if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
             cert = AcCert(
                 self.ac.mode,
                 self.object_id,
@@ -198,6 +196,11 @@ class AcClient(QuorumSession):
                 self.got,
             )
             self._finish(cert)
+
+    def _expected(self) -> bytes:
+        if self.phase == "req":
+            return appr_payload(self.object_id, self.anchor, self._slot, self._value)
+        return accf_payload(self.object_id, self.anchor, self._slot, self._value, self._approvals)
 
     REPLIES = {"ac.approve": ("req", _on_approve), "ac.deny": ("req", _on_deny),
                "ac.cresp": ("confirm", _on_cresp)}

@@ -467,11 +467,14 @@ class QuorumSession:
     An operation is a sequence of rounds. Each round has a fresh ``sn``,
     fans one request out to every replica of its anchor configuration and
     tallies the replies in ``got``: one entry per member that answered the
-    current round, at most one each. On a hub, adopting a longer history
-    restarts the operation from its first round at the new anchor.
+    current round, at most one each. A signed reply is checked against the
+    round's expected payload, built once per round on the first reply that
+    needs it. On a hub, adopting a longer history restarts the operation
+    from its first round at the new anchor.
 
     Subclasses map each reply ``desc`` to (phase it answers, handler) in
-    REPLIES; a client session defines ``_start``, the operation's first round.
+    REPLIES; a client session defines ``_start``, the operation's first round,
+    and a session whose replies are signed defines ``_expected``.
     """
 
     REPLIES: dict = {}
@@ -483,6 +486,7 @@ class QuorumSession:
         self.phase = "idle"
         self.anchor = None
         self.got: dict = {}
+        self._payload = None
         self.restarts = 0
         self._done = None
         hub.add(self)
@@ -501,6 +505,7 @@ class QuorumSession:
         self.phase = phase
         self.anchor = self.hub.anchor() if anchor is None else anchor
         self.got = {}
+        self._payload = None
         msg = Msg(desc, self.object_id, {**body, "sn": self.sn, "config": self.anchor})
         for r in sorted(self.anchor.replicas()):
             self.hub.api.send(r, msg)
@@ -520,8 +525,16 @@ class QuorumSession:
                 handler(self, frm, msg)
         return True
 
-    def _take_sig(self, frm, msg, payload: bytes) -> bool:
-        """Count frm's reply if it signs payload at the anchor's height."""
+    def _expected(self) -> bytes:
+        """The payload a signed reply to the current round must sign."""
+        raise NotImplementedError
+
+    def _take_sig(self, frm, msg) -> bool:
+        """Count frm's reply if it signs the round's payload at the anchor's
+        height; the payload is built once per round."""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self._expected()
         sig = msg.body["sig"]
         if not self.hub.api.oracle.fs_verify(payload, frm, sig, self.anchor.height()):
             return False
@@ -569,19 +582,22 @@ class DblaClient(QuorumSession):
             return
         if len(valid) != len(rvals):
             return
-        if [iv.canon() for iv in rvals] != [iv.canon() for iv in self._sorted_vals()]:
+        if [iv.canon() for iv in rvals] != sorted(self.vals):
             return
-        ppl = presp_payload(self.object_id, self.anchor, self._sorted_vals())
-        if self._take_sig(frm, msg, ppl) and self.anchor.is_quorum(self.got):
+        if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
             self.cpacks = self.got
             self._round("confirm", "bla.confirm", {"packs": self.cpacks}, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
-        cpl = cresp_payload(self.object_id, self.anchor, self.cpacks)
-        if self._take_sig(frm, msg, cpl) and self.anchor.is_quorum(self.got):
+        if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
             vlist = self._sorted_vals()
             cert = OutputCert(vlist, self.hub.history, self.hub.hist_cert, self.cpacks, self.got)
             self._finish(join_values(vlist), cert)
+
+    def _expected(self) -> bytes:
+        if self.phase == "refine":
+            return presp_payload(self.object_id, self.anchor, self._sorted_vals())
+        return cresp_payload(self.object_id, self.anchor, self.cpacks)
 
     REPLIES = {"bla.presp": ("refine", _on_presp), "bla.cresp": ("confirm", _on_cresp)}
 

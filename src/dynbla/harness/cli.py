@@ -38,6 +38,8 @@ def _load_scenario(path, family, seed, k):
             raise click.UsageError(f"unknown family {family!r}; see 'dynbla families'")
         builder = FAMILIES[family]
         if family == "chain":
+            if k is None:
+                raise click.UsageError("family 'chain' needs --k, its chain length")
             return builder(seed or 0, k)
         if family == "ac-pattern":
             return builder(k if k is not None else 0b0111, seed or 0)

@@ -10,11 +10,24 @@ nested certificate again appears as its own frame. So encoding, hashing or
 signing over a certificate costs the size of one node, not of the whole
 chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
+
+Encoding is table-driven. canon dispatches on a value's exact type through
+one table, filled once per class: the builtins' encoders, the same encoder
+for a subclass of a builtin (encoded as its base, as an isinstance chain
+would), a class's own canon() function where every instance is sure to use
+it, and otherwise a lookup of canon on the instance. An exact str, the
+commonest value (ids, object names, message kinds), is served from a second
+table of ready frames, filled on first use and read inline for list
+elements and dict keys and values; it keeps only short strs and is cleared
+when full, so it stays within a fixed size whatever strings arrive. Both
+tables are caches: neither changes a byte of the encoding, so no caller can
+see another's use of them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from types import FunctionType
 from typing import Iterable
 
 ADD = "+"
@@ -27,52 +40,141 @@ def _frame(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(4, "big") + payload
 
 
-# Builtin types the isinstance chain encodes; a subclass of one of them is
-# encoded as its base even when it has a canon() method.
-_BUILTIN = (int, str, bytes, list, tuple, set, frozenset, dict, type(None))
+# Frames of exact strs, filled on first use. Ids, object names and message
+# kinds come from a small vocabulary, so most strs encoded are hits. The
+# table is cleared whenever it reaches _STR_CAP entries and keeps only strs
+# of at most _STR_MAX characters, so whatever strings an adversary sends,
+# it holds at most _STR_CAP short entries.
+_STR_CAP = 1024
+_STR_MAX = 64
+_strs: dict[str, bytes] = {}
+_str_get = _strs.get        # stays bound: the table is cleared, never replaced
+
+
+def _new_str(x: str) -> bytes:
+    b = x.encode("utf-8")
+    f = b"S" + len(b).to_bytes(4, "big") + b
+    if len(x) <= _STR_MAX:
+        if len(_strs) >= _STR_CAP:
+            _strs.clear()
+        _strs[x] = f
+    return f
+
+
+def _list(x) -> bytes:
+    parts = []
+    for e in x:
+        if type(e) is str:
+            f = _str_get(e)
+            parts.append(f if f is not None else _new_str(e))
+        else:
+            parts.append(canon(e))
+    b = b"".join(parts)
+    return b"L" + len(b).to_bytes(4, "big") + b
+
+
+def _dict(x) -> bytes:
+    parts = []
+    for k, v in sorted(x.items()):
+        if type(k) is str:
+            f = _str_get(k)
+            parts.append(f if f is not None else _new_str(k))
+        else:
+            parts.append(canon(k))
+        if type(v) is str:
+            f = _str_get(v)
+            parts.append(f if f is not None else _new_str(v))
+        else:
+            parts.append(canon(v))
+    b = b"".join(parts)
+    return b"D" + len(b).to_bytes(4, "big") + b
+
+
+def _int(x) -> bytes:
+    b = str(x).encode()
+    return b"I" + len(b).to_bytes(4, "big") + b
+
+
+def _str(x) -> bytes:
+    return _frame(b"S", x.encode("utf-8"))
+
+
+def _bytes(x) -> bytes:
+    return b"Y" + len(x).to_bytes(4, "big") + x
+
+
+def _set(x) -> bytes:
+    return _frame(b"E", b"".join(sorted([canon(e) for e in x])))
+
+
+def _none(x) -> bytes:
+    return _frame(b"N", b"")
+
+
+def _bool(x) -> bytes:
+    return _frame(b"B", b"\x01" if x else b"\x00")
+
+
+def _own(x) -> bytes:
+    """A value that is no builtin encodes itself, if it can."""
+    enc = getattr(x, "canon", None)
+    if enc is None:
+        raise TypeError(f"not canonically encodable: {type(x).__name__}")
+    return enc()
+
+
+# The builtins in the order an isinstance chain would test them: a subclass
+# of one of them is encoded as the first base it has, even when it defines
+# canon(); so bool before int.
+_CHAIN = (
+    (type(None), _none), (bool, _bool), (int, _int), (str, _str), (bytes, _bytes),
+    (list, _list), (tuple, _list), (set, _set), (frozenset, _set), (dict, _dict),
+)
+
+# The dispatch table: one encoder per exact type, found once per class.
+# Classes are program code, but the table is capped all the same.
+_ENC_CAP = 256
+_enc: dict[type, object] = dict(_CHAIN)
+
+
+def _class_canon(t: type):
+    """t's canon function, if calling it on any instance x is x.canon():
+    a plain function on the class, whose instances have no __dict__ (so
+    none can carry a canon of its own) and the usual attribute lookup."""
+    if t.__dictoffset__ or t.__getattribute__ is not object.__getattribute__:
+        return None
+    for k in t.__mro__:
+        if "canon" in k.__dict__:
+            fn = k.__dict__["canon"]
+            return fn if type(fn) is FunctionType else None
+    return None
+
+
+def _encoder(t: type):
+    for base, enc in _CHAIN:
+        if issubclass(t, base):
+            break
+    else:
+        enc = _class_canon(t) or _own
+    if len(_enc) < _ENC_CAP:
+        _enc[t] = enc
+    return enc
 
 
 def canon(x) -> bytes:
     """Deterministic tag-length-value encoding. Dict keys must be strings.
 
-    The common exact types are dispatched on type(x) and framed inline;
-    None, bool, sets and subclasses of builtins take the isinstance chain.
+    An exact str is served from the frame table; every other value is
+    encoded by its type's entry in the dispatch table.
     """
     t = type(x)
     if t is str:
-        b = x.encode("utf-8")
-        return b"S" + len(b).to_bytes(4, "big") + b
-    if t is dict:
-        b = b"".join([canon(k) + canon(v) for k, v in sorted(x.items())])
-        return b"D" + len(b).to_bytes(4, "big") + b
-    if t is list or t is tuple:
-        b = b"".join([canon(e) for e in x])
-        return b"L" + len(b).to_bytes(4, "big") + b
-    if t is int:
-        b = str(x).encode()
-        return b"I" + len(b).to_bytes(4, "big") + b
-    if t is bytes:
-        return b"Y" + len(x).to_bytes(4, "big") + x
-    enc = getattr(x, "canon", None)
-    if enc is not None and not isinstance(x, _BUILTIN):
-        return enc()
-    if x is None:
-        return _frame(b"N", b"")
-    if isinstance(x, bool):
-        return _frame(b"B", b"\x01" if x else b"\x00")
-    if isinstance(x, int):
-        return _frame(b"I", str(x).encode())
-    if isinstance(x, str):
-        return _frame(b"S", x.encode("utf-8"))
-    if isinstance(x, bytes):
-        return _frame(b"Y", x)
-    if isinstance(x, (list, tuple)):
-        return _frame(b"L", b"".join([canon(e) for e in x]))
-    if isinstance(x, (set, frozenset)):
-        return _frame(b"E", b"".join(sorted([canon(e) for e in x])))
-    if isinstance(x, dict):
-        return _frame(b"D", b"".join([canon(k) + canon(v) for k, v in sorted(x.items())]))
-    raise TypeError(f"not canonically encodable: {type(x).__name__}")
+        f = _str_get(x)
+        return f if f is not None else _new_str(x)
+    enc = _enc.get(t)
+    if enc is None:
+        enc = _encoder(t)
+    return enc(x)
 
 
 def merkle_frame(body: bytes) -> bytes:

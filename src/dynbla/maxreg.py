@@ -96,8 +96,7 @@ class MaxRegClient(QuorumSession):
         self._round("set", "mr.set", {"v": self._val, "cert": self._cert})
 
     def _on_setresp(self, frm, msg) -> None:
-        pl = setresp_payload(self.object_id, self.anchor, self._val)
-        if self._take_sig(frm, msg, pl) and self.anchor.is_quorum(self.got):
+        if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
             ack = {
                 "cid": self.anchor.cid(),
                 "h": self.anchor.height(),
@@ -128,5 +127,8 @@ class MaxRegClient(QuorumSession):
             else:
                 self._readv, self._val, self._cert = best[0], best[0], best[1]
                 self._set_round()
+
+    def _expected(self) -> bytes:
+        return setresp_payload(self.object_id, self.anchor, self._val)
 
     REPLIES = {"mr.setresp": ("set", _on_setresp), "mr.getresp": ("get", _on_getresp)}

@@ -5,6 +5,10 @@ import pytest
 from dynbla.broadcast import UrbEndpoint
 from dynbla.dbla import GENESIS_CERT
 from dynbla.fscrypto import LedgerFsOracle
+from dynbla.harness.attacks import SCRIPTS
+from dynbla.harness.checks import run_checks
+from dynbla.harness.runner import run_scenario
+from dynbla.harness.scenario import FAMILIES
 from dynbla.lattice import ADD, Config, FinSet, History
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
 from test_reconfig import build, grown, propose_at, update_at
@@ -318,3 +322,55 @@ def test_urb_naming_a_process_outside_the_roster_is_dropped(kind):
     assert ns.sim.metrics["sent"] == 0
     assert r1.dropped == len(deliveries)
     assert r1.install_votes == {}
+
+
+def urb_flood_run(monkeypatch, k):
+    """reconfig-dbla seed 0 with r4 corrupted at step 20; if k, on its first
+    delivery after that r4 sends every other replica k urb.echos, each
+    validly signed by r4, for ids no process broadcast (fabricated origins)."""
+    fabricated = [f"ghost{i}" for i in range(k)]
+
+    def flood_script(ctx):
+        sent = []
+
+        def script(adv, ev):
+            if sent:
+                return
+            sent.append(True)
+            genesis, obj = ctx.replicas["r1"].genesis, ctx.replicas["r1"].group
+            for origin in fabricated:
+                payload = ctx.replicas["r1"].urb._echo_payload((origin, obj, genesis))
+                inner = {"origin": origin, "config": genesis}
+                msg = Msg("urb.echo", obj, {"inner": inner, "sig": ctx.oracle.plain_sign("r4", payload)})
+                for r in ("r1", "r2", "r3", "r5"):
+                    adv.send("r4", r, msg)
+
+        return script
+
+    monkeypatch.setitem(SCRIPTS, "urb-flood", flood_script)
+    scn = dict(FAMILIES["reconfig-dbla"](0))
+    scn["adversary"] = {"corruptions": [{"pid": "r4", "script": "urb-flood", "at": 20}], "holds": []}
+    rep = run_scenario(scn)
+    assert rep.verdict == "quiescent" and all(ok for _, ok, _ in run_checks(rep.bundle()))
+    assert rep.corruptions[0]["applied"]
+    return rep, set(fabricated)
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_a_flood_of_fabricated_echoes_stays_in_the_echo_entries(monkeypatch, k):
+    # each fabricated id costs a correct replica one _echoes entry, its echo
+    # payload beside r4's signature, and nothing else: the id is never
+    # echoed or certified, and the endpoint grows no other structure
+    base, _ = urb_flood_run(monkeypatch, 0)
+    rep, fabricated = urb_flood_run(monkeypatch, k)
+    fields = {"api", "roster", "deliver", "_echoed", "_echoes", "_certed"}
+    for r in ("r1", "r2", "r3", "r5"):
+        urb, before = rep.ctx.replicas[r].urb, base.ctx.replicas[r].urb
+        assert set(vars(urb)) == fields
+        junk = {mid: entry for mid, entry in urb._echoes.items() if mid[0] in fabricated}
+        assert len(junk) == k
+        for mid, (payload, sigs) in junk.items():
+            assert payload == urb._echo_payload(mid) and list(sigs) == ["r4"]
+        assert not {mid[0] for mid in urb._echoed | urb._certed} & fabricated
+        assert urb._echoed == before._echoed and urb._certed == before._certed
+        assert len(urb._echoes) - k == len(before._echoes)

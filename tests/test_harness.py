@@ -444,6 +444,14 @@ def test_cli_run_family(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("args", [["run", "--seed", "0"], ["sweep", "--seeds", "1"]], ids=["run", "sweep"])
+def test_cli_chain_without_k_is_a_usage_error(args):
+    r = CliRunner().invoke(cli.main, [*args, "--family", "chain"])
+    assert r.exit_code == 2, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "--k" in r.output
+
+
 def test_cli_run_scenario_file(tmp_path):
     scn = FAMILIES["reconfig-dbla"](3)
     p = tmp_path / "scn.json"

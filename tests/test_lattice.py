@@ -10,6 +10,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from dynbla import lattice
+from dynbla.dbla import GENESIS_CERT, AcCert, InputValue, OutputCert
+from dynbla.fscrypto import FsSig
 from dynbla.lattice import (
     ADD,
     REMOVE,
@@ -249,7 +252,77 @@ class Opaque:
     pass
 
 
-_keys = st.one_of(st.text(max_size=6), st.text(max_size=6).map(StrSub))
+class LoudConfig(Config):
+    """A slotted subclass that overrides canon(): its own method is used."""
+
+    __slots__ = ()
+
+    def canon(self):
+        return _frame(b"X", super().canon())
+
+
+class LoudFinSet(FinSet):
+    """A subclass with a __dict__ that overrides canon()."""
+
+    def canon(self):
+        return _frame(b"X", super().canon())
+
+
+class StaticCanon:
+    """A slotted class whose canon is a staticmethod: x.canon() takes no x."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    canon = staticmethod(lambda: _frame(b"Q", b""))
+
+
+def with_own_canon(base, data: bytes):
+    """An instance whose canon is an instance attribute, on a class that has
+    none (Opaque) or whose own one it shadows (Encoded)."""
+    x = Opaque() if base is None else Encoded(base)
+    x.canon = lambda: _frame(b"Z", data)
+    return x
+
+
+_ids = st.sampled_from(["r1", "r2", "r3", "r4", "r5"])
+_configs = st.lists(st.tuples(st.sampled_from([ADD, REMOVE]), _ids), max_size=4).map(Config)
+_finsets = st.frozensets(st.text(max_size=4), max_size=3).map(FinSet)
+# prefixes of one update list are pairwise comparable
+_histories = st.lists(st.tuples(st.just(ADD), _ids), min_size=1, max_size=4).map(
+    lambda ups: History(Config(ups[: i + 1]) for i in range(len(ups)))
+)
+_sigs = st.builds(FsSig, _ids, st.integers(0, 9), st.binary(max_size=8))
+_packs = st.dictionaries(_ids, _sigs, max_size=3)
+_input_values = st.builds(InputValue, _finsets, st.just({"kind": "any"}))
+_ac_certs = st.builds(
+    AcCert, st.sampled_from(["sanity", "quorum"]), st.just("acl"), st.text(max_size=4),
+    st.text(max_size=4), _configs, _packs, _packs,
+)
+_output_certs = st.builds(
+    OutputCert, st.lists(_input_values, max_size=2), _histories,
+    st.one_of(st.just(GENESIS_CERT), _ac_certs), _packs, _packs,
+)
+_library = st.one_of(
+    _configs,
+    st.lists(_configs, max_size=3).map(ConfSet),
+    _histories,
+    _finsets,
+    _input_values,
+    _sigs,
+    _ac_certs,
+    _output_certs,
+    _configs.map(lambda c: LoudConfig(c.updates)),
+    _finsets.map(lambda f: LoudFinSet(f.elems)),
+    st.binary(max_size=4).map(StaticCanon),
+    st.builds(with_own_canon, st.one_of(st.none(), st.binary(max_size=4)), st.binary(max_size=8)),
+)
+
+_keys = st.one_of(
+    st.text(max_size=6), st.text(max_size=6).map(StrSub), st.text(max_size=6).map(StrWithCanon)
+)
 _hashable = st.one_of(
     st.none(),
     st.booleans(),
@@ -262,6 +335,7 @@ _hashable = st.one_of(
 )
 _leaves = st.one_of(
     _hashable,
+    _library,
     st.binary(max_size=8).map(Encoded),
     st.frozensets(_hashable, max_size=4),
     st.sets(_hashable, max_size=4),
@@ -295,3 +369,17 @@ def test_lattice_values_round_trip_jsonable():
     c = conf(adds=["r1", "r2"], removes=["r2"])
     for v in (FinSet({"a", "b"}), c, ConfSet([c])):
         assert type(v).from_jsonable(v.to_jsonable()) == v
+
+
+@pytest.mark.parametrize("k", [10, 100, 10_000])
+def test_a_flood_of_distinct_strings_leaves_the_frame_table_within_its_cap(k):
+    # every encoded str, as a value, a list element or a dict key, may enter
+    # the table; whatever strings arrive, it holds at most _STR_CAP short ones
+    for i in range(k):
+        junk = f"junk-{k}-{i}"
+        assert canon(junk) == reference_canon(junk)
+        assert canon([junk, {junk: junk}]) == reference_canon([junk, {junk: junk}])
+        assert len(lattice._strs) <= lattice._STR_CAP
+    long = "x" * (lattice._STR_MAX + 1)
+    assert canon(long) == reference_canon(long) and long not in lattice._strs
+    assert all(type(s) is str and len(s) <= lattice._STR_MAX for s in lattice._strs)

@@ -3,6 +3,9 @@ and a replica's state transfer (XferSession)."""
 
 import pytest
 
+import dynbla.access_control
+import dynbla.dbla
+import dynbla.maxreg
 from dynbla.access_control import AccessControl, AcClient, appr_payload
 from dynbla.dbla import (
     ClientHub,
@@ -72,14 +75,25 @@ def _ac(hub, done):
     return s, reply, lambda: appr_payload("ac", s.anchor, "slot", "x")
 
 
-@pytest.mark.parametrize("make", [_dbla, _maxreg, _ac], ids=["dbla", "maxreg", "ac"])
-def test_responder_filter_counts_only_fresh_signed_member_replies(make):
+# where each session's first signed round gets its expected payload
+PAYLOAD_OF = {_dbla: (dynbla.dbla, "presp_payload"), _maxreg: (dynbla.maxreg, "setresp_payload"),
+              _ac: (dynbla.access_control, "appr_payload")}
+SESSIONS = pytest.mark.parametrize("make", [_dbla, _maxreg, _ac], ids=["dbla", "maxreg", "ac"])
+
+
+def client_world():
     oracle = CountingOracle()
-    for pid in RIDS + ("x9",):
+    for pid in RIDS + ("r5", "x9"):
         oracle.register(pid)
     genesis = genesis_config(RIDS)
-    hub = ClientHub("grp", genesis, DynamicObject("h", genesis).check_history, list(RIDS) + ["c"])
+    hub = ClientHub("grp", genesis, DynamicObject("h", genesis).check_history, list(RIDS) + ["r5", "c"])
     hub.bind(StubApi(oracle))
+    return oracle, hub, genesis
+
+
+@SESSIONS
+def test_responder_filter_counts_only_fresh_signed_member_replies(make):
+    oracle, hub, genesis = client_world()
     returned = []
     session, reply, payload = make(hub, lambda *out: returned.append(out))
     h = genesis.height()
@@ -109,6 +123,51 @@ def test_responder_filter_counts_only_fresh_signed_member_replies(make):
     session.on_deliver("r2", signed("r2"))
     session.on_deliver("r3", signed("r3"))
     assert returned or session.phase == "confirm"
+
+
+@SESSIONS
+def test_a_reply_signed_over_the_previous_rounds_payload_is_not_counted_after_a_restart(make):
+    oracle, hub, genesis = client_world()
+    session, reply, payload = make(hub, lambda *out: None)
+    old = payload()
+    session.on_deliver("r1", reply(oracle.fs_sign("r1", old, genesis.height()), session.sn))
+    assert list(session.got) == ["r1"]
+
+    # adopting a longer history restarts the session at its top configuration
+    c1 = genesis.join(Config([(ADD, "r5")]))
+    hub.history = History([genesis, c1])
+    hub._adopted()
+    assert (session.anchor, session.got) == (c1, {})
+    assert payload() != old
+    h1 = c1.height()
+    for frm in ("r1", "r2"):
+        assert session.on_deliver(frm, reply(oracle.fs_sign(frm, old, h1), session.sn))
+    assert session.got == {}
+    session.on_deliver("r2", reply(oracle.fs_sign("r2", payload(), h1), session.sn))
+    assert list(session.got) == ["r2"]
+
+
+@SESSIONS
+def test_a_rounds_payload_is_built_once(make, monkeypatch):
+    oracle, hub, genesis = client_world()
+    module, name = PAYLOAD_OF[make]
+    build = getattr(module, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    session, reply, payload = make(hub, lambda *out: None)
+    pl, h, sn = payload(), genesis.height(), session.sn
+    calls.clear()
+    # a bad signature and two good replies, short of the round's quorum of three
+    session.on_deliver("r1", reply(FsSig("r1", h, b"\x00" * 32), sn))
+    session.on_deliver("r2", reply(oracle.fs_sign("r2", pl, h), sn))
+    session.on_deliver("r3", reply(oracle.fs_sign("r3", pl, h), sn))
+    assert list(session.got) == ["r2", "r3"] and session.sn == sn
+    assert len(calls) == 1
 
 
 class RecordingApi(StubApi):
