@@ -17,11 +17,9 @@ A replica echoes only an origin's own urb.init, as in Bracha's reliable
 broadcast (1987), with a plain-signed acknowledgment of its id. So neither
 an init naming another member as origin nor an edit of a shared init gets
 an announcement echoed for someone else; a forged urb.cert still can while
-plain signatures are unkeyed hashes. An id's echo payload is kept beside
-its valid echoes, not encoded again for each echo or certificate. A quorum
-of echoes forms a certificate that is re-forwarded before local delivery,
-so a process that delivers and then turns Byzantine has already
-propagated the certificate.
+plain signatures are unkeyed hashes. A quorum of echoes forms a
+certificate that is re-forwarded before local delivery, so a process that
+delivers and then turns Byzantine has already propagated the certificate.
 Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
@@ -58,8 +56,7 @@ class UrbEndpoint:
         self.roster = frozenset(roster)
         self.deliver = deliver
         self._echoed: set[tuple] = set()
-        # id -> (its echo payload, the valid echo signatures by member)
-        self._echoes: dict[tuple, tuple[bytes, dict[str, bytes]]] = {}
+        self._echoes: dict[tuple, dict[str, bytes]] = {}
         self._certed: set[tuple] = set()
 
     def broadcast(self, config: Config, obj: str) -> None:
@@ -103,14 +100,11 @@ class UrbEndpoint:
             return True
         if mid in self._certed:     # already forwarded and delivered
             return True
-        entry = self._echoes.get(mid)
-        payload = self._echo_payload(mid) if entry is None else entry[0]
+        payload = self._echo_payload(mid)
         if msg.desc == "urb.echo":
             sig = msg.body["sig"]
             if frm in config.replicas() and self.api.oracle.plain_verify(payload, frm, sig):
-                if entry is None:
-                    entry = self._echoes[mid] = (payload, {})
-                got = entry[1]
+                got = self._echoes.setdefault(mid, {})
                 got.setdefault(frm, sig)
                 if config.is_quorum(got.keys()):
                     self._certify(mid, inner, dict(got))

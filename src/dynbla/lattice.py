@@ -14,20 +14,17 @@ as in a Merkle DAG (Merkle 1987).
 Encoding is table-driven. canon dispatches on a value's exact type through
 one table, filled once per class: the builtins' encoders, the same encoder
 for a subclass of a builtin (encoded as its base, as an isinstance chain
-would), a class's own canon() function where every instance is sure to use
-it, and otherwise a lookup of canon on the instance. An exact str, the
-commonest value (ids, object names, message kinds), is served from a second
-table of ready frames, filled on first use and read inline for list
-elements and dict keys and values; it keeps only short strs and is cleared
-when full, so it stays within a fixed size whatever strings arrive. Both
-tables are caches: neither changes a byte of the encoding, so no caller can
-see another's use of them.
+would), and for any other class a call of the instance's canon(). An exact
+str, the commonest value (ids, object names, message kinds), is served from
+a second table of ready frames, filled on first use; it keeps only short
+strs and is cleared when full, so it stays within a fixed size whatever
+strings arrive. Both tables are caches: neither changes a byte of the
+encoding, so no caller can see another's use of them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from types import FunctionType
 from typing import Iterable
 
 ADD = "+"
@@ -62,31 +59,12 @@ def _new_str(x: str) -> bytes:
 
 
 def _list(x) -> bytes:
-    parts = []
-    for e in x:
-        if type(e) is str:
-            f = _str_get(e)
-            parts.append(f if f is not None else _new_str(e))
-        else:
-            parts.append(canon(e))
-    b = b"".join(parts)
+    b = b"".join([canon(e) for e in x])
     return b"L" + len(b).to_bytes(4, "big") + b
 
 
 def _dict(x) -> bytes:
-    parts = []
-    for k, v in sorted(x.items()):
-        if type(k) is str:
-            f = _str_get(k)
-            parts.append(f if f is not None else _new_str(k))
-        else:
-            parts.append(canon(k))
-        if type(v) is str:
-            f = _str_get(v)
-            parts.append(f if f is not None else _new_str(v))
-        else:
-            parts.append(canon(v))
-    b = b"".join(parts)
+    b = b"".join([canon(k) + canon(v) for k, v in sorted(x.items())])
     return b"D" + len(b).to_bytes(4, "big") + b
 
 
@@ -132,22 +110,7 @@ _CHAIN = (
 )
 
 # The dispatch table: one encoder per exact type, found once per class.
-# Classes are program code, but the table is capped all the same.
-_ENC_CAP = 256
 _enc: dict[type, object] = dict(_CHAIN)
-
-
-def _class_canon(t: type):
-    """t's canon function, if calling it on any instance x is x.canon():
-    a plain function on the class, whose instances have no __dict__ (so
-    none can carry a canon of its own) and the usual attribute lookup."""
-    if t.__dictoffset__ or t.__getattribute__ is not object.__getattribute__:
-        return None
-    for k in t.__mro__:
-        if "canon" in k.__dict__:
-            fn = k.__dict__["canon"]
-            return fn if type(fn) is FunctionType else None
-    return None
 
 
 def _encoder(t: type):
@@ -155,9 +118,8 @@ def _encoder(t: type):
         if issubclass(t, base):
             break
     else:
-        enc = _class_canon(t) or _own
-    if len(_enc) < _ENC_CAP:
-        _enc[t] = enc
+        enc = _own
+    _enc[t] = enc
     return enc
 
 
