@@ -16,15 +16,17 @@ one table, filled once per class: the builtins' encoders, the same encoder
 for a subclass of a builtin (encoded as its base, as an isinstance chain
 would), and for any other class a call of the instance's canon(). An exact
 str, the commonest value (ids, object names, message kinds), is served from
-a second table of ready frames, filled on first use; it keeps only short
-strs and is cleared when full, so it stays within a fixed size whatever
-strings arrive. Both tables are caches: neither changes a byte of the
-encoding, so no caller can see another's use of them.
+a second table of ready frames, filled on first use and read inline for
+list elements and dict keys and values; it keeps only short strs and is
+cleared when full, so it stays within a fixed size whatever strings
+arrive. Both tables are caches: neither changes a byte of the encoding, so
+no caller can see another's use of them.
 """
 
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Iterable
 
 ADD = "+"
@@ -58,13 +60,29 @@ def _new_str(x: str) -> bytes:
     return f
 
 
+# _list and _dict read the frame table inline, as canon does: strs are over
+# half of their elements, and this saves a call of canon for each.
 def _list(x) -> bytes:
-    b = b"".join([canon(e) for e in x])
+    parts = []
+    for e in x:
+        if type(e) is str:
+            f = _str_get(e)
+            parts.append(f if f is not None else _new_str(e))
+        else:
+            parts.append(canon(e))
+    b = b"".join(parts)
     return b"L" + len(b).to_bytes(4, "big") + b
 
 
 def _dict(x) -> bytes:
-    b = b"".join([canon(k) + canon(v) for k, v in sorted(x.items())])
+    parts = []
+    for e in chain.from_iterable(sorted(x.items())):
+        if type(e) is str:
+            f = _str_get(e)
+            parts.append(f if f is not None else _new_str(e))
+        else:
+            parts.append(canon(e))
+    b = b"".join(parts)
     return b"D" + len(b).to_bytes(4, "big") + b
 
 
