@@ -4,9 +4,19 @@ Each attack is an ordinary scenario plus a post-run verifier that checks
 the attack actually unfolded and that the defenses held: stale quorums
 starve, retained keys cannot re-certify superseded configurations, and
 forged output certificates fail verification.
+
+The verifiers read a run the way the offline checks do: one reader takes
+the checks' ops table and install lines from the bundle, the update's
+target from op 1's return, and the genesis replicas whose key watermark
+(``oracle.st``) still admits the genesis epoch.  A forward-secure
+signature at ts is issued exactly when ts >= st, so that probe tells which
+retired replicas could still sign for the old epoch without signing as
+any of them or adding to the oracle's ledger.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from ..dbla import (
     GENESIS_CERT,
@@ -18,14 +28,7 @@ from ..dbla import (
     wire_ok,
 )
 from ..fscrypto import FsSig
-from ..lattice import (
-    ADD,
-    REMOVE,
-    Config,
-    FinSet,
-    genesis_config,
-    value_from_jsonable,
-)
+from ..lattice import FinSet, genesis_config, value_from_jsonable
 from ..maxreg import setresp_payload
 from ..simnet import Msg
 from .scenario import SCHEMA_VERSION, validate
@@ -95,29 +98,29 @@ SCRIPTS = {
 _SR_H1 = 6
 
 
-def slow_reader_dbla(seed):
-    """A reader anchored at a superseded configuration must not finish there.
+def _slow_reader(seed, kind, first, stale, prefix):
+    """A slow reader on the app kind: q's first op, then p's stale op.
 
-    q completes at genesis without ever reaching r2.  The members move on
+    q completes first at genesis without ever reaching r2 (q's messages
+    whose kind starts with prefix are held forever).  The members move on
     to a new configuration while r1 is kept ignorant (its gossip is held
-    forever) and r3 is corrupted.  p then proposes at the stale genesis:
-    the only responders are the two key-retaining processes, one short of
-    a quorum, so p starves until it learns the new configuration.
+    forever) and r3 is corrupted.  p then runs stale at genesis: the only
+    responders are the two key-retaining processes, one short of a
+    quorum, so p starves until it learns the new configuration.
     """
     return validate({
         "version": SCHEMA_VERSION,
-        "name": f"slow-reader-dbla-{seed}",
+        "name": f"slow-reader-{kind}-{seed}",
         "seed": seed,
         "genesis": ["r1", "r2", "r3", "r4"],
         "extra_replicas": ["r5"],
         "clients": ["q", "p", "u"],
-        "app": {"kind": "dbla"},
+        "app": {"kind": kind},
         "ops": [
-            {"op": "propose", "client": "q", "value": ["v2"], "at": 0},
+            first,
             {"op": "update_config", "client": "u", "add": ["r5"], "remove": ["r3"],
              "after": "op0:done", "offset": 2},
-            {"op": "propose", "client": "p", "value": ["v1"],
-             "after": f"inst:h{_SR_H1}", "offset": 2},
+            {**stale, "after": f"inst:h{_SR_H1}", "offset": 2},
         ],
         "adversary": {
             "corruptions": [
@@ -125,46 +128,26 @@ def slow_reader_dbla(seed):
                 {"pid": "r1", "script": "retainer", "after": f"inst:h{_SR_H1}", "offset": 0},
             ],
             "holds": [
-                {"frm": ["q"], "to": ["r2"], "desc": "bla.", "until": None},
+                {"frm": ["q"], "to": ["r2"], "desc": prefix, "until": None},
                 {"to": ["r1"], "desc": "hist.new", "until": None},
                 {"to": ["p"], "desc": "hist.new",
                  "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
             ],
         },
-        "meta": {"attack": "slow-reader-dbla"},
+        "meta": {"attack": f"slow-reader-{kind}"},
     })
+
+
+def slow_reader_dbla(seed):
+    """A reader anchored at a superseded configuration must not finish there."""
+    return _slow_reader(seed, "dbla", {"op": "propose", "client": "q", "value": ["v2"], "at": 0},
+                        {"op": "propose", "client": "p", "value": ["v1"]}, "bla.")
 
 
 def slow_reader_maxreg(seed):
     """Max-register variant: a stale read must not miss a completed write."""
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"slow-reader-maxreg-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": ["r5"],
-        "clients": ["q", "p", "u"],
-        "app": {"kind": "maxreg"},
-        "ops": [
-            {"op": "write", "client": "q", "value": 7, "at": 0},
-            {"op": "update_config", "client": "u", "add": ["r5"], "remove": ["r3"],
-             "after": "op0:done", "offset": 2},
-            {"op": "read", "client": "p", "after": f"inst:h{_SR_H1}", "offset": 2},
-        ],
-        "adversary": {
-            "corruptions": [
-                {"pid": "r3", "script": "retainer", "after": "op0:done", "offset": 0},
-                {"pid": "r1", "script": "retainer", "after": f"inst:h{_SR_H1}", "offset": 0},
-            ],
-            "holds": [
-                {"frm": ["q"], "to": ["r2"], "desc": "mr.", "until": None},
-                {"to": ["r1"], "desc": "hist.new", "until": None},
-                {"to": ["p"], "desc": "hist.new",
-                 "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
-            ],
-        },
-        "meta": {"attack": "slow-reader-maxreg"},
-    })
+    return _slow_reader(seed, "maxreg", {"op": "write", "client": "q", "value": 7, "at": 0},
+                        {"op": "read", "client": "p"}, "mr.")
 
 
 # Wholesale replacement: every genesis replica removed, four fresh ones added.
@@ -213,140 +196,99 @@ def i_still_work_here(seed):
 # -- post-run verification ----------------------------------------------------
 
 
-def _op_returns(bundle):
-    out = {}
-    for line in bundle["trace"]:
-        if line["kind"] == "return":
-            out[line["detail"]["idx"]] = line
-    return out
+def _read_run(report):
+    """What the verifiers read from a run: genesis, the checks' ops table,
+    the update's target cid (op 1's return records it), the step the
+    target was first installed at, and the genesis replicas whose key
+    watermark still admits the genesis epoch."""
+    # checks imports runner, which imports SCRIPTS from this module
+    from .checks import installs, ops_table
+
+    bundle = report.bundle()
+    genesis = genesis_config(report.scenario["genesis"])
+    ops = ops_table(bundle)
+    target = (ops.get(1, {}).get("result") or {}).get("target")
+    inst = min((l["step"] for l in installs(bundle) if l["detail"].get("cid") == target), default=None)
+    retained = [p for p in report.scenario["genesis"] if report.ctx.oracle.st(p) <= genesis.height()]
+    return SimpleNamespace(genesis=genesis, ops=ops, target=target, inst=inst, retained=retained)
 
 
-def _first_install_step(bundle, cid):
-    steps = [
-        line["step"]
-        for line in bundle["trace"]
-        if line["kind"] == "upcall" and line["desc"] == "install"
-        and line["detail"].get("cid") == cid
-    ]
-    return min(steps) if steps else None
+def _result(run, idx):
+    return run.ops.get(idx, {}).get("result")
 
 
-def _signable(oracle, pids, payload, ts):
-    return [p for p in pids if oracle.fs_sign(p, payload, ts) is not None]
+def _starved(run):
+    """Whether the stale op 2 returned only after the target's install."""
+    ret = run.ops.get(2, {}).get("returned")
+    return run.inst is not None and ret is not None and ret > run.inst
 
 
-def _expected_target(scn):
-    cfg = genesis_config(scn["genesis"])
-    for op in scn["ops"]:
-        if op["op"] == "update_config":
-            ups = [(ADD, r) for r in op.get("add", [])]
-            ups += [(REMOVE, r) for r in op.get("remove", [])]
-            cfg = cfg.join(Config(ups))
-    return cfg
+def _absorbed(name, r, values):
+    if not r:
+        return (name, False, "no return")
+    w = value_from_jsonable(r["w"])
+    ok = isinstance(w, FinSet) and values <= w.elems
+    return (name, ok, f"w={sorted(w.elems) if ok else r['w']}")
+
+
+def _retained_below_quorum(run):
+    return ("attack.retained_keys_below_quorum", len(run.retained) < run.genesis.quorum_size(),
+            f"{sorted(run.retained)} can still sign for the old epoch")
 
 
 def verify_slow_reader_dbla(report):
-    scn, bundle, ctx = report.scenario, report.bundle(), report.ctx
-    genesis = genesis_config(scn["genesis"])
-    target = _expected_target(scn)
-    rets = _op_returns(bundle)
-    inst = _first_install_step(bundle, target.cid())
-    checks = []
-
-    ok = 0 in rets and rets[0]["detail"]["result"]["anchor"] == genesis.cid()
-    checks.append(("attack.q_done_at_genesis", ok, "first proposal anchored at genesis"))
-
-    r = rets.get(2, {}).get("detail", {}).get("result")
-    ok = bool(r) and r["anchor"] == target.cid()
-    checks.append(("attack.p_rescued_at_new_config", ok,
-                   "stale proposal finished only at the new configuration"))
-    if r:
-        w = value_from_jsonable(r["w"])
-        ok = isinstance(w, FinSet) and {"v1", "v2"} <= w.elems
-        checks.append(("attack.p_absorbed_both_values", ok, f"w={sorted(w.elems) if ok else r['w']}"))
-    else:
-        checks.append(("attack.p_absorbed_both_values", False, "no return"))
-    ok = inst is not None and 2 in rets and rets[2]["step"] > inst
-    checks.append(("attack.stale_quorum_starved", ok,
-                   "the stale-anchored proposal outlived the install"))
-
+    run = _read_run(report)
+    genesis = run.genesis
+    r0, r = _result(run, 0), _result(run, 2)
     pl = presp_payload("g/obj", genesis, [])
-    able = _signable(ctx.oracle, scn["genesis"], pl, genesis.height())
-    ok = len(able) < genesis.quorum_size()
-    checks.append(("attack.retained_keys_below_quorum", ok,
-                   f"{sorted(able)} can still sign for the old epoch"))
     forged = FsSig("r2", genesis.height(), b"forged")
-    ok = not ctx.oracle.fs_verify(pl, "r2", forged, genesis.height())
-    checks.append(("attack.forged_signature_rejected", ok, "junk bytes do not verify"))
-    return checks
+    return [
+        ("attack.q_done_at_genesis", bool(r0) and r0["anchor"] == genesis.cid(),
+         "first proposal anchored at genesis"),
+        ("attack.p_rescued_at_new_config", bool(r) and r["anchor"] == run.target,
+         "stale proposal finished only at the new configuration"),
+        _absorbed("attack.p_absorbed_both_values", r, {"v1", "v2"}),
+        ("attack.stale_quorum_starved", _starved(run),
+         "the stale-anchored proposal outlived the install"),
+        _retained_below_quorum(run),
+        ("attack.forged_signature_rejected",
+         not report.ctx.oracle.fs_verify(pl, "r2", forged, genesis.height()),
+         "junk bytes do not verify"),
+    ]
 
 
 def verify_slow_reader_maxreg(report):
-    scn, bundle, ctx = report.scenario, report.bundle(), report.ctx
-    genesis = genesis_config(scn["genesis"])
-    target = _expected_target(scn)
-    rets = _op_returns(bundle)
-    inst = _first_install_step(bundle, target.cid())
-    checks = []
-
-    r0 = rets.get(0, {}).get("detail", {}).get("result")
-    ok = bool(r0) and r0["ack"]["cid"] == genesis.cid()
-    checks.append(("attack.write_done_at_genesis", ok, "write acknowledged at genesis"))
-
-    r = rets.get(2, {}).get("detail", {}).get("result")
-    ok = bool(r) and r["v"] == 7 and r["ack"]["cid"] == target.cid()
-    checks.append(("attack.read_sees_completed_write", ok,
-                   f"read returned {r and r.get('v')} at the new configuration"))
-    ok = inst is not None and 2 in rets and rets[2]["step"] > inst
-    checks.append(("attack.stale_quorum_starved", ok,
-                   "the stale read outlived the install"))
-
-    pl = setresp_payload("g/obj", genesis, 7)
-    able = _signable(ctx.oracle, scn["genesis"], pl, genesis.height())
-    ok = len(able) < genesis.quorum_size()
-    checks.append(("attack.retained_keys_below_quorum", ok,
-                   f"{sorted(able)} can still sign for the old epoch"))
-    return checks
+    run = _read_run(report)
+    r0, r = _result(run, 0), _result(run, 2)
+    return [
+        ("attack.write_done_at_genesis", bool(r0) and r0["ack"]["cid"] == run.genesis.cid(),
+         "write acknowledged at genesis"),
+        ("attack.read_sees_completed_write", bool(r) and r["v"] == 7 and r["ack"]["cid"] == run.target,
+         f"read returned {r and r.get('v')} at the new configuration"),
+        ("attack.stale_quorum_starved", _starved(run), "the stale read outlived the install"),
+        _retained_below_quorum(run),
+    ]
 
 
 def verify_i_still_work_here(report):
-    scn, bundle, ctx = report.scenario, report.bundle(), report.ctx
-    genesis = genesis_config(scn["genesis"])
-    target = _expected_target(scn)
-    rets = _op_returns(bundle)
-    inst = _first_install_step(bundle, target.cid())
-    checks = []
-
-    r = rets.get(2, {}).get("detail", {}).get("result")
-    ok = bool(r) and r["anchor"] == target.cid()
-    checks.append(("attack.stale_client_rescued", ok,
-                   "the held-back client finished at the new configuration"))
-    if r:
-        w = value_from_jsonable(r["w"])
-        ok = isinstance(w, FinSet) and {"alive", "late"} <= w.elems
-        checks.append(("attack.values_carried_over", ok, f"w={sorted(w.elems) if ok else r['w']}"))
-    else:
-        checks.append(("attack.values_carried_over", False, "no return"))
-    ok = inst is not None and 2 in rets and rets[2]["step"] > inst
-    checks.append(("attack.stale_quorum_starved", ok,
-                   "no quorum existed for the retired configuration"))
-
-    pl = presp_payload("g/obj", genesis, [])
-    able = _signable(ctx.oracle, scn["genesis"], pl, genesis.height())
-    ok = not able
-    checks.append(("attack.old_keys_all_dead", ok,
-                   f"{sorted(able)} can still sign for the retired epoch"))
-
+    run = _read_run(report)
+    ctx, r = report.ctx, _result(run, 2)
     # A full forged certificate from the retired gang: right shape, junk keys.
     iv = InputValue(FinSet({"late"}), {"kind": "any"})
-    h = genesis.height()
-    packs = {p: _junk(p, h) for p in scn["genesis"][:3]}
-    cacks = {p: _junk(p, h) for p in scn["genesis"][:3]}
-    forged = OutputCert([iv], ctx.app_obj.genesis_history, GENESIS_CERT, packs, cacks)
-    ok = not verify_output(ctx.app_obj, ctx.oracle, FinSet({"late"}), forged)
-    checks.append(("attack.forged_certificate_rejected", ok,
-                   "an output certificate signed with retained junk fails"))
-    return checks
+    junk = {p: _junk(p, run.genesis.height()) for p in report.scenario["genesis"][:3]}
+    forged = OutputCert([iv], ctx.app_obj.genesis_history, GENESIS_CERT, junk, junk)
+    return [
+        ("attack.stale_client_rescued", bool(r) and r["anchor"] == run.target,
+         "the held-back client finished at the new configuration"),
+        _absorbed("attack.values_carried_over", r, {"alive", "late"}),
+        ("attack.stale_quorum_starved", _starved(run),
+         "no quorum existed for the retired configuration"),
+        ("attack.old_keys_all_dead", not run.retained,
+         f"{sorted(run.retained)} can still sign for the retired epoch"),
+        ("attack.forged_certificate_rejected",
+         not verify_output(ctx.app_obj, ctx.oracle, FinSet({"late"}), forged),
+         "an output certificate signed with retained junk fails"),
+    ]
 
 
 ATTACKS = {

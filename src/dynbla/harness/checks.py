@@ -17,9 +17,9 @@ from ..maxreg import setresp_payload
 from .runner import APP_OBJ, build_objects
 
 
-def rebuild_view(scn, oracle=None, ledger=None):
+def rebuild_view(scn, ledger=None):
     """Reconstruct the verification-side objects a run was built from."""
-    return build_objects(scn, LedgerVerifier(ledger or []) if oracle is None else oracle)
+    return build_objects(scn, LedgerVerifier(ledger or []))
 
 
 def ops_table(bundle):
@@ -37,7 +37,8 @@ def ops_table(bundle):
     return table
 
 
-def _installs(bundle):
+def installs(bundle):
+    """The install upcalls in the trace, in trace order."""
     return [l for l in bundle["trace"] if l["kind"] == "upcall" and l["desc"] == "install"]
 
 
@@ -137,7 +138,7 @@ def check_key_update_audit(bundle, view):
     watermark past that configuration's epoch.
     """
     bad = []
-    for line in _installs(bundle):
+    for line in installs(bundle):
         d = line["detail"]
         st, status = d["st"], d["status"]
         for cfg in d["hist"]:
@@ -246,10 +247,10 @@ def check_xfer_bound(bundle, view):
     return ("perf.xfer_targets_linear", ok, f"k={k}, distinct transfer sources={len(targets)}")
 
 
-def run_checks(bundle, oracle=None):
+def run_checks(bundle):
     """All applicable checks for this bundle; (name, ok, info) triples."""
     scn = bundle["scenario"]
-    view = rebuild_view(scn, oracle=oracle, ledger=bundle.get("ledger"))
+    view = rebuild_view(scn, ledger=bundle.get("ledger"))
     checks = [check_liveness, check_certificates, check_key_update_audit,
               check_installs, check_convergence]
     if scn["app"]["kind"] == "dbla":

@@ -29,10 +29,10 @@ def _load_scenario(path, family, seed, k):
         raise click.UsageError("give either --scenario or --family, not both")
     if path:
         with open(path) as f:
-            scn = validate(json.load(f))
-        if seed is not None:
+            scn = json.load(f)
+        if seed is not None and isinstance(scn, dict):
             scn["seed"] = seed
-        return scn
+        return validate(scn)
     if family:
         if family not in FAMILIES:
             raise click.UsageError(f"unknown family {family!r}; see 'dynbla families'")

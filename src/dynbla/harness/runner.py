@@ -310,11 +310,8 @@ def _finals(ctx):
     return {"replicas": reps, "hubs": hubs, "xfer_targets": sorted(targets)}
 
 
-def run_scenario(scn, seed=None) -> RunReport:
+def run_scenario(scn) -> RunReport:
     scn = validate(scn)
-    if seed is not None:
-        scn = dict(scn)
-        scn["seed"] = seed
     ctx = build_world(scn)
     records: list[OpRecord] = []
     corruptions: list[dict] = []

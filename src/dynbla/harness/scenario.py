@@ -56,8 +56,6 @@ def _check_trigger(spec, where, errors):
 def _is_exempt(corruption):
     # Corruptions scheduled on an install fact hit a config that is already
     # superseded, so they do not count against that config's fault budget.
-    if corruption.get("exempt") is True:
-        return True
     return str(corruption.get("after", "")).startswith("inst:")
 
 

@@ -1,10 +1,12 @@
 import copy
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
 from dynbla.dbla import OutputCert
+from dynbla.fscrypto import _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import ops_table, run_checks
@@ -12,6 +14,7 @@ from dynbla.harness.runner import load_trace, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
 from dynbla.lattice import value_from_jsonable
 
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 def passed(results, name):
     for n, ok, _ in results:
@@ -165,12 +168,6 @@ def test_availability_exemptions():
         {"pid": "r2", "script": "silent", "after": "inst:h5"},
     ]})
     validate(scn)
-    # the explicit flag works for any trigger
-    scn = dict(base, adversary={"corruptions": [
-        {"pid": "r1", "script": "silent", "at": 0, "exempt": True},
-        {"pid": "r2", "script": "silent", "at": 0, "exempt": True},
-    ]})
-    validate(scn)
 
 
 def test_families_all_validate():
@@ -178,6 +175,21 @@ def test_families_all_validate():
         scn = build(3, 2) if name in ("chain", "ac-pattern") else build(3)
         assert scn["name"]
         assert validate(scn) == scn
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
+def test_scenario_file_is_its_builders_output(path):
+    scn = json.loads(path.read_text())
+    stem, seed = path.stem, scn["seed"]
+    if stem.startswith("chain-"):
+        built = FAMILIES["chain"](seed, int(stem.split("-")[1]))
+    elif stem.startswith("ac-pattern-"):
+        built = FAMILIES["ac-pattern"](int(stem.rsplit("-", 1)[1], 2), seed)
+    elif stem in ATTACKS:
+        built = ATTACKS[stem][0](seed)
+    else:
+        built = FAMILIES[stem](seed)
+    assert scn == built
 
 
 # -- runner ----------------------------------------------------------------------
@@ -190,13 +202,6 @@ def test_smoke_run_quiesces_and_checks_pass():
     table = ops_table(rep.bundle())
     assert len(table) == 5
     assert all(row["returned"] is not None for row in table.values())
-
-
-def test_run_seed_override():
-    scn = FAMILIES["dbla-smoke"](11)
-    rep = run_scenario(scn, seed=99)
-    assert rep.seed == 99
-    assert rep.scenario["seed"] == 99
 
 
 def test_run_is_deterministic():
@@ -405,15 +410,38 @@ def test_replay_reproduces_hash(tmp_path):
 # -- attacks -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("oracle", ["ledger", "keychain"])
 @pytest.mark.parametrize("name", sorted(ATTACKS))
-def test_attack_verifies(name):
+def test_attack_verifies(name, oracle):
     build, verify = ATTACKS[name]
-    rep = run_scenario(build(5))
+    rep = run_scenario(validate({**build(5), "oracle": oracle}))
+    signed = len(rep.ctx.oracle.ledger)
     results = verify(rep)
     for n, ok, info in results:
         assert ok, f"{name}: {n}: {info}"
+    # verifying signs nothing
+    assert len(rep.ctx.oracle.ledger) == signed
     # the standard safety checks hold under attack too
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
+
+
+NEVER_ERASED_FAILS = {
+    "slow-reader-dbla": {"attack.retained_keys_below_quorum"},
+    "slow-reader-maxreg": {"attack.retained_keys_below_quorum"},
+    "i-still-work-here": {"attack.old_keys_all_dead", "attack.stale_client_rescued",
+                          "attack.values_carried_over"},
+}
+
+
+@pytest.mark.parametrize("oracle", ["ledger", "keychain"])
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_attack_verifier_detects_keys_never_erased(name, oracle, monkeypatch):
+    # no replica ever moves its watermark, so every retired key still signs
+    monkeypatch.setattr(_FsOracleBase, "update_fs_keys", lambda self, pid, ts: None)
+    build, verify = ATTACKS[name]
+    rep = run_scenario(validate({**build(0), "oracle": oracle}))
+    failed = {n for n, ok, _ in verify(rep) if not ok}
+    assert failed == NEVER_ERASED_FAILS[name]
 
 
 def test_retainer_junk_signature_rejected():
@@ -450,6 +478,26 @@ def test_cli_chain_without_k_is_a_usage_error(args):
     assert r.exit_code == 2, r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "--k" in r.output
+
+
+def test_cli_run_scenario_file_seed_override(tmp_path):
+    out = tmp_path / "run.trace"
+    r = CliRunner().invoke(cli.main, ["run", "--scenario", str(SCENARIOS / "dbla-smoke.json"),
+                                      "--seed", "99", "--trace", str(out)])
+    assert r.exit_code == 0, r.output
+    head = json.loads(out.read_text().splitlines()[0])
+    assert head["seed"] == 99
+    assert head["scenario"]["seed"] == 99
+
+
+def test_cli_run_scenario_file_negative_seed_is_refused(tmp_path):
+    out = tmp_path / "run.trace"
+    r = CliRunner().invoke(cli.main, ["run", "--scenario", str(SCENARIOS / "dbla-smoke.json"),
+                                      "--seed", "-1", "--trace", str(out)])
+    assert r.exit_code != 0
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "seed must be a non-negative int" in r.output
+    assert not out.exists()
 
 
 def test_cli_run_scenario_file(tmp_path):
@@ -608,8 +656,3 @@ def test_rebuild_view_uses_ledger_verifier():
     # and it can still re-verify the run's certificates
     assert passed(run_checks(bundle), "safety.certificates_verify")
 
-
-def test_run_checks_with_live_oracle():
-    rep = run_scenario(FAMILIES["reconfig-dbla"](5))
-    results = run_checks(rep.bundle(), oracle=rep.ctx.oracle)
-    assert all(ok for _, ok, _ in results)
