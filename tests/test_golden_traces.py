@@ -14,19 +14,26 @@ Each pin records five facts of one deterministic run:
   correct;
 - ``verdict`` and ``steps``.
 
-``steps``, ``verdict`` and ``semantics`` are never re-recorded: a differing
-value means the code is wrong.  ``hash`` is re-recorded by a deliberate
-encoding change, and ``hash`` and ``shape`` by a change that only renames
-message kinds or fields; either goes in a commit of its own that leaves
-``steps``, ``verdict`` and ``semantics`` untouched.
+``verdict`` and ``semantics`` are never re-recorded: a differing value
+means the code is wrong.  ``hash`` is re-recorded by a deliberate encoding
+change, and ``hash`` and ``shape`` by a change that only renames message
+kinds or fields.  ``hash``, ``shape`` and ``steps`` may be re-recorded
+together only by a change that stops sending messages their recipients
+discard, such as a process's copy of its own broadcast.  Any re-recording
+goes in a commit of its own that leaves ``verdict`` and ``semantics``
+untouched, and ``steps`` too unless it is of that last kind.
 
 Print the pins of the current code with
-``PYTHONPATH=src python tests/test_golden_traces.py``.
+``PYTHONPATH=src python tests/test_golden_traces.py``.  With ``--rerecord``
+it rewrites ``hash``, ``shape`` and ``steps`` in the pin file instead, and
+writes nothing and exits non-zero if any ``verdict`` or ``semantics`` would
+change.
 """
 
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -36,6 +43,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = pathlib.Path(__file__).with_name("golden_traces.json")
 SEEDS = range(10)
 ENCODED_KEYS = ("hash", "cert", "acks")
+RERECORDED = ("hash", "shape", "steps")
 
 
 def _keychain(scn):
@@ -118,5 +126,30 @@ def test_golden_trace(name, pins):
     assert pin_of(RUNS[name]()) == pins[name]
 
 
+def _dumps(pins) -> str:
+    return json.dumps(pins, indent=1, sort_keys=True)
+
+
+def rerecord() -> int:
+    """Rewrite RERECORDED in every pin; refuse if any other field would change
+    or a run has no pin."""
+    pins = json.loads(PINS.read_text())
+    moved = []
+    for name, build in RUNS.items():
+        new = pin_of(build())
+        old = pins.get(name, {})
+        if any(old.get(k) != v for k, v in new.items() if k not in RERECORDED):
+            moved.append(name)
+        else:
+            old.update((k, new[k]) for k in RERECORDED)
+    if moved:
+        print(f"nothing written: verdict or semantics would change in {moved}", file=sys.stderr)
+        return 1
+    PINS.write_text(_dumps(pins) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: pin_of(build()) for name, build in RUNS.items()}, indent=1, sort_keys=True))
+    if sys.argv[1:] == ["--rerecord"]:
+        sys.exit(rerecord())
+    print(_dumps({name: pin_of(build()) for name, build in RUNS.items()}))
