@@ -1,11 +1,11 @@
 """Broadcast primitives: history gossip and uniform broadcast.
 
 RbEndpoint: history gossip, a bare hist.new {hist, cert} on an object, sent
-to the whole roster. It keeps no state and relays nothing by itself: whether
-to relay is the receiver's decision. A history follower (dbla.Follower)
-relays the same hist.new for exactly the histories it adopts, so the
-greatest certified history reaches every correct process while forged and
-stale ones stop at their first recipients.
+to the rest of the roster. It keeps no state and relays nothing by itself:
+whether to relay is the receiver's decision. A history follower
+(dbla.Follower) relays the same hist.new for exactly the histories it
+adopts, so the greatest certified history reaches every correct process
+while forged and stale ones stop at their first recipients.
 
 Both endpoints read bodies directly: the process hosting them passes on
 only messages that fit the wire table, ``dbla.WIRE``.
@@ -18,8 +18,9 @@ broadcast (1987), with a plain-signed acknowledgment of its id. So neither
 an init naming another member as origin nor an edit of a shared init gets
 an announcement echoed for someone else; a forged urb.cert still can while
 plain signatures are unkeyed hashes. A quorum of echoes forms a
-certificate that is re-forwarded before local delivery, so a process that
-delivers and then turns Byzantine has already propagated the certificate.
+certificate that is forwarded to the configuration's other replicas before
+local delivery, so a process that delivers and then turns Byzantine has
+already propagated the certificate.
 Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
@@ -35,7 +36,7 @@ from .simnet import Msg
 class RbEndpoint:
     def __init__(self, api, roster, deliver):
         self.api = api
-        self.roster = sorted(roster)
+        self.roster = sorted(set(roster) - {api.pid})
         self.deliver = deliver
 
     def broadcast(self, obj: str, body: dict) -> None:
@@ -75,7 +76,7 @@ class UrbEndpoint:
         self._certed.add(mid)
         origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
-        for pid in sorted(config.replicas()):
+        for pid in sorted(config.replicas() - {self.api.pid}):
             self.api.send(pid, msg)
         self.deliver(origin, config)
 

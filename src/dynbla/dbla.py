@@ -21,7 +21,8 @@ Client hubs and replicas follow the group's history through one rule, in
 their shared base Follower: a gossiped hist.new is adopted only if its
 history strictly extends the current one and check_history accepts its
 certificate, and a follower relays the same hist.new for what it adopts,
-and nothing else, to the whole roster. A group's check_history is the
+and nothing else, to the rest of the roster. A hub that certifies a history
+itself adopts it through the same rule. A group's check_history is the
 history agreement's output check, whose verdicts are cached in one place,
 the output cache of verify_output.
 
@@ -380,11 +381,11 @@ class Follower:
     Both adopt a gossiped history through one rule, _on_rb: only a hist.new
     whose history strictly extends the current one and whose certificate
     check_history accepts. A follower relays what it adopts: the same
-    hist.new goes to the whole roster before the adopt upcall is traced and
-    the subclass reacts in _adopted. Certified histories are comparable, so
-    a history skipped as not longer has a longer one already relayed, and a
-    forged or stale one goes no further. A follower also hosts the
-    QuorumSessions that round at its anchor().
+    hist.new goes to the rest of the roster before the adopt upcall is
+    traced and the subclass reacts in _adopted. Certified histories are
+    comparable, so a history skipped as not longer has a longer one already
+    relayed, and a forged or stale one goes no further. A follower also
+    hosts the QuorumSessions that round at its anchor().
     """
 
     def __init__(self, group: str, genesis: Config, check_history, roster):
@@ -429,10 +430,6 @@ class Follower:
 class ClientHub(Follower):
     """Client process hosting protocol sessions that share one history."""
 
-    def __init__(self, group: str, genesis: Config, check_history, roster):
-        super().__init__(group, genesis, check_history, roster)
-        self._uh_waiting: list[tuple[History, object]] = []
-
     def on_deliver(self, frm, msg):
         if not wire_ok(msg) or self.rb.handle(frm, msg):
             return
@@ -441,21 +438,17 @@ class ClientHub(Follower):
                 return
 
     def update_history(self, h: History, cert, done=None) -> None:
-        self.rb.broadcast(self.group, {"hist": h, "cert": cert})
-        if h.contained_in(self.history):
-            if done:
-                done()
-        elif done:
-            self._uh_waiting.append((h, done))
+        """Adopt h through the one rule, _on_rb, then call done if h is held.
+
+        Adopting first means done runs after the adopt upcall and after every
+        session restarted at the new anchor; a history the hub already holds
+        is not sent again.
+        """
+        self._on_rb(self.group, {"hist": h, "cert": cert})
+        if done and h.contained_in(self.history):
+            done()
 
     def _adopted(self) -> None:
-        still = []
-        for target, done in self._uh_waiting:
-            if target.contained_in(self.history):
-                done()
-            else:
-                still.append((target, done))
-        self._uh_waiting = still
         for s in self.sessions:
             s.on_adopt()
 

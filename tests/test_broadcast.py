@@ -20,7 +20,7 @@ RIDS = ("r1", "r2", "r3", "r4", "r5")
 
 def follower_world(seed):
     """Replicas r1-r5 (genesis r1-r4) and hubs u, v; u adds r5 at step 0, so
-    its hub broadcasts the certified history [genesis, +r5] once."""
+    its hub adopts the certified history [genesis, +r5] and relays it once."""
     ns = build(seed, RIDS, ("u", "v"), genesis_rids=RIDS[:4])
     update_at(ns, Trigger(at=0), "u", grown(ns.genesis, "r5"))
     return ns
@@ -30,8 +30,12 @@ def followers(ns):
     return {**ns.replicas, **ns.hubs}
 
 
+def adopt_lines(ns) -> list:
+    return [l for l in ns.sim.trace if l["kind"] == "upcall" and l["desc"] == "adopt"]
+
+
 def adopts(ns) -> Counter:
-    return Counter(l["frm"] for l in ns.sim.trace if l["kind"] == "upcall" and l["desc"] == "adopt")
+    return Counter(l["frm"] for l in adopt_lines(ns))
 
 
 def rb_sends(ns) -> Counter:
@@ -48,24 +52,52 @@ def test_rb_delivers_everywhere_exactly_once():
 
 
 def test_rb_identical_content_is_deduplicated():
-    # the origin broadcasts the history again and another hub broadcasts it
-    # too; no follower adopts twice, and nobody relays what it did not adopt
+    # the origin's hub sends the history to the rest of the roster again and
+    # another hub does too; no follower adopts twice, and nobody relays what
+    # it did not adopt
     ns = follower_world(2)
 
     def again(cid):
         ((h, th),) = ns.returns["u"]
-        ns.hubs[cid].update_history(h, th)
+        ns.hubs[cid].rb.broadcast("grp", {"hist": h, "cert": th})
 
     for cid in ("u", "v"):
         ns.sim.add_external(Trigger(fact="ret:u", offset=1), "invoke", lambda cid=cid: again(cid), to=cid)
     assert ns.sim.run()["verdict"] == "quiescent"
     assert adopts(ns) == Counter(followers(ns).keys())
     n = len(followers(ns))
-    assert sum(rb_sends(ns).values()) == 3 * n + n * n
+    assert rb_sends(ns) == Counter({p: (n - 1) * (2 if p in ("u", "v") else 1) for p in followers(ns)})
+
+
+def test_update_history_of_a_held_history_returns_and_sends_nothing():
+    ns = follower_world(2)
+    returned = []
+
+    def again():
+        ((h, th),) = ns.returns["u"]
+        ns.hubs["v"].update_history(h, th, done=lambda: returned.append(ns.sim.now()))
+
+    ns.sim.add_external(Trigger(fact="ret:u", offset=1), "invoke", again, to="v")
+    assert ns.sim.run()["verdict"] == "quiescent"
+    n = len(followers(ns))
+    assert returned and adopts(ns) == Counter(followers(ns).keys())
+    assert rb_sends(ns) == Counter({p: n - 1 for p in followers(ns)})
+
+
+def test_the_certifying_hub_adopts_at_the_step_its_update_returns():
+    # u adopts the history its agreement certified, and returns, on the
+    # reply that completed the agreement, not on a copy it sent itself
+    ns = follower_world(1)
+    assert ns.sim.run()["verdict"] == "quiescent"
+    (step,) = [l["step"] for l in adopt_lines(ns) if l["frm"] == "u"]
+    assert step == ns.sim.facts["ret:u"]
+    (delivery,) = [l for l in ns.sim.trace if l["kind"] == "deliver" and l["step"] == step]
+    assert (delivery["to"], delivery["desc"]) == ("u", "bla.cresp")
 
 
 def test_rb_survives_partial_origin_send():
-    # the origin's hub reaches only r2 (not even itself); r2's relay covers the rest
+    # the origin's hub adopts at once, but its relay reaches only r2; r2's
+    # relay covers the rest
     ns = follower_world(3)
     ns.sim.add_hold(HoldRule(frm={"u"}, to=set(followers(ns)) - {"r2"}, desc="hist.new", until=None))
     ns.sim.run()
@@ -75,13 +107,13 @@ def test_rb_survives_partial_origin_send():
 
 
 def test_rb_sends_the_roster_once_per_broadcast_and_adopter():
-    # the origin sends to the whole roster, self included, and so does every
-    # adopter, the origin again among them: hist.new sends = n * (1 + adopters)
+    # every adopter, the origin's hub among them, sends to the rest of the
+    # roster once: hist.new sends = adopters * (n - 1), and none to itself
     ns = follower_world(2)
     assert ns.sim.run()["verdict"] == "quiescent"
     n = len(followers(ns))
     assert sum(adopts(ns).values()) == n
-    assert rb_sends(ns) == Counter({p: n * (2 if p == "u" else 1) for p in followers(ns)})
+    assert rb_sends(ns) == Counter({p: n - 1 for p in followers(ns)})
 
 
 def test_no_correct_process_relays_a_forged_or_stale_history():

@@ -44,6 +44,9 @@ PINS = pathlib.Path(__file__).with_name("golden_traces.json")
 SEEDS = range(10)
 ENCODED_KEYS = ("hash", "cert", "acks")
 RERECORDED = ("hash", "shape", "steps")
+# kinds whose recipient discards a copy from itself: the sender already holds
+# the history it relays, and has forwarded and delivered the certificate
+NOT_TO_SELF = ("hist.new", "urb.cert")
 
 
 def _keychain(scn):
@@ -124,6 +127,12 @@ def test_pins_cover_every_run(pins):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_trace(name, pins):
     assert pin_of(RUNS[name]()) == pins[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_no_process_sends_itself_a_history_or_certificate(name):
+    trace = run_scenario(RUNS[name]()).trace
+    assert not [l for l in trace if l["kind"] == "deliver" and l["desc"] in NOT_TO_SELF and l["frm"] == l["to"]]
 
 
 def _dumps(pins) -> str:
