@@ -47,7 +47,17 @@ def _load_scenario(path, family, seed, k):
     raise click.UsageError("need --scenario FILE or --family NAME")
 
 
-@click.group()
+class _Cli(click.Group):
+    """The command group: an invalid scenario ends any command in the error exit."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ScenarioError as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Cli)
 def main():
     """Deterministic simulation harness for reconfigurable replica groups."""
 
@@ -60,11 +70,7 @@ def main():
 @click.option("--trace", "trace_out", type=click.Path(), help="write the run trace here")
 def run(path, family, seed, k, trace_out):
     """Run one scenario and check every invariant."""
-    try:
-        scn = _load_scenario(path, family, seed, k)
-    except ScenarioError as e:
-        raise click.ClickException(str(e))
-    report = run_scenario(scn)
+    report = run_scenario(_load_scenario(path, family, seed, k))
     if trace_out:
         save_trace(trace_out, report.bundle())
     results = run_checks(report.bundle())

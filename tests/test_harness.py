@@ -500,6 +500,28 @@ def test_cli_run_scenario_file_negative_seed_is_refused(tmp_path):
     assert not out.exists()
 
 
+def _negative_seed_replay(tmp_path):
+    path = tmp_path / "run.trace"
+    save_trace(path, run_scenario(FAMILIES["dbla-smoke"](0)).bundle())
+    lines = path.read_text().splitlines()
+    head = json.loads(lines[0])
+    head["scenario"]["seed"] = -1
+    path.write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n")
+    return ["replay", "--trace", str(path)]
+
+
+@pytest.mark.parametrize("args", [
+    lambda tmp_path: ["sweep", "--family", "dbla-smoke", "--seeds", "1", "--start", "-1"],
+    lambda tmp_path: ["attack", "--name", "i-still-work-here", "--seed", "-1"],
+    _negative_seed_replay,
+], ids=["sweep", "attack", "replay"])
+def test_cli_invalid_scenario_is_an_error_exit(tmp_path, args):
+    r = CliRunner().invoke(cli.main, args(tmp_path))
+    assert r.exit_code == 1, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+    assert "Error: seed must be a non-negative int" in r.output
+
+
 def test_cli_run_scenario_file(tmp_path):
     scn = FAMILIES["reconfig-dbla"](3)
     p = tmp_path / "scn.json"
