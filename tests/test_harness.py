@@ -398,6 +398,23 @@ def test_trace_of_another_version_rejected(tmp_path):
             assert "PASS" not in r.output and "FAIL" not in r.output
 
 
+@pytest.mark.parametrize("oracle", ["ledger", "keychain"])
+@pytest.mark.parametrize("acl", [{"mode": "sanity"}, {"mode": "quorum"},
+                                 {"mode": "admin", "admins": ["d1", "d2", "d3", "d4"]}],
+                         ids=lambda acl: acl["mode"])
+@pytest.mark.parametrize("seed", range(6))
+def test_acl_gated_reconfiguration_passes_every_check_live_and_from_file(tmp_path, seed, acl, oracle):
+    # the update's configuration input is certified by access control, so
+    # its returned certificate carries an AcCert that the file must restore
+    rep = run_scenario({**FAMILIES["reconfig-dbla"](seed), "acl": acl, "oracle": oracle})
+    (update,) = [op.result for op in rep.ops if op.spec["op"] == "update_config"]
+    assert "denied" not in update and '"ackind"' in json.dumps(update["cert"])
+    assert [name for name, ok, _ in run_checks(rep.bundle()) if not ok] == []
+    path = tmp_path / "run.trace"
+    save_trace(path, rep.bundle())
+    assert [name for name, ok, _ in run_checks(load_trace(path)) if not ok] == []
+
+
 def test_replay_reproduces_hash(tmp_path):
     rep = run_scenario(FAMILIES["reconfig-maxreg"](13))
     path = tmp_path / "run.trace"
