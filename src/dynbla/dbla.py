@@ -438,12 +438,8 @@ class ClientHub(Follower):
                 return
 
     def update_history(self, h: History, cert, done=None) -> None:
-        """Adopt h through the one rule, _on_rb, then call done if h is held.
-
-        Adopting first means done runs after the adopt upcall and after every
-        session restarted at the new anchor; a history the hub already holds
-        is not sent again.
-        """
+        """Adopt h through _on_rb, the one rule; then, after the adopt upcall
+        and the sessions' restarts, call done if h is held."""
         self._on_rb(self.group, {"hist": h, "cert": cert})
         if done and h.contained_in(self.history):
             done()
