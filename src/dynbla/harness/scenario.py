@@ -326,6 +326,25 @@ def chain(seed, k):
     })
 
 
+def solo_join(seed):
+    """A one-replica genesis joined by a second replica, with a proposal
+    before the join and one after it."""
+    return validate({
+        "version": SCHEMA_VERSION,
+        "name": f"solo-join-{seed}",
+        "seed": seed,
+        "genesis": ["r1"],
+        "extra_replicas": ["r2"],
+        "clients": ["p", "u"],
+        "app": {"kind": "dbla"},
+        "ops": [
+            {"op": "propose", "client": "p", "value": ["a"], "at": 0},
+            {"op": "update_config", "client": "u", "add": ["r2"], "after": "op0:done", "offset": 1},
+            {"op": "propose", "client": "p", "value": ["b"], "after": "op1:done", "offset": 1},
+        ],
+    })
+
+
 def ac_quorum_race(seed):
     """Two clients race conflicting values for one guarded slot."""
     return validate({
@@ -379,6 +398,7 @@ FAMILIES = {
     "reconfig-dbla": reconfig_dbla,
     "reconfig-maxreg": reconfig_maxreg,
     "chain": chain,
+    "solo-join": solo_join,
     "ac-quorum-race": ac_quorum_race,
     "ac-pattern": ac_pattern,
 }
