@@ -19,9 +19,11 @@ means the code is wrong.  ``hash`` is re-recorded by a deliberate encoding
 change, and ``hash`` and ``shape`` by a change that only renames message
 kinds or fields.  ``hash``, ``shape`` and ``steps`` may be re-recorded
 together only by a change that stops sending messages their recipients
-discard, such as a process's copy of its own broadcast.  Any re-recording
-goes in a commit of its own that leaves ``verdict`` and ``semantics``
-untouched, and ``steps`` too unless it is of that last kind.
+discard, such as a process's copy of its own broadcast, or by a change
+that turns a process's message to itself into a local step, which the
+simulator then no longer schedules or traces.  Any re-recording goes in a
+commit of its own that leaves ``verdict`` and ``semantics`` untouched, and
+``steps`` too unless it is of one of those last two kinds.
 
 Print the pins of the current code with
 ``PYTHONPATH=src python tests/test_golden_traces.py``.  With ``--rerecord``
