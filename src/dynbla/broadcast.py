@@ -1,11 +1,12 @@
 """Broadcast primitives: history gossip and uniform broadcast.
 
 RbEndpoint: history gossip, a bare hist.new {hist, cert} on an object, sent
-to the rest of the roster. It keeps no state and relays nothing by itself:
-whether to relay is the receiver's decision. A history follower
-(dbla.Follower) relays the same hist.new for exactly the histories it
-adopts, so the greatest certified history reaches every correct process
-while forged and stale ones stop at their first recipients.
+to the rest of the roster but the process the history came from, which
+holds it. It keeps no state and relays nothing by itself: whether to relay
+is the receiver's decision. A history follower (dbla.Follower) relays the
+same hist.new for exactly the histories it adopts, so the greatest
+certified history reaches every correct process while forged and stale
+ones stop at their first recipients.
 
 Both endpoints read bodies directly: the process hosting them passes on
 only messages that fit the wire table, ``dbla.WIRE``.
@@ -13,15 +14,24 @@ only messages that fit the wire table, ``dbla.WIRE``.
 UrbEndpoint: uniform broadcast within one configuration, used for install
 announcements. A message is {origin, config} on an object, and its content
 is its id: (origin, object, config), read from the body at every delivery.
-A replica echoes only an origin's own urb.init, as in Bracha's reliable
-broadcast (1987), with a plain-signed acknowledgment of its id. So neither
-an init naming another member as origin nor an edit of a shared init gets
-an announcement echoed for someone else; a forged urb.cert still can while
-plain signatures are unkeyed hashes. A quorum of echoes forms a
-certificate that is forwarded to the configuration's other replicas before
-local delivery, so a process that delivers and then turns Byzantine has
-already propagated the certificate.
-Totality holds while the configuration has an available quorum and is not
+Who is sent what:
+- the origin sends urb.init to every replica of the configuration;
+- a replica echoes only an origin's own urb.init, as in Bracha's reliable
+  broadcast (1987), with a plain-signed acknowledgment of its id, to every
+  replica of the configuration. So neither an init naming another member
+  as origin nor an edit of a shared init gets an announcement echoed for
+  someone else; a forged urb.cert still can while plain signatures are
+  unkeyed hashes. A replica that has already certified the id does not
+  echo: its certificate forward has reached every replica;
+- a quorum of echoes, or a urb.cert whose quorum verifies, forms a
+  certificate that is forwarded before local delivery, so a process that
+  delivers and then turns Byzantine has already propagated it. It goes to
+  the configuration's replicas but this one and, for a urb.cert, its
+  sender.
+
+The init and echoes go to the sending replica too: a replica
+(dbla.DynamicReplica) takes what it sends itself as a local step, not a
+delivery. Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
 """
@@ -39,15 +49,18 @@ class RbEndpoint:
         self.roster = sorted(set(roster) - {api.pid})
         self.deliver = deliver
 
-    def broadcast(self, obj: str, body: dict) -> None:
+    def broadcast(self, obj: str, body: dict, skip: str | None = None) -> None:
+        """Send hist.new to the roster but this process and skip, the
+        process the history came from."""
         msg = Msg("hist.new", obj, body)
         for pid in self.roster:
-            self.api.send(pid, msg)
+            if pid != skip:
+                self.api.send(pid, msg)
 
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc != "hist.new":
             return False
-        self.deliver(msg.obj, msg.body)
+        self.deliver(frm, msg.obj, msg.body)
         return True
 
 
@@ -68,15 +81,17 @@ class UrbEndpoint:
     def _echo_payload(self, mid: tuple) -> bytes:
         return canon(["urbecho", *mid])
 
-    def _certify(self, mid, inner, cert) -> None:
-        """Mark mid certified, forward its certificate, then deliver it.
+    def _certify(self, mid, inner, cert, frm=None) -> None:
+        """Mark mid certified, forward its certificate to the configuration's
+        replicas but this one and frm, the sender of a certificate taken
+        whole, then deliver it.
 
         Both callers return early on a certified mid, so each is delivered once.
         """
         self._certed.add(mid)
         origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
-        for pid in sorted(config.replicas() - {self.api.pid}):
+        for pid in sorted(config.replicas() - {self.api.pid, frm}):
             self.api.send(pid, msg)
         self.deliver(origin, config)
 
@@ -92,7 +107,8 @@ class UrbEndpoint:
             return False
         mid = (inner["origin"], msg.obj, config)
         if msg.desc == "urb.init":
-            if frm == mid[0] and mid not in self._echoed:
+            # once certified, the certificate forward has reached every replica
+            if frm == mid[0] and mid not in self._echoed and mid not in self._certed:
                 self._echoed.add(mid)
                 sig = self.api.oracle.plain_sign(self.api.pid, self._echo_payload(mid))
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
@@ -116,5 +132,5 @@ class UrbEndpoint:
             for pid, sig in cert.items()
         )
         if ok:
-            self._certify(mid, inner, cert)
+            self._certify(mid, inner, cert, frm)
         return True

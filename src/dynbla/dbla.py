@@ -21,8 +21,8 @@ Client hubs and replicas follow the group's history through one rule, in
 their shared base Follower: a gossiped hist.new is adopted only if its
 history strictly extends the current one and check_history accepts its
 certificate, and a follower relays the same hist.new for what it adopts,
-and nothing else, to the rest of the roster. A hub that certifies a history
-itself adopts it through the same rule. A group's check_history is the
+and nothing else, to the rest of the roster but the process it came from.
+A hub that certifies a history itself adopts it through the same rule. A group's check_history is the
 history agreement's output check, whose verdicts are cached in one place,
 the output cache of verify_output.
 
@@ -64,6 +64,7 @@ distinct certificate and DynamicObject.
 from __future__ import annotations
 
 import functools
+from collections import deque
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
@@ -381,8 +382,10 @@ class Follower:
     Both adopt a gossiped history through one rule, _on_rb: only a hist.new
     whose history strictly extends the current one and whose certificate
     check_history accepts. A follower relays what it adopts: the same
-    hist.new goes to the rest of the roster before the adopt upcall is
-    traced and the subclass reacts in _adopted. Certified histories are
+    hist.new goes to the rest of the roster but its sender, which holds it,
+    before the adopt upcall is traced and the subclass reacts in _adopted;
+    a history the follower certified itself has no sender and goes to all
+    the rest. Certified histories are
     comparable, so a history skipped as not longer has a longer one already
     relayed, and a forged or stale one goes no further. A follower also
     hosts the QuorumSessions that round at its anchor().
@@ -408,7 +411,9 @@ class Follower:
     def anchor(self) -> Config:
         return self.history.max_element()
 
-    def _on_rb(self, obj, body) -> None:
+    def _on_rb(self, frm, obj, body) -> None:
+        """Adopt and relay a hist.new from frm, or from no one (None) for a
+        history this process certified itself."""
         h, cert = body["hist"], body["cert"]
         if h == self.history or not self.history.contained_in(h):
             return
@@ -416,7 +421,7 @@ class Follower:
             return
         self.history = h
         self.hist_cert = cert
-        self.rb.broadcast(obj, body)
+        self.rb.broadcast(obj, body, skip=frm)
         self.api.upcall("adopt", {"hmax": h.max_element().height()})
         self._adopted()
 
@@ -440,7 +445,7 @@ class ClientHub(Follower):
     def update_history(self, h: History, cert, done=None) -> None:
         """Adopt h through _on_rb, the one rule; then, after the adopt upcall
         and the sessions' restarts, call done if h is held."""
-        self._on_rb(self.group, {"hist": h, "cert": cert})
+        self._on_rb(None, self.group, {"hist": h, "cert": cert})
         if done and h.contained_in(self.history):
             done()
 
@@ -748,8 +753,44 @@ class XferSession(QuorumSession):
     REPLIES = {"xfer.resp": ("read", _on_resp)}
 
 
+class LocalLoop:
+    """A replica's Api, except that a message to the replica itself is
+    queued in local for DynamicReplica.on_deliver instead of sent: the
+    simulator never schedules or traces it."""
+
+    __slots__ = ("_api", "pid", "local")
+
+    def __init__(self, api):
+        self._api = api
+        self.pid = api.pid
+        self.local: deque[Msg] = deque()
+
+    def send(self, to: str, msg: Msg) -> None:
+        if to == self.pid:
+            self.local.append(msg)
+        else:
+            self._api.send(to, msg)
+
+    def __getattr__(self, name):        # oracle, requeue, upcall, fact
+        return getattr(self._api, name)
+
+
 class DynamicReplica(Follower):
-    """Gating, history adoption, state transfer and installs; stores plug in."""
+    """Gating, history adoption, state transfer and installs; stores plug in.
+
+    Who is sent what: an answer goes to its requester; an adopted history
+    to the roster but this replica and its sender; a transfer read to every
+    replica of the configuration read; an install announcement (urb.init)
+    and the echo of one to every replica of the announced configuration;
+    an echo certificate to those but this replica and the sender of a
+    certificate taken whole.
+
+    What the replica sends itself, its own transfer read, the answer to it,
+    its own announcement and its echo, is not sent: its LocalLoop queues it,
+    and on_deliver takes the queue in order once the delivery that filled
+    it is done. Taking such a message inside the handler that sent it would
+    re-enter _advance_xfer.
+    """
 
     def __init__(self, group: str, genesis: Config, stores, check_history, roster):
         super().__init__(group, genesis, check_history, roster)
@@ -765,6 +806,7 @@ class DynamicReplica(Follower):
         self.dropped = 0
 
     def bind(self, api):
+        api = LocalLoop(api)
         super().bind(api)
         self.urb = UrbEndpoint(api, self.roster, self._on_urb)
         api.oracle.update_fs_keys(api.pid, self.genesis.height())
@@ -787,6 +829,14 @@ class DynamicReplica(Follower):
     # -- delivery routing --------------------------------------------------
 
     def on_deliver(self, frm, msg) -> None:
+        """Take one delivery, then the messages it and they sent this
+        replica, in the order sent."""
+        self._take(frm, msg)
+        local, pid = self.api.local, self.api.pid
+        while local:
+            self._take(pid, local.popleft())
+
+    def _take(self, frm, msg) -> None:
         if not wire_ok(msg):
             self.dropped += 1
         elif msg.desc in REQUESTS:

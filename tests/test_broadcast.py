@@ -20,7 +20,7 @@ RIDS = ("r1", "r2", "r3", "r4", "r5")
 
 def follower_world(seed):
     """Replicas r1-r5 (genesis r1-r4) and hubs u, v; u adds r5 at step 0, so
-    its hub adopts the certified history [genesis, +r5] and relays it once."""
+    its hub adopts the certified history [genesis, +r5] and sends it once."""
     ns = build(seed, RIDS, ("u", "v"), genesis_rids=RIDS[:4])
     update_at(ns, Trigger(at=0), "u", grown(ns.genesis, "r5"))
     return ns
@@ -43,6 +43,19 @@ def rb_sends(ns) -> Counter:
     return Counter(l["frm"] for l in ns.sim.trace if l["kind"] == "deliver" and l["desc"] == "hist.new")
 
 
+def relays(ns, n) -> Counter:
+    """hist.new sends when each follower sends once per adoption: to all
+    n - 1 others for a history with no sender (the certifying hub's, or one
+    given to update_history), to the n - 2 others but the sender for a
+    hist.new."""
+    deliveries = {l["step"]: l for l in ns.sim.trace if l["kind"] == "deliver"}
+    out = Counter()
+    for l in adopt_lines(ns):
+        d = deliveries.get(l["step"], {})
+        out[l["frm"]] += n - 2 if (d.get("desc"), d.get("to")) == ("hist.new", l["frm"]) else n - 1
+    return out
+
+
 def test_rb_delivers_everywhere_exactly_once():
     ns = follower_world(1)
     assert ns.sim.run()["verdict"] == "quiescent"
@@ -54,7 +67,7 @@ def test_rb_delivers_everywhere_exactly_once():
 def test_rb_identical_content_is_deduplicated():
     # the origin's hub sends the history to the rest of the roster again and
     # another hub does too; no follower adopts twice, and nobody relays what
-    # it did not adopt
+    # it did not adopt: each extra broadcast adds n - 1 sends to its hub's
     ns = follower_world(2)
 
     def again(cid):
@@ -66,7 +79,7 @@ def test_rb_identical_content_is_deduplicated():
     assert ns.sim.run()["verdict"] == "quiescent"
     assert adopts(ns) == Counter(followers(ns).keys())
     n = len(followers(ns))
-    assert rb_sends(ns) == Counter({p: (n - 1) * (2 if p in ("u", "v") else 1) for p in followers(ns)})
+    assert rb_sends(ns) == relays(ns, n) + Counter({"u": n - 1, "v": n - 1})
 
 
 def test_update_history_of_a_held_history_returns_and_sends_nothing():
@@ -75,13 +88,15 @@ def test_update_history_of_a_held_history_returns_and_sends_nothing():
 
     def again():
         ((h, th),) = ns.returns["u"]
+        assert ns.hubs["v"].history == h
         ns.hubs["v"].update_history(h, th, done=lambda: returned.append(ns.sim.now()))
 
-    ns.sim.add_external(Trigger(fact="ret:u", offset=1), "invoke", again, to="v")
+    # fires once the network is idle, so v has adopted the history by gossip
+    ns.sim.add_external(Trigger(fact="ret:u", offset=10**6), "invoke", again, to="v")
     assert ns.sim.run()["verdict"] == "quiescent"
     n = len(followers(ns))
     assert returned and adopts(ns) == Counter(followers(ns).keys())
-    assert rb_sends(ns) == Counter({p: n - 1 for p in followers(ns)})
+    assert rb_sends(ns) == relays(ns, n)
 
 
 def test_the_certifying_hub_adopts_at_the_step_its_update_returns():
@@ -107,13 +122,29 @@ def test_rb_survives_partial_origin_send():
 
 
 def test_rb_sends_the_roster_once_per_broadcast_and_adopter():
-    # every adopter, the origin's hub among them, sends to the rest of the
-    # roster once: hist.new sends = adopters * (n - 1), and none to itself
+    # every adopter sends once, to none but the rest of the roster: the
+    # origin's hub to all n - 1 others, any other adopter to the n - 2 that
+    # are not the process it adopted from
     ns = follower_world(2)
     assert ns.sim.run()["verdict"] == "quiescent"
     n = len(followers(ns))
     assert sum(adopts(ns).values()) == n
-    assert rb_sends(ns) == Counter({p: n - 1 for p in followers(ns)})
+    assert rb_sends(ns) == relays(ns, n)
+    assert rb_sends(ns) == Counter({p: n - 1 if p == "u" else n - 2 for p in followers(ns)})
+
+
+def test_an_adopter_relays_to_all_but_itself_and_its_sender():
+    # r1 is sent no history while the others adopt [genesis, +r5]; handed
+    # it by r3, r1 relays it to the n - 2 followers that are not r1 or r3
+    ns = follower_world(2)
+    ns.sim.add_hold(HoldRule(to={"r1"}, desc="hist.new", until=None))
+    ns.sim.run()
+    ((h, th),) = ns.returns["u"]
+    assert ns.replicas["r1"].history != h and not ns.sim.pending
+    ns.replicas["r1"].on_deliver("r3", Msg("hist.new", "grp", {"hist": h, "cert": th}))
+    assert ns.replicas["r1"].history == h
+    relayed = [ev.to for ev in ns.sim.pending if ev.msg.desc == "hist.new"]
+    assert sorted(relayed) == sorted(set(followers(ns)) - {"r1", "r3"})
 
 
 def test_no_correct_process_relays_a_forged_or_stale_history():
@@ -245,6 +276,37 @@ def test_urb_certified_message_is_not_verified_again():
     assert oracle.plain_verifies == verified
     assert len(sim.pending) == queued
     assert node.delivered == ["r2"]
+
+
+def quorum_cert(oracle, node, origin, config, signers=("r2", "r3", "r4")):
+    payload = node.urb._echo_payload((origin, "t", config))
+    return {r: oracle.plain_sign(r, payload) for r in signers}
+
+
+def test_a_certificate_taken_whole_is_not_forwarded_back_to_its_sender():
+    oracle = LedgerFsOracle()
+    sim, nodes, config = urb_world(5, oracle=oracle)
+    inner = {"origin": "r2", "config": config}
+    cert = quorum_cert(oracle, nodes["r1"], "r2", config)
+    nodes["r1"].on_deliver("r3", Msg("urb.cert", "t", {"inner": inner, "cert": cert}))
+    assert nodes["r1"].delivered == ["r2"]
+    assert sorted((ev.to, ev.msg.desc) for ev in sim.pending) == [("r2", "urb.cert"), ("r4", "urb.cert")]
+
+
+def test_a_certified_id_is_not_echoed():
+    # r1 holds the certificate for r2's id before r2's own init arrives: it
+    # sends no echo, while r3, which holds none, echoes to every replica
+    oracle = LedgerFsOracle()
+    sim, nodes, config = urb_world(5, oracle=oracle)
+    inner = {"origin": "r2", "config": config}
+    cert = quorum_cert(oracle, nodes["r1"], "r2", config)
+    nodes["r1"].on_deliver("r4", Msg("urb.cert", "t", {"inner": inner, "cert": cert}))
+    queued = len(sim.pending)
+    nodes["r1"].on_deliver("r2", Msg("urb.init", "t", inner))
+    assert len(sim.pending) == queued
+    nodes["r3"].on_deliver("r2", Msg("urb.init", "t", inner))
+    echoes = [ev.to for ev in sim.pending if ev.frm == "r3" and ev.msg.desc == "urb.echo"]
+    assert sorted(echoes) == sorted(nodes)
 
 
 @pytest.mark.parametrize("seed", range(5))

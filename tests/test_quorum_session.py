@@ -225,12 +225,17 @@ def test_state_transfer_counts_one_fresh_reply_per_member():
         rep.on_deliver(frm, msg)
     assert held(store) == {"r1"} and list(rep.xfer.got) == ["r1"]
     rep.on_deliver("r2", resp(sn, "r2"))
+    del api.sent[:]
     rep.on_deliver("r3", resp(sn, "r3"))
     # a quorum of genesis: transferred, so r5 announces its completion for C1
+    # to the other replicas of C1 and takes its own announcement locally,
+    # echoing it to them
     assert held(store) == {"r1", "r2", "r3"}
     assert rep.xfer.transferred == {genesis} and not rep.xfer.busy()
     assert rep.ccurr == c1
-    assert api.sent[-1][1].desc == "urb.init" and api.sent[-1][1].body == {"origin": "r5", "config": c1}
+    assert [(to, m.desc) for to, m in api.sent] == [(r, d) for d in ("urb.init", "urb.echo") for r in RIDS]
+    assert api.sent[0][1].body == {"origin": "r5", "config": c1}
+    assert not rep.api.local
     assert rep.xfer_targets_sent == {genesis.cid()}
     assert rep.dropped == 0
 
