@@ -118,9 +118,6 @@ class DynamicObject:
         self._vcache: set[bytes] = set()
         self._ocache: set = set()
 
-    def set_check_value(self, fn) -> None:
-        self._check_value = fn
-
     def check_value(self, iv: InputValue) -> bool:
         key = iv.canon()
         if key in self._vcache:
@@ -172,26 +169,6 @@ def check_plain_input(oracle, object_id: str):
 
 def accept_all(value, cert) -> bool:
     return True
-
-
-def history_payload(group: str, h: History) -> bytes:
-    return canon(["history", group, h])
-
-
-def make_authority_history_cert(oracle, group: str, h: History) -> dict:
-    sig = oracle.plain_sign("authority", history_payload(group, h))
-    return {"kind": "authority", "sig": sig.hex()}
-
-
-def check_authority_history(oracle, group: str):
-    def check(h: History, cert: dict) -> bool:
-        return (
-            isinstance(cert, dict)
-            and cert.get("kind") == "authority"
-            and plain_verify_hex(oracle, history_payload(group, h), "authority", cert.get("sig"))
-        )
-
-    return check
 
 
 def presp_payload(object_id: str, config: Config, values: list[InputValue]) -> bytes:

@@ -1,4 +1,5 @@
 import pytest
+from authority_history import check_authority_history, make_authority_history_cert
 
 from dynbla.access_control import (
     AcCert,
@@ -10,13 +11,7 @@ from dynbla.access_control import (
     make_admin_cert,
     verify_cert,
 )
-from dynbla.dbla import (
-    ClientHub,
-    DynamicObject,
-    DynamicReplica,
-    check_authority_history,
-    make_authority_history_cert,
-)
+from dynbla.dbla import ClientHub, DynamicObject, DynamicReplica
 from dynbla.fscrypto import LedgerFsOracle
 from dynbla.lattice import ADD, Config, History, genesis_config
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger

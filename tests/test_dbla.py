@@ -1,4 +1,5 @@
 import pytest
+from authority_history import check_authority_history, make_authority_history_cert
 
 from dynbla.dbla import (
     ClientHub,
@@ -9,10 +10,8 @@ from dynbla.dbla import (
     InputValue,
     OutputCert,
     accept_all,
-    check_authority_history,
     check_plain_input,
     join_values,
-    make_authority_history_cert,
     make_plain_input_cert,
     verify_output,
 )
@@ -37,7 +36,7 @@ class Probe:
 
 class World:
     def __init__(
-        self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, check_value=None, maxreg=False
+        self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, plain_inputs=False, maxreg=False
     ):
         self.oracle = LedgerFsOracle()
         self.sim = Simulator(seed, self.oracle)
@@ -45,7 +44,7 @@ class World:
         self.obj = DynamicObject(
             "obj",
             self.genesis,
-            check_value=check_value or accept_all,
+            check_value=check_plain_input(self.oracle, "obj") if plain_inputs else accept_all,
             check_history=check_authority_history(self.oracle, "grp"),
         )
         roster = list(rids) + list(cids)
@@ -269,8 +268,7 @@ def test_install_upcall_once_per_replica():
 
 
 def test_byzantine_replica_garbage_is_ignored():
-    w = World(seed=9, cids=("p",), check_value=None)
-    w.obj.set_check_value(check_plain_input(w.oracle, "obj"))
+    w = World(seed=9, cids=("p",), plain_inputs=True)
     good = make_plain_input_cert(w.oracle, "obj", "p", FinSet({"a"}))
 
     def evil(adv, ev):
@@ -476,8 +474,7 @@ def test_malformed_plain_signatures_are_refused_not_raised(cert):
 
 
 def test_invalid_input_cert_rejected_at_propose():
-    w = World(cids=("p",))
-    w.obj.set_check_value(check_plain_input(w.oracle, "obj"))
+    w = World(cids=("p",), plain_inputs=True)
     with pytest.raises(ValueError):
         w.clients["p"].propose(FinSet({"a"}), {"kind": "plain", "signer": "p", "sig": "00"}, lambda *a: None)
 

@@ -1,13 +1,12 @@
 import pytest
+from authority_history import check_authority_history, make_authority_history_cert
 
 from dynbla.dbla import (
     ClientHub,
     DynamicObject,
     DynamicReplica,
     accept_all,
-    check_authority_history,
     check_plain_input,
-    make_authority_history_cert,
     make_plain_input_cert,
 )
 from dynbla.fscrypto import LedgerFsOracle

@@ -9,6 +9,7 @@ may raise or send anything.
 """
 
 import pytest
+from authority_history import check_authority_history
 
 from dynbla.access_control import AcClient, AccessControl, AcStore
 from dynbla.dbla import (
@@ -20,7 +21,6 @@ from dynbla.dbla import (
     DynamicReplica,
     InputValue,
     accept_all,
-    check_authority_history,
     wire_ok,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle
