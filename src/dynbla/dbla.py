@@ -735,11 +735,12 @@ class LocalLoop:
     queued in local for DynamicReplica.on_deliver instead of sent: the
     simulator never schedules or traces it."""
 
-    __slots__ = ("_api", "pid", "local")
+    __slots__ = ("_api", "pid", "oracle", "local")
 
     def __init__(self, api):
         self._api = api
         self.pid = api.pid
+        self.oracle = api.oracle
         self.local: deque[Msg] = deque()
 
     def send(self, to: str, msg: Msg) -> None:
@@ -748,8 +749,14 @@ class LocalLoop:
         else:
             self._api.send(to, msg)
 
-    def __getattr__(self, name):        # oracle, requeue, upcall, fact
-        return getattr(self._api, name)
+    def requeue(self, frm: str, msg: Msg) -> None:
+        self._api.requeue(frm, msg)
+
+    def upcall(self, desc: str, detail: dict | None = None) -> None:
+        self._api.upcall(desc, detail)
+
+    def fact(self, name: str) -> None:
+        self._api.fact(name)
 
 
 class DynamicReplica(Follower):
@@ -807,16 +814,19 @@ class DynamicReplica(Follower):
 
     def on_deliver(self, frm, msg) -> None:
         """Take one delivery, then the messages it and they sent this
-        replica, in the order sent."""
+        replica, in the order sent. Those are built here from gated
+        content, and no other process runs before they are taken, so they
+        skip the wire gate."""
+        if not wire_ok(msg):
+            self.dropped += 1
+            return
         self._take(frm, msg)
         local, pid = self.api.local, self.api.pid
         while local:
             self._take(pid, local.popleft())
 
     def _take(self, frm, msg) -> None:
-        if not wire_ok(msg):
-            self.dropped += 1
-        elif msg.desc in REQUESTS:
+        if msg.desc in REQUESTS:
             self._route(frm, msg, first=True)
         elif not (self.xfer.on_deliver(frm, msg) or self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
             self.dropped += 1       # a reply: no replica takes one
