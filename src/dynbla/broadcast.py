@@ -31,7 +31,9 @@ Who is sent what:
 
 The init and echoes go to the sending replica too: a replica
 (dbla.DynamicReplica) takes what it sends itself as a local step, not a
-delivery. Totality holds while the configuration has an available quorum and is not
+delivery.
+
+Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
 """

@@ -22,9 +22,9 @@ their shared base Follower: a gossiped hist.new is adopted only if its
 history strictly extends the current one and check_history accepts its
 certificate, and a follower relays the same hist.new for what it adopts,
 and nothing else, to the rest of the roster but the process it came from.
-A hub that certifies a history itself adopts it through the same rule. A group's check_history is the
-history agreement's output check, whose verdicts are cached in one place,
-the output cache of verify_output.
+A hub that certifies a history itself adopts it through the same rule. A
+group's check_history is the history agreement's output check, whose
+verdicts are cached in one place, the output cache of verify_output.
 
 Replica side (DynamicReplica): one router, _route, serves, parks or drops
 every request. It serves requests only at its installed, current,
