@@ -33,6 +33,9 @@ The init and echoes go to the sending replica too: a replica
 (dbla.DynamicReplica) takes what it sends itself as a local step, not a
 delivery.
 
+Each endpoint holds its host's deliver method weakly (simnet.weak_method):
+the host holds the endpoint, and the endpoint does not hold its host.
+
 Totality holds while the configuration has an available quorum and is not
 superseded. A message whose configuration has a replica outside the roster
 is not taken: its echoes could not be sent there.
@@ -42,14 +45,14 @@ from __future__ import annotations
 
 from .lattice import Config, canon
 from .lattice import digest  # noqa: F401  unused here; bench/tracing.py patches broadcast.digest
-from .simnet import Msg
+from .simnet import Msg, weak_method
 
 
 class RbEndpoint:
     def __init__(self, api, roster, deliver):
         self.api = api
         self.roster = sorted(set(roster) - {api.pid})
-        self.deliver = deliver
+        self.deliver = weak_method(deliver)
 
     def broadcast(self, obj: str, body: dict, skip: str | None = None) -> None:
         """Send hist.new to the roster but this process and skip, the
@@ -70,7 +73,7 @@ class UrbEndpoint:
     def __init__(self, api, roster, deliver):
         self.api = api
         self.roster = frozenset(roster)
-        self.deliver = deliver
+        self.deliver = weak_method(deliver)
         self._echoed: set[tuple] = set()
         self._echoes: dict[tuple, dict[str, bytes]] = {}
         self._certed: set[tuple] = set()

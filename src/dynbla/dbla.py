@@ -64,6 +64,7 @@ distinct certificate and DynamicObject.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import deque
 
 from .broadcast import RbEndpoint, UrbEndpoint
@@ -446,12 +447,16 @@ class QuorumSession:
     Subclasses map each reply ``desc`` to (phase it answers, handler) in
     REPLIES; a client session defines ``_start``, the operation's first round,
     and a session whose replies are signed defines ``_expected``.
+
+    The hub holds its sessions, and a session holds its hub only through a
+    weak proxy, ``hub``: a session kept after its hub is gone raises
+    ReferenceError when it starts a round or takes a reply.
     """
 
     REPLIES: dict = {}
 
     def __init__(self, hub: Follower, object_id: str):
-        self.hub = hub
+        self.hub = weakref.proxy(hub)
         self.object_id = object_id
         self.sn = 0
         self.phase = "idle"

@@ -5,11 +5,25 @@ group named "g", an optional application object "g/obj", an optional
 access-control object "g/acl", one hub per client.  Every operation
 return and every install is written into the trace with a jsonable
 detail, so all invariants can be re-checked from the trace file alone.
+
+A run's World, ``RunReport.ctx``, is the root of everything the run built:
+it holds the simulator, the oracle, the group objects and the automata,
+and nothing in the world holds it, or the simulator, strongly. The weak
+edges are the simulator's Api and AdvApi handles, a QuorumSession's hub,
+the broadcast endpoints' deliver callbacks, the group objects' history
+check, and the runner's own hooks: the oracle's audit hook, the replicas'
+install hook, the op and corruption fires and the adversary scripts all
+see the world through a weak proxy. Dropping the report, or the World
+once taken from it, frees the whole run by reference counting, with no
+cyclic collection. Keeping ``rep`` or ``rep.ctx`` keeps every object of
+the run usable; an automaton, session or hook kept without them raises
+ReferenceError when it next reaches the simulator, for example to send.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -82,7 +96,12 @@ class RunReport:
         }
 
 
-def build_objects(scn, oracle) -> SimpleNamespace:
+class World(SimpleNamespace):
+    """The objects of one run, and the root that owns them; unlike a plain
+    SimpleNamespace it can be weakly referenced."""
+
+
+def build_objects(scn, oracle) -> World:
     """The scenario's group objects over oracle: genesis, access control and
     its input check, the reconfiguration group and the app object, which
     trusts the group's histories."""
@@ -96,21 +115,22 @@ def build_objects(scn, oracle) -> SimpleNamespace:
     app_obj = None
     if scn["app"]["kind"] == "dbla":
         app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all, check_history=grp.certifies)
-    return SimpleNamespace(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
+    return World(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
 
-def build_world(scn) -> SimpleNamespace:
+def build_world(scn) -> World:
     oracle = LedgerFsOracle() if scn["oracle"] == "ledger" else KeyChainFsOracle()
     ctx = build_objects(scn, oracle)
     ctx.scenario = scn
     ctx.sim = Simulator(scn["seed"], oracle)
-    oracle.audit_hook = lambda: {"step": ctx.sim.next_step}
+    sim = weakref.proxy(ctx.sim)
+    oracle.audit_hook = lambda: {"step": sim.next_step}
     ctx.acl_mode = scn["acl"]["mode"]
     ctx.app_kind = scn["app"]["kind"]
 
     rids = list(scn["genesis"]) + list(scn["extra_replicas"])
     ctx.roster = rids + list(scn["clients"])
-    hook = _make_install_hook(ctx, rids)
+    hook = _make_install_hook(weakref.proxy(ctx), rids)
     ctx.replicas = {}
     for r in rids:
         extra = []
@@ -169,11 +189,12 @@ def _ack_jsonable(ack):
 
 
 def _make_fire(ctx, idx, spec, rec):
-    sim = ctx.sim
+    """The fire of op idx; ctx is a weak proxy of the world."""
     c = spec["client"]
     kind = spec["op"]
 
     def finish(result):
+        sim = ctx.sim
         rec.returned_at = sim.now()
         rec.result = result
         sim.trace_aux("return", c, f"op{idx}:{kind}", {"idx": idx, "result": result})
@@ -241,7 +262,7 @@ def _make_fire(ctx, idx, spec, rec):
         raise ScenarioError(f"unhandled op kind {kind!r}")
 
     def fire():
-        rec.invoked_at = sim.now()
+        rec.invoked_at = ctx.sim.now()
         try:
             start()
         except RuntimeError:
@@ -251,12 +272,13 @@ def _make_fire(ctx, idx, spec, rec):
 
 
 def _schedule(ctx, scn, records, corruptions):
+    world = weakref.proxy(ctx)
     for idx, spec in enumerate(scn["ops"]):
         rec = OpRecord(idx, spec)
         records.append(rec)
         detail = {"idx": idx, **{k: v for k, v in spec.items()
                                  if k not in ("at", "after", "offset")}}
-        ctx.sim.add_external(parse_trigger(spec), "invoke", _make_fire(ctx, idx, spec, rec),
+        ctx.sim.add_external(parse_trigger(spec), "invoke", _make_fire(world, idx, spec, rec),
                              to=spec["client"], desc=f"op{idx}:{spec['op']}", detail=detail)
 
     for ent in scn["adversary"]["corruptions"]:
@@ -267,13 +289,13 @@ def _schedule(ctx, scn, records, corruptions):
 
         def fire(pid=pid, name=name):
             try:
-                ctx.sim.corrupt(pid, SCRIPTS[name](ctx))
+                world.sim.corrupt(pid, SCRIPTS[name](world))
                 corruptions.append({"pid": pid, "script": name,
-                                    "step": ctx.sim.now(), "applied": True})
+                                    "step": world.sim.now(), "applied": True})
             except ValueError:
                 # never-activated process; a weaker adversary, not an error
                 corruptions.append({"pid": pid, "script": name,
-                                    "step": ctx.sim.now(), "applied": False})
+                                    "step": world.sim.now(), "applied": False})
 
         ctx.sim.add_external(parse_trigger(ent), "adversary", fire,
                              to=pid, desc=f"corrupt:{name}")

@@ -30,6 +30,7 @@ from .dbla import (
     verify_output,
 )
 from .lattice import Config, ConfSet, History
+from .simnet import weak_method
 
 
 def wrap_conf_cert(tc: OutputCert) -> OutputCert:
@@ -57,25 +58,27 @@ class ReconfigGroup:
     certifies is the predicate, handed to every object of the group at
     construction, and check_history (genesis, or certifies) is what
     replicas and hubs adopt histories by. Verdicts are cached once, in
-    hist_obj's output cache.
+    hist_obj's output cache. The group's own conf_obj and hist_obj hold
+    certifies weakly, so the group and its objects form no cycle.
     """
 
     def __init__(self, group: str, genesis: Config, oracle, conf_input_check=None):
         self.group = group
         self.genesis = genesis
         self.oracle = oracle
+        certifies = weak_method(self.certifies)
         self.conf_obj = DynamicObject(
             f"{group}/conf",
             genesis,
             check_value=conf_input_check or accept_all,
-            check_history=self.certifies,
+            check_history=certifies,
             genesis_values=[InputValue(genesis, GENESIS_CERT)],
         )
         self.hist_obj = DynamicObject(
             f"{group}/hist",
             genesis,
             check_value=make_hist_input_check(self.conf_obj, oracle),
-            check_history=self.certifies,
+            check_history=certifies,
             genesis_values=[InputValue(ConfSet({genesis}), GENESIS_CERT)],
         )
 
@@ -95,14 +98,18 @@ class ReconfigGroup:
 
 
 class ReconfigClient:
-    """Drives one configuration update through both agreements."""
+    """Drives one configuration update through both agreements.
+
+    It owns its two sessions and holds nothing else of the hub: each
+    agreement's done callback is a closure over what the next step needs,
+    the hub through the history session's weak proxy, so no callback leads
+    back to this client while an update is in flight.
+    """
 
     def __init__(self, hub: ClientHub, grp: ReconfigGroup):
-        self.hub = hub
         self.grp = grp
         self.conf = DblaClient(hub, grp.conf_obj)
         self.hist = DblaClient(hub, grp.hist_obj)
-        self._done = None
 
     def busy(self) -> bool:
         return self.conf.busy() or self.hist.busy()
@@ -110,15 +117,15 @@ class ReconfigClient:
     def update_config(self, config: Config, cert, done) -> None:
         if self.busy():
             raise RuntimeError("one update_config at a time per client")
-        self._done = done
-        self.conf.propose(config, cert, self._conf_done)
+        hist = self.hist
 
-    def _conf_done(self, cprime: Config, tc: OutputCert) -> None:
-        self.hist.propose(ConfSet({cprime}), wrap_conf_cert(tc), self._hist_done)
+        def hist_done(hset: ConfSet, th: OutputCert) -> None:
+            h = History.try_build(hset.confs)
+            if h is None:
+                raise RuntimeError("certified configurations are not pairwise ordered")
+            hist.hub.update_history(h, th, done=lambda: done(h, th))
 
-    def _hist_done(self, hset: ConfSet, th: OutputCert) -> None:
-        h = History.try_build(hset.confs)
-        if h is None:
-            raise RuntimeError("certified configurations are not pairwise ordered")
-        done, self._done = self._done, None
-        self.hub.update_history(h, th, done=lambda: done(h, th))
+        def conf_done(cprime: Config, tc: OutputCert) -> None:
+            hist.propose(ConfSet({cprime}), wrap_conf_cert(tc), hist_done)
+
+        self.conf.propose(config, cert, conf_done)

@@ -14,6 +14,13 @@ writes it; `trace_line` writes the simulator's own lines (the keys `desc`,
 `frm`, `hash`, `kind`, `st`, `step`, `to` and an optional `detail`) directly
 in that form, and any other line through the same encoder. Lines are
 joined and hashed a chunk at a time.
+
+References run one way, from the simulator to what it runs: the
+simulator holds each process's automaton, the automaton holds its Api,
+and an Api or AdvApi holds the simulator only weakly. A world therefore
+has no reference cycle through the simulator, and it is freed by
+reference counting as soon as its owner drops it. An automaton kept
+after the simulator is gone raises ReferenceError when it sends.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .lattice import digest
@@ -226,12 +234,17 @@ class _Proc:
 
 
 class Api:
-    """Per-process handle: a process can only send as itself."""
+    """Per-process handle: a process can only send as itself.
+
+    It holds its simulator through a weak proxy: the automaton that holds
+    the Api does not keep the simulator alive, and every call raises
+    ReferenceError once the simulator is gone.
+    """
 
     __slots__ = ("_sim", "pid")
 
     def __init__(self, sim, pid):
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
         self.pid = pid
 
     @property
@@ -253,12 +266,13 @@ class Api:
 
 
 class AdvApi:
-    """Adversary handle: may act as any corrupted process, nothing more."""
+    """Adversary handle: may act as any corrupted process, nothing more.
+    Like Api, it holds its simulator through a weak proxy."""
 
     __slots__ = ("_sim",)
 
     def __init__(self, sim):
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
 
     def send(self, frm: str, to: str, msg: Msg) -> None:
         if self._sim.status(frm) != BYZANTINE:
@@ -458,6 +472,22 @@ class Simulator:
 _escape = json.encoder.encode_basestring_ascii
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _HASH_CHUNK = 1024      # lines encoded and hashed at a time, to bound the text held
+
+
+def weak_method(method):
+    """A callable that calls the bound method through a weak reference to
+    its object, so holding the callable does not keep that object alive.
+    Calling it once the object is gone raises ReferenceError."""
+    ref = weakref.WeakMethod(method)
+    name = method.__qualname__
+
+    def call(*args):
+        bound = ref()
+        if bound is None:
+            raise ReferenceError(f"the object of {name} no longer exists")
+        return bound(*args)
+
+    return call
 
 
 def trace_line(line: dict) -> str:

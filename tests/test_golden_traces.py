@@ -32,6 +32,7 @@ writes nothing and exits non-zero if any ``verdict`` or ``semantics`` would
 change.
 """
 
+import gc
 import hashlib
 import json
 import pathlib
@@ -40,6 +41,7 @@ import sys
 import pytest
 
 from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
+from dynbla.harness.checks import run_checks
 from dynbla.simnet import BYZANTINE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -135,6 +137,29 @@ def test_no_correct_process_is_delivered_a_message_from_itself(name):
     # correct process sends itself anything
     trace = run_scenario(RUNS[name]()).trace
     assert not [l for l in trace if l["kind"] == "deliver" and l["frm"] == l["to"] and BYZANTINE not in l["st"]]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_a_dropped_run_leaves_no_cyclic_garbage(name):
+    # the report is the root of its world: dropping it after the checks and
+    # the attack verifier frees everything by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run_scenario(RUNS[name]())
+        run_checks(rep.bundle())
+        attack = ATTACKS.get(name.split("/")[0])
+        if attack is not None:
+            attack[1](rep)
+        del rep
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert garbage == 0
 
 
 def _dumps(pins) -> str:

@@ -1,6 +1,9 @@
 import copy
+import gc
 import json
 import pathlib
+import tracemalloc
+import weakref
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +16,7 @@ from dynbla.harness.checks import ops_table, run_checks
 from dynbla.harness.runner import load_trace, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
 from dynbla.lattice import value_from_jsonable
+from dynbla.simnet import Msg, trace_hash
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -271,6 +275,67 @@ def test_keychain_oracle_end_to_end():
     rep = run_scenario(validate(scn))
     assert rep.verdict == "quiescent"
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
+
+
+# -- a world lives exactly as long as its root -------------------------------------
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    """Only reference counting frees anything while the test runs."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _update_held_forever(seed):
+    # u's confirm round never reaches a replica: its update is still in
+    # flight when the run stalls
+    scn = FAMILIES["reconfig-dbla"](seed)
+    scn["adversary"]["holds"] = [{"frm": ["u"], "desc": "bla.confirm"}]
+    return validate(scn)
+
+
+@pytest.mark.parametrize("build", [FAMILIES["reconfig-dbla"], _update_held_forever])
+def test_dropping_the_report_frees_the_world(no_cyclic_gc, build):
+    rep = run_scenario(build(0))
+    ctx = rep.ctx
+    refs = [weakref.ref(x) for x in (ctx.sim, ctx.replicas["r1"], ctx.hubs["u"], ctx.oracle, ctx)]
+    del rep, ctx
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_the_world_outlives_its_report(no_cyclic_gc):
+    scn = FAMILIES["reconfig-dbla"](0)
+    rep = run_scenario(scn)
+    expected = (rep.hash, rep.finals)
+    del rep
+    ctx = run_scenario(scn).ctx
+    assert (trace_hash(ctx.sim.trace), runner._finals(ctx)) == expected
+    assert all(ctx.oracle.st(r) > 0 for r in ctx.replicas)
+
+
+def test_an_automaton_kept_without_its_world_cannot_send(no_cyclic_gc):
+    rep = run_scenario(FAMILIES["reconfig-dbla"](0))
+    r1 = rep.ctx.replicas["r1"]
+    del rep
+    with pytest.raises(ReferenceError):
+        r1.api.send("r2", Msg("xfer.read", "g", {}))
+
+
+def test_memory_does_not_grow_across_runs_without_the_cyclic_collector(no_cyclic_gc):
+    tracemalloc.start()
+    try:
+        sizes = []
+        for seed in range(20):
+            run_scenario(FAMILIES["reconfig-dbla"](seed))
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[-1] - sizes[0] <= 0.5 * 2**20
 
 
 # -- checks against doctored evidence ---------------------------------------------
