@@ -288,6 +288,22 @@ class AdvApi:
         self._sim._send(frm, to, msg)
 
 
+def weak_method(method):
+    """A callable that calls the bound method through a weak reference to
+    its object, so holding the callable does not keep that object alive.
+    Calling it once the object is gone raises ReferenceError."""
+    ref = weakref.WeakMethod(method)
+    name = method.__qualname__
+
+    def call(*args):
+        bound = ref()
+        if bound is None:
+            raise ReferenceError(f"the object of {name} no longer exists")
+        return bound(*args)
+
+    return call
+
+
 class Simulator:
     def __init__(self, seed: int, oracle):
         self.seed = seed
@@ -472,22 +488,6 @@ class Simulator:
 _escape = json.encoder.encode_basestring_ascii
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _HASH_CHUNK = 1024      # lines encoded and hashed at a time, to bound the text held
-
-
-def weak_method(method):
-    """A callable that calls the bound method through a weak reference to
-    its object, so holding the callable does not keep that object alive.
-    Calling it once the object is gone raises ReferenceError."""
-    ref = weakref.WeakMethod(method)
-    name = method.__qualname__
-
-    def call(*args):
-        bound = ref()
-        if bound is None:
-            raise ReferenceError(f"the object of {name} no longer exists")
-        return bound(*args)
-
-    return call
 
 
 def trace_line(line: dict) -> str:
