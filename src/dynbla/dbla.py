@@ -49,7 +49,11 @@ quorum.
 Certificates stay objects from creation to verification: token dicts
 (genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
 They become JSON only where a trace is written or read, through the one pair
-cert_to_jsonable / cert_from_jsonable.
+cert_to_jsonable / cert_from_jsonable. An OutputCert's JSON is a
+self-contained DAG (OutputCert.to_jsonable): a nested certificate named
+from more than one place is written once, in the root's "shared" table, and
+named by index wherever it recurs, so a chain of k reconfigurations writes
+its 2k certificate nodes once each and not once per path.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -87,13 +91,6 @@ class InputValue:
         if self._canon is None:
             self._canon = canon(["iv", self.value, self.cert])
         return self._canon
-
-    def to_jsonable(self):
-        return {"v": value_to_jsonable(self.value), "c": cert_to_jsonable(self.cert)}
-
-    @classmethod
-    def from_jsonable(cls, d, memo=None) -> "InputValue":
-        return cls(value_from_jsonable(d["v"]), cert_from_jsonable(d["c"], memo))
 
     def __eq__(self, other):
         return isinstance(other, InputValue) and self.canon() == other.canon()
@@ -199,7 +196,7 @@ def join_values(values: list[InputValue]):
 class OutputCert:
     """An agreement output's proof; immutable once built."""
 
-    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_json")
+    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon")
 
     def __init__(self, values, history: History, hist_cert, packs: dict, cacks: dict):
         self.values = tuple(values)
@@ -208,7 +205,6 @@ class OutputCert:
         self.packs = dict(packs)
         self.cacks = dict(cacks)
         self._canon = None
-        self._json = None
 
     def anchor(self) -> Config:
         return self.history.max_element()
@@ -222,41 +218,89 @@ class OutputCert:
             self._canon = merkle_frame(self.node())
         return self._canon
 
+    def nested(self) -> list:
+        """The OutputCerts this node names: its input values' certificates,
+        then its history certificate."""
+        return [c for c in (*(iv.cert for iv in self.values), self.hist_cert) if isinstance(c, OutputCert)]
+
     def to_jsonable(self):
-        # memoised, so a certificate nested in many others is one JSON tree
-        if self._json is None:
-            self._json = {
-                "values": [iv.to_jsonable() for iv in self.values],
-                "hist": self.history.to_jsonable(),
-                "hcert": cert_to_jsonable(self.hist_cert),
-                "packs": {p: s.to_jsonable() for p, s in self.packs.items()},
-                "cacks": {p: s.to_jsonable() for p, s in self.cacks.items()},
-            }
-        return self._json
+        """This certificate's node JSON, as a self-contained DAG.
+
+        A nested certificate named from more than one place in the DAG
+        (counted by frame) is written once, in "shared", after every shared
+        certificate it names itself, and each place names it as
+        {"kind": "ocert", "ref": i}; any other nested certificate is written
+        inline where it is named. Without repeats there is no "shared" key.
+        """
+        uses = {}
+        stack = [self]
+        while stack:
+            for c in stack.pop().nested():
+                key = c.canon()
+                uses[key] = uses.get(key, 0) + 1
+                if uses[key] == 1:
+                    stack.append(c)
+        shared = []
+        out = _node_jsonable(self, uses, {}, shared)
+        if shared:
+            out["shared"] = shared
+        return out
 
     @classmethod
-    def from_jsonable(cls, d, memo=None) -> "OutputCert":
-        """Decode d; with a memo dict, each JSON dict object is decoded once.
+    def from_jsonable(cls, d) -> "OutputCert":
+        """Inverse of to_jsonable. A "ref" must be an int naming an earlier
+        entry of "shared"; any other raises ValueError."""
+        table = []
+        for entry in d.get("shared", ()):
+            table.append(_node_from_jsonable(entry, table))
+        return _node_from_jsonable(d, table)
 
-        The memo maps id(d) to (d, cert) and so keeps d alive while it is in
-        use: a live run's certificates share their nested JSON dicts, so
-        each node is decoded once, while the separate copies of a trace read
-        from a file are decoded one by one.
-        """
-        if memo is not None:
-            hit = memo.get(id(d))
-            if hit is not None:
-                return hit[1]
-        cert = cls(
-            [InputValue.from_jsonable(v, memo) for v in d["values"]],
-            History.from_jsonable(d["hist"]),
-            cert_from_jsonable(d["hcert"], memo),
-            {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
-            {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
-        )
-        if memo is not None:
-            memo[id(d)] = (d, cert)
-        return cert
+
+def _node_jsonable(cert: OutputCert, uses: dict, refs: dict, shared: list) -> dict:
+    return {
+        "values": [{"v": value_to_jsonable(iv.value), "c": _nested_jsonable(iv.cert, uses, refs, shared)}
+                   for iv in cert.values],
+        "hist": cert.history.to_jsonable(),
+        "hcert": _nested_jsonable(cert.hist_cert, uses, refs, shared),
+        "packs": {p: s.to_jsonable() for p, s in cert.packs.items()},
+        "cacks": {p: s.to_jsonable() for p, s in cert.cacks.items()},
+    }
+
+
+def _nested_jsonable(cert, uses: dict, refs: dict, shared: list):
+    """A certificate named inside an OutputCert's DAG; refs maps the frames
+    of the shared certificates written so far to their index in shared."""
+    if not isinstance(cert, OutputCert):
+        return cert_to_jsonable(cert)
+    key = cert.canon()
+    if uses[key] == 1:
+        return {"kind": "ocert", "oc": _node_jsonable(cert, uses, refs, shared)}
+    if key not in refs:
+        node = _node_jsonable(cert, uses, refs, shared)
+        refs[key] = len(shared)
+        shared.append(node)
+    return {"kind": "ocert", "ref": refs[key]}
+
+
+def _node_from_jsonable(d, table: list) -> OutputCert:
+    return OutputCert(
+        [InputValue(value_from_jsonable(v["v"]), _nested_from_jsonable(v["c"], table)) for v in d["values"]],
+        History.from_jsonable(d["hist"]),
+        _nested_from_jsonable(d["hcert"], table),
+        {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
+        {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
+    )
+
+
+def _nested_from_jsonable(d, table: list):
+    if isinstance(d, dict) and d.get("kind") == "ocert":
+        if "ref" not in d:
+            return _node_from_jsonable(d["oc"], table)
+        i = d["ref"]
+        if type(i) is not int or not 0 <= i < len(table):
+            raise ValueError(f"certificate reference {i!r} names no earlier shared entry")
+        return table[i]
+    return cert_from_jsonable(d)
 
 
 class AcCert:
@@ -312,10 +356,10 @@ def cert_to_jsonable(cert):
     return cert
 
 
-def cert_from_jsonable(d, memo=None):
-    """Inverse of cert_to_jsonable; memo as in OutputCert.from_jsonable."""
+def cert_from_jsonable(d):
+    """Inverse of cert_to_jsonable."""
     if isinstance(d, dict) and d.get("kind") == "ocert":
-        return OutputCert.from_jsonable(d["oc"], memo)
+        return OutputCert.from_jsonable(d["oc"])
     if isinstance(d, dict) and "ackind" in d:
         return AcCert.from_jsonable(d)
     return d

@@ -62,12 +62,12 @@ def check_liveness(bundle, view):
 def check_certificates(bundle, view):
     """Re-verify every certificate embedded in an operation return.
 
-    Decoding shares one memo across the returns (see
-    OutputCert.from_jsonable): a live bundle's nested certificates are
-    decoded once each, a loaded trace's copies one by one.
+    Each return's certificate is self-contained (OutputCert.to_jsonable):
+    it is decoded on its own, once per node of its DAG, and verified
+    through the caches of the offline view, which are keyed by frame and
+    so shared across returns.
     """
     table = ops_table(bundle)
-    memo = {}
     bad = []
     for idx, row in sorted(table.items()):
         r = row["result"]
@@ -78,12 +78,12 @@ def check_certificates(bundle, view):
         try:
             if kind == "propose":
                 w = value_from_jsonable(r["w"])
-                cert = OutputCert.from_jsonable(r["cert"], memo)
+                cert = OutputCert.from_jsonable(r["cert"])
                 if not verify_output(view.app_obj, view.oracle, w, cert):
                     bad.append(idx)
             elif kind == "update_config":
                 h = value_from_jsonable(r["hist"])
-                th = OutputCert.from_jsonable(r["cert"], memo)
+                th = OutputCert.from_jsonable(r["cert"])
                 if not view.grp.check_history(h, th):
                     bad.append(idx)
             elif kind in ("write", "read"):
@@ -247,11 +247,51 @@ def check_xfer_bound(bundle, view):
     return ("perf.xfer_targets_linear", ok, f"k={k}, distinct transfer sources={len(targets)}")
 
 
+def _written_nodes(node):
+    """The certificate nodes written in a returned OutputCert's JSON: the
+    root, each shared entry and each node written inline in any of them."""
+    count = 0
+    stack = [node, *node.get("shared", ())]
+    while stack:
+        n = stack.pop()
+        count += 1
+        for c in [*(v["c"] for v in n["values"]), n["hcert"]]:
+            if isinstance(c, dict) and c.get("kind") == "ocert" and "oc" in c:
+                stack.append(c["oc"])
+    return count
+
+
+def check_cert_nodes(bundle, view):
+    """A returned agreement certificate writes at most 2(h - h0) + 1 nodes.
+
+    h is the height of the configuration it anchors at (propose) or
+    certifies (update_config) and h0 the genesis height. Below the root,
+    the DAG holds a configuration certificate and a history certificate per
+    step of height, so a return that writes more has written some node more
+    than once. Counted on the JSON, undecoded, so the check costs no
+    hashing.
+    """
+    h0 = view.genesis.height()
+    bad = []
+    for idx, row in sorted(ops_table(bundle).items()):
+        kind, r = (row["spec"] or {}).get("op"), row["result"]
+        if kind not in ("propose", "update_config") or not r or "cert" not in r:
+            continue
+        try:
+            h = r["anchor_h"] if kind == "propose" else r["target_h"]
+            nodes = _written_nodes(r["cert"])
+            if nodes > 2 * (h - h0) + 1:
+                bad.append((idx, nodes, h))
+        except (AttributeError, KeyError, TypeError):
+            bad.append((idx, "malformed"))
+    return ("perf.cert_nodes_linear", not bad, f"h0={h0}, over the bound (op, nodes, h): {bad}")
+
+
 def run_checks(bundle):
     """All applicable checks for this bundle; (name, ok, info) triples."""
     scn = bundle["scenario"]
     view = rebuild_view(scn, ledger=bundle.get("ledger"))
-    checks = [check_liveness, check_certificates, check_key_update_audit,
+    checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit,
               check_installs, check_convergence]
     if scn["app"]["kind"] == "dbla":
         checks.append(check_dbla_outputs)

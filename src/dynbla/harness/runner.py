@@ -47,7 +47,10 @@ TRACE_FORMAT = "dynbla-trace"
 # version 3: an OutputCert is signed over as its digest frame, so the
 # signatures in a version-2 file cover another encoding and cannot be
 # re-verified
-TRACE_VERSION = 3
+# version 4: a returned OutputCert names each repeated nested certificate by
+# a "ref" into its "shared" table; a version-3 file spells out every copy
+# and is refused rather than read under two encodings
+TRACE_VERSION = 4
 
 
 @dataclass

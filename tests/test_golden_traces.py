@@ -40,6 +40,7 @@ import sys
 
 import pytest
 
+from dynbla.dbla import OutputCert
 from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
 from dynbla.harness.checks import run_checks
 from dynbla.simnet import BYZANTINE
@@ -160,6 +161,26 @@ def test_a_dropped_run_leaves_no_cyclic_garbage(name):
         gc.garbage.clear()
         gc.enable()
     assert garbage == 0
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_every_returned_certificate_decodes_to_its_frame(name, monkeypatch):
+    # and the decoded certificate encodes to the same JSON, so the written
+    # form is a function of the certificate alone
+    to_jsonable = OutputCert.to_jsonable
+    returned = []
+
+    def recording(cert):
+        out = to_jsonable(cert)
+        returned.append((cert.canon(), json.dumps(out)))
+        return out
+
+    monkeypatch.setattr(OutputCert, "to_jsonable", recording)
+    run_scenario(RUNS[name]())
+    for frame, text in returned:
+        back = OutputCert.from_jsonable(json.loads(text))
+        assert back.canon() == frame
+        assert json.dumps(to_jsonable(back)) == text
 
 
 def _dumps(pins) -> str:

@@ -450,9 +450,10 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 3
-    # version 2 signed certificates over another encoding: it is refused too
-    for old in (1, 2):
+    assert head["version"] == 4
+    # version 2 signed certificates over another encoding, and version 3
+    # spells out every copy of a nested certificate: both are refused too
+    for old in (1, 2, 3):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)
@@ -676,7 +677,7 @@ def _dag(cert):
         c = stack.pop()
         if c.canon() not in seen:
             seen[c.canon()] = c
-            stack += [x for x in (c.hist_cert, *(iv.cert for iv in c.values)) if isinstance(x, OutputCert)]
+            stack += c.nested()
     return seen
 
 
@@ -684,6 +685,33 @@ def _flip_sig(sigs):
     pid = sorted(sigs)[0]
     data = bytes.fromhex(sigs[pid]["data"])
     sigs[pid]["data"] = (bytes([data[0] ^ 1]) + data[1:]).hex()
+
+
+def _node(cert, nested):
+    """The node JSON that nested, a {"kind": "ocert", ...} inside the returned
+    certificate cert, names: inline, or by ref from cert's shared table."""
+    return cert["shared"][nested["ref"]] if "ref" in nested else nested["oc"]
+
+
+def _spelled_out(node, table=None):
+    """node's JSON with every ref replaced by a copy of what it names: each
+    nested certificate written out at every place it is named."""
+    if table is None:
+        table = []
+        for entry in node.get("shared", ()):
+            table.append(_spelled_out(entry, table))
+
+    def copy_of(c):
+        if isinstance(c, dict) and "ref" in c:
+            return {"kind": "ocert", "oc": table[c["ref"]]}
+        if isinstance(c, dict) and c.get("kind") == "ocert":
+            return {"kind": "ocert", "oc": _spelled_out(c["oc"], table)}
+        return c
+
+    out = {k: v for k, v in node.items() if k != "shared"}
+    out["values"] = [{**v, "c": copy_of(v["c"])} for v in node["values"]]
+    out["hcert"] = copy_of(node["hcert"])
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -701,12 +729,16 @@ def test_certificate_frame_commits_to_nested_certificates(chain3):
         return view.grp.check_history(value_from_jsonable(r["hist"]), OutputCert.from_jsonable(cert_json))
 
     assert verifies(r["cert"])
-    # one signature of the history certificate two levels down
+    # one signature of the history certificate two levels down, a shared
+    # entry that more than one node names
     sig = copy.deepcopy(r["cert"])
-    _flip_sig(sig["hcert"]["oc"]["hcert"]["oc"]["packs"])
+    below = _node(sig, sig["hcert"])
+    assert "ref" in below["hcert"]
+    _flip_sig(_node(sig, below["hcert"])["packs"])
     # one configuration inside the configuration certificate two levels down
     val = copy.deepcopy(r["cert"])
-    conf_cert = next(iv["c"]["oc"] for iv in val["hcert"]["oc"]["values"] if iv["c"].get("kind") == "ocert")
+    below = _node(val, val["hcert"])
+    conf_cert = next(_node(val, iv["c"]) for iv in below["values"] if iv["c"].get("kind") == "ocert")
     iv = next(iv for iv in conf_cert["values"] if "cfg" in iv["v"])
     iv["v"]["cfg"].append(["+", "r99"])
     for bad in (sig, val):
@@ -714,39 +746,75 @@ def test_certificate_frame_commits_to_nested_certificates(chain3):
         assert not verifies(bad)
 
 
-def test_certificate_dag_grows_polynomially_and_its_json_exponentially():
+def test_certificate_dag_grows_polynomially_and_so_does_its_json():
     ks = range(1, 7)
-    nodes, largest, total, json_bytes = [], [], [], []
+    nodes, written, largest, total, json_bytes = [], [], [], [], []
     for k in ks:
         _, r = _last_update(run_scenario(FAMILIES["chain"](0, k)).bundle())
         bodies = [len(c.node()) for c in _dag(OutputCert.from_jsonable(r["cert"])).values()]
         nodes.append(len(bodies))
+        written.append(checks._written_nodes(r["cert"]))
         largest.append(max(bodies))
         total.append(sum(bodies))
         json_bytes.append(len(json.dumps(r["cert"], sort_keys=True, separators=(",", ":"))))
-    # one configuration and one history certificate per reconfiguration
-    assert nodes == [2 * k for k in ks]
+    # one configuration and one history certificate per reconfiguration,
+    # and the JSON writes each of them once
+    assert nodes == written == [2 * k for k in ks]
     # a node body holds its own history and quorums, and only the frames of
     # the nodes below it; the chain adds a replica per reconfiguration, so
     # bodies grow linearly and their sum at most quadratically
     assert all(largest[k - 1] <= largest[0] * k for k in ks)
     assert all(total[k - 1] <= total[0] * k * k for k in ks)
-    # the JSON form spells out every copy of every sub-certificate
-    assert all(b >= 2 * a for a, b in zip(json_bytes, json_bytes[1:]))
+    # so does the JSON, which writes each node once and names repeats by ref
+    assert all(json_bytes[k - 1] <= json_bytes[0] * k * k for k in ks)
 
 
-def test_loaded_trace_decodes_and_checks_copy_by_copy(tmp_path, chain3):
+def test_loaded_trace_checks_each_return_on_its_own(tmp_path, chain3):
     path = tmp_path / "chain3.trace"
     save_trace(path, chain3)
     loaded = load_trace(path)
     assert run_checks(loaded) == run_checks(chain3)
     assert all(ok for _, ok, _ in run_checks(loaded))
-    # other returns hold untampered copies of the same sub-certificate
+    # other returns hold their own untampered copies of the same
+    # sub-certificate, which here is a shared entry of this return
     idx, r = _last_update(loaded)
-    _flip_sig(r["cert"]["hcert"]["oc"]["hcert"]["oc"]["packs"])
+    below = _node(r["cert"], r["cert"]["hcert"])
+    assert "ref" in below["hcert"]
+    _flip_sig(_node(r["cert"], below["hcert"])["packs"])
     results = {n: (ok, info) for n, ok, info in run_checks(loaded)}
     assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
     assert all(ok for n, (ok, _) in results.items() if n != "safety.certificates_verify")
+
+
+# a ref must name an earlier shared entry by an exact int; the doctored ref
+# is the root's or the last shared entry's, and "own" and "len" stand for
+# that entry's own index and the shared table's length
+@pytest.mark.parametrize("where,ref", [
+    ("root", "len"), ("root", -1),
+    ("entry", "own"), ("entry", "len"), ("entry", -1), ("entry", True), ("entry", 0.0), ("entry", "0"), ("entry", None),
+])
+def test_a_bad_ref_fails_only_its_op(chain3, where, ref):
+    bundle = copy.deepcopy(chain3)
+    idx, r = _last_update(bundle)
+    cert = r["cert"]
+    node = cert if where == "root" else cert["shared"][-1]
+    assert "ref" in node["hcert"]
+    node["hcert"]["ref"] = {"own": len(cert["shared"]) - 1, "len": len(cert["shared"])}.get(ref, ref)
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
+    assert all(ok for name, (ok, _) in results.items() if name != "safety.certificates_verify")
+
+
+def test_a_certificate_spelled_out_copy_by_copy_verifies_but_breaks_the_node_bound(chain3):
+    bundle = copy.deepcopy(chain3)
+    idx, r = _last_update(bundle)
+    r["cert"] = _spelled_out(r["cert"])
+    assert "shared" not in json.dumps(r["cert"]) and '"ref"' not in json.dumps(r["cert"])
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results["safety.certificates_verify"][0]
+    ok, info = results["perf.cert_nodes_linear"]
+    assert not ok and f"[({idx}, " in info
+    assert all(ok for name, (ok, _) in results.items() if name != "perf.cert_nodes_linear")
 
 
 # -- offline view ------------------------------------------------------------------
