@@ -68,6 +68,7 @@ distinct certificate and DynamicObject.
 from __future__ import annotations
 
 import functools
+import json
 import weakref
 from collections import deque
 
@@ -77,6 +78,7 @@ from .lattice import Config, ConfSet, FinSet, History, canon, merkle_frame, valu
 from .simnet import Msg
 
 GENESIS_CERT = {"kind": "genesis"}
+_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class InputValue:
@@ -247,14 +249,20 @@ class OutputCert:
         return out
 
     @classmethod
-    def from_jsonable(cls, d) -> "OutputCert":
+    def from_jsonable(cls, d, memo=None) -> "OutputCert":
         """Inverse of to_jsonable. A "ref" must be an int naming an earlier
-        entry of "shared"; any other raises ValueError."""
+        entry of "shared"; any other raises ValueError.
+
+        With a memo dict, shared across calls, a node is decoded once: its
+        key is its own fields as sorted JSON text and the canonical bytes of
+        the certificates it names, which determine the decoded certificate,
+        so a node that many returned certificates hold is decoded and
+        framed once.
+        """
         table = []
         for entry in d.get("shared", ()):
-            table.append(_node_from_jsonable(entry, table))
-        return _node_from_jsonable(d, table)
-
+            table.append(_node_from_jsonable(entry, table, memo))
+        return _node_from_jsonable(d, table, memo)
 
 def _node_jsonable(cert: OutputCert, uses: dict, refs: dict, shared: list) -> dict:
     return {
@@ -282,20 +290,31 @@ def _nested_jsonable(cert, uses: dict, refs: dict, shared: list):
     return {"kind": "ocert", "ref": refs[key]}
 
 
-def _node_from_jsonable(d, table: list) -> OutputCert:
-    return OutputCert(
-        [InputValue(value_from_jsonable(v["v"]), _nested_from_jsonable(v["c"], table)) for v in d["values"]],
+def _node_from_jsonable(d, table: list, memo) -> OutputCert:
+    named = [_nested_from_jsonable(v["c"], table, memo) for v in d["values"]]
+    hcert = _nested_from_jsonable(d["hcert"], table, memo)
+    if memo is not None:
+        key = (_KEY_JSON.encode([[v["v"] for v in d["values"]], d["hist"], d["packs"], d["cacks"]]),
+               canon([*named, hcert]))
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    cert = OutputCert(
+        [InputValue(value_from_jsonable(v["v"]), c) for v, c in zip(d["values"], named)],
         History.from_jsonable(d["hist"]),
-        _nested_from_jsonable(d["hcert"], table),
+        hcert,
         {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
         {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
     )
+    if memo is not None:
+        memo[key] = cert
+    return cert
 
 
-def _nested_from_jsonable(d, table: list):
+def _nested_from_jsonable(d, table: list, memo):
     if isinstance(d, dict) and d.get("kind") == "ocert":
         if "ref" not in d:
-            return _node_from_jsonable(d["oc"], table)
+            return _node_from_jsonable(d["oc"], table, memo)
         i = d["ref"]
         if type(i) is not int or not 0 <= i < len(table):
             raise ValueError(f"certificate reference {i!r} names no earlier shared entry")

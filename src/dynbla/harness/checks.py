@@ -62,12 +62,14 @@ def check_liveness(bundle, view):
 def check_certificates(bundle, view):
     """Re-verify every certificate embedded in an operation return.
 
-    Each return's certificate is self-contained (OutputCert.to_jsonable):
-    it is decoded on its own, once per node of its DAG, and verified
-    through the caches of the offline view, which are keyed by frame and
-    so shared across returns.
+    Each return's certificate is self-contained (OutputCert.to_jsonable).
+    Decoding shares one memo across the returns (see
+    OutputCert.from_jsonable), keyed by each node's content, so a node
+    that several returns hold is decoded and framed once, in a live bundle
+    and in a loaded trace alike.
     """
     table = ops_table(bundle)
+    memo = {}
     bad = []
     for idx, row in sorted(table.items()):
         r = row["result"]
@@ -78,12 +80,12 @@ def check_certificates(bundle, view):
         try:
             if kind == "propose":
                 w = value_from_jsonable(r["w"])
-                cert = OutputCert.from_jsonable(r["cert"])
+                cert = OutputCert.from_jsonable(r["cert"], memo)
                 if not verify_output(view.app_obj, view.oracle, w, cert):
                     bad.append(idx)
             elif kind == "update_config":
                 h = value_from_jsonable(r["hist"])
-                th = OutputCert.from_jsonable(r["cert"])
+                th = OutputCert.from_jsonable(r["cert"], memo)
                 if not view.grp.check_history(h, th):
                     bad.append(idx)
             elif kind in ("write", "read"):

@@ -786,6 +786,28 @@ def test_loaded_trace_checks_each_return_on_its_own(tmp_path, chain3):
     assert all(ok for n, (ok, _) in results.items() if n != "safety.certificates_verify")
 
 
+def test_each_node_is_decoded_once_across_returns_live_and_loaded(tmp_path, chain3, monkeypatch):
+    path = tmp_path / "chain3.trace"
+    save_trace(path, chain3)
+    frames = set()
+    for row in ops_table(chain3).values():
+        if row["spec"]["op"] in ("propose", "update_config"):
+            frames |= _dag(OutputCert.from_jsonable(row["result"]["cert"])).keys()
+    built = []
+    init = OutputCert.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(OutputCert, "__init__", counting)
+    for bundle in (chain3, load_trace(path)):
+        built.clear()
+        view = checks.rebuild_view(bundle["scenario"], ledger=bundle["ledger"])
+        assert checks.check_certificates(bundle, view)[1]
+        assert len(built) == len(frames)
+
+
 # a ref must name an earlier shared entry by an exact int; the doctored ref
 # is the root's or the last shared entry's, and "own" and "len" stand for
 # that entry's own index and the shared table's length
