@@ -68,7 +68,6 @@ distinct certificate and DynamicObject.
 from __future__ import annotations
 
 import functools
-import json
 import weakref
 from collections import deque
 
@@ -78,7 +77,6 @@ from .lattice import Config, ConfSet, FinSet, History, canon, merkle_frame, valu
 from .simnet import Msg
 
 GENESIS_CERT = {"kind": "genesis"}
-_KEY_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class InputValue:
@@ -198,7 +196,7 @@ def join_values(values: list[InputValue]):
 class OutputCert:
     """An agreement output's proof; immutable once built."""
 
-    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon")
+    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_parts")
 
     def __init__(self, values, history: History, hist_cert, packs: dict, cacks: dict):
         self.values = tuple(values)
@@ -207,6 +205,17 @@ class OutputCert:
         self.packs = dict(packs)
         self.cacks = dict(cacks)
         self._canon = None
+        self._parts = None
+
+    def fields_jsonable(self):
+        """The JSON of this node's own fields, built once: its input values,
+        history, packs and cacks. Every returned certificate that holds this
+        one shares these objects, and the decode memo keys on them."""
+        if self._parts is None:
+            self._parts = ([value_to_jsonable(iv.value) for iv in self.values], self.history.to_jsonable(),
+                           {p: s.to_jsonable() for p, s in self.packs.items()},
+                           {p: s.to_jsonable() for p, s in self.cacks.items()})
+        return self._parts
 
     def anchor(self) -> Config:
         return self.history.max_element()
@@ -253,11 +262,13 @@ class OutputCert:
         """Inverse of to_jsonable. A "ref" must be an int naming an earlier
         entry of "shared"; any other raises ValueError.
 
-        With a memo dict, shared across calls, a node is decoded once: its
-        key is its own fields as sorted JSON text and the canonical bytes of
-        the certificates it names, which determine the decoded certificate,
-        so a node that many returned certificates hold is decoded and
-        framed once.
+        With a memo dict, shared across calls, a node is decoded once per
+        identity of its fields' JSON objects (see fields_jsonable) and of
+        the decoded certificates it names: the returns of a live run share
+        those objects, so a node that many of them hold is decoded and
+        framed once, while a trace read from a file is decoded return by
+        return. The memo keeps each decoded dict and certificate, and so
+        every object keyed by id, alive while it is in use.
         """
         table = []
         for entry in d.get("shared", ()):
@@ -265,13 +276,13 @@ class OutputCert:
         return _node_from_jsonable(d, table, memo)
 
 def _node_jsonable(cert: OutputCert, uses: dict, refs: dict, shared: list) -> dict:
+    vs, hist, packs, cacks = cert.fields_jsonable()
     return {
-        "values": [{"v": value_to_jsonable(iv.value), "c": _nested_jsonable(iv.cert, uses, refs, shared)}
-                   for iv in cert.values],
-        "hist": cert.history.to_jsonable(),
+        "values": [{"v": v, "c": _nested_jsonable(iv.cert, uses, refs, shared)} for v, iv in zip(vs, cert.values)],
+        "hist": hist,
         "hcert": _nested_jsonable(cert.hist_cert, uses, refs, shared),
-        "packs": {p: s.to_jsonable() for p, s in cert.packs.items()},
-        "cacks": {p: s.to_jsonable() for p, s in cert.cacks.items()},
+        "packs": packs,
+        "cacks": cacks,
     }
 
 
@@ -294,11 +305,11 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
     named = [_nested_from_jsonable(v["c"], table, memo) for v in d["values"]]
     hcert = _nested_from_jsonable(d["hcert"], table, memo)
     if memo is not None:
-        key = (_KEY_JSON.encode([[v["v"] for v in d["values"]], d["hist"], d["packs"], d["cacks"]]),
-               canon([*named, hcert]))
+        key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
+               *map(id, named), id(hcert))
         hit = memo.get(key)
         if hit is not None:
-            return hit
+            return hit[1]
     cert = OutputCert(
         [InputValue(value_from_jsonable(v["v"]), c) for v, c in zip(d["values"], named)],
         History.from_jsonable(d["hist"]),
@@ -307,7 +318,7 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
         {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
     )
     if memo is not None:
-        memo[key] = cert
+        memo[key] = (d, cert)
     return cert
 
 

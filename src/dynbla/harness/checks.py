@@ -64,9 +64,9 @@ def check_certificates(bundle, view):
 
     Each return's certificate is self-contained (OutputCert.to_jsonable).
     Decoding shares one memo across the returns (see
-    OutputCert.from_jsonable), keyed by each node's content, so a node
-    that several returns hold is decoded and framed once, in a live bundle
-    and in a loaded trace alike.
+    OutputCert.from_jsonable): a node that several returns of a live
+    bundle hold is decoded and framed once, and a loaded trace is decoded
+    return by return, each return once per node of its DAG.
     """
     table = ops_table(bundle)
     memo = {}

@@ -786,13 +786,11 @@ def test_loaded_trace_checks_each_return_on_its_own(tmp_path, chain3):
     assert all(ok for n, (ok, _) in results.items() if n != "safety.certificates_verify")
 
 
-def test_each_node_is_decoded_once_across_returns_live_and_loaded(tmp_path, chain3, monkeypatch):
+def test_a_live_bundle_decodes_each_node_once_and_a_loaded_one_return_by_return(tmp_path, chain3, monkeypatch):
     path = tmp_path / "chain3.trace"
     save_trace(path, chain3)
-    frames = set()
-    for row in ops_table(chain3).values():
-        if row["spec"]["op"] in ("propose", "update_config"):
-            frames |= _dag(OutputCert.from_jsonable(row["result"]["cert"])).keys()
+    dags = [_dag(OutputCert.from_jsonable(row["result"]["cert"])).keys()
+            for row in ops_table(chain3).values() if row["spec"]["op"] in ("propose", "update_config")]
     built = []
     init = OutputCert.__init__
 
@@ -801,11 +799,24 @@ def test_each_node_is_decoded_once_across_returns_live_and_loaded(tmp_path, chai
         init(self, *args)
 
     monkeypatch.setattr(OutputCert, "__init__", counting)
-    for bundle in (chain3, load_trace(path)):
+    for bundle, decoded in ((chain3, len(set().union(*dags))), (load_trace(path), sum(map(len, dags)))):
         built.clear()
         view = checks.rebuild_view(bundle["scenario"], ledger=bundle["ledger"])
         assert checks.check_certificates(bundle, view)[1]
-        assert len(built) == len(frames)
+        assert len(built) == decoded
+
+
+def test_a_copied_node_that_names_another_history_certificate_fails(chain3):
+    # the decode memo keys a live node by its fields' objects and by what it
+    # names, so a copy that keeps the fields and swaps what it names is
+    # decoded anew
+    bundle = copy.deepcopy(chain3)
+    idx, r = _last_update(bundle)
+    below = _node(r["cert"], r["cert"]["hcert"])
+    assert "ref" in r["cert"]["hcert"] and "ref" in below["hcert"]
+    r["cert"]["shared"][r["cert"]["hcert"]["ref"]] = {**below, "hcert": {"kind": "genesis"}}
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
 
 
 # a ref must name an earlier shared entry by an exact int; the doctored ref
