@@ -207,16 +207,6 @@ class OutputCert:
         self._canon = None
         self._parts = None
 
-    def fields_jsonable(self):
-        """The JSON of this node's own fields, built once: its input values,
-        history, packs and cacks. Every returned certificate that holds this
-        one shares these objects, and the decode memo keys on them."""
-        if self._parts is None:
-            self._parts = ([value_to_jsonable(iv.value) for iv in self.values], self.history.to_jsonable(),
-                           {p: s.to_jsonable() for p, s in self.packs.items()},
-                           {p: s.to_jsonable() for p, s in self.cacks.items()})
-        return self._parts
-
     def anchor(self) -> Config:
         return self.history.max_element()
 
@@ -233,6 +223,16 @@ class OutputCert:
         """The OutputCerts this node names: its input values' certificates,
         then its history certificate."""
         return [c for c in (*(iv.cert for iv in self.values), self.hist_cert) if isinstance(c, OutputCert)]
+
+    def fields_jsonable(self):
+        """The JSON of this node's own fields, built once: its input values,
+        history, packs and cacks. Every returned certificate that holds this
+        one shares these objects, and the decode memo keys on them."""
+        if self._parts is None:
+            self._parts = ([value_to_jsonable(iv.value) for iv in self.values], self.history.to_jsonable(),
+                           {p: s.to_jsonable() for p, s in self.packs.items()},
+                           {p: s.to_jsonable() for p, s in self.cacks.items()})
+        return self._parts
 
     def to_jsonable(self):
         """This certificate's node JSON, as a self-contained DAG.
@@ -274,6 +274,7 @@ class OutputCert:
         for entry in d.get("shared", ()):
             table.append(_node_from_jsonable(entry, table, memo))
         return _node_from_jsonable(d, table, memo)
+
 
 def _node_jsonable(cert: OutputCert, uses: dict, refs: dict, shared: list) -> dict:
     vs, hist, packs, cacks = cert.fields_jsonable()
