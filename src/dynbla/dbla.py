@@ -48,12 +48,13 @@ quorum.
 
 Certificates stay objects from creation to verification: token dicts
 (genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
-They become JSON only where a trace is written or read, through the one pair
-cert_to_jsonable / cert_from_jsonable. An OutputCert's JSON is a
+They become JSON only in the operation returns of a trace, each through its
+own class's to_jsonable / from_jsonable. An OutputCert's JSON is a
 self-contained DAG (OutputCert.to_jsonable): a nested certificate named
 from more than one place is written once, in the root's "shared" table, and
 named by index wherever it recurs, so a chain of k reconfigurations writes
-its 2k certificate nodes once each and not once per path.
+its 2k certificate nodes once each and not once per path. A nested AcCert
+or token dict is written through cert_to_jsonable / cert_from_jsonable.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -379,9 +380,7 @@ class AcCert:
 
 
 def cert_to_jsonable(cert):
-    """The JSON form of an input or history certificate; token dicts are their own."""
-    if isinstance(cert, OutputCert):
-        return {"kind": "ocert", "oc": cert.to_jsonable()}
+    """The JSON of a nested AcCert or token certificate; a token dict is its own."""
     if isinstance(cert, AcCert):
         return cert.to_jsonable()
     return cert
@@ -389,8 +388,6 @@ def cert_to_jsonable(cert):
 
 def cert_from_jsonable(d):
     """Inverse of cert_to_jsonable."""
-    if isinstance(d, dict) and d.get("kind") == "ocert":
-        return OutputCert.from_jsonable(d["oc"])
     if isinstance(d, dict) and "ackind" in d:
         return AcCert.from_jsonable(d)
     return d

@@ -12,7 +12,6 @@ from dynbla.dbla import (
     InputValue,
     OutputCert,
     accept_all,
-    cert_to_jsonable,
     verify_output,
 )
 from dynbla.fscrypto import LedgerFsOracle, LedgerVerifier
@@ -253,7 +252,6 @@ def test_hist_input_check_takes_the_conf_output_object():
     check = ns.grp.hist_obj._check_value
     assert check(ConfSet({c1}), wrap_conf_cert(tc))
     assert not check(ConfSet({c1}), tc.to_jsonable())
-    assert not check(ConfSet({c1}), cert_to_jsonable(tc))
     assert not check(ConfSet({ns.genesis}), tc)
 
 
