@@ -5,13 +5,13 @@ the attack actually unfolded and that the defenses held: stale quorums
 starve, retained keys cannot re-certify superseded configurations, and
 forged output certificates fail verification.
 
-The verifiers read a run the way the offline checks do: one reader takes
-the checks' ops table and install lines from the bundle, the update's
-target from op 1's return, and the genesis replicas whose key watermark
-(``oracle.st``) still admits the genesis epoch.  A forward-secure
-signature at ts is issued exactly when ts >= st, so that probe tells which
-retired replicas could still sign for the old epoch without signing as
-any of them or adding to the oracle's ledger.
+The verifiers read a run the way the offline checks do: one pass of
+runner.read_ops over the trace takes the op rows and install lines, then
+the update's target from op 1's return, and the genesis replicas whose
+key watermark (``oracle.st``) still admits the genesis epoch.  A
+forward-secure signature at ts is issued exactly when ts >= st, so that
+probe tells which retired replicas could still sign for the old epoch
+without signing as any of them or adding to the oracle's ledger.
 """
 
 from __future__ import annotations
@@ -197,18 +197,17 @@ def i_still_work_here(seed):
 
 
 def _read_run(report):
-    """What the verifiers read from a run: genesis, the checks' ops table,
-    the update's target cid (op 1's return records it), the step the
-    target was first installed at, and the genesis replicas whose key
-    watermark still admits the genesis epoch."""
-    # checks imports runner, which imports SCRIPTS from this module
-    from .checks import installs, ops_table
+    """What the verifiers read from a run: genesis, the trace's op rows, the
+    update's target cid (op 1's return records it), the step the target
+    was first installed at, and the genesis replicas whose key watermark
+    still admits the genesis epoch."""
+    # runner imports SCRIPTS from this module
+    from .runner import read_ops
 
-    bundle = report.bundle()
     genesis = genesis_config(report.scenario["genesis"])
-    ops = ops_table(bundle)
+    ops, installs = read_ops(report.trace)
     target = (ops.get(1, {}).get("result") or {}).get("target")
-    inst = min((l["step"] for l in installs(bundle) if l["detail"].get("cid") == target), default=None)
+    inst = min((l["step"] for l in installs if l["detail"].get("cid") == target), default=None)
     retained = [p for p in report.scenario["genesis"] if report.ctx.oracle.st(p) <= genesis.height()]
     return SimpleNamespace(genesis=genesis, ops=ops, target=target, inst=inst, retained=retained)
 

@@ -2,9 +2,10 @@
 
 Every check works from the serialized bundle (scenario, trace, finals,
 signature ledger) so the same code validates a live run and a trace file
-loaded later.  Certificates embedded in operation returns are rebuilt
-and re-verified against an offline view of the group, with a
-LedgerVerifier standing in for the signature oracle.
+loaded later.  run_checks builds one offline view of the group per bundle,
+with a LedgerVerifier standing in for the signature oracle and the trace
+read once (runner.read_ops) into view.ops and view.installs; certificates
+embedded in operation returns are rebuilt and re-verified against it.
 """
 
 from __future__ import annotations
@@ -14,32 +15,14 @@ from ..dbla import OutputCert, fs_signed, verify_output
 from ..fscrypto import FsSig, LedgerVerifier
 from ..lattice import FinSet, quorum_size, value_from_jsonable
 from ..maxreg import setresp_payload
-from .runner import APP_OBJ, build_objects
+from .runner import APP_OBJ, build_objects, read_ops
 
 
-def rebuild_view(scn, ledger=None):
-    """Reconstruct the verification-side objects a run was built from."""
-    return build_objects(scn, LedgerVerifier(ledger or []))
-
-
-def ops_table(bundle):
-    """Pair up op invokes and returns from the trace."""
-    table = {}
-    for line in bundle["trace"]:
-        if line["kind"] == "invoke" and line["desc"].startswith("op"):
-            d = line["detail"]
-            table[d["idx"]] = {"spec": d, "invoked": line["step"], "returned": None, "result": None}
-        elif line["kind"] == "return":
-            d = line["detail"]
-            row = table.setdefault(d["idx"], {"spec": None, "invoked": None})
-            row["returned"] = line["step"]
-            row["result"] = d["result"]
-    return table
-
-
-def installs(bundle):
-    """The install upcalls in the trace, in trace order."""
-    return [l for l in bundle["trace"] if l["kind"] == "upcall" and l["desc"] == "install"]
+def rebuild_view(bundle):
+    """The objects a bundle's run was built from, over its ledger, and its trace's view.ops and view.installs."""
+    view = build_objects(bundle["scenario"], LedgerVerifier(bundle.get("ledger") or []))
+    view.ops, view.installs = read_ops(bundle["trace"])
+    return view
 
 
 def _has_forever_hold(scn):
@@ -50,13 +33,11 @@ def _has_forever_hold(scn):
 
 
 def check_liveness(bundle, view):
-    table = ops_table(bundle)
-    missing = [i for i, row in table.items() if row["returned"] is None]
-    busy = [i for i, row in table.items()
-            if row["result"] and row["result"].get("error")]
+    missing = [i for i, row in view.ops.items() if row["returned"] is None]
+    busy = [i for i, row in view.ops.items() if row["result"] and row["result"].get("error")]
     ok = not missing and not busy
     return ("liveness.all_ops_return", ok,
-            f"{len(table)} ops, missing={missing}, errored={busy}")
+            f"{len(view.ops)} ops, missing={missing}, errored={busy}")
 
 
 def check_certificates(bundle, view):
@@ -68,10 +49,9 @@ def check_certificates(bundle, view):
     bundle hold is decoded and framed once, and a loaded trace is decoded
     return by return, each return once per node of its DAG.
     """
-    table = ops_table(bundle)
     memo = {}
     bad = []
-    for idx, row in sorted(table.items()):
+    for idx, row in sorted(view.ops.items()):
         r = row["result"]
         spec = row["spec"] or {}
         if not r or r.get("error") or r.get("denied"):
@@ -103,17 +83,16 @@ def check_certificates(bundle, view):
                     bad.append(idx)
                 elif cert.slot != r["slot"] or cert.value != r["value"]:
                     bad.append(idx)
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             bad.append(idx)
     return ("safety.certificates_verify", not bad, f"failed ops: {bad}")
 
 
 def check_dbla_outputs(bundle, view):
     """Pairwise comparability of outputs plus each proposer's own inclusion."""
-    table = ops_table(bundle)
     outs = []
     bad = []
-    for idx, row in sorted(table.items()):
+    for idx, row in sorted(view.ops.items()):
         spec, r = row["spec"] or {}, row["result"]
         if spec.get("op") != "propose" or not r or r.get("error"):
             continue
@@ -140,7 +119,7 @@ def check_key_update_audit(bundle, view):
     watermark past that configuration's epoch.
     """
     bad = []
-    for line in installs(bundle):
+    for line in view.installs:
         d = line["detail"]
         st, status = d["st"], d["status"]
         for cfg in d["hist"]:
@@ -202,9 +181,8 @@ def check_convergence(bundle, view):
 
 def check_maxreg(bundle, view):
     """Atomic register semantics over completed operation intervals."""
-    table = ops_table(bundle)
     writes, reads = [], []
-    for idx, row in sorted(table.items()):
+    for idx, row in sorted(view.ops.items()):
         spec, r = row["spec"] or {}, row["result"]
         if not r or r.get("error") or row["returned"] is None:
             continue
@@ -231,9 +209,8 @@ def check_maxreg(bundle, view):
 
 
 def check_ac_at_most_one(bundle, view):
-    table = ops_table(bundle)
     slots = {}
-    for idx, row in sorted(table.items()):
+    for idx, row in sorted(view.ops.items()):
         spec, r = row["spec"] or {}, row["result"]
         if spec.get("op") != "ac_request" or not r or not r.get("granted"):
             continue
@@ -275,7 +252,7 @@ def check_cert_nodes(bundle, view):
     """
     h0 = view.genesis.height()
     bad = []
-    for idx, row in sorted(ops_table(bundle).items()):
+    for idx, row in sorted(view.ops.items()):
         kind, r = (row["spec"] or {}).get("op"), row["result"]
         if kind not in ("propose", "update_config") or not r or "cert" not in r:
             continue
@@ -292,7 +269,7 @@ def check_cert_nodes(bundle, view):
 def run_checks(bundle):
     """All applicable checks for this bundle; (name, ok, info) triples."""
     scn = bundle["scenario"]
-    view = rebuild_view(scn, ledger=bundle.get("ledger"))
+    view = rebuild_view(bundle)
     checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit,
               check_installs, check_convergence]
     if scn["app"]["kind"] == "dbla":

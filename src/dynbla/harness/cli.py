@@ -10,7 +10,7 @@ import click
 from ..simnet import trace_hash
 from .attacks import ATTACKS
 from .checks import run_checks
-from .runner import load_trace, run_scenario, save_trace
+from .runner import TraceError, load_trace, run_scenario, save_trace
 from .scenario import FAMILIES, ScenarioError, validate
 
 
@@ -48,12 +48,12 @@ def _load_scenario(path, family, seed, k):
 
 
 class _Cli(click.Group):
-    """The command group: an invalid scenario ends any command in the error exit."""
+    """The command group: a bad scenario or trace file ends any command in the error exit."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ScenarioError as e:
+        except (ScenarioError, TraceError) as e:
             raise click.ClickException(str(e)) from e
 
 

@@ -3,8 +3,9 @@
 The runner owns the mapping from scenario dicts to automata: one replica
 group named "g", an optional application object "g/obj", an optional
 access-control object "g/acl", one hub per client.  Every operation
-return and every install is written into the trace with a jsonable
-detail, so all invariants can be re-checked from the trace file alone.
+invoke and return and every install is written into the trace with a
+jsonable detail, and only there, so all invariants can be re-checked from
+the trace file alone; read_ops reads it back in one pass.
 
 A run's World, ``RunReport.ctx``, is the root of everything the run built:
 it holds the simulator, the oracle, the group objects and the automata,
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import json
 import weakref
+from collections import namedtuple
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -53,13 +55,37 @@ TRACE_FORMAT = "dynbla-trace"
 TRACE_VERSION = 4
 
 
-@dataclass
-class OpRecord:
-    idx: int
-    spec: dict
-    invoked_at: int | None = None
-    returned_at: int | None = None
-    result: dict | None = None
+class TraceError(ValueError):
+    """Every way load_trace and read_ops refuse a trace."""
+
+
+# One operation of a run, as RunReport.ops reads it from the trace.
+OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
+
+
+def read_ops(trace) -> tuple[dict, list]:
+    """A trace's op rows by index and its install upcall lines, in one pass:
+    a row holds an op's invoke detail and step ("spec", "invoked") and its
+    return's step and result ("returned", "result"), each None where the
+    trace has no such line. A line this cannot read raises TraceError."""
+    ops, installs = {}, []
+    try:
+        for n, line in enumerate(trace):
+            kind = line["kind"]
+            if kind == "invoke" and line["desc"].startswith("op"):
+                d = line["detail"]
+                ops[d["idx"]] = {"spec": d, "invoked": line["step"], "returned": None, "result": None}
+            elif kind == "return":
+                d = line["detail"]
+                if type(d["result"]) is not dict:
+                    raise TypeError(f"result {d['result']!r} is not an object")
+                row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
+                row["returned"], row["result"] = line["step"], d["result"]
+            elif kind == "upcall" and line["desc"] == "install":
+                installs.append(line)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise TraceError(f"trace event {n} is malformed: {e!r}") from e
+    return ops, installs
 
 
 @dataclass
@@ -69,7 +95,6 @@ class RunReport:
     verdict: str
     steps: int
     trace: list
-    ops: list
     finals: dict
     statuses: dict
     metrics: dict
@@ -78,6 +103,13 @@ class RunReport:
     corruptions: list
     hash: str
     ctx: object = field(repr=False, default=None)
+
+    @property
+    def ops(self) -> list[OpRecord]:
+        """One OpRecord per scenario op, read from the trace on each access."""
+        rows, _ = read_ops(self.trace)
+        return [OpRecord(i, spec, row.get("invoked"), row.get("returned"), row.get("result"))
+                for i, spec in enumerate(self.scenario["ops"]) for row in [rows.get(i, {})]]
 
     def bundle(self) -> dict:
         """Everything the offline checks need, as one jsonable dict."""
@@ -191,15 +223,13 @@ def _ack_jsonable(ack):
     }
 
 
-def _make_fire(ctx, idx, spec, rec):
+def _make_fire(ctx, idx, spec):
     """The fire of op idx; ctx is a weak proxy of the world."""
     c = spec["client"]
     kind = spec["op"]
 
     def finish(result):
         sim = ctx.sim
-        rec.returned_at = sim.now()
-        rec.result = result
         sim.trace_aux("return", c, f"op{idx}:{kind}", {"idx": idx, "result": result})
         sim.note_fact(f"op{idx}:done")
         sim.note_fact(f"ret:{c}")
@@ -265,7 +295,6 @@ def _make_fire(ctx, idx, spec, rec):
         raise ScenarioError(f"unhandled op kind {kind!r}")
 
     def fire():
-        rec.invoked_at = ctx.sim.now()
         try:
             start()
         except RuntimeError:
@@ -274,14 +303,12 @@ def _make_fire(ctx, idx, spec, rec):
     return fire
 
 
-def _schedule(ctx, scn, records, corruptions):
+def _schedule(ctx, scn, corruptions):
     world = weakref.proxy(ctx)
     for idx, spec in enumerate(scn["ops"]):
-        rec = OpRecord(idx, spec)
-        records.append(rec)
         detail = {"idx": idx, **{k: v for k, v in spec.items()
                                  if k not in ("at", "after", "offset")}}
-        ctx.sim.add_external(parse_trigger(spec), "invoke", _make_fire(world, idx, spec, rec),
+        ctx.sim.add_external(parse_trigger(spec), "invoke", _make_fire(world, idx, spec),
                              to=spec["client"], desc=f"op{idx}:{spec['op']}", detail=detail)
 
     for ent in scn["adversary"]["corruptions"]:
@@ -338,9 +365,8 @@ def _finals(ctx):
 def run_scenario(scn) -> RunReport:
     scn = validate(scn)
     ctx = build_world(scn)
-    records: list[OpRecord] = []
     corruptions: list[dict] = []
-    _schedule(ctx, scn, records, corruptions)
+    _schedule(ctx, scn, corruptions)
     res = ctx.sim.run(scn["max_steps"])
     finals = _finals(ctx)
     return RunReport(
@@ -349,7 +375,6 @@ def run_scenario(scn) -> RunReport:
         verdict=res["verdict"],
         steps=res["steps"],
         trace=ctx.sim.trace,
-        ops=records,
         finals=finals,
         statuses=ctx.sim.statuses(),
         metrics=dict(ctx.sim.metrics),
@@ -378,31 +403,34 @@ def save_trace(path, bundle) -> None:
 
 
 def load_trace(path) -> dict:
+    """The bundle save_trace wrote to path; TraceError if it cannot be read."""
     bundle = {"trace": []}
     with open(path) as f:
-        for raw in f:
-            raw = raw.strip()
-            if not raw:
+        for n, raw in enumerate(f, 1):
+            if not raw.strip():
                 continue
-            line = json.loads(raw)
-            t = line.pop("t", None)
-            if t == "head":
-                if (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
-                    raise ValueError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
-                                     f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
-                bundle["scenario"] = line["scenario"]
-                bundle["seed"] = line["seed"]
-                bundle["verdict"] = line["verdict"]
-                bundle["steps"] = line["steps"]
-            elif t == "ev":
-                bundle["trace"].append(line)
-            elif t == "final":
-                bundle["final"] = line
-            elif t == "ledger":
-                bundle["ledger"] = line["entries"]
-            elif t == "hash":
-                bundle["hash"] = line["hash"]
+            try:
+                line = json.loads(raw)
+                t = line.pop("t", None)
+                if t == "head":
+                    if (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
+                        raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
+                                         f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
+                    for key in ("scenario", "seed", "verdict", "steps"):
+                        bundle[key] = line[key]
+                elif t == "ev":
+                    bundle["trace"].append(line)
+                elif t == "final":
+                    bundle["final"] = line
+                elif t == "ledger":
+                    bundle["ledger"] = line["entries"]
+                elif t == "hash":
+                    bundle["hash"] = line["hash"]
+            except TraceError:
+                raise
+            except (AttributeError, KeyError, TypeError, ValueError) as e:
+                raise TraceError(f"trace line {n} is malformed: {e!r}") from e
     missing = {"scenario", "final", "ledger", "hash"} - bundle.keys()
     if missing:
-        raise ValueError(f"trace file is missing sections: {sorted(missing)}")
+        raise TraceError(f"trace file is missing sections: {sorted(missing)}")
     return bundle

@@ -8,7 +8,7 @@ are cached so criteria that aggregate over earlier runs do not pay twice.
 from functools import lru_cache
 
 from dynbla.harness.attacks import ATTACKS
-from dynbla.harness.checks import ops_table, run_checks
+from dynbla.harness.checks import run_checks
 from dynbla.harness.runner import load_trace, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, validate
 from dynbla.lattice import FinSet, fault_budget, quorum_size
@@ -163,8 +163,7 @@ def test_c08_guarded_slot_never_grants_twice():
     bad = []
     for mask in MASKS:
         rep = run_scenario(FAMILIES["ac-pattern"](mask))
-        table = ops_table(rep.bundle())
-        got = (table[0]["result"]["granted"], table[1]["result"]["granted"])
+        got = (rep.ops[0].result["granted"], rep.ops[1].result["granted"])
         if got != expected[mask] or clean(rep):
             bad.append((f"mask={mask:04b}", got, expected[mask]))
     grants = 0
@@ -172,8 +171,7 @@ def test_c08_guarded_slot_never_grants_twice():
         rep = run_scenario(FAMILIES["ac-quorum-race"](seed))
         if clean(rep):
             bad.append(("race", seed))
-        table = ops_table(rep.bundle())
-        grants += sum(1 for row in table.values() if row["result"]["granted"])
+        grants += sum(1 for op in rep.ops if op.result["granted"])
     emit("c08 access control at-most-one", not bad,
          f"8 forced orders exact, 200 races ({grants} grants) conflict-free, "
          f"failures: {bad[:3]}")

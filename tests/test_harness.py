@@ -12,8 +12,8 @@ from dynbla.dbla import OutputCert
 from dynbla.fscrypto import _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
-from dynbla.harness.checks import ops_table, run_checks
-from dynbla.harness.runner import load_trace, run_scenario, save_trace
+from dynbla.harness.checks import run_checks
+from dynbla.harness.runner import load_trace, read_ops, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
 from dynbla.lattice import value_from_jsonable
 from dynbla.simnet import Msg, trace_hash
@@ -203,7 +203,7 @@ def test_smoke_run_quiesces_and_checks_pass():
     rep = run_scenario(FAMILIES["dbla-smoke"](11))
     assert rep.verdict == "quiescent"
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
-    table = ops_table(rep.bundle())
+    table, _ = read_ops(rep.trace)
     assert len(table) == 5
     assert all(row["returned"] is not None for row in table.values())
 
@@ -236,9 +236,7 @@ def test_maxreg_run_checks_pass():
     results = run_checks(rep.bundle())
     assert passed(results, "safety.maxreg_atomic")
     assert all(ok for _, ok, _ in results)
-    table = ops_table(rep.bundle())
-    final_read = table[5]["result"]
-    assert final_read["v"] == 12
+    assert rep.ops[5].result["v"] == 12
 
 
 def test_busy_op_fails_liveness():
@@ -246,9 +244,25 @@ def test_busy_op_fails_liveness():
     # same client, same step: the second invoke hits a busy hub
     scn["ops"].append({"op": "propose", "client": "p1", "value": ["dup"], "at": 0})
     rep = run_scenario(validate(scn))
-    table = ops_table(rep.bundle())
-    assert any(row["result"] == {"error": "busy"} for row in table.values())
+    assert any(op.result == {"error": "busy"} for op in rep.ops)
     assert not passed(run_checks(rep.bundle()), "liveness.all_ops_return")
+
+
+def test_run_report_ops_are_read_from_the_trace_after_the_run(monkeypatch):
+    reads = []
+    read = runner.read_ops
+    monkeypatch.setattr(runner, "read_ops", lambda trace: reads.append(trace) or read(trace))
+    scn = FAMILIES["dbla-smoke"](1, clients=2)
+    scn["ops"].append({"op": "propose", "client": "p1", "value": ["dup"], "at": 0})
+    rep = run_scenario(validate(scn))
+    assert reads == []
+    ops = rep.ops
+    assert reads == [rep.trace]
+    assert [(op.idx, op.spec) for op in ops] == list(enumerate(rep.scenario["ops"]))
+    steps = {(l["kind"], l["detail"]["idx"]): l["step"] for l in rep.trace if l["kind"] in ("invoke", "return")}
+    assert [(op.invoked_at, op.returned_at) for op in ops] == [
+        (steps["invoke", i], steps["return", i]) for i in range(len(ops))]
+    assert ops[2].result == {"error": "busy"}
 
 
 def test_corrupting_idle_process_is_recorded_not_fatal():
@@ -341,6 +355,26 @@ def test_memory_does_not_grow_across_runs_without_the_cyclic_collector(no_cyclic
 # -- checks against doctored evidence ---------------------------------------------
 
 
+class CountingList(list):
+    """A trace that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("scn", [FAMILIES["reconfig-dbla"](4), FAMILIES["reconfig-maxreg"](2),
+                                 FAMILIES["ac-quorum-race"](0), FAMILIES["chain"](0, 2)],
+                         ids=lambda scn: scn["name"])
+def test_run_checks_reads_the_trace_once(scn):
+    bundle = run_scenario(scn).bundle()
+    bundle["trace"] = CountingList(bundle["trace"])
+    assert all(ok for _, ok, _ in run_checks(bundle))
+    assert bundle["trace"].passes == 1
+
+
 def doctor_return(bundle, idx, fn):
     for line in bundle["trace"]:
         if line["kind"] == "return" and line["detail"]["idx"] == idx:
@@ -379,7 +413,7 @@ def test_tampered_ack_signature_fails_certificate_check():
 def test_conflicting_grants_fail_ac_check():
     rep = run_scenario(FAMILIES["ac-quorum-race"](0))
     bundle = rep.bundle()
-    table = ops_table(bundle)
+    table, _ = read_ops(bundle["trace"])
     loser = next(i for i, row in table.items() if not row["result"]["granted"])
     winner = next(i for i, row in table.items() if row["result"]["granted"])
     fake = copy.deepcopy(table[winner]["result"])
@@ -394,17 +428,15 @@ def test_conflicting_grants_fail_ac_check():
 def test_ac_majority_pattern_grants_first_seen():
     # three of four replicas see a's request first: a must win
     rep = run_scenario(FAMILIES["ac-pattern"](0b0111))
-    table = ops_table(rep.bundle())
-    assert table[0]["result"]["granted"] is True
-    assert table[1]["result"]["granted"] is False
+    assert rep.ops[0].result["granted"] is True
+    assert rep.ops[1].result["granted"] is False
     assert passed(run_checks(rep.bundle()), "safety.ac_at_most_one")
 
 
 def test_ac_split_pattern_denies_both():
     rep = run_scenario(FAMILIES["ac-pattern"](0b0101))
-    table = ops_table(rep.bundle())
-    assert table[0]["result"]["granted"] is False
-    assert table[1]["result"]["granted"] is False
+    assert rep.ops[0].result["granted"] is False
+    assert rep.ops[1].result["granted"] is False
 
 
 # -- trace files -------------------------------------------------------------------
@@ -457,11 +489,64 @@ def test_trace_of_another_version_rejected(tmp_path):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)
-        # the commands stop on the error instead of reporting false verdicts
+        # the commands end in the error exit instead of reporting false verdicts
         for cmd in ("check", "replay"):
             r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
-            assert isinstance(r.exception, ValueError) and f"version {old}" in str(r.exception)
+            assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+            assert f"version {old}" in r.output
             assert "PASS" not in r.output and "FAIL" not in r.output
+
+
+def _first(lines, kind):
+    return next(l for l in lines if l.get("kind") == kind)
+
+
+# Each doctor edits a saved dbla-smoke trace's parsed lines in place: into a
+# file that load_trace refuses, or into op lines that check refuses or fails.
+UNREADABLE = {
+    "version-3-head": lambda lines: lines[0].update(version=3),
+    "head-without-scenario": lambda lines: lines[0].pop("scenario"),
+    "list-line": lambda lines: lines.insert(1, [1, 2]),
+}
+MALFORMED_OPS = {
+    "list-result": lambda lines: _first(lines, "return")["detail"].update(result=[1, 2]),
+    "event-without-kind": lambda lines: _first(lines, "invoke").pop("kind"),
+    "return-without-idx": lambda lines: _first(lines, "return")["detail"].pop("idx"),
+    "empty-list-cert": lambda lines: _first(lines, "return")["detail"]["result"].update(cert=[]),
+}
+
+
+@pytest.fixture(scope="module")
+def smoke_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("smoke") / "run.trace"
+    save_trace(path, run_scenario(FAMILIES["dbla-smoke"](0)).bundle())
+    return path.read_text().splitlines()
+
+
+def _doctored(tmp_path, smoke_lines, doctor):
+    lines = [json.loads(l) for l in smoke_lines]
+    doctor(lines)
+    path = tmp_path / "bad.trace"
+    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", ["check", "replay"])
+@pytest.mark.parametrize("doctor", list(UNREADABLE))
+def test_an_unreadable_trace_file_ends_in_the_error_exit(tmp_path, smoke_lines, doctor, cmd):
+    r = CliRunner().invoke(cli.main, [cmd, "--trace", _doctored(tmp_path, smoke_lines, UNREADABLE[doctor])])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert r.output.startswith("Error: ") and "PASS" not in r.output
+
+
+@pytest.mark.parametrize("doctor", list(MALFORMED_OPS))
+def test_malformed_op_lines_end_check_in_the_error_exit_or_a_fail(tmp_path, smoke_lines, doctor):
+    r = CliRunner().invoke(cli.main, ["check", "--trace", _doctored(tmp_path, smoke_lines, MALFORMED_OPS[doctor])])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    if doctor == "empty-list-cert":
+        assert "FAIL  safety.certificates_verify  (failed ops: [" in r.output
+    else:
+        assert r.output.startswith("Error: ") and "PASS" not in r.output
 
 
 @pytest.mark.parametrize("oracle", ["ledger", "keychain"])
@@ -525,6 +610,15 @@ def test_attack_verifier_detects_keys_never_erased(name, oracle, monkeypatch):
     rep = run_scenario(validate({**build(0), "oracle": oracle}))
     failed = {n for n, ok, _ in verify(rep) if not ok}
     assert failed == NEVER_ERASED_FAILS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ATTACKS))
+def test_attack_verifier_reads_the_trace_once(name):
+    build, verify = ATTACKS[name]
+    rep = run_scenario(build(0))
+    rep.trace = CountingList(rep.trace)
+    assert all(ok for _, ok, _ in verify(rep))
+    assert rep.trace.passes == 1
 
 
 def test_retainer_junk_signature_rejected():
@@ -664,7 +758,7 @@ def test_cli_families():
 
 def _last_update(bundle):
     """(op index, result) of the run's last update_config return."""
-    rows = [(i, row) for i, row in sorted(ops_table(bundle).items()) if row["spec"]["op"] == "update_config"]
+    rows = [(i, row) for i, row in sorted(read_ops(bundle["trace"])[0].items()) if row["spec"]["op"] == "update_config"]
     idx, row = rows[-1]
     return idx, row["result"]
 
@@ -725,7 +819,7 @@ def test_certificate_frame_commits_to_nested_certificates(chain3):
     assert all(len(c.canon()) == 37 and c.canon()[:1] == b"O" for c in _dag(top).values())
 
     def verifies(cert_json):
-        view = checks.rebuild_view(chain3["scenario"], ledger=chain3["ledger"])
+        view = checks.rebuild_view(chain3)
         return view.grp.check_history(value_from_jsonable(r["hist"]), OutputCert.from_jsonable(cert_json))
 
     assert verifies(r["cert"])
@@ -790,7 +884,7 @@ def test_a_live_bundle_decodes_each_node_once_and_a_loaded_one_return_by_return(
     path = tmp_path / "chain3.trace"
     save_trace(path, chain3)
     dags = [_dag(OutputCert.from_jsonable(row["result"]["cert"])).keys()
-            for row in ops_table(chain3).values() if row["spec"]["op"] in ("propose", "update_config")]
+            for row in read_ops(chain3["trace"])[0].values() if row["spec"]["op"] in ("propose", "update_config")]
     built = []
     init = OutputCert.__init__
 
@@ -801,7 +895,7 @@ def test_a_live_bundle_decodes_each_node_once_and_a_loaded_one_return_by_return(
     monkeypatch.setattr(OutputCert, "__init__", counting)
     for bundle, decoded in ((chain3, len(set().union(*dags))), (load_trace(path), sum(map(len, dags)))):
         built.clear()
-        view = checks.rebuild_view(bundle["scenario"], ledger=bundle["ledger"])
+        view = checks.rebuild_view(bundle)
         assert checks.check_certificates(bundle, view)[1]
         assert len(built) == decoded
 
@@ -856,7 +950,7 @@ def test_a_certificate_spelled_out_copy_by_copy_verifies_but_breaks_the_node_bou
 def test_rebuild_view_uses_ledger_verifier():
     rep = run_scenario(FAMILIES["dbla-smoke"](6))
     bundle = rep.bundle()
-    view = checks.rebuild_view(bundle["scenario"], ledger=bundle["ledger"])
+    view = checks.rebuild_view(bundle)
     assert type(view.oracle).__name__ == "LedgerVerifier"
     # and it can still re-verify the run's certificates
     assert passed(run_checks(bundle), "safety.certificates_verify")
