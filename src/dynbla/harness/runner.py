@@ -78,7 +78,7 @@ def read_ops(trace) -> tuple[dict, list]:
             elif kind == "return":
                 d = line["detail"]
                 if type(d["result"]) is not dict:
-                    raise TypeError(f"result {d['result']!r} is not an object")
+                    raise TraceError(f"trace event {n}: result {d['result']!r} is not an object")
                 row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
                 row["returned"], row["result"] = line["step"], d["result"]
             elif kind == "upcall" and line["desc"] == "install":
