@@ -31,7 +31,7 @@ from ..fscrypto import FsSig
 from ..lattice import FinSet, genesis_config, value_from_jsonable
 from ..maxreg import setresp_payload
 from ..simnet import Msg
-from .scenario import SCHEMA_VERSION, validate
+from .scenario import make_scenario
 
 
 # -- adversary scripts --------------------------------------------------------
@@ -108,34 +108,26 @@ def _slow_reader(seed, kind, first, stale, prefix):
     responders are the two key-retaining processes, one short of a
     quorum, so p starves until it learns the new configuration.
     """
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"slow-reader-{kind}-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": ["r5"],
-        "clients": ["q", "p", "u"],
-        "app": {"kind": kind},
-        "ops": [
-            first,
-            {"op": "update_config", "client": "u", "add": ["r5"], "remove": ["r3"],
-             "after": "op0:done", "offset": 2},
-            {**stale, "after": f"inst:h{_SR_H1}", "offset": 2},
+    ops = [
+        first,
+        {"op": "update_config", "client": "u", "add": ["r5"], "remove": ["r3"],
+         "after": "op0:done", "offset": 2},
+        {**stale, "after": f"inst:h{_SR_H1}", "offset": 2},
+    ]
+    adversary = {
+        "corruptions": [
+            {"pid": "r3", "script": "retainer", "after": "op0:done", "offset": 0},
+            {"pid": "r1", "script": "retainer", "after": f"inst:h{_SR_H1}", "offset": 0},
         ],
-        "adversary": {
-            "corruptions": [
-                {"pid": "r3", "script": "retainer", "after": "op0:done", "offset": 0},
-                {"pid": "r1", "script": "retainer", "after": f"inst:h{_SR_H1}", "offset": 0},
-            ],
-            "holds": [
-                {"frm": ["q"], "to": ["r2"], "desc": prefix, "until": None},
-                {"to": ["r1"], "desc": "hist.new", "until": None},
-                {"to": ["p"], "desc": "hist.new",
-                 "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
-            ],
-        },
-        "meta": {"attack": f"slow-reader-{kind}"},
-    })
+        "holds": [
+            {"frm": ["q"], "to": ["r2"], "desc": prefix, "until": None},
+            {"to": ["r1"], "desc": "hist.new", "until": None},
+            {"to": ["p"], "desc": "hist.new",
+             "until": {"after": f"inst:h{_SR_H1}", "offset": 40}},
+        ],
+    }
+    return make_scenario(f"slow-reader-{kind}-{seed}", seed, ["q", "p", "u"], ops, extra_replicas=["r5"],
+                         app={"kind": kind}, adversary=adversary, meta={"attack": f"slow-reader-{kind}"})
 
 
 def slow_reader_dbla(seed):
@@ -163,34 +155,27 @@ def i_still_work_here(seed):
     they can produce is junk signatures; the client rejects every reply
     and finishes only after learning the real configuration.
     """
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"i-still-work-here-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": ["r5", "r6", "r7", "r8"],
-        "clients": ["p", "c2", "u"],
-        "app": {"kind": "dbla"},
-        "ops": [
-            {"op": "propose", "client": "p", "value": ["alive"], "at": 0},
-            {"op": "update_config", "client": "u",
-             "add": ["r5", "r6", "r7", "r8"], "remove": ["r1", "r2", "r3", "r4"],
-             "after": "op0:done", "offset": 2},
-            {"op": "propose", "client": "c2", "value": ["late"],
-             "after": f"inst:h{_IW_H1}", "offset": 8},
+    ops = [
+        {"op": "propose", "client": "p", "value": ["alive"], "at": 0},
+        {"op": "update_config", "client": "u",
+         "add": ["r5", "r6", "r7", "r8"], "remove": ["r1", "r2", "r3", "r4"],
+         "after": "op0:done", "offset": 2},
+        {"op": "propose", "client": "c2", "value": ["late"],
+         "after": f"inst:h{_IW_H1}", "offset": 8},
+    ]
+    adversary = {
+        "corruptions": [
+            {"pid": r, "script": "retainer", "after": f"inst:h{_IW_H1}", "offset": i + 1}
+            for i, r in enumerate(["r1", "r2", "r3", "r4"])
         ],
-        "adversary": {
-            "corruptions": [
-                {"pid": r, "script": "retainer", "after": f"inst:h{_IW_H1}", "offset": i + 1}
-                for i, r in enumerate(["r1", "r2", "r3", "r4"])
-            ],
-            "holds": [
-                {"to": ["c2"], "desc": "hist.new",
-                 "until": {"after": f"inst:h{_IW_H1}", "offset": 200}},
-            ],
-        },
-        "meta": {"attack": "i-still-work-here"},
-    })
+        "holds": [
+            {"to": ["c2"], "desc": "hist.new",
+             "until": {"after": f"inst:h{_IW_H1}", "offset": 200}},
+        ],
+    }
+    return make_scenario(f"i-still-work-here-{seed}", seed, ["p", "c2", "u"], ops,
+                         extra_replicas=["r5", "r6", "r7", "r8"], adversary=adversary,
+                         meta={"attack": "i-still-work-here"})
 
 
 # -- post-run verification ----------------------------------------------------

@@ -96,11 +96,15 @@ def check_dbla_outputs(bundle, view):
         spec, r = row["spec"] or {}, row["result"]
         if spec.get("op") != "propose" or not r or r.get("error"):
             continue
-        w = value_from_jsonable(r["w"])
+        try:
+            w, own = value_from_jsonable(r["w"]), set(spec.get("value", []))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            bad.append((idx, "malformed"))
+            continue
         if not isinstance(w, FinSet):
             bad.append((idx, "not a set"))
             continue
-        if not set(spec.get("value", [])) <= w.elems:
+        if not own <= w.elems:
             bad.append((idx, "own value missing"))
         outs.append((idx, w))
     for i in range(len(outs)):
@@ -179,20 +183,28 @@ def check_convergence(bundle, view):
     return ("safety.replica_convergence", not bad, f"violations: {bad}")
 
 
+def _int(x) -> bool:
+    return type(x) is int
+
+
 def check_maxreg(bundle, view):
     """Atomic register semantics over completed operation intervals."""
-    writes, reads = [], []
+    writes, reads, bad = [], [], []
     for idx, row in sorted(view.ops.items()):
         spec, r = row["spec"] or {}, row["result"]
         if not r or r.get("error") or row["returned"] is None:
             continue
         if spec.get("op") == "write" and r.get("ack"):
-            writes.append({"idx": idx, "v": spec["value"],
-                           "inv": row["invoked"], "ret": row["returned"]})
+            into, v, ok = writes, spec.get("value"), _int(spec.get("value"))
         elif spec.get("op") == "read":
-            reads.append({"idx": idx, "v": r.get("v"),
-                          "inv": row["invoked"], "ret": row["returned"]})
-    bad = []
+            into, v = reads, r.get("v")
+            ok = "v" in r and (v is None or _int(v))
+        else:
+            continue
+        if not (ok and _int(row["invoked"]) and _int(row["returned"])):
+            bad.append((idx, "malformed"))
+            continue
+        into.append({"idx": idx, "v": v, "inv": row["invoked"], "ret": row["returned"]})
     vals = {w["v"] for w in writes}
     for r in reads:
         if r["v"] is not None and r["v"] not in vals:
@@ -209,18 +221,24 @@ def check_maxreg(bundle, view):
 
 
 def check_ac_at_most_one(bundle, view):
-    slots = {}
+    slots, malformed = {}, []
     for idx, row in sorted(view.ops.items()):
         spec, r = row["spec"] or {}, row["result"]
         if spec.get("op") != "ac_request" or not r or not r.get("granted"):
             continue
-        slots.setdefault(r["slot"], set()).add(r["value"])
+        if type(r.get("slot")) is str and type(r.get("value")) is str:
+            slots.setdefault(r["slot"], set()).add(r["value"])
+        else:
+            malformed.append(idx)
     bad = {s: sorted(vs) for s, vs in slots.items() if len(vs) > 1}
-    return ("safety.ac_at_most_one", not bad, f"conflicting grants: {bad}")
+    return ("safety.ac_at_most_one", not bad and not malformed,
+            f"conflicting grants: {bad}, malformed grants: {malformed}")
 
 
 def check_xfer_bound(bundle, view):
-    k = bundle["scenario"]["meta"].get("k")
+    """State transfer reads from at most k + 1 configurations, k being the
+    number of update_config operations the trace records as invoked."""
+    k = sum(1 for row in view.ops.values() if (row["spec"] or {}).get("op") == "update_config")
     targets = bundle["final"]["xfer_targets"]
     ok = len(targets) <= k + 1
     return ("perf.xfer_targets_linear", ok, f"k={k}, distinct transfer sources={len(targets)}")
@@ -243,11 +261,12 @@ def _written_nodes(node):
 def check_cert_nodes(bundle, view):
     """A returned agreement certificate writes at most 2(h - h0) + 1 nodes.
 
-    h is the height of the configuration it anchors at (propose) or
-    certifies (update_config) and h0 the genesis height. Below the root,
-    the DAG holds a configuration certificate and a history certificate per
-    step of height, so a return that writes more has written some node more
-    than once. Counted on the JSON, undecoded, so the check costs no
+    h is the height of the configuration it anchors at (propose), or the
+    top of the history it returns (update_config), which a concurrent
+    update can raise above its own target; h0 is the genesis height. Below
+    the root, the DAG holds a configuration certificate and a history
+    certificate per step of height, so a return that writes more has
+    written some node more than once. Counted on the JSON, undecoded, so the check costs no
     hashing.
     """
     h0 = view.genesis.height()
@@ -257,11 +276,11 @@ def check_cert_nodes(bundle, view):
         if kind not in ("propose", "update_config") or not r or "cert" not in r:
             continue
         try:
-            h = r["anchor_h"] if kind == "propose" else r["target_h"]
+            h = r["anchor_h"] if kind == "propose" else max(len(c) for c in r["hist"]["hist"])
             nodes = _written_nodes(r["cert"])
             if nodes > 2 * (h - h0) + 1:
                 bad.append((idx, nodes, h))
-        except (AttributeError, KeyError, TypeError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             bad.append((idx, "malformed"))
     return ("perf.cert_nodes_linear", not bad, f"h0={h0}, over the bound (op, nodes, h): {bad}")
 
@@ -271,13 +290,11 @@ def run_checks(bundle):
     scn = bundle["scenario"]
     view = rebuild_view(bundle)
     checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit,
-              check_installs, check_convergence]
+              check_installs, check_convergence, check_xfer_bound]
     if scn["app"]["kind"] == "dbla":
         checks.append(check_dbla_outputs)
     elif scn["app"]["kind"] == "maxreg":
         checks.append(check_maxreg)
     if scn["acl"]["mode"] == "quorum":
         checks.append(check_ac_at_most_one)
-    if scn["meta"].get("k") is not None:
-        checks.append(check_xfer_bound)
     return [c(bundle, view) for c in checks]

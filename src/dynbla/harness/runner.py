@@ -31,13 +31,13 @@ from types import SimpleNamespace
 
 from ..access_control import AcClient, AcStore, AccessControl, make_ac_input_check, make_admin_cert
 from ..dbla import DblaClient, DblaStore, DynamicObject, accept_all
-from ..fscrypto import KeyChainFsOracle, LedgerFsOracle
+from ..fscrypto import KeyChainFsOracle, LedgerFsOracle, LedgerVerifier
 from ..lattice import ADD, REMOVE, Config, FinSet, genesis_config, value_to_jsonable
 from ..maxreg import MaxRegClient, MaxRegStore
 from ..reconfig import ReconfigClient, ReconfigGroup
 from ..simnet import HoldRule, Simulator, trace_hash
 from .attacks import SCRIPTS
-from .scenario import ScenarioError, parse_trigger, validate
+from .scenario import ScenarioError, _pids, parse_trigger, validate
 
 GROUP = "g"
 APP_OBJ = GROUP + "/obj"
@@ -402,8 +402,27 @@ def save_trace(path, bundle) -> None:
         f.write(json.dumps({"t": "hash", "hash": bundle["hash"]}, sort_keys=True) + "\n")
 
 
+# What the checks read of each replica's entry in a trace's final section.
+_FINAL_REPLICA = {"history", "installed", "ccurr", "cinst", "chighest", "member"}
+
+
+def _checked_final(final):
+    """final, if it holds the parts the checks read: statuses, xfer_targets
+    and a replicas table of dicts, each with _FINAL_REPLICA's keys and its
+    history and installed configurations as lists of ids."""
+    reps = final["replicas"]
+    ok = type(reps) is dict and type(final["statuses"]) is dict and type(final["xfer_targets"]) is list
+    for f in reps.values() if ok else ():
+        ok = ok and type(f) is dict and _FINAL_REPLICA <= f.keys() and _pids(f["history"]) and _pids(f["installed"])
+    if not ok:
+        raise TraceError("trace's final section lacks a part the checks read")
+    return final
+
+
 def load_trace(path) -> dict:
-    """The bundle save_trace wrote to path; TraceError if it cannot be read."""
+    """The bundle save_trace wrote to path, its head's scenario validated and
+    its final and ledger sections of the shapes the checks read; TraceError
+    if it cannot be read."""
     bundle = {"trace": []}
     with open(path) as f:
         for n, raw in enumerate(f, 1):
@@ -416,18 +435,22 @@ def load_trace(path) -> dict:
                     if (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
                         raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
                                          f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
-                    for key in ("scenario", "seed", "verdict", "steps"):
+                    for key in ("seed", "verdict", "steps"):
                         bundle[key] = line[key]
+                    bundle["scenario"] = validate(line["scenario"])
                 elif t == "ev":
                     bundle["trace"].append(line)
                 elif t == "final":
-                    bundle["final"] = line
+                    bundle["final"] = _checked_final(line)
                 elif t == "ledger":
+                    LedgerVerifier(line["entries"])  # raises unless the checks can read them
                     bundle["ledger"] = line["entries"]
                 elif t == "hash":
                     bundle["hash"] = line["hash"]
             except TraceError:
                 raise
+            except ScenarioError as e:
+                raise TraceError(str(e)) from e
             except (AttributeError, KeyError, TypeError, ValueError) as e:
                 raise TraceError(f"trace line {n} is malformed: {e!r}") from e
     missing = {"scenario", "final", "ledger", "hash"} - bundle.keys()

@@ -233,6 +233,14 @@ def validate(scn):
 # seed is baked in so a scenario file fully determines the run.
 
 
+def make_scenario(name, seed, clients, ops, genesis=("r1", "r2", "r3", "r4"), **parts):
+    """The validated scenario of this schema version, seed and genesis, with
+    any other top-level parts (extra_replicas, app, acl, adversary, meta)
+    as given and the rest filled by validate."""
+    return validate({"version": SCHEMA_VERSION, "name": name, "seed": seed,
+                     "genesis": list(genesis), "clients": clients, "ops": ops, **parts})
+
+
 def dbla_smoke(seed, clients=5):
     """Static membership, several clients proposing distinct singletons."""
     cids = [f"p{i}" for i in range(1, clients + 1)]
@@ -240,37 +248,21 @@ def dbla_smoke(seed, clients=5):
         {"op": "propose", "client": c, "value": [f"x{i}"], "at": i % 3}
         for i, c in enumerate(cids)
     ]
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"dbla-smoke-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "clients": cids,
-        "app": {"kind": "dbla"},
-        "ops": ops,
-    })
+    return make_scenario(f"dbla-smoke-{seed}", seed, cids, ops)
 
 
 def reconfig_dbla(seed):
     """One membership change racing live proposals; odd seeds also remove r1."""
     remove = ["r1"] if seed % 2 else []
     h1 = 4 + 1 + len(remove)
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"reconfig-dbla-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": ["r5"],
-        "clients": ["p", "q", "u"],
-        "app": {"kind": "dbla"},
-        "ops": [
-            {"op": "propose", "client": "p", "value": ["a"], "at": 0},
-            {"op": "update_config", "client": "u", "add": ["r5"], "remove": remove,
-             "after": "op0:done", "offset": 1},
-            {"op": "propose", "client": "q", "value": ["b"], "after": "op0:done", "offset": 2},
-            {"op": "propose", "client": "p", "value": ["c"], "after": f"inst:h{h1}", "offset": 3},
-        ],
-    })
+    ops = [
+        {"op": "propose", "client": "p", "value": ["a"], "at": 0},
+        {"op": "update_config", "client": "u", "add": ["r5"], "remove": remove,
+         "after": "op0:done", "offset": 1},
+        {"op": "propose", "client": "q", "value": ["b"], "after": "op0:done", "offset": 2},
+        {"op": "propose", "client": "p", "value": ["c"], "after": f"inst:h{h1}", "offset": 3},
+    ]
+    return make_scenario(f"reconfig-dbla-{seed}", seed, ["p", "q", "u"], ops, extra_replicas=["r5"])
 
 
 def reconfig_maxreg(seed):
@@ -284,16 +276,8 @@ def reconfig_maxreg(seed):
         {"op": "write", "client": "b", "value": 12, "after": f"inst:h{h1}", "offset": 1},
         {"op": "read", "client": "b", "after": "op4:done", "offset": 1},
     ]
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"reconfig-maxreg-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": ["r5"],
-        "clients": ["a", "b", "u"],
-        "app": {"kind": "maxreg"},
-        "ops": ops,
-    })
+    return make_scenario(f"reconfig-maxreg-{seed}", seed, ["a", "b", "u"], ops,
+                         extra_replicas=["r5"], app={"kind": "maxreg"})
 
 
 def chain(seed, k):
@@ -313,53 +297,33 @@ def chain(seed, k):
         prev_fact = f"inst:h{4 + i + 1}"
     ops.append({"op": "propose", "client": "q", "value": ["tail"],
                 "after": prev_fact, "offset": 3})
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"chain-{k}-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "extra_replicas": extra,
-        "clients": ["p", "q", "u"],
-        "app": {"kind": "dbla"},
-        "ops": ops,
-        "meta": {"k": k},
-    })
+    return make_scenario(f"chain-{k}-{seed}", seed, ["p", "q", "u"], ops, extra_replicas=extra)
 
 
 def solo_join(seed):
     """A one-replica genesis joined by a second replica, with a proposal
     before the join and one after it."""
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"solo-join-{seed}",
-        "seed": seed,
-        "genesis": ["r1"],
-        "extra_replicas": ["r2"],
-        "clients": ["p", "u"],
-        "app": {"kind": "dbla"},
-        "ops": [
-            {"op": "propose", "client": "p", "value": ["a"], "at": 0},
-            {"op": "update_config", "client": "u", "add": ["r2"], "after": "op0:done", "offset": 1},
-            {"op": "propose", "client": "p", "value": ["b"], "after": "op1:done", "offset": 1},
-        ],
-    })
+    ops = [
+        {"op": "propose", "client": "p", "value": ["a"], "at": 0},
+        {"op": "update_config", "client": "u", "add": ["r2"], "after": "op0:done", "offset": 1},
+        {"op": "propose", "client": "p", "value": ["b"], "after": "op1:done", "offset": 1},
+    ]
+    return make_scenario(f"solo-join-{seed}", seed, ["p", "u"], ops, genesis=["r1"], extra_replicas=["r2"])
+
+
+def _ac_race(name, seed, holds=(), **parts):
+    """a asks for slot s with x and b with y, both at step 0, under holds."""
+    ops = [
+        {"op": "ac_request", "client": "a", "slot": "s", "value": "x", "at": 0},
+        {"op": "ac_request", "client": "b", "slot": "s", "value": "y", "at": 0},
+    ]
+    return make_scenario(name, seed, ["a", "b"], ops, app={"kind": "none"}, acl={"mode": "quorum"},
+                         adversary={"holds": list(holds)}, **parts)
 
 
 def ac_quorum_race(seed):
     """Two clients race conflicting values for one guarded slot."""
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"ac-quorum-race-{seed}",
-        "seed": seed,
-        "genesis": ["r1", "r2", "r3", "r4"],
-        "clients": ["a", "b"],
-        "app": {"kind": "none"},
-        "acl": {"mode": "quorum"},
-        "ops": [
-            {"op": "ac_request", "client": "a", "slot": "s", "value": "x", "at": 0},
-            {"op": "ac_request", "client": "b", "slot": "s", "value": "y", "at": 0},
-        ],
-    })
+    return _ac_race(f"ac-quorum-race-{seed}", seed)
 
 
 def ac_pattern(mask, seed=0):
@@ -376,21 +340,7 @@ def ac_pattern(mask, seed=0):
         holds.append({"frm": ["b"], "to": first_a, "desc": "ac.req", "until": {"at": 300}})
     if first_b:
         holds.append({"frm": ["a"], "to": first_b, "desc": "ac.req", "until": {"at": 400}})
-    return validate({
-        "version": SCHEMA_VERSION,
-        "name": f"ac-pattern-{mask:04b}",
-        "seed": seed,
-        "genesis": rids,
-        "clients": ["a", "b"],
-        "app": {"kind": "none"},
-        "acl": {"mode": "quorum"},
-        "ops": [
-            {"op": "ac_request", "client": "a", "slot": "s", "value": "x", "at": 0},
-            {"op": "ac_request", "client": "b", "slot": "s", "value": "y", "at": 0},
-        ],
-        "adversary": {"holds": holds},
-        "meta": {"mask": mask},
-    })
+    return _ac_race(f"ac-pattern-{mask:04b}", seed, holds, meta={"mask": mask})
 
 
 FAMILIES = {

@@ -32,11 +32,13 @@ writes nothing and exits non-zero if any ``verdict`` or ``semantics`` would
 change.
 """
 
+import functools
 import gc
 import hashlib
 import json
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -109,13 +111,52 @@ def semantics_of(rep) -> str:
     })
 
 
-def pin_of(scn) -> dict:
-    rep = run_scenario(scn)
+def pin_of(rep) -> dict:
     return {"hash": rep.hash, "shape": shape_of(rep), "semantics": semantics_of(rep),
             "verdict": rep.verdict, "steps": rep.steps}
 
 
 RUNS = golden_runs()
+
+
+@functools.cache
+def observed(name) -> SimpleNamespace:
+    """What the tests below read of the pinned run name, which is run once
+    per session with the cyclic collector disabled: its pin, the deliveries
+    from a correct process to itself, each returned certificate's frame and
+    JSON text, and the number of objects the cyclic collector finds once
+    the report, checked and (for an attack) verified, is dropped."""
+    to_jsonable = OutputCert.to_jsonable
+    returned = []
+
+    def recording(cert):
+        out = to_jsonable(cert)
+        returned.append((cert.canon(), json.dumps(out)))
+        return out
+
+    gc.collect()
+    gc.disable()
+    try:
+        OutputCert.to_jsonable = recording
+        try:
+            rep = run_scenario(RUNS[name]())
+        finally:
+            OutputCert.to_jsonable = to_jsonable
+        pin = pin_of(rep)
+        to_self = [l for l in rep.trace if l["kind"] == "deliver" and l["frm"] == l["to"] and BYZANTINE not in l["st"]]
+        run_checks(rep.bundle())
+        attack = ATTACKS.get(name.split("/")[0])
+        if attack is not None:
+            attack[1](rep)
+        del rep
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    return SimpleNamespace(pin=pin, to_self=to_self, returned=returned, garbage=garbage)
 
 
 @pytest.fixture(scope="module")
@@ -129,58 +170,31 @@ def test_pins_cover_every_run(pins):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_trace(name, pins):
-    assert pin_of(RUNS[name]()) == pins[name]
+    assert observed(name).pin == pins[name]
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_no_correct_process_is_delivered_a_message_from_itself(name):
     # a replica takes what it sends itself as a local step, and no other
     # correct process sends itself anything
-    trace = run_scenario(RUNS[name]()).trace
-    assert not [l for l in trace if l["kind"] == "deliver" and l["frm"] == l["to"] and BYZANTINE not in l["st"]]
+    assert not observed(name).to_self
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_a_dropped_run_leaves_no_cyclic_garbage(name):
     # the report is the root of its world: dropping it after the checks and
     # the attack verifier frees everything by reference counting alone
-    gc.collect()
-    gc.disable()
-    try:
-        rep = run_scenario(RUNS[name]())
-        run_checks(rep.bundle())
-        attack = ATTACKS.get(name.split("/")[0])
-        if attack is not None:
-            attack[1](rep)
-        del rep
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        garbage = len(gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert garbage == 0
+    assert observed(name).garbage == 0
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_every_returned_certificate_decodes_to_its_frame(name, monkeypatch):
+def test_every_returned_certificate_decodes_to_its_frame(name):
     # and the decoded certificate encodes to the same JSON, so the written
     # form is a function of the certificate alone
-    to_jsonable = OutputCert.to_jsonable
-    returned = []
-
-    def recording(cert):
-        out = to_jsonable(cert)
-        returned.append((cert.canon(), json.dumps(out)))
-        return out
-
-    monkeypatch.setattr(OutputCert, "to_jsonable", recording)
-    run_scenario(RUNS[name]())
-    for frame, text in returned:
+    for frame, text in observed(name).returned:
         back = OutputCert.from_jsonable(json.loads(text))
         assert back.canon() == frame
-        assert json.dumps(to_jsonable(back)) == text
+        assert json.dumps(back.to_jsonable()) == text
 
 
 def _dumps(pins) -> str:
@@ -193,7 +207,7 @@ def rerecord() -> int:
     pins = json.loads(PINS.read_text())
     moved = []
     for name, build in RUNS.items():
-        new = pin_of(build())
+        new = pin_of(run_scenario(build()))
         old = pins.get(name, {})
         if any(old.get(k) != v for k, v in new.items() if k not in RERECORDED):
             moved.append(name)
@@ -209,4 +223,4 @@ def rerecord() -> int:
 if __name__ == "__main__":
     if sys.argv[1:] == ["--rerecord"]:
         sys.exit(rerecord())
-    print(_dumps({name: pin_of(build()) for name, build in RUNS.items()}))
+    print(_dumps({name: pin_of(run_scenario(build())) for name, build in RUNS.items()}))

@@ -422,6 +422,61 @@ def test_conflicting_grants_fail_ac_check():
     assert not passed(run_checks(bundle), "safety.ac_at_most_one")
 
 
+@pytest.mark.parametrize("scn,idx,edit,check", [
+    (FAMILIES["dbla-smoke"](8), 0, lambda r: r.update(w={"set": [["x"]]}), "safety.dbla_outputs"),
+    (FAMILIES["reconfig-maxreg"](2), 5, lambda r: r.update(v="12"), "safety.maxreg_atomic"),
+    (FAMILIES["ac-pattern"](0b0111), 0, lambda r: r.pop("slot"), "safety.ac_at_most_one"),
+], ids=["unhashable-w", "string-read", "grant-without-slot"])
+def test_a_return_missing_a_field_its_check_reads_is_a_violation(scn, idx, edit, check):
+    bundle = run_scenario(scn).bundle()
+    doctor_return(bundle, idx, edit)
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results[check][0] is False and f"{idx}" in results[check][1]
+
+
+def test_the_transfer_bound_checks_every_run_against_its_invoked_updates():
+    for scn, k in ((FAMILIES["dbla-smoke"](0), 0), (FAMILIES["reconfig-dbla"](1), 1), (FAMILIES["chain"](0, 2), 2)):
+        bundle = run_scenario(scn).bundle()
+        results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+        assert results["perf.xfer_targets_linear"][0] and f"k={k}," in results["perf.xfer_targets_linear"][1]
+        bundle["final"]["xfer_targets"] = [f"c{i}" for i in range(k + 2)]
+        assert not passed(run_checks(bundle), "perf.xfer_targets_linear")
+
+
+@pytest.mark.parametrize("meta", [{"k": 1000}, None], ids=["k-1000", "deleted"])
+def test_the_transfer_bound_ignores_the_scenario_meta(tmp_path, chain3, meta):
+    path = tmp_path / "chain3.trace"
+    save_trace(path, chain3)
+    lines = [json.loads(l) for l in path.read_text().splitlines()]
+    if meta is None:
+        del lines[0]["scenario"]["meta"]
+    else:
+        lines[0]["scenario"]["meta"] = meta
+    path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+    r = CliRunner().invoke(cli.main, ["check", "--trace", str(path)])
+    assert r.exit_code == 0, r.output
+    assert "PASS  perf.xfer_targets_linear  (k=3, " in r.output
+
+
+def two_joins(seed):
+    """u1 adds r5 at step 1 and u2 adds r6 at step 2, between two proposals."""
+    return scenario.make_scenario(f"two-joins-{seed}", seed, ["p", "q", "u1", "u2"], [
+        {"op": "propose", "client": "p", "value": ["a"], "at": 0},
+        {"op": "update_config", "client": "u1", "add": ["r5"], "at": 1},
+        {"op": "update_config", "client": "u2", "add": ["r6"], "at": 2},
+        {"op": "propose", "client": "q", "value": ["b"], "after": "op2:done", "offset": 1},
+    ], extra_replicas=["r5", "r6"])
+
+
+def test_concurrent_updates_keep_every_bound():
+    # an update's returned history can top out above its own target, when
+    # the other update's configuration joined it; its certificate covers
+    # every step up to that top
+    for seed in range(10):
+        results = run_checks(run_scenario(two_joins(seed)).bundle())
+        assert [(name, info) for name, ok, info in results if not ok] == [], seed
+
+
 # -- access-control patterns -------------------------------------------------------
 
 
@@ -501,18 +556,33 @@ def _first(lines, kind):
     return next(l for l in lines if l.get("kind") == kind)
 
 
+def _section(lines, t):
+    return next(l for l in lines if l.get("t") == t)
+
+
 # Each doctor edits a saved dbla-smoke trace's parsed lines in place: into a
-# file that load_trace refuses, or into op lines that check refuses or fails.
+# file that load_trace refuses, or into lines that check refuses or fails.
 UNREADABLE = {
     "version-3-head": lambda lines: lines[0].update(version=3),
     "head-without-scenario": lambda lines: lines[0].pop("scenario"),
     "list-line": lambda lines: lines.insert(1, [1, 2]),
+    "replica-final-without-history": lambda lines: _section(lines, "final")["replicas"]["r1"].pop("history"),
 }
 MALFORMED_OPS = {
     "list-result": lambda lines: _first(lines, "return")["detail"].update(result=[1, 2]),
     "event-without-kind": lambda lines: _first(lines, "invoke").pop("kind"),
     "return-without-idx": lambda lines: _first(lines, "return")["detail"].pop("idx"),
     "empty-list-cert": lambda lines: _first(lines, "return")["detail"]["result"].update(cert=[]),
+    "final-without-replicas": lambda lines: _section(lines, "final").pop("replicas"),
+    "propose-return-without-w": lambda lines: _first(lines, "return")["detail"]["result"].pop("w"),
+    "head-scenario-without-genesis": lambda lines: lines[0]["scenario"].pop("genesis"),
+    "ledger-entries-not-a-list": lambda lines: _section(lines, "ledger").update(entries=5),
+}
+# What check prints for the doctors whose lines it reads; the rest end in
+# the error exit.
+MALFORMED_FAILS = {
+    "empty-list-cert": "FAIL  safety.certificates_verify  (failed ops: [",
+    "propose-return-without-w": "'malformed')",
 }
 
 
@@ -543,8 +613,8 @@ def test_an_unreadable_trace_file_ends_in_the_error_exit(tmp_path, smoke_lines, 
 def test_malformed_op_lines_end_check_in_the_error_exit_or_a_fail(tmp_path, smoke_lines, doctor):
     r = CliRunner().invoke(cli.main, ["check", "--trace", _doctored(tmp_path, smoke_lines, MALFORMED_OPS[doctor])])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
-    if doctor == "empty-list-cert":
-        assert "FAIL  safety.certificates_verify  (failed ops: [" in r.output
+    if doctor in MALFORMED_FAILS:
+        assert MALFORMED_FAILS[doctor] in r.output and "Traceback" not in r.output
     else:
         assert r.output.startswith("Error: ") and "PASS" not in r.output
 
