@@ -63,11 +63,26 @@ class TraceError(ValueError):
 OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
 
 
+def _install_shaped(d) -> bool:
+    """An install upcall's detail as the checks read it: "h", an int; "st"
+    and "status", objects, "st" of ints; "hist", a list of objects with an
+    int "h", a list of str "replicas" and a "cid"."""
+    return (
+        type(d) is dict and type(d.get("h")) is int
+        and type(d.get("st")) is dict and all(type(v) is int for v in d["st"].values())
+        and type(d.get("status")) is dict and type(d.get("hist")) is list
+        and all(type(c) is dict and type(c.get("h")) is int and "cid" in c
+                and type(c.get("replicas")) is list and all(type(r) is str for r in c["replicas"])
+                for c in d["hist"])
+    )
+
+
 def read_ops(trace) -> tuple[dict, list]:
     """A trace's op rows by index and its install upcall lines, in one pass:
     a row holds an op's invoke detail and step ("spec", "invoked") and its
     return's step and result ("returned", "result"), each None where the
-    trace has no such line. A line this cannot read raises TraceError."""
+    trace has no such line. A line this cannot read, or an install line not
+    of the shape the checks read, raises TraceError."""
     ops, installs = {}, []
     try:
         for n, line in enumerate(trace):
@@ -82,6 +97,8 @@ def read_ops(trace) -> tuple[dict, list]:
                 row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
                 row["returned"], row["result"] = line["step"], d["result"]
             elif kind == "upcall" and line["desc"] == "install":
+                if not _install_shaped(line.get("detail")):
+                    raise TraceError(f"trace event {n}: install detail is not of the shape the checks read")
                 installs.append(line)
     except (AttributeError, KeyError, TypeError) as e:
         raise TraceError(f"trace event {n} is malformed: {e!r}") from e

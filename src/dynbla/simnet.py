@@ -4,9 +4,11 @@ One scheduled event per step, chosen by a seeded RNG with weight 1 + age so
 that no deliverable message starves. Identical (scenario, seed) pairs yield
 byte-identical traces; the RNG is consulted nowhere else.
 
-The weighted draw costs O(log n) in the number of pending events
-(`PendingQueue`), and picks the same event as a prefix sum over the queue
-followed by `bisect_right` on `randrange(total)`.
+Events sent in the same step weigh the same, so `PendingQueue` keeps them
+in one batch, and the weighted draw costs O(log b) in the number b of
+send-step batches, not of pending events. It picks the same event as a
+prefix sum over the queue followed by `bisect_right` on `randrange(total)`.
+A step scans only the externals that have not fired yet.
 
 `trace_hash` is SHA-256 over the trace's lines, each followed by a newline.
 A line is its dict as `json.dumps(line, sort_keys=True, separators=(",", ":"))`
@@ -76,64 +78,98 @@ class Event:
 
 
 class PendingQueue:
-    """Pending events in send order, drawn with weight 1 + age in O(log n).
+    """Pending events in send order, drawn with weight 1 + age.
 
-    Events sit in append-only slots. Every weight changes each step, so the
-    two Fenwick trees (Fenwick 1994) over the slots hold what does not: the
-    live count and the sum of enqueue steps. At step base the weight of a
-    prefix is count * (1 + base) - sum(enq); a removed slot weighs 0. When
-    the slots fill, or fewer than an eighth of them are live, they are
-    rebuilt compacted, so memory stays proportional to the live events.
+    Events with the same enqueue step sit in one batch, in send order, and
+    the batches sit in send order too. Every weight changes each step, so
+    the two Fenwick trees (Fenwick 1994) over the batches hold what does
+    not: the live count and the sum of enqueue steps. At step base a prefix
+    of batches weighs count * (1 + base) - sum(enq). A draw descends to the
+    batch that holds its weight, in O(log b) for b batches, and every event
+    of that batch weighs the same, so one division finds the event.
+
+    A node past the last batch is never read, so an append to the newest
+    batch updates one node, and opening a batch fills its node from its
+    children: O(1) amortized. When the batches fill the tree, or fewer
+    events are live than an eighth of its nodes, the empty batches are
+    dropped and the tree rebuilt, so memory stays proportional to the live
+    events.
     """
 
-    __slots__ = ("_slots", "_cap", "_cnt", "_enq", "_live", "_enq_total")
+    __slots__ = ("_batches", "_cap", "_top", "_cnt", "_enq", "_last", "_live", "_enq_total")
 
     def __init__(self, events=()):
-        self._rebuild(list(events))
+        batches, last = [], None
+        for ev in events:
+            if ev.enq != last:
+                last = ev.enq
+                batches.append([])
+            batches[-1].append(ev)
+        self._rebuild(batches)
 
-    def _rebuild(self, events: list) -> None:
+    def _rebuild(self, batches: list) -> None:
+        """Rebuild the tree over `batches`, all non-empty."""
+        n = len(batches)
         cap = MIN_SLOTS
-        while cap < 2 * len(events):
+        while cap < 2 * n:
             cap *= 2
-        # nodes 1 .. cap - 1; node cap would sum every slot, and the descent
-        # never reads it
-        cnt = [0] * cap
-        enq = [0] * cap
-        total = 0
-        for i, ev in enumerate(events, 1):
-            cnt[i] = 1
-            enq[i] = ev.enq
-            total += ev.enq
-        for i in range(1, cap):
+        # nodes 1 .. cap; only nodes 1 .. n are ever read
+        cnt = [0] * (cap + 1)
+        enq = [0] * (cap + 1)
+        live = total = 0
+        for i, b in enumerate(batches, 1):
+            k, t = len(b), b[0].enq
+            cnt[i] = k
+            enq[i] = k * t
+            live += k
+            total += k * t
+        for i in range(1, n + 1):
             j = i + (i & -i)
-            if j < cap:
+            if j <= n:
                 cnt[j] += cnt[i]
                 enq[j] += enq[i]
-        self._slots = events
+        self._batches = batches
         self._cap = cap
+        self._top = 1 << (n.bit_length() - 1) if n else 0
         self._cnt = cnt
         self._enq = enq
-        self._live = len(events)
+        self._last = batches[-1][0].enq if batches else None
+        self._live = live
         self._enq_total = total
 
     def __len__(self) -> int:
         return self._live
 
     def __iter__(self):
-        return (ev for ev in self._slots if ev is not None)
+        return (ev for b in self._batches for ev in b)
 
     def append(self, ev: Event) -> None:
-        slots = self._slots
-        if len(slots) == self._cap:
-            self._rebuild(list(self))
-            slots = self._slots
-        slots.append(ev)
-        cap, cnt, enq, t = self._cap, self._cnt, self._enq, ev.enq
-        i = len(slots)
-        while i < cap:
-            cnt[i] += 1
-            enq[i] += t
-            i += i & -i
+        t = ev.enq
+        batches = self._batches
+        if t == self._last:
+            batches[-1].append(ev)
+            i = len(batches)
+            self._cnt[i] += 1
+            self._enq[i] += t
+        else:
+            if len(batches) == self._cap:
+                self._rebuild([b for b in batches if b])
+                batches = self._batches
+            batches.append([ev])
+            self._last = t
+            # open node j from its children j - 1, j - 1 - lowbit(j - 1), ...
+            cnt, enq = self._cnt, self._enq
+            j = len(batches)
+            c, s = 1, t
+            k, stop = j - 1, j - (j & -j)
+            while k > stop:
+                c += cnt[k]
+                s += enq[k]
+                k -= k & -k
+            cnt[j] = c
+            enq[j] = s
+            if not j & (j - 1):
+                self._top = j
         self._live += 1
         self._enq_total += t
 
@@ -143,29 +179,31 @@ class PendingQueue:
         rng.randrange(total weight)."""
         w = 1 + base
         r = rng.randrange(self._live * w - self._enq_total)
-        cap, cnt, enq = self._cap, self._cnt, self._enq
-        # binary descent: pos ends as the longest prefix of weight <= r
+        cnt, enq, batches = self._cnt, self._enq, self._batches
+        n = len(batches)
+        # binary descent: pos ends as the longest run of batches of weight <= r
         pos = c = s = 0
-        half = cap >> 1
+        half = self._top
         while half:
             nxt = pos + half
-            cn = c + cnt[nxt]
-            sn = s + enq[nxt]
-            if cn * w - sn <= r:
-                pos, c, s = nxt, cn, sn
+            if nxt <= n:
+                cn = c + cnt[nxt]
+                sn = s + enq[nxt]
+                if cn * w - sn <= r:
+                    pos, c, s = nxt, cn, sn
             half >>= 1
-        ev = self._slots[pos]
-        self._slots[pos] = None
-        t = ev.enq
+        batch = batches[pos]
+        t = batch[0].enq
+        ev = batch.pop((r - c * w + s) // (w - t))
         i = pos + 1
-        while i < cap:
+        while i <= n:
             cnt[i] -= 1
             enq[i] -= t
             i += i & -i
         self._live -= 1
         self._enq_total -= t
-        if self._live * 8 < cap > MIN_SLOTS:
-            self._rebuild(list(self))
+        if self._live * 8 < self._cap > MIN_SLOTS:
+            self._rebuild([b for b in batches if b])
         return ev
 
 
@@ -222,7 +260,6 @@ class _External:
     to: str
     desc: str
     detail: dict | None
-    done: bool = False
 
 
 @dataclass(slots=True)
@@ -312,7 +349,7 @@ class Simulator:
         self._procs: dict[str, _Proc] = {}
         self.pending = PendingQueue()
         self.holds: list[HoldRule] = []
-        self.externals: list[_External] = []
+        self.externals: list[_External] = []    # not fired yet, in registration order
         self.facts: dict[str, int] = {}
         self.trace: list[dict] = []
         self.next_step = 0
@@ -425,8 +462,8 @@ class Simulator:
         self.next_step += 1
         return "adversary"
 
-    def _fire(self, ext: _External) -> str:
-        ext.done = True
+    def _fire(self, i: int) -> str:
+        ext = self.externals.pop(i)
         self._trace(ext.kind, "-", ext.to, ext.desc, None, ext.detail)
         if ext.kind == "invoke" and ext.to in self._procs:
             proc = self._procs[ext.to]
@@ -441,15 +478,27 @@ class Simulator:
         ev = self.pending.pop_weighted(self.rng, base)
         self.latencies.append(base - ev.enq)
         self.metrics["delivered"] += 1
-        proc = self._procs[ev.to]
-        self._trace("deliver", ev.frm, ev.to, ev.msg.desc, ev.msg.mhash())
+        msg = ev.msg
+        # the deliver line, built in place with one lookup for each end
+        procs = self._procs
+        proc = procs[ev.to]
+        src = procs.get(ev.frm)
+        self.trace.append({
+            "step": base,
+            "kind": "deliver",
+            "frm": ev.frm,
+            "to": ev.to,
+            "desc": msg.desc,
+            "hash": msg.mhash(),
+            "st": (src.status if src else "-") + proc.status,
+        })
         if proc.status == BYZANTINE:
             if proc.script is not None:
                 proc.script(self.adv_api, ev)
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT
-            proc.automaton.on_deliver(ev.frm, ev.msg)
+            proc.automaton.on_deliver(ev.frm, msg)
         self.next_step += 1
         return "deliver"
 
@@ -457,16 +506,16 @@ class Simulator:
         for rule in self.holds:
             if rule.buffer and rule.until is not None and rule.until.ready(self):
                 return self._release(rule)
-        for ext in self.externals:
-            if not ext.done and ext.trigger.ready(self):
-                return self._fire(ext)
+        for i, ext in enumerate(self.externals):
+            if ext.trigger.ready(self):
+                return self._fire(i)
         if self.pending:
             return self._deliver()
         # idle network: fast-fire the first registered external whose bound
         # is known (not the earliest), else release the first such hold
-        for ext in self.externals:
-            if not ext.done and ext.trigger.eventually(self):
-                return self._fire(ext)
+        for i, ext in enumerate(self.externals):
+            if ext.trigger.eventually(self):
+                return self._fire(i)
         for rule in self.holds:
             if rule.buffer and rule.until is not None and rule.until.eventually(self):
                 return self._release(rule)
@@ -477,7 +526,7 @@ class Simulator:
             if self.step() is None:
                 leftovers = (
                     self.pending
-                    or any(not e.done for e in self.externals)
+                    or self.externals
                     or any(r.buffer for r in self.holds)
                 )
                 verdict = "stalled" if leftovers else "quiescent"

@@ -1,7 +1,9 @@
 """Hypothesis profiles. The default profile is hypothesis's own; ``ci`` runs
-about 2000 examples per property, for a step that runs only the encoding
-properties (``pytest tests/test_lattice.py -k canon --hypothesis-profile=ci``).
-Its deadline is off: the step checks outputs, not per-example time."""
+about 2000 examples per property, for the steps that run only the encoding
+properties (``pytest tests/test_lattice.py -k canon --hypothesis-profile=ci``)
+and the scheduler's reference draws (``pytest tests/test_simnet.py -k
+test_draw_matches_ --hypothesis-profile=ci``). Its deadline is off: the
+steps check outputs, not per-example time."""
 
 from hypothesis import settings
 

@@ -560,8 +560,13 @@ def _section(lines, t):
     return next(l for l in lines if l.get("t") == t)
 
 
-# Each doctor edits a saved dbla-smoke trace's parsed lines in place: into a
-# file that load_trace refuses, or into lines that check refuses or fails.
+def _install(lines):
+    return next(l for l in lines if l.get("kind") == "upcall" and l.get("desc") == "install")
+
+
+# Each doctor edits a saved dbla-smoke trace's parsed lines in place (a
+# reconfig-dbla one where it edits an install upcall): into a file that
+# load_trace refuses, or into lines that check refuses or fails.
 UNREADABLE = {
     "version-3-head": lambda lines: lines[0].update(version=3),
     "head-without-scenario": lambda lines: lines[0].pop("scenario"),
@@ -577,7 +582,10 @@ MALFORMED_OPS = {
     "propose-return-without-w": lambda lines: _first(lines, "return")["detail"]["result"].pop("w"),
     "head-scenario-without-genesis": lambda lines: lines[0]["scenario"].pop("genesis"),
     "ledger-entries-not-a-list": lambda lines: _section(lines, "ledger").update(entries=5),
+    "install-without-st": lambda lines: _install(lines)["detail"].pop("st"),
+    "install-hist-not-a-list": lambda lines: _install(lines)["detail"].update(hist=5),
 }
+ON_RECONFIG = {"install-without-st", "install-hist-not-a-list"}
 # What check prints for the doctors whose lines it reads; the rest end in
 # the error exit.
 MALFORMED_FAILS = {
@@ -586,11 +594,20 @@ MALFORMED_FAILS = {
 }
 
 
+def _saved_lines(tmp_path_factory, family):
+    path = tmp_path_factory.mktemp(family) / "run.trace"
+    save_trace(path, run_scenario(FAMILIES[family](0)).bundle())
+    return path.read_text().splitlines()
+
+
 @pytest.fixture(scope="module")
 def smoke_lines(tmp_path_factory):
-    path = tmp_path_factory.mktemp("smoke") / "run.trace"
-    save_trace(path, run_scenario(FAMILIES["dbla-smoke"](0)).bundle())
-    return path.read_text().splitlines()
+    return _saved_lines(tmp_path_factory, "dbla-smoke")
+
+
+@pytest.fixture(scope="module")
+def reconfig_lines(tmp_path_factory):
+    return _saved_lines(tmp_path_factory, "reconfig-dbla")
 
 
 def _doctored(tmp_path, smoke_lines, doctor):
@@ -610,8 +627,9 @@ def test_an_unreadable_trace_file_ends_in_the_error_exit(tmp_path, smoke_lines, 
 
 
 @pytest.mark.parametrize("doctor", list(MALFORMED_OPS))
-def test_malformed_op_lines_end_check_in_the_error_exit_or_a_fail(tmp_path, smoke_lines, doctor):
-    r = CliRunner().invoke(cli.main, ["check", "--trace", _doctored(tmp_path, smoke_lines, MALFORMED_OPS[doctor])])
+def test_malformed_op_lines_end_check_in_the_error_exit_or_a_fail(tmp_path, request, doctor):
+    lines = request.getfixturevalue("reconfig_lines" if doctor in ON_RECONFIG else "smoke_lines")
+    r = CliRunner().invoke(cli.main, ["check", "--trace", _doctored(tmp_path, lines, MALFORMED_OPS[doctor])])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     if doctor in MALFORMED_FAILS:
         assert MALFORMED_FAILS[doctor] in r.output and "Traceback" not in r.output

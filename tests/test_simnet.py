@@ -211,6 +211,33 @@ def test_fact_trigger_with_offset():
     assert fired == [17]
 
 
+def test_externals_ready_in_one_step_fire_in_registration_order():
+    # under traffic: b and c are both due at step 5, a later; b and c fire at
+    # steps 5 and 6 in the order they were registered
+    sim = Simulator(1, LedgerFsOracle())
+    f = Flood(rounds=50)
+    sim.spawn("f", f)
+    for name, at in (("a", 20), ("b", 5), ("c", 5)):
+        sim.add_external(Trigger(at=at), "invoke", lambda: None, to="f", desc=name)
+    f.kick()
+    sim.run(2000)
+    fired = [(l["step"], l["desc"]) for l in sim.trace if l["kind"] == "invoke"]
+    assert fired == [(5, "b"), (6, "c"), (20, "a")]
+
+
+def test_externals_fast_fired_when_idle_go_in_registration_order():
+    # on an idle network every external with a known bound fires at once,
+    # first registered first (not earliest due); an unknown fact stalls
+    sim = Simulator(1, LedgerFsOracle())
+    sim.spawn("a", Collector())
+    for name, trig in (("never", Trigger(fact="x")), ("late", Trigger(at=100)),
+                       ("early", Trigger(at=10)), ("after", Trigger(fact="seen", offset=40))):
+        sim.add_external(trig, "invoke", lambda: None, to="a", desc=name)
+    sim.note_fact("seen")
+    assert sim.run(500) == {"verdict": "stalled", "steps": 3}
+    assert [l["desc"] for l in sim.trace] == ["late", "early", "after"]
+
+
 def test_unreachable_fact_trigger_stalls():
     sim = Simulator(5, LedgerFsOracle())
     sim.spawn("a", Collector())
@@ -332,7 +359,8 @@ def replay(seed, ops):
     return sim
 
 
-@settings(max_examples=200, deadline=None)
+# at least 200 examples; more under a profile that asks for more (ci)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32),
     st.lists(st.tuples(st.sampled_from(OPS), st.sampled_from(PIDS), st.sampled_from(PIDS)), max_size=300),
@@ -356,15 +384,109 @@ def test_draw_matches_reference_through_growth_and_drain(seed):
     assert not sim.pending
 
 
+class Fanout:
+    """Relays each message to `width` processes until its hops run out, and
+    logs every send it makes as (frm, to, msg)."""
+
+    def __init__(self, log, gen, width=3):
+        self.log, self.gen, self.width = log, gen, width
+
+    def bind(self, api):
+        self.api = api
+        self.got = []
+
+    def on_deliver(self, frm, msg):
+        self.got.append(msg)
+        hops = msg.body["hops"]
+        if hops:
+            for to in self.gen.sample(PIDS, self.width):
+                send(self.api, self.log, to, hops - 1, self.gen)
+
+
+def send(api, log, to, hops, gen):
+    msg = Msg(gen.choice(("t.x", "t.held")), "t", {"hops": hops, "n": len(log)})
+    log.append((api.pid, to, msg))
+    api.send(to, msg)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_draw_matches_reference_when_deliveries_fan_out(seed):
+    # every delivery sends to several processes in its step, so send-step
+    # batches hold several events; a hold on c is released and d is halted
+    # while the queue is full
+    sim = Simulator(seed, LedgerFsOracle())
+    gen, log = random.Random(seed), []
+    procs = {p: Fanout(log, gen) for p in PIDS}
+    for p, proc in procs.items():
+        sim.spawn(p, proc)
+    hold = HoldRule(to={"c"}, desc="t.held", until=Trigger(fact="open"))
+    sim.add_hold(hold)
+    rng = random.Random(seed)
+    model, buffered, widest = [], [], 0
+
+    def take(enq):
+        # the sends of the last step, as the simulator files them
+        nonlocal widest
+        widest = max(widest, len(log))
+        for frm, to, msg in log:
+            if sim.status(to) == "H":
+                continue
+            if hold.matches(frm, to, msg):
+                buffered.append((frm, to, msg))
+            else:
+                model.append((enq, frm, to, msg))
+        log.clear()
+
+    for p in PIDS:
+        send(sim.api(p), log, gen.choice(PIDS), 5, gen)
+    take(0)
+    while True:
+        now = sim.now()
+        if now == 60:
+            sim.halt("d")
+            model = [e for e in model if e[2] != "d"]
+            buffered = [e for e in buffered if e[1] != "d"]
+        if now == 120:
+            sim.note_fact("open")
+        if buffered and "open" in sim.facts:
+            model.extend((now, f, t, m) for f, t, m in buffered)
+            buffered = []
+            assert sim.step() == "adversary"
+        elif model:
+            _, _, dest, msg = model.pop(reference_pick(model, now, rng))
+            assert sim.step() == "deliver"
+            assert procs[dest].got[-1] is msg
+        else:
+            assert sim.step() is None
+            break
+        take(now)
+        assert [(e.enq, e.frm, e.to, e.msg) for e in sim.pending] == model
+    assert sim.status("d") == "H" and hold.released and widest > 1 and sim.now() > 200
+    assert sim.rng.getstate() == rng.getstate()
+
+
 def test_queue_memory_follows_live_events():
+    # 1,000 one-event batches drain to 3 events: the empty batches are
+    # dropped and the tree is back to its smallest size
     q = PendingQueue()
     msg = Msg("t.x", "t", {})
     for i in range(1000):
         q.append(Event(i, "a", "b", msg))
+    assert len(q._batches) == 1000 and q._cap >= 1000
     rng = random.Random(0)
     while len(q) > 3:
         q.pop_weighted(rng, 1000)
-    assert len(q._slots) <= MIN_SLOTS and q._cap == MIN_SLOTS
+    assert len(q._batches) <= MIN_SLOTS and q._cap == MIN_SLOTS
+    assert len(q._cnt) == len(q._enq) == MIN_SLOTS + 1
+
+
+def test_one_send_step_is_one_batch():
+    q = PendingQueue()
+    msg = Msg("t.x", "t", {})
+    for enq in (0, 0, 0, 1, 1, 3):
+        q.append(Event(enq, "a", "b", msg))
+    assert [[ev.enq for ev in b] for b in q._batches] == [[0, 0, 0], [1, 1], [3]]
+    assert [ev.enq for ev in PendingQueue(q)._batches[1]] == [1, 1]
 
 
 def reference_trace_hash(trace):
