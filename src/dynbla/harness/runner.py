@@ -63,12 +63,15 @@ class TraceError(ValueError):
 OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
 
 
-def _install_shaped(d) -> bool:
-    """An install upcall's detail as the checks read it: "h", an int; "st"
-    and "status", objects, "st" of ints; "hist", a list of objects with an
-    int "h", a list of str "replicas" and a "cid"."""
+def _install_shaped(line) -> bool:
+    """An install upcall line as the checks read it: an int "step", a str
+    "to", and a "detail" with an int "h", objects "st" (of ints) and
+    "status", and "hist", a list of objects with an int "h", a list of str
+    "replicas" and a "cid"."""
+    d = line.get("detail")
     return (
-        type(d) is dict and type(d.get("h")) is int
+        type(line.get("step")) is int and type(line.get("to")) is str
+        and type(d) is dict and type(d.get("h")) is int
         and type(d.get("st")) is dict and all(type(v) is int for v in d["st"].values())
         and type(d.get("status")) is dict and type(d.get("hist")) is list
         and all(type(c) is dict and type(c.get("h")) is int and "cid" in c
@@ -97,8 +100,8 @@ def read_ops(trace) -> tuple[dict, list]:
                 row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
                 row["returned"], row["result"] = line["step"], d["result"]
             elif kind == "upcall" and line["desc"] == "install":
-                if not _install_shaped(line.get("detail")):
-                    raise TraceError(f"trace event {n}: install detail is not of the shape the checks read")
+                if not _install_shaped(line):
+                    raise TraceError(f"trace event {n}: install line is not of the shape the checks read")
                 installs.append(line)
     except (AttributeError, KeyError, TypeError) as e:
         raise TraceError(f"trace event {n} is malformed: {e!r}") from e

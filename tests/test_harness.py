@@ -584,8 +584,11 @@ MALFORMED_OPS = {
     "ledger-entries-not-a-list": lambda lines: _section(lines, "ledger").update(entries=5),
     "install-without-st": lambda lines: _install(lines)["detail"].pop("st"),
     "install-hist-not-a-list": lambda lines: _install(lines)["detail"].update(hist=5),
+    # the key-update audit reads the line's step only at a stale epoch
+    "stale-install-without-step": lambda lines: (
+        _install(lines).pop("step"), _install(lines)["detail"].update(st={})),
 }
-ON_RECONFIG = {"install-without-st", "install-hist-not-a-list"}
+ON_RECONFIG = {"install-without-st", "install-hist-not-a-list", "stale-install-without-step"}
 # What check prints for the doctors whose lines it reads; the rest end in
 # the error exit.
 MALFORMED_FAILS = {
