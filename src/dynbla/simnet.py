@@ -181,20 +181,21 @@ class PendingQueue:
         r = rng.randrange(self._live * w - self._enq_total)
         cnt, enq, batches = self._cnt, self._enq, self._batches
         n = len(batches)
-        # binary descent: pos ends as the longest run of batches of weight <= r
-        pos = c = s = 0
+        # binary descent: pos ends as the longest run of batches of weight <= r,
+        # and r as the weight drawn into batch pos, where each event weighs w - t
+        pos = 0
         half = self._top
         while half:
             nxt = pos + half
             if nxt <= n:
-                cn = c + cnt[nxt]
-                sn = s + enq[nxt]
-                if cn * w - sn <= r:
-                    pos, c, s = nxt, cn, sn
+                d = cnt[nxt] * w - enq[nxt]
+                if d <= r:
+                    r -= d
+                    pos = nxt
             half >>= 1
         batch = batches[pos]
         t = batch[0].enq
-        ev = batch.pop((r - c * w + s) // (w - t))
+        ev = batch.pop(r // (w - t))
         i = pos + 1
         while i <= n:
             cnt[i] -= 1
