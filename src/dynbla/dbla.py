@@ -713,10 +713,12 @@ class DblaStore(Store):
 
 # -- the wire gate -------------------------------------------------------------
 
-# A field's entry is one exact type, a tuple of them, [T] for a list of
-# exact type T's, or a nested table for a dict. Every field is required;
-# extra fields are ignored. Exact types keep a bool out of an int field and
-# a subclass out of a certificate or configuration field.
+# Each kind's entry is a table, {field: shape}. A field's shape is one exact
+# type, a tuple of them, [s] for a list of s's, {str: s} for a dict from str
+# keys to s's, or a nested table for a dict; s is an exact type or a table.
+# Every field is required; extra fields are ignored. Exact types keep a bool
+# out of an int field and a subclass out of a certificate or configuration
+# field.
 CERTS = (dict, OutputCert, AcCert)      # token dicts, access grants, agreement outputs
 VALUES = (int, str, FinSet, Config, ConfSet, History)  # what an access request may guard
 _URB = {"origin": str, "config": Config}      # an install announcement
@@ -748,12 +750,12 @@ WIRE = {
 REQUESTS = frozenset(d for d, t in WIRE.items() if "sn" in t and "config" in t)
 
 
-def _fits(x, table: dict) -> bool:
-    """x is a dict that carries every field of table at its type."""
+def fits(x, table: dict) -> bool:
+    """x is a dict that carries every field of table at its shape."""
     if type(x) is not dict:
         return False
     for name, entry in table.items():
-        v = x.get(name, _fits)      # _fits itself stands for a missing field
+        v = x.get(name, fits)       # fits itself stands for a missing field
         kind = type(entry)
         if kind is type:
             if type(v) is not entry:
@@ -764,10 +766,18 @@ def _fits(x, table: dict) -> bool:
         elif kind is list:
             if type(v) is not list:
                 return False
+            s = entry[0]
             for e in v:
-                if type(e) is not entry[0]:
+                if type(e) is not s and (type(s) is type or not fits(e, s)):
                     return False
-        elif not _fits(v, entry):     # a nested table
+        elif str in entry:          # a dict from str keys
+            if type(v) is not dict:
+                return False
+            s = entry[str]
+            for k, e in v.items():
+                if type(k) is not str or type(e) is not s and (type(s) is type or not fits(e, s)):
+                    return False
+        elif not fits(v, entry):    # a nested table
             return False
     return True
 
@@ -779,7 +789,7 @@ def wire_ok(msg: Msg) -> bool:
     recipient is handed the object other recipients are sent and may edit it.
     """
     table = WIRE.get(msg.desc)
-    return table is not None and _fits(msg.body, table)
+    return table is not None and fits(msg.body, table)
 
 
 class XferSession(QuorumSession):

@@ -1,11 +1,12 @@
 """Invariant checks over a run bundle.
 
-Every check works from the serialized bundle (scenario, trace, finals,
+Every check works from the serialized bundle (scenario, trace, final,
 signature ledger) so the same code validates a live run and a trace file
-loaded later.  run_checks builds one offline view of the group per bundle,
-with a LedgerVerifier standing in for the signature oracle and the trace
-read once (runner.read_ops) into view.ops and view.installs; certificates
-embedded in operation returns are rebuilt and re-verified against it.
+loaded later, which load_trace has checked against runner.TRACE_SHAPES.
+run_checks builds one offline view of the group per bundle, with a
+LedgerVerifier standing in for the signature oracle and the trace read once
+(runner.read_ops) into view.ops and view.installs; certificates embedded in
+operation returns are rebuilt and re-verified against it.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def check_key_update_audit(bundle, view):
 
 
 def check_installs(bundle, view):
-    """Installed configurations appear in some correct replica's history."""
-    finals = bundle["final"]["replicas"]
-    statuses = bundle["final"]["statuses"]
+    """A correct replica's installs are in some correct history, its gates in its own, and its install
+    upcalls in its final state."""
+    finals, statuses = bundle["final"]["replicas"], bundle["final"]["statuses"]
     known = set()
     for pid, f in finals.items():
         if statuses.get(pid) in ("C", "I"):
@@ -156,13 +157,16 @@ def check_installs(bundle, view):
                 bad.append((pid, cid))
         if f["cinst"] not in f["history"] or f["ccurr"] not in f["history"]:
             bad.append((pid, "gate out of history"))
+    for line in view.installs:
+        pid, cid = line["to"], line["detail"]["cid"]
+        if statuses.get(pid) == "C" and (pid not in finals or cid not in finals[pid]["installed"]):
+            bad.append((pid, cid, "install upcall not in final"))
     return ("safety.installs_certified", not bad, f"violations: {bad}")
 
 
 def check_convergence(bundle, view):
-    """Correct replicas hold comparable histories; quiet runs agree exactly."""
-    finals = bundle["final"]["replicas"]
-    statuses = bundle["final"]["statuses"]
+    """Correct replicas hold comparable histories; quiet runs agree exactly; the head fits the events."""
+    finals, statuses = bundle["final"]["replicas"], bundle["final"]["statuses"]
     rows = [(p, f) for p, f in sorted(finals.items()) if statuses.get(p) in ("C", "I")]
     bad = []
     for i in range(len(rows)):
@@ -180,6 +184,9 @@ def check_convergence(bundle, view):
                 bad.append((p, "history not fully adopted"))
             if f["member"] and f["cinst"] != f["chighest"]:
                 bad.append((p, "member did not install the top configuration"))
+    steps, last = bundle["steps"], bundle["trace"][-1]["step"] if bundle["trace"] else -1
+    if steps != last + 1 or (bundle["verdict"] == "cap") != (steps == bundle["scenario"]["max_steps"]):
+        bad.append(("head", f"verdict {bundle['verdict']} at steps={steps}, last event step {last}"))
     return ("safety.replica_convergence", not bad, f"violations: {bad}")
 
 

@@ -7,6 +7,10 @@ invoke and return and every install is written into the trace with a
 jsonable detail, and only there, so all invariants can be re-checked from
 the trace file alone; read_ops reads it back in one pass.
 
+A trace file's shape is stated once, in TRACE_SHAPES, and checked only by
+load_trace; read_ops and the checks read fields directly. A RunReport's
+fields are the file's sections.
+
 A run's World, ``RunReport.ctx``, is the root of everything the run built:
 it holds the simulator, the oracle, the group objects and the automata,
 and nothing in the world holds it, or the simulator, strongly. The weak
@@ -26,18 +30,18 @@ from __future__ import annotations
 import json
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 from ..access_control import AcClient, AcStore, AccessControl, make_ac_input_check, make_admin_cert
-from ..dbla import DblaClient, DblaStore, DynamicObject, accept_all
+from ..dbla import DblaClient, DblaStore, DynamicObject, accept_all, fits
 from ..fscrypto import KeyChainFsOracle, LedgerFsOracle, LedgerVerifier
 from ..lattice import ADD, REMOVE, Config, FinSet, genesis_config, value_to_jsonable
 from ..maxreg import MaxRegClient, MaxRegStore
 from ..reconfig import ReconfigClient, ReconfigGroup
 from ..simnet import HoldRule, Simulator, trace_hash
 from .attacks import SCRIPTS
-from .scenario import ScenarioError, _pids, parse_trigger, validate
+from .scenario import ScenarioError, parse_trigger, validate
 
 GROUP = "g"
 APP_OBJ = GROUP + "/obj"
@@ -56,73 +60,72 @@ TRACE_VERSION = 4
 
 
 class TraceError(ValueError):
-    """Every way load_trace and read_ops refuse a trace."""
+    """Every way load_trace refuses a trace file."""
 
 
 # One operation of a run, as RunReport.ops reads it from the trace.
 OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
 
 
-def _install_shaped(line) -> bool:
-    """An install upcall line as the checks read it: an int "step", a str
-    "to", and a "detail" with an int "h", objects "st" (of ints) and
-    "status", and "hist", a list of objects with an int "h", a list of str
-    "replicas" and a "cid"."""
-    d = line.get("detail")
-    return (
-        type(line.get("step")) is int and type(line.get("to")) is str
-        and type(d) is dict and type(d.get("h")) is int
-        and type(d.get("st")) is dict and all(type(v) is int for v in d["st"].values())
-        and type(d.get("status")) is dict and type(d.get("hist")) is list
-        and all(type(c) is dict and type(c.get("h")) is int and "cid" in c
-                and type(c.get("replicas")) is list and all(type(r) is str for r in c["replicas"])
-                for c in d["hist"])
-    )
+# What the checks read of each line of a trace file, by the line's section
+# (its "t"), in dbla.WIRE's language (see dbla.fits). An event line is also
+# checked against "ev:" + its kind, or + its desc for an upcall, where that
+# entry exists: op invokes, returns and install upcalls carry the detail the
+# checks read. A live run's lines are of these shapes as the simulator writes
+# them; load_trace checks each line of a file as it reads it.
+_REPLICA = {"history": [str], "installed": [str], "ccurr": str, "cinst": str, "chighest": str, "member": bool}
+_EV = {"step": int, "kind": str, "frm": str, "to": str, "desc": str, "hash": (str, type(None)), "st": str}
+TRACE_SHAPES = {
+    "head": {"scenario": dict, "seed": int, "verdict": str, "steps": int},
+    "ev": _EV,
+    "ev:invoke": {**_EV, "detail": {"idx": int, "op": str}},
+    "ev:return": {**_EV, "detail": {"idx": int, "result": dict}},
+    "ev:install": {**_EV, "detail": {"h": int, "cid": str, "st": {str: int}, "status": dict,
+                                     "hist": [{"cid": str, "h": int, "replicas": [str]}]}},
+    "final": {"replicas": {str: _REPLICA}, "statuses": {str: str}, "xfer_targets": [str]},
+    "ledger": {"entries": list},
+    "hash": {"hash": str},
+}
 
 
 def read_ops(trace) -> tuple[dict, list]:
     """A trace's op rows by index and its install upcall lines, in one pass:
     a row holds an op's invoke detail and step ("spec", "invoked") and its
     return's step and result ("returned", "result"), each None where the
-    trace has no such line. A line this cannot read, or an install line not
-    of the shape the checks read, raises TraceError."""
+    trace has no such line. Reads a live or a loaded trace; checks nothing."""
     ops, installs = {}, []
-    try:
-        for n, line in enumerate(trace):
-            kind = line["kind"]
-            if kind == "invoke" and line["desc"].startswith("op"):
-                d = line["detail"]
-                ops[d["idx"]] = {"spec": d, "invoked": line["step"], "returned": None, "result": None}
-            elif kind == "return":
-                d = line["detail"]
-                if type(d["result"]) is not dict:
-                    raise TraceError(f"trace event {n}: result {d['result']!r} is not an object")
-                row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
-                row["returned"], row["result"] = line["step"], d["result"]
-            elif kind == "upcall" and line["desc"] == "install":
-                if not _install_shaped(line):
-                    raise TraceError(f"trace event {n}: install line is not of the shape the checks read")
-                installs.append(line)
-    except (AttributeError, KeyError, TypeError) as e:
-        raise TraceError(f"trace event {n} is malformed: {e!r}") from e
+    for line in trace:
+        kind = line["kind"]
+        if kind == "invoke":
+            d = line["detail"]
+            ops[d["idx"]] = {"spec": d, "invoked": line["step"], "returned": None, "result": None}
+        elif kind == "return":
+            d = line["detail"]
+            row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
+            row["returned"], row["result"] = line["step"], d["result"]
+        elif kind == "upcall" and line["desc"] == "install":
+            installs.append(line)
     return ops, installs
 
 
 @dataclass
 class RunReport:
+    """One run: its trace file's sections, and ctx, the World it ran in."""
+
     scenario: dict
     seed: int
     verdict: str
     steps: int
     trace: list
-    finals: dict
-    statuses: dict
-    metrics: dict
-    facts: dict
+    final: dict
     ledger: list
-    corruptions: list
     hash: str
     ctx: object = field(repr=False, default=None)
+
+    @property
+    def metrics(self) -> dict:
+        """The simulator's counters, as final records them."""
+        return self.final["metrics"]
 
     @property
     def ops(self) -> list[OpRecord]:
@@ -132,23 +135,8 @@ class RunReport:
                 for i, spec in enumerate(self.scenario["ops"]) for row in [rows.get(i, {})]]
 
     def bundle(self) -> dict:
-        """Everything the offline checks need, as one jsonable dict."""
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "verdict": self.verdict,
-            "steps": self.steps,
-            "trace": self.trace,
-            "final": {
-                **self.finals,
-                "statuses": self.statuses,
-                "metrics": self.metrics,
-                "facts": self.facts,
-                "corruptions": self.corruptions,
-            },
-            "ledger": self.ledger,
-            "hash": self.hash,
-        }
+        """The trace file's sections, for save_trace and the offline checks."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ctx"}
 
 
 class World(SimpleNamespace):
@@ -360,7 +348,8 @@ def _schedule(ctx, scn, corruptions):
         ))
 
 
-def _finals(ctx):
+def _final(ctx, corruptions):
+    """The run's final section: replica and hub end states, and the simulator's record."""
     reps = {}
     for pid, rep in ctx.replicas.items():
         reps[pid] = {
@@ -375,11 +364,10 @@ def _finals(ctx):
             "buffered": len(rep.buffered),
             "dropped": rep.dropped,
         }
-    targets = set()
-    for r in reps.values():
-        targets.update(r["xfer_targets"])
     hubs = {c: {"anchor_h": hub.anchor().height()} for c, hub in ctx.hubs.items()}
-    return {"replicas": reps, "hubs": hubs, "xfer_targets": sorted(targets)}
+    targets = sorted({t for r in reps.values() for t in r["xfer_targets"]})
+    return {"replicas": reps, "hubs": hubs, "xfer_targets": targets, "statuses": ctx.sim.statuses(),
+            "metrics": dict(ctx.sim.metrics), "facts": dict(ctx.sim.facts), "corruptions": corruptions}
 
 
 def run_scenario(scn) -> RunReport:
@@ -388,19 +376,14 @@ def run_scenario(scn) -> RunReport:
     corruptions: list[dict] = []
     _schedule(ctx, scn, corruptions)
     res = ctx.sim.run(scn["max_steps"])
-    finals = _finals(ctx)
     return RunReport(
         scenario=scn,
         seed=scn["seed"],
         verdict=res["verdict"],
         steps=res["steps"],
         trace=ctx.sim.trace,
-        finals=finals,
-        statuses=ctx.sim.statuses(),
-        metrics=dict(ctx.sim.metrics),
-        facts=dict(ctx.sim.facts),
+        final=_final(ctx, corruptions),
         ledger=ctx.oracle.dump_ledger(),
-        corruptions=corruptions,
         hash=trace_hash(ctx.sim.trace),
         ctx=ctx,
     )
@@ -412,8 +395,7 @@ def save_trace(path, bundle) -> None:
     """One JSON object per line: head, events, final, ledger, hash."""
     with open(path, "w") as f:
         head = {"t": "head", "format": TRACE_FORMAT, "version": TRACE_VERSION,
-                "scenario": bundle["scenario"], "seed": bundle["seed"],
-                "verdict": bundle["verdict"], "steps": bundle["steps"]}
+                **{k: bundle[k] for k in ("scenario", "seed", "verdict", "steps")}}
         f.write(json.dumps(head, sort_keys=True) + "\n")
         for line in bundle["trace"]:
             f.write(json.dumps({"t": "ev", **line}, sort_keys=True) + "\n")
@@ -422,27 +404,10 @@ def save_trace(path, bundle) -> None:
         f.write(json.dumps({"t": "hash", "hash": bundle["hash"]}, sort_keys=True) + "\n")
 
 
-# What the checks read of each replica's entry in a trace's final section.
-_FINAL_REPLICA = {"history", "installed", "ccurr", "cinst", "chighest", "member"}
-
-
-def _checked_final(final):
-    """final, if it holds the parts the checks read: statuses, xfer_targets
-    and a replicas table of dicts, each with _FINAL_REPLICA's keys and its
-    history and installed configurations as lists of ids."""
-    reps = final["replicas"]
-    ok = type(reps) is dict and type(final["statuses"]) is dict and type(final["xfer_targets"]) is list
-    for f in reps.values() if ok else ():
-        ok = ok and type(f) is dict and _FINAL_REPLICA <= f.keys() and _pids(f["history"]) and _pids(f["installed"])
-    if not ok:
-        raise TraceError("trace's final section lacks a part the checks read")
-    return final
-
-
 def load_trace(path) -> dict:
-    """The bundle save_trace wrote to path, its head's scenario validated and
-    its final and ledger sections of the shapes the checks read; TraceError
-    if it cannot be read."""
+    """The bundle save_trace wrote to path, each line checked as it is read against TRACE_SHAPES,
+    the head's scenario by validate and the ledger's entries by a LedgerVerifier; TraceError if
+    a line fails its check or a section is missing."""
     bundle = {"trace": []}
     with open(path) as f:
         for n, raw in enumerate(f, 1):
@@ -451,17 +416,22 @@ def load_trace(path) -> dict:
             try:
                 line = json.loads(raw)
                 t = line.pop("t", None)
+                if t == "head" and (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
+                    raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
+                                     f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
+                shape = TRACE_SHAPES.get(t, {})
+                if t == "ev" and fits(line, shape):
+                    key = line["desc"] if line["kind"] == "upcall" else line["kind"]
+                    shape = TRACE_SHAPES.get("ev:" + key, shape)
+                if not fits(line, shape):
+                    raise TraceError(f"trace line {n} is not of the shape the checks read")
                 if t == "head":
-                    if (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
-                        raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
-                                         f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
-                    for key in ("seed", "verdict", "steps"):
-                        bundle[key] = line[key]
+                    bundle.update({k: line[k] for k in ("seed", "verdict", "steps")})
                     bundle["scenario"] = validate(line["scenario"])
                 elif t == "ev":
                     bundle["trace"].append(line)
                 elif t == "final":
-                    bundle["final"] = _checked_final(line)
+                    bundle["final"] = line
                 elif t == "ledger":
                     LedgerVerifier(line["entries"])  # raises unless the checks can read them
                     bundle["ledger"] = line["entries"]

@@ -149,7 +149,7 @@ def test_c07_state_transfer_touches_linearly_many_configs():
             rep = run_scenario(FAMILIES["chain"](seed, k))
             fails = clean(rep)
             ok = ok and not fails
-            worst = max(worst, len(rep.finals["xfer_targets"]))
+            worst = max(worst, len(rep.final["xfer_targets"]))
         ok = ok and 1 <= worst <= k + 1
         rows.append(f"k={k}: {worst} sources (cap {k + 1})")
     emit("c07 transfer chain bound", ok, "; ".join(rows))

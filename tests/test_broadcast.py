@@ -445,7 +445,7 @@ def urb_flood_run(monkeypatch, k):
     scn["adversary"] = {"corruptions": [{"pid": "r4", "script": "urb-flood", "at": 20}], "holds": []}
     rep = run_scenario(scn)
     assert rep.verdict == "quiescent" and all(ok for _, ok, _ in run_checks(rep.bundle()))
-    assert rep.corruptions[0]["applied"]
+    assert rep.final["corruptions"][0]["applied"]
     return rep, set(fabricated)
 
 

@@ -103,11 +103,11 @@ def shape_of(rep) -> str:
 
 
 def semantics_of(rep) -> str:
-    replicas = rep.finals["replicas"]
+    replicas = rep.final["replicas"]
     return _digest({
         "verdict": rep.verdict,
         "returns": {str(op.idx): _without_encoded(op.result) for op in rep.ops},
-        "installed": {p: r["installed"] for p, r in replicas.items() if rep.statuses[p] == "C"},
+        "installed": {p: r["installed"] for p, r in replicas.items() if rep.final["statuses"][p] == "C"},
     })
 
 

@@ -270,9 +270,9 @@ def test_corrupting_idle_process_is_recorded_not_fatal():
     scn["extra_replicas"] = ["r9"]
     scn["adversary"]["corruptions"] = [{"pid": "r9", "script": "silent", "at": 2}]
     rep = run_scenario(validate(scn))
-    (rec,) = rep.corruptions
+    (rec,) = rep.final["corruptions"]
     assert rec["pid"] == "r9" and rec["applied"] is False
-    assert rep.statuses["r9"] == "I"
+    assert rep.final["statuses"]["r9"] == "I"
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
 
 
@@ -325,10 +325,10 @@ def test_dropping_the_report_frees_the_world(no_cyclic_gc, build):
 def test_the_world_outlives_its_report(no_cyclic_gc):
     scn = FAMILIES["reconfig-dbla"](0)
     rep = run_scenario(scn)
-    expected = (rep.hash, rep.finals)
+    expected = (rep.hash, rep.final)
     del rep
     ctx = run_scenario(scn).ctx
-    assert (trace_hash(ctx.sim.trace), runner._finals(ctx)) == expected
+    assert (trace_hash(ctx.sim.trace), runner._final(ctx, [])) == expected
     assert all(ctx.oracle.st(r) > 0 for r in ctx.replicas)
 
 
@@ -502,9 +502,10 @@ def test_trace_roundtrip(tmp_path):
     path = tmp_path / "run.trace"
     save_trace(path, rep.bundle())
     bundle = load_trace(path)
-    assert bundle["hash"] == rep.hash
-    assert bundle["scenario"] == rep.scenario
-    assert len(bundle["trace"]) == len(rep.trace)
+    # the file's sections are the report's fields, and its bundle
+    assert bundle.keys() == rep.bundle().keys()
+    for section, value in bundle.items():
+        assert value == getattr(rep, section) == rep.bundle()[section], section
     # offline: every check reruns from the file alone, signatures included
     assert all(ok for _, ok, _ in run_checks(bundle))
 
@@ -564,6 +565,13 @@ def _install(lines):
     return next(l for l in lines if l.get("kind") == "upcall" and l.get("desc") == "install")
 
 
+def _genesis_only(lines):
+    """Every replica's final history edited to genesis alone, with nothing installed."""
+    for f in _section(lines, "final")["replicas"].values():
+        g = f["history"][0]
+        f.update(history=[g], heights=f["heights"][:1], installed=[], ccurr=g, cinst=g, chighest=g)
+
+
 # Each doctor edits a saved dbla-smoke trace's parsed lines in place (a
 # reconfig-dbla one where it edits an install upcall): into a file that
 # load_trace refuses, or into lines that check refuses or fails.
@@ -572,6 +580,8 @@ UNREADABLE = {
     "head-without-scenario": lambda lines: lines[0].pop("scenario"),
     "list-line": lambda lines: lines.insert(1, [1, 2]),
     "replica-final-without-history": lambda lines: _section(lines, "final")["replicas"]["r1"].pop("history"),
+    "event-st-not-a-str": lambda lines: _section(lines, "ev").update(st=5),
+    "head-steps-not-an-int": lambda lines: lines[0].update(steps=str(lines[0]["steps"])),
 }
 MALFORMED_OPS = {
     "list-result": lambda lines: _first(lines, "return")["detail"].update(result=[1, 2]),
@@ -587,13 +597,17 @@ MALFORMED_OPS = {
     # the key-update audit reads the line's step only at a stale epoch
     "stale-install-without-step": lambda lines: (
         _install(lines).pop("step"), _install(lines)["detail"].update(st={})),
+    "final-genesis-only": _genesis_only,
+    "verdict-cap": lambda lines: lines[0].update(verdict="cap"),
 }
-ON_RECONFIG = {"install-without-st", "install-hist-not-a-list", "stale-install-without-step"}
+ON_RECONFIG = {"install-without-st", "install-hist-not-a-list", "stale-install-without-step", "final-genesis-only"}
 # What check prints for the doctors whose lines it reads; the rest end in
 # the error exit.
 MALFORMED_FAILS = {
     "empty-list-cert": "FAIL  safety.certificates_verify  (failed ops: [",
     "propose-return-without-w": "'malformed')",
+    "final-genesis-only": "FAIL  safety.installs_certified  (violations: [('r1', ",
+    "verdict-cap": "FAIL  safety.replica_convergence  (violations: [('head', 'verdict cap at steps=",
 }
 
 

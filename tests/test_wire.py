@@ -21,6 +21,7 @@ from dynbla.dbla import (
     DynamicReplica,
     InputValue,
     accept_all,
+    fits,
     wire_ok,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle
@@ -211,3 +212,12 @@ def test_a_parked_request_edited_in_place_is_dropped_when_regated():
     del msg.body["config"]
     r2._regate()
     assert r2.buffered == [] and r2.dropped == 1
+
+
+def test_fits_checks_lists_of_tables_and_str_keyed_maps():
+    table = {"rows": {str: {"h": int}}, "hist": [{"cid": str}], "st": {str: int}}
+    good = {"rows": {"r1": {"h": 1}}, "hist": [{"cid": "c"}], "st": {"r1": 2}}
+    assert fits(good, table) and fits({**good, "rows": {}, "hist": [], "st": {}}, table)
+    for bad in ({**good, "rows": {"r1": {"h": "1"}}}, {**good, "rows": {1: {"h": 1}}}, {**good, "rows": []},
+                {**good, "hist": [{"cid": 1}]}, {**good, "hist": [5]}, {**good, "st": {"r1": True}}):
+        assert not fits(bad, table), bad
