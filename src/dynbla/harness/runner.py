@@ -86,6 +86,8 @@ TRACE_SHAPES = {
     "ledger": {"entries": list},
     "hash": {"hash": str},
 }
+# A file's sections in the order save_trace writes them; only "ev" repeats.
+SECTIONS = ("head", "ev", "final", "ledger", "hash")
 
 
 def read_ops(trace) -> tuple[dict, list]:
@@ -406,9 +408,11 @@ def save_trace(path, bundle) -> None:
 
 def load_trace(path) -> dict:
     """The bundle save_trace wrote to path, each line checked as it is read against TRACE_SHAPES,
-    the head's scenario by validate and the ledger's entries by a LedgerVerifier; TraceError if
-    a line fails its check or a section is missing."""
+    the head's scenario by validate (its seed must be the head's) and the ledger's entries by a
+    LedgerVerifier; TraceError if a line fails its check, or a section is unknown, missing,
+    repeated or out of SECTIONS' order."""
     bundle = {"trace": []}
+    last = -1
     with open(path) as f:
         for n, raw in enumerate(f, 1):
             if not raw.strip():
@@ -416,10 +420,17 @@ def load_trace(path) -> dict:
             try:
                 line = json.loads(raw)
                 t = line.pop("t", None)
+                if t not in SECTIONS:
+                    raise TraceError(f"trace line {n} is of no section this build reads: {t!r}")
+                i = SECTIONS.index(t)
+                if i < last or i == last and t != "ev":
+                    raise TraceError(f"trace line {n}: section {t!r} is repeated or out of the order"
+                                     f" {', '.join(SECTIONS)}")
+                last = i
                 if t == "head" and (line.get("format"), line.get("version")) != (TRACE_FORMAT, TRACE_VERSION):
                     raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
                                      f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
-                shape = TRACE_SHAPES.get(t, {})
+                shape = TRACE_SHAPES[t]
                 if t == "ev" and fits(line, shape):
                     key = line["desc"] if line["kind"] == "upcall" else line["kind"]
                     shape = TRACE_SHAPES.get("ev:" + key, shape)
@@ -428,6 +439,9 @@ def load_trace(path) -> dict:
                 if t == "head":
                     bundle.update({k: line[k] for k in ("seed", "verdict", "steps")})
                     bundle["scenario"] = validate(line["scenario"])
+                    if line["seed"] != bundle["scenario"]["seed"]:
+                        raise TraceError(f"trace head's seed {line['seed']} is not its scenario's"
+                                         f" seed {bundle['scenario']['seed']}")
                 elif t == "ev":
                     bundle["trace"].append(line)
                 elif t == "final":

@@ -7,8 +7,19 @@ byte-identical traces; the RNG is consulted nowhere else.
 Events sent in the same step weigh the same, so `PendingQueue` keeps them
 in one batch, and the weighted draw costs O(log b) in the number b of
 send-step batches, not of pending events. It picks the same event as a
-prefix sum over the queue followed by `bisect_right` on `randrange(total)`.
-A step scans only the externals that have not fired yet.
+prefix sum over the queue followed by `bisect_right` on `randrange(total)`,
+and draws its number with `getrandbits` exactly as `randrange` does. A
+pending event is a plain `(enq, frm, to, msg)` tuple; `Event` is a named
+view of one, built only for a Byzantine script and for iteration over the
+queue.
+
+A step does no work for what cannot happen yet. The simulator keeps its
+wake step: no unfired external and no hold with buffered messages is due
+before it. Steps before the wake step skip the scan of holds and externals;
+a scan that fires nothing sets the wake step to the earliest known due
+step. Registering an external or a hold, firing, releasing, a first
+message held by a rule and a new fact set it back to 0, so the next step
+scans again. A `Trigger` must therefore not be changed once registered.
 
 `trace_hash` is SHA-256 over the trace's lines, each followed by a newline.
 A line is its dict as `json.dumps(line, sort_keys=True, separators=(",", ":"))`
@@ -29,9 +40,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lattice import digest
 
@@ -69,8 +82,9 @@ class Msg:
         return f"Msg({self.desc}, obj={self.obj})"
 
 
-@dataclass(slots=True)
-class Event:
+class Event(NamedTuple):
+    """A named view of a pending event; the queue holds plain tuples."""
+
     enq: int
     frm: str
     to: str
@@ -80,13 +94,15 @@ class Event:
 class PendingQueue:
     """Pending events in send order, drawn with weight 1 + age.
 
-    Events with the same enqueue step sit in one batch, in send order, and
-    the batches sit in send order too. Every weight changes each step, so
-    the two Fenwick trees (Fenwick 1994) over the batches hold what does
-    not: the live count and the sum of enqueue steps. At step base a prefix
-    of batches weighs count * (1 + base) - sum(enq). A draw descends to the
-    batch that holds its weight, in O(log b) for b batches, and every event
-    of that batch weighs the same, so one division finds the event.
+    An event is a plain `(enq, frm, to, msg)` tuple, and iteration yields
+    `Event` views of them. Events with the same enqueue step sit in one
+    batch, in send order, and the batches sit in send order too. Every
+    weight changes each step, so the two Fenwick trees (Fenwick 1994) over
+    the batches hold what does not: the live count and the sum of enqueue
+    steps. At step base a prefix of batches weighs count * (1 + base) -
+    sum(enq). A draw descends to the batch that holds its weight, in
+    O(log b) for b batches, and every event of that batch weighs the same,
+    so one division finds the event.
 
     A node past the last batch is never read, so an append to the newest
     batch updates one node, and opening a batch fills its node from its
@@ -101,8 +117,8 @@ class PendingQueue:
     def __init__(self, events=()):
         batches, last = [], None
         for ev in events:
-            if ev.enq != last:
-                last = ev.enq
+            if ev[0] != last:
+                last = ev[0]
                 batches.append([])
             batches[-1].append(ev)
         self._rebuild(batches)
@@ -118,7 +134,7 @@ class PendingQueue:
         enq = [0] * (cap + 1)
         live = total = 0
         for i, b in enumerate(batches, 1):
-            k, t = len(b), b[0].enq
+            k, t = len(b), b[0][0]
             cnt[i] = k
             enq[i] = k * t
             live += k
@@ -133,7 +149,7 @@ class PendingQueue:
         self._top = 1 << (n.bit_length() - 1) if n else 0
         self._cnt = cnt
         self._enq = enq
-        self._last = batches[-1][0].enq if batches else None
+        self._last = batches[-1][0][0] if batches else None
         self._live = live
         self._enq_total = total
 
@@ -141,10 +157,10 @@ class PendingQueue:
         return self._live
 
     def __iter__(self):
-        return (ev for b in self._batches for ev in b)
+        return (Event._make(ev) for b in self._batches for ev in b)
 
-    def append(self, ev: Event) -> None:
-        t = ev.enq
+    def append(self, ev: tuple) -> None:
+        t = ev[0]
         batches = self._batches
         if t == self._last:
             batches[-1].append(ev)
@@ -173,12 +189,17 @@ class PendingQueue:
         self._live += 1
         self._enq_total += t
 
-    def pop_weighted(self, rng: random.Random, base: int) -> Event:
+    def pop_weighted(self, rng: random.Random, base: int) -> tuple:
         """Remove and return the event of weight 1 + (base - enq) that the
         prefix sum picks: the first whose running weight exceeds
         rng.randrange(total weight)."""
         w = 1 + base
-        r = rng.randrange(self._live * w - self._enq_total)
+        total = self._live * w - self._enq_total
+        # rng.randrange(total), drawn as CPython's _randbelow draws it
+        k = total.bit_length()
+        r = rng.getrandbits(k)
+        while r >= total:
+            r = rng.getrandbits(k)
         cnt, enq, batches = self._cnt, self._enq, self._batches
         n = len(batches)
         # binary descent: pos ends as the longest run of batches of weight <= r,
@@ -194,7 +215,7 @@ class PendingQueue:
                     pos = nxt
             half >>= 1
         batch = batches[pos]
-        t = batch[0].enq
+        t = batch[0][0]
         ev = batch.pop(r // (w - t))
         i = pos + 1
         while i <= n:
@@ -224,17 +245,14 @@ class Trigger:
             return seen + self.offset
         return self.at
 
-    def ready(self, sim) -> bool:
-        due = self.due(sim)
-        return due is not None and sim.next_step >= due
-
     def eventually(self, sim) -> bool:
         return self.due(sim) is not None
 
 
 @dataclass
 class HoldRule:
-    """Diverts matching sends into a buffer until the release trigger."""
+    """Diverts matching sends into a buffer until the release trigger.
+    A released rule leaves the simulator's holds."""
 
     frm: set | None = None
     to: set | None = None
@@ -349,9 +367,10 @@ class Simulator:
         self.rng = random.Random(seed)
         self._procs: dict[str, _Proc] = {}
         self.pending = PendingQueue()
-        self.holds: list[HoldRule] = []
+        self.holds: list[HoldRule] = []         # not released yet, in registration order
         self.externals: list[_External] = []    # not fired yet, in registration order
         self.facts: dict[str, int] = {}
+        self._wake = 0                          # no hold or external is due before this step
         self.trace: list[dict] = []
         self.next_step = 0
         self.latencies: list[int] = []
@@ -373,9 +392,11 @@ class Simulator:
 
     def add_external(self, trigger: Trigger, kind: str, fire, to: str = "-", desc: str = "", detail: dict | None = None) -> None:
         self.externals.append(_External(trigger, kind, fire, to, desc, detail))
+        self._wake = 0
 
     def add_hold(self, rule: HoldRule) -> None:
         self.holds.append(rule)
+        self._wake = 0
 
     # -- status -----------------------------------------------------------
 
@@ -402,7 +423,9 @@ class Simulator:
             rule.buffer = [e for e in rule.buffer if e[1] != pid]
 
     def note_fact(self, name: str) -> None:
-        self.facts.setdefault(name, self.next_step)
+        if name not in self.facts:
+            self.facts[name] = self.next_step
+            self._wake = 0
 
     def now(self) -> int:
         return self.next_step
@@ -418,34 +441,37 @@ class Simulator:
             return
         for rule in self.holds:
             if rule.matches(frm, to, msg):
+                if not rule.buffer:
+                    self._wake = 0      # its release may be due already
                 rule.buffer.append((frm, to, msg))
                 self.metrics["held"] += 1
                 return
-        self.pending.append(Event(self.next_step, frm, to, msg))
+        self.pending.append((self.next_step, frm, to, msg))
 
     def _requeue(self, frm: str, to: str, msg: Msg) -> None:
         # holds were already applied on first receipt
         self.metrics["requeued"] += 1
-        self.pending.append(Event(self.next_step, frm, to, msg))
+        self.pending.append((self.next_step, frm, to, msg))
 
     # -- tracing ----------------------------------------------------------
 
-    def _trace(self, kind, frm, to, desc, mhash, detail=None):
+    def _trace(self, kind, frm, to, desc, st, detail=None):
         line = {
             "step": self.next_step,
             "kind": kind,
             "frm": frm,
             "to": to,
             "desc": desc,
-            "hash": mhash,
-            "st": (self._st(frm) + self._st(to)),
+            "hash": None,
+            "st": st,
         }
         if detail is not None:
             line["detail"] = detail
         self.trace.append(line)
 
     def trace_aux(self, kind, pid, desc, detail=None):
-        self._trace(kind, pid, pid, desc, None, detail)
+        st = self._st(pid)
+        self._trace(kind, pid, pid, desc, st + st, detail)
 
     def _st(self, pid):
         proc = self._procs.get(pid)
@@ -457,15 +483,20 @@ class Simulator:
         events = rule.buffer
         rule.buffer = []
         rule.released = True
+        self.holds.remove(rule)
+        self._wake = 0
+        now = self.next_step
         for frm, to, msg in events:
-            self.pending.append(Event(self.next_step, frm, to, msg))
-        self._trace("adversary", "-", "-", "hold.release", None, {"released": len(events), "desc": rule.desc})
+            self.pending.append((now, frm, to, msg))
+        self._trace("adversary", "-", "-", "hold.release", self._st("-") + self._st("-"),
+                    {"released": len(events), "desc": rule.desc})
         self.next_step += 1
         return "adversary"
 
     def _fire(self, i: int) -> str:
         ext = self.externals.pop(i)
-        self._trace(ext.kind, "-", ext.to, ext.desc, None, ext.detail)
+        self._wake = 0
+        self._trace(ext.kind, "-", ext.to, ext.desc, self._st("-") + self._st(ext.to), ext.detail)
         if ext.kind == "invoke" and ext.to in self._procs:
             proc = self._procs[ext.to]
             if proc.status == IDLE:
@@ -477,39 +508,63 @@ class Simulator:
     def _deliver(self) -> str:
         base = self.next_step
         ev = self.pending.pop_weighted(self.rng, base)
-        self.latencies.append(base - ev.enq)
+        enq, frm, to, msg = ev
+        self.latencies.append(base - enq)
         self.metrics["delivered"] += 1
-        msg = ev.msg
         # the deliver line, built in place with one lookup for each end
         procs = self._procs
-        proc = procs[ev.to]
-        src = procs.get(ev.frm)
+        proc = procs[to]
+        src = procs.get(frm)
         self.trace.append({
             "step": base,
             "kind": "deliver",
-            "frm": ev.frm,
-            "to": ev.to,
+            "frm": frm,
+            "to": to,
             "desc": msg.desc,
             "hash": msg.mhash(),
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
             if proc.script is not None:
-                proc.script(self.adv_api, ev)
+                proc.script(self.adv_api, Event._make(ev))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT
-            proc.automaton.on_deliver(ev.frm, msg)
+            proc.automaton.on_deliver(frm, msg)
         self.next_step += 1
         return "deliver"
 
     def step(self) -> str | None:
-        for rule in self.holds:
-            if rule.buffer and rule.until is not None and rule.until.ready(self):
-                return self._release(rule)
-        for i, ext in enumerate(self.externals):
-            if ext.trigger.ready(self):
-                return self._fire(i)
+        """Take one step: release the first hold whose trigger is due, else
+        fire the first such external, else deliver a drawn event, else, on
+        an idle network, fast-fire or release.
+
+        Holds and externals are scanned only from the wake step on, and a
+        scan that fires nothing moves the wake step to the earliest due
+        step it saw (infinity if it saw none). The wake step is computed
+        from the registered triggers, so a `Trigger` must not be changed
+        once registered. The delivered event is a plain `(enq, frm, to,
+        msg)` tuple; a Byzantine recipient's script gets an `Event` view.
+        """
+        now = self.next_step
+        if now >= self._wake:
+            wake = math.inf
+            for rule in self.holds:
+                if rule.buffer and rule.until is not None:
+                    due = rule.until.due(self)
+                    if due is not None:
+                        if now >= due:
+                            return self._release(rule)
+                        if due < wake:
+                            wake = due
+            for i, ext in enumerate(self.externals):
+                due = ext.trigger.due(self)
+                if due is not None:
+                    if now >= due:
+                        return self._fire(i)
+                    if due < wake:
+                        wake = due
+            self._wake = wake
         if self.pending:
             return self._deliver()
         # idle network: fast-fire the first registered external whose bound

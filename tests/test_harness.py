@@ -582,6 +582,13 @@ UNREADABLE = {
     "replica-final-without-history": lambda lines: _section(lines, "final")["replicas"]["r1"].pop("history"),
     "event-st-not-a-str": lambda lines: _section(lines, "ev").update(st=5),
     "head-steps-not-an-int": lambda lines: lines[0].update(steps=str(lines[0]["steps"])),
+    # each section once, in the order head, ev*, final, ledger, hash
+    "line-of-unknown-section": lambda lines: lines.insert(1, {"t": "note"}),
+    "final-appended-after-hash": lambda lines: lines.append(
+        {**_section(lines, "final"), "xfer_targets": ["x"]}),
+    "second-head": lambda lines: lines.insert(1, dict(lines[0])),
+    "ev-after-final": lambda lines: lines.insert(-2, dict(_section(lines, "ev"))),
+    "head-seed-not-the-scenarios": lambda lines: lines[0].update(seed=999),
 }
 MALFORMED_OPS = {
     "list-result": lambda lines: _first(lines, "return")["detail"].update(result=[1, 2]),

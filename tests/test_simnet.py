@@ -2,6 +2,7 @@
 
 import bisect
 import hashlib
+import itertools
 import json
 import random
 
@@ -487,6 +488,186 @@ def test_one_send_step_is_one_batch():
         q.append(Event(enq, "a", "b", msg))
     assert [[ev.enq for ev in b] for b in q._batches] == [[0, 0, 0], [1, 1], [3]]
     assert [ev.enq for ev in PendingQueue(q)._batches[1]] == [1, 1]
+
+
+# -- the wake step against a scan of every step ---------------------------------
+
+class ScanEveryStep(Simulator):
+    """The step without a wake step: every step scans every hold and every
+    unfired external, as the scheduler did before it kept one."""
+
+    def step(self):
+        def ready(trigger):
+            due = trigger.due(self)
+            return due is not None and self.next_step >= due
+
+        for rule in self.holds:
+            if rule.buffer and rule.until is not None and ready(rule.until):
+                return self._release(rule)
+        for i, ext in enumerate(self.externals):
+            if ready(ext.trigger):
+                return self._fire(i)
+        if self.pending:
+            return self._deliver()
+        for i, ext in enumerate(self.externals):
+            if ext.trigger.eventually(self):
+                return self._fire(i)
+        for rule in self.holds:
+            if rule.buffer and rule.until is not None and rule.until.eventually(self):
+                return self._release(rule)
+        return None
+
+
+FACTS = ("f0", "f1", "f2")
+DESCS = ("t.x", "t.held", "t.y")
+
+
+def make_trigger(spec):
+    return Trigger(at=spec[1]) if spec[0] == "at" else Trigger(fact=spec[1], offset=spec[2])
+
+
+class Busy:
+    """Relays each message to one to three processes until its hops run out,
+    and now and then notes a fact or registers an external; its choices come
+    from the world's gen."""
+
+    def __init__(self, world):
+        self.world = world
+
+    def bind(self, api):
+        self.api = api
+
+    def on_deliver(self, frm, msg):
+        gen = self.world.gen
+        if msg.body["hops"]:
+            for to in gen.sample(PIDS, gen.randint(1, 3)):
+                self.world.send(self.api.pid, to, gen.choice(DESCS), msg.body["hops"] - 1)
+        if gen.random() < 0.1:
+            self.api.fact(gen.choice(FACTS))
+        if gen.random() < 0.05:
+            # an external registered mid-run, due a few steps on
+            due = self.world.sim.now() + gen.randint(0, 20)
+            self.world.register(("at", due), self.api.pid, [("fact", gen.choice(FACTS))])
+
+
+class World:
+    """One generated world on a simulator of class cls: every process sends
+    at step 0, and its externals send, note facts, halt processes or
+    register further externals when they fire."""
+
+    def __init__(self, cls, seed, externals, holds):
+        self.sim = cls(seed, LedgerFsOracle())
+        self.gen = random.Random(seed)
+        self.sent = itertools.count()
+        for p in PIDS:
+            self.sim.spawn(p, Busy(self))
+        for frm, to, desc, until in holds:
+            self.sim.add_hold(HoldRule(frm=frm, to=to, desc=desc, until=until and make_trigger(until)))
+        for trigger, to, effects in externals:
+            self.register(trigger, to, effects)
+        for p in PIDS:      # traffic from step 0, for externals and holds to come due under
+            self.send(p, self.gen.choice(PIDS), self.gen.choice(DESCS), 4)
+
+    def send(self, frm, to, desc, hops):
+        self.sim.api(frm).send(to, Msg(desc, "t", {"hops": hops, "n": next(self.sent)}))
+
+    def register(self, trigger, to, effects):
+        self.sim.add_external(make_trigger(trigger), "invoke", lambda: self.apply(effects),
+                              to=to, desc=f"ext{len(self.sim.trace)}")
+
+    def apply(self, effects):
+        for effect in effects:
+            if effect[0] == "send":
+                self.send(*effect[1:])
+            elif effect[0] == "fact":
+                self.sim.note_fact(effect[1])
+            elif effect[0] == "halt":
+                if self.sim.status(effect[1]) == "C":
+                    self.sim.halt(effect[1])
+            else:
+                self.register(*effect[1:])
+
+
+_pid = st.sampled_from(PIDS)
+_trigger = st.one_of(
+    st.tuples(st.just("at"), st.integers(min_value=0, max_value=150)),
+    st.tuples(st.just("fact"), st.sampled_from(FACTS), st.integers(min_value=0, max_value=30)),
+)
+_effect = st.one_of(
+    st.tuples(st.just("send"), _pid, _pid, st.sampled_from(DESCS), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("fact"), st.sampled_from(FACTS)),
+    st.tuples(st.just("halt"), _pid),
+)
+_effects = st.lists(
+    st.one_of(_effect, st.tuples(st.just("ext"), _trigger, _pid, st.lists(_effect, min_size=1, max_size=3))),
+    min_size=1, max_size=3)
+_external = st.tuples(_trigger, _pid, _effects)
+_pids = st.one_of(st.none(), st.sets(_pid, min_size=1))
+_hold = st.tuples(_pids, _pids, st.sampled_from(("t.", "t.held", "t.x")), st.one_of(st.none(), _trigger))
+
+
+# at least 100 examples; more under a profile that asks for more (ci)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.lists(_external, max_size=8), st.lists(_hold, max_size=3))
+def test_step_matches_a_scan_of_every_step(seed, externals, holds):
+    # holds are released by step, by fact or never, facts are noted by
+    # deliveries and by externals, and externals register externals: the
+    # wake step must skip only steps at which the scan would fire nothing
+    runs = []
+    for cls in (Simulator, ScanEveryStep):
+        sim = World(cls, seed, externals, holds).sim
+        out = sim.run(400)
+        runs.append((out, sim.trace, sim.facts, sim.metrics, len(sim.externals),
+                     [len(r.buffer) for r in sim.holds], sim.rng.getstate()))
+    assert runs[0] == runs[1]
+
+
+def test_step_matches_a_scan_when_a_fact_comes_under_traffic():
+    # a fact noted by a delivery makes an external due while events are
+    # pending: it fires offset steps later, not when the network goes idle
+    externals = [(("fact", "f0", 3), "a", [("send", "a", "b", "t.x", 0)]),
+                 (("at", 0), "a", [("send", "a", "b", "t.x", 4), ("send", "c", "d", "t.y", 4)])]
+    holds = [({"a"}, None, "t.held", ("fact", "f1", 5)), (None, {"d"}, "t.y", ("at", 30))]
+    for seed in range(20):
+        runs = []
+        for cls in (Simulator, ScanEveryStep):
+            sim = World(cls, seed, externals, holds).sim
+            runs.append((sim.run(400), sim.trace, sim.facts))
+        assert runs[0] == runs[1]
+
+
+# -- pending events are plain tuples, seen through Event views -------------------
+
+def test_scripts_and_iteration_see_events():
+    sim = Simulator(0, LedgerFsOracle())
+    seen = []
+    for pid in ("a", "b"):
+        sim.spawn(pid, Collector())
+    sim.api("a").send("b", Msg("t.poke", "t", {}))
+    sim.run(5)
+    sim.corrupt("b", lambda api, ev: seen.append(ev))
+    msg = Msg("t.x", "t", {"n": 1})
+    sim.api("a").send("b", msg)
+    (ev,) = list(sim.pending)
+    assert type(ev) is Event and ev == Event(1, "a", "b", msg) and ev.to == "b" and ev.msg is msg
+    sim.run(20)
+    (got,) = seen
+    assert type(got) is Event and (got.enq, got.frm, got.to, got.msg) == (1, "a", "b", msg)
+
+
+def test_a_released_hold_leaves_the_holds_and_holds_nothing_more():
+    sim = Simulator(3, LedgerFsOracle())
+    c = Collector()
+    sim.spawn("a", Collector())
+    sim.spawn("c", c)
+    hold = HoldRule(frm={"a"}, to={"c"}, desc="t.h", until=Trigger(at=0))
+    sim.add_hold(hold)
+    sim.api("a").send("c", Msg("t.h", "t", {"n": 1}))
+    assert sim.step() == "adversary"
+    assert hold.released and hold not in sim.holds and sim.holds == []
+    sim.api("a").send("c", Msg("t.h", "t", {"n": 2}))
+    assert sim.run(50)["verdict"] == "quiescent"
+    assert c.got == [("a", "t.h", 1), ("a", "t.h", 2)] and sim.metrics["held"] == 1
 
 
 def reference_trace_hash(trace):
