@@ -242,13 +242,33 @@ def check_ac_at_most_one(bundle, view):
             f"conflicting grants: {bad}, malformed grants: {malformed}")
 
 
+def _updates_invoked(view) -> int:
+    """k, the number of update_config operations the trace records as invoked."""
+    return sum(1 for row in view.ops.values() if (row["spec"] or {}).get("op") == "update_config")
+
+
 def check_xfer_bound(bundle, view):
-    """State transfer reads from at most k + 1 configurations, k being the
-    number of update_config operations the trace records as invoked."""
-    k = sum(1 for row in view.ops.values() if (row["spec"] or {}).get("op") == "update_config")
+    """State transfer reads from at most k + 1 configurations."""
+    k = _updates_invoked(view)
     targets = bundle["final"]["xfer_targets"]
     ok = len(targets) <= k + 1
     return ("perf.xfer_targets_linear", ok, f"k={k}, distinct transfer sources={len(targets)}")
+
+
+def check_history_len(bundle, view):
+    """Returned update_config histories and install upcalls' hists hold at most k + 1
+    configurations: no chain of distinct joins of k updates with genesis is longer."""
+    k = _updates_invoked(view)
+    bad = [(line["to"], line["step"]) for line in view.installs if len(line["detail"]["hist"]) > k + 1]
+    for idx, row in sorted(view.ops.items()):
+        r = row["result"]
+        if (row["spec"] or {}).get("op") == "update_config" and r and "cert" in r:
+            try:
+                if len(r["hist"]["hist"]) > k + 1:
+                    bad.append(idx)
+            except (KeyError, TypeError):
+                bad.append((idx, "malformed"))
+    return ("perf.history_len", not bad, f"k={k}, over k + 1 (op, or install at replica and step): {bad}")
 
 
 def _written_nodes(node):
@@ -297,7 +317,7 @@ def run_checks(bundle):
     scn = bundle["scenario"]
     view = rebuild_view(bundle)
     checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit,
-              check_installs, check_convergence, check_xfer_bound]
+              check_installs, check_convergence, check_xfer_bound, check_history_len]
     if scn["app"]["kind"] == "dbla":
         checks.append(check_dbla_outputs)
     elif scn["app"]["kind"] == "maxreg":

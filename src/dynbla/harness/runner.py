@@ -36,12 +36,12 @@ from types import SimpleNamespace
 from ..access_control import AcClient, AcStore, AccessControl, make_ac_input_check, make_admin_cert
 from ..dbla import DblaClient, DblaStore, DynamicObject, accept_all, fits
 from ..fscrypto import KeyChainFsOracle, LedgerFsOracle, LedgerVerifier
-from ..lattice import ADD, REMOVE, Config, FinSet, genesis_config, value_to_jsonable
+from ..lattice import FinSet, genesis_config, value_to_jsonable
 from ..maxreg import MaxRegClient, MaxRegStore
 from ..reconfig import ReconfigClient, ReconfigGroup
 from ..simnet import HoldRule, Simulator, trace_hash
 from .attacks import SCRIPTS
-from .scenario import ScenarioError, parse_trigger, validate
+from .scenario import ScenarioError, parse_trigger, update_of, validate
 
 GROUP = "g"
 APP_OBJ = GROUP + "/obj"
@@ -266,9 +266,7 @@ def _make_fire(ctx, idx, spec):
 
     elif kind == "update_config":
         def start():
-            ups = [(ADD, r) for r in spec.get("add", [])]
-            ups += [(REMOVE, r) for r in spec.get("remove", [])]
-            target = ctx.hubs[c].anchor().join(Config(ups))
+            target = ctx.hubs[c].anchor().join(update_of(spec))
             def done(h, th):
                 finish({
                     "hist": h.to_jsonable(),

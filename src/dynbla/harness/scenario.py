@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 
-from ..lattice import fault_budget
+from ..lattice import ADD, REMOVE, Config, fault_budget, genesis_config
 from ..simnet import DEFAULT_STEP_CAP, Trigger
 
 SCHEMA_VERSION = 1
@@ -51,6 +51,11 @@ def _check_trigger(spec, where, errors):
         at = spec["at"]
         if not isinstance(at, int) or isinstance(at, bool) or at < 0:
             errors.append(f"{where}: 'at' must be a non-negative int")
+
+
+def update_of(op) -> Config:
+    """The configuration an update_config op joins in: its adds and removes."""
+    return Config([(ADD, r) for r in op.get("add", [])] + [(REMOVE, r) for r in op.get("remove", [])])
 
 
 def _is_exempt(corruption):
@@ -204,23 +209,21 @@ def validate(scn):
     if not isinstance(cap, int) or isinstance(cap, bool) or cap <= 0:
         errors.append("max_steps must be a positive int")
 
-    # Availability: within each configuration era the adversary may corrupt
-    # at most the fault budget of that era's membership.  Eras are a static
-    # approximation from declared update ops, in order.
+    # Availability: in every configuration the declared updates can reach,
+    # in any order and any combination, the adversary may corrupt at most
+    # that configuration's fault budget.  Concurrent updates are certified
+    # in an order no scenario fixes, so each reachable join counts.
     bad = {c["pid"] for c in corruptions if not _is_exempt(c) and isinstance(c.get("pid"), str) and c["pid"] in known}
-    era = set(genesis)
-    eras = [era]
-    for op in ops:
-        add, rem = op.get("add", []), op.get("remove", [])
-        if op.get("op") == "update_config" and _pids(add) and _pids(rem):
-            era = (era | set(add)) - set(rem)
-            eras.append(era)
-    for members in eras:
-        if members and len(bad & members) > fault_budget(len(members)):
-            errors.append(
-                "adversary corrupts %d of %s but the fault budget is %d"
-                % (len(bad & members), sorted(members), fault_budget(len(members)))
-            )
+    if bad:
+        reach = {genesis_config(genesis)}
+        for op in ops:
+            if op.get("op") == "update_config" and _pids(op.get("add", [])) and _pids(op.get("remove", [])):
+                u = update_of(op)
+                reach |= {c.join(u) for c in reach}
+        for members in sorted({c.replicas() for c in reach}, key=sorted):
+            if members and len(bad & members) > fault_budget(len(members)):
+                errors.append(f"adversary corrupts {len(bad & members)} of {sorted(members)}"
+                              f" but the fault budget is {fault_budget(len(members))}")
 
     _part(out, "meta", {}, _dict, errors, "meta must be a dict")
     if errors:

@@ -21,6 +21,11 @@ step. Registering an external or a hold, firing, releasing, a first
 message held by a rule and a new fact set it back to 0, so the next step
 scans again. A `Trigger` must therefore not be changed once registered.
 
+A process is idle (I) until its first delivery or invoke, then correct
+(C); `corrupt` hands a correct process to a script as Byzantine (B). That
+is the only fault (a crashed process is a silent one), so pending events
+are only appended and drawn.
+
 `trace_hash` is SHA-256 over the trace's lines, each followed by a newline.
 A line is its dict as `json.dumps(line, sort_keys=True, separators=(",", ":"))`
 writes it; `trace_line` writes the simulator's own lines (the keys `desc`,
@@ -53,7 +58,6 @@ MIN_SLOTS = 64
 
 IDLE = "I"
 CORRECT = "C"
-HALTED = "H"
 BYZANTINE = "B"
 
 
@@ -114,14 +118,8 @@ class PendingQueue:
 
     __slots__ = ("_batches", "_cap", "_top", "_cnt", "_enq", "_last", "_live", "_enq_total")
 
-    def __init__(self, events=()):
-        batches, last = [], None
-        for ev in events:
-            if ev[0] != last:
-                last = ev[0]
-                batches.append([])
-            batches[-1].append(ev)
-        self._rebuild(batches)
+    def __init__(self):
+        self._rebuild([])
 
     def _rebuild(self, batches: list) -> None:
         """Rebuild the tree over `batches`, all non-empty."""
@@ -374,6 +372,7 @@ class Simulator:
         self.trace: list[dict] = []
         self.next_step = 0
         self.latencies: list[int] = []
+        # "dropped_halted" is always 0; it stays because every run's final records these counters
         self.metrics = {"sent": 0, "delivered": 0, "dropped_halted": 0, "held": 0, "requeued": 0}
         self.adv_api = AdvApi(self)
 
@@ -407,20 +406,12 @@ class Simulator:
         return {p: r.status for p, r in sorted(self._procs.items())}
 
     def corrupt(self, pid: str, script) -> None:
+        """Hand a correct process to script, called as script(adv_api, event) on each delivery to it."""
         proc = self._procs[pid]
-        if proc.status not in (CORRECT, HALTED):
+        if proc.status != CORRECT:
             raise ValueError(f"cannot corrupt {pid} while {proc.status}")
         proc.status = BYZANTINE
         proc.script = script
-
-    def halt(self, pid: str) -> None:
-        proc = self._procs[pid]
-        if proc.status != CORRECT:
-            raise ValueError(f"cannot halt {pid} while {proc.status}")
-        proc.status = HALTED
-        self.pending = PendingQueue(e for e in self.pending if e.to != pid)
-        for rule in self.holds:
-            rule.buffer = [e for e in rule.buffer if e[1] != pid]
 
     def note_fact(self, name: str) -> None:
         if name not in self.facts:
@@ -436,9 +427,6 @@ class Simulator:
         if to not in self._procs:
             raise ValueError(f"unknown destination {to}")
         self.metrics["sent"] += 1
-        if self._procs[to].status == HALTED:
-            self.metrics["dropped_halted"] += 1
-            return
         for rule in self.holds:
             if rule.matches(frm, to, msg):
                 if not rule.buffer:
@@ -525,8 +513,7 @@ class Simulator:
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
-            if proc.script is not None:
-                proc.script(self.adv_api, Event._make(ev))
+            proc.script(self.adv_api, Event._make(ev))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT
@@ -580,13 +567,9 @@ class Simulator:
     def run(self, max_steps: int = DEFAULT_STEP_CAP) -> dict:
         while self.next_step < max_steps:
             if self.step() is None:
-                leftovers = (
-                    self.pending
-                    or self.externals
-                    or any(r.buffer for r in self.holds)
-                )
-                verdict = "stalled" if leftovers else "quiescent"
-                return {"verdict": verdict, "steps": self.next_step}
+                # nothing is pending, and nothing left has a known due step
+                stalled = self.externals or any(r.buffer for r in self.holds)
+                return {"verdict": "stalled" if stalled else "quiescent", "steps": self.next_step}
         return {"verdict": "cap", "steps": self.next_step}
 
 

@@ -159,6 +159,35 @@ def test_availability_budget_enforced():
         validate(scn)
 
 
+def _silent(*pids, at):
+    return {"corruptions": [{"pid": p, "script": "silent", "at": at} for p in pids]}
+
+
+def test_budget_holds_in_every_order_the_updates_can_be_certified_in():
+    # u1 and u2 race; if u2's removal is certified first, {r2, r3, r4}
+    # tolerates nobody, and r2 is corrupted
+    ops = [{"op": "update_config", "client": "u1", "add": ["r5", "r6", "r7"], "at": 0},
+           {"op": "update_config", "client": "u2", "remove": ["r1"], "at": 0}]
+    with pytest.raises(ScenarioError, match=r"fault budget is 0") as exc:
+        scenario.make_scenario("era", 0, ["u1", "u2"], ops, extra_replicas=["r5", "r6", "r7"],
+                               adversary=_silent("r2", at=1))
+    assert "['r2', 'r3', 'r4']" in str(exc.value)
+    # without the corruption every reachable configuration is fine
+    scenario.make_scenario("era", 0, ["u1", "u2"], ops, extra_replicas=["r5", "r6", "r7"])
+
+
+def test_budget_holds_in_the_join_of_a_remove_and_a_re_add():
+    # the second update adds r7 back, but a removed replica never returns:
+    # the join of both updates is {r1..r6}, whose budget is 1
+    ops = [{"op": "update_config", "client": "u", "add": ["r8"], "remove": ["r7"], "at": 0},
+           {"op": "update_config", "client": "u", "add": ["r7"], "remove": ["r8"], "after": "op0:done"}]
+    genesis = [f"r{i}" for i in range(1, 8)]
+    with pytest.raises(ScenarioError, match=r"fault budget is 1") as exc:
+        scenario.make_scenario("re-add", 0, ["u"], ops, genesis=genesis, extra_replicas=["r8"],
+                               adversary=_silent("r1", "r2", at=5))
+    assert "corrupts 2 of ['r1', 'r2', 'r3', 'r4', 'r5', 'r6']" in str(exc.value)
+
+
 def test_availability_exemptions():
     base = {
         "version": 1,
@@ -443,6 +472,29 @@ def test_the_transfer_bound_checks_every_run_against_its_invoked_updates():
         assert not passed(run_checks(bundle), "perf.xfer_targets_linear")
 
 
+def _longest_install(bundle):
+    return max((l for l in read_ops(bundle["trace"])[1]), key=lambda l: len(l["detail"]["hist"]))
+
+
+@pytest.mark.parametrize("edit", ["return", "install", "malformed-return"])
+def test_the_history_bound_fails_one_configuration_more_than_k_plus_one(edit):
+    bundle = run_scenario(FAMILIES["chain"](0, 2)).bundle()
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results["perf.history_len"][0] and "k=2, " in results["perf.history_len"][1]
+    # the chain's last update returns, and some replica installs, a history of exactly k + 1
+    (last,) = [l["detail"]["result"] for l in bundle["trace"] if l["kind"] == "return" and l["detail"]["idx"] == 2]
+    assert len(last["hist"]["hist"]) == 3 and len(_longest_install(bundle)["detail"]["hist"]) == 3
+    if edit == "return":
+        doctor_return(bundle, 2, lambda r: r["hist"]["hist"].append(r["hist"]["hist"][-1] + [["+", "r9"]]))
+    elif edit == "install":
+        hist = _longest_install(bundle)["detail"]["hist"]
+        hist.append({**hist[-1], "h": hist[-1]["h"] + 1})
+    else:
+        doctor_return(bundle, 2, lambda r: r.update(hist=5))
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results["perf.history_len"][0] is False, results["perf.history_len"]
+
+
 @pytest.mark.parametrize("meta", [{"k": 1000}, None], ids=["k-1000", "deleted"])
 def test_the_transfer_bound_ignores_the_scenario_meta(tmp_path, chain3, meta):
     path = tmp_path / "chain3.trace"
@@ -676,6 +728,32 @@ def test_acl_gated_reconfiguration_passes_every_check_live_and_from_file(tmp_pat
     path = tmp_path / "run.trace"
     save_trace(path, rep.bundle())
     assert [name for name, ok, _ in run_checks(load_trace(path)) if not ok] == []
+
+
+def _member_flip(lines):
+    """Every replica's member flipped and every transfer target dropped:
+    a final that no check reads against the events."""
+    final = _section(lines, "final")
+    final["xfer_targets"] = []
+    for f in final["replicas"].values():
+        f.update(member=not f["member"], xfer_targets=[])
+
+
+def test_a_final_no_check_reads_passes_check_but_not_replay(tmp_path, smoke_lines):
+    path = _doctored(tmp_path, smoke_lines, _member_flip)
+    assert CliRunner().invoke(cli.main, ["check", "--trace", path]).exit_code == 0
+    r = CliRunner().invoke(cli.main, ["replay", "--trace", path])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert "PASS  replay.deterministic" in r.output
+    assert "FAIL  replay.sections_equal" in r.output and "differ: ['final']" in r.output
+
+
+@pytest.mark.parametrize("doctor, differ", [("verdict-cap", "['verdict']"), ("final-genesis-only", "['final']")])
+def test_replay_fails_an_edited_verdict_or_final(tmp_path, request, doctor, differ):
+    lines = request.getfixturevalue("reconfig_lines" if doctor in ON_RECONFIG else "smoke_lines")
+    r = CliRunner().invoke(cli.main, ["replay", "--trace", _doctored(tmp_path, lines, MALFORMED_OPS[doctor])])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert f"differ: {differ}" in r.output and "Traceback" not in r.output
 
 
 def test_replay_reproduces_hash(tmp_path):

@@ -112,27 +112,10 @@ def test_status_transitions():
     sim.api("p").send("q", Msg("t.x", "t", {}))
     sim.run(10)
     assert sim.status("q") == "C"
-    sim.halt("q")
-    assert sim.status("q") == "H"
-    with pytest.raises(ValueError):
-        sim.halt("q")
     sim.corrupt("q", lambda api, ev: None)
     assert sim.status("q") == "B"
     with pytest.raises(ValueError):
-        sim.halt("q")
-
-
-def test_halted_processes_receive_nothing():
-    sim = Simulator(0, LedgerFsOracle())
-    c = Collector()
-    sim.spawn("a", Collector())
-    sim.spawn("h", c)
-    sim.api("a").send("h", Msg("t.x", "t", {}))
-    sim.run(5)
-    sim.halt("h")
-    sim.api("a").send("h", Msg("t.y", "t", {}))
-    sim.run(10)
-    assert [d for (_, d, _) in c.got] == ["t.x"]
+        sim.corrupt("q", lambda api, ev: None)  # only a correct process turns byzantine
 
 
 def test_byzantine_script_gets_deliveries_and_cannot_spoof():
@@ -290,7 +273,7 @@ def test_holds_divert_until_released():
 # -- the weighted draw against the O(n) prefix-sum reference -------------------
 
 PIDS = ("a", "b", "c", "d")
-OPS = ("send", "send", "send", "held", "requeue", "step", "step", "step", "halt", "open")
+OPS = ("send", "send", "send", "held", "requeue", "step", "step", "step", "open")
 
 
 class Recorder:
@@ -326,20 +309,16 @@ def replay(seed, ops):
         now = sim.now()
         if op in ("send", "held"):
             msg = Msg("t.held" if op == "held" else "t.x", "t", {"n": n})
-            halted, held = sim.status(to) == "H", hold.matches(frm, to, msg)
+            held = hold.matches(frm, to, msg)
             sim.api(frm).send(to, msg)
-            if held and not halted:
+            if held:
                 buffered.append((frm, to, msg))
-            elif not halted:
+            else:
                 model.append((now, frm, to, msg))
-        elif op == "requeue" and sim.status(to) != "H":
+        elif op == "requeue":
             msg = Msg("t.again", "t", {"n": n})
             sim.api(to).requeue(frm, msg)
             model.append((now, frm, to, msg))
-        elif op == "halt" and sim.status(to) == "C":
-            sim.halt(to)
-            model = [e for e in model if e[2] != to]
-            buffered = [e for e in buffered if e[1] != to]
         elif op == "open":
             sim.note_fact("open")
         elif op == "step":
@@ -372,15 +351,15 @@ def test_draw_matches_prefix_sum_reference(seed, ops):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_draw_matches_reference_through_growth_and_drain(seed):
-    # the queue grows to several hundred events through compactions, loses
-    # one process's events to a halt, grows again, then drains
+    # the queue grows to several hundred events through compactions, then
+    # drains
     gen = random.Random(seed)
 
     def mix(n):
         return [(gen.choice(("send", "send", "requeue", "step", "step")), gen.choice(PIDS), gen.choice(PIDS))
                 for _ in range(n)]
 
-    ops = mix(1500) + [("halt", "a", "b")] + mix(1500) + [("step", "a", "a")] * 1000
+    ops = mix(3000) + [("step", "a", "a")] * 1000
     sim = replay(seed, ops)
     assert not sim.pending
 
@@ -413,8 +392,8 @@ def send(api, log, to, hops, gen):
 @pytest.mark.parametrize("seed", range(3))
 def test_draw_matches_reference_when_deliveries_fan_out(seed):
     # every delivery sends to several processes in its step, so send-step
-    # batches hold several events; a hold on c is released and d is halted
-    # while the queue is full
+    # batches hold several events; a hold on c is released while the queue
+    # is full
     sim = Simulator(seed, LedgerFsOracle())
     gen, log = random.Random(seed), []
     procs = {p: Fanout(log, gen) for p in PIDS}
@@ -430,8 +409,6 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
         nonlocal widest
         widest = max(widest, len(log))
         for frm, to, msg in log:
-            if sim.status(to) == "H":
-                continue
             if hold.matches(frm, to, msg):
                 buffered.append((frm, to, msg))
             else:
@@ -443,10 +420,6 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
     take(0)
     while True:
         now = sim.now()
-        if now == 60:
-            sim.halt("d")
-            model = [e for e in model if e[2] != "d"]
-            buffered = [e for e in buffered if e[1] != "d"]
         if now == 120:
             sim.note_fact("open")
         if buffered and "open" in sim.facts:
@@ -462,7 +435,7 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
             break
         take(now)
         assert [(e.enq, e.frm, e.to, e.msg) for e in sim.pending] == model
-    assert sim.status("d") == "H" and hold.released and widest > 1 and sim.now() > 200
+    assert hold.released and widest > 1 and sim.now() > 200
     assert sim.rng.getstate() == rng.getstate()
 
 
@@ -487,7 +460,6 @@ def test_one_send_step_is_one_batch():
     for enq in (0, 0, 0, 1, 1, 3):
         q.append(Event(enq, "a", "b", msg))
     assert [[ev.enq for ev in b] for b in q._batches] == [[0, 0, 0], [1, 1], [3]]
-    assert [ev.enq for ev in PendingQueue(q)._batches[1]] == [1, 1]
 
 
 # -- the wake step against a scan of every step ---------------------------------
@@ -552,8 +524,8 @@ class Busy:
 
 class World:
     """One generated world on a simulator of class cls: every process sends
-    at step 0, and its externals send, note facts, halt processes or
-    register further externals when they fire."""
+    at step 0, and its externals send, note facts or register further
+    externals when they fire."""
 
     def __init__(self, cls, seed, externals, holds):
         self.sim = cls(seed, LedgerFsOracle())
@@ -581,9 +553,6 @@ class World:
                 self.send(*effect[1:])
             elif effect[0] == "fact":
                 self.sim.note_fact(effect[1])
-            elif effect[0] == "halt":
-                if self.sim.status(effect[1]) == "C":
-                    self.sim.halt(effect[1])
             else:
                 self.register(*effect[1:])
 
@@ -596,7 +565,6 @@ _trigger = st.one_of(
 _effect = st.one_of(
     st.tuples(st.just("send"), _pid, _pid, st.sampled_from(DESCS), st.integers(min_value=0, max_value=4)),
     st.tuples(st.just("fact"), st.sampled_from(FACTS)),
-    st.tuples(st.just("halt"), _pid),
 )
 _effects = st.lists(
     st.one_of(_effect, st.tuples(st.just("ext"), _trigger, _pid, st.lists(_effect, min_size=1, max_size=3))),
