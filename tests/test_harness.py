@@ -210,11 +210,23 @@ def test_families_all_validate():
         assert validate(scn) == scn
 
 
+# the ACL-gated reconfiguration files: reconfig-dbla under an access-control
+# mode and oracle, named by their file stem
+ACL_RECONFIG = {
+    "acl-admin-reconfig": ({"mode": "admin", "admins": ["d1", "d2", "d3", "d4"]}, "ledger"),
+    "acl-sanity-reconfig": ({"mode": "sanity"}, "keychain"),
+    "acl-quorum-reconfig": ({"mode": "quorum"}, "ledger"),
+}
+
+
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.name)
 def test_scenario_file_is_its_builders_output(path):
     scn = json.loads(path.read_text())
     stem, seed = path.stem, scn["seed"]
-    if stem.startswith("chain-"):
+    if stem in ACL_RECONFIG:
+        acl, oracle = ACL_RECONFIG[stem]
+        built = validate({**FAMILIES["reconfig-dbla"](seed), "acl": acl, "oracle": oracle, "name": stem})
+    elif stem.startswith("chain-"):
         built = FAMILIES["chain"](seed, int(stem.split("-")[1]))
     elif stem.startswith("ac-pattern-"):
         built = FAMILIES["ac-pattern"](int(stem.rsplit("-", 1)[1], 2), seed)
