@@ -41,10 +41,11 @@ max-register and access-control objects reuse the same gating, answering
 and transfer machinery. A store (Store) declares SERVES, a table from
 request kind to a handler that updates the store and names its answer, and
 snapshots/merges its state for transfer. DynamicReplica.reply sends every
-answer and is the one place a replica fs-signs: at the height of the
-configuration the request names, and not at all once its keys moved past
-that height. That silence is what starves a superseded configuration's
-quorum.
+answer and is the one place a replica fs-signs, at the height of the
+configuration the request names. A superseded configuration's quorum starves
+because _route drops every request below the replica's highest known
+configuration, where its signing watermark already stands; the watermark is
+what keeps a corrupted retired replica (attacks.retainer_script) from signing.
 
 Certificates stay objects from creation to verification: token dicts
 (genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
@@ -74,7 +75,7 @@ from collections import deque
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import Config, ConfSet, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
+from .lattice import Config, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
 from .simnet import Msg
 
 GENESIS_CERT = {"kind": "genesis"}
@@ -410,7 +411,11 @@ def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:
 def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
     if not all(obj.check_value(iv) for iv in cert.values):
         return False
-    if canon(join_values(list(cert.values))) != canon(w):
+    try:
+        joined = join_values(list(cert.values))
+    except ValueError:      # histories that are not comparable join to no history
+        return False
+    if canon(joined) != canon(w):
         return False
     if not obj.check_history(cert.history, cert.hist_cert):
         return False
@@ -720,7 +725,7 @@ class DblaStore(Store):
 # out of an int field and a subclass out of a certificate or configuration
 # field.
 CERTS = (dict, OutputCert, AcCert)      # token dicts, access grants, agreement outputs
-VALUES = (int, str, FinSet, Config, ConfSet, History)  # what an access request may guard
+VALUES = (int, str, FinSet, Config, History)  # what an access request may guard
 _URB = {"origin": str, "config": Config}      # an install announcement
 
 WIRE = {
@@ -885,9 +890,9 @@ class DynamicReplica(Follower):
     def reply(self, frm, req: Msg, desc: str, payload, body: dict) -> None:
         """Answer req on its object with its sn; the one place a replica fs-signs.
 
-        A payload is signed at the height of the configuration req names;
-        once this replica's keys moved past that height the oracle refuses
-        and nothing is sent. A None payload is an unsigned answer.
+        A payload is signed at the height of the configuration req names; if
+        the oracle refuses (a watermark past that height, at which _route
+        never serves), nothing is sent. A None payload is an unsigned answer.
         """
         if payload is not None:
             sig = self.api.oracle.fs_sign(self.api.pid, payload, req.body["config"].height())

@@ -56,7 +56,10 @@ TRACE_FORMAT = "dynbla-trace"
 # version 4: a returned OutputCert names each repeated nested certificate by
 # a "ref" into its "shared" table; a version-3 file spells out every copy
 # and is refused rather than read under two encodings
-TRACE_VERSION = 4
+# version 5: a history-agreement input value is written as {"hist": [...]},
+# not as {"cfgs": [...]}; the history agreement runs over histories, so a
+# version-4 file names a value kind this build no longer reads
+TRACE_VERSION = 5
 
 
 class TraceError(ValueError):

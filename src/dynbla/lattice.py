@@ -291,45 +291,9 @@ class Config:
         return f"Config(h={self.height()}, replicas={sorted(self.replicas())})"
 
 
-class ConfSet:
-    """Powerset lattice over configurations (the history-agreement lattice)."""
-
-    __slots__ = ("confs", "_canon")
-
-    def __init__(self, confs: Iterable[Config] = ()):
-        self.confs = frozenset(confs)
-        self._canon = None
-
-    def join(self, other: "ConfSet") -> "ConfSet":
-        return ConfSet(self.confs | other.confs)
-
-    def leq(self, other: "ConfSet") -> bool:
-        return self.confs <= other.confs
-
-    def canon(self) -> bytes:
-        if self._canon is None:
-            self._canon = _frame(b"H", b"".join(sorted([c.canon() for c in self.confs])))
-        return self._canon
-
-    def to_jsonable(self):
-        return {"cfgs": sorted((c.to_jsonable()["cfg"] for c in self.confs))}
-
-    @classmethod
-    def from_jsonable(cls, data) -> "ConfSet":
-        return cls(Config(tuple(u) for u in ups) for ups in data["cfgs"])
-
-    def __eq__(self, other):
-        return isinstance(other, ConfSet) and self.confs == other.confs
-
-    def __hash__(self):
-        return hash(self.confs)
-
-    def __repr__(self):
-        return f"ConfSet({sorted(c.cid() for c in self.confs)})"
-
-
 class History:
-    """A nonempty set of pairwise comparable configurations, kept sorted."""
+    """A nonempty set of pairwise comparable configurations, kept sorted: the
+    history agreement's lattice, whose join raises ValueError on no history."""
 
     __slots__ = ("configs", "_canon")
 
@@ -343,25 +307,18 @@ class History:
         self.configs = tuple(confs)
         self._canon = None
 
-    @classmethod
-    def try_build(cls, configs: Iterable[Config]) -> "History | None":
-        try:
-            return cls(configs)
-        except ValueError:
-            return None
-
     def max_element(self) -> Config:
         return self.configs[-1]
 
-    def as_confset(self) -> ConfSet:
-        return ConfSet(self.configs)
+    def join(self, other: "History") -> "History":
+        return History(self.configs + other.configs)
 
     def contained_in(self, other: "History") -> bool:
         return set(self.configs) <= set(other.configs)
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = self.as_confset().canon()
+            self._canon = _frame(b"H", b"".join(sorted([c.canon() for c in self.configs])))
         return self._canon
 
     def to_jsonable(self):
@@ -385,7 +342,7 @@ def genesis_config(replicas: Iterable[str]) -> Config:
     return Config((ADD, r) for r in replicas)
 
 
-VALUE_KINDS = {"set": FinSet, "cfg": Config, "cfgs": ConfSet, "hist": History}
+VALUE_KINDS = {"set": FinSet, "cfg": Config, "hist": History}
 
 
 def value_to_jsonable(v):

@@ -2,8 +2,8 @@
 
 A configuration update is two lattice agreements chained end to end. The
 first runs over configurations and certifies the next configuration as the
-join of everything concurrently proposed. The second runs over sets of
-configurations and extends the history with that output; its inputs are only
+join of everything concurrently proposed. The second runs over histories
+and extends the history with that output; its inputs are only
 accepted when backed by a first-agreement certificate, so every element of a
 certified history is itself a certified configuration. That certificate is
 the first agreement's OutputCert object itself, not a copy of it. The
@@ -29,7 +29,7 @@ from .dbla import (
     accept_all,
     verify_output,
 )
-from .lattice import Config, ConfSet, History
+from .lattice import Config, History
 from .simnet import weak_method
 
 
@@ -39,14 +39,13 @@ def wrap_conf_cert(tc: OutputCert) -> OutputCert:
 
 
 def make_hist_input_check(conf_obj: DynamicObject, oracle):
-    """History-agreement inputs: singleton sets of configurations, each
+    """History-agreement inputs: histories of one configuration, each
     certified by a configuration-agreement OutputCert."""
 
     def check(value, cert) -> bool:
-        if not isinstance(value, ConfSet) or len(value.confs) != 1:
+        if not isinstance(value, History) or len(value.configs) != 1:
             return False
-        (config,) = tuple(value.confs)
-        return verify_output(conf_obj, oracle, config, cert)
+        return verify_output(conf_obj, oracle, value.configs[0], cert)
 
     return check
 
@@ -79,12 +78,12 @@ class ReconfigGroup:
             genesis,
             check_value=make_hist_input_check(self.conf_obj, oracle),
             check_history=certifies,
-            genesis_values=[InputValue(ConfSet({genesis}), GENESIS_CERT)],
+            genesis_values=[InputValue(History([genesis]), GENESIS_CERT)],
         )
 
     def certifies(self, h: History, cert) -> bool:
         """cert is a history-agreement output for h."""
-        return verify_output(self.hist_obj, self.oracle, h.as_confset(), cert)
+        return verify_output(self.hist_obj, self.oracle, h, cert)
 
     def check_history(self, h: History, cert) -> bool:
         return self.hist_obj.check_history(h, cert)
@@ -119,13 +118,10 @@ class ReconfigClient:
             raise RuntimeError("one update_config at a time per client")
         hist = self.hist
 
-        def hist_done(hset: ConfSet, th: OutputCert) -> None:
-            h = History.try_build(hset.confs)
-            if h is None:
-                raise RuntimeError("certified configurations are not pairwise ordered")
+        def hist_done(h: History, th: OutputCert) -> None:
             hist.hub.update_history(h, th, done=lambda: done(h, th))
 
         def conf_done(cprime: Config, tc: OutputCert) -> None:
-            hist.propose(ConfSet({cprime}), wrap_conf_cert(tc), hist_done)
+            hist.propose(History([cprime]), wrap_conf_cert(tc), hist_done)
 
         self.conf.propose(config, cert, conf_done)

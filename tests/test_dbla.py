@@ -2,6 +2,7 @@ import pytest
 from authority_history import check_authority_history, make_authority_history_cert
 
 from dynbla.dbla import (
+    GENESIS_CERT,
     ClientHub,
     DblaClient,
     DblaStore,
@@ -159,6 +160,18 @@ def test_verify_output_rejects_tampering():
 
     assert not verify_output(w.obj, w.oracle, out, {"not": "a cert"})
 
+
+def test_verify_output_refuses_values_that_join_to_no_history():
+    # two one-configuration histories that are not comparable have no join:
+    # a certificate whose values they are is refused, and nothing raises
+    w = World(cids=("p",))
+    a, b = History([w.grown("x")]), History([w.grown("y")])
+    with pytest.raises(ValueError):
+        a.join(b)
+    values = [InputValue(a, {"kind": "any"}), InputValue(b, {"kind": "any"})]
+    cert = OutputCert(values, History([w.genesis]), GENESIS_CERT, {}, {})
+    for out in (a, b, History([w.genesis])):
+        assert not verify_output(w.obj, w.oracle, out, cert)
 
 def test_output_cert_jsonable_round_trip():
     w = World(cids=("p",))

@@ -602,10 +602,11 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 4
-    # version 2 signed certificates over another encoding, and version 3
-    # spells out every copy of a nested certificate: both are refused too
-    for old in (1, 2, 3):
+    assert head["version"] == 5
+    # version 2 signed certificates over another encoding, version 3 spells
+    # out every copy of a nested certificate, and version 4 writes history
+    # inputs as sets of configurations: all are refused too
+    for old in (1, 2, 3, 4):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)

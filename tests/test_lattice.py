@@ -17,7 +17,6 @@ from dynbla.lattice import (
     ADD,
     REMOVE,
     Config,
-    ConfSet,
     FinSet,
     History,
     canon,
@@ -168,11 +167,19 @@ def test_history_containment():
     assert not h1.contained_in(h0)
 
 
-def test_confset_join_is_union():
+def test_history_join_is_union_of_comparable_histories():
     c0 = conf(adds=["r1"])
-    c1 = conf(adds=["r2"])
-    assert ConfSet([c0]).join(ConfSet([c1])) == ConfSet([c0, c1])
-    assert ConfSet([c0]).leq(ConfSet([c0, c1]))
+    c1 = c0.join(conf(adds=["r2"]))
+    c2 = c1.join(conf(removes=["r1"]))
+    assert History([c0]).join(History([c2])) == History([c0, c2])
+    assert History([c0, c1]).join(History([c1, c2])) == History([c0, c1, c2])
+    assert History([c1]).join(History([c1])) == History([c1])
+    # the H frame over the configurations' frames in byte order
+    assert History([c2, c0]).canon() == lattice._frame(b"H", b"".join(sorted([c0.canon(), c2.canon()])))
+    with pytest.raises(ValueError):
+        History([c0]).join(History([conf(adds=["r2"])]))
+    with pytest.raises(ValueError):
+        History([c0, c1]).join(History([c0.join(conf(adds=["r3"]))]))
 
 
 def test_canon_is_order_insensitive_and_type_tagged():
@@ -307,7 +314,6 @@ _output_certs = st.builds(
 )
 _library = st.one_of(
     _configs,
-    st.lists(_configs, max_size=3).map(ConfSet),
     _histories,
     _finsets,
     _input_values,
@@ -367,7 +373,7 @@ def test_canon_rejects_what_the_isinstance_chain_rejects(x):
 
 def test_lattice_values_round_trip_jsonable():
     c = conf(adds=["r1", "r2"], removes=["r2"])
-    for v in (FinSet({"a", "b"}), c, ConfSet([c])):
+    for v in (FinSet({"a", "b"}), c, History([c]), History([c, c.join(conf(adds=["r3"]))])):
         assert type(v).from_jsonable(v.to_jsonable()) == v
 
 

@@ -15,7 +15,7 @@ from dynbla.dbla import (
     verify_output,
 )
 from dynbla.fscrypto import LedgerFsOracle, LedgerVerifier
-from dynbla.lattice import ADD, REMOVE, Config, ConfSet, FinSet, History, genesis_config
+from dynbla.lattice import ADD, REMOVE, Config, FinSet, History, genesis_config
 from dynbla.reconfig import ReconfigClient, ReconfigGroup, make_hist_input_check, wrap_conf_cert
 from dynbla.simnet import Msg, Simulator, Trigger
 
@@ -102,7 +102,7 @@ def test_single_update_config_installs_and_verifies():
     h, th = ns.returns["u"][0]
     assert h == History([ns.genesis, c1])
     assert ns.grp.check_history(h, th)
-    assert verify_output(ns.grp.hist_obj, ns.oracle, h.as_confset(), th)
+    assert verify_output(ns.grp.hist_obj, ns.oracle, h, th)
 
     for r in rids:
         rep = ns.replicas[r]
@@ -228,9 +228,9 @@ def test_hist_input_check_rejects_malformed():
     grp = ReconfigGroup("grp", genesis, oracle)
     check = grp.hist_obj._check_value
     c1 = grown(genesis, "r5")
-    assert not check(ConfSet({genesis, c1}), {"kind": "confout", "oc": {}})
-    assert not check(ConfSet({c1}), {"kind": "other"})
-    assert not check(ConfSet({c1}), {"kind": "confout", "oc": {"bogus": 1}})
+    assert not check(History([genesis, c1]), {"kind": "confout", "oc": {}})
+    assert not check(History([c1]), {"kind": "other"})
+    assert not check(History([c1]), {"kind": "confout", "oc": {"bogus": 1}})
     assert not check(FinSet({"x"}), {"kind": "confout", "oc": {}})
 
 
@@ -250,9 +250,9 @@ def test_hist_input_check_takes_the_conf_output_object():
     ((cprime, tc),) = outs
     assert cprime == c1
     check = ns.grp.hist_obj._check_value
-    assert check(ConfSet({c1}), wrap_conf_cert(tc))
-    assert not check(ConfSet({c1}), tc.to_jsonable())
-    assert not check(ConfSet({ns.genesis}), tc)
+    assert check(History([c1]), wrap_conf_cert(tc))
+    assert not check(History([c1]), tc.to_jsonable())
+    assert not check(History([ns.genesis]), tc)
 
 
 @pytest.mark.parametrize("sender", ["u", "r1"], ids=["from-hub", "from-replica"])
@@ -318,7 +318,7 @@ def test_a_flood_of_junk_certificates_leaves_the_verification_caches_as_they_wer
 
     def flood():
         for i in range(k):
-            iv = InputValue(ConfSet({grown(ns.genesis, f"x{i}")}), {"kind": "any"})
+            iv = InputValue(History([grown(ns.genesis, f"x{i}")]), {"kind": "any"})
             junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, {}, {})
             ns.sim.adv_api.send("r4", "r1", Msg("hist.new", "grp", {"hist": fake, "cert": junk}))
 
