@@ -173,6 +173,7 @@ def test_verify_output_refuses_values_that_join_to_no_history():
     for out in (a, b, History([w.genesis])):
         assert not verify_output(w.obj, w.oracle, out, cert)
 
+
 def test_output_cert_jsonable_round_trip():
     w = World(cids=("p",))
     w.propose(Trigger(at=0), "p", FinSet({"a"}))
