@@ -55,7 +55,8 @@ self-contained DAG (OutputCert.to_jsonable): a nested certificate named
 from more than one place is written once, in the root's "shared" table, and
 named by index wherever it recurs, so a chain of k reconfigurations writes
 its 2k certificate nodes once each and not once per path. A nested AcCert
-or token dict is written through cert_to_jsonable / cert_from_jsonable.
+is written through its own to_jsonable / from_jsonable, and a token dict
+as itself.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -293,7 +294,7 @@ def _nested_jsonable(cert, uses: dict, refs: dict, shared: list):
     """A certificate named inside an OutputCert's DAG; refs maps the frames
     of the shared certificates written so far to their index in shared."""
     if not isinstance(cert, OutputCert):
-        return cert_to_jsonable(cert)
+        return cert.to_jsonable() if isinstance(cert, AcCert) else cert
     key = cert.canon()
     if uses[key] == 1:
         return {"kind": "ocert", "oc": _node_jsonable(cert, uses, refs, shared)}
@@ -333,7 +334,7 @@ def _nested_from_jsonable(d, table: list, memo):
         if type(i) is not int or not 0 <= i < len(table):
             raise ValueError(f"certificate reference {i!r} names no earlier shared entry")
         return table[i]
-    return cert_from_jsonable(d)
+    return AcCert.from_jsonable(d) if isinstance(d, dict) and "ackind" in d else d
 
 
 class AcCert:
@@ -378,20 +379,6 @@ class AcCert:
         approvals = dict(d["appr"]) if admin else {p: FsSig.from_jsonable(s) for p, s in d["appr"].items()}
         cacks = {} if admin else {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()}
         return cls(d["ackind"], d["oid"], d["slot"], value_from_jsonable(d["v"]), config, approvals, cacks)
-
-
-def cert_to_jsonable(cert):
-    """The JSON of a nested AcCert or token certificate; a token dict is its own."""
-    if isinstance(cert, AcCert):
-        return cert.to_jsonable()
-    return cert
-
-
-def cert_from_jsonable(d):
-    """Inverse of cert_to_jsonable."""
-    if isinstance(d, dict) and "ackind" in d:
-        return AcCert.from_jsonable(d)
-    return d
 
 
 def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:

@@ -165,7 +165,8 @@ def check_installs(bundle, view):
 
 
 def check_convergence(bundle, view):
-    """Correct replicas hold comparable histories; quiet runs agree exactly; the head fits the events."""
+    """Correct replicas hold comparable histories; quiet runs agree exactly; the head's verdict
+    fits the step count: cap exactly at the scenario's max_steps, and no run steps past it."""
     finals, statuses = bundle["final"]["replicas"], bundle["final"]["statuses"]
     rows = [(p, f) for p, f in sorted(finals.items()) if statuses.get(p) in ("C", "I")]
     bad = []
@@ -184,9 +185,9 @@ def check_convergence(bundle, view):
                 bad.append((p, "history not fully adopted"))
             if f["member"] and f["cinst"] != f["chighest"]:
                 bad.append((p, "member did not install the top configuration"))
-    steps, last = bundle["steps"], bundle["trace"][-1]["step"] if bundle["trace"] else -1
-    if steps != last + 1 or (bundle["verdict"] == "cap") != (steps == bundle["scenario"]["max_steps"]):
-        bad.append(("head", f"verdict {bundle['verdict']} at steps={steps}, last event step {last}"))
+    steps, cap = bundle["steps"], bundle["scenario"]["max_steps"]
+    if steps > cap or (bundle["verdict"] == "cap") != (steps == cap):
+        bad.append(("head", f"verdict {bundle['verdict']} at steps={steps} of max_steps={cap}"))
     return ("safety.replica_convergence", not bad, f"violations: {bad}")
 
 

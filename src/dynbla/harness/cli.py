@@ -128,7 +128,7 @@ def check(path):
     sys.exit(0 if ok else 1)
 
 
-# What replay compares with a re-run: the head's verdict and steps, final, ledger and the events' hash.
+# What replay compares with a re-run: the head's verdict, the step count, final, ledger and the events' hash.
 REPLAYED = ("verdict", "steps", "final", "ledger", "hash")
 
 

@@ -9,7 +9,8 @@ the trace file alone; read_ops reads it back in one pass.
 
 A trace file's shape is stated once, in TRACE_SHAPES, and checked only by
 load_trace; read_ops and the checks read fields directly. A RunReport's
-fields are the file's sections.
+fields are the file's sections, but for steps: every step writes at least
+one event line, so load_trace reads the step count off the last event.
 
 A run's World, ``RunReport.ctx``, is the root of everything the run built:
 it holds the simulator, the oracle, the group objects and the automata,
@@ -79,7 +80,7 @@ OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
 _REPLICA = {"history": [str], "installed": [str], "ccurr": str, "cinst": str, "chighest": str, "member": bool}
 _EV = {"step": int, "kind": str, "frm": str, "to": str, "desc": str, "hash": (str, type(None)), "st": str}
 TRACE_SHAPES = {
-    "head": {"scenario": dict, "seed": int, "verdict": str, "steps": int},
+    "head": {"scenario": dict, "verdict": str},
     "ev": _EV,
     "ev:invoke": {**_EV, "detail": {"idx": int, "op": str}},
     "ev:return": {**_EV, "detail": {"idx": int, "result": dict}},
@@ -115,10 +116,11 @@ def read_ops(trace) -> tuple[dict, list]:
 
 @dataclass
 class RunReport:
-    """One run: its trace file's sections, and ctx, the World it ran in."""
+    """One run: its trace file's sections, the step count the simulator
+    stopped at (load_trace reads it off the events) and ctx, the World it
+    ran in."""
 
     scenario: dict
-    seed: int
     verdict: str
     steps: int
     trace: list
@@ -381,7 +383,6 @@ def run_scenario(scn) -> RunReport:
     res = ctx.sim.run(scn["max_steps"])
     return RunReport(
         scenario=scn,
-        seed=scn["seed"],
         verdict=res["verdict"],
         steps=res["steps"],
         trace=ctx.sim.trace,
@@ -395,10 +396,10 @@ def run_scenario(scn) -> RunReport:
 # -- trace files ---------------------------------------------------------------
 
 def save_trace(path, bundle) -> None:
-    """One JSON object per line: head, events, final, ledger, hash."""
+    """One JSON object per line: head (scenario and verdict), events, final, ledger, hash."""
     with open(path, "w") as f:
         head = {"t": "head", "format": TRACE_FORMAT, "version": TRACE_VERSION,
-                **{k: bundle[k] for k in ("scenario", "seed", "verdict", "steps")}}
+                "scenario": bundle["scenario"], "verdict": bundle["verdict"]}
         f.write(json.dumps(head, sort_keys=True) + "\n")
         for line in bundle["trace"]:
             f.write(json.dumps({"t": "ev", **line}, sort_keys=True) + "\n")
@@ -409,9 +410,9 @@ def save_trace(path, bundle) -> None:
 
 def load_trace(path) -> dict:
     """The bundle save_trace wrote to path, each line checked as it is read against TRACE_SHAPES,
-    the head's scenario by validate (its seed must be the head's) and the ledger's entries by a
-    LedgerVerifier; TraceError if a line fails its check, or a section is unknown, missing,
-    repeated or out of SECTIONS' order."""
+    the head's scenario by validate and the ledger's entries by a LedgerVerifier; TraceError if a
+    line fails its check, or a section is unknown, missing, repeated or out of SECTIONS' order.
+    Its steps is one past the last event's step, or 0 with no events."""
     bundle = {"trace": []}
     last = -1
     with open(path) as f:
@@ -438,11 +439,7 @@ def load_trace(path) -> dict:
                 if not fits(line, shape):
                     raise TraceError(f"trace line {n} is not of the shape the checks read")
                 if t == "head":
-                    bundle.update({k: line[k] for k in ("seed", "verdict", "steps")})
-                    bundle["scenario"] = validate(line["scenario"])
-                    if line["seed"] != bundle["scenario"]["seed"]:
-                        raise TraceError(f"trace head's seed {line['seed']} is not its scenario's"
-                                         f" seed {bundle['scenario']['seed']}")
+                    bundle["verdict"], bundle["scenario"] = line["verdict"], validate(line["scenario"])
                 elif t == "ev":
                     bundle["trace"].append(line)
                 elif t == "final":
@@ -461,4 +458,5 @@ def load_trace(path) -> dict:
     missing = {"scenario", "final", "ledger", "hash"} - bundle.keys()
     if missing:
         raise TraceError(f"trace file is missing sections: {sorted(missing)}")
+    bundle["steps"] = bundle["trace"][-1]["step"] + 1 if bundle["trace"] else 0
     return bundle

@@ -360,7 +360,6 @@ def weak_method(method):
 
 class Simulator:
     def __init__(self, seed: int, oracle):
-        self.seed = seed
         self.oracle = oracle
         self.rng = random.Random(seed)
         self._procs: dict[str, _Proc] = {}

@@ -581,9 +581,25 @@ def test_trace_file_is_line_json(tmp_path):
     with open(path) as f:
         lines = [json.loads(l) for l in f]
     assert lines[0]["t"] == "head"
+    assert lines[0].keys() == {"t", "format", "version", "scenario", "verdict"}
     assert lines[0]["format"] == "dynbla-trace"
     assert lines[-1]["t"] == "hash"
     assert {l["t"] for l in lines} == {"head", "ev", "final", "ledger", "hash"}
+
+
+def test_a_head_that_also_carries_a_seed_and_steps_loads_checks_and_replays(tmp_path):
+    rep = run_scenario(FAMILIES["reconfig-dbla"](3))
+    path = tmp_path / "run.trace"
+    save_trace(path, rep.bundle())
+    lines = path.read_text().splitlines()
+    # earlier writers of this version copied the seed and the step count
+    # into the head; the scenario and the events are what is read
+    head = {**json.loads(lines[0]), "seed": 999, "steps": "x"}
+    path.write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n")
+    assert load_trace(path)["steps"] == rep.steps
+    for cmd in ("check", "replay"):
+        r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
+        assert r.exit_code == 0, r.output
 
 
 def test_truncated_trace_rejected(tmp_path):
@@ -646,14 +662,12 @@ UNREADABLE = {
     "list-line": lambda lines: lines.insert(1, [1, 2]),
     "replica-final-without-history": lambda lines: _section(lines, "final")["replicas"]["r1"].pop("history"),
     "event-st-not-a-str": lambda lines: _section(lines, "ev").update(st=5),
-    "head-steps-not-an-int": lambda lines: lines[0].update(steps=str(lines[0]["steps"])),
     # each section once, in the order head, ev*, final, ledger, hash
     "line-of-unknown-section": lambda lines: lines.insert(1, {"t": "note"}),
     "final-appended-after-hash": lambda lines: lines.append(
         {**_section(lines, "final"), "xfer_targets": ["x"]}),
     "second-head": lambda lines: lines.insert(1, dict(lines[0])),
     "ev-after-final": lambda lines: lines.insert(-2, dict(_section(lines, "ev"))),
-    "head-seed-not-the-scenarios": lambda lines: lines[0].update(seed=999),
 }
 MALFORMED_OPS = {
     "list-result": lambda lines: _first(lines, "return")["detail"].update(result=[1, 2]),
@@ -671,6 +685,9 @@ MALFORMED_OPS = {
         _install(lines).pop("step"), _install(lines)["detail"].update(st={})),
     "final-genesis-only": _genesis_only,
     "verdict-cap": lambda lines: lines[0].update(verdict="cap"),
+    # a run stops at its cap, so no run writes an event at or past max_steps
+    "events-past-max-steps": lambda lines: lines[0]["scenario"].update(
+        max_steps=[l for l in lines if l.get("t") == "ev"][-1]["step"]),
 }
 ON_RECONFIG = {"install-without-st", "install-hist-not-a-list", "stale-install-without-step", "final-genesis-only"}
 # What check prints for the doctors whose lines it reads; the rest end in
@@ -680,6 +697,7 @@ MALFORMED_FAILS = {
     "propose-return-without-w": "'malformed')",
     "final-genesis-only": "FAIL  safety.installs_certified  (violations: [('r1', ",
     "verdict-cap": "FAIL  safety.replica_convergence  (violations: [('head', 'verdict cap at steps=",
+    "events-past-max-steps": "FAIL  safety.replica_convergence  (violations: [('head', 'verdict quiescent at steps=",
 }
 
 
@@ -866,8 +884,8 @@ def test_cli_run_scenario_file_seed_override(tmp_path):
                                       "--seed", "99", "--trace", str(out)])
     assert r.exit_code == 0, r.output
     head = json.loads(out.read_text().splitlines()[0])
-    assert head["seed"] == 99
     assert head["scenario"]["seed"] == 99
+    assert "seed" not in head and "steps" not in head
 
 
 def test_cli_run_scenario_file_negative_seed_is_refused(tmp_path):
