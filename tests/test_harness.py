@@ -602,6 +602,18 @@ def test_a_head_that_also_carries_a_seed_and_steps_loads_checks_and_replays(tmp_
         assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("cmd", ["check", "replay"])
+def test_a_run_stopped_at_its_cap_loads_at_max_steps_and_passes(tmp_path, cmd):
+    # the last event is at max_steps - 1: the file ends at its cap, not past it
+    rep = run_scenario({**FAMILIES["reconfig-dbla"](0), "max_steps": 200})
+    assert rep.verdict == "cap"
+    path = tmp_path / "run.trace"
+    save_trace(path, rep.bundle())
+    assert load_trace(path)["steps"] == rep.steps == 200
+    r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
+    assert r.exit_code == 0, r.output
+
+
 def test_truncated_trace_rejected(tmp_path):
     rep = run_scenario(FAMILIES["dbla-smoke"](1))
     path = tmp_path / "run.trace"
@@ -779,7 +791,8 @@ def test_a_final_no_check_reads_passes_check_but_not_replay(tmp_path, smoke_line
     assert "FAIL  replay.sections_equal" in r.output and "differ: ['final']" in r.output
 
 
-@pytest.mark.parametrize("doctor, differ", [("verdict-cap", "['verdict']"), ("final-genesis-only", "['final']")])
+@pytest.mark.parametrize("doctor, differ", [("verdict-cap", "['verdict']"), ("final-genesis-only", "['final']"),
+                                            ("events-past-max-steps", "['verdict', 'steps', 'final', 'hash']")])
 def test_replay_fails_an_edited_verdict_or_final(tmp_path, request, doctor, differ):
     lines = request.getfixturevalue("reconfig_lines" if doctor in ON_RECONFIG else "smoke_lines")
     r = CliRunner().invoke(cli.main, ["replay", "--trace", _doctored(tmp_path, lines, MALFORMED_OPS[doctor])])
