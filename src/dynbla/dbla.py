@@ -1005,23 +1005,21 @@ class DynamicReplica(Follower):
 
     def _advance_xfer(self) -> None:
         xfer = self.xfer
-        while True:
-            cnext = self._cnext()
-            if cnext is None or cnext.leq(self.ccurr):
-                xfer.phase = "idle"
-                return
-            remaining = [
-                c
-                for c in self.history.configs
-                if c != cnext and self.ccurr.leq(c) and c not in xfer.transferred
-            ]
-            if not remaining:
-                self.ccurr = cnext
-                xfer.phase = "idle"
-                self.urb.broadcast(cnext, self.group)
-                continue
-            target = remaining[0]
-            if not xfer.busy() or xfer.anchor != target:
-                self.xfer_targets_sent.add(target.cid())
-                xfer.read(target)
+        cnext = self._cnext()
+        if cnext is None or cnext.leq(self.ccurr):
+            xfer.phase = "idle"
             return
+        remaining = [
+            c
+            for c in self.history.configs
+            if c != cnext and self.ccurr.leq(c) and c not in xfer.transferred
+        ]
+        if not remaining:
+            self.ccurr = cnext
+            xfer.phase = "idle"
+            self.urb.broadcast(cnext, self.group)
+            return
+        target = remaining[0]
+        if not xfer.busy() or xfer.anchor != target:
+            self.xfer_targets_sent.add(target.cid())
+            xfer.read(target)

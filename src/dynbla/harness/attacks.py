@@ -6,8 +6,8 @@ starve, retained keys cannot re-certify superseded configurations, and
 forged output certificates fail verification.
 
 The verifiers read a run the way the offline checks do: one pass of
-runner.read_ops over the trace takes the op rows and install lines, then
-the update's target from op 1's return, and the genesis replicas whose
+runner.read_ops over the trace takes the OpRecords and install lines,
+then the update's target from op 1's return, and the genesis replicas whose
 key watermark (``oracle.st``) still admits the genesis epoch.  A
 forward-secure signature at ts is issued exactly when ts >= st, so that
 probe tells which retired replicas could still sign for the old epoch
@@ -182,7 +182,7 @@ def i_still_work_here(seed):
 
 
 def _read_run(report):
-    """What the verifiers read from a run: genesis, the trace's op rows, the
+    """What the verifiers read from a run: genesis, the trace's OpRecords, the
     update's target cid (op 1's return records it), the step the target
     was first installed at, and the genesis replicas whose key watermark
     still admits the genesis epoch."""
@@ -190,20 +190,16 @@ def _read_run(report):
     from .runner import read_ops
 
     genesis = genesis_config(report.scenario["genesis"])
-    ops, installs = read_ops(report.trace)
-    target = (ops.get(1, {}).get("result") or {}).get("target")
+    ops, installs = read_ops(report.trace, len(report.scenario["ops"]))
+    target = (ops[1].result or {}).get("target")
     inst = min((l["step"] for l in installs if l["detail"].get("cid") == target), default=None)
     retained = [p for p in report.scenario["genesis"] if report.ctx.oracle.st(p) <= genesis.height()]
     return SimpleNamespace(genesis=genesis, ops=ops, target=target, inst=inst, retained=retained)
 
 
-def _result(run, idx):
-    return run.ops.get(idx, {}).get("result")
-
-
 def _starved(run):
     """Whether the stale op 2 returned only after the target's install."""
-    ret = run.ops.get(2, {}).get("returned")
+    ret = run.ops[2].returned_at
     return run.inst is not None and ret is not None and ret > run.inst
 
 
@@ -223,7 +219,7 @@ def _retained_below_quorum(run):
 def verify_slow_reader_dbla(report):
     run = _read_run(report)
     genesis = run.genesis
-    r0, r = _result(run, 0), _result(run, 2)
+    r0, r = run.ops[0].result, run.ops[2].result
     pl = presp_payload("g/obj", genesis, [])
     forged = FsSig("r2", genesis.height(), b"forged")
     return [
@@ -243,7 +239,7 @@ def verify_slow_reader_dbla(report):
 
 def verify_slow_reader_maxreg(report):
     run = _read_run(report)
-    r0, r = _result(run, 0), _result(run, 2)
+    r0, r = run.ops[0].result, run.ops[2].result
     return [
         ("attack.write_done_at_genesis", bool(r0) and r0["ack"]["cid"] == run.genesis.cid(),
          "write acknowledged at genesis"),
@@ -256,7 +252,7 @@ def verify_slow_reader_maxreg(report):
 
 def verify_i_still_work_here(report):
     run = _read_run(report)
-    ctx, r = report.ctx, _result(run, 2)
+    ctx, r = report.ctx, run.ops[2].result
     # A full forged certificate from the retired gang: right shape, junk keys.
     iv = InputValue(FinSet({"late"}), {"kind": "any"})
     junk = {p: _junk(p, run.genesis.height()) for p in report.scenario["genesis"][:3]}

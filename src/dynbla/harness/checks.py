@@ -5,8 +5,9 @@ signature ledger) so the same code validates a live run and a trace file
 loaded later, which load_trace has checked against runner.TRACE_SHAPES.
 run_checks builds one offline view of the group per bundle, with a
 LedgerVerifier standing in for the signature oracle and the trace read once
-(runner.read_ops) into view.ops and view.installs; certificates embedded in
-operation returns are rebuilt and re-verified against it.
+(runner.read_ops) into view.ops, an OpRecord per scenario op, and
+view.installs; the checks of returned results walk _returns. Certificates
+embedded in operation returns are rebuilt and re-verified against it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from .runner import APP_OBJ, build_objects, read_ops
 def rebuild_view(bundle):
     """The objects a bundle's run was built from, over its ledger, and its trace's view.ops and view.installs."""
     view = build_objects(bundle["scenario"], LedgerVerifier(bundle.get("ledger") or []))
-    view.ops, view.installs = read_ops(bundle["trace"])
+    view.ops, view.installs = read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))
     return view
+
+
+def _returns(view, *kinds):
+    """(idx, op, result) for each OpRecord op of one of kinds that returned without an error, by index."""
+    for idx, op in sorted(view.ops.items()):
+        if (op.spec or {}).get("op") in kinds and op.result and not op.result.get("error"):
+            yield idx, op, op.result
 
 
 def _has_forever_hold(scn):
@@ -34,10 +42,9 @@ def _has_forever_hold(scn):
 
 
 def check_liveness(bundle, view):
-    missing = [i for i, row in view.ops.items() if row["returned"] is None]
-    busy = [i for i, row in view.ops.items() if row["result"] and row["result"].get("error")]
-    ok = not missing and not busy
-    return ("liveness.all_ops_return", ok,
+    missing = [i for i, op in view.ops.items() if op.returned_at is None]
+    busy = [i for i, op in view.ops.items() if op.result and op.result.get("error")]
+    return ("liveness.all_ops_return", not missing and not busy,
             f"{len(view.ops)} ops, missing={missing}, errored={busy}")
 
 
@@ -52,19 +59,15 @@ def check_certificates(bundle, view):
     """
     memo = {}
     bad = []
-    for idx, row in sorted(view.ops.items()):
-        r = row["result"]
-        spec = row["spec"] or {}
-        if not r or r.get("error") or r.get("denied"):
-            continue
-        kind = spec.get("op")
+    for idx, op, r in _returns(view, "propose", "update_config", "write", "read", "ac_request"):
+        kind = op.spec["op"]
         try:
             if kind == "propose":
                 w = value_from_jsonable(r["w"])
                 cert = OutputCert.from_jsonable(r["cert"], memo)
                 if not verify_output(view.app_obj, view.oracle, w, cert):
                     bad.append(idx)
-            elif kind == "update_config":
+            elif kind == "update_config" and not r.get("denied"):
                 h = value_from_jsonable(r["hist"])
                 th = OutputCert.from_jsonable(r["cert"], memo)
                 if not view.grp.check_history(h, th):
@@ -93,12 +96,9 @@ def check_dbla_outputs(bundle, view):
     """Pairwise comparability of outputs plus each proposer's own inclusion."""
     outs = []
     bad = []
-    for idx, row in sorted(view.ops.items()):
-        spec, r = row["spec"] or {}, row["result"]
-        if spec.get("op") != "propose" or not r or r.get("error"):
-            continue
+    for idx, op, r in _returns(view, "propose"):
         try:
-            w, own = value_from_jsonable(r["w"]), set(spec.get("value", []))
+            w, own = value_from_jsonable(r["w"]), set(op.spec.get("value", []))
         except (AttributeError, KeyError, TypeError, ValueError):
             bad.append((idx, "malformed"))
             continue
@@ -198,21 +198,18 @@ def _int(x) -> bool:
 def check_maxreg(bundle, view):
     """Atomic register semantics over completed operation intervals."""
     writes, reads, bad = [], [], []
-    for idx, row in sorted(view.ops.items()):
-        spec, r = row["spec"] or {}, row["result"]
-        if not r or r.get("error") or row["returned"] is None:
-            continue
-        if spec.get("op") == "write" and r.get("ack"):
-            into, v, ok = writes, spec.get("value"), _int(spec.get("value"))
-        elif spec.get("op") == "read":
+    for idx, op, r in _returns(view, "write", "read"):
+        if op.spec["op"] == "read":
             into, v = reads, r.get("v")
             ok = "v" in r and (v is None or _int(v))
+        elif r.get("ack"):
+            into, v, ok = writes, op.spec.get("value"), _int(op.spec.get("value"))
         else:
             continue
-        if not (ok and _int(row["invoked"]) and _int(row["returned"])):
+        if not (ok and _int(op.invoked_at) and _int(op.returned_at)):
             bad.append((idx, "malformed"))
             continue
-        into.append({"idx": idx, "v": v, "inv": row["invoked"], "ret": row["returned"]})
+        into.append({"idx": idx, "v": v, "inv": op.invoked_at, "ret": op.returned_at})
     vals = {w["v"] for w in writes}
     for r in reads:
         if r["v"] is not None and r["v"] not in vals:
@@ -230,9 +227,8 @@ def check_maxreg(bundle, view):
 
 def check_ac_at_most_one(bundle, view):
     slots, malformed = {}, []
-    for idx, row in sorted(view.ops.items()):
-        spec, r = row["spec"] or {}, row["result"]
-        if spec.get("op") != "ac_request" or not r or not r.get("granted"):
+    for idx, _, r in _returns(view, "ac_request"):
+        if not r.get("granted"):
             continue
         if type(r.get("slot")) is str and type(r.get("value")) is str:
             slots.setdefault(r["slot"], set()).add(r["value"])
@@ -245,7 +241,7 @@ def check_ac_at_most_one(bundle, view):
 
 def _updates_invoked(view) -> int:
     """k, the number of update_config operations the trace records as invoked."""
-    return sum(1 for row in view.ops.values() if (row["spec"] or {}).get("op") == "update_config")
+    return sum(1 for op in view.ops.values() if (op.spec or {}).get("op") == "update_config")
 
 
 def check_xfer_bound(bundle, view):
@@ -261,14 +257,12 @@ def check_history_len(bundle, view):
     configurations: no chain of distinct joins of k updates with genesis is longer."""
     k = _updates_invoked(view)
     bad = [(line["to"], line["step"]) for line in view.installs if len(line["detail"]["hist"]) > k + 1]
-    for idx, row in sorted(view.ops.items()):
-        r = row["result"]
-        if (row["spec"] or {}).get("op") == "update_config" and r and "cert" in r:
-            try:
-                if len(r["hist"]["hist"]) > k + 1:
-                    bad.append(idx)
-            except (KeyError, TypeError):
-                bad.append((idx, "malformed"))
+    for idx, _, r in _returns(view, "update_config"):
+        try:
+            if "cert" in r and len(r["hist"]["hist"]) > k + 1:
+                bad.append(idx)
+        except (KeyError, TypeError):
+            bad.append((idx, "malformed"))
     return ("perf.history_len", not bad, f"k={k}, over k + 1 (op, or install at replica and step): {bad}")
 
 
@@ -299,12 +293,11 @@ def check_cert_nodes(bundle, view):
     """
     h0 = view.genesis.height()
     bad = []
-    for idx, row in sorted(view.ops.items()):
-        kind, r = (row["spec"] or {}).get("op"), row["result"]
-        if kind not in ("propose", "update_config") or not r or "cert" not in r:
+    for idx, op, r in _returns(view, "propose", "update_config"):
+        if "cert" not in r:
             continue
         try:
-            h = r["anchor_h"] if kind == "propose" else max(len(c) for c in r["hist"]["hist"])
+            h = r["anchor_h"] if op.spec["op"] == "propose" else max(len(c) for c in r["hist"]["hist"])
             nodes = _written_nodes(r["cert"])
             if nodes > 2 * (h - h0) + 1:
                 bad.append((idx, nodes, h))

@@ -28,8 +28,11 @@ def _load_scenario(path, family, seed, k):
     if path and family:
         raise click.UsageError("give either --scenario or --family, not both")
     if path:
-        with open(path) as f:
-            scn = json.load(f)
+        try:
+            with open(path, encoding="utf-8") as f:
+                scn = json.load(f)
+        except (RecursionError, ValueError) as e:
+            raise ScenarioError(f"scenario file {path} is not UTF-8 JSON or nests too deeply: {e}") from e
         if seed is not None and isinstance(scn, dict):
             scn["seed"] = seed
         return validate(scn)

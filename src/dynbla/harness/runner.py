@@ -5,7 +5,8 @@ group named "g", an optional application object "g/obj", an optional
 access-control object "g/acl", one hub per client.  Every operation
 invoke and return and every install is written into the trace with a
 jsonable detail, and only there, so all invariants can be re-checked from
-the trace file alone; read_ops reads it back in one pass.
+the trace file alone; read_ops reads it back in one pass, as an OpRecord
+per scenario op for the checks, the attack verifiers and RunReport.ops.
 
 A trace file's shape is stated once, in TRACE_SHAPES, and checked only by
 load_trace; read_ops and the checks read fields directly. A RunReport's
@@ -67,8 +68,9 @@ class TraceError(ValueError):
     """Every way load_trace refuses a trace file."""
 
 
-# One operation of a run, as RunReport.ops reads it from the trace.
-OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result")
+# One operation of a run, as read_ops reads it from the trace: spec is its
+# invoke line's detail; a field the trace has no line for is None.
+OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result", defaults=(None,) * 4)
 
 
 # What the checks read of each line of a trace file, by the line's section
@@ -94,21 +96,19 @@ TRACE_SHAPES = {
 SECTIONS = ("head", "ev", "final", "ledger", "hash")
 
 
-def read_ops(trace) -> tuple[dict, list]:
-    """A trace's op rows by index and its install upcall lines, in one pass:
-    a row holds an op's invoke detail and step ("spec", "invoked") and its
-    return's step and result ("returned", "result"), each None where the
-    trace has no such line. Reads a live or a loaded trace; checks nothing."""
-    ops, installs = {}, []
+def read_ops(trace, count) -> tuple[dict, list]:
+    """A trace's OpRecords by index and its install upcall lines, in one pass.
+    There is a row for each op 0 .. count - 1, which keeps None in every field
+    but idx until its invoke or return line is read, and one for any other
+    index a line names. Reads a live or a loaded trace; checks nothing."""
+    ops, installs = {i: OpRecord(i) for i in range(count)}, []
     for line in trace:
         kind = line["kind"]
-        if kind == "invoke":
+        if kind in ("invoke", "return"):
             d = line["detail"]
-            ops[d["idx"]] = {"spec": d, "invoked": line["step"], "returned": None, "result": None}
-        elif kind == "return":
-            d = line["detail"]
-            row = ops.setdefault(d["idx"], {"spec": None, "invoked": None})
-            row["returned"], row["result"] = line["step"], d["result"]
+            row = ops.setdefault(d["idx"], OpRecord(d["idx"]))
+            ops[d["idx"]] = (row._replace(spec=d, invoked_at=line["step"]) if kind == "invoke"
+                             else row._replace(returned_at=line["step"], result=d["result"]))
         elif kind == "upcall" and line["desc"] == "install":
             installs.append(line)
     return ops, installs
@@ -137,9 +137,7 @@ class RunReport:
     @property
     def ops(self) -> list[OpRecord]:
         """One OpRecord per scenario op, read from the trace on each access."""
-        rows, _ = read_ops(self.trace)
-        return [OpRecord(i, spec, row.get("invoked"), row.get("returned"), row.get("result"))
-                for i, spec in enumerate(self.scenario["ops"]) for row in [rows.get(i, {})]]
+        return list(read_ops(self.trace, len(self.scenario["ops"]))[0].values())
 
     def bundle(self) -> dict:
         """The trace file's sections, for save_trace and the offline checks."""
@@ -415,7 +413,7 @@ def load_trace(path) -> dict:
     Its steps is one past the last event's step, or 0 with no events."""
     bundle = {"trace": []}
     last = -1
-    with open(path) as f:
+    with open(path, "rb") as f:
         for n, raw in enumerate(f, 1):
             if not raw.strip():
                 continue
@@ -453,7 +451,7 @@ def load_trace(path) -> dict:
                 raise
             except ScenarioError as e:
                 raise TraceError(str(e)) from e
-            except (AttributeError, KeyError, TypeError, ValueError) as e:
+            except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as e:
                 raise TraceError(f"trace line {n} is malformed: {e!r}") from e
     missing = {"scenario", "final", "ledger", "hash"} - bundle.keys()
     if missing:

@@ -98,7 +98,10 @@ def validate(scn):
     if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a dict")
     errors = []
-    out = copy.deepcopy(scn)
+    try:
+        out = copy.deepcopy(scn)
+    except RecursionError:
+        raise ScenarioError("scenario nests too deeply") from None
 
     if out.get("version") != SCHEMA_VERSION:
         errors.append(f"version must be {SCHEMA_VERSION}")

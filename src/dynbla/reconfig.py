@@ -106,7 +106,6 @@ class ReconfigClient:
     """
 
     def __init__(self, hub: ClientHub, grp: ReconfigGroup):
-        self.grp = grp
         self.conf = DblaClient(hub, grp.conf_obj)
         self.hist = DblaClient(hub, grp.hist_obj)
 

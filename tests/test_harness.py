@@ -244,9 +244,9 @@ def test_smoke_run_quiesces_and_checks_pass():
     rep = run_scenario(FAMILIES["dbla-smoke"](11))
     assert rep.verdict == "quiescent"
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
-    table, _ = read_ops(rep.trace)
-    assert len(table) == 5
-    assert all(row["returned"] is not None for row in table.values())
+    table, _ = read_ops(rep.trace, len(rep.scenario["ops"]))
+    assert list(table) == list(range(5))
+    assert all(row.returned_at is not None for row in table.values())
 
 
 def test_run_is_deterministic():
@@ -292,14 +292,17 @@ def test_busy_op_fails_liveness():
 def test_run_report_ops_are_read_from_the_trace_after_the_run(monkeypatch):
     reads = []
     read = runner.read_ops
-    monkeypatch.setattr(runner, "read_ops", lambda trace: reads.append(trace) or read(trace))
+    monkeypatch.setattr(runner, "read_ops", lambda trace, count: reads.append(trace) or read(trace, count))
     scn = FAMILIES["dbla-smoke"](1, clients=2)
     scn["ops"].append({"op": "propose", "client": "p1", "value": ["dup"], "at": 0})
     rep = run_scenario(validate(scn))
     assert reads == []
     ops = rep.ops
     assert reads == [rep.trace]
-    assert [(op.idx, op.spec) for op in ops] == list(enumerate(rep.scenario["ops"]))
+    # an op's spec is its invoke line's detail: the scenario op, less its trigger, and its index
+    assert [(op.idx, op.spec) for op in ops] == [
+        (i, {"idx": i, **{k: v for k, v in spec.items() if k not in ("at", "after", "offset")}})
+        for i, spec in enumerate(rep.scenario["ops"])]
     steps = {(l["kind"], l["detail"]["idx"]): l["step"] for l in rep.trace if l["kind"] in ("invoke", "return")}
     assert [(op.invoked_at, op.returned_at) for op in ops] == [
         (steps["invoke", i], steps["return", i]) for i in range(len(ops))]
@@ -454,10 +457,9 @@ def test_tampered_ack_signature_fails_certificate_check():
 def test_conflicting_grants_fail_ac_check():
     rep = run_scenario(FAMILIES["ac-quorum-race"](0))
     bundle = rep.bundle()
-    table, _ = read_ops(bundle["trace"])
-    loser = next(i for i, row in table.items() if not row["result"]["granted"])
-    winner = next(i for i, row in table.items() if row["result"]["granted"])
-    fake = copy.deepcopy(table[winner]["result"])
+    loser = next(op.idx for op in rep.ops if not op.result["granted"])
+    winner = next(op for op in rep.ops if op.result["granted"])
+    fake = copy.deepcopy(winner.result)
     fake["value"] = "forged"
     doctor_return(bundle, loser, lambda r: r.update(fake))
     assert not passed(run_checks(bundle), "safety.ac_at_most_one")
@@ -485,7 +487,8 @@ def test_the_transfer_bound_checks_every_run_against_its_invoked_updates():
 
 
 def _longest_install(bundle):
-    return max((l for l in read_ops(bundle["trace"])[1]), key=lambda l: len(l["detail"]["hist"]))
+    installs = read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))[1]
+    return max(installs, key=lambda l: len(l["detail"]["hist"]))
 
 
 @pytest.mark.parametrize("edit", ["return", "install", "malformed-return"])
@@ -607,11 +610,21 @@ def test_a_run_stopped_at_its_cap_loads_at_max_steps_and_passes(tmp_path, cmd):
     # the last event is at max_steps - 1: the file ends at its cap, not past it
     rep = run_scenario({**FAMILIES["reconfig-dbla"](0), "max_steps": 200})
     assert rep.verdict == "cap"
+    assert [(op.invoked_at is None, op.returned_at) for op in rep.ops] == [
+        (False, 14), (False, 72), (False, 65), (True, None)]
     path = tmp_path / "run.trace"
     save_trace(path, rep.bundle())
     assert load_trace(path)["steps"] == rep.steps == 200
     r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
-    assert r.exit_code == 0, r.output
+    if cmd == "replay":
+        assert r.exit_code == 0, r.output
+        return
+    # ops 0-2 return within the cap and op 3 is never invoked: the cap fits
+    # the verdict, and liveness counts the op the cap cut off
+    assert "PASS  safety.replica_convergence" in r.output
+    fails = [l for l in r.output.splitlines() if l.startswith("FAIL")]
+    assert fails == ["FAIL  liveness.all_ops_return  (4 ops, missing=[3], errored=[])"], r.output
+    assert r.exit_code == 1
 
 
 def test_truncated_trace_rejected(tmp_path):
@@ -743,6 +756,40 @@ def test_an_unreadable_trace_file_ends_in_the_error_exit(tmp_path, smoke_lines, 
     r = CliRunner().invoke(cli.main, [cmd, "--trace", _doctored(tmp_path, smoke_lines, UNREADABLE[doctor])])
     assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
     assert r.output.startswith("Error: ") and "PASS" not in r.output
+
+
+def _nested(depth):
+    v = []
+    for _ in range(depth):
+        v = [v]
+    return v
+
+
+def _deep_head(lines):
+    head = json.loads(lines[0])
+    head["scenario"]["meta"] = _nested(600)
+    return [json.dumps(head).encode(), *lines[1:]]
+
+
+# Each edits a saved dbla-smoke trace's lines, as bytes, into a file that
+# json cannot read: a line that is not UTF-8, a line nested past the
+# recursion limit, and a head scenario that validate's deepcopy cannot copy.
+UNDECODABLE = {
+    "not-utf-8": lambda lines: [b"\xff\xfe\x00" + lines[0], *lines[1:]],
+    "nested-5000-deep": lambda lines: [lines[0], b"[" * 5000 + b"]" * 5000, *lines[1:]],
+    "head-scenario-nested-600-deep": _deep_head,
+}
+
+
+@pytest.mark.parametrize("cmd", ["check", "replay"])
+@pytest.mark.parametrize("doctor", list(UNDECODABLE))
+def test_a_trace_file_json_cannot_read_ends_in_the_error_exit(tmp_path, smoke_lines, doctor, cmd):
+    path = tmp_path / "bad.trace"
+    path.write_bytes(b"".join(l + b"\n" for l in UNDECODABLE[doctor]([l.encode() for l in smoke_lines])))
+    r = CliRunner().invoke(cli.main, [cmd, "--trace", str(path)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert r.output.startswith("Error: ")
+    assert not any(word in r.output for word in ("PASS", "FAIL", "Traceback")), r.output
 
 
 @pytest.mark.parametrize("doctor", list(MALFORMED_OPS))
@@ -933,6 +980,37 @@ def test_cli_invalid_scenario_is_an_error_exit(tmp_path, args):
     assert "Error: seed must be a non-negative int" in r.output
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"version": 1',
+    b"\xff\xfe{}",
+    b"[" * 5000 + b"]" * 5000,
+    json.dumps({**FAMILIES["dbla-smoke"](0), "meta": _nested(600)}).encode(),
+], ids=["not-json", "not-utf-8", "nested-5000-deep", "meta-nested-600-deep"])
+def test_cli_run_of_a_scenario_file_json_cannot_read_is_an_error_exit(tmp_path, raw):
+    p = tmp_path / "scn.json"
+    p.write_bytes(raw)
+    r = CliRunner().invoke(cli.main, ["run", "--scenario", str(p)])
+    assert r.exit_code == 1 and isinstance(r.exception, SystemExit), r.output
+    assert r.output.startswith("Error: ") and len(r.output.splitlines()) == 1, r.output
+
+
+def test_an_op_whose_trigger_never_fires_fails_liveness(tmp_path):
+    # op 1 waits for an install of height 9, which a run without updates never makes
+    scn = validate({"version": 1, "name": "stalled", "genesis": ["r1", "r2", "r3", "r4"], "clients": ["p"],
+                    "ops": [{"op": "propose", "client": "p", "value": ["a"], "at": 0},
+                            {"op": "propose", "client": "p", "value": ["b"], "after": "inst:h9"}]})
+    rep = run_scenario(scn)
+    assert rep.verdict == "stalled"
+    assert rep.ops[0].returned_at is not None and rep.ops[1].invoked_at is None
+    results = {n: (ok, info) for n, ok, info in run_checks(rep.bundle())}
+    assert results.pop("liveness.all_ops_return") == (False, "2 ops, missing=[1], errored=[]")
+    assert all(ok for ok, _ in results.values()), results
+    p = tmp_path / "scn.json"
+    p.write_text(json.dumps(scn))
+    r = CliRunner().invoke(cli.main, ["run", "--scenario", str(p)])
+    assert r.exit_code == 1 and "FAIL  liveness.all_ops_return  (2 ops, missing=[1], errored=[])" in r.output
+
+
 def test_cli_run_scenario_file(tmp_path):
     scn = FAMILIES["reconfig-dbla"](3)
     p = tmp_path / "scn.json"
@@ -992,9 +1070,9 @@ def test_cli_families():
 
 def _last_update(bundle):
     """(op index, result) of the run's last update_config return."""
-    rows = [(i, row) for i, row in sorted(read_ops(bundle["trace"])[0].items()) if row["spec"]["op"] == "update_config"]
-    idx, row = rows[-1]
-    return idx, row["result"]
+    ops = read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))[0].values()
+    last = [op for op in ops if op.spec["op"] == "update_config"][-1]
+    return last.idx, last.result
 
 
 def _dag(cert):
@@ -1117,8 +1195,9 @@ def test_loaded_trace_checks_each_return_on_its_own(tmp_path, chain3):
 def test_a_live_bundle_decodes_each_node_once_and_a_loaded_one_return_by_return(tmp_path, chain3, monkeypatch):
     path = tmp_path / "chain3.trace"
     save_trace(path, chain3)
-    dags = [_dag(OutputCert.from_jsonable(row["result"]["cert"])).keys()
-            for row in read_ops(chain3["trace"])[0].values() if row["spec"]["op"] in ("propose", "update_config")]
+    dags = [_dag(OutputCert.from_jsonable(op.result["cert"])).keys()
+            for op in read_ops(chain3["trace"], len(chain3["scenario"]["ops"]))[0].values()
+            if op.spec["op"] in ("propose", "update_config")]
     built = []
     init = OutputCert.__init__
 
