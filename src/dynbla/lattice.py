@@ -11,16 +11,16 @@ signing over a certificate costs the size of one node, not of the whole
 chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
 
-Encoding is table-driven. canon dispatches on a value's exact type through
-one table, filled once per class: the builtins' encoders, the same encoder
-for a subclass of a builtin (encoded as its base, as an isinstance chain
-would), and for any other class a call of the instance's canon(). An exact
-str, the commonest value (ids, object names, message kinds), is served from
-a second table of ready frames, filled on first use and read inline for
-list elements and dict keys and values; it keeps only short strs and is
-cleared when full, so it stays within a fixed size whatever strings
-arrive. Both tables are caches: neither changes a byte of the encoding, so
-no caller can see another's use of them.
+Encoding is table-driven. canon dispatches on a value's exact type alone:
+a fixed table holds the encoders of the nine builtin types besides str, and
+a value of any other type, a subclass of a builtin included, encodes
+through its own canon() or is refused with TypeError. An exact str, the
+commonest value (ids, object names, message kinds), is served from a table
+of ready frames, filled on first use and read inline for list elements and
+dict keys and values; it keeps only short strs and is cleared when full,
+so it stays within a fixed size whatever strings arrive. That table is a
+cache: it changes no byte of the encoding, so no caller can see another's
+use of it.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ def _int(x) -> bytes:
     return b"I" + len(b).to_bytes(4, "big") + b
 
 
-def _str(x) -> bytes:
-    return _frame(b"S", x.encode("utf-8"))
-
-
 def _bytes(x) -> bytes:
     return b"Y" + len(x).to_bytes(4, "big") + x
 
@@ -112,49 +108,28 @@ def _bool(x) -> bytes:
 
 
 def _own(x) -> bytes:
-    """A value that is no builtin encodes itself, if it can."""
+    """A value of no exact builtin type encodes itself, if it can."""
     enc = getattr(x, "canon", None)
     if enc is None:
         raise TypeError(f"not canonically encodable: {type(x).__name__}")
     return enc()
 
 
-# The builtins in the order an isinstance chain would test them: a subclass
-# of one of them is encoded as the first base it has, even when it defines
-# canon(); so bool before int.
-_CHAIN = (
-    (type(None), _none), (bool, _bool), (int, _int), (str, _str), (bytes, _bytes),
-    (list, _list), (tuple, _list), (set, _set), (frozenset, _set), (dict, _dict),
-)
-
-# The dispatch table: one encoder per exact type, found once per class.
-_enc: dict[type, object] = dict(_CHAIN)
-
-
-def _encoder(t: type):
-    for base, enc in _CHAIN:
-        if issubclass(t, base):
-            break
-    else:
-        enc = _own
-    _enc[t] = enc
-    return enc
+# The dispatch table: one encoder per exact builtin type. Any other type,
+# a subclass of a builtin too, encodes through its own canon().
+_enc: dict[type, object] = {type(None): _none, bool: _bool, int: _int, bytes: _bytes, list: _list,
+                             tuple: _list, set: _set, frozenset: _set, dict: _dict}
 
 
 def canon(x) -> bytes:
     """Deterministic tag-length-value encoding. Dict keys must be strings.
-
-    An exact str is served from the frame table; every other value is
-    encoded by its type's entry in the dispatch table.
-    """
+    An exact str is served from the frame table, another exact builtin by
+    the dispatch table, and any other value by its own canon()."""
     t = type(x)
     if t is str:
         f = _str_get(x)
         return f if f is not None else _new_str(x)
-    enc = _enc.get(t)
-    if enc is None:
-        enc = _encoder(t)
-    return enc(x)
+    return _enc.get(t, _own)(x)
 
 
 def merkle_frame(body: bytes) -> bytes:

@@ -15,11 +15,13 @@ queue.
 
 A step does no work for what cannot happen yet. The simulator keeps its
 wake step: no unfired external and no hold with buffered messages is due
-before it. Steps before the wake step skip the scan of holds and externals;
-a scan that fires nothing sets the wake step to the earliest known due
-step. Registering an external or a hold, firing, releasing, a first
-message held by a rule and a new fact set it back to 0, so the next step
-scans again. A `Trigger` must therefore not be changed once registered.
+before it. A scan releases the first due hold, else fires the first due
+external, each in registration order; one that fires nothing sets the wake
+step to the earliest known due step. Steps before the wake step skip the
+scan, but an idle network scans at it, so what is due there fires now by
+the same rule. Registering an external or a hold, firing, releasing, a
+first message held by a rule and a new fact set it back to 0, so the next
+step scans again. A `Trigger` must therefore not be changed once registered.
 
 A process is idle (I) until its first delivery or invoke, then correct
 (C); `corrupt` hands a correct process to a script as Byzantine (B). That
@@ -243,25 +245,20 @@ class Trigger:
             return seen + self.offset
         return self.at
 
-    def eventually(self, sim) -> bool:
-        return self.due(sim) is not None
-
 
 @dataclass
 class HoldRule:
     """Diverts matching sends into a buffer until the release trigger.
-    A released rule leaves the simulator's holds."""
+    A released rule leaves the simulator's holds, the only rules a send
+    consults."""
 
     frm: set | None = None
     to: set | None = None
     desc: str = ""
     until: Trigger | None = None
     buffer: list = field(default_factory=list)
-    released: bool = False
 
     def matches(self, frm, to, msg) -> bool:
-        if self.released:
-            return False
         if self.frm is not None and frm not in self.frm:
             return False
         if self.to is not None and to not in self.to:
@@ -469,7 +466,6 @@ class Simulator:
     def _release(self, rule: HoldRule) -> str:
         events = rule.buffer
         rule.buffer = []
-        rule.released = True
         self.holds.remove(rule)
         self._wake = 0
         now = self.next_step
@@ -520,47 +516,41 @@ class Simulator:
         self.next_step += 1
         return "deliver"
 
-    def step(self) -> str | None:
-        """Take one step: release the first hold whose trigger is due, else
-        fire the first such external, else deliver a drawn event, else, on
-        an idle network, fast-fire or release.
-
-        Holds and externals are scanned only from the wake step on, and a
-        scan that fires nothing moves the wake step to the earliest due
-        step it saw (infinity if it saw none). The wake step is computed
-        from the registered triggers, so a `Trigger` must not be changed
-        once registered. The delivered event is a plain `(enq, frm, to,
-        msg)` tuple; a Byzantine recipient's script gets an `Event` view.
-        """
-        now = self.next_step
-        if now >= self._wake:
-            wake = math.inf
-            for rule in self.holds:
-                if rule.buffer and rule.until is not None:
-                    due = rule.until.due(self)
-                    if due is not None:
-                        if now >= due:
-                            return self._release(rule)
-                        if due < wake:
-                            wake = due
-            for i, ext in enumerate(self.externals):
-                due = ext.trigger.due(self)
+    def _scan(self, now: int) -> str | None:
+        """Release or fire what is due at now, by the one trigger rule; if
+        nothing is, set the wake step."""
+        wake = math.inf
+        for rule in self.holds:
+            if rule.buffer and rule.until is not None:
+                due = rule.until.due(self)
                 if due is not None:
                     if now >= due:
-                        return self._fire(i)
+                        return self._release(rule)
                     if due < wake:
                         wake = due
-            self._wake = wake
+        for i, ext in enumerate(self.externals):
+            due = ext.trigger.due(self)
+            if due is not None:
+                if now >= due:
+                    return self._fire(i)
+                if due < wake:
+                    wake = due
+        self._wake = wake
+        return None
+
+    def step(self) -> str | None:
+        """Take one step: scan from the wake step on, else deliver a drawn
+        event, else, on an idle network, scan at the wake step. A Byzantine
+        recipient's script gets an `Event` view of the delivered event.
+        """
+        if self.next_step >= self._wake:
+            kind = self._scan(self.next_step)
+            if kind is not None:
+                return kind
         if self.pending:
             return self._deliver()
-        # idle network: fast-fire the first registered external whose bound
-        # is known (not the earliest), else release the first such hold
-        for i, ext in enumerate(self.externals):
-            if ext.trigger.eventually(self):
-                return self._fire(i)
-        for rule in self.holds:
-            if rule.buffer and rule.until is not None and rule.until.eventually(self):
-                return self._release(rule)
+        if self._wake < math.inf:
+            return self._scan(self._wake)
         return None
 
     def run(self, max_steps: int = DEFAULT_STEP_CAP) -> dict:

@@ -209,9 +209,9 @@ def test_externals_ready_in_one_step_fire_in_registration_order():
     assert fired == [(5, "b"), (6, "c"), (20, "a")]
 
 
-def test_externals_fast_fired_when_idle_go_in_registration_order():
+def test_externals_fast_fired_when_idle_go_in_due_order():
     # on an idle network every external with a known bound fires at once,
-    # first registered first (not earliest due); an unknown fact stalls
+    # earliest due first; an unknown fact stalls
     sim = Simulator(1, LedgerFsOracle())
     sim.spawn("a", Collector())
     for name, trig in (("never", Trigger(fact="x")), ("late", Trigger(at=100)),
@@ -219,7 +219,24 @@ def test_externals_fast_fired_when_idle_go_in_registration_order():
         sim.add_external(trig, "invoke", lambda: None, to="a", desc=name)
     sim.note_fact("seen")
     assert sim.run(500) == {"verdict": "stalled", "steps": 3}
-    assert [l["desc"] for l in sim.trace] == ["late", "early", "after"]
+    assert [l["desc"] for l in sim.trace] == ["early", "after", "late"]
+
+
+@pytest.mark.parametrize("hold_at, ext_at, first", [(10, 30, "hold.release"), (30, 10, "ext")])
+def test_an_idle_network_fires_the_earliest_due_of_a_hold_and_an_external(hold_at, ext_at, first):
+    # the idle network scans at the earlier due step, so whichever of the
+    # buffered hold and the external is due first happens first
+    sim = Simulator(1, LedgerFsOracle())
+    sim.spawn("a", Collector())
+    sim.spawn("c", Collector())
+    sim.add_hold(HoldRule(to={"c"}, desc="t.h", until=Trigger(at=hold_at)))
+    sim.api("a").send("c", Msg("t.h", "t", {}))
+    sim.add_external(Trigger(at=ext_at), "invoke", lambda: None, to="a", desc="ext")
+    assert not sim.pending
+    assert sim.step() in ("adversary", "invoke")
+    assert sim.trace[0]["desc"] == first and sim.trace[0]["step"] == 0
+    assert sim.run(100)["verdict"] == "quiescent"
+    assert sorted(l["desc"] for l in sim.trace) == ["ext", "hold.release", "t.h"]
 
 
 def test_unreachable_fact_trigger_stalls():
@@ -309,7 +326,7 @@ def replay(seed, ops):
         now = sim.now()
         if op in ("send", "held"):
             msg = Msg("t.held" if op == "held" else "t.x", "t", {"n": n})
-            held = hold.matches(frm, to, msg)
+            held = hold in sim.holds and hold.matches(frm, to, msg)
             sim.api(frm).send(to, msg)
             if held:
                 buffered.append((frm, to, msg))
@@ -409,7 +426,7 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
         nonlocal widest
         widest = max(widest, len(log))
         for frm, to, msg in log:
-            if hold.matches(frm, to, msg):
+            if hold in sim.holds and hold.matches(frm, to, msg):
                 buffered.append((frm, to, msg))
             else:
                 model.append((enq, frm, to, msg))
@@ -435,7 +452,7 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
             break
         take(now)
         assert [(e.enq, e.frm, e.to, e.msg) for e in sim.pending] == model
-    assert hold.released and widest > 1 and sim.now() > 200
+    assert hold not in sim.holds and widest > 1 and sim.now() > 200
     assert sim.rng.getstate() == rng.getstate()
 
 
@@ -466,28 +483,31 @@ def test_one_send_step_is_one_batch():
 
 class ScanEveryStep(Simulator):
     """The step without a wake step: every step scans every hold and every
-    unfired external, as the scheduler did before it kept one."""
+    unfired external, as the scheduler did before it kept one, and an idle
+    network scans at the earliest known due step."""
 
     def step(self):
-        def ready(trigger):
-            due = trigger.due(self)
-            return due is not None and self.next_step >= due
+        def scan(now):
+            for rule in self.holds:
+                if rule.buffer and rule.until is not None and due_at(rule.until, now):
+                    return self._release(rule)
+            for i, ext in enumerate(self.externals):
+                if due_at(ext.trigger, now):
+                    return self._fire(i)
+            return None
 
-        for rule in self.holds:
-            if rule.buffer and rule.until is not None and ready(rule.until):
-                return self._release(rule)
-        for i, ext in enumerate(self.externals):
-            if ready(ext.trigger):
-                return self._fire(i)
+        def due_at(trigger, now):
+            due = trigger.due(self)
+            return due is not None and now >= due
+
+        kind = scan(self.next_step)
+        if kind is not None:
+            return kind
         if self.pending:
             return self._deliver()
-        for i, ext in enumerate(self.externals):
-            if ext.trigger.eventually(self):
-                return self._fire(i)
-        for rule in self.holds:
-            if rule.buffer and rule.until is not None and rule.until.eventually(self):
-                return self._release(rule)
-        return None
+        dues = [r.until.due(self) for r in self.holds if r.buffer and r.until is not None]
+        dues = [d for d in dues + [e.trigger.due(self) for e in self.externals] if d is not None]
+        return scan(min(dues)) if dues else None
 
 
 FACTS = ("f0", "f1", "f2")
@@ -632,7 +652,7 @@ def test_a_released_hold_leaves_the_holds_and_holds_nothing_more():
     sim.add_hold(hold)
     sim.api("a").send("c", Msg("t.h", "t", {"n": 1}))
     assert sim.step() == "adversary"
-    assert hold.released and hold not in sim.holds and sim.holds == []
+    assert hold not in sim.holds and sim.holds == []
     sim.api("a").send("c", Msg("t.h", "t", {"n": 2}))
     assert sim.run(50)["verdict"] == "quiescent"
     assert c.got == [("a", "t.h", 1), ("a", "t.h", 2)] and sim.metrics["held"] == 1
