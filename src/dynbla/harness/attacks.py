@@ -190,7 +190,7 @@ def _read_run(report):
     from .runner import read_ops
 
     genesis = genesis_config(report.scenario["genesis"])
-    ops, installs = read_ops(report.trace, len(report.scenario["ops"]))
+    ops, installs, _ = read_ops(report.trace, len(report.scenario["ops"]))
     target = (ops[1].result or {}).get("target")
     inst = min((l["step"] for l in installs if l["detail"].get("cid") == target), default=None)
     retained = [p for p in report.scenario["genesis"] if report.ctx.oracle.st(p) <= genesis.height()]

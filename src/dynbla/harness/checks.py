@@ -5,8 +5,8 @@ signature ledger) so the same code validates a live run and a trace file
 loaded later, which load_trace has checked against runner.TRACE_SHAPES.
 run_checks builds one offline view of the group per bundle, with a
 LedgerVerifier standing in for the signature oracle and the trace read once
-(runner.read_ops) into view.ops, an OpRecord per scenario op, and
-view.installs; the checks of returned results walk _returns. Certificates
+(runner.read_ops) into view.ops, an OpRecord per scenario op,
+view.installs and view.corrupted; the checks of returned results walk _returns. Certificates
 embedded in operation returns are rebuilt and re-verified against it.
 """
 
@@ -21,9 +21,10 @@ from .runner import APP_OBJ, build_objects, read_ops
 
 
 def rebuild_view(bundle):
-    """The objects a bundle's run was built from, over its ledger, and its trace's view.ops and view.installs."""
+    """The objects a bundle's run was built from, over its ledger, and its trace's view.ops,
+    view.installs and view.corrupted."""
     view = build_objects(bundle["scenario"], LedgerVerifier(bundle.get("ledger") or []))
-    view.ops, view.installs = read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))
+    view.ops, view.installs, view.corrupted = read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))
     return view
 
 
@@ -42,10 +43,14 @@ def _has_forever_hold(scn):
 
 
 def check_liveness(bundle, view):
-    missing = [i for i, op in view.ops.items() if op.returned_at is None]
-    busy = [i for i, op in view.ops.items() if op.result and op.result.get("error")]
+    """Every op of a correct client returns without an error; a client whose corruption applied is
+    not correct, and its ops are not counted."""
+    specs = bundle["scenario"]["ops"]
+    ops = {i: op for i, op in view.ops.items() if i >= len(specs) or specs[i]["client"] not in view.corrupted}
+    missing = [i for i, op in ops.items() if op.returned_at is None]
+    busy = [i for i, op in ops.items() if op.result and op.result.get("error")]
     return ("liveness.all_ops_return", not missing and not busy,
-            f"{len(view.ops)} ops, missing={missing}, errored={busy}")
+            f"{len(ops)} ops, missing={missing}, errored={busy}")
 
 
 def check_certificates(bundle, view):

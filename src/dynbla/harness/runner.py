@@ -6,7 +6,8 @@ access-control object "g/acl", one hub per client.  Every operation
 invoke and return and every install is written into the trace with a
 jsonable detail, and only there, so all invariants can be re-checked from
 the trace file alone; read_ops reads it back in one pass, as an OpRecord
-per scenario op for the checks, the attack verifiers and RunReport.ops.
+per scenario op for the checks, the attack verifiers and RunReport.ops,
+with the install lines and the processes whose corruption applied.
 
 A trace file's shape is stated once, in TRACE_SHAPES, and checked only by
 load_trace; read_ops and the checks read fields directly. A RunReport's
@@ -96,12 +97,14 @@ TRACE_SHAPES = {
 SECTIONS = ("head", "ev", "final", "ledger", "hash")
 
 
-def read_ops(trace, count) -> tuple[dict, list]:
-    """A trace's OpRecords by index and its install upcall lines, in one pass.
-    There is a row for each op 0 .. count - 1, which keeps None in every field
-    but idx until its invoke or return line is read, and one for any other
-    index a line names. Reads a live or a loaded trace; checks nothing."""
-    ops, installs = {i: OpRecord(i) for i in range(count)}, []
+def read_ops(trace, count) -> tuple[dict, list, set]:
+    """A trace's OpRecords by index, its install upcall lines and the pids
+    whose corruption applied (its fire line found them correct: st "-C"), in
+    one pass. There is a row for each op 0 .. count - 1, which keeps None in
+    every field but idx until its invoke or return line is read, and one for
+    any other index a line names. Reads a live or a loaded trace; checks
+    nothing."""
+    ops, installs, corrupted = {i: OpRecord(i) for i in range(count)}, [], set()
     for line in trace:
         kind = line["kind"]
         if kind in ("invoke", "return"):
@@ -111,7 +114,9 @@ def read_ops(trace, count) -> tuple[dict, list]:
                              else row._replace(returned_at=line["step"], result=d["result"]))
         elif kind == "upcall" and line["desc"] == "install":
             installs.append(line)
-    return ops, installs
+        elif kind == "adversary" and line["desc"].startswith("corrupt:") and line["st"] == "-C":
+            corrupted.add(line["to"])
+    return ops, installs, corrupted
 
 
 @dataclass

@@ -58,10 +58,12 @@ def update_of(op) -> Config:
     return Config([(ADD, r) for r in op.get("add", [])] + [(REMOVE, r) for r in op.get("remove", [])])
 
 
-def _is_exempt(corruption):
-    # Corruptions scheduled on an install fact hit a config that is already
-    # superseded, so they do not count against that config's fault budget.
-    return str(corruption.get("after", "")).startswith("inst:")
+def _counts_from(corruption) -> int:
+    """The least height of a configuration the corruption counts against.
+    One scheduled on the install fact "inst:hH" strikes once a configuration
+    of height H is installed, when every lower one is superseded."""
+    after = str(corruption.get("after", ""))
+    return int(after[6:]) if after.startswith("inst:h") and after[6:].isdecimal() else 0
 
 
 def _pids(x) -> bool:
@@ -172,7 +174,7 @@ def validate(scn):
             if not add and not rem:
                 errors.append(f"{where}: update_config needs add or remove")
             for r in add + rem:
-                if r not in known:
+                if r not in replicas:
                     errors.append(f"{where}: unknown replica {r!r}")
         elif kind == "ac_request":
             if acl.get("mode") in ("none", "admin"):
@@ -214,18 +216,26 @@ def validate(scn):
 
     # Availability: in every configuration the declared updates can reach,
     # in any order and any combination, the adversary may corrupt at most
-    # that configuration's fault budget.  Concurrent updates are certified
-    # in an order no scenario fixes, so each reachable join counts.
-    bad = {c["pid"] for c in corruptions if not _is_exempt(c) and isinstance(c.get("pid"), str) and c["pid"] in known}
-    if bad:
+    # that configuration's fault budget, and some replica must remain.
+    # Concurrent updates are certified in an order no scenario fixes, so each
+    # reachable join counts. Without corruptions or removals no reachable
+    # configuration can break either rule, and none is enumerated.
+    strikes = [(c["pid"], _counts_from(c)) for c in corruptions if c.get("pid") in replicas]
+    updates = [update_of(op) for op in ops
+               if op.get("op") == "update_config" and _pids(op.get("add", [])) and _pids(op.get("remove", []))]
+    if genesis and (strikes or any(op == REMOVE for u in updates for op, _ in u.updates)):
         reach = {genesis_config(genesis)}
-        for op in ops:
-            if op.get("op") == "update_config" and _pids(op.get("add", [])) and _pids(op.get("remove", [])):
-                u = update_of(op)
-                reach |= {c.join(u) for c in reach}
-        for members in sorted({c.replicas() for c in reach}, key=sorted):
-            if members and len(bad & members) > fault_budget(len(members)):
-                errors.append(f"adversary corrupts {len(bad & members)} of {sorted(members)}"
+        for u in updates:
+            reach |= {c.join(u) for c in reach}
+        worst = {}
+        for c in reach:
+            hit = len({p for p, h in strikes if h <= c.height()} & c.replicas())
+            worst[c.replicas()] = max(worst.get(c.replicas(), 0), hit)
+        for members in sorted(worst, key=sorted):
+            if not members:
+                errors.append("update_config ops can reach a configuration with no replicas")
+            elif worst[members] > fault_budget(len(members)):
+                errors.append(f"adversary corrupts {worst[members]} of {sorted(members)}"
                               f" but the fault budget is {fault_budget(len(members))}")
 
     _part(out, "meta", {}, _dict, errors, "meta must be a dict")

@@ -203,6 +203,43 @@ def test_availability_exemptions():
     validate(scn)
 
 
+@pytest.mark.parametrize("update", [{"add": ["p"]}, {"remove": ["p"]}])
+def test_update_config_cannot_add_or_remove_a_client(update):
+    # p would count as a replica of the top configuration, a hub that never answers
+    ops = [{"op": "propose", "client": "p", "value": ["a"], "at": 0},
+           {"op": "update_config", "client": "u", **update, "after": "op0:done", "offset": 1},
+           {"op": "propose", "client": "p", "value": ["b"], "after": "op1:done", "offset": 1}]
+    with pytest.raises(ScenarioError, match="ops\\[1\\]: unknown replica 'p'"):
+        scenario.make_scenario("client-as-replica", 0, ["p", "u"], ops)
+
+
+def test_an_install_fact_corruption_counts_against_configurations_from_its_height_on():
+    # r2 and r3 go silent once height 5 is installed: {r1..r5} tolerates one
+    ops = [{"op": "update_config", "client": "u", "add": ["r5"], "at": 0},
+           {"op": "propose", "client": "p", "value": ["b"], "after": "inst:h5", "offset": 5}]
+
+    def build(*pids, after="inst:h5"):
+        adversary = {"corruptions": [{"pid": r, "script": "silent", "after": after, "offset": 1} for r in pids]}
+        return scenario.make_scenario("late-strike", 0, ["p", "u"], ops, extra_replicas=["r5"], adversary=adversary)
+
+    with pytest.raises(ScenarioError, match=r"fault budget is 1") as exc:
+        build("r2", "r3")
+    assert "corrupts 2 of ['r1', 'r2', 'r3', 'r4', 'r5']" in str(exc.value)
+    # one is within the budget, and no configuration of height 6 is reachable
+    build("r2")
+    build("r2", "r3", after="inst:h6")
+
+
+def test_an_update_that_leaves_no_replica_is_refused():
+    ops = [{"op": "update_config", "client": "u", "remove": ["r1", "r2", "r3", "r4"], "at": 0},
+           {"op": "propose", "client": "p", "value": ["b"], "after": "op0:done", "offset": 1}]
+    with pytest.raises(ScenarioError, match="a configuration with no replicas"):
+        scenario.make_scenario("empty", 0, ["p", "u"], ops)
+    # an update that keeps one replica is fine
+    ops[0]["remove"] = ["r1", "r2", "r3"]
+    scenario.make_scenario("one-left", 0, ["p", "u"], ops)
+
+
 def test_families_all_validate():
     for name, build in FAMILIES.items():
         scn = build(3, 2) if name in ("chain", "ac-pattern") else build(3)
@@ -244,7 +281,7 @@ def test_smoke_run_quiesces_and_checks_pass():
     rep = run_scenario(FAMILIES["dbla-smoke"](11))
     assert rep.verdict == "quiescent"
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
-    table, _ = read_ops(rep.trace, len(rep.scenario["ops"]))
+    table, _, _ = read_ops(rep.trace, len(rep.scenario["ops"]))
     assert list(table) == list(range(5))
     assert all(row.returned_at is not None for row in table.values())
 
@@ -278,6 +315,28 @@ def test_maxreg_run_checks_pass():
     assert passed(results, "safety.maxreg_atomic")
     assert all(ok for _, ok, _ in results)
     assert rep.ops[5].result["v"] == 12
+
+
+def liveness(rep):
+    return next(r for r in run_checks(rep.bundle()) if r[0] == "liveness.all_ops_return")
+
+
+def test_liveness_skips_the_ops_of_a_corrupted_client():
+    # p is corrupted a step after it proposes, so its op never returns; q's
+    # corruption is refused while q is idle, and its op still counts
+    ops = [{"op": "propose", "client": "p", "value": ["a"], "at": 2},
+           {"op": "propose", "client": "q", "value": ["b"], "at": 5}]
+    corruptions = [{"pid": "p", "script": "retainer", "at": 3}, {"pid": "q", "script": "silent", "at": 0}]
+    rep = run_scenario(scenario.make_scenario("bad-client", 0, ["p", "q"], ops,
+                                              adversary={"corruptions": corruptions}))
+    assert [(c["pid"], c["applied"]) for c in rep.final["corruptions"]] == [("q", False), ("p", True)]
+    assert rep.ops[0].returned_at is None and rep.ops[1].returned_at is not None
+    assert liveness(rep) == ("liveness.all_ops_return", True, "1 ops, missing=[], errored=[]")
+    # without p's corruption both ops are counted
+    rep = run_scenario(scenario.make_scenario("bad-client", 0, ["p", "q"], ops,
+                                              adversary={"corruptions": corruptions[1:]}))
+    assert liveness(rep) == ("liveness.all_ops_return", True, "2 ops, missing=[], errored=[]")
+    assert read_ops(rep.trace, 2)[2] == set()
 
 
 def test_busy_op_fails_liveness():
