@@ -63,7 +63,9 @@ def _counts_from(corruption) -> int:
     One scheduled on the install fact "inst:hH" strikes once a configuration
     of height H is installed, when every lower one is superseded."""
     after = str(corruption.get("after", ""))
-    return int(after[6:]) if after.startswith("inst:h") and after[6:].isdecimal() else 0
+    h = after[6:]
+    # int() may refuse a numeral of thousands of digits; such a height counts against all
+    return int(h) if after.startswith("inst:h") and h.isdecimal() and len(h) < 100 else 0
 
 
 def _pids(x) -> bool:
@@ -346,7 +348,7 @@ def ac_pattern(mask, seed=0):
     """Force which request each replica sees first for a contested slot.
 
     Bit i of mask set means r(i+1) sees a's request first; the rest see b's
-    first.  Holds release later so every replica eventually sees both.
+    first.  Holds release later, so in the end every replica sees both.
     """
     rids = ["r1", "r2", "r3", "r4"]
     first_a = [r for i, r in enumerate(rids) if mask & (1 << i)]

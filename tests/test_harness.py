@@ -228,6 +228,9 @@ def test_an_install_fact_corruption_counts_against_configurations_from_its_heigh
     # one is within the budget, and no configuration of height 6 is reachable
     build("r2")
     build("r2", "r3", after="inst:h6")
+    # a height int() would refuse to read counts against every configuration
+    with pytest.raises(ScenarioError, match=r"corrupts 2 of \['r1', 'r2', 'r3', 'r4'\]"):
+        build("r2", "r3", after="inst:h" + "9" * 5000)
 
 
 def test_an_update_that_leaves_no_replica_is_refused():

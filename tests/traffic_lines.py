@@ -55,11 +55,11 @@ def _trace(frame, event, arg):
     code = frame.f_code
     todo = left.get(code)
     if todo is None:
-        name = os.path.abspath(code.co_filename)
-        stmts = STATEMENTS.get(name, ())
-        # the first line of a function is its def, executed where it is defined
-        first = () if code.co_name == "<module>" else {code.co_firstlineno}
-        todo = left[code] = {line for _, _, line in code.co_lines() if line in stmts} - set(first)
+        stmts = STATEMENTS.get(os.path.abspath(code.co_filename), ())
+        todo = left[code] = {line for _, _, line in code.co_lines() if line in stmts}
+        if code.co_name != "<module>":
+            # a function's first line, its def, runs where it is defined
+            todo.discard(code.co_firstlineno)
     if not todo:
         return None
     seen = executed[os.path.abspath(code.co_filename)]
