@@ -13,7 +13,14 @@ only messages that fit the wire table, ``dbla.WIRE``.
 
 UrbEndpoint: uniform broadcast within one configuration, used for install
 announcements. A message is {origin, config} on an object, and its content
-is its id: (origin, object, config), read from the body at every delivery.
+is its id: (origin, object, config). A sent message is immutable
+(simnet.Msg), so the id, the echo payload and the verdict on the message's
+signatures (an echo's sender and plain signature, or a certificate's quorum
+of them) are computed once per message object, at the first recipient that
+needs them, and memoised on it (``Msg.urb``). An echo and a certificate
+forward that a replica builds from a message it took carry that message's
+id and payload, and a forward also the verdict: it holds a certificate this
+replica has verified or assembled from verified echoes.
 Who is sent what:
 - the origin sends urb.init to every replica of the configuration;
 - a replica echoes only an origin's own urb.init, as in Bracha's reliable
@@ -86,7 +93,7 @@ class UrbEndpoint:
     def _echo_payload(self, mid: tuple) -> bytes:
         return canon(["urbecho", *mid])
 
-    def _certify(self, mid, inner, cert, frm=None) -> None:
+    def _certify(self, mid, payload, inner, cert, frm=None) -> None:
         """Mark mid certified, forward its certificate to the configuration's
         replicas but this one and frm, the sender of a certificate taken
         whole, then deliver it.
@@ -96,46 +103,60 @@ class UrbEndpoint:
         self._certed.add(mid)
         origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
+        msg.urb = [mid, payload, True]     # verified, or assembled from verified echoes
         for pid in sorted(config.replicas() - {self.api.pid, frm}):
             self.api.send(pid, msg)
         self.deliver(origin, config)
 
+    def _verify(self, frm: str, msg: Msg, config: Config, payload: bytes) -> bool:
+        """An echo is signed by frm, one of the configuration's replicas; a
+        certificate by a quorum of them."""
+        oracle = self.api.oracle
+        if msg.desc == "urb.echo":
+            return frm in config.replicas() and oracle.plain_verify(payload, frm, msg.body["sig"])
+        cert = msg.body["cert"]
+        return config.is_quorum(cert.keys()) and all(
+            oracle.plain_verify(payload, pid, sig) for pid, sig in cert.items()
+        )
+
     def handle(self, frm: str, msg: Msg) -> bool:
-        if msg.desc == "urb.init":
+        desc = msg.desc
+        if desc == "urb.init":
             inner = msg.body
-        elif msg.desc in ("urb.echo", "urb.cert"):
+        elif desc == "urb.echo" or desc == "urb.cert":
             inner = msg.body["inner"]
         else:
             return False
-        config: Config = inner["config"]
+        # [id, echo payload, signature verdict or None until needed]
+        memo = msg.urb
+        if memo is None:
+            mid = (inner["origin"], msg.obj, inner["config"])
+            memo = msg.urb = [mid, self._echo_payload(mid), None]
+        mid, payload, ok = memo
+        config: Config = mid[2]
         if not config.replicas() <= self.roster:
             return False
-        mid = (inner["origin"], msg.obj, config)
-        if msg.desc == "urb.init":
+        if desc == "urb.init":
             # once certified, the certificate forward has reached every replica
             if frm == mid[0] and mid not in self._echoed and mid not in self._certed:
                 self._echoed.add(mid)
-                sig = self.api.oracle.plain_sign(self.api.pid, self._echo_payload(mid))
+                sig = self.api.oracle.plain_sign(self.api.pid, payload)
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
+                out.urb = [mid, payload, None]
                 for pid in sorted(config.replicas()):
                     self.api.send(pid, out)
             return True
         if mid in self._certed:     # already forwarded and delivered
             return True
-        payload = self._echo_payload(mid)
-        if msg.desc == "urb.echo":
-            sig = msg.body["sig"]
-            if frm in config.replicas() and self.api.oracle.plain_verify(payload, frm, sig):
-                got = self._echoes.setdefault(mid, {})
-                got.setdefault(frm, sig)
-                if config.is_quorum(got.keys()):
-                    self._certify(mid, inner, dict(got))
+        if ok is None:
+            ok = memo[2] = self._verify(frm, msg, config, payload)
+        if not ok:
             return True
-        cert = msg.body["cert"]
-        ok = config.is_quorum(cert.keys()) and all(
-            self.api.oracle.plain_verify(payload, pid, sig)
-            for pid, sig in cert.items()
-        )
-        if ok:
-            self._certify(mid, inner, cert, frm)
+        if desc == "urb.echo":
+            got = self._echoes.setdefault(mid, {})
+            got.setdefault(frm, msg.body["sig"])
+            if config.is_quorum(got.keys()):
+                self._certify(mid, payload, inner, dict(got))
+        else:
+            self._certify(mid, payload, inner, msg.body["cert"], frm)
         return True

@@ -15,7 +15,10 @@ keys moved on.
 Both process kinds check every message where it enters the process against
 one table, WIRE: the fields each message kind must carry and their exact
 types. A replica counts a message that does not fit as dropped, a client
-ignores it, and every handler past that gate reads fields directly.
+ignores it, and every handler past that gate reads fields directly. A sent
+message is immutable (simnet.Msg), so the verdict is reached once per
+message object, whatever the number of its recipients, and a parked request
+is routed again without a second check.
 
 Client hubs and replicas follow the group's history through one rule, in
 their shared base Follower: a gossiped hist.new is adopted only if its
@@ -777,11 +780,15 @@ def fits(x, table: dict) -> bool:
 def wire_ok(msg: Msg) -> bool:
     """msg is of a kind in WIRE and its body fits that kind's entry.
 
-    Checked on every delivery, not once per message object: a Byzantine
-    recipient is handed the object other recipients are sent and may edit it.
+    Checked once per message object, and the verdict memoised on it
+    (``Msg.ok``): a sent message is immutable, so every recipient would
+    reach the same verdict.
     """
-    table = WIRE.get(msg.desc)
-    return table is not None and fits(msg.body, table)
+    ok = msg.ok
+    if ok is None:
+        table = WIRE.get(msg.desc)
+        ok = msg.ok = table is not None and fits(msg.body, table)
+    return ok
 
 
 class XferSession(QuorumSession):
@@ -953,10 +960,7 @@ class DynamicReplica(Follower):
     def _regate(self) -> None:
         buffered, self.buffered = self.buffered, []
         for frm, msg in buffered:
-            if wire_ok(msg):        # it may have been edited while parked
-                self._route(frm, msg, first=False)
-            else:
-                self.dropped += 1
+            self._route(frm, msg, first=False)
 
     # -- history adoption ----------------------------------------------------
 

@@ -10,8 +10,8 @@ send-step batches, not of pending events. It picks the same event as a
 prefix sum over the queue followed by `bisect_right` on `randrange(total)`,
 and draws its number with `getrandbits` exactly as `randrange` does. A
 pending event is a plain `(enq, frm, to, msg)` tuple; `Event` is a named
-view of one, built only for a Byzantine script and for iteration over the
-queue.
+view of one, built only for a Byzantine script (with a private copy of the
+message) and for iteration over the queue.
 
 A step does no work for what cannot happen yet. The simulator keeps its
 wake step: no unfired external and no hold with buffered messages is due
@@ -64,28 +64,57 @@ BYZANTINE = "B"
 
 
 class Msg:
-    """A message; one object may be sent to many recipients.
+    """A message; one object may be sent to many recipients, always by one
+    sender.
 
-    Only its trace hash is memoised on it. Recipients read everything they
-    act on, the uniform broadcast's message id included, from the body at
-    each delivery.
+    A sent message is immutable to everyone but its sender, and a correct
+    sender does not edit it either: a Byzantine script is handed a private
+    copy of each message it is delivered, and what it sends is copied and
+    hashed at the send (`Simulator._deliver`, `AdvApi.send`). So whatever
+    depends only on the message and its sender is computed once per object
+    and memoised on it: its trace hash (`mhash`), the wire gate's verdict
+    (`ok`, see `dbla.wire_ok`) and the uniform broadcast's id, echo payload
+    and signature verdict (`urb`, see `broadcast.UrbEndpoint`). A memo is
+    freed with its message.
     """
 
-    __slots__ = ("desc", "obj", "body", "_hash")
+    __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
 
     def __init__(self, desc: str, obj: str, body: dict):
         self.desc = desc
         self.obj = obj
         self.body = body
         self._hash = None
+        self.ok = None
+        self.urb = None
 
     def mhash(self) -> str:
         if self._hash is None:
             self._hash = digest(["m", self.desc, self.obj, self.body])[:16]
         return self._hash
 
+    def copy(self) -> "Msg":
+        """A message equal to this one that shares no container with it and
+        carries no memo."""
+        return Msg(self.desc, self.obj, _private(self.body))
+
     def __repr__(self):
         return f"Msg({self.desc}, obj={self.obj})"
+
+
+def _private(x):
+    """x with every dict, list, tuple and set in it copied; every other
+    object, a leaf or a value object such as a `Config`, is shared."""
+    t = type(x)
+    if t is dict:
+        return {k: _private(v) for k, v in x.items()}
+    if t is list:
+        return [_private(v) for v in x]
+    if t is tuple:
+        return tuple([_private(v) for v in x])
+    if t is set:
+        return {_private(v) for v in x}
+    return x
 
 
 class Event(NamedTuple):
@@ -330,8 +359,8 @@ class AdvApi:
             raise ValueError(f"adversary cannot send as non-corrupted {frm}")
         if type(msg.desc) is not str or type(msg.obj) is not str:
             raise ValueError(f"adversary message {msg.desc!r} for {msg.obj!r}: desc and obj must be str")
-        # hash what is sent now
-        msg._hash = None
+        # send a private copy, hashed now: a later edit by the script reaches no one
+        msg = msg.copy()
         try:
             msg.mhash()
         except (TypeError, ValueError) as e:
@@ -508,7 +537,7 @@ class Simulator:
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
-            proc.script(self.adv_api, Event._make(ev))
+            proc.script(self.adv_api, Event(enq, frm, to, msg.copy()))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT
@@ -541,7 +570,8 @@ class Simulator:
     def step(self) -> str | None:
         """Take one step: scan from the wake step on, else deliver a drawn
         event, else, on an idle network, scan at the wake step. A Byzantine
-        recipient's script gets an `Event` view of the delivered event.
+        recipient's script gets an `Event` of the delivered event whose
+        message is a private copy.
         """
         if self.next_step >= self._wake:
             kind = self._scan(self.next_step)

@@ -42,10 +42,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from dynbla.dbla import OutputCert
+from dynbla.dbla import WIRE, OutputCert, fits, wire_ok
 from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
 from dynbla.harness.checks import run_checks
-from dynbla.simnet import BYZANTINE
+from dynbla.simnet import BYZANTINE, Msg, PendingQueue, Simulator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PINS = pathlib.Path(__file__).with_name("golden_traces.json")
@@ -119,15 +119,39 @@ def pin_of(rep) -> dict:
 RUNS = golden_runs()
 
 
+def auditing(send, pop_weighted, audit):
+    """Simulator._send and PendingQueue.pop_weighted, audited: a send
+    memoises its message's trace hash and gate verdict, and a draw appends
+    (desc, memoised, fresh) to audit for each of them, where fresh is what
+    an encoding and a gate of the body make of it now."""
+    def audited_send(sim, frm, to, msg):
+        msg.mhash()
+        wire_ok(msg)
+        send(sim, frm, to, msg)
+
+    def audited_pop(queue, rng, base):
+        ev = pop_weighted(queue, rng, base)
+        msg = ev[3]
+        table = WIRE.get(msg.desc)
+        audit.append((msg.desc, msg._hash, Msg(msg.desc, msg.obj, msg.body).mhash()))
+        audit.append((msg.desc, msg.ok, table is not None and fits(msg.body, table)))
+        return ev
+
+    return audited_send, audited_pop
+
+
 @functools.cache
 def observed(name) -> SimpleNamespace:
     """What the tests below read of the pinned run name, which is run once
     per session with the cyclic collector disabled: its pin, the deliveries
     from a correct process to itself, each returned certificate's frame and
-    JSON text, and the number of objects the cyclic collector finds once
-    the report, checked and (for an attack) verified, is dropped."""
+    JSON text, the audit of the message memos at each delivery, and the
+    number of objects the cyclic collector finds once the report, checked
+    and (for an attack) verified, is dropped."""
     to_jsonable = OutputCert.to_jsonable
+    send, pop_weighted = Simulator._send, PendingQueue.pop_weighted
     returned = []
+    audit = []
 
     def recording(cert):
         out = to_jsonable(cert)
@@ -138,10 +162,12 @@ def observed(name) -> SimpleNamespace:
     gc.disable()
     try:
         OutputCert.to_jsonable = recording
+        Simulator._send, PendingQueue.pop_weighted = auditing(send, pop_weighted, audit)
         try:
             rep = run_scenario(RUNS[name]())
         finally:
             OutputCert.to_jsonable = to_jsonable
+            Simulator._send, PendingQueue.pop_weighted = send, pop_weighted
         pin = pin_of(rep)
         to_self = [l for l in rep.trace if l["kind"] == "deliver" and l["frm"] == l["to"] and BYZANTINE not in l["st"]]
         run_checks(rep.bundle())
@@ -156,7 +182,7 @@ def observed(name) -> SimpleNamespace:
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
-    return SimpleNamespace(pin=pin, to_self=to_self, returned=returned, garbage=garbage)
+    return SimpleNamespace(pin=pin, to_self=to_self, returned=returned, audit=audit, garbage=garbage)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +204,16 @@ def test_no_correct_process_is_delivered_a_message_from_itself(name):
     # a replica takes what it sends itself as a local step, and no other
     # correct process sends itself anything
     assert not observed(name).to_self
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_no_process_edits_a_message_after_sending_it(name):
+    # a message's trace hash and gate verdict are memoised when it is sent
+    # (here, by the audit), and at each of its deliveries a fresh encoding
+    # and gate of its body must agree with them: no sender edits what it
+    # has sent, so a memo reached once holds for every recipient
+    audit = observed(name).audit
+    assert audit and [entry for entry in audit if entry[1] != entry[2]] == []
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -640,7 +640,10 @@ def test_scripts_and_iteration_see_events():
     assert type(ev) is Event and ev == Event(1, "a", "b", msg) and ev.to == "b" and ev.msg is msg
     sim.run(20)
     (got,) = seen
-    assert type(got) is Event and (got.enq, got.frm, got.to, got.msg) == (1, "a", "b", msg)
+    assert type(got) is Event and (got.enq, got.frm, got.to) == (1, "a", "b")
+    # the script's message is a private copy, equal to the one sent
+    assert got.msg is not msg and (got.msg.desc, got.msg.obj, got.msg.body) == ("t.x", "t", {"n": 1})
+    assert got.msg.body is not msg.body and got.msg.mhash() == msg.mhash()
 
 
 def test_a_released_hold_leaves_the_holds_and_holds_nothing_more():

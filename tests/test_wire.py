@@ -182,36 +182,92 @@ def test_a_waiting_session_takes_a_well_formed_reply():
     assert mr.got == {"z": None}
 
 
-def test_a_script_that_edits_a_message_in_place_leaves_a_later_recipient_a_drop():
-    # one message object reaches every recipient: r1 takes it, then Byzantine
-    # r4 deletes its sn, so the copy held for r2 no longer fits when it lands
+def body_hash(msg):
+    """The trace hash of msg's body as it is now, not as memoised."""
+    return Msg(msg.desc, msg.obj, msg.body).mhash()
+
+
+def recording(sim, replicas, hub, probe, script):
+    """Corrupt r4 with script once a kick has made it correct, and record
+    each delivery as (recipient, kind, hash of the body it is handed)."""
+    seen = []
+    for pid, proc in (*replicas.items(), ("p", hub), ("z", probe)):
+        def take(frm, msg, pid=pid, on_deliver=proc.on_deliver):
+            seen.append((pid, msg.desc, body_hash(msg)))
+            on_deliver(frm, msg)
+        proc.on_deliver = take
+
+    def byzantine(adv, ev):
+        seen.append(("r4", ev.msg.desc, body_hash(ev.msg)))
+        script(adv, ev)
+
+    sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "obj", {})), to="z")
+    sim.add_external(Trigger(at=2), "adversary", lambda: sim.corrupt("r4", byzantine), to="r4")
+    return seen
+
+
+def delivered(sim):
+    return [(line["to"], line["desc"], line["hash"]) for line in sim.trace if line["kind"] == "deliver"]
+
+
+def answered(sim, to):
+    return sorted(line["frm"] for line in sim.trace if line["kind"] == "deliver" and line["desc"] == "bla.presp"
+                  and line["to"] == to)
+
+
+def propose():
+    return Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [IV]})
+
+
+def test_a_script_that_edits_a_received_message_in_place_edits_only_its_copy():
+    # r4 is delivered the probe's proposal first, deletes its sn in place and
+    # passes it on to r3; r1 and r2, delivered the probe's object later, still
+    # see it whole
     sim, replicas, hub, probe = world()
-    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [IV]})
+    msg = propose()
 
     def edit(adv, ev):
-        if ev.msg is msg:
+        if ev.msg.desc == "bla.propose":
             del ev.msg.body["sn"]
+            adv.send("r4", "r3", ev.msg)
 
-    sim.add_hold(HoldRule(frm={"z"}, to={"r4"}, desc="bla", until=Trigger(at=5)))
-    sim.add_hold(HoldRule(frm={"z"}, to={"r2"}, desc="bla", until=Trigger(at=20)))
-    sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "obj", {})), to="z")
-    sim.add_external(Trigger(at=2), "adversary", lambda: sim.corrupt("r4", edit), to="r4")
-    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r1", "r4", "r2")], to="z")
+    seen = recording(sim, replicas, hub, probe, edit)
+    sim.add_hold(HoldRule(frm={"z"}, to={"r1", "r2"}, desc="bla", until=Trigger(at=10)))
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1", "r2")], to="z")
     assert sim.run()["verdict"] == "quiescent"
-    assert "sn" not in msg.body
-    assert (replicas["r1"].dropped, replicas["r2"].dropped) == (0, 1)
-    assert sim.metrics["sent"] == 5          # the probe's four and r1's presp; r2 answers nothing
+    assert msg.body["sn"] == 1
+    assert [replicas[r].dropped for r in ("r1", "r2", "r3")] == [0, 0, 1]
+    assert answered(sim, "z") == ["r1", "r2"]
+    assert seen == delivered(sim)
+    proposals = {to: h for to, desc, h in seen if desc == "bla.propose"}
+    assert proposals["r1"] == proposals["r2"] == proposals["r4"] == body_hash(propose()) != proposals["r3"]
 
 
-def test_a_parked_request_edited_in_place_is_dropped_when_regated():
+def test_a_script_that_edits_a_message_after_sending_it_reaches_no_earlier_recipient():
+    # r4 sends one object to r1 and r2, deletes its sn and sends it to r3,
+    # then empties it; each recipient sees the body as it was at its send
     sim, replicas, hub, probe = world()
-    r2 = replicas["r2"]
-    msg = Msg("bla.propose", "obj", {"sn": 1, "config": ANCHOR, "values": [IV]})
-    r2.on_deliver("z", msg)
-    assert r2.buffered == [("z", msg)]      # ANCHOR is above r2's history: parked
-    del msg.body["config"]
-    r2._regate()
-    assert r2.buffered == [] and r2.dropped == 1
+    sent = {}
+
+    def send_then_edit(adv, ev):
+        if ev.msg.desc != "go":
+            return
+        out = sent["out"] = propose()
+        adv.send("r4", "r1", out)
+        adv.send("r4", "r2", out)
+        del out.body["sn"]
+        adv.send("r4", "r3", out)
+        out.body.clear()
+
+    seen = recording(sim, replicas, hub, probe, send_then_edit)
+    sim.add_external(Trigger(at=3), "invoke", lambda: probe.api.send("r4", Msg("go", "obj", {})), to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert sent["out"].body == {}
+    assert [replicas[r].dropped for r in ("r1", "r2", "r3")] == [0, 0, 1]
+    assert answered(sim, "r4") == ["r1", "r2"]
+    assert seen == delivered(sim)
+    proposals = {to: h for to, desc, h in seen if desc == "bla.propose"}
+    assert proposals["r1"] == proposals["r2"] == body_hash(propose()) != proposals["r3"]
 
 
 def test_fits_checks_lists_of_tables_and_str_keyed_maps():
