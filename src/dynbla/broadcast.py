@@ -14,13 +14,12 @@ only messages that fit the wire table, ``dbla.WIRE``.
 UrbEndpoint: uniform broadcast within one configuration, used for install
 announcements. A message is {origin, config} on an object, and its content
 is its id: (origin, object, config). A sent message is immutable
-(simnet.Msg), so the id, the echo payload and the verdict on the message's
-signatures (an echo's sender and plain signature, or a certificate's quorum
-of them) are computed once per message object, at the first recipient that
-needs them, and memoised on it (``Msg.urb``). An echo and a certificate
-forward that a replica builds from a message it took carry that message's
-id and payload, and a forward also the verdict: it holds a certificate this
-replica has verified or assembled from verified echoes.
+(simnet.Msg), so its id, echo payload and signature verdict (an echo's
+sender and plain signature, or a certificate's quorum of them) are computed
+once per message object and memoised on it (``Msg.urb``). An echo carries
+the id and payload of the init it answers; a certificate forward carries
+them and the verdict, since its sender verified it or built it from
+verified echoes.
 Who is sent what:
 - the origin sends urb.init to every replica of the configuration;
 - a replica echoes only an origin's own urb.init, as in Bracha's reliable
@@ -123,7 +122,7 @@ class UrbEndpoint:
         desc = msg.desc
         if desc == "urb.init":
             inner = msg.body
-        elif desc == "urb.echo" or desc == "urb.cert":
+        elif desc in ("urb.echo", "urb.cert"):
             inner = msg.body["inner"]
         else:
             return False

@@ -64,18 +64,19 @@ BYZANTINE = "B"
 
 
 class Msg:
-    """A message; one object may be sent to many recipients, always by one
-    sender.
+    """A message; one object may be sent to many recipients, by one sender.
 
-    A sent message is immutable to everyone but its sender, and a correct
-    sender does not edit it either: a Byzantine script is handed a private
-    copy of each message it is delivered, and what it sends is copied and
-    hashed at the send (`Simulator._deliver`, `AdvApi.send`). So whatever
-    depends only on the message and its sender is computed once per object
-    and memoised on it: its trace hash (`mhash`), the wire gate's verdict
-    (`ok`, see `dbla.wire_ok`) and the uniform broadcast's id, echo payload
-    and signature verdict (`urb`, see `broadcast.UrbEndpoint`). A memo is
-    freed with its message.
+    A sent message is immutable: correct senders do not edit what they
+    sent, a Byzantine script is handed a private copy of each message it is
+    delivered, and what it sends is copied and hashed at the send. So what
+    depends only on the message and its sender is memoised on it, once per
+    object: the trace hash (`mhash`), the wire gate's verdict (`ok`,
+    `dbla.wire_ok`) and the uniform broadcast's id, echo payload and
+    signature verdict (`urb`, `broadcast.UrbEndpoint`).
+
+    A copy shares the body's value objects (a `Config`, an `InputValue`, a
+    certificate), and with them any container inside one, such as an
+    `InputValue`'s token dict: a script's edit of that reaches past its copy.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -93,7 +94,7 @@ class Msg:
             self._hash = digest(["m", self.desc, self.obj, self.body])[:16]
         return self._hash
 
-    def copy(self) -> "Msg":
+    def copy(self) -> Msg:
         """A message equal to this one that shares no container with it and
         carries no memo."""
         return Msg(self.desc, self.obj, _private(self.body))
@@ -104,7 +105,8 @@ class Msg:
 
 def _private(x):
     """x with every dict, list, tuple and set in it copied; every other
-    object, a leaf or a value object such as a `Config`, is shared."""
+    object, a leaf or a value object such as a `Config`, is shared, and so
+    is every container inside one."""
     t = type(x)
     if t is dict:
         return {k: _private(v) for k, v in x.items()}
@@ -113,7 +115,7 @@ def _private(x):
     if t is tuple:
         return tuple([_private(v) for v in x])
     if t is set:
-        return {_private(v) for v in x}
+        return set(x)       # its elements are hashable: shared like any leaf
     return x
 
 
@@ -431,7 +433,8 @@ class Simulator:
         return {p: r.status for p, r in sorted(self._procs.items())}
 
     def corrupt(self, pid: str, script) -> None:
-        """Hand a correct process to script, called as script(adv_api, event) on each delivery to it."""
+        """Hand a correct process to script, called as script(adv_api, event) on each delivery to it,
+        with a private copy of the delivered message."""
         proc = self._procs[pid]
         if proc.status != CORRECT:
             raise ValueError(f"cannot corrupt {pid} while {proc.status}")

@@ -277,6 +277,65 @@ def test_urb_certified_message_is_not_verified_again():
     assert node.delivered == ["r2"]
 
 
+def sent_once_to_the_others(sim, frm, msg):
+    """Send one message object from frm to every other node of a five-node world."""
+    for r in ("r1", "r2", "r3", "r4", "r5"):
+        if r != frm:
+            sim.api(frm).send(r, msg)
+
+
+def test_a_forged_echo_or_certificate_is_refused_at_every_recipient():
+    # r5 sends each forgery, one object, to r1-r4: an echo under r1's
+    # signature, an echo under a junk one, a certificate one signature short
+    # of a quorum and a quorum certificate with one junk signature
+    oracle = CountingOracle()
+    sim, nodes, config = urb_world(5, n=5, oracle=oracle)
+    inner = {"origin": "r2", "config": config}
+    payload = nodes["r1"].urb._echo_payload(("r2", "t", config))
+    sigs = {r: oracle.plain_sign(r, payload) for r in ("r1", "r2", "r3", "r4")}
+    forged = [
+        Msg("urb.echo", "t", {"inner": inner, "sig": sigs["r1"]}),
+        Msg("urb.echo", "t", {"inner": inner, "sig": b"junk"}),
+        Msg("urb.cert", "t", {"inner": inner, "cert": {r: sigs[r] for r in ("r1", "r2", "r3")}}),
+        Msg("urb.cert", "t", {"inner": inner, "cert": {**sigs, "r4": b"junk"}}),
+    ]
+    for msg in forged:
+        sent_once_to_the_others(sim, "r5", msg)
+    assert sim.run(5000)["verdict"] == "quiescent"
+    assert sim.metrics["delivered"] == sim.metrics["sent"] == 4 * len(forged)
+    for r in ("r1", "r2", "r3", "r4"):
+        urb = nodes[r].urb
+        assert (nodes[r].delivered, urb._echoes, urb._certed) == ([], {}, set())
+    # each forgery is judged once: an echo's one signature, the short
+    # certificate's none, the forged one's up to its junk signature
+    assert oracle.plain_verifies == 1 + 1 + 0 + 4
+    assert [msg.urb[2] for msg in forged] == [False] * len(forged)
+
+
+def test_a_valid_certificate_costs_one_verification_per_signature_not_per_delivery():
+    oracle = CountingOracle()
+    sim, nodes, config = urb_world(6, n=5, oracle=oracle)
+    inner = {"origin": "r2", "config": config}
+    payload = nodes["r1"].urb._echo_payload(("r2", "t", config))
+    cert = {r: oracle.plain_sign(r, payload) for r in ("r1", "r2", "r3", "r4")}
+    sent_once_to_the_others(sim, "r5", Msg("urb.cert", "t", {"inner": inner, "cert": cert}))
+    assert sim.run(5000)["verdict"] == "quiescent"
+    for r in ("r1", "r2", "r3", "r4"):
+        assert nodes[r].delivered == ["r2"]
+    # the forwards carry the verdict their sender reached
+    assert oracle.plain_verifies == len(cert)
+
+
+def test_each_echo_is_verified_once_whatever_its_recipients():
+    oracle = CountingOracle()
+    sim, nodes, config = urb_world(7, n=7, oracle=oracle)
+    sim.add_external(Trigger(at=0), "invoke", lambda: nodes["r1"].urb.broadcast(config, "t"), to="r1")
+    assert sim.run(20000)["verdict"] == "quiescent"
+    echoes = sum(1 for line in sim.trace if line["kind"] == "deliver" and line["desc"] == "urb.echo")
+    assert all(node.delivered == ["r1"] for node in nodes.values())
+    assert echoes > 2 * len(nodes) and oracle.plain_verifies <= len(nodes)
+
+
 def quorum_cert(oracle, node, origin, config, signers=("r2", "r3", "r4")):
     payload = node.urb._echo_payload((origin, "t", config))
     return {r: oracle.plain_sign(r, payload) for r in signers}

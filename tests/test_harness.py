@@ -539,6 +539,28 @@ def test_a_return_missing_a_field_its_check_reads_is_a_violation(scn, idx, edit,
     assert results[check][0] is False and f"{idx}" in results[check][1]
 
 
+def _set_last(history, cid):
+    history[-1] = cid
+
+
+@pytest.mark.parametrize("scn,edit,check,violation", [
+    (FAMILIES["dbla-smoke"](8), lambda b: doctor_return(b, 0, lambda r: r["w"]["set"].remove("x0")),
+     "safety.dbla_outputs", "(0, 'own value missing')"),
+    (FAMILIES["dbla-smoke"](8), lambda b: doctor_return(b, 0, lambda r: r.update(w={"set": ["x0", "y"]})),
+     "safety.dbla_outputs", "(0, 1, 'incomparable')"),
+    (FAMILIES["reconfig-dbla"](1), lambda b: _set_last(b["final"]["replicas"]["r1"]["history"], "forged"),
+     "safety.replica_convergence", "('r1', 'r2', 'incomparable histories')"),
+    (FAMILIES["reconfig-dbla"](1), lambda b: b["final"]["replicas"]["r1"]["history"].pop(),
+     "safety.replica_convergence", "('r1', 'history not fully adopted')"),
+], ids=["own-value-missing", "incomparable-outputs", "incomparable-histories", "history-not-adopted"])
+def test_one_edit_of_a_live_bundle_fires_its_comparability_or_inclusion_branch(scn, edit, check, violation):
+    bundle = run_scenario(scn).bundle()
+    assert passed(run_checks(bundle), check)
+    edit(bundle)
+    results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
+    assert results[check][0] is False and violation in results[check][1]
+
+
 def test_the_transfer_bound_checks_every_run_against_its_invoked_updates():
     for scn, k in ((FAMILIES["dbla-smoke"](0), 0), (FAMILIES["reconfig-dbla"](1), 1), (FAMILIES["chain"](0, 2), 2)):
         bundle = run_scenario(scn).bundle()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynbla.fscrypto import LedgerFsOracle
+from dynbla.lattice import genesis_config
 from dynbla.simnet import (
     DEFAULT_STEP_CAP,
     MIN_SLOTS,
@@ -644,6 +645,23 @@ def test_scripts_and_iteration_see_events():
     # the script's message is a private copy, equal to the one sent
     assert got.msg is not msg and (got.msg.desc, got.msg.obj, got.msg.body) == ("t.x", "t", {"n": 1})
     assert got.msg.body is not msg.body and got.msg.mhash() == msg.mhash()
+
+
+def test_a_message_copy_duplicates_every_container_and_shares_every_other_object():
+    value = genesis_config(("a", "b"))
+    body = {"d": {"l": [1, (2, [3])], "s": {4}}, "v": value, "b": b"x"}
+    msg = Msg("t.x", "t", body)
+    msg.mhash()
+
+    def containers(m):
+        d = m.body["d"]
+        return [m.body, d, d["l"], d["l"][1], d["l"][1][1], d["s"]]
+
+    copy = msg.copy()
+    assert (copy.desc, copy.obj, copy.body) == ("t.x", "t", body)
+    assert all(a is not b for a, b in zip(containers(copy), containers(msg)))
+    assert copy.body["v"] is value and copy.body["b"] is body["b"]
+    assert (copy._hash, copy.ok, copy.urb) == (None, None, None) and copy.mhash() == msg.mhash()
 
 
 def test_a_released_hold_leaves_the_holds_and_holds_nothing_more():
