@@ -80,7 +80,7 @@ from collections import deque
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
 from .lattice import Config, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
-from .simnet import Msg
+from .simnet import Msg, _private
 
 GENESIS_CERT = {"kind": "genesis"}
 
@@ -103,6 +103,11 @@ class InputValue:
 
     def __hash__(self):
         return hash(self.canon())
+
+    def private(self) -> InputValue:
+        """A copy for a message copy (`simnet.Msg.copy`): a token
+        certificate dict is the copy's own; any other certificate is shared."""
+        return InputValue(self.value, _private(self.cert)) if type(self.cert) is dict else self
 
     def __repr__(self):
         return f"InputValue({self.value!r})"

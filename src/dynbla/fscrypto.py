@@ -16,13 +16,15 @@ Two interchangeable backends:
   timestamp at which its signer never signed is refused at once: no key is
   derived for it and nothing is kept.
 
-  Ed25519 signing is deterministic (RFC 8032), so each oracle performs every
-  Ed25519 operation once: it keeps the private key derived for (p, t), the
-  signature issued for (p, t, sha256(m)), and each successful verification
-  of (p, t, sha256(m), signature). Failed verifications are not kept, so
-  junk cannot grow the cache. Raising p's watermark to t erases p's keys and
-  signatures below t together with the chain seed; verifications stay, as
-  the public keys do.
+  Ed25519 signing is deterministic and correct (RFC 8032), so each oracle
+  signs each (p, t, sha256(m)) once and never verifies with Ed25519 what it
+  issued: it keeps the private key derived for (p, t), the signature issued
+  for (p, t, sha256(m)), and the verdict for each signature it issued or
+  verified successfully, keyed (p, t, sha256(m), signature). Any other
+  signature, a forgery or a valid one this oracle did not issue, is checked
+  with Ed25519; failed verifications are not kept, so junk cannot grow the
+  cache. Raising p's watermark to t erases p's keys and signatures below t
+  together with the chain seed; verdicts stay, as the public keys do.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class KeyChainFsOracle(_FsOracleBase):
         # erased below the watermark by _on_advance
         self._keys: dict[str, dict[int, Ed25519PrivateKey]] = {}
         self._sigs: dict[str, dict[tuple[int, bytes], bytes]] = {}
-        # successful verifications only, keyed (pid, ts, sha256(msg), sig)
+        # signatures issued or verified successfully, keyed (pid, ts, sha256(msg), sig)
         self._verified: set[tuple[str, int, bytes, bytes]] = set()
 
     def _on_register(self, pid):
@@ -203,6 +205,7 @@ class KeyChainFsOracle(_FsOracleBase):
         data = sigs.get((ts, md))
         if data is None:
             data = sigs[(ts, md)] = self._priv(pid, ts).sign(msg)
+            self._verified.add((pid, ts, md, data))
         return data
 
     def _check(self, pid, msg, data, ts):

@@ -74,9 +74,11 @@ class Msg:
     `dbla.wire_ok`) and the uniform broadcast's id, echo payload and
     signature verdict (`urb`, `broadcast.UrbEndpoint`).
 
-    A copy shares the body's value objects (a `Config`, an `InputValue`, a
-    certificate), and with them any container inside one, such as an
-    `InputValue`'s token dict: a script's edit of that reaches past its copy.
+    A copy shares the body's value objects (a `Config`, a certificate),
+    except one with a `private()` method, which makes its own copy: an
+    `InputValue` copies its token certificate dict. An `OutputCert`'s
+    `packs` and `cacks` dicts are still shared, so a script's edit of those
+    reaches past its copy.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -104,9 +106,10 @@ class Msg:
 
 
 def _private(x):
-    """x with every dict, list, tuple and set in it copied; every other
-    object, a leaf or a value object such as a `Config`, is shared, and so
-    is every container inside one."""
+    """x with every dict, list, tuple and set in it copied, and every object
+    with a `private()` method copied by it; every other object, a leaf or a
+    value object such as a `Config`, is shared, and so is every container
+    inside one."""
     t = type(x)
     if t is dict:
         return {k: _private(v) for k, v in x.items()}
@@ -116,7 +119,8 @@ def _private(x):
         return tuple([_private(v) for v in x])
     if t is set:
         return set(x)       # its elements are hashable: shared like any leaf
-    return x
+    private = getattr(t, "private", None)
+    return x if private is None else private(x)
 
 
 class Event(NamedTuple):

@@ -1,9 +1,11 @@
 """Hypothesis profiles. The default profile is hypothesis's own; ``ci`` runs
 about 2000 examples per property, for the steps that run only the encoding
-properties (``pytest tests/test_lattice.py -k canon --hypothesis-profile=ci``)
-and the scheduler's reference draws (``pytest tests/test_simnet.py -k
-test_draw_matches_ --hypothesis-profile=ci``). Its deadline is off: the
-steps check outputs, not per-example time."""
+properties (``pytest tests/test_lattice.py -k canon --hypothesis-profile=ci``),
+the scheduler's reference draws (``pytest tests/test_simnet.py -k
+test_draw_matches_ --hypothesis-profile=ci``) and the keychain oracle against
+its uncached reference (``pytest tests/test_fscrypto.py -k
+test_keychain_matches_uncached_reference --hypothesis-profile=ci``). Its
+deadline is off: the steps check outputs, not per-example time."""
 
 from hypothesis import settings
 

@@ -200,7 +200,7 @@ _op = st.one_of(
     st.tuples(st.just("update"), st.sampled_from(_PIDS), _ts),
     st.tuples(
         st.just("verify"),
-        st.sampled_from(["genuine", "message", "signature", "ts", "pid"]),
+        st.sampled_from(["genuine", "message", "signature", "ts", "pid", "foreign"]),
         st.integers(min_value=0, max_value=1000),
     ),
 )
@@ -213,13 +213,15 @@ def _call(f, *args):
         return "ValueError"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(st.lists(_op, max_size=60))
 def test_keychain_matches_uncached_reference(ops):
-    o, ref = KeyChainFsOracle(span=_SPAN), RefKeyChain(_SPAN)
+    # other's signatures are valid ones o did not issue
+    o, ref, other = KeyChainFsOracle(span=_SPAN), RefKeyChain(_SPAN), KeyChainFsOracle(span=_SPAN)
     for p in _PIDS:
         o.register(p)
         ref.register(p)
+        other.register(p)
     issued = []  # (msg, sig)
     for op in ops:
         if op[0] == "sign":
@@ -246,6 +248,9 @@ def test_keychain_matches_uncached_reference(ops):
             elif kind == "pid":
                 pid = "p2" if pid == "p1" else "p1"
                 sig = FsSig(pid, ts, sig.data)
+            elif kind == "foreign":
+                msg = msg + b"?"  # o signs only _MSGS
+                sig = other.fs_sign(pid, msg, ts)
             assert o.fs_verify(msg, pid, sig, ts) == ref.fs_verify(msg, pid, sig, ts)
     assert o.ledger == ref.ledger
 
@@ -303,30 +308,52 @@ class CountingPub:
         self.pub.verify(data, msg)
 
 
-def test_keychain_verifies_each_distinct_signature_once():
+def _counting(o, pid, ts):
+    pub = o._pubs[(pid, ts)] = CountingPub(o._pubs[(pid, ts)])
+    return pub
+
+
+def test_keychain_never_verifies_a_signature_it_issued_with_ed25519():
     o = KeyChainFsOracle(span=32)
     o.register("p")
     sig_a = o.fs_sign("p", b"a", 3)
     sig_b = o.fs_sign("p", b"b", 3)
     assert o.fs_sign("p", b"a", 3) == sig_a  # a repeat returns the same bytes
-    pub = o._pubs[("p", 3)] = CountingPub(o._pubs[("p", 3)])
+    pub = _counting(o, "p", 3)
 
     for _ in range(3):
         assert o.fs_verify(b"a", "p", sig_a, 3)
-    assert pub.calls == 1
-    for _ in range(2):
         assert o.fs_verify(b"b", "p", sig_b, 3)
-    assert pub.calls == 2
-    # the same signature bytes over another message are a distinct tuple
-    assert not o.fs_verify(b"b", "p", sig_a, 3)
-    assert pub.calls == 3
+    assert pub.calls == 0
+    # erasing the key and the signing memo leaves the verdicts
+    o.update_fs_keys("p", 5)
+    assert 3 not in o._keys["p"] and not o._sigs["p"]
+    for _ in range(3):
+        assert o.fs_verify(b"a", "p", sig_a, 3)
+    assert pub.calls == 0
 
+    # a forgery, and issued bytes over another message, cost one check per try
     forged = FsSig("p", 3, bytes([sig_a.data[0] ^ 1]) + sig_a.data[1:])
     for n in range(1, 4):
         assert not o.fs_verify(b"a", "p", forged, 3)
-        assert pub.calls == 3 + n
-    assert not o.fs_verify(b"b", "p", sig_a, 3)
-    assert pub.calls == 7
+        assert pub.calls == n
+    for n in range(4, 6):
+        assert not o.fs_verify(b"b", "p", sig_a, 3)
+        assert pub.calls == n
+
+
+def test_keychain_verifies_a_valid_signature_it_did_not_issue_once():
+    o = KeyChainFsOracle(span=32)
+    o.register("p")
+    o.fs_sign("p", b"a", 3)
+    other = KeyChainFsOracle(span=32)
+    other.register("p")
+    foreign = other.fs_sign("p", b"never signed here", 3)
+    pub = _counting(o, "p", 3)
+
+    for _ in range(3):
+        assert o.fs_verify(b"never signed here", "p", foreign, 3)
+    assert pub.calls == 1
 
 
 def test_keychain_junk_leaves_no_key_or_verdict_behind():

@@ -543,17 +543,45 @@ def _set_last(history, cid):
     history[-1] = cid
 
 
+def _reads_in_turn():
+    """reconfig-maxreg with b's read invoked once a's read has returned."""
+    scn = FAMILIES["reconfig-maxreg"](2)
+    scn["ops"][5]["after"] = "op3:done"
+    return scn
+
+
+def _r2(bundle):
+    return bundle["final"]["replicas"]["r2"]
+
+
 @pytest.mark.parametrize("scn,edit,check,violation", [
     (FAMILIES["dbla-smoke"](8), lambda b: doctor_return(b, 0, lambda r: r["w"]["set"].remove("x0")),
      "safety.dbla_outputs", "(0, 'own value missing')"),
     (FAMILIES["dbla-smoke"](8), lambda b: doctor_return(b, 0, lambda r: r.update(w={"set": ["x0", "y"]})),
      "safety.dbla_outputs", "(0, 1, 'incomparable')"),
+    (FAMILIES["dbla-smoke"](8), lambda b: doctor_return(b, 0, lambda r: r.update(w=5)),
+     "safety.dbla_outputs", "(0, 'not a set')"),
     (FAMILIES["reconfig-dbla"](1), lambda b: _set_last(b["final"]["replicas"]["r1"]["history"], "forged"),
      "safety.replica_convergence", "('r1', 'r2', 'incomparable histories')"),
     (FAMILIES["reconfig-dbla"](1), lambda b: b["final"]["replicas"]["r1"]["history"].pop(),
      "safety.replica_convergence", "('r1', 'history not fully adopted')"),
-], ids=["own-value-missing", "incomparable-outputs", "incomparable-histories", "history-not-adopted"])
-def test_one_edit_of_a_live_bundle_fires_its_comparability_or_inclusion_branch(scn, edit, check, violation):
+    (FAMILIES["reconfig-dbla"](1), lambda b: _r2(b).update(cinst=_r2(b)["history"][0]),
+     "safety.replica_convergence", "('r2', 'member did not install the top configuration')"),
+    (FAMILIES["reconfig-dbla"](1), lambda b: _longest_install(b)["detail"]["st"].clear(),
+     "safety.key_update_audit", "'fresh': 0, 'need': 3}"),
+    (FAMILIES["reconfig-dbla"](1), lambda b: _r2(b)["installed"].append("forged"),
+     "safety.installs_certified", "('r2', 'forged')"),
+    (FAMILIES["reconfig-dbla"](1), lambda b: _r2(b).update(cinst="forged"),
+     "safety.installs_certified", "('r2', 'gate out of history')"),
+    (_reads_in_turn(), lambda b: doctor_return(b, 5, lambda r: r.update(v=9)),
+     "safety.maxreg_atomic", "(3, 5, 'reads went backwards')"),
+    (FAMILIES["ac-pattern"](0b0111),
+     lambda b: doctor_return(b, 0, lambda r: next(iter(r["cert"]["appr"].values())).update(data="00" * 32)),
+     "safety.certificates_verify", "failed ops: [0]"),
+], ids=["own-value-missing", "incomparable-outputs", "not-a-set", "incomparable-histories", "history-not-adopted",
+        "top-not-installed", "stale-epoch", "install-in-no-history", "gate-out-of-history", "reads-backwards",
+        "grant-cert-fails"])
+def test_one_edit_of_a_live_bundle_fires_its_own_branch(scn, edit, check, violation):
     bundle = run_scenario(scn).bundle()
     assert passed(run_checks(bundle), check)
     edit(bundle)

@@ -183,8 +183,9 @@ def test_a_waiting_session_takes_a_well_formed_reply():
 
 
 def body_hash(msg):
-    """The trace hash of msg's body as it is now, not as memoised."""
-    return Msg(msg.desc, msg.obj, msg.body).mhash()
+    """The trace hash of msg's body as it is now, not as memoised: a copy
+    also re-encodes each `InputValue`, whose encoding is memoised."""
+    return msg.copy().mhash()
 
 
 def recording(sim, replicas, hub, probe, script):
@@ -268,6 +269,39 @@ def test_a_script_that_edits_a_message_after_sending_it_reaches_no_earlier_recip
     assert seen == delivered(sim)
     proposals = {to: h for to, desc, h in seen if desc == "bla.propose"}
     assert proposals["r1"] == proposals["r2"] == body_hash(propose()) != proposals["r3"]
+
+
+def test_a_script_that_edits_an_input_values_token_edits_only_its_copy():
+    # r4 is delivered the probe's proposal first and edits the token dict of
+    # the input value it holds; r1, delivered the probe's object later, still
+    # reads the token that was sent
+    sim, replicas, hub, probe = world()
+    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), {"kind": "any"})]})
+    sent = body_hash(msg)
+    tokens = []
+
+    def edit(adv, ev):
+        if ev.msg.desc == "bla.propose":
+            ev.msg.body["values"][0].cert["kind"] = "forged"
+
+    seen = recording(sim, replicas, hub, probe, edit)
+    r1_deliver = replicas["r1"].on_deliver
+
+    def r1_reads(frm, m):
+        if m.desc == "bla.propose":
+            tokens.append(dict(m.body["values"][0].cert))
+        r1_deliver(frm, m)
+
+    replicas["r1"].on_deliver = r1_reads
+    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, desc="bla", until=Trigger(at=10)))
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert [to for to, desc, _ in seen if desc == "bla.propose"] == ["r4", "r1"]
+    assert tokens == [{"kind": "any"}]
+    assert msg.body["values"][0].cert == {"kind": "any"}
+    assert seen == delivered(sim)
+    assert [h for to, desc, h in seen if desc == "bla.propose"] == [sent, sent]
+    assert answered(sim, "z") == ["r1"]
 
 
 def test_fits_checks_lists_of_tables_and_str_keyed_maps():
