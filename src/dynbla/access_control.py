@@ -19,7 +19,7 @@ so an input value's certificate decodes there without an import cycle.
 
 from __future__ import annotations
 
-from .dbla import AcCert, QuorumSession, Store, fs_signed, plain_verify_hex
+from .dbla import AcCert, QuorumCert, QuorumSession, Store, plain_verify_hex
 from .lattice import canon, fault_budget, Config
 
 MODES = ("admin", "sanity", "quorum")
@@ -74,20 +74,17 @@ def verify_cert(ac: AccessControl, oracle, cert) -> bool:
         return False
     if ac.mode == "admin":
         pl = admin_payload(ac.object_id, cert.slot, cert.value)
-        good = 0
-        for pid, hexsig in cert.approvals.items():
-            if pid not in ac.admins or not plain_verify_hex(oracle, pl, pid, hexsig):
-                return False
-            good += 1
-        return good >= ac.admin_threshold()
+        sigs = cert.approvals
+        return (set(sigs) <= ac.admins and len(sigs) >= ac.admin_threshold()
+                and all(plain_verify_hex(oracle, pl, pid, hexsig) for pid, hexsig in sigs.items()))
     config = cert.config
     if not isinstance(config, Config):
         return False
     apl = appr_payload(ac.object_id, config, cert.slot, cert.value)
-    if not fs_signed(oracle, config, apl, cert.approvals, ac.needed(config)):
+    if not cert.approvals.verify(oracle, config, apl, ac.needed(config)):
         return False
     cpl = accf_payload(ac.object_id, config, cert.slot, cert.value, cert.approvals)
-    return fs_signed(oracle, config, cpl, cert.cacks, config.quorum_size())
+    return cert.cacks.verify(oracle, config, cpl, config.quorum_size())
 
 
 def make_ac_input_check(ac: AccessControl, oracle):
@@ -159,7 +156,7 @@ class AcClient(QuorumSession):
         self.ac = ac
         self._slot = None
         self._value = None
-        self._approvals = {}
+        self._approvals = None
 
     def request(self, slot: str, value, done) -> None:
         self._begin(done)
@@ -180,21 +177,14 @@ class AcClient(QuorumSession):
             return
         approvals = {p: sig for p, sig in self.got.items() if sig is not None}
         if len(approvals) >= self.ac.needed(self.anchor):
-            self._approvals = approvals
-            body = {"slot": self._slot, "value": self._value, "approvals": dict(self._approvals)}
+            self._approvals = QuorumCert(approvals)
+            body = {"slot": self._slot, "value": self._value, "approvals": self._approvals}
             self._round("confirm", "ac.confirm", body, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
         if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
-            cert = AcCert(
-                self.ac.mode,
-                self.object_id,
-                self._slot,
-                self._value,
-                self.anchor,
-                self._approvals,
-                self.got,
-            )
+            cert = AcCert(self.ac.mode, self.object_id, self._slot, self._value, self.anchor, self._approvals,
+                          QuorumCert(self.got))
             self._finish(cert)
 
     def _expected(self) -> bytes:

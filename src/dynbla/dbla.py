@@ -61,6 +61,11 @@ its 2k certificate nodes once each and not once per path. A nested AcCert
 is written through its own to_jsonable / from_jsonable, and a token dict
 as itself.
 
+A quorum's forward-secure signatures over one payload are one read-only
+QuorumCert, built by the session that collects them, and the one place that
+map is encoded, written, read and verified. Admin grants' plain signatures
+and URB echo certificates are not such quorums and stay dicts.
+
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
 certificate, or an input value's certificate) appears as its own 37-byte
@@ -76,6 +81,9 @@ from __future__ import annotations
 import functools
 import weakref
 from collections import deque
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
@@ -184,17 +192,8 @@ def presp_payload(object_id: str, config: Config, values: list[InputValue]) -> b
     return canon(["presp", object_id, config, [iv.canon() for iv in values]])
 
 
-def cresp_payload(object_id: str, config: Config, packs: dict[str, FsSig]) -> bytes:
+def cresp_payload(object_id: str, config: Config, packs: QuorumCert) -> bytes:
     return canon(["cresp", object_id, config, packs])
-
-
-def fs_signed(oracle, config: Config, payload: bytes, sigs: dict, need: int) -> bool:
-    """At least need replicas of config, and no one else, signed payload
-    with forward-secure keys at config's height."""
-    if not set(sigs) <= config.replicas() or len(sigs) < need:
-        return False
-    ts = config.height()
-    return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in sigs.items())
 
 
 def join_values(values: list[InputValue]):
@@ -204,17 +203,50 @@ def join_values(values: list[InputValue]):
 # -- certificates ------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class QuorumCert:
+    """{signer: FsSig} over one payload: an output's two rounds, a sanity or
+    quorum grant's approvals and cacks, a write's acks. Read-only, attributes
+    included, so a message copy shares it; it encodes as the map."""
+
+    sigs: Mapping[str, FsSig]
+    _canon: bytes | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sigs", MappingProxyType(dict(self.sigs)))
+
+    def canon(self) -> bytes:
+        if self._canon is None:
+            object.__setattr__(self, "_canon", canon(dict(self.sigs)))
+        return self._canon
+
+    def to_jsonable(self) -> dict:
+        return {p: s.to_jsonable() for p, s in self.sigs.items()}
+
+    @classmethod
+    def from_jsonable(cls, d) -> QuorumCert:
+        return cls({p: FsSig.from_jsonable(s) for p, s in d.items()})
+
+    def verify(self, oracle, config: Config, payload: bytes, need: int) -> bool:
+        """At least need replicas of config, and no one else, signed payload
+        with forward-secure keys at config's height."""
+        if not set(self.sigs) <= config.replicas() or len(self.sigs) < need:
+            return False
+        ts = config.height()
+        return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
+
+
 class OutputCert:
     """An agreement output's proof; immutable once built."""
 
     __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_parts")
 
-    def __init__(self, values, history: History, hist_cert, packs: dict, cacks: dict):
+    def __init__(self, values, history: History, hist_cert, packs: QuorumCert, cacks: QuorumCert):
         self.values = tuple(values)
         self.history = history
         self.hist_cert = hist_cert
-        self.packs = dict(packs)
-        self.cacks = dict(cacks)
+        self.packs = packs
+        self.cacks = cacks
         self._canon = None
         self._parts = None
 
@@ -241,8 +273,7 @@ class OutputCert:
         one shares these objects, and the decode memo keys on them."""
         if self._parts is None:
             self._parts = ([value_to_jsonable(iv.value) for iv in self.values], self.history.to_jsonable(),
-                           {p: s.to_jsonable() for p, s in self.packs.items()},
-                           {p: s.to_jsonable() for p, s in self.cacks.items()})
+                           self.packs.to_jsonable(), self.cacks.to_jsonable())
         return self._parts
 
     def to_jsonable(self):
@@ -326,8 +357,8 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
         [InputValue(value_from_jsonable(v["v"]), c) for v, c in zip(d["values"], named)],
         History.from_jsonable(d["hist"]),
         hcert,
-        {p: FsSig.from_jsonable(s) for p, s in d["packs"].items()},
-        {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()},
+        QuorumCert.from_jsonable(d["packs"]),
+        QuorumCert.from_jsonable(d["cacks"]),
     )
     if memo is not None:
         memo[key] = (d, cert)
@@ -356,8 +387,8 @@ class AcCert:
         self.slot = slot
         self.value = value
         self.config = config
-        self.approvals = dict(approvals)
-        self.cacks = dict(cacks)
+        self.approvals = approvals
+        self.cacks = cacks
         self._canon = None
 
     def canon(self) -> bytes:
@@ -376,16 +407,16 @@ class AcCert:
             "slot": self.slot,
             "v": value_to_jsonable(self.value),
             "cfg": None if self.config is None else self.config.to_jsonable()["cfg"],
-            "appr": dict(self.approvals) if admin else {p: s.to_jsonable() for p, s in self.approvals.items()},
-            "cacks": {} if admin else {p: s.to_jsonable() for p, s in self.cacks.items()},
+            "appr": dict(self.approvals) if admin else self.approvals.to_jsonable(),
+            "cacks": {} if admin else self.cacks.to_jsonable(),
         }
 
     @classmethod
     def from_jsonable(cls, d) -> "AcCert":
         admin = d["ackind"] == "admin"
         config = None if d["cfg"] is None else Config.from_jsonable({"cfg": d["cfg"]})
-        approvals = dict(d["appr"]) if admin else {p: FsSig.from_jsonable(s) for p, s in d["appr"].items()}
-        cacks = {} if admin else {p: FsSig.from_jsonable(s) for p, s in d["cacks"].items()}
+        approvals = dict(d["appr"]) if admin else QuorumCert.from_jsonable(d["appr"])
+        cacks = {} if admin else QuorumCert.from_jsonable(d["cacks"])
         return cls(d["ackind"], d["oid"], d["slot"], value_from_jsonable(d["v"]), config, approvals, cacks)
 
 
@@ -417,10 +448,10 @@ def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
     config = cert.anchor()
     vlist = sorted(cert.values, key=lambda iv: iv.canon())
     ppl = presp_payload(obj.object_id, config, vlist)
-    if not fs_signed(oracle, config, ppl, cert.packs, config.quorum_size()):
+    if not cert.packs.verify(oracle, config, ppl, config.quorum_size()):
         return False
     cpl = cresp_payload(obj.object_id, config, cert.packs)
-    return fs_signed(oracle, config, cpl, cert.cacks, config.quorum_size())
+    return cert.cacks.verify(oracle, config, cpl, config.quorum_size())
 
 
 # -- following the group's history ---------------------------------------------
@@ -602,7 +633,7 @@ class DblaClient(QuorumSession):
         super().__init__(hub, obj.object_id)
         self.obj = obj
         self.vals: dict[bytes, InputValue] = {iv.canon(): iv for iv in obj.genesis_values}
-        self.cpacks: dict[str, FsSig] = {}
+        self.cpacks: QuorumCert | None = None
 
     def propose(self, value, cert, done) -> None:
         self._begin(done)
@@ -633,13 +664,13 @@ class DblaClient(QuorumSession):
         if [iv.canon() for iv in rvals] != sorted(self.vals):
             return
         if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
-            self.cpacks = self.got
+            self.cpacks = QuorumCert(self.got)
             self._round("confirm", "bla.confirm", {"packs": self.cpacks}, self.anchor)
 
     def _on_cresp(self, frm, msg) -> None:
         if self._take_sig(frm, msg) and self.anchor.is_quorum(self.got):
             vlist = self._sorted_vals()
-            cert = OutputCert(vlist, self.hub.history, self.hub.hist_cert, self.cpacks, self.got)
+            cert = OutputCert(vlist, self.hub.history, self.hub.hist_cert, self.cpacks, QuorumCert(self.got))
             self._finish(join_values(vlist), cert)
 
     def _expected(self) -> bytes:
@@ -731,11 +762,11 @@ WIRE = {
     "urb.cert": {"inner": _URB, "cert": dict},
     # requests, served at "config" by DynamicReplica._route
     "bla.propose": {"sn": int, "config": Config, "values": [InputValue]},
-    "bla.confirm": {"sn": int, "config": Config, "packs": dict},
+    "bla.confirm": {"sn": int, "config": Config, "packs": QuorumCert},
     "mr.set": {"sn": int, "config": Config, "v": int, "cert": CERTS},
     "mr.get": {"sn": int, "config": Config},
     "ac.req": {"sn": int, "config": Config, "slot": str, "value": VALUES},
-    "ac.confirm": {"sn": int, "config": Config, "slot": str, "value": VALUES, "approvals": dict},
+    "ac.confirm": {"sn": int, "config": Config, "slot": str, "value": VALUES, "approvals": QuorumCert},
     "xfer.read": {"sn": int, "config": Config},
     # replies
     "bla.presp": {"sn": int, "values": [InputValue], "sig": FsSig},

@@ -22,6 +22,7 @@ from ..dbla import (
     GENESIS_CERT,
     InputValue,
     OutputCert,
+    QuorumCert,
     cresp_payload,
     presp_payload,
     verify_output,
@@ -255,7 +256,7 @@ def verify_i_still_work_here(report):
     ctx, r = report.ctx, run.ops[2].result
     # A full forged certificate from the retired gang: right shape, junk keys.
     iv = InputValue(FinSet({"late"}), {"kind": "any"})
-    junk = {p: _junk(p, run.genesis.height()) for p in report.scenario["genesis"][:3]}
+    junk = QuorumCert({p: _junk(p, run.genesis.height()) for p in report.scenario["genesis"][:3]})
     forged = OutputCert([iv], ctx.app_obj.genesis_history, GENESIS_CERT, junk, junk)
     return [
         ("attack.stale_client_rescued", bool(r) and r["anchor"] == run.target,

@@ -13,8 +13,8 @@ embedded in operation returns are rebuilt and re-verified against it.
 from __future__ import annotations
 
 from ..access_control import AcCert, verify_cert
-from ..dbla import OutputCert, fs_signed, verify_output
-from ..fscrypto import FsSig, LedgerVerifier
+from ..dbla import OutputCert, QuorumCert, verify_output
+from ..fscrypto import LedgerVerifier
 from ..lattice import FinSet, quorum_size, value_from_jsonable
 from ..maxreg import setresp_payload
 from .runner import APP_OBJ, build_objects, read_ops
@@ -83,8 +83,7 @@ def check_certificates(bundle, view):
                     continue
                 cfg = value_from_jsonable(ack["cfg"])
                 pl = setresp_payload(APP_OBJ, cfg, ack["v"])
-                sigs = {p: FsSig.from_jsonable(s) for p, s in ack["acks"].items()}
-                if not fs_signed(view.oracle, cfg, pl, sigs, cfg.quorum_size()):
+                if not QuorumCert.from_jsonable(ack["acks"]).verify(view.oracle, cfg, pl, cfg.quorum_size()):
                     bad.append(idx)
             elif kind == "ac_request" and r.get("granted"):
                 cert = AcCert.from_jsonable(r["cert"])

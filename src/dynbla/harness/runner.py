@@ -237,7 +237,7 @@ def _ack_jsonable(ack):
         "h": ack["h"],
         "v": ack["v"],
         "cfg": value_to_jsonable(ack["config"]),
-        "acks": {p: s.to_jsonable() for p, s in ack["acks"].items()},
+        "acks": ack["acks"].to_jsonable(),
     }
 
 

@@ -10,7 +10,7 @@ the write-back always share a configuration.
 
 from __future__ import annotations
 
-from .dbla import QuorumSession, Store
+from .dbla import QuorumCert, QuorumSession, Store
 from .lattice import canon
 
 
@@ -102,7 +102,7 @@ class MaxRegClient(QuorumSession):
                 "h": self.anchor.height(),
                 "v": self._val,
                 "config": self.anchor,
-                "acks": dict(self.got),
+                "acks": QuorumCert(self.got),
             }
             if self._mode == "write":
                 self._finish(ack)

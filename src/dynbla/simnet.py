@@ -76,9 +76,8 @@ class Msg:
 
     A copy shares the body's value objects (a `Config`, a certificate),
     except one with a `private()` method, which makes its own copy: an
-    `InputValue` copies its token certificate dict. An `OutputCert`'s
-    `packs` and `cacks` dicts are still shared, so a script's edit of those
-    reaches past its copy.
+    `InputValue` copies its token certificate dict. A `dbla.QuorumCert`'s
+    signatures are read-only, so sharing one is safe.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")

@@ -11,7 +11,7 @@ from dynbla.access_control import (
     make_admin_cert,
     verify_cert,
 )
-from dynbla.dbla import ClientHub, DynamicObject, DynamicReplica
+from dynbla.dbla import ClientHub, DynamicObject, DynamicReplica, QuorumCert
 from dynbla.fscrypto import LedgerFsOracle
 from dynbla.lattice import ADD, Config, History, genesis_config
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
@@ -68,8 +68,8 @@ def test_sanity_grant_verifies():
     assert w.sim.run()["verdict"] == "quiescent"
     cert = w.returns["a"][0]
     assert cert is not None
-    assert len(cert.approvals) >= w.ac.needed(w.genesis) == 2
-    assert w.genesis.is_quorum(cert.cacks.keys())
+    assert len(cert.approvals.sigs) >= w.ac.needed(w.genesis) == 2
+    assert w.genesis.is_quorum(cert.cacks.sigs.keys())
     assert verify_cert(w.ac, w.oracle, cert)
     # sanity approvals leave no memory behind
     assert all(rep.stores[0].approved == {} for rep in w.replicas.values())
@@ -161,7 +161,7 @@ def test_a_member_answers_a_request_once(first):
     assert client.phase == "confirm"
     w.sim.run()     # stalled: the held requests are never released
     (cert,) = w.returns["a"]
-    assert cert is not None and set(cert.approvals) == {"r1", "r2", "r4"}
+    assert cert is not None and set(cert.approvals.sigs) == {"r1", "r2", "r4"}
     assert verify_cert(w.ac, w.oracle, cert)
 
 
@@ -188,10 +188,10 @@ def test_verify_cert_negatives():
     other = AcCert(cert.mode, cert.object_id, cert.slot, "y", cert.config, cert.approvals, cert.cacks)
     assert not verify_cert(w.ac, w.oracle, other)
 
-    thin = dict(cert.cacks)
+    thin = dict(cert.cacks.sigs)
     thin.pop(sorted(thin)[0])
     assert not verify_cert(
-        w.ac, w.oracle, AcCert(cert.mode, cert.object_id, cert.slot, cert.value, cert.config, cert.approvals, thin)
+        w.ac, w.oracle, AcCert(cert.mode, cert.object_id, cert.slot, cert.value, cert.config, cert.approvals, QuorumCert(thin))
     )
 
     stranger = Config(frozenset({(ADD, "z1"), (ADD, "z2"), (ADD, "z3")}))

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 from authority_history import check_authority_history, make_authority_history_cert
+from hypothesis import example, given, strategies as st
 
 from dynbla.dbla import (
     GENESIS_CERT,
@@ -10,6 +13,7 @@ from dynbla.dbla import (
     DynamicReplica,
     InputValue,
     OutputCert,
+    QuorumCert,
     accept_all,
     check_plain_input,
     join_values,
@@ -17,7 +21,7 @@ from dynbla.dbla import (
     verify_output,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
-from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
+from dynbla.lattice import ADD, Config, FinSet, History, canon, genesis_config
 from dynbla.maxreg import MaxRegStore
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger, trace_hash
 
@@ -135,17 +139,17 @@ def test_verify_output_rejects_tampering():
 
     assert not verify_output(w.obj, w.oracle, FinSet({"a", "zz"}), cert)
 
-    short = dict(cert.cacks)
+    short = dict(cert.cacks.sigs)
     short.pop(sorted(short)[0])
     assert not verify_output(
-        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, short)
+        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, QuorumCert(short))
     )
 
-    swapped = dict(cert.packs)
+    swapped = dict(cert.packs.sigs)
     pids = sorted(swapped)
     swapped[pids[0]] = FsSig(pids[0], 0, b"\x00" * 16)
     assert not verify_output(
-        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, swapped, cert.cacks)
+        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, QuorumCert(swapped), cert.cacks)
     )
 
     fake_hist = History([w.genesis, w.grown("r9")])
@@ -169,7 +173,7 @@ def test_verify_output_refuses_values_that_join_to_no_history():
     with pytest.raises(ValueError):
         a.join(b)
     values = [InputValue(a, {"kind": "any"}), InputValue(b, {"kind": "any"})]
-    cert = OutputCert(values, History([w.genesis]), GENESIS_CERT, {}, {})
+    cert = OutputCert(values, History([w.genesis]), GENESIS_CERT, QuorumCert({}), QuorumCert({}))
     for out in (a, b, History([w.genesis])):
         assert not verify_output(w.obj, w.oracle, out, cert)
 
@@ -309,7 +313,7 @@ def test_byzantine_replica_garbage_is_ignored():
     assert w.sim.run()["verdict"] == "quiescent"
     out, cert = w.returns["p"][0]
     assert out == FinSet({"a"})
-    assert "r4" not in cert.packs
+    assert "r4" not in cert.packs.sigs
     assert verify_output(w.obj, w.oracle, out, cert)
 
 
@@ -344,7 +348,7 @@ _MISSING = object()
     "desc, obj, fields",
     [
         ("bla.propose", "obj", {"values": []}),
-        ("bla.confirm", "obj", {"packs": {}}),
+        ("bla.confirm", "obj", {"packs": QuorumCert({})}),
         ("mr.set", "mr", {"v": 1, "cert": {"kind": "any"}}),
         ("mr.get", "mr", {}),
         ("xfer.read", "grp", {}),
@@ -493,6 +497,24 @@ def test_invalid_input_cert_rejected_at_propose():
         w.clients["p"].propose(FinSet({"a"}), {"kind": "plain", "signer": "p", "sig": "00"}, lambda *a: None)
 
 
+_SIG_MAPS = st.dictionaries(
+    st.text(max_size=4),
+    st.builds(FsSig, st.text(max_size=4), st.integers(min_value=0, max_value=2**40), st.binary(max_size=16)),
+    max_size=6,
+)
+
+
+@given(_SIG_MAPS)
+@example({})
+def test_a_quorum_cert_encodes_and_round_trips_as_its_signature_map(m):
+    qc = QuorumCert(m)
+    assert qc.canon() == canon(m)
+    js = qc.to_jsonable()
+    assert js == {p: s.to_jsonable() for p, s in m.items()} and list(js) == list(m)
+    back = QuorumCert.from_jsonable(json.loads(json.dumps(js)))
+    assert back.canon() == qc.canon() and dict(back.sigs) == m
+
+
 def test_offline_ledger_verifier_accepts_outputs():
     w = World(cids=("p",))
     w.propose(Trigger(at=0), "p", FinSet({"a"}))
@@ -500,9 +522,9 @@ def test_offline_ledger_verifier_accepts_outputs():
     out, cert = w.returns["p"][0]
     offline = LedgerVerifier(w.oracle.dump_ledger())
     assert verify_output(w.obj, offline, out, cert)
-    short = dict(cert.cacks)
+    short = dict(cert.cacks.sigs)
     short.pop(sorted(short)[0])
-    bad = OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, short)
+    bad = OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, QuorumCert(short))
     assert not verify_output(w.obj, offline, out, bad)
 
 

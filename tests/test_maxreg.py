@@ -96,7 +96,7 @@ def test_read_after_writes_returns_largest():
     assert w.sim.run()["verdict"] == "quiescent"
     kind, v, ack = w.returns["c"][0]
     assert kind == "read" and v >= 5
-    assert ack["v"] == v and w.genesis.is_quorum(ack["acks"].keys())
+    assert ack["v"] == v and w.genesis.is_quorum(ack["acks"].sigs.keys())
 
 
 def test_read_on_fresh_register_returns_none():

@@ -11,6 +11,7 @@ from dynbla.dbla import (
     DynamicObject,
     InputValue,
     OutputCert,
+    QuorumCert,
     accept_all,
     verify_output,
 )
@@ -319,7 +320,7 @@ def test_a_flood_of_junk_certificates_leaves_the_verification_caches_as_they_wer
     def flood():
         for i in range(k):
             iv = InputValue(History([grown(ns.genesis, f"x{i}")]), {"kind": "any"})
-            junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, {}, {})
+            junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, QuorumCert({}), QuorumCert({}))
             ns.sim.adv_api.send("r4", "r1", Msg("hist.new", "grp", {"hist": fake, "cert": junk}))
 
     ns.sim.add_external(Trigger(at=1), "adversary", flood, to="r4")

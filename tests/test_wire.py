@@ -2,10 +2,11 @@
 
 Every field of every message kind in WIRE is sent missing and with a bool in
 its place (a wrong type for every entry, an int's included), and so is every
-field of a nested table and an element of a typed list. Each malformed message goes from a probe process to a
-replica, which must count exactly one drop, and to a client whose matching
-session waits in the phase that kind answers, which must not change. Neither
-may raise or send anything.
+field of a nested table and an element of a typed list; a signature map is
+also sent as a raw dict in place of its QuorumCert. Each malformed message
+goes from a probe process to a replica, which must count exactly one drop,
+and to a client whose matching session waits in the phase that kind
+answers, which must not change. Neither may raise or send anything.
 """
 
 import pytest
@@ -20,6 +21,8 @@ from dynbla.dbla import (
     DynamicObject,
     DynamicReplica,
     InputValue,
+    OutputCert,
+    QuorumCert,
     accept_all,
     fits,
     wire_ok,
@@ -44,11 +47,11 @@ SAMPLES = {
     "urb.cert": ("grp", {"inner": _URB, "cert": {}}),
     "hist.new": ("grp", {"hist": History([GENESIS, ANCHOR]), "cert": {"kind": "any"}}),
     "bla.propose": ("obj", {"sn": 1, "config": ANCHOR, "values": [IV]}),
-    "bla.confirm": ("obj", {"sn": 1, "config": ANCHOR, "packs": {}}),
+    "bla.confirm": ("obj", {"sn": 1, "config": ANCHOR, "packs": QuorumCert({})}),
     "mr.set": ("mr", {"sn": 1, "config": ANCHOR, "v": 1, "cert": {"kind": "any"}}),
     "mr.get": ("mr", {"sn": 1, "config": ANCHOR}),
     "ac.req": ("acl", {"sn": 1, "config": ANCHOR, "slot": "s", "value": "x"}),
-    "ac.confirm": ("acl", {"sn": 1, "config": ANCHOR, "slot": "s", "value": "x", "approvals": {}}),
+    "ac.confirm": ("acl", {"sn": 1, "config": ANCHOR, "slot": "s", "value": "x", "approvals": QuorumCert({})}),
     "xfer.read": ("grp", {"sn": 1, "config": GENESIS}),
     "bla.presp": ("obj", {"sn": 1, "values": [IV], "sig": SIG}),
     "bla.cresp": ("obj", {"sn": 1, "sig": SIG}),
@@ -93,6 +96,9 @@ CASES = [
     for label, body in mutations(good, WIRE[kind])
 ]
 CASES += [(kind, "body:none", None) for kind in SAMPLES]
+# a signature map sent as a raw dict, not as a QuorumCert
+CASES += [(kind, f"{name}:dict", {**SAMPLES[kind][1], name: {}})
+          for kind, name in (("bla.confirm", "packs"), ("ac.confirm", "approvals"))]
 
 
 class Probe:
@@ -302,6 +308,68 @@ def test_a_script_that_edits_an_input_values_token_edits_only_its_copy():
     assert seen == delivered(sim)
     assert [h for to, desc, h in seen if desc == "bla.propose"] == [sent, sent]
     assert answered(sim, "z") == ["r1"]
+
+
+def _packs(msg):
+    return msg.body["values"][0].cert.packs
+
+
+def _approvals(msg):
+    return msg.body["approvals"]
+
+
+QUORUM_CERTS = {
+    "bla.propose": (lambda: Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(
+        FinSet({"a"}), OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({})))]}), _packs),
+    "ac.confirm": (lambda: Msg("ac.confirm", "acl", {"sn": 1, "config": GENESIS, "slot": "s", "value": "x",
+                                                     "approvals": QuorumCert({"r1": SIG})}), _approvals),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUORUM_CERTS))
+def test_a_script_cannot_add_a_signer_to_a_quorum_certificate_it_is_sent(kind):
+    # r4 is delivered the probe's message first and tries to add r9 to the
+    # signatures of a quorum certificate in it; r1, delivered the probe's
+    # object later, reads the signers that were sent, under the sent hash
+    make, quorum = QUORUM_CERTS[kind]
+    sim, replicas, hub, probe = world()
+    msg = make()
+    sent = body_hash(msg)
+    refused, signers = [], []
+
+    def edit(adv, ev):
+        if ev.msg.desc == kind:
+            with pytest.raises(TypeError):
+                quorum(ev.msg).sigs["r9"] = SIG
+            refused.append(kind)
+
+    seen = recording(sim, replicas, hub, probe, edit)
+    r1_deliver = replicas["r1"].on_deliver
+
+    def r1_reads(frm, m):
+        if m.desc == kind:
+            signers.append(sorted(quorum(m).sigs))
+        r1_deliver(frm, m)
+
+    replicas["r1"].on_deliver = r1_reads
+    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, until=Trigger(at=10)))
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert refused == [kind]
+    assert signers == [["r1"]]
+    assert seen == delivered(sim)
+    assert [h for to, desc, h in seen if desc == kind] == [sent, sent]
+    assert [line["frm"] for line in sim.trace if line["kind"] == "deliver" and line["to"] == "z"] == ["r1"]
+
+
+def test_a_quorum_certificate_refuses_rebinding():
+    qc = QuorumCert({"r1": SIG})
+    for name in ("sigs", "_canon"):
+        with pytest.raises(AttributeError):
+            setattr(qc, name, {})
+        with pytest.raises(AttributeError):
+            delattr(qc, name)
+    assert dict(qc.sigs) == {"r1": SIG}
 
 
 def test_fits_checks_lists_of_tables_and_str_keyed_maps():
