@@ -203,7 +203,7 @@ def join_values(values: list[InputValue]):
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False)
 class QuorumCert:
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
     quorum grant's approvals and cacks, a write's acks. Read-only, attributes
