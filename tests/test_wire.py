@@ -310,19 +310,20 @@ def test_a_script_that_edits_an_input_values_token_edits_only_its_copy():
     assert answered(sim, "z") == ["r1"]
 
 
-def _packs(msg):
-    return msg.body["values"][0].cert.packs
+def _proposal_with_packs():
+    cert = OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({}))
+    return Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), cert)]})
 
 
-def _approvals(msg):
-    return msg.body["approvals"]
+def _confirm_with_approvals():
+    body = {"sn": 1, "config": GENESIS, "slot": "s", "value": "x", "approvals": QuorumCert({"r1": SIG})}
+    return Msg("ac.confirm", "acl", body)
 
 
+# kind: (a message of that kind, the quorum certificate it carries)
 QUORUM_CERTS = {
-    "bla.propose": (lambda: Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(
-        FinSet({"a"}), OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({})))]}), _packs),
-    "ac.confirm": (lambda: Msg("ac.confirm", "acl", {"sn": 1, "config": GENESIS, "slot": "s", "value": "x",
-                                                     "approvals": QuorumCert({"r1": SIG})}), _approvals),
+    "bla.propose": (_proposal_with_packs, lambda msg: msg.body["values"][0].cert.packs),
+    "ac.confirm": (_confirm_with_approvals, lambda msg: msg.body["approvals"]),
 }
 
 
