@@ -62,9 +62,9 @@ is written through its own to_jsonable / from_jsonable, and a token dict
 as itself.
 
 A quorum's forward-secure signatures over one payload are one read-only
-QuorumCert, built by the session that collects them, and the one place that
-map is encoded, written, read and verified. Admin grants' plain signatures
-and URB echo certificates are not such quorums and stay dicts.
+QuorumCert, the one place that map is encoded, written, read and verified;
+a certificate holds any map it is built from as one. Admin grants' plain
+signatures and URB echo certificates are not such quorums and stay dicts.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -82,7 +82,7 @@ import functools
 import weakref
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .broadcast import RbEndpoint, UrbEndpoint
@@ -210,15 +210,17 @@ class QuorumCert:
     included, so a message copy shares it; it encodes as the map."""
 
     sigs: Mapping[str, FsSig]
-    _canon: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigs", MappingProxyType(dict(self.sigs)))
 
+    @classmethod
+    def of(cls, sigs) -> QuorumCert:
+        """sigs if it is a QuorumCert, else one over its map."""
+        return sigs if type(sigs) is cls else cls(sigs)
+
     def canon(self) -> bytes:
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canon(dict(self.sigs)))
-        return self._canon
+        return canon(dict(self.sigs))
 
     def to_jsonable(self) -> dict:
         return {p: s.to_jsonable() for p, s in self.sigs.items()}
@@ -241,12 +243,11 @@ class OutputCert:
 
     __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_parts")
 
-    def __init__(self, values, history: History, hist_cert, packs: QuorumCert, cacks: QuorumCert):
+    def __init__(self, values, history: History, hist_cert, packs, cacks):
         self.values = tuple(values)
         self.history = history
         self.hist_cert = hist_cert
-        self.packs = packs
-        self.cacks = cacks
+        self.packs, self.cacks = QuorumCert.of(packs), QuorumCert.of(cacks)
         self._canon = None
         self._parts = None
 
@@ -387,8 +388,8 @@ class AcCert:
         self.slot = slot
         self.value = value
         self.config = config
-        self.approvals = approvals
-        self.cacks = cacks
+        self.approvals = dict(approvals) if mode == "admin" else QuorumCert.of(approvals)
+        self.cacks = dict(cacks) if mode == "admin" else QuorumCert.of(cacks)
         self._canon = None
 
     def canon(self) -> bytes:
@@ -415,7 +416,7 @@ class AcCert:
     def from_jsonable(cls, d) -> "AcCert":
         admin = d["ackind"] == "admin"
         config = None if d["cfg"] is None else Config.from_jsonable({"cfg": d["cfg"]})
-        approvals = dict(d["appr"]) if admin else QuorumCert.from_jsonable(d["appr"])
+        approvals = d["appr"] if admin else QuorumCert.from_jsonable(d["appr"])
         cacks = {} if admin else QuorumCert.from_jsonable(d["cacks"])
         return cls(d["ackind"], d["oid"], d["slot"], value_from_jsonable(d["v"]), config, approvals, cacks)
 

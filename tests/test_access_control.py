@@ -11,7 +11,7 @@ from dynbla.access_control import (
     make_admin_cert,
     verify_cert,
 )
-from dynbla.dbla import ClientHub, DynamicObject, DynamicReplica, QuorumCert
+from dynbla.dbla import ClientHub, DynamicObject, DynamicReplica
 from dynbla.fscrypto import LedgerFsOracle
 from dynbla.lattice import ADD, Config, History, genesis_config
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
@@ -191,7 +191,7 @@ def test_verify_cert_negatives():
     thin = dict(cert.cacks.sigs)
     thin.pop(sorted(thin)[0])
     assert not verify_cert(
-        w.ac, w.oracle, AcCert(cert.mode, cert.object_id, cert.slot, cert.value, cert.config, cert.approvals, QuorumCert(thin))
+        w.ac, w.oracle, AcCert(cert.mode, cert.object_id, cert.slot, cert.value, cert.config, cert.approvals, thin)
     )
 
     stranger = Config(frozenset({(ADD, "z1"), (ADD, "z2"), (ADD, "z3")}))

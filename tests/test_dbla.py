@@ -142,14 +142,14 @@ def test_verify_output_rejects_tampering():
     short = dict(cert.cacks.sigs)
     short.pop(sorted(short)[0])
     assert not verify_output(
-        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, QuorumCert(short))
+        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, short)
     )
 
     swapped = dict(cert.packs.sigs)
     pids = sorted(swapped)
     swapped[pids[0]] = FsSig(pids[0], 0, b"\x00" * 16)
     assert not verify_output(
-        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, QuorumCert(swapped), cert.cacks)
+        w.obj, w.oracle, out, OutputCert(cert.values, cert.history, cert.hist_cert, swapped, cert.cacks)
     )
 
     fake_hist = History([w.genesis, w.grown("r9")])
@@ -173,9 +173,23 @@ def test_verify_output_refuses_values_that_join_to_no_history():
     with pytest.raises(ValueError):
         a.join(b)
     values = [InputValue(a, {"kind": "any"}), InputValue(b, {"kind": "any"})]
-    cert = OutputCert(values, History([w.genesis]), GENESIS_CERT, QuorumCert({}), QuorumCert({}))
+    cert = OutputCert(values, History([w.genesis]), GENESIS_CERT, {}, {})
     for out in (a, b, History([w.genesis])):
         assert not verify_output(w.obj, w.oracle, out, cert)
+
+
+def test_a_certificate_built_from_dict_maps_holds_them_as_quorum_certs():
+    # a copy of a verified output with its maps rebuilt as raw dicts is the
+    # same certificate: it verifies and writes the same JSON
+    w = World(cids=("p",))
+    w.propose(Trigger(at=0), "p", FinSet({"a"}))
+    w.sim.run()
+    out, cert = w.returns["p"][0]
+    assert QuorumCert.of(cert.packs) is cert.packs
+    alike = OutputCert(cert.values, cert.history, cert.hist_cert, dict(cert.packs.sigs), dict(cert.cacks.sigs))
+    assert type(alike.packs) is type(alike.cacks) is QuorumCert
+    assert verify_output(w.obj, w.oracle, out, alike)
+    assert alike.to_jsonable() == cert.to_jsonable()
 
 
 def test_output_cert_jsonable_round_trip():
@@ -524,7 +538,7 @@ def test_offline_ledger_verifier_accepts_outputs():
     assert verify_output(w.obj, offline, out, cert)
     short = dict(cert.cacks.sigs)
     short.pop(sorted(short)[0])
-    bad = OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, QuorumCert(short))
+    bad = OutputCert(cert.values, cert.history, cert.hist_cert, cert.packs, short)
     assert not verify_output(w.obj, offline, out, bad)
 
 

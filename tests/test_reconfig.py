@@ -6,16 +6,16 @@ import pytest
 from dynbla.access_control import AcClient, AcStore, AccessControl, make_ac_input_check
 from dynbla.dbla import (
     GENESIS_CERT,
+    AcCert,
     DblaClient,
     DblaStore,
     DynamicObject,
     InputValue,
     OutputCert,
-    QuorumCert,
     accept_all,
     verify_output,
 )
-from dynbla.fscrypto import LedgerFsOracle, LedgerVerifier
+from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
 from dynbla.lattice import ADD, REMOVE, Config, FinSet, History, genesis_config
 from dynbla.reconfig import ReconfigClient, ReconfigGroup, make_hist_input_check, wrap_conf_cert
 from dynbla.simnet import Msg, Simulator, Trigger
@@ -320,10 +320,40 @@ def test_a_flood_of_junk_certificates_leaves_the_verification_caches_as_they_wer
     def flood():
         for i in range(k):
             iv = InputValue(History([grown(ns.genesis, f"x{i}")]), {"kind": "any"})
-            junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, QuorumCert({}), QuorumCert({}))
+            junk = OutputCert([iv], History([ns.genesis]), GENESIS_CERT, {}, {})
             ns.sim.adv_api.send("r4", "r1", Msg("hist.new", "grp", {"hist": fake, "cert": junk}))
 
     ns.sim.add_external(Trigger(at=1), "adversary", flood, to="r4")
     assert ns.sim.run()["verdict"] == "quiescent"
     assert ns.replicas["r1"].history == History([ns.genesis])
     assert [(len(o._vcache), len(o._ocache)) for o in objs] == sizes
+
+
+@pytest.mark.parametrize("acl_mode", [None, "sanity"])
+def test_a_certificate_a_script_builds_from_dict_maps_is_verified_and_refused(acl_mode):
+    # corrupted r4 sends r1 a certificate whose signature maps it built as
+    # raw dicts of junk signatures: without an access list, a hist.new whose
+    # certificate names a configuration output; with a sanity list, a
+    # proposal whose grant is the certificate. Each certificate holds its
+    # maps as QuorumCerts, so r1 checks the signatures in them and refuses
+    # the certificate, and the run stays quiescent
+    rids = ("r1", "r2", "r3", "r4")
+    ns = build(6, rids, ("u",), acl_mode=acl_mode)
+    ns.sim.api("r4").send("r4", Msg("t.noop", "grp", {}))
+    ns.sim.run(1)
+    ns.sim.corrupt("r4", lambda api, ev: None)
+    g, x = ns.genesis, grown(ns.genesis, "x")
+    junk = {r: FsSig(r, g.height(), b"junk") for r in rids[:3]}
+    if acl_mode is None:
+        conf = OutputCert([InputValue(x, {"kind": "any"})], History([g]), GENESIS_CERT, junk, junk)
+        cert = OutputCert([InputValue(History([x]), conf)], History([g]), GENESIS_CERT, junk, junk)
+        msg = Msg("hist.new", "grp", {"hist": History([g, x]), "cert": cert})
+    else:
+        grant = AcCert("sanity", "grp/acl", "s", x, g, junk, junk)
+        msg = Msg("bla.propose", "grp/conf", {"sn": 1, "config": g, "values": [InputValue(x, grant)]})
+    ns.sim.add_external(Trigger(at=1), "adversary", lambda: ns.sim.adv_api.send("r4", "r1", msg), to="r4")
+    assert ns.sim.run()["verdict"] == "quiescent"
+    assert [l["frm"] for l in ns.sim.trace if l["kind"] == "deliver" and l["desc"] == msg.desc] == ["r4"]
+    r1 = ns.replicas["r1"]
+    assert r1.history == History([g]) and r1.dropped == 0
+    assert [iv.value for iv in r1.stores[0].snapshot_sorted()] == [g]
