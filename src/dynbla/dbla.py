@@ -64,7 +64,10 @@ as itself.
 A quorum's forward-secure signatures over one payload are one read-only
 QuorumCert, the one place that map is encoded, written, read and verified;
 a certificate holds any map it is built from as one. Admin grants' plain
-signatures and URB echo certificates are not such quorums and stay dicts.
+signatures and URB echo certificates are not such quorums: an admin
+grant's stay a read-only map, and URB's a dict. Input values and
+certificates refuse rebinding of their attributes, so a message copy
+shares them.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -82,28 +85,30 @@ import functools
 import weakref
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import Config, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
+from .lattice import (Config, FinSet, History, canon, encodes_itself, merkle_frame, value_from_jsonable,
+                      value_to_jsonable)
 from .simnet import Msg, _private
 
 GENESIS_CERT = {"kind": "genesis"}
 
 
+@encodes_itself
+@dataclass(frozen=True, eq=False, slots=True)
 class InputValue:
-    __slots__ = ("value", "cert", "_canon")
+    """A proposed value with its certificate; read-only, attributes included."""
 
-    def __init__(self, value, cert):
-        self.value = value
-        self.cert = cert
-        self._canon = None
+    value: object
+    cert: object
+    _canon: bytes | None = field(default=None, init=False, repr=False)
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = canon(["iv", self.value, self.cert])
+            object.__setattr__(self, "_canon", canon(["iv", self.value, self.cert]))
         return self._canon
 
     def __eq__(self, other):
@@ -112,13 +117,17 @@ class InputValue:
     def __hash__(self):
         return hash(self.canon())
 
-    def private(self) -> InputValue:
-        """A copy for a message copy (`simnet.Msg.copy`): a token
-        certificate dict is the copy's own; any other certificate is shared."""
-        return InputValue(self.value, _private(self.cert)) if type(self.cert) is dict else self
-
-    def __repr__(self):
-        return f"InputValue({self.value!r})"
+    def private(self, sent: bool) -> InputValue:
+        """A copy for a message copy (`simnet._private`): a token
+        certificate dict is the copy's own; any other certificate is shared.
+        A copy of a sent message, which no one can edit, keeps the encoding;
+        a copy of what a script holds encodes again."""
+        if type(self.cert) is not dict:
+            return self
+        iv = InputValue(self.value, _private(self.cert, sent))
+        if sent:
+            object.__setattr__(iv, "_canon", self._canon)
+        return iv
 
 
 class DynamicObject:
@@ -203,13 +212,15 @@ def join_values(values: list[InputValue]):
 # -- certificates ------------------------------------------------------------
 
 
+@encodes_itself
 @dataclass(frozen=True, eq=False)
 class QuorumCert:
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
     quorum grant's approvals and cacks, a write's acks. Read-only, attributes
-    included, so a message copy shares it; it encodes as the map."""
+    included, so a message copy shares it; it encodes as the map, once."""
 
     sigs: Mapping[str, FsSig]
+    _canon: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigs", MappingProxyType(dict(self.sigs)))
@@ -220,7 +231,9 @@ class QuorumCert:
         return sigs if type(sigs) is cls else cls(sigs)
 
     def canon(self) -> bytes:
-        return canon(dict(self.sigs))
+        if self._canon is None:
+            object.__setattr__(self, "_canon", canon(dict(self.sigs)))
+        return self._canon
 
     def to_jsonable(self) -> dict:
         return {p: s.to_jsonable() for p, s in self.sigs.items()}
@@ -238,18 +251,23 @@ class QuorumCert:
         return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
 
 
+@encodes_itself
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class OutputCert:
-    """An agreement output's proof; immutable once built."""
+    """An agreement output's proof; read-only, attributes included."""
 
-    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_parts")
+    values: tuple
+    history: History
+    hist_cert: object
+    packs: QuorumCert
+    cacks: QuorumCert
+    _canon: bytes | None = field(default=None, init=False)
+    _parts: tuple | None = field(default=None, init=False)
 
-    def __init__(self, values, history: History, hist_cert, packs, cacks):
-        self.values = tuple(values)
-        self.history = history
-        self.hist_cert = hist_cert
-        self.packs, self.cacks = QuorumCert.of(packs), QuorumCert.of(cacks)
-        self._canon = None
-        self._parts = None
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "packs", QuorumCert.of(self.packs))
+        object.__setattr__(self, "cacks", QuorumCert.of(self.cacks))
 
     def anchor(self) -> Config:
         return self.history.max_element()
@@ -260,7 +278,7 @@ class OutputCert:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = merkle_frame(self.node())
+            object.__setattr__(self, "_canon", merkle_frame(self.node()))
         return self._canon
 
     def nested(self) -> list:
@@ -273,8 +291,9 @@ class OutputCert:
         history, packs and cacks. Every returned certificate that holds this
         one shares these objects, and the decode memo keys on them."""
         if self._parts is None:
-            self._parts = ([value_to_jsonable(iv.value) for iv in self.values], self.history.to_jsonable(),
-                           self.packs.to_jsonable(), self.cacks.to_jsonable())
+            object.__setattr__(self, "_parts", ([value_to_jsonable(iv.value) for iv in self.values],
+                                                self.history.to_jsonable(), self.packs.to_jsonable(),
+                                                self.cacks.to_jsonable()))
         return self._parts
 
     def to_jsonable(self):
@@ -377,26 +396,32 @@ def _nested_from_jsonable(d, table: list, memo):
     return AcCert.from_jsonable(d) if isinstance(d, dict) and "ackind" in d else d
 
 
+@encodes_itself
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class AcCert:
-    """An access-control grant (see access_control) for one slot's value."""
+    """An access-control grant (see access_control) for one slot's value;
+    read-only, attributes included. An admin grant's approvals and cacks are
+    read-only {admin: hex} maps, a sanity or quorum grant's QuorumCerts."""
 
-    __slots__ = ("mode", "object_id", "slot", "value", "config", "approvals", "cacks", "_canon")
+    mode: str
+    object_id: str
+    slot: object
+    value: object
+    config: Config | None
+    approvals: Mapping
+    cacks: Mapping
+    _canon: bytes | None = field(default=None, init=False)
 
-    def __init__(self, mode, object_id, slot, value, config, approvals, cacks):
-        self.mode = mode
-        self.object_id = object_id
-        self.slot = slot
-        self.value = value
-        self.config = config
-        self.approvals = dict(approvals) if mode == "admin" else QuorumCert.of(approvals)
-        self.cacks = dict(cacks) if mode == "admin" else QuorumCert.of(cacks)
-        self._canon = None
+    def __post_init__(self):
+        own = (lambda m: MappingProxyType(dict(m))) if self.mode == "admin" else QuorumCert.of
+        object.__setattr__(self, "approvals", own(self.approvals))
+        object.__setattr__(self, "cacks", own(self.cacks))
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = canon(
-                ["accert", self.mode, self.object_id, self.slot, self.value, self.config, self.approvals, self.cacks]
-            )
+            maps = (dict(self.approvals), dict(self.cacks)) if self.mode == "admin" else (self.approvals, self.cacks)
+            object.__setattr__(self, "_canon", canon(
+                ["accert", self.mode, self.object_id, self.slot, self.value, self.config, *maps]))
         return self._canon
 
     def to_jsonable(self):

@@ -12,21 +12,27 @@ chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
 
 Encoding is table-driven. canon dispatches on a value's exact type alone:
-a fixed table holds the encoders of the nine builtin types besides str, and
-a value of any other type, a subclass of a builtin included, encodes
-through its own canon() or is refused with TypeError. An exact str, the
-commonest value (ids, object names, message kinds), is served from a table
-of ready frames, filled on first use and read inline for list elements and
-dict keys and values; it keeps only short strs and is cleared when full,
-so it stays within a fixed size whatever strings arrive. That table is a
-cache: it changes no byte of the encoding, so no caller can see another's
-use of it.
+a table holds the encoders of the nine builtin types besides str and, put
+there at import by the decorator encodes_itself, the canon() of each of the
+library's value classes. A value of any other type, a subclass of a builtin
+or of a value class included, encodes through its own canon() or is refused
+with TypeError. The list and dict walkers dispatch each element straight
+through that table, with no call of canon per element.
+
+An exact str, the commonest value (ids, object names, message kinds), is
+served from a table of ready frames, filled on first use and read inline
+for list elements and dict keys and values; it keeps only short strs and
+is cleared when full, so it stays within a fixed size whatever strings
+arrive. That table is a cache: it changes no byte of the encoding, so no
+caller can see another's use of it. The frames of the ints 0 to 1023
+(sequence numbers, heights, timestamps) and of the two bools come from
+fixed tables, built once at import and never changed: bounded, shared by
+every caller alike, and changing no byte either.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
 from typing import Iterable
 
 ADD = "+"
@@ -60,35 +66,38 @@ def _new_str(x: str) -> bytes:
     return f
 
 
-# _list and _dict read the frame table inline, as canon does: strs are over
-# half of their elements, and this saves a call of canon for each.
+# _list and _dict read the frame table inline for strs, over half of their
+# elements, and dispatch any other element straight to its encoder, so no
+# element costs a call of canon. Plain loops: on Python 3.11 a comprehension
+# is a call of its own, and a dict's sorted keys cost less than its sorted
+# items (its keys are distinct, so both give one order).
 def _list(x) -> bytes:
     parts = []
     for e in x:
-        if type(e) is str:
-            f = _str_get(e)
-            parts.append(f if f is not None else _new_str(e))
-        else:
-            parts.append(canon(e))
+        parts.append((_str_get(e) or _new_str(e)) if type(e) is str else _enc_get(type(e), _own)(e))
     b = b"".join(parts)
     return b"L" + len(b).to_bytes(4, "big") + b
 
 
 def _dict(x) -> bytes:
     parts = []
-    for e in chain.from_iterable(sorted(x.items())):
-        if type(e) is str:
-            f = _str_get(e)
-            parts.append(f if f is not None else _new_str(e))
-        else:
-            parts.append(canon(e))
+    for k in sorted(x):
+        v = x[k]
+        parts.append((_str_get(k) or _new_str(k)) if type(k) is str else _enc_get(type(k), _own)(k))
+        parts.append((_str_get(v) or _new_str(v)) if type(v) is str else _enc_get(type(v), _own)(v))
     b = b"".join(parts)
     return b"D" + len(b).to_bytes(4, "big") + b
 
 
+# Frames of the ints 0 .. _INT_MAX - 1, built once at import and never
+# changed: small ints (sequence numbers, heights, timestamps) are most of the
+# ints encoded.
+_INT_MAX = 1024
+_ints = [_frame(b"I", str(i).encode()) for i in range(_INT_MAX)]
+
+
 def _int(x) -> bytes:
-    b = str(x).encode()
-    return b"I" + len(b).to_bytes(4, "big") + b
+    return _ints[x] if 0 <= x < _INT_MAX else _frame(b"I", str(x).encode())
 
 
 def _bytes(x) -> bytes:
@@ -103,33 +112,43 @@ def _none(x) -> bytes:
     return _frame(b"N", b"")
 
 
-def _bool(x) -> bytes:
-    return _frame(b"B", b"\x01" if x else b"\x00")
-
-
 def _own(x) -> bytes:
-    """A value of no exact builtin type encodes itself, if it can."""
-    enc = getattr(x, "canon", None)
-    if enc is None:
+    """A value of no type in the table encodes itself, if it can."""
+    if (enc := getattr(x, "canon", None)) is None:
         raise TypeError(f"not canonically encodable: {type(x).__name__}")
     return enc()
 
 
-# The dispatch table: one encoder per exact builtin type. Any other type,
-# a subclass of a builtin too, encodes through its own canon().
-_enc: dict[type, object] = {type(None): _none, bool: _bool, int: _int, bytes: _bytes, list: _list,
+# False's and True's frames: a bool indexes them
+_bools = (_frame(b"B", b"\x00"), _frame(b"B", b"\x01"))
+
+# The dispatch table: one encoder per exact builtin type, and per value class
+# that encodes_itself puts here. Any other type, a subclass of either too,
+# encodes through its own canon().
+_enc: dict[type, object] = {type(None): _none, bool: _bools.__getitem__, int: _int, bytes: _bytes, list: _list,
                              tuple: _list, set: _set, frozenset: _set, dict: _dict}
+_enc_get = _enc.get
+
+
+def encodes_itself(cls):
+    """Class decorator: an exact instance of cls encodes through cls.canon,
+    found in the dispatch table as a builtin's encoder is, with no attribute
+    lookup and no call of _own. For a class whose instances never override
+    canon(); a subclass still encodes through its own canon()."""
+    _enc[cls] = cls.canon
+    return cls
 
 
 def canon(x) -> bytes:
     """Deterministic tag-length-value encoding. Dict keys must be strings.
-    An exact str is served from the frame table, another exact builtin by
-    the dispatch table, and any other value by its own canon()."""
+    An exact str is served from the frame table, another exact builtin or
+    value class by the dispatch table, and any other value by its own
+    canon()."""
     t = type(x)
     if t is str:
         f = _str_get(x)
         return f if f is not None else _new_str(x)
-    return _enc.get(t, _own)(x)
+    return _enc_get(t, _own)(x)
 
 
 def merkle_frame(body: bytes) -> bytes:
@@ -154,6 +173,7 @@ def fault_budget(n: int) -> int:
     return (n - 1) // 3
 
 
+@encodes_itself
 class FinSet:
     """Powerset lattice over opaque string ids."""
 
@@ -191,6 +211,7 @@ class FinSet:
         return f"FinSet({sorted(self.elems)})"
 
 
+@encodes_itself
 class Config:
     """A configuration: a set of (+id / -id) updates.
 
@@ -266,6 +287,7 @@ class Config:
         return f"Config(h={self.height()}, replicas={sorted(self.replicas())})"
 
 
+@encodes_itself
 class History:
     """A nonempty set of pairwise comparable configurations, kept sorted: the
     history agreement's lattice, whose join raises ValueError on no history."""

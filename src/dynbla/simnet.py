@@ -53,7 +53,13 @@ import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .lattice import digest
+from .lattice import _CANON_VERSION, canon
+from .lattice import digest  # noqa: F401  unused here; bench/tracing.py patches simnet.digest
+
+# mhash's list head: the version byte and list tag before the list's length
+# and frames, of which "m"'s comes first
+_MSG_HEAD = _CANON_VERSION + b"L"
+_M = canon("m")
 
 DEFAULT_STEP_CAP = 200_000
 MIN_SLOTS = 64
@@ -75,9 +81,12 @@ class Msg:
     signature verdict (`urb`, `broadcast.UrbEndpoint`).
 
     A copy shares the body's value objects (a `Config`, a certificate),
-    except one with a `private()` method, which makes its own copy: an
-    `InputValue` copies its token certificate dict. A `dbla.QuorumCert`'s
-    signatures are read-only, so sharing one is safe.
+    except one with a `private(sent)` method, which makes its own copy: an
+    `InputValue` copies its token certificate dict, and keeps its memoised
+    encoding only in the copy a script is handed of a sent message. The
+    certificates (`dbla.OutputCert`, `dbla.AcCert`, `dbla.QuorumCert`) and
+    `InputValue` refuse rebinding and hold read-only maps, so sharing one
+    is safe.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -91,8 +100,12 @@ class Msg:
         self.urb = None
 
     def mhash(self) -> str:
+        """digest(["m", desc, obj, body])[:16], framed here without building
+        that list."""
         if self._hash is None:
-            self._hash = digest(["m", self.desc, self.obj, self.body])[:16]
+            d, o, b = canon(self.desc), canon(self.obj), canon(self.body)
+            n = (len(_M) + len(d) + len(o) + len(b)).to_bytes(4, "big")
+            self._hash = hashlib.sha256(b"".join((_MSG_HEAD, n, _M, d, o, b))).hexdigest()[:16]
         return self._hash
 
     def copy(self) -> Msg:
@@ -104,22 +117,23 @@ class Msg:
         return f"Msg({self.desc}, obj={self.obj})"
 
 
-def _private(x):
+def _private(x, sent=False):
     """x with every dict, list, tuple and set in it copied, and every object
-    with a `private()` method copied by it; every other object, a leaf or a
-    value object such as a `Config`, is shared, and so is every container
-    inside one."""
+    with a `private(sent)` method copied by it; every other object, a leaf or
+    a value object such as a `Config`, is shared, and so is every container
+    inside one. sent says x is (part of) a sent message, which no one can
+    edit, so a copy may keep the encodings memoised on it."""
     t = type(x)
     if t is dict:
-        return {k: _private(v) for k, v in x.items()}
+        return {k: _private(v, sent) for k, v in x.items()}
     if t is list:
-        return [_private(v) for v in x]
+        return [_private(v, sent) for v in x]
     if t is tuple:
-        return tuple([_private(v) for v in x])
+        return tuple([_private(v, sent) for v in x])
     if t is set:
         return set(x)       # its elements are hashable: shared like any leaf
     private = getattr(t, "private", None)
-    return x if private is None else private(x)
+    return x if private is None else private(x, sent)
 
 
 class Event(NamedTuple):
@@ -543,7 +557,8 @@ class Simulator:
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
-            proc.script(self.adv_api, Event(enq, frm, to, msg.copy()))
+            # a copy of a sent message: value objects may keep their encodings
+            proc.script(self.adv_api, Event(enq, frm, to, Msg(msg.desc, msg.obj, _private(msg.body, True))))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -522,11 +523,28 @@ _SIG_MAPS = st.dictionaries(
 @example({})
 def test_a_quorum_cert_encodes_and_round_trips_as_its_signature_map(m):
     qc = QuorumCert(m)
-    assert qc.canon() == canon(m)
+    shown = repr(qc)
+    assert qc.canon() == canon(m) == canon(dict(qc.sigs))
     js = qc.to_jsonable()
     assert js == {p: s.to_jsonable() for p, s in m.items()} and list(js) == list(m)
     back = QuorumCert.from_jsonable(json.loads(json.dumps(js)))
     assert back.canon() == qc.canon() and dict(back.sigs) == m
+    # the encoding is memoised: set once, by no assignment, and no part of == or repr
+    assert qc._canon is qc.canon()
+    assert repr(qc) == shown and "_canon" not in shown
+    (memo,) = [f for f in dataclasses.fields(QuorumCert) if f.name == "_canon"]
+    assert not (memo.init or memo.compare or memo.repr)
+    with pytest.raises(AttributeError):
+        qc._canon = b"forged"
+    assert qc.canon() == canon(m)
+    # a certificate that holds it encodes the same after a JSON round trip,
+    # and a message copy shares it, memo and all
+    cert = OutputCert([InputValue(FinSet({"a"}), {"kind": "any"})], History([genesis_config(["r1"])]),
+                      GENESIS_CERT, qc, m)
+    assert OutputCert.from_jsonable(json.loads(json.dumps(cert.to_jsonable()))).canon() == cert.canon()
+    msg = Msg("bla.confirm", "obj", {"sn": 1, "packs": qc})
+    copy = msg.copy()
+    assert copy.body["packs"] is qc and copy.mhash() == msg.mhash()
 
 
 def test_offline_ledger_verifier_accepts_outputs():

@@ -41,6 +41,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from test_lattice import walk_mhash
 
 from dynbla.dbla import WIRE, OutputCert, fits, wire_ok
 from dynbla.harness import ATTACKS, FAMILIES, run_scenario, validate
@@ -123,7 +124,8 @@ def auditing(send, pop_weighted, audit):
     """Simulator._send and PendingQueue.pop_weighted, audited: a send
     memoises its message's trace hash and gate verdict, and a draw appends
     (desc, memoised, fresh) to audit for each of them, where fresh is what
-    an encoding and a gate of the body make of it now."""
+    an encoding and a gate of the body make of it now, and for the hash once
+    more, where fresh is the hash through the reference walkers."""
     def audited_send(sim, frm, to, msg):
         msg.mhash()
         wire_ok(msg)
@@ -134,6 +136,7 @@ def auditing(send, pop_weighted, audit):
         msg = ev[3]
         table = WIRE.get(msg.desc)
         audit.append((msg.desc, msg._hash, Msg(msg.desc, msg.obj, msg.body).mhash()))
+        audit.append((msg.desc, msg._hash, walk_mhash(msg.desc, msg.obj, msg.body)))
         audit.append((msg.desc, msg.ok, table is not None and fits(msg.body, table)))
         return ev
 

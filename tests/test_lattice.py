@@ -5,10 +5,11 @@ take the least one; the quorum oracle counts. Spot values below were frozen
 from the oracle output.
 """
 
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dynbla import lattice
 from dynbla.dbla import GENESIS_CERT, AcCert, InputValue, OutputCert
@@ -24,6 +25,7 @@ from dynbla.lattice import (
     fault_budget,
     quorum_size,
 )
+from dynbla.simnet import Msg
 
 
 def powerset(universe):
@@ -366,6 +368,104 @@ def test_canon_rejects_what_the_isinstance_chain_rejects(x):
         reference_canon(x)
     with pytest.raises(TypeError):
         canon(x)
+
+
+# The encoders canon used before its fixed int and bool frames, its walkers
+# without a canon call per element and its table entries for value classes,
+# kept as the reference those must reproduce byte for byte.
+def _walk_list(x) -> bytes:
+    parts = []
+    for e in x:
+        parts.append(walk_canon(e))
+    b = b"".join(parts)
+    return b"L" + len(b).to_bytes(4, "big") + b
+
+
+def _walk_dict(x) -> bytes:
+    parts = []
+    for e in itertools.chain.from_iterable(sorted(x.items())):
+        parts.append(walk_canon(e))
+    b = b"".join(parts)
+    return b"D" + len(b).to_bytes(4, "big") + b
+
+
+def _walk_int(x) -> bytes:
+    b = str(x).encode()
+    return b"I" + len(b).to_bytes(4, "big") + b
+
+
+def _walk_set(x) -> bytes:
+    return _frame(b"E", b"".join(sorted([walk_canon(e) for e in x])))
+
+
+def _walk_own(x) -> bytes:
+    enc = getattr(x, "canon", None)
+    if enc is None:
+        raise TypeError(f"not canonically encodable: {type(x).__name__}")
+    return enc()
+
+
+# builtins only: every other value, the library's value classes included,
+# encodes through its canon() attribute
+_WALK = {type(None): lambda x: _frame(b"N", b""), bool: lambda x: _frame(b"B", b"\x01" if x else b"\x00"),
+         bytes: lambda x: _frame(b"Y", x), int: _walk_int, list: _walk_list, tuple: _walk_list,
+         dict: _walk_dict, set: _walk_set, frozenset: _walk_set}
+
+
+def walk_canon(x) -> bytes:
+    if type(x) is str:
+        return _frame(b"S", x.encode("utf-8"))
+    return _WALK.get(type(x), _walk_own)(x)
+
+
+def walk_mhash(desc, obj, body) -> str:
+    """Msg(desc, obj, body).mhash() as digest(["m", desc, obj, body])[:16]
+    computed it through the reference walkers."""
+    return hashlib.sha256(b"1" + walk_canon(["m", desc, obj, body])).hexdigest()[:16]
+
+
+class ListSub(list):
+    pass
+
+
+class BytesSub(bytes):
+    pass
+
+
+_ints = st.one_of(st.sampled_from([-1, 0, 1, 1023, 1024, 2**70, -(2**70)]), st.integers(-3000, 3000), st.integers())
+_walk_leaves = st.one_of(
+    _ints, st.booleans(), st.none(), st.text(max_size=6), st.binary(max_size=6), _library,
+    st.sets(st.one_of(_ints, st.text(max_size=3), st.booleans()), max_size=4),
+    st.frozensets(st.one_of(_ints, st.binary(max_size=3)), max_size=4),
+)
+_refused = st.sampled_from([IntSub(3), StrSub("a"), DictSub(), ListSub(), BytesSub(b"x"), 1.5])
+_walk_trees = st.recursive(
+    st.one_of(_walk_leaves, _refused),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(_keys, kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@given(_walk_trees, st.text(max_size=8), st.text(max_size=8))
+@example([-1, 0, 1023, 1024, 2**70, True, b"", {1, 1024}, {"k": [None]}], "bla.presp", "obj")
+@example({"sn": IntSub(1)}, "bla.presp", "obj")
+def test_canon_and_mhash_match_the_walkers_they_replace(x, desc, obj):
+    # a builtin subclass anywhere is refused by both; anything else encodes
+    # to the same bytes, alone and as a message body
+    try:
+        want = walk_canon(x)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canon(x)
+        with pytest.raises(TypeError):
+            Msg(desc, obj, x).mhash()
+        return
+    assert canon(x) == want
+    assert Msg(desc, obj, x).mhash() == walk_mhash(desc, obj, x) == digest(["m", desc, obj, x])[:16]
 
 
 def test_a_builtin_subclass_with_canon_encodes_through_it():

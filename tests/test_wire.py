@@ -9,12 +9,15 @@ and to a client whose matching session waits in the phase that kind
 answers, which must not change. Neither may raise or send anything.
 """
 
+import operator
+
 import pytest
 from authority_history import check_authority_history
 
 from dynbla.access_control import AcClient, AccessControl, AcStore
 from dynbla.dbla import (
     WIRE,
+    AcCert,
     ClientHub,
     DblaClient,
     DblaStore,
@@ -28,7 +31,7 @@ from dynbla.dbla import (
     wire_ok,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle
-from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
+from dynbla.lattice import ADD, Config, FinSet, History, canon, genesis_config
 from dynbla.maxreg import MaxRegClient, MaxRegStore
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger
 
@@ -308,6 +311,93 @@ def test_a_script_that_edits_an_input_values_token_edits_only_its_copy():
     assert seen == delivered(sim)
     assert [h for to, desc, h in seen if desc == "bla.propose"] == [sent, sent]
     assert answered(sim, "z") == ["r1"]
+
+
+def test_a_script_that_edits_an_input_values_token_and_sends_it_sends_the_edited_bytes():
+    # r4's copy of the probe's proposal keeps the input value's memoised
+    # encoding, as nobody can edit the sent message; r4 edits the token in
+    # place and sends its copy to r3, and r3's delivery is hashed from the
+    # edited bytes, while r1 still reads what the probe sent
+    sim, replicas, hub, probe = world()
+    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), {"kind": "any"})]})
+    sent = body_hash(msg)
+    kept = []
+
+    def edit(adv, ev):
+        if ev.msg.desc == "bla.propose":
+            iv, original = ev.msg.body["values"][0], msg.body["values"][0]
+            kept.append(iv.cert is not original.cert and iv._canon is original._canon is not None)
+            iv.cert["kind"] = "forged"
+            adv.send("r4", "r3", ev.msg)
+
+    seen = recording(sim, replicas, hub, probe, edit)
+    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, desc="bla", until=Trigger(at=10)))
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert kept == [True]
+    assert seen == delivered(sim)
+    forged = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS,
+                                        "values": [InputValue(FinSet({"a"}), {"kind": "forged"})]})
+    proposals = {to: h for to, desc, h in seen if desc == "bla.propose"}
+    assert proposals == {"r4": sent, "r1": sent, "r3": forged.mhash()}
+    assert [iv.cert for iv in replicas["r1"].stores[0].vals.values()] == [{"kind": "any"}]
+    assert [iv.cert for iv in replicas["r3"].stores[0].vals.values()] == [{"kind": "forged"}]
+
+
+def _proposal_of(cert):
+    return Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), cert)]})
+
+
+def _output_cert():
+    return OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({}))
+
+
+def _admin_cert():
+    return AcCert("admin", "acl", "s", FinSet({"a"}), None, {"d1": "aa"}, {})
+
+
+# what a script tries on the input value of a proposal it is delivered, and
+# the error that refuses it
+VALUE_EDITS = {
+    "iv.value": (_output_cert, lambda iv: setattr(iv, "value", FinSet({"forged"})), AttributeError),
+    "iv.cert": (_output_cert, lambda iv: setattr(iv, "cert", {"kind": "any"}), AttributeError),
+    "cert.packs": (_output_cert, lambda iv: setattr(iv.cert, "packs", QuorumCert({"r9": SIG})), AttributeError),
+    "cert.values": (_output_cert, lambda iv: setattr(iv.cert, "values", ()), AttributeError),
+    "admin.approvals[d9]": (_admin_cert, lambda iv: operator.setitem(iv.cert.approvals, "d9", "bb"), TypeError),
+    "admin.approvals": (_admin_cert, lambda iv: setattr(iv.cert, "approvals", {"d9": "bb"}), AttributeError),
+    "admin.value": (_admin_cert, lambda iv: setattr(iv.cert, "value", FinSet({"forged"})), AttributeError),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(VALUE_EDITS))
+def test_a_script_cannot_edit_a_value_object_it_is_sent(edit):
+    # r4 is delivered the probe's proposal first, whose input value shares
+    # its certificate with every copy, and tries the edit; it is refused, and
+    # r1, delivered the probe's object later, stores the value that was sent
+    # under the sent hash
+    make, change, error = VALUE_EDITS[edit]
+    sim, replicas, hub, probe = world()
+    msg = _proposal_of(make())
+    sent, encoded = body_hash(msg), msg.body["values"][0].canon()
+    refused = []
+
+    def try_edit(adv, ev):
+        if ev.msg.desc == "bla.propose":
+            with pytest.raises(error):
+                change(ev.msg.body["values"][0])
+            refused.append(edit)
+
+    seen = recording(sim, replicas, hub, probe, try_edit)
+    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, desc="bla", until=Trigger(at=10)))
+    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert refused == [edit]
+    assert seen == delivered(sim)
+    assert [h for to, desc, h in seen if desc == "bla.propose"] == [sent, sent]
+    stored = list(replicas["r1"].stores[0].vals.values())
+    assert [iv.value for iv in stored] == [FinSet({"a"})]
+    assert [canon(["iv", iv.value, iv.cert]) for iv in stored] == [encoded]
+    assert body_hash(_proposal_of(make())) == sent
 
 
 def _proposal_with_packs():
