@@ -401,8 +401,7 @@ def test_a_script_cannot_edit_a_value_object_it_is_sent(edit):
 
 
 def _proposal_with_packs():
-    cert = OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({}))
-    return Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), cert)]})
+    return _proposal_of(_output_cert())
 
 
 def _confirm_with_approvals():
