@@ -90,14 +90,12 @@ from types import MappingProxyType
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import (Config, FinSet, History, canon, encodes_itself, merkle_frame, value_from_jsonable,
-                      value_to_jsonable)
+from .lattice import Config, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
 from .simnet import Msg, _private
 
 GENESIS_CERT = {"kind": "genesis"}
 
 
-@encodes_itself
 @dataclass(frozen=True, eq=False, slots=True)
 class InputValue:
     """A proposed value with its certificate; read-only, attributes included."""
@@ -212,7 +210,6 @@ def join_values(values: list[InputValue]):
 # -- certificates ------------------------------------------------------------
 
 
-@encodes_itself
 @dataclass(frozen=True, eq=False)
 class QuorumCert:
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
@@ -251,7 +248,6 @@ class QuorumCert:
         return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
 
 
-@encodes_itself
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class OutputCert:
     """An agreement output's proof; read-only, attributes included."""
@@ -396,7 +392,6 @@ def _nested_from_jsonable(d, table: list, memo):
     return AcCert.from_jsonable(d) if isinstance(d, dict) and "ackind" in d else d
 
 
-@encodes_itself
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class AcCert:
     """An access-control grant (see access_control) for one slot's value;

@@ -38,7 +38,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .lattice import canon, encodes_itself
+from .lattice import canon
 
 KEY_CHAIN_SPAN = 65536
 
@@ -51,7 +51,6 @@ def _h(*parts: bytes) -> bytes:
     return out.digest()
 
 
-@encodes_itself
 @dataclass(frozen=True)
 class FsSig:
     signer: str

@@ -12,22 +12,16 @@ chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
 
 Encoding is table-driven. canon dispatches on a value's exact type alone:
-a table holds the encoders of the nine builtin types besides str and, put
-there at import by the decorator encodes_itself, the canon() of each of the
-library's value classes. A value of any other type, a subclass of a builtin
-or of a value class included, encodes through its own canon() or is refused
-with TypeError. The list and dict walkers dispatch each element straight
-through that table, with no call of canon per element.
-
-An exact str, the commonest value (ids, object names, message kinds), is
-served from a table of ready frames, filled on first use and read inline
-for list elements and dict keys and values; it keeps only short strs and
-is cleared when full, so it stays within a fixed size whatever strings
-arrive. That table is a cache: it changes no byte of the encoding, so no
-caller can see another's use of it. The frames of the ints 0 to 1023
-(sequence numbers, heights, timestamps) and of the two bools come from
-fixed tables, built once at import and never changed: bounded, shared by
-every caller alike, and changing no byte either.
+a fixed table holds the encoders of the nine builtin types besides str, and
+a value of any other type, a subclass of a builtin included, encodes
+through its own canon() or is refused with TypeError. The list and dict
+walkers dispatch each element straight through that table, with no call
+of canon per element. An exact str, the commonest value (ids, object
+names, message kinds), is served from a table of ready frames, filled on
+first use and read inline for list elements and dict keys and values; it
+keeps only short strs and is cleared when full, so it stays within a fixed
+size whatever strings arrive. That table is a cache: it changes no byte of
+the encoding, so no caller can see another's use of it.
 """
 
 from __future__ import annotations
@@ -89,15 +83,9 @@ def _dict(x) -> bytes:
     return b"D" + len(b).to_bytes(4, "big") + b
 
 
-# Frames of the ints 0 .. _INT_MAX - 1, built once at import and never
-# changed: small ints (sequence numbers, heights, timestamps) are most of the
-# ints encoded.
-_INT_MAX = 1024
-_ints = [_frame(b"I", str(i).encode()) for i in range(_INT_MAX)]
-
-
 def _int(x) -> bytes:
-    return _ints[x] if 0 <= x < _INT_MAX else _frame(b"I", str(x).encode())
+    b = str(x).encode()
+    return b"I" + len(b).to_bytes(4, "big") + b
 
 
 def _bytes(x) -> bytes:
@@ -112,38 +100,29 @@ def _none(x) -> bytes:
     return _frame(b"N", b"")
 
 
+def _bool(x) -> bytes:
+    return _frame(b"B", b"\x01" if x else b"\x00")
+
+
 def _own(x) -> bytes:
-    """A value of no type in the table encodes itself, if it can."""
-    if (enc := getattr(x, "canon", None)) is None:
+    """A value of no exact builtin type encodes itself, if it can."""
+    enc = getattr(x, "canon", None)
+    if enc is None:
         raise TypeError(f"not canonically encodable: {type(x).__name__}")
     return enc()
 
 
-# False's and True's frames: a bool indexes them
-_bools = (_frame(b"B", b"\x00"), _frame(b"B", b"\x01"))
-
-# The dispatch table: one encoder per exact builtin type, and per value class
-# that encodes_itself puts here. Any other type, a subclass of either too,
-# encodes through its own canon().
-_enc: dict[type, object] = {type(None): _none, bool: _bools.__getitem__, int: _int, bytes: _bytes, list: _list,
+# The dispatch table: one encoder per exact builtin type. Any other type,
+# a subclass of a builtin too, encodes through its own canon().
+_enc: dict[type, object] = {type(None): _none, bool: _bool, int: _int, bytes: _bytes, list: _list,
                              tuple: _list, set: _set, frozenset: _set, dict: _dict}
 _enc_get = _enc.get
 
 
-def encodes_itself(cls):
-    """Class decorator: an exact instance of cls encodes through cls.canon,
-    found in the dispatch table as a builtin's encoder is, with no attribute
-    lookup and no call of _own. For a class whose instances never override
-    canon(); a subclass still encodes through its own canon()."""
-    _enc[cls] = cls.canon
-    return cls
-
-
 def canon(x) -> bytes:
     """Deterministic tag-length-value encoding. Dict keys must be strings.
-    An exact str is served from the frame table, another exact builtin or
-    value class by the dispatch table, and any other value by its own
-    canon()."""
+    An exact str is served from the frame table, another exact builtin by
+    the dispatch table, and any other value by its own canon()."""
     t = type(x)
     if t is str:
         f = _str_get(x)
@@ -173,7 +152,6 @@ def fault_budget(n: int) -> int:
     return (n - 1) // 3
 
 
-@encodes_itself
 class FinSet:
     """Powerset lattice over opaque string ids."""
 
@@ -211,7 +189,6 @@ class FinSet:
         return f"FinSet({sorted(self.elems)})"
 
 
-@encodes_itself
 class Config:
     """A configuration: a set of (+id / -id) updates.
 
@@ -287,7 +264,6 @@ class Config:
         return f"Config(h={self.height()}, replicas={sorted(self.replicas())})"
 
 
-@encodes_itself
 class History:
     """A nonempty set of pairwise comparable configurations, kept sorted: the
     history agreement's lattice, whose join raises ValueError on no history."""

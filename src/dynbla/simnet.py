@@ -53,13 +53,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .lattice import _CANON_VERSION, canon
-from .lattice import digest  # noqa: F401  unused here; bench/tracing.py patches simnet.digest
-
-# mhash's list head: the version byte and list tag before the list's length
-# and frames, of which "m"'s comes first
-_MSG_HEAD = _CANON_VERSION + b"L"
-_M = canon("m")
+from .lattice import digest
 
 DEFAULT_STEP_CAP = 200_000
 MIN_SLOTS = 64
@@ -83,10 +77,10 @@ class Msg:
     A copy shares the body's value objects (a `Config`, a certificate),
     except one with a `private(sent)` method, which makes its own copy: an
     `InputValue` copies its token certificate dict, and keeps its memoised
-    encoding only in the copy a script is handed of a sent message. The
-    certificates (`dbla.OutputCert`, `dbla.AcCert`, `dbla.QuorumCert`) and
-    `InputValue` refuse rebinding and hold read-only maps, so sharing one
-    is safe.
+    encoding only in the copy a script is handed of a sent message
+    (`_delivered_copy`). The certificates (`dbla.OutputCert`, `dbla.AcCert`,
+    `dbla.QuorumCert`) and `InputValue` refuse rebinding and hold read-only
+    maps, so sharing one is safe.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -100,18 +94,20 @@ class Msg:
         self.urb = None
 
     def mhash(self) -> str:
-        """digest(["m", desc, obj, body])[:16], framed here without building
-        that list."""
         if self._hash is None:
-            d, o, b = canon(self.desc), canon(self.obj), canon(self.body)
-            n = (len(_M) + len(d) + len(o) + len(b)).to_bytes(4, "big")
-            self._hash = hashlib.sha256(b"".join((_MSG_HEAD, n, _M, d, o, b))).hexdigest()[:16]
+            self._hash = digest(["m", self.desc, self.obj, self.body])[:16]
         return self._hash
 
     def copy(self) -> Msg:
         """A message equal to this one that shares no container with it and
-        carries no memo."""
+        carries no memo; its value objects encode again. `AdvApi.send` sends
+        such a copy of what a script holds, which the script may have edited."""
         return Msg(self.desc, self.obj, _private(self.body))
+
+    def _delivered_copy(self) -> Msg:
+        """copy() of this sent message, which no one can edit, for the script
+        it is delivered to: its value objects keep their memoised encodings."""
+        return Msg(self.desc, self.obj, _private(self.body, True))
 
     def __repr__(self):
         return f"Msg({self.desc}, obj={self.obj})"
@@ -557,8 +553,7 @@ class Simulator:
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
-            # a copy of a sent message: value objects may keep their encodings
-            proc.script(self.adv_api, Event(enq, frm, to, Msg(msg.desc, msg.obj, _private(msg.body, True))))
+            proc.script(self.adv_api, Event(enq, frm, to, msg._delivered_copy()))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT

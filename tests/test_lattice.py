@@ -370,9 +370,9 @@ def test_canon_rejects_what_the_isinstance_chain_rejects(x):
         canon(x)
 
 
-# The encoders canon used before its fixed int and bool frames, its walkers
-# without a canon call per element and its table entries for value classes,
-# kept as the reference those must reproduce byte for byte.
+# The encoders canon used before its list and dict walkers dispatched each
+# element without a call of canon, kept as the reference they must
+# reproduce byte for byte.
 def _walk_list(x) -> bytes:
     parts = []
     for e in x:
