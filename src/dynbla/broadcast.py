@@ -63,10 +63,7 @@ class RbEndpoint:
     def broadcast(self, obj: str, body: dict, skip: str | None = None) -> None:
         """Send hist.new to the roster but this process and skip, the
         process the history came from."""
-        msg = Msg("hist.new", obj, body)
-        for pid in self.roster:
-            if pid != skip:
-                self.api.send(pid, msg)
+        self.api.send_all([pid for pid in self.roster if pid != skip], Msg("hist.new", obj, body))
 
     def handle(self, frm: str, msg: Msg) -> bool:
         if msg.desc != "hist.new":
@@ -85,9 +82,7 @@ class UrbEndpoint:
         self._certed: set[tuple] = set()
 
     def broadcast(self, config: Config, obj: str) -> None:
-        msg = Msg("urb.init", obj, {"origin": self.api.pid, "config": config})
-        for pid in sorted(config.replicas()):
-            self.api.send(pid, msg)
+        self.api.send_all(config.sorted_replicas(), Msg("urb.init", obj, {"origin": self.api.pid, "config": config}))
 
     def _echo_payload(self, mid: tuple) -> bytes:
         return canon(["urbecho", *mid])
@@ -103,8 +98,8 @@ class UrbEndpoint:
         origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
         msg.urb = [mid, payload, True]     # verified, or assembled from verified echoes
-        for pid in sorted(config.replicas() - {self.api.pid, frm}):
-            self.api.send(pid, msg)
+        skip = (self.api.pid, frm)
+        self.api.send_all([pid for pid in config.sorted_replicas() if pid not in skip], msg)
         self.deliver(origin, config)
 
     def _verify(self, frm: str, msg: Msg, config: Config, payload: bytes) -> bool:
@@ -132,20 +127,20 @@ class UrbEndpoint:
             mid = (inner["origin"], msg.obj, inner["config"])
             memo = msg.urb = [mid, self._echo_payload(mid), None]
         mid, payload, ok = memo
+        # once certified, the certificate forward has reached every replica
+        # and been delivered; its configuration passed the roster test below
+        if mid in self._certed:
+            return True
         config: Config = mid[2]
         if not config.replicas() <= self.roster:
             return False
         if desc == "urb.init":
-            # once certified, the certificate forward has reached every replica
-            if frm == mid[0] and mid not in self._echoed and mid not in self._certed:
+            if frm == mid[0] and mid not in self._echoed:
                 self._echoed.add(mid)
                 sig = self.api.oracle.plain_sign(self.api.pid, payload)
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
                 out.urb = [mid, payload, None]
-                for pid in sorted(config.replicas()):
-                    self.api.send(pid, out)
-            return True
-        if mid in self._certed:     # already forwarded and delivered
+                self.api.send_all(config.sorted_replicas(), out)
             return True
         if ok is None:
             ok = memo[2] = self._verify(frm, msg, config, payload)

@@ -538,7 +538,8 @@ class ClientHub(Follower):
     """Client process hosting protocol sessions that share one history."""
 
     def on_deliver(self, frm, msg):
-        if not wire_ok(msg) or self.rb.handle(frm, msg):
+        ok = msg.ok         # wire_ok's memo, read inline
+        if not (ok or ok is None and wire_ok(msg)) or self.rb.handle(frm, msg):
             return
         for s in self.sessions:
             if s.on_deliver(frm, msg):
@@ -607,8 +608,7 @@ class QuorumSession:
         self.got = {}
         self._payload = None
         msg = Msg(desc, self.object_id, {**body, "sn": self.sn, "config": self.anchor})
-        for r in sorted(self.anchor.replicas()):
-            self.hub.api.send(r, msg)
+        self.hub.api.send_all(self.anchor.sorted_replicas(), msg)
 
     def on_adopt(self) -> None:
         if self.busy():
@@ -800,6 +800,7 @@ WIRE = {
     "xfer.resp": {"sn": int, "payload": dict},
 }
 REQUESTS = frozenset(d for d, t in WIRE.items() if "sn" in t and "config" in t)
+URB = frozenset(d for d in WIRE if d.startswith("urb."))
 
 
 def fits(x, table: dict) -> bool:
@@ -892,6 +893,15 @@ class LocalLoop:
         else:
             self._api.send(to, msg)
 
+    def send_all(self, tos, msg: Msg) -> None:
+        """Send msg to each of tos, named once each, as one send; the
+        replica's own copy is queued locally."""
+        pid = self.pid
+        if pid in tos:
+            self.local.append(msg)
+            tos = [to for to in tos if to != pid]
+        self._api.send_all(tos, msg)
+
     def requeue(self, frm: str, msg: Msg) -> None:
         self._api.requeue(frm, msg)
 
@@ -960,19 +970,30 @@ class DynamicReplica(Follower):
         replica, in the order sent. Those are built here from gated
         content, and no other process runs before they are taken, so they
         skip the wire gate."""
-        if not wire_ok(msg):
+        ok = msg.ok         # wire_ok's memo, read inline
+        if not (ok or ok is None and wire_ok(msg)):
             self.dropped += 1
-            return
-        self._take(frm, msg)
-        local, pid = self.api.local, self.api.pid
-        while local:
-            self._take(pid, local.popleft())
+        else:
+            self._take(frm, msg)
+            local, pid = self.api.local, self.api.pid
+            while local:
+                self._take(pid, local.popleft())
 
     def _take(self, frm, msg) -> None:
-        if msg.desc in REQUESTS:
+        """Route one message: a request to _route, a urb.* straight to the
+        uniform broadcast, anything else to state transfer or gossip. A
+        reply that no replica takes, and a urb.* whose configuration leaves
+        the roster, are dropped."""
+        desc = msg.desc
+        if desc in REQUESTS:
             self._route(frm, msg, first=True)
-        elif not (self.xfer.on_deliver(frm, msg) or self.rb.handle(frm, msg) or self.urb.handle(frm, msg)):
-            self.dropped += 1       # a reply: no replica takes one
+            return
+        if desc in URB:
+            taken = self.urb.handle(frm, msg)
+        else:
+            taken = self.xfer.on_deliver(frm, msg) or self.rb.handle(frm, msg)
+        if not taken:
+            self.dropped += 1
 
     def _route(self, frm, msg, first: bool) -> None:
         """Serve, park or drop one request.

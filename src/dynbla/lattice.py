@@ -152,14 +152,30 @@ def fault_budget(n: int) -> int:
     return (n - 1) // 3
 
 
-class FinSet:
+class _Value:
+    """A lattice value: read-only, attributes included, so a message copy
+    shares it (`simnet._private`). Its own code sets attributes, the
+    memoised ones too, through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def _read_only(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
+
+    __setattr__ = __delattr__ = _read_only
+
+
+_set_attr = object.__setattr__
+
+
+class FinSet(_Value):
     """Powerset lattice over opaque string ids."""
 
     __slots__ = ("elems", "_canon")
 
     def __init__(self, elems: Iterable[str] = ()):
-        self.elems = frozenset(elems)
-        self._canon = None
+        _set_attr(self, "elems", frozenset(elems))
+        _set_attr(self, "_canon", None)
 
     def join(self, other: "FinSet") -> "FinSet":
         return FinSet(self.elems | other.elems)
@@ -169,7 +185,7 @@ class FinSet:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)]))
+            _set_attr(self, "_canon", _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)])))
         return self._canon
 
     def to_jsonable(self):
@@ -189,24 +205,25 @@ class FinSet:
         return f"FinSet({sorted(self.elems)})"
 
 
-class Config:
+class Config(_Value):
     """A configuration: a set of (+id / -id) updates.
 
     Active replicas are the added-and-never-removed ids; a remove update wins
     over any add of the same id forever, so removed ids cannot come back.
+    What derives from the updates is memoised on first use: the replicas,
+    in sorted order too, the quorum size, the encoding and the id.
     """
 
-    __slots__ = ("updates", "_canon", "_replicas", "_cid")
+    __slots__ = ("updates", "_canon", "_replicas", "_sorted", "_quorum", "_cid")
 
     def __init__(self, updates: Iterable[tuple[str, str]] = ()):
         ups = frozenset((str(op), str(r)) for op, r in updates)
         for op, _ in ups:
             if op not in (ADD, REMOVE):
                 raise ValueError(f"bad update kind {op!r}")
-        self.updates = ups
-        self._canon = None
-        self._replicas = None
-        self._cid = None
+        _set_attr(self, "updates", ups)
+        for name in ("_canon", "_replicas", "_sorted", "_quorum", "_cid"):
+            _set_attr(self, name, None)
 
     def join(self, other: "Config") -> "Config":
         return Config(self.updates | other.updates)
@@ -217,16 +234,24 @@ class Config:
     def replicas(self) -> frozenset[str]:
         if self._replicas is None:
             removed = {r for op, r in self.updates if op == REMOVE}
-            self._replicas = frozenset(
+            _set_attr(self, "_replicas", frozenset(
                 r for op, r in self.updates if op == ADD and r not in removed
-            )
+            ))
         return self._replicas
+
+    def sorted_replicas(self) -> tuple[str, ...]:
+        """The replicas in sorted order: the order a fan-out sends in."""
+        if self._sorted is None:
+            _set_attr(self, "_sorted", tuple(sorted(self.replicas())))
+        return self._sorted
 
     def height(self) -> int:
         return len(self.updates)
 
     def quorum_size(self) -> int:
-        return quorum_size(len(self.replicas()))
+        if self._quorum is None:
+            _set_attr(self, "_quorum", quorum_size(len(self.replicas())))
+        return self._quorum
 
     def fault_budget(self) -> int:
         return fault_budget(len(self.replicas()))
@@ -237,14 +262,14 @@ class Config:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = _frame(
+            _set_attr(self, "_canon", _frame(
                 b"C", b"".join(sorted([canon(list(u)) for u in self.updates]))
-            )
+            ))
         return self._canon
 
     def cid(self) -> str:
         if self._cid is None:
-            self._cid = short_digest(self)
+            _set_attr(self, "_cid", short_digest(self))
         return self._cid
 
     def to_jsonable(self):
@@ -264,7 +289,7 @@ class Config:
         return f"Config(h={self.height()}, replicas={sorted(self.replicas())})"
 
 
-class History:
+class History(_Value):
     """A nonempty set of pairwise comparable configurations, kept sorted: the
     history agreement's lattice, whose join raises ValueError on no history."""
 
@@ -277,8 +302,8 @@ class History:
         for lo, hi in zip(confs, confs[1:]):
             if not lo.leq(hi):
                 raise ValueError("history configurations must be pairwise comparable")
-        self.configs = tuple(confs)
-        self._canon = None
+        _set_attr(self, "configs", tuple(confs))
+        _set_attr(self, "_canon", None)
 
     def max_element(self) -> Config:
         return self.configs[-1]
@@ -291,7 +316,7 @@ class History:
 
     def canon(self) -> bytes:
         if self._canon is None:
-            self._canon = _frame(b"H", b"".join(sorted([c.canon() for c in self.configs])))
+            _set_attr(self, "_canon", _frame(b"H", b"".join(sorted([c.canon() for c in self.configs]))))
         return self._canon
 
     def to_jsonable(self):

@@ -5,13 +5,19 @@ that no deliverable message starves. Identical (scenario, seed) pairs yield
 byte-identical traces; the RNG is consulted nowhere else.
 
 Events sent in the same step weigh the same, so `PendingQueue` keeps them
-in one batch, and the weighted draw costs O(log b) in the number b of
-send-step batches, not of pending events. It picks the same event as a
-prefix sum over the queue followed by `bisect_right` on `randrange(total)`,
-and draws its number with `getrandbits` exactly as `randrange` does. A
-pending event is a plain `(enq, frm, to, msg)` tuple; `Event` is a named
-view of one, built only for a Byzantine script (with a private copy of the
-message) and for iteration over the queue.
+in one batch, and the weighted draw costs one pass of O(log b) in the
+number b of send-step batches, not of pending events. It picks the same
+event as a prefix sum over the queue followed by `bisect_right` on
+`randrange(total)`, and draws its number with `getrandbits` exactly as
+`randrange` does. A pending event is a plain `(enq, frm, to, msg)` tuple;
+`Event` is a named view of one, built only for a Byzantine script (with a
+private copy of the message) and for iteration over the queue.
+
+A send names its recipients, one or many (`Api.send_all`), and goes
+through one path, `Simulator._send`: a fan-out of one message is one
+enqueue of one event per recipient, in order, into one batch. A hold
+applies to each recipient on its own, so a fan-out may be held for some
+recipients and pending for the rest.
 
 A step does no work for what cannot happen yet. The simulator keeps its
 wake step: no unfired external and no hold with buffered messages is due
@@ -65,6 +71,8 @@ BYZANTINE = "B"
 
 class Msg:
     """A message; one object may be sent to many recipients, by one sender.
+    Sending it to many (`Api.send_all`) is one send: one enqueue, into one
+    batch of the pending queue.
 
     A sent message is immutable: correct senders do not edit what they
     sent, a Byzantine script is handed a private copy of each message it is
@@ -78,9 +86,10 @@ class Msg:
     except one with a `private(sent)` method, which makes its own copy: an
     `InputValue` copies its token certificate dict, and keeps its memoised
     encoding only in the copy a script is handed of a sent message
-    (`_delivered_copy`). The certificates (`dbla.OutputCert`, `dbla.AcCert`,
-    `dbla.QuorumCert`) and `InputValue` refuse rebinding and hold read-only
-    maps, so sharing one is safe.
+    (`_delivered_copy`). The lattice values (`FinSet`, `Config`, `History`),
+    the certificates (`dbla.OutputCert`, `dbla.AcCert`, `dbla.QuorumCert`)
+    and `InputValue` refuse rebinding and hold read-only maps, so sharing
+    one is safe.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -152,11 +161,16 @@ class PendingQueue:
     steps. At step base a prefix of batches weighs count * (1 + base) -
     sum(enq). A draw descends to the batch that holds its weight, in
     O(log b) for b batches, and every event of that batch weighs the same,
-    so one division finds the event.
+    so one division finds the event. The nodes the descent passes without
+    stepping over are exactly the nodes whose range holds that batch, the
+    ones a removal updates, so the draw collects them on the way down and
+    updates them in the same pass, with no walk back up the tree.
 
-    A node past the last batch is never read, so an append to the newest
-    batch updates one node, and opening a batch fills its node from its
-    children: O(1) amortized. When the batches fill the tree, or fewer
+    A node past the last batch is never read, so `extend`, which adds the
+    events of one send step, updates one node when they join the newest
+    batch, and fills one node from its children when they open a batch:
+    O(1) amortized per call, whatever the number of events. When the
+    batches fill the tree, or fewer
     events are live than an eighth of its nodes, the empty batches are
     dropped and the tree rebuilt, so memory stays proportional to the live
     events.
@@ -203,35 +217,42 @@ class PendingQueue:
     def __iter__(self):
         return (Event._make(ev) for b in self._batches for ev in b)
 
-    def append(self, ev: tuple) -> None:
-        t = ev[0]
+    def extend(self, evs: list) -> None:
+        """Add evs, events of one enqueue step at or after every pending
+        one, in order: to the newest batch if it is of their step, else as
+        one new batch. The queue may keep the list evs itself."""
+        m = len(evs)
+        if not m:
+            return
+        t = evs[0][0]
+        s = m * t
         batches = self._batches
         if t == self._last:
-            batches[-1].append(ev)
+            batches[-1] += evs
             i = len(batches)
-            self._cnt[i] += 1
-            self._enq[i] += t
+            self._cnt[i] += m
+            self._enq[i] += s
         else:
             if len(batches) == self._cap:
                 self._rebuild([b for b in batches if b])
                 batches = self._batches
-            batches.append([ev])
+            batches.append(evs)
             self._last = t
             # open node j from its children j - 1, j - 1 - lowbit(j - 1), ...
             cnt, enq = self._cnt, self._enq
             j = len(batches)
-            c, s = 1, t
+            c, e = m, s
             k, stop = j - 1, j - (j & -j)
             while k > stop:
                 c += cnt[k]
-                s += enq[k]
+                e += enq[k]
                 k -= k & -k
             cnt[j] = c
-            enq[j] = s
+            enq[j] = e
             if not j & (j - 1):
                 self._top = j
-        self._live += 1
-        self._enq_total += t
+        self._live += m
+        self._enq_total += s
 
     def pop_weighted(self, rng: random.Random, base: int) -> tuple:
         """Remove and return the event of weight 1 + (base - enq) that the
@@ -247,9 +268,11 @@ class PendingQueue:
         cnt, enq, batches = self._cnt, self._enq, self._batches
         n = len(batches)
         # binary descent: pos ends as the longest run of batches of weight <= r,
-        # and r as the weight drawn into batch pos, where each event weighs w - t
+        # and r as the weight drawn into batch pos, where each event weighs w - t;
+        # a node not stepped over holds batch pos in its range, and loses one event
         pos = 0
         half = self._top
+        path = []
         while half:
             nxt = pos + half
             if nxt <= n:
@@ -257,15 +280,15 @@ class PendingQueue:
                 if d <= r:
                     r -= d
                     pos = nxt
+                else:
+                    cnt[nxt] -= 1
+                    path.append(nxt)
             half >>= 1
         batch = batches[pos]
         t = batch[0][0]
         ev = batch.pop(r // (w - t))
-        i = pos + 1
-        while i <= n:
-            cnt[i] -= 1
+        for i in path:
             enq[i] -= t
-            i += i & -i
         self._live -= 1
         self._enq_total -= t
         if self._live * 8 < self._cap > MIN_SLOTS:
@@ -347,7 +370,11 @@ class Api:
         return self._sim.oracle
 
     def send(self, to: str, msg: Msg) -> None:
-        self._sim._send(self.pid, to, msg)
+        self._sim._send(self.pid, (to,), msg)
+
+    def send_all(self, tos, msg: Msg) -> None:
+        """Send msg to each of tos, in order, as one send."""
+        self._sim._send(self.pid, tos, msg)
 
     def requeue(self, frm: str, msg: Msg) -> None:
         """Locally redeliver a buffered message, keeping its original sender."""
@@ -380,7 +407,7 @@ class AdvApi:
             msg.mhash()
         except (TypeError, ValueError) as e:
             raise ValueError(f"adversary message {msg.desc!r} is not encodable: {e}") from None
-        self._sim._send(frm, to, msg)
+        self._sim._send(frm, (to,), msg)
 
 
 def weak_method(method):
@@ -464,23 +491,38 @@ class Simulator:
 
     # -- messaging --------------------------------------------------------
 
-    def _send(self, frm: str, to: str, msg: Msg) -> None:
-        if to not in self._procs:
-            raise ValueError(f"unknown destination {to}")
-        self.metrics["sent"] += 1
-        for rule in self.holds:
-            if rule.matches(frm, to, msg):
-                if not rule.buffer:
-                    self._wake = 0      # its release may be due already
-                rule.buffer.append((frm, to, msg))
-                self.metrics["held"] += 1
-                return
-        self.pending.append((self.next_step, frm, to, msg))
+    def _send(self, frm: str, tos, msg: Msg) -> None:
+        """Send msg from frm to each of tos, in order: the first hold that
+        matches a recipient buffers its event, and the events no hold takes
+        are enqueued together. An unknown recipient raises ValueError, and
+        then nothing is sent."""
+        procs = self._procs
+        for to in tos:
+            if to not in procs:
+                raise ValueError(f"unknown destination {to}")
+        metrics = self.metrics
+        metrics["sent"] += len(tos)
+        now = self.next_step
+        if not self.holds:
+            self.pending.extend([(now, frm, to, msg) for to in tos])
+            return
+        evs = []
+        for to in tos:
+            for rule in self.holds:
+                if rule.matches(frm, to, msg):
+                    if not rule.buffer:
+                        self._wake = 0      # its release may be due already
+                    rule.buffer.append((frm, to, msg))
+                    metrics["held"] += 1
+                    break
+            else:
+                evs.append((now, frm, to, msg))
+        self.pending.extend(evs)
 
     def _requeue(self, frm: str, to: str, msg: Msg) -> None:
         # holds were already applied on first receipt
         self.metrics["requeued"] += 1
-        self.pending.append((self.next_step, frm, to, msg))
+        self.pending.extend([(self.next_step, frm, to, msg)])
 
     # -- tracing ----------------------------------------------------------
 
@@ -514,8 +556,7 @@ class Simulator:
         self.holds.remove(rule)
         self._wake = 0
         now = self.next_step
-        for frm, to, msg in events:
-            self.pending.append((now, frm, to, msg))
+        self.pending.extend([(now, frm, to, msg) for frm, to, msg in events])
         self._trace("adversary", "-", "-", "hold.release", self._st("-") + self._st("-"),
                     {"released": len(events), "desc": rule.desc})
         self.next_step += 1
@@ -593,7 +634,7 @@ class Simulator:
             kind = self._scan(self.next_step)
             if kind is not None:
                 return kind
-        if self.pending:
+        if self.pending._live:
             return self._deliver()
         if self._wake < math.inf:
             return self._scan(self._wake)

@@ -126,10 +126,10 @@ def auditing(send, pop_weighted, audit):
     (desc, memoised, fresh) to audit for each of them, where fresh is what
     an encoding and a gate of the body make of it now, and for the hash once
     more, where fresh is the hash through the reference walkers."""
-    def audited_send(sim, frm, to, msg):
+    def audited_send(sim, frm, tos, msg):
         msg.mhash()
         wire_ok(msg)
-        send(sim, frm, to, msg)
+        send(sim, frm, tos, msg)
 
     def audited_pop(queue, rng, base):
         ev = pop_weighted(queue, rng, base)

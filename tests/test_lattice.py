@@ -137,6 +137,32 @@ def test_quorum_frozen_sizes_and_budgets():
     assert len(quorums) == 5  # C(4,3) + C(4,4)
 
 
+def test_config_memoises_its_sorted_roster_and_quorum_size():
+    c = conf(adds=["r3", "r10", "r1", "gone"], removes=["gone"])
+    assert c.sorted_replicas() == ("r1", "r10", "r3") == tuple(sorted(c.replicas()))
+    assert c.sorted_replicas() is c.sorted_replicas()
+    assert c.quorum_size() == quorum_size(3) == 3
+
+
+@pytest.mark.parametrize("value, name", [
+    (FinSet({"a"}), "elems"),
+    (conf(adds=["r1"]), "updates"),
+    (conf(adds=["r1"]), "_replicas"),
+    (History([conf(adds=["r1"])]), "configs"),
+    (History([conf(adds=["r1"])]), "_canon"),
+])
+def test_lattice_values_refuse_rebinding(value, name):
+    # a message copy shares them, so no holder may rebind or delete what
+    # another reads; their encodings and memos are unchanged by the attempt
+    encoded = canon(value)
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, frozenset({"forged"}))
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) is before and canon(value) == encoded
+
+
 def test_quorum_rejects_outsiders_and_duplicates():
     c = conf(adds=["r1", "r2", "r3"])
     assert not c.is_quorum(["r1", "r2", "zz"])

@@ -44,6 +44,9 @@ class StubApi:
     def send(self, to, msg):
         pass
 
+    def send_all(self, tos, msg):
+        pass
+
 
 def _dbla(hub, done):
     s = DblaClient(hub, DynamicObject("obj", hub.genesis, check_value=accept_all))
@@ -178,6 +181,9 @@ class RecordingApi(StubApi):
 
     def send(self, to, msg):
         self.sent.append((to, msg))
+
+    def send_all(self, tos, msg):
+        self.sent.extend((to, msg) for to in tos)
 
     def upcall(self, desc, detail=None):
         pass

@@ -457,13 +457,95 @@ def test_draw_matches_reference_when_deliveries_fan_out(seed):
     assert sim.rng.getstate() == rng.getstate()
 
 
+FAN_PIDS = tuple(f"p{i:02d}" for i in range(13))
+_fan_op = st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(FAN_PIDS), st.tuples(st.sampled_from(FAN_PIDS))),
+    st.tuples(st.just("fan"), st.sampled_from(FAN_PIDS), st.lists(st.sampled_from(FAN_PIDS), max_size=12).map(tuple)),
+    st.just(("step",)),
+)
+
+
+# at least 200 examples; more under a profile that asks for more (ci)
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.lists(_fan_op, max_size=300))
+def test_draw_matches_reference_when_a_fan_out_is_one_batch(seed, ops):
+    # single sends, fan-outs of 0-12 recipients (a recipient may recur) and
+    # draws: every delivery is the event the reference draw picks, a
+    # fan-out's events end the newest batch, and each batch holds the
+    # events of one send step
+    sim = Simulator(seed, LedgerFsOracle())
+    procs = {p: Recorder() for p in FAN_PIDS}
+    for p, proc in procs.items():
+        sim.spawn(p, proc)
+    rng = random.Random(seed)
+    model = []
+    for n, (kind, *args) in enumerate(ops):
+        now = sim.now()
+        if kind == "step":
+            if model:
+                _, _, dest, msg = model.pop(reference_pick(model, now, rng))
+                assert sim.step() == "deliver"
+                assert procs[dest].got[-1] is msg
+            else:
+                assert sim.step() is None
+        else:
+            frm, tos = args
+            msg = Msg("t.x", "t", {"n": n})
+            if kind == "send":
+                sim.api(frm).send(tos[0], msg)
+            else:
+                sim.api(frm).send_all(tos, msg)
+            sent = [(now, frm, to, msg) for to in tos]
+            model.extend(sent)
+            if sent:
+                assert sim.pending._batches[-1][-len(sent):] == sent
+        batches = [b for b in sim.pending._batches if b]
+        assert all(len({ev[0] for ev in b}) == 1 for b in batches)
+        assert [b[0][0] for b in batches] == sorted({b[0][0] for b in batches})
+        assert [(e.enq, e.frm, e.to, e.msg) for e in sim.pending] == model
+    assert sim.metrics["sent"] == sum(len(args[1]) for kind, *args in ops if kind != "step")
+    assert sim.rng.getstate() == rng.getstate()
+
+
+def test_a_fan_out_under_a_hold_for_some_recipients_is_the_same_sends_one_at_a_time():
+    # a hold on c and e (t.h only) and one from b: one fan-out each, or the
+    # same sends one recipient at a time, hold, enqueue and trace alike
+    def world(fan_out):
+        sim = Simulator(7, LedgerFsOracle())
+        for p in "abcde":
+            sim.spawn(p, Collector())
+        holds = [HoldRule(to={"c", "e"}, desc="t.h", until=Trigger(at=6)),
+                 HoldRule(frm={"b"}, until=Trigger(fact="open"))]
+        for rule in holds:
+            sim.add_hold(rule)
+        sends = [("a", "abcde", Msg("t.h", "t", {"n": 1})), ("a", "edcba", Msg("t.free", "t", {"n": 2})),
+                 ("b", "acd", Msg("t.h", "t", {"n": 3})), ("d", "", Msg("t.h", "t", {"n": 4}))]
+        for frm, tos, msg in sends:
+            if fan_out:
+                sim.api(frm).send_all(tuple(tos), msg)
+            else:
+                for to in tos:
+                    sim.api(frm).send(to, msg)
+        queued = ([[(f, t, m.body["n"]) for f, t, m in rule.buffer] for rule in holds],
+                  [(e.enq, e.frm, e.to, e.msg.body["n"]) for e in sim.pending], dict(sim.metrics))
+        sim.add_external(Trigger(at=20), "invoke", lambda: sim.note_fact("open"), to="e")
+        assert sim.run()["verdict"] == "quiescent"
+        return queued, trace_hash(sim.trace), [sim._procs[p].automaton.got for p in "abcde"]
+
+    (held, pending, metrics), trace, got = world(fan_out=True)
+    assert held == [[("a", "c", 1), ("a", "e", 1), ("b", "c", 3)], [("b", "a", 3), ("b", "d", 3)]]
+    assert [to for _, _, to, _ in pending] == ["a", "b", "d", "e", "d", "c", "b", "a"]
+    assert metrics["sent"] == 13 and metrics["held"] == 5
+    assert ((held, pending, metrics), trace, got) == world(fan_out=False)
+
+
 def test_queue_memory_follows_live_events():
     # 1,000 one-event batches drain to 3 events: the empty batches are
     # dropped and the tree is back to its smallest size
     q = PendingQueue()
     msg = Msg("t.x", "t", {})
     for i in range(1000):
-        q.append(Event(i, "a", "b", msg))
+        q.extend([Event(i, "a", "b", msg)])
     assert len(q._batches) == 1000 and q._cap >= 1000
     rng = random.Random(0)
     while len(q) > 3:
@@ -475,8 +557,8 @@ def test_queue_memory_follows_live_events():
 def test_one_send_step_is_one_batch():
     q = PendingQueue()
     msg = Msg("t.x", "t", {})
-    for enq in (0, 0, 0, 1, 1, 3):
-        q.append(Event(enq, "a", "b", msg))
+    for enqs in ((0,), (0, 0), (), (1,), (1,), (3,)):
+        q.extend([Event(enq, "a", "b", msg) for enq in enqs])
     assert [[ev.enq for ev in b] for b in q._batches] == [[0, 0, 0], [1, 1], [3]]
 
 

@@ -360,6 +360,7 @@ def _admin_cert():
 # the error that refuses it
 VALUE_EDITS = {
     "iv.value": (_output_cert, lambda iv: setattr(iv, "value", FinSet({"forged"})), AttributeError),
+    "iv.value.elems": (_output_cert, lambda iv: setattr(iv.value, "elems", frozenset({"forged"})), AttributeError),
     "iv.cert": (_output_cert, lambda iv: setattr(iv, "cert", {"kind": "any"}), AttributeError),
     "cert.packs": (_output_cert, lambda iv: setattr(iv.cert, "packs", QuorumCert({"r9": SIG})), AttributeError),
     "cert.values": (_output_cert, lambda iv: setattr(iv.cert, "values", ()), AttributeError),
