@@ -82,7 +82,8 @@ class UrbEndpoint:
         self._certed: set[tuple] = set()
 
     def broadcast(self, config: Config, obj: str) -> None:
-        self.api.send_all(config.sorted_replicas(), Msg("urb.init", obj, {"origin": self.api.pid, "config": config}))
+        msg = Msg("urb.init", obj, {"origin": self.api.pid, "config": config})
+        self.api.send_all(config.sorted_replicas(), msg)
 
     def _echo_payload(self, mid: tuple) -> bytes:
         return canon(["urbecho", *mid])

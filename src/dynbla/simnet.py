@@ -163,17 +163,17 @@ class PendingQueue:
     O(log b) for b batches, and every event of that batch weighs the same,
     so one division finds the event. The nodes the descent passes without
     stepping over are exactly the nodes whose range holds that batch, the
-    ones a removal updates, so the draw collects them on the way down and
-    updates them in the same pass, with no walk back up the tree.
+    ones a removal updates: the draw takes one event off their counts on
+    the way down and the batch's enqueue step off the sums it collected,
+    with no walk back up the tree.
 
     A node past the last batch is never read, so `extend`, which adds the
     events of one send step, updates one node when they join the newest
     batch, and fills one node from its children when they open a batch:
     O(1) amortized per call, whatever the number of events. When the
-    batches fill the tree, or fewer
-    events are live than an eighth of its nodes, the empty batches are
-    dropped and the tree rebuilt, so memory stays proportional to the live
-    events.
+    batches fill the tree, or fewer events are live than an eighth of its
+    nodes, the empty batches are dropped and the tree rebuilt, so memory
+    stays proportional to the live events.
     """
 
     __slots__ = ("_batches", "_cap", "_top", "_cnt", "_enq", "_last", "_live", "_enq_total")
@@ -228,7 +228,7 @@ class PendingQueue:
         s = m * t
         batches = self._batches
         if t == self._last:
-            batches[-1] += evs
+            batches[-1].extend(evs)
             i = len(batches)
             self._cnt[i] += m
             self._enq[i] += s
@@ -496,28 +496,29 @@ class Simulator:
         matches a recipient buffers its event, and the events no hold takes
         are enqueued together. An unknown recipient raises ValueError, and
         then nothing is sent."""
-        procs = self._procs
+        procs, now = self._procs, self.next_step
+        # a plain loop: on Python 3.11 a comprehension is a call of its own,
+        # which a send to one recipient would pay in full
+        evs = []
         for to in tos:
             if to not in procs:
                 raise ValueError(f"unknown destination {to}")
-        metrics = self.metrics
-        metrics["sent"] += len(tos)
-        now = self.next_step
-        if not self.holds:
-            self.pending.extend([(now, frm, to, msg) for to in tos])
-            return
-        evs = []
-        for to in tos:
-            for rule in self.holds:
-                if rule.matches(frm, to, msg):
-                    if not rule.buffer:
-                        self._wake = 0      # its release may be due already
-                    rule.buffer.append((frm, to, msg))
-                    metrics["held"] += 1
-                    break
-            else:
-                evs.append((now, frm, to, msg))
+            evs.append((now, frm, to, msg))
+        self.metrics["sent"] += len(evs)
+        if self.holds:
+            evs = [ev for ev in evs if not self._held(frm, ev[2], msg)]
         self.pending.extend(evs)
+
+    def _held(self, frm: str, to: str, msg: Msg) -> bool:
+        """Buffer the event in the first hold that matches it, if one does."""
+        for rule in self.holds:
+            if rule.matches(frm, to, msg):
+                if not rule.buffer:
+                    self._wake = 0      # its release may be due already
+                rule.buffer.append((frm, to, msg))
+                self.metrics["held"] += 1
+                return True
+        return False
 
     def _requeue(self, frm: str, to: str, msg: Msg) -> None:
         # holds were already applied on first receipt
