@@ -539,6 +539,15 @@ def test_a_fan_out_under_a_hold_for_some_recipients_is_the_same_sends_one_at_a_t
     assert ((held, pending, metrics), trace, got) == world(fan_out=False)
 
 
+def test_a_fan_out_naming_an_unknown_recipient_sends_nothing():
+    sim = Simulator(0, LedgerFsOracle())
+    for p in "abc":
+        sim.spawn(p, Collector())
+    with pytest.raises(ValueError, match="unknown destination ghost"):
+        sim.api("a").send_all(("b", "ghost", "c"), Msg("t.x", "t", {}))
+    assert sim.metrics["sent"] == 0 and not sim.pending._live and not list(sim.pending)
+
+
 def test_queue_memory_follows_live_events():
     # 1,000 one-event batches drain to 3 events: the empty batches are
     # dropped and the tree is back to its smallest size
