@@ -5,7 +5,7 @@ that no deliverable message starves. Identical (scenario, seed) pairs yield
 byte-identical traces; the RNG is consulted nowhere else.
 
 Events sent in the same step weigh the same, so `PendingQueue` keeps them
-in one batch, and the weighted draw costs one pass of O(log b) in the
+in one batch, and the weighted draw costs one descent of O(log b) in the
 number b of send-step batches, not of pending events. It picks the same
 event as a prefix sum over the queue followed by `bisect_right` on
 `randrange(total)`, and draws its number with `getrandbits` exactly as
