@@ -77,9 +77,10 @@ class UrbEndpoint:
         self.api = api
         self.roster = frozenset(roster)
         self.deliver = weak_method(deliver)
-        self._echoed: set[tuple] = set()
-        self._echoes: dict[tuple, dict[str, bytes]] = {}
-        self._certed: set[tuple] = set()
+        # keyed by an id's echo payload, whose hash is cached, not by the id
+        self._echoed: set[bytes] = set()
+        self._echoes: dict[bytes, dict[str, bytes]] = {}
+        self._certed: set[bytes] = set()
 
     def broadcast(self, config: Config, obj: str) -> None:
         msg = Msg("urb.init", obj, {"origin": self.api.pid, "config": config})
@@ -95,7 +96,7 @@ class UrbEndpoint:
 
         Both callers return early on a certified mid, so each is delivered once.
         """
-        self._certed.add(mid)
+        self._certed.add(payload)
         origin, obj, config = mid
         msg = Msg("urb.cert", obj, {"inner": inner, "cert": cert})
         msg.urb = [mid, payload, True]     # verified, or assembled from verified echoes
@@ -130,14 +131,14 @@ class UrbEndpoint:
         mid, payload, ok = memo
         # once certified, the certificate forward has reached every replica
         # and been delivered; its configuration passed the roster test below
-        if mid in self._certed:
+        if payload in self._certed:
             return True
         config: Config = mid[2]
         if not config.replicas() <= self.roster:
             return False
         if desc == "urb.init":
-            if frm == mid[0] and mid not in self._echoed:
-                self._echoed.add(mid)
+            if frm == mid[0] and payload not in self._echoed:
+                self._echoed.add(payload)
                 sig = self.api.oracle.plain_sign(self.api.pid, payload)
                 out = Msg("urb.echo", msg.obj, {"inner": inner, "sig": sig})
                 out.urb = [mid, payload, None]
@@ -148,7 +149,7 @@ class UrbEndpoint:
         if not ok:
             return True
         if desc == "urb.echo":
-            got = self._echoes.setdefault(mid, {})
+            got = self._echoes.setdefault(payload, {})
             got.setdefault(frm, msg.body["sig"])
             if config.is_quorum(got.keys()):
                 self._certify(mid, payload, inner, dict(got))

@@ -50,8 +50,9 @@ because _route drops every request below the replica's highest known
 configuration, where its signing watermark already stands; the watermark is
 what keeps a corrupted retired replica (attacks.retainer_script) from signing.
 
-Certificates stay objects from creation to verification: token dicts
-(genesis, any, plain, authority), AcCert, or another agreement's OutputCert.
+Certificates stay objects from creation to verification: tokens
+(lattice.Token: genesis, any, plain, authority), AcCert, or another
+agreement's OutputCert.
 They become JSON only in the operation returns of a trace, each through its
 own class's to_jsonable / from_jsonable. An OutputCert's JSON is a
 self-contained DAG (OutputCert.to_jsonable): a nested certificate named
@@ -61,13 +62,14 @@ its 2k certificate nodes once each and not once per path. A nested AcCert
 is written through its own to_jsonable / from_jsonable, and a token dict
 as itself.
 
-A quorum's forward-secure signatures over one payload are one read-only
-QuorumCert, the one place that map is encoded, written, read and verified;
-a certificate holds any map it is built from as one. Admin grants' plain
+A quorum's forward-secure signatures over one payload are one QuorumCert,
+the one place that map is encoded, written, read and verified; a
+certificate holds any map it is built from as one. Admin grants' plain
 signatures and URB echo certificates are not such quorums: an admin
-grant's stay a read-only map, and URB's a dict. Input values and
-certificates refuse rebinding of their attributes, so a message copy
-shares them.
+grant's are a Token, and URB's a dict in the message. Input values,
+signatures and certificates are read-only values (lattice.Value), and
+each freezes (lattice.freeze) any dict, list or set it is built from, so
+a message copy shares them whole.
 
 An OutputCert encodes as its digest frame (lattice.merkle_frame): the
 SHA-256 of its node body, in which a nested OutputCert (the history
@@ -84,48 +86,27 @@ from __future__ import annotations
 import functools
 import weakref
 from collections import deque
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import Config, FinSet, History, canon, merkle_frame, value_from_jsonable, value_to_jsonable
-from .simnet import Msg, _private
+from .lattice import (Config, FinSet, History, Value, _set_attr, canon, freeze, merkle_frame, value_from_jsonable,
+                      value_to_jsonable)
+from .simnet import Msg
 
-GENESIS_CERT = {"kind": "genesis"}
+GENESIS_CERT = freeze({"kind": "genesis"})
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class InputValue:
-    """A proposed value with its certificate; read-only, attributes included."""
+class InputValue(Value):
+    """A proposed value with its certificate, both read-only."""
 
-    value: object
-    cert: object
-    _canon: bytes | None = field(default=None, init=False, repr=False)
+    __slots__ = ("value", "cert", "_canon")
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canon(["iv", self.value, self.cert]))
-        return self._canon
+    def __init__(self, value, cert):
+        _set_attr(self, "value", freeze(value))
+        _set_attr(self, "cert", freeze(cert))
 
-    def __eq__(self, other):
-        return isinstance(other, InputValue) and self.canon() == other.canon()
-
-    def __hash__(self):
-        return hash(self.canon())
-
-    def private(self, sent: bool) -> InputValue:
-        """A copy for a message copy (`simnet._private`): a token
-        certificate dict is the copy's own; any other certificate is shared.
-        A copy of a sent message, which no one can edit, keeps the encoding;
-        a copy of what a script holds encodes again."""
-        if type(self.cert) is not dict:
-            return self
-        iv = InputValue(self.value, _private(self.cert, sent))
-        if sent:
-            object.__setattr__(iv, "_canon", self._canon)
-        return iv
+    def _encode(self) -> bytes:
+        return canon(["iv", self.value, self.cert])
 
 
 class DynamicObject:
@@ -210,27 +191,23 @@ def join_values(values: list[InputValue]):
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class QuorumCert:
+class QuorumCert(Value):
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
-    quorum grant's approvals and cacks, a write's acks. Read-only, attributes
-    included, so a message copy shares it; it encodes as the map, once."""
+    quorum grant's approvals and cacks, a write's acks. Its map is a Token;
+    it encodes as the map."""
 
-    sigs: Mapping[str, FsSig]
-    _canon: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("sigs", "_canon")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigs", MappingProxyType(dict(self.sigs)))
+    def __init__(self, sigs):
+        _set_attr(self, "sigs", freeze(sigs))
 
     @classmethod
     def of(cls, sigs) -> QuorumCert:
         """sigs if it is a QuorumCert, else one over its map."""
         return sigs if type(sigs) is cls else cls(sigs)
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canon(dict(self.sigs)))
-        return self._canon
+    def _encode(self) -> bytes:
+        return canon(self.sigs)
 
     def to_jsonable(self) -> dict:
         return {p: s.to_jsonable() for p, s in self.sigs.items()}
@@ -248,22 +225,19 @@ class QuorumCert:
         return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class OutputCert:
-    """An agreement output's proof; read-only, attributes included."""
+class OutputCert(Value):
+    """An agreement output's proof: its input values, the history it is
+    anchored in, that history's certificate and the two rounds' quorums."""
 
-    values: tuple
-    history: History
-    hist_cert: object
-    packs: QuorumCert
-    cacks: QuorumCert
-    _canon: bytes | None = field(default=None, init=False)
-    _parts: tuple | None = field(default=None, init=False)
+    __slots__ = ("values", "history", "hist_cert", "packs", "cacks", "_canon", "_parts")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "packs", QuorumCert.of(self.packs))
-        object.__setattr__(self, "cacks", QuorumCert.of(self.cacks))
+    def __init__(self, values, history: History, hist_cert, packs, cacks):
+        _set_attr(self, "values", tuple(values))
+        _set_attr(self, "history", history)
+        _set_attr(self, "hist_cert", freeze(hist_cert))
+        _set_attr(self, "packs", QuorumCert.of(packs))
+        _set_attr(self, "cacks", QuorumCert.of(cacks))
+        _set_attr(self, "_parts", None)
 
     def anchor(self) -> Config:
         return self.history.max_element()
@@ -272,10 +246,8 @@ class OutputCert:
         """The node body; nested certificates appear as their digest frames."""
         return canon(["ocert", list(self.values), self.history, self.hist_cert, self.packs, self.cacks])
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            object.__setattr__(self, "_canon", merkle_frame(self.node()))
-        return self._canon
+    def _encode(self) -> bytes:
+        return merkle_frame(self.node())
 
     def nested(self) -> list:
         """The OutputCerts this node names: its input values' certificates,
@@ -287,9 +259,9 @@ class OutputCert:
         history, packs and cacks. Every returned certificate that holds this
         one shares these objects, and the decode memo keys on them."""
         if self._parts is None:
-            object.__setattr__(self, "_parts", ([value_to_jsonable(iv.value) for iv in self.values],
-                                                self.history.to_jsonable(), self.packs.to_jsonable(),
-                                                self.cacks.to_jsonable()))
+            _set_attr(self, "_parts", ([value_to_jsonable(iv.value) for iv in self.values],
+                                       self.history.to_jsonable(), self.packs.to_jsonable(),
+                                       self.cacks.to_jsonable()))
         return self._parts
 
     def to_jsonable(self):
@@ -392,32 +364,26 @@ def _nested_from_jsonable(d, table: list, memo):
     return AcCert.from_jsonable(d) if isinstance(d, dict) and "ackind" in d else d
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class AcCert:
-    """An access-control grant (see access_control) for one slot's value;
-    read-only, attributes included. An admin grant's approvals and cacks are
-    read-only {admin: hex} maps, a sanity or quorum grant's QuorumCerts."""
+class AcCert(Value):
+    """An access-control grant (see access_control) for one slot's value. An
+    admin grant's approvals and cacks are {admin: hex} Tokens, a sanity or
+    quorum grant's QuorumCerts."""
 
-    mode: str
-    object_id: str
-    slot: object
-    value: object
-    config: Config | None
-    approvals: Mapping
-    cacks: Mapping
-    _canon: bytes | None = field(default=None, init=False)
+    __slots__ = ("mode", "object_id", "slot", "value", "config", "approvals", "cacks", "_canon")
 
-    def __post_init__(self):
-        own = (lambda m: MappingProxyType(dict(m))) if self.mode == "admin" else QuorumCert.of
-        object.__setattr__(self, "approvals", own(self.approvals))
-        object.__setattr__(self, "cacks", own(self.cacks))
+    def __init__(self, mode: str, object_id: str, slot, value, config: Config | None, approvals, cacks):
+        own = freeze if mode == "admin" else QuorumCert.of
+        _set_attr(self, "mode", mode)
+        _set_attr(self, "object_id", object_id)
+        _set_attr(self, "slot", freeze(slot))
+        _set_attr(self, "value", freeze(value))
+        _set_attr(self, "config", config)
+        _set_attr(self, "approvals", own(approvals))
+        _set_attr(self, "cacks", own(cacks))
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            maps = (dict(self.approvals), dict(self.cacks)) if self.mode == "admin" else (self.approvals, self.cacks)
-            object.__setattr__(self, "_canon", canon(
-                ["accert", self.mode, self.object_id, self.slot, self.value, self.config, *maps]))
-        return self._canon
+    def _encode(self) -> bytes:
+        return canon(["accert", self.mode, self.object_id, self.slot, self.value, self.config,
+                      self.approvals, self.cacks])
 
     def to_jsonable(self):
         # admin approvals are plain signatures in hex, and admin certificates have no acks

@@ -30,7 +30,6 @@ Two interchangeable backends:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -38,7 +37,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .lattice import canon
+from .lattice import Value, _set_attr, canon
 
 KEY_CHAIN_SPAN = 65536
 
@@ -51,17 +50,18 @@ def _h(*parts: bytes) -> bytes:
     return out.digest()
 
 
-@dataclass(frozen=True)
-class FsSig:
-    signer: str
-    ts: int
-    data: bytes
-    _canon: bytes | None = field(default=None, init=False, repr=False, compare=False)
+class FsSig(Value):
+    """A forward-secure signature."""
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            object.__setattr__(self, "_canon", canon(["fsig", self.signer, self.ts, self.data]))
-        return self._canon
+    __slots__ = ("signer", "ts", "data", "_canon")
+
+    def __init__(self, signer: str, ts: int, data: bytes):
+        _set_attr(self, "signer", signer)
+        _set_attr(self, "ts", ts)
+        _set_attr(self, "data", data)
+
+    def _encode(self) -> bytes:
+        return canon(["fsig", self.signer, self.ts, self.data])
 
     def to_jsonable(self):
         return {"signer": self.signer, "ts": self.ts, "data": self.data.hex()}

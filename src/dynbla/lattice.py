@@ -22,6 +22,12 @@ first use and read inline for list elements and dict keys and values; it
 keeps only short strs and is cleared when full, so it stays within a fixed
 size whatever strings arrive. That table is a cache: it changes no byte of
 the encoding, so no caller can see another's use of it.
+
+Every value a message can carry is read-only (`Value`), so a copy of a
+message shares its values and no process can edit what another reads.
+`Value` memoises canon() over each class's `_encode()`. A certificate
+token or a signature map is a `Token`, a read-only dict, and `freeze`
+makes a body of dicts, lists and sets read-only throughout.
 """
 
 from __future__ import annotations
@@ -152,30 +158,88 @@ def fault_budget(n: int) -> int:
     return (n - 1) // 3
 
 
-class _Value:
-    """A lattice value: read-only, attributes included, so a message copy
-    shares it (`simnet._private`). Its own code sets attributes, the
-    memoised ones too, through `object.__setattr__`."""
+_set_attr = object.__setattr__
+_new = object.__new__
+
+
+class ReadOnlyError(AttributeError, TypeError):
+    """An edit of a read-only value: an AttributeError for an attribute and
+    a TypeError for an item, as Python's own read-only types raise."""
+
+
+class Value:
+    """A read-only value, as every value a message can carry is, so that a
+    message copy shares it (`simnet.Msg.copy`) and no holder can edit what
+    another reads. An edit raises ReadOnlyError; a class's own code sets its
+    fields and memos through `_set_attr`.
+
+    canon() is memoised here, over the class's own `_encode()`, in the slot
+    `_canon` each class declares: the one place that memo is written, set
+    empty when the value is made. Two values are equal when they are of one
+    class and encode alike.
+    """
 
     __slots__ = ()
 
-    def _read_only(self, name, *value):
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name}")
+    def __new__(cls, *args, **kwargs):
+        self = _new(cls)
+        _set_attr(self, "_canon", None)
+        return self
+
+    def _read_only(self, *args, **kwargs):
+        raise ReadOnlyError(f"{type(self).__name__} is read-only")
 
     __setattr__ = __delattr__ = _read_only
 
+    def canon(self) -> bytes:
+        c = self._canon
+        if c is None:
+            c = self._encode()
+            _set_attr(self, "_canon", c)
+        return c
 
-_set_attr = object.__setattr__
+    def __eq__(self, other):
+        return self is other or type(other) is type(self) and self.canon() == other.canon()
+
+    def __hash__(self):
+        return hash(self.canon())
 
 
-class FinSet(_Value):
+class Token(dict, Value):
+    """A read-only dict: a certificate token such as {"kind": "genesis"}, a
+    quorum's or an admin grant's signature map. Its encoding, JSON, == and
+    isinstance(..., dict) are the dict's; every mutator raises ReadOnlyError.
+    Build one through freeze, which makes what it holds read-only too. What
+    holds a token memoises its own encoding, so a token keeps none."""
+
+    __slots__ = ()
+    canon = _dict
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = Value._read_only
+
+    def __reduce__(self):
+        return (Token, (dict(self),))
+
+
+def freeze(x):
+    """x with every dict in it a Token, every list or tuple a tuple and every
+    set a frozenset; anything else, a value object included, is x itself."""
+    t = type(x)
+    if t is dict:
+        return Token({k: freeze(v) for k, v in x.items()})
+    if t is list or t is tuple:
+        return tuple([freeze(v) for v in x])
+    if t is set:
+        return frozenset(x)
+    return x
+
+
+class FinSet(Value):
     """Powerset lattice over opaque string ids."""
 
     __slots__ = ("elems", "_canon")
 
     def __init__(self, elems: Iterable[str] = ()):
         _set_attr(self, "elems", frozenset(elems))
-        _set_attr(self, "_canon", None)
 
     def join(self, other: "FinSet") -> "FinSet":
         return FinSet(self.elems | other.elems)
@@ -183,10 +247,8 @@ class FinSet(_Value):
     def leq(self, other: "FinSet") -> bool:
         return self.elems <= other.elems
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            _set_attr(self, "_canon", _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)])))
-        return self._canon
+    def _encode(self) -> bytes:
+        return _frame(b"F", b"".join([canon(e) for e in sorted(self.elems)]))
 
     def to_jsonable(self):
         return {"set": sorted(self.elems)}
@@ -195,17 +257,11 @@ class FinSet(_Value):
     def from_jsonable(cls, data) -> "FinSet":
         return cls(data["set"])
 
-    def __eq__(self, other):
-        return isinstance(other, FinSet) and self.elems == other.elems
-
-    def __hash__(self):
-        return hash(self.elems)
-
     def __repr__(self):
         return f"FinSet({sorted(self.elems)})"
 
 
-class Config(_Value):
+class Config(Value):
     """A configuration: a set of (+id / -id) updates.
 
     Active replicas are the added-and-never-removed ids; a remove update wins
@@ -222,7 +278,7 @@ class Config(_Value):
             if op not in (ADD, REMOVE):
                 raise ValueError(f"bad update kind {op!r}")
         _set_attr(self, "updates", ups)
-        for name in ("_canon", "_replicas", "_sorted", "_quorum", "_cid"):
+        for name in ("_replicas", "_sorted", "_quorum", "_cid"):
             _set_attr(self, name, None)
 
     def join(self, other: "Config") -> "Config":
@@ -260,12 +316,8 @@ class Config(_Value):
         g = set(group)
         return g <= self.replicas() and len(g) >= self.quorum_size()
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            _set_attr(self, "_canon", _frame(
-                b"C", b"".join(sorted([canon(list(u)) for u in self.updates]))
-            ))
-        return self._canon
+    def _encode(self) -> bytes:
+        return _frame(b"C", b"".join(sorted([canon(list(u)) for u in self.updates])))
 
     def cid(self) -> str:
         if self._cid is None:
@@ -289,7 +341,7 @@ class Config(_Value):
         return f"Config(h={self.height()}, replicas={sorted(self.replicas())})"
 
 
-class History(_Value):
+class History(Value):
     """A nonempty set of pairwise comparable configurations, kept sorted: the
     history agreement's lattice, whose join raises ValueError on no history."""
 
@@ -303,7 +355,6 @@ class History(_Value):
             if not lo.leq(hi):
                 raise ValueError("history configurations must be pairwise comparable")
         _set_attr(self, "configs", tuple(confs))
-        _set_attr(self, "_canon", None)
 
     def max_element(self) -> Config:
         return self.configs[-1]
@@ -314,10 +365,8 @@ class History(_Value):
     def contained_in(self, other: "History") -> bool:
         return set(self.configs) <= set(other.configs)
 
-    def canon(self) -> bytes:
-        if self._canon is None:
-            _set_attr(self, "_canon", _frame(b"H", b"".join(sorted([c.canon() for c in self.configs]))))
-        return self._canon
+    def _encode(self) -> bytes:
+        return _frame(b"H", b"".join(sorted([c.canon() for c in self.configs])))
 
     def to_jsonable(self):
         return {"hist": [c.to_jsonable()["cfg"] for c in self.configs]}
@@ -325,12 +374,6 @@ class History(_Value):
     @classmethod
     def from_jsonable(cls, data) -> "History":
         return cls(Config(tuple(u) for u in ups) for ups in data["hist"])
-
-    def __eq__(self, other):
-        return isinstance(other, History) and self.configs == other.configs
-
-    def __hash__(self):
-        return hash(self.configs)
 
     def __repr__(self):
         return f"History({[c.height() for c in self.configs]})"

@@ -75,21 +75,18 @@ class Msg:
     batch of the pending queue.
 
     A sent message is immutable: correct senders do not edit what they
-    sent, a Byzantine script is handed a private copy of each message it is
+    sent, a Byzantine script is handed a copy of each message it is
     delivered, and what it sends is copied and hashed at the send. So what
     depends only on the message and its sender is memoised on it, once per
     object: the trace hash (`mhash`), the wire gate's verdict (`ok`,
     `dbla.wire_ok`) and the uniform broadcast's id, echo payload and
     signature verdict (`urb`, `broadcast.UrbEndpoint`).
 
-    A copy shares the body's value objects (a `Config`, a certificate),
-    except one with a `private(sent)` method, which makes its own copy: an
-    `InputValue` copies its token certificate dict, and keeps its memoised
-    encoding only in the copy a script is handed of a sent message
-    (`_delivered_copy`). The lattice values (`FinSet`, `Config`, `History`),
-    the certificates (`dbla.OutputCert`, `dbla.AcCert`, `dbla.QuorumCert`)
-    and `InputValue` refuse rebinding and hold read-only maps, so sharing
-    one is safe.
+    A copy (`copy`) has containers of its own and shares every value object
+    in them. Every value a message can carry is read-only
+    (`lattice.Value`): the lattice values, input values, signatures,
+    certificates and tokens (`lattice.Token`), so sharing one, with its
+    memoised encoding, is safe.
     """
 
     __slots__ = ("desc", "obj", "body", "_hash", "ok", "urb")
@@ -109,36 +106,29 @@ class Msg:
 
     def copy(self) -> Msg:
         """A message equal to this one that shares no container with it and
-        carries no memo; its value objects encode again. `AdvApi.send` sends
-        such a copy of what a script holds, which the script may have edited."""
+        carries no memo of its own. A script is handed such a copy of each
+        message it is delivered, and `AdvApi.send` sends one of what a
+        script holds, which the script may have edited."""
         return Msg(self.desc, self.obj, _private(self.body))
-
-    def _delivered_copy(self) -> Msg:
-        """copy() of this sent message, which no one can edit, for the script
-        it is delivered to: its value objects keep their memoised encodings."""
-        return Msg(self.desc, self.obj, _private(self.body, True))
 
     def __repr__(self):
         return f"Msg({self.desc}, obj={self.obj})"
 
 
-def _private(x, sent=False):
-    """x with every dict, list, tuple and set in it copied, and every object
-    with a `private(sent)` method copied by it; every other object, a leaf or
-    a value object such as a `Config`, is shared, and so is every container
-    inside one. sent says x is (part of) a sent message, which no one can
-    edit, so a copy may keep the encodings memoised on it."""
+def _private(x):
+    """x with every dict, list, tuple and set in it copied; every other
+    object, a leaf or a read-only value such as a `Config` or a `Token`, is
+    shared."""
     t = type(x)
     if t is dict:
-        return {k: _private(v, sent) for k, v in x.items()}
+        return {k: _private(v) for k, v in x.items()}
     if t is list:
-        return [_private(v, sent) for v in x]
+        return [_private(v) for v in x]
     if t is tuple:
-        return tuple([_private(v, sent) for v in x])
+        return tuple([_private(v) for v in x])
     if t is set:
         return set(x)       # its elements are hashable: shared like any leaf
-    private = getattr(t, "private", None)
-    return x if private is None else private(x, sent)
+    return x
 
 
 class Event(NamedTuple):
@@ -595,7 +585,7 @@ class Simulator:
             "st": (src.status if src else "-") + proc.status,
         })
         if proc.status == BYZANTINE:
-            proc.script(self.adv_api, Event(enq, frm, to, msg._delivered_copy()))
+            proc.script(self.adv_api, Event(enq, frm, to, msg.copy()))
         else:
             if proc.status == IDLE:
                 proc.status = CORRECT

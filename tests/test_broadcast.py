@@ -519,9 +519,12 @@ def test_a_flood_of_fabricated_echoes_stays_in_the_echo_entries(monkeypatch, k):
     for r in ("r1", "r2", "r3", "r5"):
         urb, before = rep.ctx.replicas[r].urb, base.ctx.replicas[r].urb
         assert set(vars(urb)) == fields
-        junk = {mid: sigs for mid, sigs in urb._echoes.items() if mid[0] in fabricated}
+        # the endpoint keys each id by its echo payload
+        group, genesis = rep.ctx.replicas[r].group, rep.ctx.replicas[r].genesis
+        keys = {urb._echo_payload((origin, group, genesis)) for origin in fabricated}
+        junk = {key: sigs for key, sigs in urb._echoes.items() if key in keys}
         assert len(junk) == k
         assert all(list(sigs) == ["r4"] for sigs in junk.values())
-        assert not {mid[0] for mid in urb._echoed | urb._certed} & fabricated
+        assert not (urb._echoed | urb._certed) & keys
         assert urb._echoed == before._echoed and urb._certed == before._certed
         assert len(urb._echoes) - k == len(before._echoes)

@@ -5,8 +5,11 @@ take the least one; the quorum oracle counts. Spot values below were frozen
 from the oracle output.
 """
 
+import copy
 import hashlib
 import itertools
+import json
+import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -20,9 +23,11 @@ from dynbla.lattice import (
     Config,
     FinSet,
     History,
+    Token,
     canon,
     digest,
     fault_budget,
+    freeze,
     quorum_size,
 )
 from dynbla.simnet import Msg
@@ -499,6 +504,37 @@ def test_a_builtin_subclass_with_canon_encodes_through_it():
     assert canon(x) == _frame(b"X", b"a") == reference_canon(x)
     assert canon([x, {"k": x}]) == reference_canon([x, {"k": x}])
     assert canon(x) != canon("a")
+
+
+# JSON-like bodies, arrays as tuples: freeze makes a list a tuple, which
+# canon and JSON write as a list but == tells from one
+_json_bodies = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=6)),
+    lambda kids: st.one_of(st.lists(kids, max_size=4).map(tuple), st.dictionaries(_keys, kids, max_size=4)),
+    max_leaves=20,
+)
+
+
+def _containers(x):
+    if type(x) in (Token, tuple):
+        yield x
+        for v in (x.values() if type(x) is Token else x):
+            yield from _containers(v)
+
+
+@given(_json_bodies)
+@example({"kind": "genesis"})
+@example({"sigs": {"r1": {"h": (1, "a")}}, "l": ((), {})})
+def test_a_frozen_body_has_the_canon_json_and_equality_of_its_body_and_refuses_edits(x):
+    frozen = freeze(x)
+    assert canon(frozen) == canon(x)
+    assert json.dumps(frozen, sort_keys=True) == json.dumps(x, sort_keys=True)
+    assert copy.deepcopy(frozen) == x
+    for c in _containers(frozen):
+        with pytest.raises(TypeError):
+            operator.setitem(c, next(iter(c), "k") if type(c) is Token else 0, None)
+    assert not [c for c in _containers(x) if type(c) is dict]
+    assert canon(freeze([x])) == canon([x]) and type(freeze([x])) is tuple
 
 
 def test_lattice_values_round_trip_jsonable():

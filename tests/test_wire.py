@@ -16,6 +16,7 @@ from authority_history import check_authority_history
 
 from dynbla.access_control import AcClient, AccessControl, AcStore
 from dynbla.dbla import (
+    GENESIS_CERT,
     WIRE,
     AcCert,
     ClientHub,
@@ -112,10 +113,10 @@ class Probe:
         pass
 
 
-def world():
+def world(check_value=accept_all):
     oracle = LedgerFsOracle()
     sim = Simulator(5, oracle)
-    obj = DynamicObject("obj", GENESIS, check_value=accept_all, check_history=check_authority_history(oracle, "grp"))
+    obj = DynamicObject("obj", GENESIS, check_value=check_value, check_history=check_authority_history(oracle, "grp"))
     ac = AccessControl("acl", "quorum")
     roster = [*RIDS, "p", "z"]
     replicas = {}
@@ -192,8 +193,7 @@ def test_a_waiting_session_takes_a_well_formed_reply():
 
 
 def body_hash(msg):
-    """The trace hash of msg's body as it is now, not as memoised: a copy
-    also re-encodes each `InputValue`, whose encoding is memoised."""
+    """The trace hash of msg's body as it is now, not as memoised on msg."""
     return msg.copy().mhash()
 
 
@@ -280,76 +280,14 @@ def test_a_script_that_edits_a_message_after_sending_it_reaches_no_earlier_recip
     assert proposals["r1"] == proposals["r2"] == body_hash(propose()) != proposals["r3"]
 
 
-def test_a_script_that_edits_an_input_values_token_edits_only_its_copy():
-    # r4 is delivered the probe's proposal first and edits the token dict of
-    # the input value it holds; r1, delivered the probe's object later, still
-    # reads the token that was sent
-    sim, replicas, hub, probe = world()
-    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), {"kind": "any"})]})
-    sent = body_hash(msg)
-    tokens = []
-
-    def edit(adv, ev):
-        if ev.msg.desc == "bla.propose":
-            ev.msg.body["values"][0].cert["kind"] = "forged"
-
-    seen = recording(sim, replicas, hub, probe, edit)
-    r1_deliver = replicas["r1"].on_deliver
-
-    def r1_reads(frm, m):
-        if m.desc == "bla.propose":
-            tokens.append(dict(m.body["values"][0].cert))
-        r1_deliver(frm, m)
-
-    replicas["r1"].on_deliver = r1_reads
-    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, desc="bla", until=Trigger(at=10)))
-    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
-    assert sim.run()["verdict"] == "quiescent"
-    assert [to for to, desc, _ in seen if desc == "bla.propose"] == ["r4", "r1"]
-    assert tokens == [{"kind": "any"}]
-    assert msg.body["values"][0].cert == {"kind": "any"}
-    assert seen == delivered(sim)
-    assert [h for to, desc, h in seen if desc == "bla.propose"] == [sent, sent]
-    assert answered(sim, "z") == ["r1"]
-
-
-def test_a_script_that_edits_an_input_values_token_and_sends_it_sends_the_edited_bytes():
-    # r4's copy of the probe's proposal keeps the input value's memoised
-    # encoding, as nobody can edit the sent message; r4 edits the token in
-    # place and sends its copy to r3, and r3's delivery is hashed from the
-    # edited bytes, while r1 still reads what the probe sent
-    sim, replicas, hub, probe = world()
-    msg = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), {"kind": "any"})]})
-    sent = body_hash(msg)
-    kept = []
-
-    def edit(adv, ev):
-        if ev.msg.desc == "bla.propose":
-            iv, original = ev.msg.body["values"][0], msg.body["values"][0]
-            kept.append(iv.cert is not original.cert and iv._canon is original._canon is not None)
-            iv.cert["kind"] = "forged"
-            adv.send("r4", "r3", ev.msg)
-
-    seen = recording(sim, replicas, hub, probe, edit)
-    sim.add_hold(HoldRule(frm={"z"}, to={"r1"}, desc="bla", until=Trigger(at=10)))
-    sim.add_external(Trigger(at=3), "invoke", lambda: [probe.api.send(r, msg) for r in ("r4", "r1")], to="z")
-    assert sim.run()["verdict"] == "quiescent"
-    assert kept == [True]
-    assert seen == delivered(sim)
-    forged = Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS,
-                                        "values": [InputValue(FinSet({"a"}), {"kind": "forged"})]})
-    proposals = {to: h for to, desc, h in seen if desc == "bla.propose"}
-    assert proposals == {"r4": sent, "r1": sent, "r3": forged.mhash()}
-    assert [iv.cert for iv in replicas["r1"].stores[0].vals.values()] == [{"kind": "any"}]
-    assert [iv.cert for iv in replicas["r3"].stores[0].vals.values()] == [{"kind": "forged"}]
-
-
 def _proposal_of(cert):
     return Msg("bla.propose", "obj", {"sn": 1, "config": GENESIS, "values": [InputValue(FinSet({"a"}), cert)]})
 
 
 def _output_cert():
-    return OutputCert([], History([GENESIS]), None, QuorumCert({"r1": SIG}), QuorumCert({}))
+    # anchored at genesis, with an input value that carries a token
+    return OutputCert([InputValue(FinSet({"b"}), {"kind": "any"})], History([GENESIS]), GENESIS_CERT,
+                      QuorumCert({"r1": SIG}), QuorumCert({}))
 
 
 def _admin_cert():
@@ -362,6 +300,11 @@ VALUE_EDITS = {
     "iv.value": (_output_cert, lambda iv: setattr(iv, "value", FinSet({"forged"})), AttributeError),
     "iv.value.elems": (_output_cert, lambda iv: setattr(iv.value, "elems", frozenset({"forged"})), AttributeError),
     "iv.cert": (_output_cert, lambda iv: setattr(iv, "cert", {"kind": "any"}), AttributeError),
+    "iv.cert[kind]": (lambda: GENESIS_CERT, lambda iv: operator.setitem(iv.cert, "kind", "forged"), TypeError),
+    "cert.hist_cert[kind]": (_output_cert, lambda iv: operator.setitem(iv.cert.hist_cert, "kind", "forged"),
+                             TypeError),
+    "cert.values[0].cert[kind]": (_output_cert,
+                                  lambda iv: operator.setitem(iv.cert.values[0].cert, "kind", "forged"), TypeError),
     "cert.packs": (_output_cert, lambda iv: setattr(iv.cert, "packs", QuorumCert({"r9": SIG})), AttributeError),
     "cert.values": (_output_cert, lambda iv: setattr(iv.cert, "values", ()), AttributeError),
     "admin.approvals[d9]": (_admin_cert, lambda iv: operator.setitem(iv.cert.approvals, "d9", "bb"), TypeError),
@@ -399,6 +342,44 @@ def test_a_script_cannot_edit_a_value_object_it_is_sent(edit):
     assert [iv.value for iv in stored] == [FinSet({"a"})]
     assert [canon(["iv", iv.value, iv.cert]) for iv in stored] == [encoded]
     assert body_hash(_proposal_of(make())) == sent
+    assert GENESIS_CERT == {"kind": "genesis"}
+
+
+# what only a Byzantine sender sends: (recipient, message). A presp carrying
+# a value the object's check refuses, a presp whose values differ from the
+# client's set (it holds IV), and a request at the served configuration for
+# an object no store of the replica holds.
+BYZANTINE_ONLY = {
+    "presp-invalid-value": ("p", {"sn": 1, "values": [InputValue(FinSet({"x"}), {"kind": "forged"})], "sig": SIG}),
+    "presp-other-values": ("p", {"sn": 1, "values": [], "sig": SIG}),
+    "request-no-store-takes": ("r1", {"sn": 1, "config": GENESIS, "values": [IV]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYZANTINE_ONLY))
+def test_a_reply_or_request_that_only_a_byzantine_sender_makes_is_ignored_or_dropped(case):
+    # r4, corrupted, sends the message on a go from the probe; the waiting
+    # client ignores a presp, and r1 counts a request no store takes as one
+    # drop; neither answers
+    to, body = BYZANTINE_ONLY[case]
+    msg = Msg("bla.presp", "obj", body) if to == "p" else Msg("bla.propose", "nobody", body)
+    sim, replicas, hub, probe = world(check_value=lambda value, cert: cert == {"kind": "any"})
+    waiting(hub, "bla.presp")
+    (client,) = [s for s in hub.sessions if isinstance(s, DblaClient)]
+    client.vals = {IV.canon(): IV}
+    before = client_state(hub)
+
+    def script(adv, ev):
+        if ev.msg.desc == "go":
+            adv.send("r4", to, msg)
+
+    seen = recording(sim, replicas, hub, probe, script)
+    sim.add_external(Trigger(at=3), "invoke", lambda: probe.api.send("r4", Msg("go", "obj", {})), to="z")
+    assert sim.run()["verdict"] == "quiescent"
+    assert (to, msg.desc) in [(pid, desc) for pid, desc, _ in seen]
+    assert client_state(hub) == before and client.restarts == 0 and client.vals == {IV.canon(): IV}
+    assert replicas["r1"].dropped == (to == "r1")
+    assert [line for line in sim.trace if line["frm"] in ("p", "r1") and line["kind"] == "deliver"] == []
 
 
 def _proposal_with_packs():
