@@ -12,9 +12,10 @@ chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
 
 Encoding is table-driven. canon dispatches on a value's exact type alone:
-a fixed table holds the encoders of the nine builtin types besides str, and
-a value of any other type, a subclass of a builtin included, encodes
-through its own canon() or is refused with TypeError. The list and dict
+a table holds the encoders of the nine builtin types besides str and,
+entered the first time a value of it is encoded, the canon() of each
+`Value` class; a value of any other type, a subclass of a builtin
+included, encodes through its own canon() or is refused with TypeError. The list and dict
 walkers dispatch each element straight through that table, with no call
 of canon per element. An exact str, the commonest value (ids, object
 names, message kinds), is served from a table of ready frames, filled on
@@ -111,15 +112,20 @@ def _bool(x) -> bytes:
 
 
 def _own(x) -> bytes:
-    """A value of no exact builtin type encodes itself, if it can."""
+    """A value of no type in the table encodes itself, if it can. A Value's
+    class enters the table here, so its next value is dispatched straight
+    to the class's canon(): a Value holds no canon of its own."""
     enc = getattr(x, "canon", None)
     if enc is None:
         raise TypeError(f"not canonically encodable: {type(x).__name__}")
+    if isinstance(x, Value):
+        _enc[type(x)] = type(x).canon
     return enc()
 
 
-# The dispatch table: one encoder per exact builtin type. Any other type,
-# a subclass of a builtin too, encodes through its own canon().
+# The dispatch table: one encoder per exact builtin type, and each Value
+# class's canon, entered by _own on first use. Any other type, a subclass
+# of a builtin too, encodes through its own canon().
 _enc: dict[type, object] = {type(None): _none, bool: _bool, int: _int, bytes: _bytes, list: _list,
                              tuple: _list, set: _set, frozenset: _set, dict: _dict}
 _enc_get = _enc.get
@@ -127,8 +133,8 @@ _enc_get = _enc.get
 
 def canon(x) -> bytes:
     """Deterministic tag-length-value encoding. Dict keys must be strings.
-    An exact str is served from the frame table, another exact builtin by
-    the dispatch table, and any other value by its own canon()."""
+    An exact str is served from the frame table, another exact builtin or a
+    Value by the dispatch table, and any other value by its own canon()."""
     t = type(x)
     if t is str:
         f = _str_get(x)
