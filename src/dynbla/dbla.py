@@ -89,8 +89,8 @@ from collections import deque
 
 from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
-from .lattice import (Config, FinSet, History, Value, _set_attr, canon, freeze, merkle_frame, value_from_jsonable,
-                      value_to_jsonable)
+from .lattice import (Config, FinSet, History, Token, Value, _set_attr, canon, freeze, merkle_frame,
+                      value_from_jsonable, value_to_jsonable)
 from .simnet import Msg
 
 GENESIS_CERT = freeze({"kind": "genesis"})
@@ -737,7 +737,7 @@ class DblaStore(Store):
 # Every field is required; extra fields are ignored. Exact types keep a bool
 # out of an int field and a subclass out of a certificate or configuration
 # field.
-CERTS = (dict, OutputCert, AcCert)      # token dicts, access grants, agreement outputs
+CERTS = (dict, Token, OutputCert, AcCert)  # tokens, plain or frozen; access grants; agreement outputs
 VALUES = (int, str, FinSet, Config, History)  # what an access request may guard
 _URB = {"origin": str, "config": Config}      # an install announcement
 

@@ -11,18 +11,18 @@ signing over a certificate costs the size of one node, not of the whole
 chain of certificates below it, and the frame still commits to all of it,
 as in a Merkle DAG (Merkle 1987).
 
-Encoding is table-driven. canon dispatches on a value's exact type alone:
-a table holds the encoders of the nine builtin types besides str and,
-entered the first time a value of it is encoded, the canon() of each
-`Value` class; a value of any other type, a subclass of a builtin
-included, encodes through its own canon() or is refused with TypeError. The list and dict
-walkers dispatch each element straight through that table, with no call
-of canon per element. An exact str, the commonest value (ids, object
-names, message kinds), is served from a table of ready frames, filled on
-first use and read inline for list elements and dict keys and values; it
-keeps only short strs and is cleared when full, so it stays within a fixed
-size whatever strings arrive. That table is a cache: it changes no byte of
-the encoding, so no caller can see another's use of it.
+Encoding is table-driven. canon dispatches on a value's exact type alone: a
+table holds the encoders of the nine builtin types besides str and, entered
+the first time a value of it is encoded, the canon() of each `Value` class;
+a value of any other type, a subclass of a builtin included, encodes through
+its own canon() or is refused with TypeError. The list and dict walkers
+dispatch each element straight through that table, with no call of canon per
+element. An exact str, the commonest value (ids, object names, message
+kinds), is served from a table of ready frames, filled on first use and read
+inline for list elements and dict keys and values; it keeps only short strs
+and is cleared when full, so it stays within a fixed size whatever strings
+arrive. That table is a cache: it changes no byte of the encoding, so no
+caller can see another's use of it.
 
 Every value a message can carry is read-only (`Value`), so a copy of a
 message shares its values and no process can edit what another reads.
@@ -165,7 +165,6 @@ def fault_budget(n: int) -> int:
 
 
 _set_attr = object.__setattr__
-_new = object.__new__
 
 
 class ReadOnlyError(AttributeError, TypeError):
@@ -180,17 +179,12 @@ class Value:
     fields and memos through `_set_attr`.
 
     canon() is memoised here, over the class's own `_encode()`, in the slot
-    `_canon` each class declares: the one place that memo is written, set
-    empty when the value is made. Two values are equal when they are of one
-    class and encode alike.
+    `_canon` each class declares: the one place that memo is written. The
+    slot stays unset until the first canon(). Two values are equal when
+    they are of one class and encode alike.
     """
 
     __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = _new(cls)
-        _set_attr(self, "_canon", None)
-        return self
 
     def _read_only(self, *args, **kwargs):
         raise ReadOnlyError(f"{type(self).__name__} is read-only")
@@ -198,11 +192,12 @@ class Value:
     __setattr__ = __delattr__ = _read_only
 
     def canon(self) -> bytes:
-        c = self._canon
-        if c is None:
+        try:
+            return self._canon
+        except AttributeError:
             c = self._encode()
             _set_attr(self, "_canon", c)
-        return c
+            return c
 
     def __eq__(self, other):
         return self is other or type(other) is type(self) and self.canon() == other.canon()

@@ -168,6 +168,10 @@ def test_every_kind_has_a_sample_that_fits():
     assert set(SAMPLES) == set(WIRE)
     for kind, (obj, body) in SAMPLES.items():
         assert wire_ok(Msg(kind, obj, body)), kind
+    # a token taken from a value, read-only, fits where a token dict does
+    for kind in ("hist.new", "mr.set"):
+        obj, body = SAMPLES[kind]
+        assert wire_ok(Msg(kind, obj, {**body, "cert": IV.cert})), kind
 
 
 @pytest.mark.parametrize(
@@ -345,10 +349,11 @@ def test_a_script_cannot_edit_a_value_object_it_is_sent(edit):
     assert GENESIS_CERT == {"kind": "genesis"}
 
 
-# what only a Byzantine sender sends: (recipient, message). A presp carrying
-# a value the object's check refuses, a presp whose values differ from the
-# client's set (it holds IV), and a request at the served configuration for
-# an object no store of the replica holds.
+# what only a Byzantine sender sends: (recipient, body), a bla.presp to the
+# client p or a bla.propose to r1. A presp carrying a value the object's
+# check refuses, a presp whose values differ from the client's set (it holds
+# IV), and a request at the served configuration for an object no store of
+# the replica holds.
 BYZANTINE_ONLY = {
     "presp-invalid-value": ("p", {"sn": 1, "values": [InputValue(FinSet({"x"}), {"kind": "forged"})], "sig": SIG}),
     "presp-other-values": ("p", {"sn": 1, "values": [], "sig": SIG}),
