@@ -55,12 +55,12 @@ Certificates stay objects from creation to verification: tokens
 agreement's OutputCert.
 They become JSON only in the operation returns of a trace, each through its
 own class's to_jsonable / from_jsonable. An OutputCert's JSON is a
-self-contained DAG (OutputCert.to_jsonable): a nested certificate named
-from more than one place is written once, in the root's "shared" table, and
-named by index wherever it recurs, so a chain of k reconfigurations writes
-its 2k certificate nodes once each and not once per path. A nested AcCert
-is written through its own to_jsonable / from_jsonable, and a token dict
-as itself.
+self-contained DAG (OutputCert.to_jsonable): every nested certificate is
+written once, in the root's "shared" table, and named by index wherever it
+occurs, so a chain of k reconfigurations writes its 2k certificate nodes
+once each and not once per path. A nested AcCert is written through its own
+to_jsonable / from_jsonable, and a token dict as itself; the key of its slot,
+never the token's content, says which.
 
 A quorum's forward-secure signatures over one payload are one QuorumCert,
 the one place that map is encoded, written, read and verified; a
@@ -249,11 +249,6 @@ class OutputCert(Value):
     def _encode(self) -> bytes:
         return merkle_frame(self.node())
 
-    def nested(self) -> list:
-        """The OutputCerts this node names: its input values' certificates,
-        then its history certificate."""
-        return [c for c in (*(iv.cert for iv in self.values), self.hist_cert) if isinstance(c, OutputCert)]
-
     def fields_jsonable(self):
         """The JSON of this node's own fields, built once: its input values,
         history, packs and cacks. Every returned certificate that holds this
@@ -267,30 +262,24 @@ class OutputCert(Value):
     def to_jsonable(self):
         """This certificate's node JSON, as a self-contained DAG.
 
-        A nested certificate named from more than one place in the DAG
-        (counted by frame) is written once, in "shared", after every shared
-        certificate it names itself, and each place names it as
-        {"kind": "ocert", "ref": i}; any other nested certificate is written
-        inline where it is named. Without repeats there is no "shared" key.
+        Every nested certificate is written once, as an entry of "shared",
+        after the entries it names itself; there is no "shared" key when
+        none is nested. A slot's key names its kind: an input value is
+        {"v": value} with "c" for a token written as itself, "r" for the
+        index of a shared entry or "a" for an AcCert's JSON, and the node's
+        history certificate is "hcert", "href" or "hac" in the same roles.
         """
-        uses = {}
-        stack = [self]
-        while stack:
-            for c in stack.pop().nested():
-                key = c.canon()
-                uses[key] = uses.get(key, 0) + 1
-                if uses[key] == 1:
-                    stack.append(c)
-        shared = []
-        out = _node_jsonable(self, uses, {}, shared)
+        refs, shared = {}, []
+        out = _node_jsonable(self, refs, shared)
         if shared:
             out["shared"] = shared
         return out
 
     @classmethod
     def from_jsonable(cls, d, memo=None) -> "OutputCert":
-        """Inverse of to_jsonable. A "ref" must be an int naming an earlier
-        entry of "shared"; any other raises ValueError.
+        """Inverse of to_jsonable. A shared index must be an int naming an
+        earlier entry of "shared"; any other raises ValueError, and a slot
+        with none of its keys KeyError.
 
         With a memo dict, shared across calls, a node is decoded once per
         identity of its fields' JSON objects (see fields_jsonable) and of
@@ -306,35 +295,33 @@ class OutputCert(Value):
         return _node_from_jsonable(d, table, memo)
 
 
-def _node_jsonable(cert: OutputCert, uses: dict, refs: dict, shared: list) -> dict:
+def _node_jsonable(cert: OutputCert, refs: dict, shared: list) -> dict:
     vs, hist, packs, cacks = cert.fields_jsonable()
     return {
-        "values": [{"v": v, "c": _nested_jsonable(iv.cert, uses, refs, shared)} for v, iv in zip(vs, cert.values)],
+        "values": [{"v": v, **_slot_jsonable(iv.cert, refs, shared, "c", "r", "a")} for v, iv in zip(vs, cert.values)],
         "hist": hist,
-        "hcert": _nested_jsonable(cert.hist_cert, uses, refs, shared),
+        **_slot_jsonable(cert.hist_cert, refs, shared, "hcert", "href", "hac"),
         "packs": packs,
         "cacks": cacks,
     }
 
 
-def _nested_jsonable(cert, uses: dict, refs: dict, shared: list):
-    """A certificate named inside an OutputCert's DAG; refs maps the frames
-    of the shared certificates written so far to their index in shared."""
-    if not isinstance(cert, OutputCert):
-        return cert.to_jsonable() if isinstance(cert, AcCert) else cert
-    key = cert.canon()
-    if uses[key] == 1:
-        return {"kind": "ocert", "oc": _node_jsonable(cert, uses, refs, shared)}
-    if key not in refs:
-        node = _node_jsonable(cert, uses, refs, shared)
-        refs[key] = len(shared)
-        shared.append(node)
-    return {"kind": "ocert", "ref": refs[key]}
+def _slot_jsonable(cert, refs: dict, shared: list, token: str, ref: str, ac: str) -> dict:
+    """A certificate's slot, under the key of its kind: token, ref or ac.
+    refs maps the frames of the entries written to shared to their index."""
+    if isinstance(cert, OutputCert):
+        key = cert.canon()
+        if key not in refs:
+            entry = _node_jsonable(cert, refs, shared)
+            refs[key] = len(shared)
+            shared.append(entry)
+        return {ref: refs[key]}
+    return {ac: cert.to_jsonable()} if isinstance(cert, AcCert) else {token: cert}
 
 
 def _node_from_jsonable(d, table: list, memo) -> OutputCert:
-    named = [_nested_from_jsonable(v["c"], table, memo) for v in d["values"]]
-    hcert = _nested_from_jsonable(d["hcert"], table, memo)
+    named = [_slot_from_jsonable(v, table, "c", "r", "a") for v in d["values"]]
+    hcert = _slot_from_jsonable(d, table, "hcert", "href", "hac")
     if memo is not None:
         key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
                *map(id, named), id(hcert))
@@ -353,15 +340,14 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
     return cert
 
 
-def _nested_from_jsonable(d, table: list, memo):
-    if isinstance(d, dict) and d.get("kind") == "ocert":
-        if "ref" not in d:
-            return _node_from_jsonable(d["oc"], table, memo)
-        i = d["ref"]
+def _slot_from_jsonable(d, table: list, token: str, ref: str, ac: str):
+    """The certificate in d's slot whose keys are token, ref and ac."""
+    if ref in d:
+        i = d[ref]
         if type(i) is not int or not 0 <= i < len(table):
             raise ValueError(f"certificate reference {i!r} names no earlier shared entry")
         return table[i]
-    return AcCert.from_jsonable(d) if isinstance(d, dict) and "ackind" in d else d
+    return AcCert.from_jsonable(d[ac]) if ac in d else d[token]
 
 
 class AcCert(Value):

@@ -270,20 +270,6 @@ def check_history_len(bundle, view):
     return ("perf.history_len", not bad, f"k={k}, over k + 1 (op, or install at replica and step): {bad}")
 
 
-def _written_nodes(node):
-    """The certificate nodes written in a returned OutputCert's JSON: the
-    root, each shared entry and each node written inline in any of them."""
-    count = 0
-    stack = [node, *node.get("shared", ())]
-    while stack:
-        n = stack.pop()
-        count += 1
-        for c in [*(v["c"] for v in n["values"]), n["hcert"]]:
-            if isinstance(c, dict) and c.get("kind") == "ocert" and "oc" in c:
-                stack.append(c["oc"])
-    return count
-
-
 def check_cert_nodes(bundle, view):
     """A returned agreement certificate writes at most 2(h - h0) + 1 nodes.
 
@@ -292,8 +278,9 @@ def check_cert_nodes(bundle, view):
     update can raise above its own target; h0 is the genesis height. Below
     the root, the DAG holds a configuration certificate and a history
     certificate per step of height, so a return that writes more has
-    written some node more than once. Counted on the JSON, undecoded, so the check costs no
-    hashing.
+    written some node more than once. The JSON writes the root and one
+    "shared" entry per nested certificate (OutputCert.to_jsonable), so the
+    count is 1 + len(shared), read undecoded and at no hashing cost.
     """
     h0 = view.genesis.height()
     bad = []
@@ -302,7 +289,7 @@ def check_cert_nodes(bundle, view):
             continue
         try:
             h = r["anchor_h"] if op.spec["op"] == "propose" else max(len(c) for c in r["hist"]["hist"])
-            nodes = _written_nodes(r["cert"])
+            nodes = 1 + len(r["cert"].get("shared", ()))
             if nodes > 2 * (h - h0) + 1:
                 bad.append((idx, nodes, h))
         except (AttributeError, KeyError, TypeError, ValueError):

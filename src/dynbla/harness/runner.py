@@ -62,7 +62,12 @@ TRACE_FORMAT = "dynbla-trace"
 # version 5: a history-agreement input value is written as {"hist": [...]},
 # not as {"cfgs": [...]}; the history agreement runs over histories, so a
 # version-4 file names a value kind this build no longer reads
-TRACE_VERSION = 5
+# version 6: a returned OutputCert writes every nested certificate once, as a
+# "shared" entry, and a slot's key ("c"/"r"/"a", "hcert"/"href"/"hac") names
+# a certificate's kind; a version-5 file writes a certificate named once
+# inline and tells it from a token by the token's content, so a token
+# shaped like a certificate would be read as one, and it is refused
+TRACE_VERSION = 6
 
 
 class TraceError(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from dynbla.dbla import (
     GENESIS_CERT,
+    AcCert,
     ClientHub,
     DblaClient,
     DblaStore,
@@ -200,6 +201,34 @@ def test_output_cert_jsonable_round_trip():
     back = OutputCert.from_jsonable(cert.to_jsonable())
     assert back.canon() == cert.canon()
     assert verify_output(w.obj, w.oracle, out, back)
+
+
+@pytest.mark.parametrize("token", [{"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}}, {"ackind": "sanity"}])
+def test_a_token_shaped_like_a_certificate_round_trips_as_a_token(token):
+    # a slot's key, not a token's content, names a certificate's kind: a
+    # token that reads like a shared reference, an inline node or an access
+    # grant is written under "c" or "hcert" and read back as itself, beside
+    # a nested certificate under "r" and "href" and a grant under "a" and "hac"
+    g = History([genesis_config(["r1"])])
+    grant = AcCert("admin", "acl", "s", 3, None, {"a1": "00"}, {})
+    inner = OutputCert([InputValue(FinSet({"a"}), token), InputValue(FinSet({"b"}), grant)], g, token, {}, {})
+    cert = OutputCert([InputValue(FinSet({"c"}), token), InputValue(FinSet({"d"}), inner)], g, inner, {}, {})
+    js = cert.to_jsonable()
+    assert [{k: v for k, v in e.items() if k != "v"} for e in js["values"]] == [{"c": token}, {"r": 0}]
+    assert js["href"] == 0 and "hcert" not in js
+    (entry,) = js["shared"]
+    assert entry["hcert"] == token and entry["values"][0]["c"] == token and "shared" not in entry
+    assert entry["values"][1]["a"] == grant.to_jsonable()
+    text = json.dumps(js)
+    back = OutputCert.from_jsonable(json.loads(text))
+    assert back.canon() == cert.canon() and json.dumps(back.to_jsonable()) == text
+    assert back.values[0].cert == token and back.hist_cert.hist_cert == token
+    assert back.hist_cert.values[1].cert == grant
+    # and a grant as the history certificate
+    held = OutputCert([InputValue(FinSet({"e"}), token)], g, grant, {}, {})
+    js = held.to_jsonable()
+    assert js["hac"] == grant.to_jsonable() and "shared" not in js
+    assert OutputCert.from_jsonable(json.loads(json.dumps(js))).canon() == held.canon()
 
 
 def test_output_verdict_is_not_reused_by_another_oracle():

@@ -27,9 +27,9 @@ commit of its own that leaves ``verdict`` and ``semantics`` untouched, and
 
 Print the pins of the current code with
 ``PYTHONPATH=src python tests/test_golden_traces.py``.  With ``--rerecord``
-it rewrites ``hash``, ``shape`` and ``steps`` in the pin file instead, and
-writes nothing and exits non-zero if any ``verdict`` or ``semantics`` would
-change.
+it rewrites ``hash``, ``shape`` and ``steps`` in the pin file instead and
+prints how many pins, and which, each of the three changed; it writes
+nothing and exits non-zero if any ``verdict`` or ``semantics`` would change.
 """
 
 import functools
@@ -241,21 +241,28 @@ def _dumps(pins) -> str:
 
 
 def rerecord() -> int:
-    """Rewrite RERECORDED in every pin; refuse if any other field would change
-    or a run has no pin."""
+    """Rewrite RERECORDED in every pin and print, for each of those fields,
+    how many pins and which ones it changed; refuse if any other field would
+    change or a run has no pin."""
     pins = json.loads(PINS.read_text())
     moved = []
+    changed = {k: [] for k in RERECORDED}
     for name, build in RUNS.items():
         new = pin_of(run_scenario(build()))
         old = pins.get(name, {})
         if any(old.get(k) != v for k, v in new.items() if k not in RERECORDED):
             moved.append(name)
-        else:
-            old.update((k, new[k]) for k in RERECORDED)
+            continue
+        for k in RERECORDED:
+            if old.get(k) != new[k]:
+                changed[k].append(name)
+                old[k] = new[k]
     if moved:
         print(f"nothing written: verdict or semantics would change in {moved}", file=sys.stderr)
         return 1
     PINS.write_text(_dumps(pins) + "\n")
+    for k, names in changed.items():
+        print(f"{k}: {len(names)} of {len(RUNS)} pins changed" + "".join(f"\n  {n}" for n in sorted(names)))
     return 0
 
 

@@ -8,14 +8,14 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from dynbla.dbla import OutputCert
+from dynbla.dbla import InputValue, OutputCert
 from dynbla.fscrypto import _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import run_checks
 from dynbla.harness.runner import load_trace, read_ops, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
-from dynbla.lattice import value_from_jsonable
+from dynbla.lattice import FinSet, value_from_jsonable
 from dynbla.simnet import Msg, trace_hash
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -755,11 +755,12 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 5
+    assert head["version"] == 6
     # version 2 signed certificates over another encoding, version 3 spells
-    # out every copy of a nested certificate, and version 4 writes history
-    # inputs as sets of configurations: all are refused too
-    for old in (1, 2, 3, 4):
+    # out every copy of a nested certificate, version 4 writes history
+    # inputs as sets of configurations, and version 5 tells a nested
+    # certificate from a token by the token's content: all are refused too
+    for old in (1, 2, 3, 4, 5):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)
@@ -1195,7 +1196,7 @@ def _dag(cert):
         c = stack.pop()
         if c.canon() not in seen:
             seen[c.canon()] = c
-            stack += c.nested()
+            stack += [n for n in (*(iv.cert for iv in c.values), c.hist_cert) if isinstance(n, OutputCert)]
     return seen
 
 
@@ -1205,31 +1206,30 @@ def _flip_sig(sigs):
     sigs[pid]["data"] = (bytes([data[0] ^ 1]) + data[1:]).hex()
 
 
-def _node(cert, nested):
-    """The node JSON that nested, a {"kind": "ocert", ...} inside the returned
-    certificate cert, names: inline, or by ref from cert's shared table."""
-    return cert["shared"][nested["ref"]] if "ref" in nested else nested["oc"]
+def _below(cert, node):
+    """The shared entry of the returned certificate cert that node, the root
+    or an entry of it, names as its history certificate."""
+    return cert["shared"][node["href"]]
 
 
-def _spelled_out(node, table=None):
-    """node's JSON with every ref replaced by a copy of what it names: each
-    nested certificate written out at every place it is named."""
-    if table is None:
-        table = []
-        for entry in node.get("shared", ()):
-            table.append(_spelled_out(entry, table))
+def _spelled_out(cert):
+    """cert's JSON with a shared entry of its own for every place a nested
+    certificate is named, still in post-order: each copy written out once
+    per path instead of once."""
+    shared = []
 
-    def copy_of(c):
-        if isinstance(c, dict) and "ref" in c:
-            return {"kind": "ocert", "oc": table[c["ref"]]}
-        if isinstance(c, dict) and c.get("kind") == "ocert":
-            return {"kind": "ocert", "oc": _spelled_out(c["oc"], table)}
-        return c
+    def copy_of(node):
+        out = {k: v for k, v in node.items() if k != "shared"}
+        out["values"] = [named(v, "r") for v in node["values"]]
+        return named(out, "href")
 
-    out = {k: v for k, v in node.items() if k != "shared"}
-    out["values"] = [{**v, "c": copy_of(v["c"])} for v in node["values"]]
-    out["hcert"] = copy_of(node["hcert"])
-    return out
+    def named(slot, key):
+        if key not in slot:
+            return slot
+        shared.append(copy_of(cert["shared"][slot[key]]))
+        return {**slot, key: len(shared) - 1}
+
+    return {**copy_of(cert), "shared": shared}
 
 
 @pytest.fixture(scope="module")
@@ -1250,13 +1250,11 @@ def test_certificate_frame_commits_to_nested_certificates(chain3):
     # one signature of the history certificate two levels down, a shared
     # entry that more than one node names
     sig = copy.deepcopy(r["cert"])
-    below = _node(sig, sig["hcert"])
-    assert "ref" in below["hcert"]
-    _flip_sig(_node(sig, below["hcert"])["packs"])
+    _flip_sig(_below(sig, _below(sig, sig))["packs"])
     # one configuration inside the configuration certificate two levels down
     val = copy.deepcopy(r["cert"])
-    below = _node(val, val["hcert"])
-    conf_cert = next(_node(val, iv["c"]) for iv in below["values"] if iv["c"].get("kind") == "ocert")
+    below = _below(val, val)
+    conf_cert = next(val["shared"][iv["r"]] for iv in below["values"] if "r" in iv)
     iv = next(iv for iv in conf_cert["values"] if "cfg" in iv["v"])
     iv["v"]["cfg"].append(["+", "r99"])
     for bad in (sig, val):
@@ -1271,7 +1269,7 @@ def test_certificate_dag_grows_polynomially_and_so_does_its_json():
         _, r = _last_update(run_scenario(FAMILIES["chain"](0, k)).bundle())
         bodies = [len(c.node()) for c in _dag(OutputCert.from_jsonable(r["cert"])).values()]
         nodes.append(len(bodies))
-        written.append(checks._written_nodes(r["cert"]))
+        written.append(1 + len(r["cert"]["shared"]))
         largest.append(max(bodies))
         total.append(sum(bodies))
         json_bytes.append(len(json.dumps(r["cert"], sort_keys=True, separators=(",", ":"))))
@@ -1283,7 +1281,7 @@ def test_certificate_dag_grows_polynomially_and_so_does_its_json():
     # bodies grow linearly and their sum at most quadratically
     assert all(largest[k - 1] <= largest[0] * k for k in ks)
     assert all(total[k - 1] <= total[0] * k * k for k in ks)
-    # so does the JSON, which writes each node once and names repeats by ref
+    # so does the JSON, which writes each node once and names it by index
     assert all(json_bytes[k - 1] <= json_bytes[0] * k * k for k in ks)
 
 
@@ -1296,9 +1294,7 @@ def test_loaded_trace_checks_each_return_on_its_own(tmp_path, chain3):
     # other returns hold their own untampered copies of the same
     # sub-certificate, which here is a shared entry of this return
     idx, r = _last_update(loaded)
-    below = _node(r["cert"], r["cert"]["hcert"])
-    assert "ref" in below["hcert"]
-    _flip_sig(_node(r["cert"], below["hcert"])["packs"])
+    _flip_sig(_below(r["cert"], _below(r["cert"], r["cert"]))["packs"])
     results = {n: (ok, info) for n, ok, info in run_checks(loaded)}
     assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
     assert all(ok for n, (ok, _) in results.items() if n != "safety.certificates_verify")
@@ -1331,42 +1327,94 @@ def test_a_copied_node_that_names_another_history_certificate_fails(chain3):
     # decoded anew
     bundle = copy.deepcopy(chain3)
     idx, r = _last_update(bundle)
-    below = _node(r["cert"], r["cert"]["hcert"])
-    assert "ref" in r["cert"]["hcert"] and "ref" in below["hcert"]
-    r["cert"]["shared"][r["cert"]["hcert"]["ref"]] = {**below, "hcert": {"kind": "genesis"}}
+    below = {k: v for k, v in _below(r["cert"], r["cert"]).items() if k != "href"}
+    r["cert"]["shared"][r["cert"]["href"]] = {**below, "hcert": {"kind": "genesis"}}
     results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
     assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
 
 
-# a ref must name an earlier shared entry by an exact int; the doctored ref
-# is the root's or the last shared entry's, and "own" and "len" stand for
-# that entry's own index and the shared table's length
+# an index must name an earlier shared entry by an exact int, under a value's
+# "r" or a node's "href"; the doctored index is the root's or that of the last
+# shared entry that has the key, "own" and "len" stand for that entry's own
+# index and the shared table's length, and "none" for a slot left with none
+# of its keys
+@pytest.mark.parametrize("key", ["r", "href"])
 @pytest.mark.parametrize("where,ref", [
-    ("root", "len"), ("root", -1),
+    ("root", "len"), ("root", -1), ("root", "none"),
     ("entry", "own"), ("entry", "len"), ("entry", -1), ("entry", True), ("entry", 0.0), ("entry", "0"), ("entry", None),
+    ("entry", "none"),
 ])
-def test_a_bad_ref_fails_only_its_op(chain3, where, ref):
+def test_a_bad_ref_fails_only_its_op(chain3, key, where, ref):
     bundle = copy.deepcopy(chain3)
     idx, r = _last_update(bundle)
     cert = r["cert"]
-    node = cert if where == "root" else cert["shared"][-1]
-    assert "ref" in node["hcert"]
-    node["hcert"]["ref"] = {"own": len(cert["shared"]) - 1, "len": len(cert["shared"])}.get(ref, ref)
+    own = max(i for i, e in enumerate(cert["shared"]) if key in e or any(key in v for v in e["values"]))
+    node = cert if where == "root" else cert["shared"][own]
+    slot = node if key == "href" else next(v for v in node["values"] if key in v)
+    if ref == "none":
+        del slot[key]
+    else:
+        slot[key] = {"own": own, "len": len(cert["shared"])}.get(ref, ref)
     results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
     assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
     assert all(ok for name, (ok, _) in results.items() if name != "safety.certificates_verify")
 
 
-def test_a_certificate_spelled_out_copy_by_copy_verifies_but_breaks_the_node_bound(chain3):
+def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
     bundle = copy.deepcopy(chain3)
     idx, r = _last_update(bundle)
+    written = len(r["cert"]["shared"])
     r["cert"] = _spelled_out(r["cert"])
-    assert "shared" not in json.dumps(r["cert"]) and '"ref"' not in json.dumps(r["cert"])
+    assert len(r["cert"]["shared"]) > written
     results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
     assert results["safety.certificates_verify"][0]
     ok, info = results["perf.cert_nodes_linear"]
     assert not ok and f"[({idx}, " in info
     assert all(ok for name, (ok, _) in results.items() if name != "perf.cert_nodes_linear")
+
+
+# tokens that read like a certificate written by an encoding that tells a
+# certificate's kind by a token's content: a shared reference, an inline
+# node and an access grant
+PLANTED = [{"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}}, {"ackind": "sanity"}]
+
+
+@pytest.mark.parametrize("token", PLANTED)
+def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path, monkeypatch, token):
+    # client z proposes at step 0 and is corrupted at step 1; on its first
+    # delivery it sends every replica a propose whose one input value carries
+    # token as its certificate, which the app's accept_all admits. The
+    # correct clients p and q then return sets that hold "evil", and their
+    # certificates, which hold token, must verify live and from a file
+    def planting(ctx):
+        sent = []
+
+        def script(adv, ev):
+            if sent:
+                return
+            sent.append(True)
+            body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(FinSet({"evil"}), token)]}
+            for r in ("r1", "r2", "r3", "r4"):
+                adv.send("z", r, Msg("bla.propose", ev.msg.obj, body))
+
+        return script
+
+    monkeypatch.setitem(attacks.SCRIPTS, "plant", planting)
+    ops = [{"op": "propose", "client": "z", "value": ["z"], "at": 0},
+           {"op": "propose", "client": "p", "value": ["a"], "at": 40},
+           {"op": "propose", "client": "q", "value": ["b"], "at": 60}]
+    adversary = {"corruptions": [{"pid": "z", "script": "plant", "at": 1}], "holds": []}
+    rep = run_scenario(scenario.make_scenario("plant", 0, ["p", "q", "z"], ops, adversary=adversary))
+    assert rep.verdict == "quiescent" and rep.final["corruptions"][0]["applied"]
+    bundle = rep.bundle()
+    returns = read_ops(bundle["trace"], len(ops))[0]
+    assert all("evil" in returns[i].result["w"]["set"] for i in (1, 2))
+    path = tmp_path / "plant.trace"
+    save_trace(path, bundle)
+    for checked in (bundle, load_trace(path)):
+        results = {name: (ok, info) for name, ok, info in run_checks(checked)}
+        assert results["safety.certificates_verify"] == (True, "failed ops: []")
+        assert all(ok for ok, _ in results.values())
 
 
 # -- offline view ------------------------------------------------------------------
