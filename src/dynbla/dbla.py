@@ -295,20 +295,27 @@ class OutputCert(Value):
         return _node_from_jsonable(d, table, memo)
 
 
+# The keys of a certificate slot, by what it holds: a token written as
+# itself, the index of a shared entry, an AcCert's JSON.
+VALUE_SLOT = ("c", "r", "a")
+HIST_SLOT = ("hcert", "href", "hac")
+
+
 def _node_jsonable(cert: OutputCert, refs: dict, shared: list) -> dict:
     vs, hist, packs, cacks = cert.fields_jsonable()
     return {
-        "values": [{"v": v, **_slot_jsonable(iv.cert, refs, shared, "c", "r", "a")} for v, iv in zip(vs, cert.values)],
+        "values": [{"v": v, **_slot_jsonable(iv.cert, VALUE_SLOT, refs, shared)} for v, iv in zip(vs, cert.values)],
         "hist": hist,
-        **_slot_jsonable(cert.hist_cert, refs, shared, "hcert", "href", "hac"),
+        **_slot_jsonable(cert.hist_cert, HIST_SLOT, refs, shared),
         "packs": packs,
         "cacks": cacks,
     }
 
 
-def _slot_jsonable(cert, refs: dict, shared: list, token: str, ref: str, ac: str) -> dict:
-    """A certificate's slot, under the key of its kind: token, ref or ac.
+def _slot_jsonable(cert, keys: tuple, refs: dict, shared: list) -> dict:
+    """A certificate's slot, under the one of keys that names its kind.
     refs maps the frames of the entries written to shared to their index."""
+    token, ref, ac = keys
     if isinstance(cert, OutputCert):
         key = cert.canon()
         if key not in refs:
@@ -320,8 +327,8 @@ def _slot_jsonable(cert, refs: dict, shared: list, token: str, ref: str, ac: str
 
 
 def _node_from_jsonable(d, table: list, memo) -> OutputCert:
-    named = [_slot_from_jsonable(v, table, "c", "r", "a") for v in d["values"]]
-    hcert = _slot_from_jsonable(d, table, "hcert", "href", "hac")
+    named = [_slot_from_jsonable(v, VALUE_SLOT, table) for v in d["values"]]
+    hcert = _slot_from_jsonable(d, HIST_SLOT, table)
     if memo is not None:
         key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
                *map(id, named), id(hcert))
@@ -340,8 +347,9 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
     return cert
 
 
-def _slot_from_jsonable(d, table: list, token: str, ref: str, ac: str):
-    """The certificate in d's slot whose keys are token, ref and ac."""
+def _slot_from_jsonable(d, keys: tuple, table: list):
+    """The certificate in d's slot, which has keys."""
+    token, ref, ac = keys
     if ref in d:
         i = d[ref]
         if type(i) is not int or not 0 <= i < len(table):
