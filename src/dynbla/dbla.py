@@ -109,6 +109,23 @@ class InputValue(Value):
         return canon(["iv", self.value, self.cert])
 
 
+def writable(cert) -> bool:
+    """cert is an OutputCert, an AcCert or a token of JSON values: what a
+    returned certificate can write in an input value's slot and read back
+    as itself (OutputCert.to_jsonable)."""
+    t = type(cert)
+    return t is OutputCert or t is AcCert or t is Token and _json_shaped(cert)
+
+
+def _json_shaped(x) -> bool:
+    """x is a str, an int, a bool, None, or a tuple or a str-keyed token
+    of such values: what JSON writes and freeze reads back alike."""
+    t = type(x)
+    if t is Token:
+        return all(type(k) is str and _json_shaped(v) for k, v in x.items())
+    return t is str or t is int or t is bool or x is None or t is tuple and all(map(_json_shaped, x))
+
+
 class DynamicObject:
     """Wiring for one dynamic object: id, genesis, validity predicates."""
 
@@ -124,10 +141,14 @@ class DynamicObject:
         self._ocache: set = set()
 
     def check_value(self, iv: InputValue) -> bool:
+        """iv is a genesis value, or its certificate is writable and passes
+        the object's check. Every input value a replica stores, a client
+        collects or a verifier accepts is admitted here."""
         key = iv.canon()
         if key in self._vcache:
             return True
-        ok = iv in self.genesis_values or bool(self._check_value and self._check_value(iv.value, iv.cert))
+        ok = iv in self.genesis_values or writable(iv.cert) and bool(
+            self._check_value and self._check_value(iv.value, iv.cert))
         if ok:
             self._vcache.add(key)
         return ok

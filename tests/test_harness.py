@@ -1379,13 +1379,11 @@ def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
 PLANTED = [{"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}}, {"ackind": "sanity"}]
 
 
-@pytest.mark.parametrize("token", PLANTED)
-def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path, monkeypatch, token):
-    # client z proposes at step 0 and is corrupted at step 1; on its first
-    # delivery it sends every replica a propose whose one input value carries
-    # token as its certificate, which the app's accept_all admits. The
-    # correct clients p and q then return sets that hold "evil", and their
-    # certificates, which hold token, must verify live and from a file
+def _plant(monkeypatch, cert):
+    """A run in which client z proposes at step 0 and is corrupted at step
+    1, and on its first delivery sends every replica a propose whose one
+    input value, FinSet({"evil"}), carries cert; correct clients p and q
+    propose later. Its bundle, and its op records by index."""
     def planting(ctx):
         sent = []
 
@@ -1393,7 +1391,7 @@ def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path,
             if sent:
                 return
             sent.append(True)
-            body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(FinSet({"evil"}), token)]}
+            body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(FinSet({"evil"}), cert)]}
             for r in ("r1", "r2", "r3", "r4"):
                 adv.send("z", r, Msg("bla.propose", ev.msg.obj, body))
 
@@ -1407,14 +1405,37 @@ def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path,
     rep = run_scenario(scenario.make_scenario("plant", 0, ["p", "q", "z"], ops, adversary=adversary))
     assert rep.verdict == "quiescent" and rep.final["corruptions"][0]["applied"]
     bundle = rep.bundle()
-    returns = read_ops(bundle["trace"], len(ops))[0]
-    assert all("evil" in returns[i].result["w"]["set"] for i in (1, 2))
+    return bundle, read_ops(bundle["trace"], len(ops))[0]
+
+
+def _every_check_passes_live_and_from_a_file(tmp_path, bundle):
     path = tmp_path / "plant.trace"
     save_trace(path, bundle)
     for checked in (bundle, load_trace(path)):
         results = {name: (ok, info) for name, ok, info in run_checks(checked)}
         assert results["safety.certificates_verify"] == (True, "failed ops: []")
         assert all(ok for ok, _ in results.values())
+
+
+@pytest.mark.parametrize("token", PLANTED)
+def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path, monkeypatch, token):
+    # the app's accept_all admits the planted value, so the correct clients
+    # return sets that hold "evil", and their certificates, which hold
+    # token, must verify live and from a file
+    bundle, returns = _plant(monkeypatch, token)
+    assert all("evil" in returns[i].result["w"]["set"] for i in (1, 2))
+    _every_check_passes_live_and_from_a_file(tmp_path, bundle)
+
+
+@pytest.mark.parametrize("cert", [b"x", FinSet({"q"}), {"k": ["a", b"x"]}, {1: "x"}],
+                         ids=["bytes", "finset", "bytes-in-a-token-list", "int-key"])
+def test_a_planted_certificate_json_cannot_write_is_refused(tmp_path, monkeypatch, cert):
+    # an input value is admitted only with a certificate a return can write
+    # and read back as itself (dbla.writable): no correct process takes the
+    # planted value, so the run and every check complete, live and from a file
+    bundle, returns = _plant(monkeypatch, cert)
+    assert all("evil" not in returns[i].result["w"]["set"] for i in (1, 2))
+    _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
 # -- offline view ------------------------------------------------------------------
