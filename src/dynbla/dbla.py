@@ -54,13 +54,18 @@ Certificates stay objects from creation to verification: tokens
 (lattice.Token: genesis, any, plain, authority), AcCert, or another
 agreement's OutputCert.
 They become JSON only in the operation returns of a trace, each through its
-own class's to_jsonable / from_jsonable. An OutputCert's JSON is a
-self-contained DAG (OutputCert.to_jsonable): every nested certificate is
-written once, in the root's "shared" table, and named by index wherever it
-occurs, so a chain of k reconfigurations writes its 2k certificate nodes
-once each and not once per path. A nested AcCert is written through its own
-to_jsonable / from_jsonable, and a token dict as itself; the key of its slot,
-never the token's content, says which.
+own class's to_jsonable / from_jsonable, and no byte repeats what a key or
+a table entry already says. An OutputCert's JSON is a self-contained DAG
+(OutputCert.to_jsonable): every nested certificate is written once, in the
+root's "shared" table, and named by index wherever it occurs, so a chain of
+k reconfigurations writes its 2k certificate nodes once each and not once
+per path; every configuration is written once, in the root's "cfgs" table,
+and named by cid. A nested AcCert is written through its own to_jsonable /
+from_jsonable, and a token dict as itself; the key of its slot, never the
+token's content, says which. A quorum writes its height once and each
+signature as its hex data under its signer (QuorumCert.to_jsonable). An
+input value is admitted only with a certificate that can be written so
+(writable), so no return holds one that JSON cannot write.
 
 A quorum's forward-secure signatures over one payload are one QuorumCert,
 the one place that map is encoded, written, read and verified; a
@@ -215,7 +220,9 @@ def join_values(values: list[InputValue]):
 class QuorumCert(Value):
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
     quorum grant's approvals and cacks, a write's acks. Its map is a Token;
-    it encodes as the map."""
+    it encodes as the map, and is written as {"ts": h, "sigs": {signer:
+    hex}}, since a correct quorum's signatures all have their key as
+    signer and the quorum's configuration's height as ts."""
 
     __slots__ = ("sigs", "_canon")
 
@@ -231,11 +238,22 @@ class QuorumCert(Value):
         return canon(self.sigs)
 
     def to_jsonable(self) -> dict:
-        return {p: s.to_jsonable() for p, s in self.sigs.items()}
+        """{"ts": h, "sigs": {signer: hex}}, in the map's order. h is the
+        first signature's height (0 for none). A signature whose signer is
+        its key and whose height is h, of h's own type (True == 1), is its
+        hex data alone; any other keeps its whole {"signer", "ts", "data"}
+        JSON, so every map reads back as itself."""
+        sigs = self.sigs
+        ts = next(iter(sigs.values())).ts if sigs else 0
+        return {"ts": ts, "sigs": {p: s.data.hex() if s.signer == p and s.ts == ts and type(s.ts) is type(ts)
+                                   else {"signer": s.signer, "ts": s.ts, "data": s.data.hex()}
+                                   for p, s in sigs.items()}}
 
     @classmethod
     def from_jsonable(cls, d) -> QuorumCert:
-        return cls({p: FsSig.from_jsonable(s) for p, s in d.items()})
+        ts = d["ts"]
+        return cls({p: FsSig(p, ts, bytes.fromhex(s)) if type(s) is str
+                    else FsSig(s["signer"], s["ts"], bytes.fromhex(s["data"])) for p, s in d["sigs"].items()})
 
     def verify(self, oracle, config: Config, payload: bytes, need: int) -> bool:
         """At least need replicas of config, and no one else, signed payload
@@ -271,13 +289,16 @@ class OutputCert(Value):
         return merkle_frame(self.node())
 
     def fields_jsonable(self):
-        """The JSON of this node's own fields, built once: its input values,
-        history, packs and cacks. Every returned certificate that holds this
-        one shares these objects, and the decode memo keys on them."""
+        """The JSON of this node's own fields, built once: its history and
+        input values, each configuration named by its cid, its packs and
+        cacks, and {cid: the configuration's JSON} for every configuration
+        those name. Every returned certificate that holds this one shares
+        these objects, and the decode memo keys on them."""
         if self._parts is None:
-            _set_attr(self, "_parts", ([value_to_jsonable(iv.value) for iv in self.values],
-                                       self.history.to_jsonable(), self.packs.to_jsonable(),
-                                       self.cacks.to_jsonable()))
+            cfgs = {}
+            hist = [_cid_jsonable(c, cfgs) for c in self.history.configs]
+            _set_attr(self, "_parts", ([_value_jsonable(iv.value, cfgs) for iv in self.values], hist,
+                                       self.packs.to_jsonable(), self.cacks.to_jsonable(), cfgs))
         return self._parts
 
     def to_jsonable(self):
@@ -289,31 +310,40 @@ class OutputCert(Value):
         {"v": value} with "c" for a token written as itself, "r" for the
         index of a shared entry or "a" for an AcCert's JSON, and the node's
         history certificate is "hcert", "href" or "hac" in the same roles.
+        A node names each configuration by its cid, in its history and in
+        a configuration ({"cfg": cid}) or history ({"hist": [cid, ...]})
+        input value, and the root's "cfgs" table writes each configuration
+        the DAG names once, as {cid: its JSON}. So a node's JSON is the
+        same whichever root holds it.
         """
-        refs, shared = {}, []
-        out = _node_jsonable(self, refs, shared)
+        refs, shared, cfgs = {}, [], {}
+        out = _node_jsonable(self, refs, shared, cfgs)
         if shared:
             out["shared"] = shared
+        out["cfgs"] = cfgs
         return out
 
     @classmethod
     def from_jsonable(cls, d, memo=None) -> "OutputCert":
-        """Inverse of to_jsonable. A shared index must be an int naming an
-        earlier entry of "shared"; any other raises ValueError, and a slot
-        with none of its keys KeyError.
+        """Inverse of to_jsonable. A shared index that is not an exact int
+        naming an earlier entry of "shared", a cid that "cfgs" does not
+        hold and a slot with none of its keys raise KeyError; an entry of
+        "cfgs" whose key is not its configuration's cid raises ValueError.
 
-        With a memo dict, shared across calls, a node is decoded once per
-        identity of its fields' JSON objects (see fields_jsonable) and of
-        the decoded certificates it names: the returns of a live run share
-        those objects, so a node that many of them hold is decoded and
-        framed once, while a trace read from a file is decoded return by
-        return. The memo keeps each decoded dict and certificate, and so
-        every object keyed by id, alive while it is in use.
+        With a memo dict, shared across calls, a configuration is decoded
+        once per cid whose entries are alike, live or loaded, and a node
+        once per identity of its fields' JSON objects (see fields_jsonable)
+        and of the certificates and configurations it names: the returns of
+        a live run share those objects, so a node that many of them hold is
+        decoded and framed once, while a trace read from a file is decoded
+        return by return. The memo keeps each decoded dict and certificate,
+        and so every object keyed by id, alive while it is in use.
         """
-        table = []
-        for entry in d.get("shared", ()):
-            table.append(_node_from_jsonable(entry, table, memo))
-        return _node_from_jsonable(d, table, memo)
+        cfgs = {cid: _config_from_jsonable(cid, e, memo) for cid, e in d["cfgs"].items()}
+        table = {}
+        for i, entry in enumerate(d.get("shared", ())):
+            table[i] = _node_from_jsonable(entry, table, cfgs, memo)
+        return _node_from_jsonable(d, table, cfgs, memo)
 
 
 # The keys of a certificate slot, by what it holds: a token written as
@@ -322,43 +352,99 @@ VALUE_SLOT = ("c", "r", "a")
 HIST_SLOT = ("hcert", "href", "hac")
 
 
-def _node_jsonable(cert: OutputCert, refs: dict, shared: list) -> dict:
-    vs, hist, packs, cacks = cert.fields_jsonable()
-    return {
-        "values": [{"v": v, **_slot_jsonable(iv.cert, VALUE_SLOT, refs, shared)} for v, iv in zip(vs, cert.values)],
+def _cid_jsonable(c: Config, cfgs: dict) -> str:
+    """c's cid, with c's JSON entered in cfgs under it."""
+    cid = c.cid()
+    if cid not in cfgs:
+        cfgs[cid] = c.to_jsonable()["cfg"]
+    return cid
+
+
+def _value_jsonable(v, cfgs: dict):
+    """An input value's JSON, its configurations named by cid."""
+    if type(v) is Config:
+        return {"cfg": _cid_jsonable(v, cfgs)}
+    if type(v) is History:
+        return {"hist": [_cid_jsonable(c, cfgs) for c in v.configs]}
+    return value_to_jsonable(v)
+
+
+def _node_jsonable(cert: OutputCert, refs: dict, shared: list, cfgs: dict) -> dict:
+    vs, hist, packs, cacks, named = cert.fields_jsonable()
+    out = {
+        "values": [{"v": v, **_slot_jsonable(iv.cert, VALUE_SLOT, refs, shared, cfgs)}
+                   for v, iv in zip(vs, cert.values)],
         "hist": hist,
-        **_slot_jsonable(cert.hist_cert, HIST_SLOT, refs, shared),
+        **_slot_jsonable(cert.hist_cert, HIST_SLOT, refs, shared, cfgs),
         "packs": packs,
         "cacks": cacks,
     }
+    cfgs.update(named)
+    return out
 
 
-def _slot_jsonable(cert, keys: tuple, refs: dict, shared: list) -> dict:
+def _slot_jsonable(cert, keys: tuple, refs: dict, shared: list, cfgs: dict) -> dict:
     """A certificate's slot, under the one of keys that names its kind.
     refs maps the frames of the entries written to shared to their index."""
     token, ref, ac = keys
     if isinstance(cert, OutputCert):
         key = cert.canon()
         if key not in refs:
-            entry = _node_jsonable(cert, refs, shared)
+            entry = _node_jsonable(cert, refs, shared, cfgs)
             refs[key] = len(shared)
             shared.append(entry)
         return {ref: refs[key]}
     return {ac: cert.to_jsonable()} if isinstance(cert, AcCert) else {token: cert}
 
 
-def _node_from_jsonable(d, table: list, memo) -> OutputCert:
+def _config_from_jsonable(cid, entry, memo) -> Config:
+    """The configuration a "cfgs" entry writes, refused unless cid is its
+    cid; with a memo, built once per cid and entries alike."""
+    hit = None if memo is None else memo.get(("cfg", cid))
+    if hit is not None and hit[0] == entry:
+        return hit[1]
+    config = Config.from_jsonable({"cfg": entry})
+    if config.cid() != cid:
+        raise ValueError(f"configuration entry {cid!r} holds configuration {config.cid()}")
+    if memo is not None:
+        memo["cfg", cid] = (entry, config)
+    return config
+
+
+def _cids(d) -> list:
+    """The cids a node's JSON names: its history's and its input values'."""
+    out = list(d["hist"])
+    for v in d["values"]:
+        v = v["v"]
+        if type(v) is dict:
+            out += [v["cfg"]] if "cfg" in v else v.get("hist", ())
+    return out
+
+
+def _value_from_jsonable(v, cfgs: dict):
+    """Inverse of _value_jsonable, naming configurations from cfgs."""
+    if type(v) is dict:
+        if "cfg" in v:
+            return cfgs[v["cfg"]]
+        if "hist" in v:
+            return History([cfgs[c] for c in v["hist"]])
+    return value_from_jsonable(v)
+
+
+def _node_from_jsonable(d, table: dict, cfgs: dict, memo) -> OutputCert:
     named = [_slot_from_jsonable(v, VALUE_SLOT, table) for v in d["values"]]
     hcert = _slot_from_jsonable(d, HIST_SLOT, table)
     if memo is not None:
+        # every configuration the node names is looked up in this return's
+        # own table, whichever return's JSON the node was first decoded from
         key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
-               *map(id, named), id(hcert))
+               *map(id, named), id(hcert), *[id(cfgs[c]) for c in _cids(d)])
         hit = memo.get(key)
         if hit is not None:
             return hit[1]
     cert = OutputCert(
-        [InputValue(value_from_jsonable(v["v"]), c) for v, c in zip(d["values"], named)],
-        History.from_jsonable(d["hist"]),
+        [InputValue(_value_from_jsonable(v["v"], cfgs), c) for v, c in zip(d["values"], named)],
+        History([cfgs[c] for c in d["hist"]]),
         hcert,
         QuorumCert.from_jsonable(d["packs"]),
         QuorumCert.from_jsonable(d["cacks"]),
@@ -368,14 +454,14 @@ def _node_from_jsonable(d, table: list, memo) -> OutputCert:
     return cert
 
 
-def _slot_from_jsonable(d, keys: tuple, table: list):
-    """The certificate in d's slot, which has keys."""
+def _slot_from_jsonable(d, keys: tuple, table: dict):
+    """The certificate in d's slot, which has keys. table maps the index of
+    each earlier shared entry to its certificate, so a reference that is not
+    an exact int naming one (a bool, a float or a str) is a KeyError."""
     token, ref, ac = keys
     if ref in d:
         i = d[ref]
-        if type(i) is not int or not 0 <= i < len(table):
-            raise ValueError(f"certificate reference {i!r} names no earlier shared entry")
-        return table[i]
+        return table[i if type(i) is int else None]
     return AcCert.from_jsonable(d[ac]) if ac in d else d[token]
 
 

@@ -63,13 +63,6 @@ class FsSig(Value):
     def _encode(self) -> bytes:
         return canon(["fsig", self.signer, self.ts, self.data])
 
-    def to_jsonable(self):
-        return {"signer": self.signer, "ts": self.ts, "data": self.data.hex()}
-
-    @classmethod
-    def from_jsonable(cls, d) -> "FsSig":
-        return cls(d["signer"], d["ts"], bytes.fromhex(d["data"]))
-
 
 class _FsOracleBase:
     def __init__(self):

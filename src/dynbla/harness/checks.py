@@ -58,9 +58,10 @@ def check_certificates(bundle, view):
 
     Each return's certificate is self-contained (OutputCert.to_jsonable).
     Decoding shares one memo across the returns (see
-    OutputCert.from_jsonable): a node that several returns of a live
-    bundle hold is decoded and framed once, and a loaded trace is decoded
-    return by return, each return once per node of its DAG.
+    OutputCert.from_jsonable): each configuration is decoded once per
+    bundle, keyed by its verified cid, a node that several returns of a
+    live bundle hold is decoded and framed once, and a loaded trace's nodes
+    are decoded return by return, each return once per node of its DAG.
     """
     memo = {}
     bad = []

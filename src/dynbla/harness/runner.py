@@ -67,7 +67,12 @@ TRACE_FORMAT = "dynbla-trace"
 # a certificate's kind; a version-5 file writes a certificate named once
 # inline and tells it from a token by the token's content, so a token
 # shaped like a certificate would be read as one, and it is refused
-TRACE_VERSION = 6
+# version 7: a returned certificate writes a quorum's height once and each
+# signature as its hex data under its signer ({"ts": h, "sigs": {pid: hex}}),
+# and names each configuration by its cid from the root's "cfgs" table; a
+# version-6 file spells out every signature and configuration, so it is
+# refused rather than read under two encodings
+TRACE_VERSION = 7
 
 
 class TraceError(ValueError):

@@ -2,9 +2,11 @@
 about 2000 examples per property, for the steps that run only the encoding
 properties (``pytest tests/test_lattice.py -k canon --hypothesis-profile=ci``),
 the scheduler's reference draws (``pytest tests/test_simnet.py -k
-test_draw_matches_ --hypothesis-profile=ci``) and the keychain oracle against
+test_draw_matches_ --hypothesis-profile=ci``), the keychain oracle against
 its uncached reference (``pytest tests/test_fscrypto.py -k
-test_keychain_matches_uncached_reference --hypothesis-profile=ci``). Its
+test_keychain_matches_uncached_reference --hypothesis-profile=ci``) and the
+returned certificates' JSON round trip (``pytest tests/test_dbla.py -k
+test_certificate_json_round_trips --hypothesis-profile=ci``). Its
 deadline is off: the steps check outputs, not per-example time."""
 
 from hypothesis import settings

@@ -554,7 +554,7 @@ def test_a_quorum_cert_encodes_and_round_trips_as_its_signature_map(m):
     shown = repr(qc)
     assert qc.canon() == canon(m) == canon(dict(qc.sigs))
     js = qc.to_jsonable()
-    assert js == {p: s.to_jsonable() for p, s in m.items()} and list(js) == list(m)
+    assert list(js["sigs"]) == list(m)
     back = QuorumCert.from_jsonable(json.loads(json.dumps(js)))
     assert back.canon() == qc.canon() and dict(back.sigs) == m
     # the encoding is memoised: set once, by no assignment or argument, and no part of repr
@@ -573,6 +573,87 @@ def test_a_quorum_cert_encodes_and_round_trips_as_its_signature_map(m):
     msg = Msg("bla.confirm", "obj", {"sn": 1, "packs": qc})
     copy = msg.copy()
     assert copy.body["packs"] is qc and copy.mhash() == msg.mhash()
+
+
+def test_a_uniform_quorum_writes_its_height_once_and_its_signers_only_as_keys():
+    w = World(cids=("p",))
+    w.propose(Trigger(at=0), "p", FinSet({"a"}))
+    w.sim.run()
+    _, cert = w.returns["p"][0]
+    h = cert.anchor().height()
+    for qc in (cert.packs, cert.cacks):
+        assert qc.to_jsonable() == {"ts": h, "sigs": {p: s.data.hex() for p, s in qc.sigs.items()}}
+    # a signature whose signer is not its key, or whose height is not the
+    # first signature's, keeps its whole JSON
+    odd = QuorumCert({"r1": FsSig("r1", 2, b"\x01"), "r2": FsSig("r9", 2, b"\x02"), "r3": FsSig("r3", 5, b"\x03")})
+    assert odd.to_jsonable() == {"ts": 2, "sigs": {"r1": "01", "r2": {"signer": "r9", "ts": 2, "data": "02"},
+                                                   "r3": {"signer": "r3", "ts": 5, "data": "03"}}}
+    assert QuorumCert({}).to_jsonable() == {"ts": 0, "sigs": {}}
+
+
+# a chain of comparable configurations, for histories, and one beside it;
+# nodes drawn from these share configurations
+_CHAIN = [genesis_config(["r1"]), genesis_config(["r1", "r2"]), Config([(ADD, "r1"), (ADD, "r2"), ("-", "r1")])]
+_HISTORIES = st.sets(st.sampled_from(_CHAIN), min_size=1).map(History)
+_INPUTS = st.one_of(
+    st.builds(FinSet, st.sets(st.text(max_size=3), max_size=3)),
+    st.sampled_from([*_CHAIN, genesis_config(["r3"])]),
+    _HISTORIES,
+    st.integers(),
+    st.text(max_size=3),
+)
+_TOKENS = st.sampled_from([GENESIS_CERT, {"kind": "any"}, {"kind": "ocert", "ref": 0}, {"l": [1, True, None]}])
+_GRANTS = st.sampled_from([AcCert("admin", "acl", "s", 3, None, {"a1": "00"}, {}),
+                           AcCert("sanity", "acl", "s", "x", _CHAIN[1], {"r1": FsSig("r1", 2, b"\x00")}, {})])
+
+
+# quorums of height h, some of whose signatures name another signer or
+# height than their key and h, besides the arbitrary maps
+_QUORUMS = _SIG_MAPS | st.builds(
+    lambda h, sigs: {p: FsSig(p if s is None else s, h if t is None else t, d) for p, s, t, d in sigs},
+    st.integers(min_value=0, max_value=9),
+    st.lists(st.tuples(st.sampled_from(["r1", "r2", "r3", "r4"]), st.none() | st.text(max_size=2),
+                       st.none() | st.integers(min_value=0, max_value=9), st.binary(max_size=8)), max_size=4),
+)
+
+
+def _output_certs(children):
+    return st.builds(
+        lambda ivs, hist, hcert, packs, cacks: OutputCert([InputValue(v, c) for v, c in ivs], hist, hcert, packs,
+                                                          cacks),
+        st.lists(st.tuples(_INPUTS, children), min_size=1, max_size=3), _HISTORIES, children, _QUORUMS, _QUORUMS)
+
+
+_CERTS = st.recursive(st.one_of(_TOKENS, _GRANTS), _output_certs, max_leaves=6)
+
+
+@given(_output_certs(_CERTS))
+def test_certificate_json_round_trips_over_arbitrary_dags(cert):
+    # whatever its signature maps (signers that are not their keys, mixed
+    # heights, none at all) and however its nodes share certificates and
+    # configurations, a returned certificate reads back as itself, and
+    # writes the same JSON again
+    text = json.dumps(cert.to_jsonable())
+    back = OutputCert.from_jsonable(json.loads(text))
+    assert back.canon() == cert.canon()
+    assert json.dumps(back.to_jsonable()) == text
+
+
+def test_a_node_the_memo_holds_needs_its_configurations_in_each_return_that_names_it():
+    # a node decoded from one return's JSON is a memo hit in another's that
+    # shares its fields, as a live run's returns do; that return's "cfgs"
+    # must still write every configuration the node names, as a file's must
+    g = History([genesis_config(["r1"])])
+    x = genesis_config(["r9"])
+    inner = OutputCert([InputValue(x, {"kind": "any"})], g, GENESIS_CERT, {}, {})
+    outer = OutputCert([InputValue(FinSet({"a"}), inner)], g, GENESIS_CERT, {}, {})
+    memo = {}
+    assert OutputCert.from_jsonable(outer.to_jsonable(), memo).canon() == outer.canon()
+    again = outer.to_jsonable()
+    assert OutputCert.from_jsonable(again, memo).canon() == outer.canon()
+    del again["cfgs"][x.cid()]
+    with pytest.raises(KeyError, match=x.cid()):
+        OutputCert.from_jsonable(again, memo)
 
 
 def test_offline_ledger_verifier_accepts_outputs():

@@ -99,11 +99,6 @@ def test_plain_signatures(oracle):
     assert not oracle.plain_verify(b"payload", "p1", b"\x01" * 32)
 
 
-def test_fs_sig_round_trips_jsonable(oracle):
-    sig = oracle.fs_sign("p1", b"m", 3)
-    assert FsSig.from_jsonable(sig.to_jsonable()) == sig
-
-
 def test_keychain_constant_and_span_enforcement():
     assert KEY_CHAIN_SPAN == 65536
     o = KeyChainFsOracle(span=16)

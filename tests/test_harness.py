@@ -15,7 +15,7 @@ from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import run_checks
 from dynbla.harness.runner import load_trace, read_ops, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
-from dynbla.lattice import FinSet, value_from_jsonable
+from dynbla.lattice import Config, FinSet, value_from_jsonable
 from dynbla.simnet import Msg, trace_hash
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -508,9 +508,8 @@ def test_tampered_ack_signature_fails_certificate_check():
     bundle = rep.bundle()
 
     def flip(r):
-        sigs = r["ack"]["acks"]
-        p = sorted(sigs)[0]
-        sigs[p]["data"] = "00" * 8
+        sigs = r["ack"]["acks"]["sigs"]
+        sigs[sorted(sigs)[0]] = "00" * 8
 
     doctor_return(bundle, 0, flip)
     assert not passed(run_checks(bundle), "safety.certificates_verify")
@@ -576,7 +575,7 @@ def _r2(bundle):
     (_reads_in_turn(), lambda b: doctor_return(b, 5, lambda r: r.update(v=9)),
      "safety.maxreg_atomic", "(3, 5, 'reads went backwards')"),
     (FAMILIES["ac-pattern"](0b0111),
-     lambda b: doctor_return(b, 0, lambda r: next(iter(r["cert"]["appr"].values())).update(data="00" * 32)),
+     lambda b: doctor_return(b, 0, lambda r: _flip_sig(r["cert"]["appr"])),
      "safety.certificates_verify", "failed ops: [0]"),
 ], ids=["own-value-missing", "incomparable-outputs", "not-a-set", "incomparable-histories", "history-not-adopted",
         "top-not-installed", "stale-epoch", "install-in-no-history", "gate-out-of-history", "reads-backwards",
@@ -755,12 +754,13 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 6
+    assert head["version"] == 7
     # version 2 signed certificates over another encoding, version 3 spells
     # out every copy of a nested certificate, version 4 writes history
-    # inputs as sets of configurations, and version 5 tells a nested
-    # certificate from a token by the token's content: all are refused too
-    for old in (1, 2, 3, 4, 5):
+    # inputs as sets of configurations, version 5 tells a nested
+    # certificate from a token by the token's content, and version 6 spells
+    # out every signature and configuration: all are refused too
+    for old in (1, 2, 3, 4, 5, 6):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)
@@ -1200,10 +1200,12 @@ def _dag(cert):
     return seen
 
 
-def _flip_sig(sigs):
+def _flip_sig(quorum):
+    """Flip one bit of the first signer's signature in a quorum's JSON."""
+    sigs = quorum["sigs"]
     pid = sorted(sigs)[0]
-    data = bytes.fromhex(sigs[pid]["data"])
-    sigs[pid]["data"] = (bytes([data[0] ^ 1]) + data[1:]).hex()
+    data = bytes.fromhex(sigs[pid])
+    sigs[pid] = (bytes([data[0] ^ 1]) + data[1:]).hex()
 
 
 def _below(cert, node):
@@ -1251,15 +1253,22 @@ def test_certificate_frame_commits_to_nested_certificates(chain3):
     # entry that more than one node names
     sig = copy.deepcopy(r["cert"])
     _flip_sig(_below(sig, _below(sig, sig))["packs"])
-    # one configuration inside the configuration certificate two levels down
+    # one configuration input of the configuration certificate two levels
+    # down, renamed as another configuration of the table
     val = copy.deepcopy(r["cert"])
     below = _below(val, val)
     conf_cert = next(val["shared"][iv["r"]] for iv in below["values"] if "r" in iv)
     iv = next(iv for iv in conf_cert["values"] if "cfg" in iv["v"])
-    iv["v"]["cfg"].append(["+", "r99"])
+    cid = iv["v"]["cfg"]
+    iv["v"] = {"cfg": next(c for c in val["cfgs"] if c != cid)}
     for bad in (sig, val):
         assert OutputCert.from_jsonable(bad).canon() != top.canon()
         assert not verifies(bad)
+    # and that configuration's own table entry, edited, is refused
+    entry = copy.deepcopy(r["cert"])
+    entry["cfgs"][cid] = [*entry["cfgs"][cid], ["+", "r99"]]
+    with pytest.raises(ValueError, match=cid):
+        OutputCert.from_jsonable(entry)
 
 
 def test_certificate_dag_grows_polynomially_and_so_does_its_json():
@@ -1321,6 +1330,31 @@ def test_a_live_bundle_decodes_each_node_once_and_a_loaded_one_return_by_return(
         assert len(built) == decoded
 
 
+def test_check_certificates_decodes_each_configuration_once_live_or_loaded(tmp_path, monkeypatch):
+    # the decode memo keys a configuration by its verified cid, which a
+    # loaded trace's returns share as a live bundle's do
+    bundle = run_scenario(FAMILIES["chain"](0, 10)).bundle()
+    path = tmp_path / "chain10.trace"
+    save_trace(path, bundle)
+    cids = set().union(*[op.result["cert"]["cfgs"]
+                         for op in read_ops(bundle["trace"], len(bundle["scenario"]["ops"]))[0].values()
+                         if op.spec["op"] in ("propose", "update_config")])
+    built = []
+    from_jsonable = Config.from_jsonable.__func__
+
+    def counting(cls, data):
+        config = from_jsonable(cls, data)
+        built.append(config.cid())
+        return config
+
+    monkeypatch.setattr(Config, "from_jsonable", classmethod(counting))
+    for checked in (bundle, load_trace(path)):
+        built.clear()
+        view = checks.rebuild_view(checked)
+        assert checks.check_certificates(checked, view)[1]
+        assert sorted(built) == sorted(cids)
+
+
 def test_a_copied_node_that_names_another_history_certificate_fails(chain3):
     # the decode memo keys a live node by its fields' objects and by what it
     # names, so a copy that keeps the fields and swaps what it names is
@@ -1355,9 +1389,30 @@ def test_a_bad_ref_fails_only_its_op(chain3, key, where, ref):
         del slot[key]
     else:
         slot[key] = {"own": own, "len": len(cert["shared"])}.get(ref, ref)
+    _fails_only(bundle, idx)
+
+
+def _fails_only(bundle, idx):
+    """Op idx, and nothing else, fails the bundle's checks."""
     results = {name: (ok, info) for name, ok, info in run_checks(bundle)}
     assert results["safety.certificates_verify"] == (False, f"failed ops: [{idx}]")
     assert all(ok for name, (ok, _) in results.items() if name != "safety.certificates_verify")
+
+
+# the genesis configuration's "cfgs" entry, which nodes decoded from earlier
+# returns name too: under a key that is not its cid, gone, under a non-str
+# key, or hex where the configuration's updates belong
+@pytest.mark.parametrize("edit", [
+    lambda cfgs, cid: cfgs.update({"0" * 12: cfgs.pop(cid)}),
+    lambda cfgs, cid: cfgs.pop(cid),
+    lambda cfgs, cid: cfgs.update({7: cfgs.pop(cid)}),
+    lambda cfgs, cid: cfgs.update({cid: "ab" * 6}),
+], ids=["wrong-key", "missing-cid", "non-str-key", "hex-entry"])
+def test_a_bad_cfgs_entry_fails_only_its_op(chain3, edit):
+    bundle = copy.deepcopy(chain3)
+    idx, r = _last_update(bundle)
+    edit(r["cert"]["cfgs"], r["cert"]["hist"][0])
+    _fails_only(bundle, idx)
 
 
 def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
