@@ -22,7 +22,7 @@ from dynbla.dbla import (
     verify_output,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
-from dynbla.lattice import ADD, Config, FinSet, History, canon, genesis_config
+from dynbla.lattice import ADD, REMOVE, Config, FinSet, History, canon, genesis_config
 from dynbla.maxreg import MaxRegStore
 from dynbla.simnet import HoldRule, Msg, Simulator, Trigger, trace_hash
 
@@ -593,7 +593,7 @@ def test_a_uniform_quorum_writes_its_height_once_and_its_signers_only_as_keys():
 
 # a chain of comparable configurations, for histories, and one beside it;
 # nodes drawn from these share configurations
-_CHAIN = [genesis_config(["r1"]), genesis_config(["r1", "r2"]), Config([(ADD, "r1"), (ADD, "r2"), ("-", "r1")])]
+_CHAIN = [genesis_config(["r1"]), genesis_config(["r1", "r2"]), Config([(ADD, "r1"), (ADD, "r2"), (REMOVE, "r1")])]
 _HISTORIES = st.sets(st.sampled_from(_CHAIN), min_size=1).map(History)
 _INPUTS = st.one_of(
     st.builds(FinSet, st.sets(st.text(max_size=3), max_size=3)),
