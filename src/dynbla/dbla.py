@@ -64,8 +64,8 @@ and named by cid. A nested AcCert is written through its own to_jsonable /
 from_jsonable, and a token dict as itself; the key of its slot, never the
 token's content, says which. A quorum writes its height once and each
 signature as its hex data under its signer (QuorumCert.to_jsonable). An
-input value is admitted only with a certificate that can be written so
-(writable), so no return holds one that JSON cannot write.
+input value is admitted only if its value and certificate can be written
+so throughout (writable), so no return holds one that JSON cannot write.
 
 A quorum's forward-secure signatures over one payload are one QuorumCert,
 the one place that map is encoded, written, read and verified; a
@@ -114,12 +114,54 @@ class InputValue(Value):
         return canon(["iv", self.value, self.cert])
 
 
-def writable(cert) -> bool:
-    """cert is an OutputCert, an AcCert or a token of JSON values: what a
-    returned certificate can write in an input value's slot and read back
-    as itself (OutputCert.to_jsonable)."""
+def writable(iv: InputValue) -> bool:
+    """iv is what a returned certificate can write and read back as itself
+    (OutputCert.to_jsonable), throughout: its value is an int, a str, None,
+    a FinSet of strs, a Config or a History, and its certificate a token of
+    JSON values, an AcCert or an OutputCert whose own fields are so. Each
+    nested OutputCert is looked at once, however many nodes name it."""
+    return _writable_value(iv.value) and _writable_cert(iv.cert, set())
+
+
+def _writable_value(v) -> bool:
+    t = type(v)
+    if t is FinSet:
+        return all(type(e) is str for e in v.elems)
+    if t is History:
+        return all(type(c) is Config for c in v.configs)
+    return t is int or t is str or v is None or t is Config
+
+
+def _writable_cert(cert, seen: set) -> bool:
+    """cert can fill a certificate slot; seen holds the ids of the
+    OutputCerts already found writable, or being looked at, in this call."""
     t = type(cert)
-    return t is OutputCert or t is AcCert or t is Token and _json_shaped(cert)
+    if t is OutputCert:
+        if id(cert) in seen:
+            return True
+        seen.add(id(cert))
+        return (type(cert.history) is History and _writable_value(cert.history)
+                and all(type(iv) is InputValue and _writable_value(iv.value) and _writable_cert(iv.cert, seen)
+                        for iv in cert.values)
+                and _writable_cert(cert.hist_cert, seen) and _writable_quorum(cert.packs)
+                and _writable_quorum(cert.cacks))
+    if t is AcCert:
+        if not (type(cert.mode) is str and type(cert.object_id) is str and _json_shaped(cert.slot)
+                and _writable_value(cert.value) and (cert.config is None or type(cert.config) is Config)):
+            return False
+        if cert.mode == "admin":    # its approvals are written as a token, and no cacks
+            return type(cert.approvals) is Token and _json_shaped(cert.approvals) and cert.cacks == {}
+        return _writable_quorum(cert.approvals) and _writable_quorum(cert.cacks)
+    return t is Token and _json_shaped(cert)
+
+
+def _writable_quorum(qc: QuorumCert) -> bool:
+    """qc's map is str signers' signatures, each with a str signer, an int
+    height and bytes data (QuorumCert.to_jsonable)."""
+    sigs = qc.sigs
+    return type(sigs) is Token and all(
+        type(p) is str and type(s) is FsSig and type(s.signer) is str and type(s.ts) is int
+        and type(s.data) is bytes for p, s in sigs.items())
 
 
 def _json_shaped(x) -> bool:
@@ -146,13 +188,13 @@ class DynamicObject:
         self._ocache: set = set()
 
     def check_value(self, iv: InputValue) -> bool:
-        """iv is a genesis value, or its certificate is writable and passes
-        the object's check. Every input value a replica stores, a client
-        collects or a verifier accepts is admitted here."""
+        """iv is a genesis value, or it is writable and passes the object's
+        check. Every input value a replica stores, a client collects or a
+        verifier accepts is admitted here."""
         key = iv.canon()
         if key in self._vcache:
             return True
-        ok = iv in self.genesis_values or writable(iv.cert) and bool(
+        ok = iv in self.genesis_values or writable(iv) and bool(
             self._check_value and self._check_value(iv.value, iv.cert))
         if ok:
             self._vcache.add(key)

@@ -8,14 +8,14 @@ import weakref
 import pytest
 from click.testing import CliRunner
 
-from dynbla.dbla import InputValue, OutputCert
+from dynbla.dbla import GENESIS_CERT, InputValue, OutputCert
 from dynbla.fscrypto import _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import run_checks
 from dynbla.harness.runner import load_trace, read_ops, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
-from dynbla.lattice import Config, FinSet, value_from_jsonable
+from dynbla.lattice import Config, FinSet, History, value_from_jsonable
 from dynbla.simnet import Msg, trace_hash
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -1434,11 +1434,11 @@ def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
 PLANTED = [{"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}}, {"ackind": "sanity"}]
 
 
-def _plant(monkeypatch, cert):
+def _plant(monkeypatch, cert, value=FinSet({"evil"})):
     """A run in which client z proposes at step 0 and is corrupted at step
     1, and on its first delivery sends every replica a propose whose one
-    input value, FinSet({"evil"}), carries cert; correct clients p and q
-    propose later. Its bundle, and its op records by index."""
+    input value, value, carries cert; correct clients p and q propose
+    later. Its bundle, and its op records by index."""
     def planting(ctx):
         sent = []
 
@@ -1446,7 +1446,7 @@ def _plant(monkeypatch, cert):
             if sent:
                 return
             sent.append(True)
-            body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(FinSet({"evil"}), cert)]}
+            body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(value, cert)]}
             for r in ("r1", "r2", "r3", "r4"):
                 adv.send("z", r, Msg("bla.propose", ev.msg.obj, body))
 
@@ -1482,13 +1482,26 @@ def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path,
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
-@pytest.mark.parametrize("cert", [b"x", FinSet({"q"}), {"k": ["a", b"x"]}, {1: "x"}],
-                         ids=["bytes", "finset", "bytes-in-a-token-list", "int-key"])
-def test_a_planted_certificate_json_cannot_write_is_refused(tmp_path, monkeypatch, cert):
-    # an input value is admitted only with a certificate a return can write
-    # and read back as itself (dbla.writable): no correct process takes the
-    # planted value, so the run and every check complete, live and from a file
-    bundle, returns = _plant(monkeypatch, cert)
+_HIST = History([Config([("+", "r1")])])
+
+
+@pytest.mark.parametrize("value,cert", [
+    (FinSet({"evil"}), b"x"),
+    (FinSet({"evil"}), FinSet({"q"})),
+    (FinSet({"evil"}), {"k": ["a", b"x"]}),
+    (FinSet({"evil"}), {1: "x"}),
+    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), {"kind": "any"})], _HIST, GENESIS_CERT,
+                                  {"r1": "junk"}, {})),
+    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), b"x")], _HIST, GENESIS_CERT, {}, {})),
+    (FinSet({b"evil"}), {"kind": "any"}),
+], ids=["bytes", "finset", "bytes-in-a-token-list", "int-key", "junk-in-a-nested-quorum",
+        "bytes-in-a-nested-input", "bytes-element"])
+def test_a_planted_certificate_json_cannot_write_is_refused(tmp_path, monkeypatch, value, cert):
+    # an input value is admitted only if a return can write it and read it
+    # back as itself, throughout (dbla.writable): no correct process takes
+    # the planted value, so the run and every check complete, live and
+    # from a file
+    bundle, returns = _plant(monkeypatch, cert, value)
     assert all("evil" not in returns[i].result["w"]["set"] for i in (1, 2))
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
