@@ -63,7 +63,8 @@ per path; every configuration is written once, in the root's "cfgs" table,
 and named by cid. A nested AcCert is written through its own to_jsonable /
 from_jsonable, and a token dict as itself; the key of its slot, never the
 token's content, says which. A quorum writes its height once and each
-signature as its hex data under its signer (QuorumCert.to_jsonable). An
+signature as its data, in base64, under its signer (QuorumCert.to_jsonable),
+and reads back only the exact base64 of each signature's bytes. An
 input value is admitted only if its value and certificate can be written
 so throughout (writable), so no return holds one that JSON cannot write.
 
@@ -90,6 +91,7 @@ from __future__ import annotations
 
 import functools
 import weakref
+from binascii import a2b_base64, b2a_base64
 from collections import deque
 
 from .broadcast import RbEndpoint, UrbEndpoint
@@ -263,8 +265,10 @@ class QuorumCert(Value):
     """{signer: FsSig} over one payload: an output's two rounds, a sanity or
     quorum grant's approvals and cacks, a write's acks. Its map is a Token;
     it encodes as the map, and is written as {"ts": h, "sigs": {signer:
-    hex}}, since a correct quorum's signatures all have their key as
-    signer and the quorum's configuration's height as ts."""
+    b64}}, since a correct quorum's signatures all have their key as
+    signer and the quorum's configuration's height as ts. Each signature's
+    data is written in standard padded base64, two thirds the size of hex;
+    the signed payloads and canon() are unchanged."""
 
     __slots__ = ("sigs", "_canon")
 
@@ -280,22 +284,25 @@ class QuorumCert(Value):
         return canon(self.sigs)
 
     def to_jsonable(self) -> dict:
-        """{"ts": h, "sigs": {signer: hex}}, in the map's order. h is the
+        """{"ts": h, "sigs": {signer: b64}}, in the map's order. h is the
         first signature's height (0 for none). A signature whose signer is
         its key and whose height is h, of h's own type (True == 1), is its
-        hex data alone; any other keeps its whole {"signer", "ts", "data"}
-        JSON, so every map reads back as itself."""
+        data alone, in base64; any other keeps its whole {"signer", "ts",
+        "data"} JSON, data in base64 too, so every map reads back as
+        itself."""
         sigs = self.sigs
         ts = next(iter(sigs.values())).ts if sigs else 0
-        return {"ts": ts, "sigs": {p: s.data.hex() if s.signer == p and s.ts == ts and type(s.ts) is type(ts)
-                                   else {"signer": s.signer, "ts": s.ts, "data": s.data.hex()}
+        return {"ts": ts, "sigs": {p: _b64(s.data) if s.signer == p and s.ts == ts and type(s.ts) is type(ts)
+                                   else {"signer": s.signer, "ts": s.ts, "data": _b64(s.data)}
                                    for p, s in sigs.items()}}
 
     @classmethod
     def from_jsonable(cls, d) -> QuorumCert:
+        """Inverse of to_jsonable. A signature's data that is not the exact
+        base64 of its bytes raises ValueError, so a quorum has one JSON."""
         ts = d["ts"]
-        return cls({p: FsSig(p, ts, bytes.fromhex(s)) if type(s) is str
-                    else FsSig(s["signer"], s["ts"], bytes.fromhex(s["data"])) for p, s in d["sigs"].items()})
+        return cls({p: FsSig(p, ts, _from_b64(s)) if type(s) is str
+                    else FsSig(s["signer"], s["ts"], _from_b64(s["data"])) for p, s in d["sigs"].items()})
 
     def verify(self, oracle, config: Config, payload: bytes, need: int) -> bool:
         """At least need replicas of config, and no one else, signed payload
@@ -304,6 +311,21 @@ class QuorumCert(Value):
             return False
         ts = config.height()
         return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
+
+
+def _b64(data: bytes) -> str:
+    """data in standard padded base64 (RFC 4648, section 4)."""
+    return b2a_base64(data, newline=False).decode("ascii")
+
+
+def _from_b64(s) -> bytes:
+    """The bytes whose _b64 is s. Any other str, with a character outside
+    the alphabet, a missing "=" or nonzero trailing bits, raises ValueError,
+    and a non-str TypeError."""
+    data = a2b_base64(s)
+    if _b64(data) != s:
+        raise ValueError(f"not the exact base64 of its bytes: {s!r}")
+    return data
 
 
 class OutputCert(Value):

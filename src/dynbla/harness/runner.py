@@ -72,7 +72,11 @@ TRACE_FORMAT = "dynbla-trace"
 # and names each configuration by its cid from the root's "cfgs" table; a
 # version-6 file spells out every signature and configuration, so it is
 # refused rather than read under two encodings
-TRACE_VERSION = 7
+# version 8: a returned certificate writes each quorum signature's data in
+# standard padded base64, not hex ({"ts": h, "sigs": {pid: b64}}), and reads
+# back only the exact base64 of its bytes; a version-7 file writes hex, and
+# is refused rather than read under two encodings
+TRACE_VERSION = 8
 
 
 class TraceError(ValueError):

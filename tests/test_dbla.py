@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -582,13 +583,29 @@ def test_a_uniform_quorum_writes_its_height_once_and_its_signers_only_as_keys():
     _, cert = w.returns["p"][0]
     h = cert.anchor().height()
     for qc in (cert.packs, cert.cacks):
-        assert qc.to_jsonable() == {"ts": h, "sigs": {p: s.data.hex() for p, s in qc.sigs.items()}}
+        # each 32-byte ledger signature in 44 characters of base64, not 64 of hex
+        assert qc.to_jsonable() == {"ts": h, "sigs": {p: base64.b64encode(s.data).decode()
+                                                      for p, s in qc.sigs.items()}}
+        assert {len(s) for s in qc.to_jsonable()["sigs"].values()} == {44}
     # a signature whose signer is not its key, or whose height is not the
     # first signature's, keeps its whole JSON
     odd = QuorumCert({"r1": FsSig("r1", 2, b"\x01"), "r2": FsSig("r9", 2, b"\x02"), "r3": FsSig("r3", 5, b"\x03")})
-    assert odd.to_jsonable() == {"ts": 2, "sigs": {"r1": "01", "r2": {"signer": "r9", "ts": 2, "data": "02"},
-                                                   "r3": {"signer": "r3", "ts": 5, "data": "03"}}}
+    assert odd.to_jsonable() == {"ts": 2, "sigs": {"r1": "AQ==", "r2": {"signer": "r9", "ts": 2, "data": "Ag=="},
+                                                   "r3": {"signer": "r3", "ts": 5, "data": "Aw=="}}}
     assert QuorumCert({}).to_jsonable() == {"ts": 0, "sigs": {}}
+
+
+# a signature's data, b"\xff\x00" ("/wA="), written otherwise: without its
+# "=", with a character a lenient decoder skips, with nonzero trailing bits,
+# with a newline, or with more than one "=" block
+@pytest.mark.parametrize("written", ["/wA", "/w*A=", "/wB=", "/wA=\n", "/wA=/wA="])
+def test_a_quorum_reads_back_only_the_exact_base64_of_each_signature(written):
+    assert QuorumCert.from_jsonable({"ts": 1, "sigs": {"r1": "/wA="}}).sigs["r1"].data == b"\xff\x00"
+    for form in ({"r1": written}, {"r1": {"signer": "r1", "ts": 1, "data": written}}):
+        with pytest.raises(ValueError):
+            QuorumCert.from_jsonable({"ts": 1, "sigs": form})
+    with pytest.raises(TypeError):
+        QuorumCert.from_jsonable({"ts": 1, "sigs": {"r1": {"signer": "r1", "ts": 1, "data": 255}}})
 
 
 # a chain of comparable configurations, for histories, and one beside it;
@@ -608,12 +625,16 @@ _GRANTS = st.sampled_from([AcCert("admin", "acl", "s", 3, None, {"a1": "00"}, {}
 
 
 # quorums of height h, some of whose signatures name another signer or
-# height than their key and h, besides the arbitrary maps
+# height than their key and h, and whose data is short, or as long as a
+# ledger (32 bytes) or an Ed25519 (64 bytes) signature, besides the
+# arbitrary maps
 _QUORUMS = _SIG_MAPS | st.builds(
     lambda h, sigs: {p: FsSig(p if s is None else s, h if t is None else t, d) for p, s, t, d in sigs},
     st.integers(min_value=0, max_value=9),
     st.lists(st.tuples(st.sampled_from(["r1", "r2", "r3", "r4"]), st.none() | st.text(max_size=2),
-                       st.none() | st.integers(min_value=0, max_value=9), st.binary(max_size=8)), max_size=4),
+                       st.none() | st.integers(min_value=0, max_value=9),
+                       st.binary(max_size=8) | st.binary(min_size=32, max_size=32)
+                       | st.binary(min_size=64, max_size=64)), max_size=4),
 )
 
 

@@ -1,3 +1,4 @@
+import base64
 import copy
 import gc
 import json
@@ -7,9 +8,11 @@ import weakref
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+from test_dbla import _CERTS, _output_certs
 
-from dynbla.dbla import GENESIS_CERT, InputValue, OutputCert
-from dynbla.fscrypto import _FsOracleBase
+from dynbla.dbla import GENESIS_CERT, AcCert, InputValue, OutputCert, QuorumCert
+from dynbla.fscrypto import FsSig, _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import run_checks
@@ -397,6 +400,25 @@ def test_keychain_oracle_end_to_end():
     assert all(ok for _, ok, _ in run_checks(rep.bundle()))
 
 
+def test_a_keychain_return_writes_each_signature_in_base64_and_verifies_from_a_file(tmp_path):
+    scn = FAMILIES["reconfig-dbla"](7)
+    scn["oracle"] = "keychain"
+    path = tmp_path / "keychain.trace"
+    save_trace(path, run_scenario(validate(scn)).bundle())
+    loaded = load_trace(path)
+    idx, r = _last_update(loaded)
+    # every quorum signature of the update's DAG is a 64-byte Ed25519
+    # signature, written as 88 characters of base64 (128 in hex)
+    nodes = [r["cert"], *r["cert"]["shared"]]
+    sigs = [s for n in nodes for q in (n["packs"], n["cacks"]) for s in q["sigs"].values()]
+    assert sigs and {len(s) for s in sigs} == {88}
+    assert {len(base64.b64decode(s)) for s in sigs} == {64}
+    # the returned certificate verifies from the file alone, as does every check
+    view = checks.rebuild_view(loaded)
+    assert view.grp.check_history(value_from_jsonable(r["hist"]), OutputCert.from_jsonable(r["cert"]))
+    assert all(ok for _, ok, _ in run_checks(loaded))
+
+
 # -- a world lives exactly as long as its root -------------------------------------
 
 
@@ -754,13 +776,14 @@ def test_trace_of_another_version_rejected(tmp_path):
     save_trace(path, rep.bundle())
     lines = path.read_text().splitlines()
     head = json.loads(lines[0])
-    assert head["version"] == 7
+    assert head["version"] == 8
     # version 2 signed certificates over another encoding, version 3 spells
     # out every copy of a nested certificate, version 4 writes history
     # inputs as sets of configurations, version 5 tells a nested
-    # certificate from a token by the token's content, and version 6 spells
-    # out every signature and configuration: all are refused too
-    for old in (1, 2, 3, 4, 5, 6):
+    # certificate from a token by the token's content, version 6 spells
+    # out every signature and configuration, and version 7 writes
+    # signatures in hex: all are refused too
+    for old in (1, 2, 3, 4, 5, 6, 7):
         path.write_text("\n".join([json.dumps({**head, "version": old}), *lines[1:]]) + "\n")
         with pytest.raises(ValueError, match=f"version {old}"):
             load_trace(path)
@@ -1204,8 +1227,8 @@ def _flip_sig(quorum):
     """Flip one bit of the first signer's signature in a quorum's JSON."""
     sigs = quorum["sigs"]
     pid = sorted(sigs)[0]
-    data = bytes.fromhex(sigs[pid])
-    sigs[pid] = (bytes([data[0] ^ 1]) + data[1:]).hex()
+    data = base64.b64decode(sigs[pid])
+    sigs[pid] = base64.b64encode(bytes([data[0] ^ 1]) + data[1:]).decode()
 
 
 def _below(cert, node):
@@ -1415,6 +1438,33 @@ def test_a_bad_cfgs_entry_fails_only_its_op(chain3, edit):
     _fails_only(bundle, idx)
 
 
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+# the first signature of the root's packs, 32 bytes written as 43 characters
+# and one "=", doctored: left in hex (which the alphabet reads, as other
+# bytes), without its "=", with a character outside the alphabet that a
+# lenient decoder skips, with a nonzero trailing bit that a lenient decoder
+# drops, or as a non-str
+@pytest.mark.parametrize("edit", [
+    lambda s: base64.b64decode(s).hex(),
+    lambda s: s[:-1],
+    lambda s: s[:1] + "*" + s[1:],
+    lambda s: s[:-2] + B64[B64.index(s[-2]) | 1] + "=",
+    lambda s: int.from_bytes(base64.b64decode(s), "big"),
+], ids=["hex", "missing-pad", "non-alphabet", "trailing-bits", "non-str"])
+def test_a_doctored_signature_string_fails_only_its_op(chain3, edit):
+    bundle = copy.deepcopy(chain3)
+    idx, r = _last_update(bundle)
+    # a copy: a live bundle's later returns share this node's JSON objects
+    packs = r["cert"]["packs"] = copy.deepcopy(r["cert"]["packs"])
+    sigs = packs["sigs"]
+    pid = sorted(sigs)[0]
+    assert sigs[pid].endswith("=") and not sigs[pid].endswith("==")
+    sigs[pid] = edit(sigs[pid])
+    _fails_only(bundle, idx)
+
+
 def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
     bundle = copy.deepcopy(chain3)
     idx, r = _last_update(bundle)
@@ -1504,6 +1554,66 @@ def test_a_planted_certificate_json_cannot_write_is_refused(tmp_path, monkeypatc
     bundle, returns = _plant(monkeypatch, cert, value)
     assert all("evil" not in returns[i].result["w"]["set"] for i in (1, 2))
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
+
+
+# planted certificate trees: builtins canon encodes (bytes, sets and int
+# keys included), and values, signatures, quorums, grants and certificates
+# whose fields are such junk or well formed. A FinSet's elements are of one
+# type, as canon sorts them: AdvApi.send refuses a message it cannot encode
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.binary(max_size=3),
+    lambda c: (st.lists(c, max_size=2) | st.dictionaries(st.text(max_size=2), c, max_size=2)
+               | st.dictionaries(st.integers(), c, max_size=2)
+               | st.frozensets(st.text(max_size=2) | st.binary(max_size=2), max_size=2)),
+    max_leaves=4)
+_CFG = Config([("+", "r1")])
+_VALUES = st.sampled_from([FinSet({"a"}), FinSet({b"a"}), _CFG, History([_CFG]), 1, "x", None, True]) | _JUNK
+_FS_SIGS = st.builds(FsSig, st.sampled_from(["r1", "r2"]) | _JUNK, st.integers(0, 9) | _JUNK,
+                     st.binary(max_size=64) | _JUNK)
+_SIG_MAPS = (st.dictionaries(st.sampled_from(["r1", "r2", "r3"]), _FS_SIGS | _JUNK, max_size=3)
+             | st.dictionaries(st.integers(0, 3), _FS_SIGS, max_size=2) | _JUNK)
+
+
+def _planted_nodes(children):
+    return st.one_of(
+        st.builds(OutputCert, st.lists(st.builds(InputValue, _VALUES, children) | _JUNK, max_size=2),
+                  st.just(History([_CFG])) | _JUNK, children, _SIG_MAPS, _SIG_MAPS),
+        st.builds(AcCert, st.sampled_from(["admin", "sanity", "quorum"]) | _JUNK, st.just("acl") | _JUNK, _JUNK,
+                  _VALUES, st.none() | st.just(_CFG) | _JUNK, _SIG_MAPS, _SIG_MAPS),
+        st.builds(QuorumCert, _SIG_MAPS),
+        _FS_SIGS,
+        st.builds(FinSet, st.frozensets(st.text(max_size=2), max_size=2) | st.frozensets(st.binary(max_size=2),
+                                                                                     max_size=2)),
+        st.lists(children, max_size=2),
+        st.dictionaries(st.text(max_size=2), children, max_size=2),
+    )
+
+
+# well formed certificates, as the round-trip property draws them, alone
+# and below junk
+_TREES = _output_certs(_CERTS) | st.recursive(st.sampled_from([{"kind": "any"}, GENESIS_CERT]) | _JUNK | _CERTS,
+                                              _planted_nodes, max_leaves=6)
+
+
+# a tenth of the profile's examples: 10 by default, 200 under the ci profile
+@settings(max_examples=settings.default.max_examples // 10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_TREES)
+def test_a_planted_certificate_tree_raises_nothing_and_checks_alike_live_and_loaded(tmp_path_factory, tree):
+    # a correct client's return holds the planted value only if it can be
+    # written and read back as itself; either way the run raises nothing and
+    # every check passes, live and from a file, but the node bound: a planted
+    # OutputCert that is admitted adds its nodes to the returns that hold it
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        bundle, returns = _plant(monkeypatch, tree)
+    admitted = {"evil" in returns[i].result["w"]["set"] for i in (1, 2)}
+    assert len(admitted) == 1
+    event(f"{type(tree).__name__} {'admitted' if True in admitted else 'refused'}")
+    expected = {"perf.cert_nodes_linear"} if admitted == {True} and type(tree) is OutputCert else set()
+    path = tmp_path_factory.mktemp("plant") / "plant.trace"
+    save_trace(path, bundle)
+    for checked in (bundle, load_trace(path)):
+        assert {name for name, ok, _ in run_checks(checked) if not ok} == expected
 
 
 # -- offline view ------------------------------------------------------------------
