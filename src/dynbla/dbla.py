@@ -148,12 +148,11 @@ def _writable_cert(cert, seen: set) -> bool:
                 and _writable_cert(cert.hist_cert, seen) and _writable_quorum(cert.packs)
                 and _writable_quorum(cert.cacks))
     if t is AcCert:
-        if not (type(cert.mode) is str and type(cert.object_id) is str and _json_shaped(cert.slot)
-                and _writable_value(cert.value) and (cert.config is None or type(cert.config) is Config)):
-            return False
-        if cert.mode == "admin":    # its approvals are written as a token, and no cacks
-            return type(cert.approvals) is Token and _json_shaped(cert.approvals) and cert.cacks == {}
-        return _writable_quorum(cert.approvals) and _writable_quorum(cert.cacks)
+        # an admin grant writes its approvals as a token, and no cacks
+        return (type(cert.mode) is str and type(cert.object_id) is str and _json_shaped(cert.slot)
+                and _writable_value(cert.value) and (cert.config is None or type(cert.config) is Config)
+                and (type(cert.approvals) is Token and _json_shaped(cert.approvals) and cert.cacks == {}
+                     if cert.mode == "admin" else _writable_quorum(cert.approvals) and _writable_quorum(cert.cacks)))
     return t is Token and _json_shaped(cert)
 
 
@@ -322,10 +321,16 @@ def _from_b64(s) -> bytes:
     """The bytes whose _b64 is s. Any other str, with a character outside
     the alphabet, a missing "=" or nonzero trailing bits, raises ValueError,
     and a non-str TypeError."""
-    data = a2b_base64(s)
-    if _b64(data) != s:
-        raise ValueError(f"not the exact base64 of its bytes: {s!r}")
-    return data
+    return _exact(a2b_base64(s), s, _b64, "base64")
+
+
+def _exact(value, written, form, what: str):
+    """value, read from written, if form(value) is written: what makes the
+    JSON of a returned certificate one string per value. Any other written
+    raises ValueError."""
+    if form(value) != written:
+        raise ValueError(f"{written!r} is not the {what} of the value it reads as")
+    return value
 
 
 class OutputCert(Value):
@@ -467,9 +472,7 @@ def _config_from_jsonable(cid, entry, memo) -> Config:
     hit = None if memo is None else memo.get(("cfg", cid))
     if hit is not None and hit[0] == entry:
         return hit[1]
-    config = Config.from_jsonable({"cfg": entry})
-    if config.cid() != cid:
-        raise ValueError(f"configuration entry {cid!r} holds configuration {config.cid()}")
+    config = _exact(Config.from_jsonable({"cfg": entry}), cid, Config.cid, "cid")
     if memo is not None:
         memo["cfg", cid] = (entry, config)
     return config

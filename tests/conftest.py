@@ -10,7 +10,7 @@ test_certificate_json_round_trips --hypothesis-profile=ci``). The planted
 certificate trees (``pytest tests/test_harness.py -k
 test_a_planted_certificate_tree --hypothesis-profile=ci``) each run a
 scenario, so that property takes a tenth of the profile's examples: about
-200 under ``ci`` and 10 by default. Its deadline is off: the steps check
+200 under ``ci`` and 10 by default. The profile's deadline is off: the steps check
 outputs, not per-example time."""
 
 from hypothesis import settings
