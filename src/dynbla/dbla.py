@@ -320,7 +320,7 @@ def _b64(data: bytes) -> str:
 def _from_b64(s) -> bytes:
     """The bytes whose _b64 is s. Any other str, with a character outside
     the alphabet, a missing "=" or nonzero trailing bits, raises ValueError,
-    and a non-str TypeError."""
+    and a number, list, dict or None TypeError."""
     return _exact(a2b_base64(s), s, _b64, "base64")
 
 
