@@ -406,7 +406,7 @@ def test_a_keychain_return_writes_each_signature_in_base64_and_verifies_from_a_f
     path = tmp_path / "keychain.trace"
     save_trace(path, run_scenario(validate(scn)).bundle())
     loaded = load_trace(path)
-    idx, r = _last_update(loaded)
+    _, r = _last_update(loaded)
     # every quorum signature of the update's DAG is a 64-byte Ed25519
     # signature, written as 88 characters of base64 (128 in hex)
     nodes = [r["cert"], *r["cert"]["shared"]]
@@ -1532,7 +1532,7 @@ def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path,
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
-_HIST = History([Config([("+", "r1")])])
+_CFG = Config([("+", "r1")])
 
 
 @pytest.mark.parametrize("value,cert", [
@@ -1540,9 +1540,9 @@ _HIST = History([Config([("+", "r1")])])
     (FinSet({"evil"}), FinSet({"q"})),
     (FinSet({"evil"}), {"k": ["a", b"x"]}),
     (FinSet({"evil"}), {1: "x"}),
-    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), {"kind": "any"})], _HIST, GENESIS_CERT,
+    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), {"kind": "any"})], History([_CFG]), GENESIS_CERT,
                                   {"r1": "junk"}, {})),
-    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), b"x")], _HIST, GENESIS_CERT, {}, {})),
+    (FinSet({"evil"}), OutputCert([InputValue(FinSet({"a"}), b"x")], History([_CFG]), GENESIS_CERT, {}, {})),
     (FinSet({b"evil"}), {"kind": "any"}),
 ], ids=["bytes", "finset", "bytes-in-a-token-list", "int-key", "junk-in-a-nested-quorum",
         "bytes-in-a-nested-input", "bytes-element"])
@@ -1566,7 +1566,6 @@ _JUNK = st.recursive(
                | st.dictionaries(st.integers(), c, max_size=2)
                | st.frozensets(st.text(max_size=2) | st.binary(max_size=2), max_size=2)),
     max_leaves=4)
-_CFG = Config([("+", "r1")])
 _VALUES = st.sampled_from([FinSet({"a"}), FinSet({b"a"}), _CFG, History([_CFG]), 1, "x", None, True]) | _JUNK
 _FS_SIGS = st.builds(FsSig, st.sampled_from(["r1", "r2"]) | _JUNK, st.integers(0, 9) | _JUNK,
                      st.binary(max_size=64) | _JUNK)
