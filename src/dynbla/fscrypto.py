@@ -25,21 +25,27 @@ Two interchangeable backends:
   with Ed25519; failed verifications are not kept, so junk cannot grow the
   cache. Raising p's watermark to t erases p's keys and signatures below t
   together with the chain seed; verdicts stay, as the public keys do.
+
+  The Ed25519 bindings (`cryptography`) are loaded when a KeyChainFsOracle
+  first derives a key, so a run on the ledger backend never loads them.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-    Ed25519PrivateKey,
-    Ed25519PublicKey,
-)
-
 from .lattice import Value, _set_attr, canon
 
 KEY_CHAIN_SPAN = 65536
+
+
+def _load_ed25519() -> None:
+    """Bind Ed25519PrivateKey and InvalidSignature in this module, loading
+    `cryptography` on the first call. Only KeyChainFsOracle._priv calls it,
+    and its _check reaches Ed25519 only with a public key _priv made."""
+    global Ed25519PrivateKey, InvalidSignature
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 
 def _h(*parts: bytes) -> bytes:
@@ -187,6 +193,7 @@ class KeyChainFsOracle(_FsOracleBase):
         keys = self._keys[pid]
         priv = keys.get(ts)
         if priv is None:
+            _load_ed25519()
             priv = keys[ts] = Ed25519PrivateKey.from_private_bytes(self._priv_seed(pid, ts))
             self._pubs.setdefault((pid, ts), priv.public_key())
         return priv

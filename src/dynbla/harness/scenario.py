@@ -9,16 +9,15 @@ pure data so scenarios can be stored, diffed and replayed.
 
 from __future__ import annotations
 
-import copy
-
 from ..lattice import ADD, REMOVE, Config, fault_budget, genesis_config
-from ..simnet import DEFAULT_STEP_CAP, Trigger
+from ..simnet import DEFAULT_STEP_CAP, Trigger, _private
 
 SCHEMA_VERSION = 1
 APP_KINDS = ("dbla", "maxreg", "none")
 ACL_MODES = ("none", "sanity", "quorum", "admin")
 ORACLE_KINDS = ("ledger", "keychain")
 OP_KINDS = ("propose", "write", "read", "update_config", "ac_request")
+MAX_NESTING = 100           # the scenario dict is level 1; the schema itself nests 5 deep
 
 
 class ScenarioError(ValueError):
@@ -90,6 +89,17 @@ def _part(d, key, default, ok, errors, problem):
     return type(default)()
 
 
+def _nests_past(x, levels) -> bool:
+    """Whether dicts, lists and tuples nest in x more than levels deep."""
+    level = [x]
+    for _ in range(levels):
+        level = [v for c in level for v in (c.values() if type(c) is dict else c)
+                 if type(v) in (dict, list, tuple)]
+        if not level:
+            break
+    return bool(level)
+
+
 def validate(scn):
     """Check a scenario dict and return a normalized copy.
 
@@ -98,14 +108,18 @@ def validate(scn):
     on all keys being present.  A part of the wrong shape (a list where a
     dict belongs, a process id that is not a string) is reported, and the
     checks that would read inside it are skipped.
+
+    The copy is `simnet._private`'s: every dict, list, tuple and set is
+    copied, so editing the copy or the input leaves the other unchanged,
+    and every other object is shared.  A scenario whose containers nest
+    more than MAX_NESTING deep is refused before anything is copied.
     """
     if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a dict")
+    if _nests_past(scn, MAX_NESTING):
+        raise ScenarioError(f"scenario nests more than {MAX_NESTING} deep")
     errors = []
-    try:
-        out = copy.deepcopy(scn)
-    except RecursionError:
-        raise ScenarioError("scenario nests too deeply") from None
+    out = _private(scn)
 
     if out.get("version") != SCHEMA_VERSION:
         errors.append(f"version must be {SCHEMA_VERSION}")

@@ -259,7 +259,8 @@ class FinSet(Value):
         return cls(data["set"])
 
     def __repr__(self):
-        return f"FinSet({sorted(self.elems)})"
+        # by repr, so a set a corrupted client mixed str and bytes into prints too
+        return f"FinSet({sorted(self.elems, key=repr)})"
 
 
 class Config(Value):

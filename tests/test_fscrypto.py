@@ -1,6 +1,10 @@
 """Both signing backends must satisfy the same forward-security contract."""
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -376,3 +380,49 @@ def test_keychain_junk_timestamps_derive_nothing(monkeypatch):
         assert not o.fs_verify(b"m", "p", FsSig("p", ts, b"\x00" * 64), ts)
     assert o._pubs == pubs
     assert steps == 0
+
+
+# Run in a fresh interpreter with the trace directory as argv[1]: a ledger
+# run, its checks live and loaded and `dynbla check`, then a keychain run.
+# Prints whether `cryptography` was loaded after each.
+_FRESH_RUNS = """
+import sys
+from click.testing import CliRunner
+from dynbla.fscrypto import FsSig, KeyChainFsOracle
+from dynbla.harness import FAMILIES, cli, load_trace, run_checks, run_scenario, save_trace, validate
+
+def run_and_check(scn, path):
+    rep = run_scenario(validate(scn))
+    assert rep.verdict == "quiescent" and all(ok for _, ok, _ in run_checks(rep.bundle()))
+    save_trace(path, rep.bundle())
+    assert all(ok for _, ok, _ in run_checks(load_trace(path)))
+    r = CliRunner().invoke(cli.main, ["check", "--trace", path])
+    assert r.exit_code == 0, r.output
+    return rep
+
+run_and_check(FAMILIES["dbla-smoke"](0), sys.argv[1] + "/ledger.trace")
+# junk for a key the keychain never derived is refused without Ed25519
+o = KeyChainFsOracle()
+o.register("p")
+assert not o.fs_verify(b"m", "p", FsSig("p", 3, bytes(64)), 3)
+print("cryptography" in sys.modules)
+
+scn = FAMILIES["reconfig-dbla"](7)
+scn["oracle"] = "keychain"
+o = run_and_check(scn, sys.argv[1] + "/keychain.trace").ctx.oracle
+assert {len(e["sig"]) for e in o.dump_ledger()} == {128}
+sig = o.fs_sign("p", b"fresh", o.st("p"))
+o._pubs[("p", sig.ts)].verify(sig.data, b"fresh")
+flipped = FsSig("p", sig.ts, bytes([sig.data[0] ^ 1]) + sig.data[1:])
+assert not o.fs_verify(b"fresh", "p", flipped, sig.ts)
+print("cryptography" in sys.modules)
+"""
+
+
+def test_only_the_keychain_oracle_loads_the_ed25519_backend(tmp_path):
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    r = subprocess.run([sys.executable, "-c", _FRESH_RUNS, str(tmp_path)],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 import base64
 import copy
+import functools
 import gc
 import json
 import pathlib
@@ -53,6 +54,78 @@ def test_validate_does_not_mutate_input():
     snap = copy.deepcopy(raw)
     validate(raw)
     assert raw == snap
+
+
+def _containers(x, found=None):
+    """id -> object for every dict, list and set in x, looking inside tuples too."""
+    found = {} if found is None else found
+    if type(x) in (dict, list, set):
+        found[id(x)] = x
+    if type(x) in (dict, list, tuple):
+        for v in x.values() if type(x) is dict else x:
+            _containers(v, found)
+    return found
+
+
+def test_validate_output_shares_no_container_with_its_input():
+    raw = {**FAMILIES["reconfig-dbla"](1),
+           "meta": {"tags": ["a", {"b": [1, 2]}], "seen": {"r1", "r2"}, "pair": ([3], 4)}}
+    out = validate(raw)
+    assert out == raw
+    assert not _containers(raw).keys() & _containers(out).keys()
+    snap = copy.deepcopy(raw)
+    out["meta"]["tags"][1]["b"].append(3)
+    out["meta"]["seen"].add("r9")
+    out["meta"]["pair"][0].append(5)
+    out["ops"][0]["value"].append("z")
+    out["adversary"]["holds"].append({})
+    assert raw == snap
+    snap = copy.deepcopy(out)
+    raw["meta"]["tags"][1]["b"].clear()
+    raw["genesis"].append("r9")
+    raw["app"]["kind"] = "maxreg"
+    assert out == snap
+
+
+def _every_built_scenario():
+    """Every family at seeds 0-9, every attack at seeds 0-9 and every stored
+    scenario file, as its builder or the file gives it."""
+    for name, build in FAMILIES.items():
+        for seed in range(10):
+            if name == "chain":
+                yield build(seed, 3)
+            elif name == "ac-pattern":
+                yield build(0b0101, seed)
+            else:
+                yield build(seed)
+    for build, _ in ATTACKS.values():
+        for seed in range(10):
+            yield build(seed)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        yield json.loads(path.read_text())
+
+
+def test_validate_copies_as_deepcopy_did(monkeypatch):
+    ours = [(scn, validate(scn)) for scn in _every_built_scenario()]
+    monkeypatch.setattr(scenario, "_private", copy.deepcopy)
+    ref = [(scn, validate(scn)) for scn in _every_built_scenario()]
+    assert len(ours) == len(ref) == 10 * (len(FAMILIES) + len(ATTACKS)) + len(list(SCENARIOS.glob("*.json")))
+    assert ours == ref
+
+
+@pytest.mark.parametrize("deep", [
+    # the scenario is level 1 and meta level 2; _nested(n) is n + 1 lists
+    lambda scn, levels: {**scn, "meta": {"deep": _nested(levels - 3)}},
+    # the scenario, ops and the op are levels 1-3, and then levels - 3 dicts
+    lambda scn, levels: {**scn, "ops": [{**scn["ops"][0],
+                                         "x": functools.reduce(lambda v, _: {"x": v}, range(levels - 4), {})}]},
+], ids=["lists-in-meta", "dicts-in-an-op"])
+def test_validate_refuses_a_scenario_nested_past_its_bound(deep):
+    scn = FAMILIES["dbla-smoke"](0)
+    at_bound = deep(scn, scenario.MAX_NESTING)
+    assert validate(at_bound) == at_bound
+    with pytest.raises(ScenarioError, match=f"nests more than {scenario.MAX_NESTING} deep"):
+        validate(deep(scn, scenario.MAX_NESTING + 1))
 
 
 @pytest.mark.parametrize(
@@ -909,7 +982,7 @@ def _deep_head(lines):
 
 # Each edits a saved dbla-smoke trace's lines, as bytes, into a file that
 # json cannot read: a line that is not UTF-8, a line nested past the
-# recursion limit, and a head scenario that validate's deepcopy cannot copy.
+# recursion limit, and a head scenario nested past validate's bound.
 UNDECODABLE = {
     "not-utf-8": lambda lines: [b"\xff\xfe\x00" + lines[0], *lines[1:]],
     "nested-5000-deep": lambda lines: [lines[0], b"[" * 5000 + b"]" * 5000, *lines[1:]],

@@ -76,6 +76,12 @@ def test_finset_frozen_values():
     assert not FinSet({"x"}).leq(FinSet({"y"}))
 
 
+def test_finset_repr_prints_a_set_that_mixes_str_and_bytes():
+    # a corrupted client can build such a set; its elements are ordered by repr
+    assert repr(FinSet({b"b", "a", b"a"})) == "FinSet(['a', b'a', b'b'])"
+    assert repr(FinSet({"c", "a", "b"})) == "FinSet(['a', 'b', 'c'])"
+
+
 @given(
     st.frozensets(st.text(max_size=3), max_size=6),
     st.frozensets(st.text(max_size=3), max_size=6),
