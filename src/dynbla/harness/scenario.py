@@ -71,12 +71,14 @@ def _pids(x) -> bool:
     return isinstance(x, list) and all(isinstance(p, str) for p in x)
 
 
+# Plain containers only: validate fills defaults in these parts, and _private
+# copies no subclass, so filling one would edit the caller's scenario.
 def _dicts(x) -> bool:
-    return isinstance(x, list) and all(isinstance(d, dict) for d in x)
+    return type(x) is list and all(type(d) is dict for d in x)
 
 
 def _dict(x) -> bool:
-    return isinstance(x, dict)
+    return type(x) is dict
 
 
 def _part(d, key, default, ok, errors, problem):
@@ -89,15 +91,23 @@ def _part(d, key, default, ok, errors, problem):
     return type(default)()
 
 
-def _nests_past(x, levels) -> bool:
-    """Whether dicts, lists and tuples nest in x more than levels deep."""
-    level = [x]
-    for _ in range(levels):
+def _check_tree(scn) -> None:
+    """Raise ScenarioError unless _private can copy scn as a tree of dicts,
+    lists and tuples at most MAX_NESTING levels deep, scn being level 1. A
+    dict or list held twice, in two places or in a cycle, is refused:
+    _private copies it once per path to it, and without end in a cycle."""
+    level, seen, held = [scn], {id(scn)}, 1
+    for _ in range(MAX_NESTING):
         level = [v for c in level for v in (c.values() if type(c) is dict else c)
                  if type(v) in (dict, list, tuple)]
-        if not level:
+        mutable = [id(c) for c in level if type(c) is not tuple]
+        seen.update(mutable)
+        held += len(mutable)
+        if not level or len(seen) < held:
             break
-    return bool(level)
+    if level:
+        raise ScenarioError("scenario holds a dict or list twice, in two places or in a cycle" if len(seen) < held
+                            else f"scenario nests more than {MAX_NESTING} deep")
 
 
 def validate(scn):
@@ -111,13 +121,16 @@ def validate(scn):
 
     The copy is `simnet._private`'s: every dict, list, tuple and set is
     copied, so editing the copy or the input leaves the other unchanged,
-    and every other object is shared.  A scenario whose containers nest
-    more than MAX_NESTING deep is refused before anything is copied.
+    and every other object, a subclass of dict or list included, is
+    shared; so the scenario and the parts validate fills in must be plain
+    dicts and lists.  Before anything is copied, a scenario whose
+    containers nest more than MAX_NESTING deep is refused, and so is one
+    that holds a dict or list twice, which a scenario read from JSON never
+    does.
     """
-    if not isinstance(scn, dict):
+    if type(scn) is not dict:
         raise ScenarioError("scenario must be a dict")
-    if _nests_past(scn, MAX_NESTING):
-        raise ScenarioError(f"scenario nests more than {MAX_NESTING} deep")
+    _check_tree(scn)
     errors = []
     out = _private(scn)
 

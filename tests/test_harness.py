@@ -56,6 +56,31 @@ def test_validate_does_not_mutate_input():
     assert raw == snap
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+@pytest.mark.parametrize("scn", [
+    _Dict(version=1, name="t", genesis=["r1"], clients=["c"]),
+    {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"], "adversary": _Dict()},
+    {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"],
+     "adversary": {"corruptions": _List([{"pid": "r1"}])}},
+    {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"],
+     "adversary": {"corruptions": [_Dict(pid="r1")]}},
+], ids=["scenario", "adversary", "corruptions", "corruption"])
+def test_validate_refuses_a_dict_or_list_subclass_it_would_fill(scn):
+    # validate's copy shares a subclass, so filling its defaults in place
+    # would edit the caller's scenario
+    snap = copy.deepcopy(scn)
+    with pytest.raises(ScenarioError, match="must be a"):
+        validate(scn)
+    assert scn == snap and type(scn) is type(snap)
+
+
 def _containers(x, found=None):
     """id -> object for every dict, list and set in x, looking inside tuples too."""
     found = {} if found is None else found
@@ -126,6 +151,33 @@ def test_validate_refuses_a_scenario_nested_past_its_bound(deep):
     assert validate(at_bound) == at_bound
     with pytest.raises(ScenarioError, match=f"nests more than {scenario.MAX_NESTING} deep"):
         validate(deep(scn, scenario.MAX_NESTING + 1))
+
+
+def _cycle():
+    meta = {"tags": []}
+    meta["tags"] += [meta, meta]        # copied once per path, so without end
+    return meta
+
+
+def _shared():
+    hold = {"frm": ["p1"], "desc": "bla"}
+    return {"holds": [hold, hold]}
+
+
+@pytest.mark.parametrize("part", [
+    lambda scn: {**scn, "meta": _cycle()},
+    lambda scn: {**scn, "adversary": _shared()},
+    lambda scn: {**scn, "ops": scn["ops"][:1] * 2},
+], ids=["cycle", "shared-hold", "shared-op"])
+def test_validate_refuses_a_dict_or_list_held_twice(part):
+    with pytest.raises(ScenarioError, match="holds a dict or list twice"):
+        validate(part(FAMILIES["dbla-smoke"](0)))
+
+
+def test_validate_takes_a_tuple_held_twice():
+    # the empty tuple is one object wherever it is written
+    scn = {**FAMILIES["dbla-smoke"](0), "meta": {"a": (), "b": [(), ()]}}
+    assert validate(scn) == scn
 
 
 @pytest.mark.parametrize(
