@@ -20,7 +20,7 @@ so an input value's certificate decodes there without an import cycle.
 from __future__ import annotations
 
 from .dbla import AcCert, QuorumCert, QuorumSession, Store, plain_verify_hex
-from .lattice import canon, fault_budget, Config
+from .lattice import Config, Token, canon, fault_budget
 
 MODES = ("admin", "sanity", "quorum")
 
@@ -73,9 +73,12 @@ def verify_cert(ac: AccessControl, oracle, cert) -> bool:
     if cert.mode != ac.mode or cert.object_id != ac.object_id:
         return False
     if ac.mode == "admin":
+        # no signature binds an admin grant's slot, configuration or cacks,
+        # so their types are checked here: a str, None and none
         pl = admin_payload(ac.object_id, cert.slot, cert.value)
         sigs = cert.approvals
-        return (set(sigs) <= ac.admins and len(sigs) >= ac.admin_threshold()
+        return (type(cert.slot) is str and cert.config is None and cert.cacks == {} and type(sigs) is Token
+                and set(sigs) <= ac.admins and len(sigs) >= ac.admin_threshold()
                 and all(plain_verify_hex(oracle, pl, pid, hexsig) for pid, hexsig in sigs.items()))
     config = cert.config
     if not isinstance(config, Config):

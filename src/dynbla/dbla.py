@@ -65,8 +65,10 @@ from_jsonable, and a token dict as itself; the key of its slot, never the
 token's content, says which. A quorum writes its height once and each
 signature as its data, in base64, under its signer (QuorumCert.to_jsonable),
 and reads back only the exact base64 of each signature's bytes. An
-input value is admitted only if its value and certificate can be written
-so throughout (writable), so no return holds one that JSON cannot write.
+object admits an input value only through its own check: a value of the
+object's lattice under the open token (OPEN_CERT), an access grant, or an
+output of another agreement. A verified grant or output has each field of
+the type its JSON takes, so no return holds one that JSON cannot write.
 
 A quorum's forward-secure signatures over one payload are one QuorumCert,
 the one place that map is encoded, written, read and verified; a
@@ -101,6 +103,8 @@ from .lattice import (Config, FinSet, History, Token, Value, _set_attr, canon, f
 from .simnet import Msg
 
 GENESIS_CERT = freeze({"kind": "genesis"})
+# the open token: the certificate of an input no one vouches for beyond its type
+OPEN_CERT = freeze({"kind": "any"})
 
 
 class InputValue(Value):
@@ -114,64 +118,6 @@ class InputValue(Value):
 
     def _encode(self) -> bytes:
         return canon(["iv", self.value, self.cert])
-
-
-def writable(iv: InputValue) -> bool:
-    """iv is what a returned certificate can write and read back as itself
-    (OutputCert.to_jsonable), throughout: its value is an int, a str, None,
-    a FinSet of strs, a Config or a History, and its certificate a token of
-    JSON values, an AcCert or an OutputCert whose own fields are so. Each
-    nested OutputCert is looked at once, however many nodes name it."""
-    return _writable_value(iv.value) and _writable_cert(iv.cert, set())
-
-
-def _writable_value(v) -> bool:
-    t = type(v)
-    if t is FinSet:
-        return all(type(e) is str for e in v.elems)
-    if t is History:
-        return all(type(c) is Config for c in v.configs)
-    return t is int or t is str or v is None or t is Config
-
-
-def _writable_cert(cert, seen: set) -> bool:
-    """cert can fill a certificate slot; seen holds the ids of the
-    OutputCerts already found writable, or being looked at, in this call."""
-    t = type(cert)
-    if t is OutputCert:
-        if id(cert) in seen:
-            return True
-        seen.add(id(cert))
-        return (type(cert.history) is History and _writable_value(cert.history)
-                and all(type(iv) is InputValue and _writable_value(iv.value) and _writable_cert(iv.cert, seen)
-                        for iv in cert.values)
-                and _writable_cert(cert.hist_cert, seen) and _writable_quorum(cert.packs)
-                and _writable_quorum(cert.cacks))
-    if t is AcCert:
-        # an admin grant writes its approvals as a token, and no cacks
-        return (type(cert.mode) is str and type(cert.object_id) is str and _json_shaped(cert.slot)
-                and _writable_value(cert.value) and (cert.config is None or type(cert.config) is Config)
-                and (type(cert.approvals) is Token and _json_shaped(cert.approvals) and cert.cacks == {}
-                     if cert.mode == "admin" else _writable_quorum(cert.approvals) and _writable_quorum(cert.cacks)))
-    return t is Token and _json_shaped(cert)
-
-
-def _writable_quorum(qc: QuorumCert) -> bool:
-    """qc's map is str signers' signatures, each with a str signer, an int
-    height and bytes data (QuorumCert.to_jsonable)."""
-    sigs = qc.sigs
-    return type(sigs) is Token and all(
-        type(p) is str and type(s) is FsSig and type(s.signer) is str and type(s.ts) is int
-        and type(s.data) is bytes for p, s in sigs.items())
-
-
-def _json_shaped(x) -> bool:
-    """x is a str, an int, a bool, None, or a tuple or a str-keyed token
-    of such values: what JSON writes and freeze reads back alike."""
-    t = type(x)
-    if t is Token:
-        return all(type(k) is str and _json_shaped(v) for k, v in x.items())
-    return t is str or t is int or t is bool or x is None or t is tuple and all(map(_json_shaped, x))
 
 
 class DynamicObject:
@@ -189,14 +135,13 @@ class DynamicObject:
         self._ocache: set = set()
 
     def check_value(self, iv: InputValue) -> bool:
-        """iv is a genesis value, or it is writable and passes the object's
-        check. Every input value a replica stores, a client collects or a
-        verifier accepts is admitted here."""
+        """iv is a genesis value, or it passes the object's check, which admits
+        only values of its lattice. Every input value a replica stores, a
+        client collects or a verifier accepts is admitted here."""
         key = iv.canon()
         if key in self._vcache:
             return True
-        ok = iv in self.genesis_values or writable(iv) and bool(
-            self._check_value and self._check_value(iv.value, iv.cert))
+        ok = iv in self.genesis_values or bool(self._check_value and self._check_value(iv.value, iv.cert))
         if ok:
             self._vcache.add(key)
         return ok
@@ -241,8 +186,9 @@ def check_plain_input(oracle, object_id: str):
     return check
 
 
-def accept_all(value, cert) -> bool:
-    return True
+def open_input(admits):
+    """An unguarded object's input check: a value that admits(value) accepts, under exactly the open token."""
+    return lambda value, cert: cert == OPEN_CERT and admits(value)
 
 
 def presp_payload(object_id: str, config: Config, values: list[InputValue]) -> bytes:
@@ -306,7 +252,7 @@ class QuorumCert(Value):
     def verify(self, oracle, config: Config, payload: bytes, need: int) -> bool:
         """At least need replicas of config, and no one else, signed payload
         with forward-secure keys at config's height."""
-        if not set(self.sigs) <= config.replicas() or len(self.sigs) < need:
+        if type(self.sigs) is not Token or not set(self.sigs) <= config.replicas() or len(self.sigs) < need:
             return False
         ts = config.height()
         return all(oracle.fs_verify(payload, pid, sig, ts) for pid, sig in self.sigs.items())
@@ -590,7 +536,7 @@ def verify_output(obj: DynamicObject, oracle, w, cert) -> bool:
 
 
 def _verify_output(obj, oracle, w, cert: OutputCert) -> bool:
-    if not all(obj.check_value(iv) for iv in cert.values):
+    if not all(type(iv) is InputValue and obj.check_value(iv) for iv in cert.values):
         return False
     try:
         joined = join_values(list(cert.values))

@@ -106,7 +106,7 @@ class _FsOracleBase:
         return FsSig(pid, ts, data)
 
     def fs_verify(self, msg: bytes, pid: str, sig, ts: int) -> bool:
-        if not isinstance(sig, FsSig) or sig.signer != pid or sig.ts != ts:
+        if not isinstance(sig, FsSig) or sig.signer != pid or sig.ts != ts or type(sig.data) is not bytes:
             return False
         return self._check(pid, msg, sig.data, ts)
 

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 from ..dbla import (
     GENESIS_CERT,
+    OPEN_CERT,
     InputValue,
     OutputCert,
     QuorumCert,
@@ -255,7 +256,7 @@ def verify_i_still_work_here(report):
     run = _read_run(report)
     ctx, r = report.ctx, run.ops[2].result
     # A full forged certificate from the retired gang: right shape, junk keys.
-    iv = InputValue(FinSet({"late"}), {"kind": "any"})
+    iv = InputValue(FinSet({"late"}), OPEN_CERT)
     junk = QuorumCert({p: _junk(p, run.genesis.height()) for p in report.scenario["genesis"][:3]})
     forged = OutputCert([iv], ctx.app_obj.genesis_history, GENESIS_CERT, junk, junk)
     return [

@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 from ..access_control import AcClient, AcStore, AccessControl, make_ac_input_check, make_admin_cert
-from ..dbla import DblaClient, DblaStore, DynamicObject, accept_all, fits
+from ..dbla import OPEN_CERT, DblaClient, DblaStore, DynamicObject, fits, open_input
 from ..fscrypto import KeyChainFsOracle, LedgerFsOracle, LedgerVerifier
-from ..lattice import FinSet, genesis_config, value_to_jsonable
+from ..lattice import Config, FinSet, genesis_config, value_to_jsonable
 from ..maxreg import MaxRegClient, MaxRegStore
 from ..reconfig import ReconfigClient, ReconfigGroup
 from ..simnet import HoldRule, Simulator, trace_hash
@@ -169,20 +169,27 @@ class World(SimpleNamespace):
 
 
 def build_objects(scn, oracle) -> World:
-    """The scenario's group objects over oracle: genesis, access control and
-    its input check, the reconfiguration group and the app object, which
-    trusts the group's histories."""
+    """The scenario's group objects over oracle: genesis, the roster, access
+    control, the reconfiguration group and the app object, which trusts the
+    group's histories. The app admits sets of strs, and the configuration
+    agreement configurations whose replicas are all in the roster, the rule
+    URB's handle keeps, so a correct replica never sends outside it."""
     genesis = genesis_config(scn["genesis"])
+    roster = [*scn["genesis"], *scn["extra_replicas"], *scn["clients"]]
+    known = frozenset(roster)
+    of_roster = lambda v: type(v) is Config and v.replicas() <= known
     ac = None
-    conf_check = None
+    conf_check = open_input(of_roster)
     if scn["acl"]["mode"] != "none":
         ac = AccessControl(ACL_OBJ, scn["acl"]["mode"], admins=scn["acl"].get("admins", ()))
-        conf_check = make_ac_input_check(ac, oracle)
-    grp = ReconfigGroup(GROUP, genesis, oracle, conf_input_check=conf_check)
+        granted = make_ac_input_check(ac, oracle)
+        conf_check = lambda v, cert: of_roster(v) and granted(v, cert)
+    grp = ReconfigGroup(GROUP, genesis, oracle, conf_check)
     app_obj = None
     if scn["app"]["kind"] == "dbla":
-        app_obj = DynamicObject(APP_OBJ, genesis, check_value=accept_all, check_history=grp.certifies)
-    return World(genesis=genesis, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
+        app_obj = DynamicObject(APP_OBJ, genesis, check_history=grp.certifies, check_value=open_input(
+            lambda v: type(v) is FinSet and all(type(e) is str for e in v.elems)))
+    return World(genesis=genesis, roster=roster, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
 
 def build_world(scn) -> World:
@@ -196,7 +203,7 @@ def build_world(scn) -> World:
     ctx.app_kind = scn["app"]["kind"]
 
     rids = list(scn["genesis"]) + list(scn["extra_replicas"])
-    ctx.roster = rids + list(scn["clients"])
+    check_write = open_input(lambda v: type(v) is int)
     hook = _make_install_hook(weakref.proxy(ctx), rids)
     ctx.replicas = {}
     for r in rids:
@@ -204,7 +211,7 @@ def build_world(scn) -> World:
         if ctx.app_kind == "dbla":
             extra.append(DblaStore("obj", ctx.app_obj))
         elif ctx.app_kind == "maxreg":
-            extra.append(MaxRegStore("obj", APP_OBJ, accept_all))
+            extra.append(MaxRegStore("obj", APP_OBJ, check_write))
         if ctx.ac is not None and ctx.acl_mode != "admin":
             extra.append(AcStore("acl", ctx.ac))
         rep = ctx.grp.make_replica(ctx.roster, extra_stores=extra)
@@ -220,7 +227,7 @@ def build_world(scn) -> World:
         if ctx.app_kind == "dbla":
             ctx.apps[c] = DblaClient(hub, ctx.app_obj)
         elif ctx.app_kind == "maxreg":
-            ctx.apps[c] = MaxRegClient(hub, APP_OBJ, accept_all)
+            ctx.apps[c] = MaxRegClient(hub, APP_OBJ, check_write)
         if ctx.ac is not None and ctx.acl_mode != "admin":
             ctx.acls[c] = AcClient(hub, ctx.ac)
         ctx.sim.spawn(c, hub)
@@ -275,11 +282,11 @@ def _make_fire(ctx, idx, spec):
                     "anchor": cert.anchor().cid(),
                     "anchor_h": cert.anchor().height(),
                 })
-            ctx.apps[c].propose(FinSet(spec["value"]), {"kind": "any"}, done)
+            ctx.apps[c].propose(FinSet(spec["value"]), OPEN_CERT, done)
 
     elif kind == "write":
         def start():
-            ctx.apps[c].write(spec["value"], {"kind": "any"},
+            ctx.apps[c].write(spec["value"], OPEN_CERT,
                               lambda ack: finish({"ack": _ack_jsonable(ack)}))
 
     elif kind == "read":
@@ -297,7 +304,7 @@ def _make_fire(ctx, idx, spec):
                     "target_h": target.height(),
                 })
             if ctx.acl_mode == "none":
-                ctx.rcs[c].update_config(target, {"kind": "any"}, done)
+                ctx.rcs[c].update_config(target, OPEN_CERT, done)
             elif ctx.acl_mode == "admin":
                 signers = sorted(ctx.ac.admins)[: ctx.ac.admin_threshold()]
                 cert = make_admin_cert(ctx.oracle, ctx.ac, f"h{target.height()}", target, signers)

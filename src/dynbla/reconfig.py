@@ -26,7 +26,6 @@ from .dbla import (
     DynamicReplica,
     InputValue,
     OutputCert,
-    accept_all,
     verify_output,
 )
 from .lattice import Config, History
@@ -43,7 +42,7 @@ def make_hist_input_check(conf_obj: DynamicObject, oracle):
     certified by a configuration-agreement OutputCert."""
 
     def check(value, cert) -> bool:
-        if not isinstance(value, History) or len(value.configs) != 1:
+        if type(value) is not History or len(value.configs) != 1:
             return False
         return verify_output(conf_obj, oracle, value.configs[0], cert)
 
@@ -61,7 +60,7 @@ class ReconfigGroup:
     certifies weakly, so the group and its objects form no cycle.
     """
 
-    def __init__(self, group: str, genesis: Config, oracle, conf_input_check=None):
+    def __init__(self, group: str, genesis: Config, oracle, conf_input_check):
         self.group = group
         self.genesis = genesis
         self.oracle = oracle
@@ -69,7 +68,7 @@ class ReconfigGroup:
         self.conf_obj = DynamicObject(
             f"{group}/conf",
             genesis,
-            check_value=conf_input_check or accept_all,
+            check_value=conf_input_check,
             check_history=certifies,
             genesis_values=[InputValue(genesis, GENESIS_CERT)],
         )

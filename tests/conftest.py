@@ -6,12 +6,11 @@ test_draw_matches_ --hypothesis-profile=ci``), the keychain oracle against
 its uncached reference (``pytest tests/test_fscrypto.py -k
 test_keychain_matches_uncached_reference --hypothesis-profile=ci``) and the
 returned certificates' JSON round trip (``pytest tests/test_dbla.py -k
-test_certificate_json_round_trips --hypothesis-profile=ci``). The planted
-certificate trees (``pytest tests/test_harness.py -k
-test_a_planted_certificate_tree --hypothesis-profile=ci``) each run a
-scenario, so that property takes a tenth of the profile's examples: about
-200 under ``ci`` and 10 by default. The profile's deadline is off: the steps check
-outputs, not per-example time."""
+test_certificate_json_round_trips --hypothesis-profile=ci``), and the planted
+values and certificate trees (``pytest tests/test_harness.py -k
+test_a_planted_certificate_tree --hypothesis-profile=ci``), whose every
+example runs a scenario: about 2000 examples under ``ci`` and 100 by default.
+The profile's deadline is off: the steps check outputs, not per-example time."""
 
 from hypothesis import settings
 

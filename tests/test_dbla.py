@@ -16,10 +16,10 @@ from dynbla.dbla import (
     InputValue,
     OutputCert,
     QuorumCert,
-    accept_all,
     check_plain_input,
     join_values,
     make_plain_input_cert,
+    open_input,
     verify_output,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
@@ -51,7 +51,8 @@ class World:
         self.obj = DynamicObject(
             "obj",
             self.genesis,
-            check_value=check_plain_input(self.oracle, "obj") if plain_inputs else accept_all,
+            check_value=(check_plain_input(self.oracle, "obj") if plain_inputs
+                         else open_input(lambda v: type(v) is FinSet)),
             check_history=check_authority_history(self.oracle, "grp"),
         )
         roster = list(rids) + list(cids)
@@ -59,7 +60,7 @@ class World:
         for r in rids:
             stores = [DblaStore("la", self.obj)]
             if maxreg:
-                stores.append(MaxRegStore("mr", "mr", accept_all))
+                stores.append(MaxRegStore("mr", "mr", open_input(lambda v: type(v) is int)))
             rep = DynamicReplica("grp", self.genesis, stores, self.obj.check_history, roster)
             self.replicas[r] = rep
             self.sim.spawn(r, rep)
@@ -619,7 +620,8 @@ _INPUTS = st.one_of(
     st.integers(),
     st.text(max_size=3),
 )
-_TOKENS = st.sampled_from([GENESIS_CERT, {"kind": "any"}, {"kind": "ocert", "ref": 0}, {"l": [1, True, None]}])
+_TOKENS = st.sampled_from([GENESIS_CERT, {"kind": "any"}, {"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}},
+                           {"ackind": "sanity"}, {"l": [1, True, None]}])
 _GRANTS = st.sampled_from([AcCert("admin", "acl", "s", 3, None, {"a1": "00"}, {}),
                            AcCert("sanity", "acl", "s", "x", _CHAIN[1], {"r1": FsSig("r1", 2, b"\x00")}, {})])
 

@@ -64,6 +64,10 @@ def test_verify_round_trip_and_negatives(oracle):
     assert not oracle.fs_verify(b"hello", "p1", sig, 3)
     forged = FsSig("p1", 2, b"\x00" * 64)
     assert not oracle.fs_verify(b"hello", "p1", forged, 2)
+    # data that is not bytes is refused, not handed to the backend, which
+    # raises TypeError for it
+    for data in (5, "00", None, (1,)):
+        assert not oracle.fs_verify(b"hello", "p1", FsSig("p1", 2, data), 2)
 
 
 def test_verify_is_stable(oracle):

@@ -9,17 +9,18 @@ import weakref
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 from test_dbla import _CERTS, _output_certs
 
-from dynbla.dbla import GENESIS_CERT, AcCert, InputValue, OutputCert, QuorumCert
-from dynbla.fscrypto import FsSig, _FsOracleBase
+from dynbla.access_control import admin_payload
+from dynbla.dbla import GENESIS_CERT, OPEN_CERT, AcCert, InputValue, OutputCert, QuorumCert
+from dynbla.fscrypto import FsSig, LedgerFsOracle, _FsOracleBase
 from dynbla.harness import attacks, checks, cli, runner, scenario
 from dynbla.harness.attacks import ATTACKS
 from dynbla.harness.checks import run_checks
 from dynbla.harness.runner import load_trace, read_ops, run_scenario, save_trace
 from dynbla.harness.scenario import FAMILIES, ScenarioError, validate
-from dynbla.lattice import Config, FinSet, History, value_from_jsonable
+from dynbla.lattice import Config, FinSet, History, genesis_config, value_from_jsonable
 from dynbla.simnet import Msg, trace_hash
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -1607,13 +1608,16 @@ def test_duplicate_shared_entries_verify_but_break_the_node_bound(chain3):
 # certificate's kind by a token's content: a shared reference, an inline
 # node and an access grant
 PLANTED = [{"kind": "ocert", "ref": 0}, {"kind": "ocert", "oc": {}}, {"ackind": "sanity"}]
+ADMINS = ["d1"]
 
 
-def _plant(monkeypatch, cert, value=FinSet({"evil"})):
+def _plant(monkeypatch, cert, value=FinSet({"evil"}), obj="obj", acl="none"):
     """A run in which client z proposes at step 0 and is corrupted at step
-    1, and on its first delivery sends every replica a propose whose one
-    input value, value, carries cert; correct clients p and q propose
-    later. Its bundle, and its op records by index."""
+    1, and on its first delivery sends every replica a propose to g/<obj>
+    (the app "obj", "conf" or "hist") whose one input value, value, carries
+    cert; correct clients p and q propose later, and u adds r5 at step 40,
+    under the access-control mode acl. Its bundle, and its op records by
+    index."""
     def planting(ctx):
         sent = []
 
@@ -1623,16 +1627,18 @@ def _plant(monkeypatch, cert, value=FinSet({"evil"})):
             sent.append(True)
             body = {"sn": 1, "config": ctx.replicas["r1"].genesis, "values": [InputValue(value, cert)]}
             for r in ("r1", "r2", "r3", "r4"):
-                adv.send("z", r, Msg("bla.propose", ev.msg.obj, body))
+                adv.send("z", r, Msg("bla.propose", f"g/{obj}", body))
 
         return script
 
     monkeypatch.setitem(attacks.SCRIPTS, "plant", planting)
     ops = [{"op": "propose", "client": "z", "value": ["z"], "at": 0},
            {"op": "propose", "client": "p", "value": ["a"], "at": 40},
-           {"op": "propose", "client": "q", "value": ["b"], "at": 60}]
+           {"op": "propose", "client": "q", "value": ["b"], "at": 60},
+           {"op": "update_config", "client": "u", "add": ["r5"], "at": 40}]
     adversary = {"corruptions": [{"pid": "z", "script": "plant", "at": 1}], "holds": []}
-    rep = run_scenario(scenario.make_scenario("plant", 0, ["p", "q", "z"], ops, adversary=adversary))
+    rep = run_scenario(scenario.make_scenario("plant", 0, ["p", "q", "u", "z"], ops, extra_replicas=["r5"],
+                                              acl={"mode": acl, "admins": ADMINS}, adversary=adversary))
     assert rep.verdict == "quiescent" and rep.final["corruptions"][0]["applied"]
     bundle = rep.bundle()
     return bundle, read_ops(bundle["trace"], len(ops))[0]
@@ -1648,16 +1654,35 @@ def _every_check_passes_live_and_from_a_file(tmp_path, bundle):
 
 
 @pytest.mark.parametrize("token", PLANTED)
-def test_a_planted_token_shaped_like_a_certificate_verifies_as_a_token(tmp_path, monkeypatch, token):
-    # the app's accept_all admits the planted value, so the correct clients
-    # return sets that hold "evil", and their certificates, which hold
-    # token, must verify live and from a file
+def test_a_planted_token_shaped_like_a_certificate_is_refused(tmp_path, monkeypatch, token):
+    # the app admits a value only under the open token, so the correct
+    # clients return sets without "evil", and the run and every check
+    # complete, live and from a file
     bundle, returns = _plant(monkeypatch, token)
-    assert all("evil" in returns[i].result["w"]["set"] for i in (1, 2))
+    assert all("evil" not in returns[i].result["w"]["set"] for i in (1, 2))
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
 _CFG = Config([("+", "r1")])
+_R9 = Config([("+", "r9")])
+_GENESIS = History([genesis_config(["r1", "r2", "r3", "r4"])])
+
+
+@pytest.mark.parametrize("obj,value", [
+    ("obj", 5), ("obj", "s"), ("obj", None), ("obj", _CFG), ("obj", History([_CFG])),
+    ("conf", FinSet({"x"})), ("conf", 5), ("conf", _R9),
+], ids=["app-int", "app-str", "app-none", "app-config", "app-history", "conf-set", "conf-int",
+        "conf-outside-the-roster"])
+def test_a_planted_value_outside_the_objects_lattice_is_refused(tmp_path, monkeypatch, obj, value):
+    # under the open token, the app admits only sets of strs and the
+    # configuration agreement only configurations of roster processes, so
+    # no correct client joins the planted value with its own, no correct
+    # replica sends to a process outside the roster, and the run and every
+    # check complete, live and from a file
+    bundle, returns = _plant(monkeypatch, OPEN_CERT, value, obj)
+    assert all(set(returns[i].result["w"]["set"]) <= {"a", "b", "z"} for i in (1, 2))
+    assert "r9" not in json.dumps(returns[3].result["hist"])
+    _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
 @pytest.mark.parametrize("value,cert", [
@@ -1672,10 +1697,9 @@ _CFG = Config([("+", "r1")])
 ], ids=["bytes", "finset", "bytes-in-a-token-list", "int-key", "junk-in-a-nested-quorum",
         "bytes-in-a-nested-input", "bytes-element"])
 def test_a_planted_certificate_json_cannot_write_is_refused(tmp_path, monkeypatch, value, cert):
-    # an input value is admitted only if a return can write it and read it
-    # back as itself, throughout (dbla.writable): no correct process takes
-    # the planted value, so the run and every check complete, live and
-    # from a file
+    # the app admits only a set of strs under the open token: no correct
+    # process takes the planted value, so the run and every check complete,
+    # live and from a file
     bundle, returns = _plant(monkeypatch, cert, value)
     assert all("evil" not in returns[i].result["w"]["set"] for i in (1, 2))
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
@@ -1691,7 +1715,8 @@ _JUNK = st.recursive(
                | st.dictionaries(st.integers(), c, max_size=2)
                | st.frozensets(st.text(max_size=2) | st.binary(max_size=2), max_size=2)),
     max_leaves=4)
-_VALUES = st.sampled_from([FinSet({"a"}), FinSet({b"a"}), _CFG, History([_CFG]), 1, "x", None, True]) | _JUNK
+_VALUES = (st.sampled_from([FinSet({"evil"}), FinSet({b"a"}), _CFG, _R9, History([_CFG]), _GENESIS, 1, "x", None,
+                             True]) | _JUNK)
 _FS_SIGS = st.builds(FsSig, st.sampled_from(["r1", "r2"]) | _JUNK, st.integers(0, 9) | _JUNK,
                      st.binary(max_size=64) | _JUNK)
 _SIG_MAPS = (st.dictionaries(st.sampled_from(["r1", "r2", "r3"]), _FS_SIGS | _JUNK, max_size=3)
@@ -1701,7 +1726,7 @@ _SIG_MAPS = (st.dictionaries(st.sampled_from(["r1", "r2", "r3"]), _FS_SIGS | _JU
 def _planted_nodes(children):
     return st.one_of(
         st.builds(OutputCert, st.lists(st.builds(InputValue, _VALUES, children) | _JUNK, max_size=2),
-                  st.just(History([_CFG])) | _JUNK, children, _SIG_MAPS, _SIG_MAPS),
+                  st.sampled_from([History([_CFG]), _GENESIS]) | _JUNK, children, _SIG_MAPS, _SIG_MAPS),
         st.builds(AcCert, st.sampled_from(["admin", "sanity", "quorum"]) | _JUNK, st.just("acl") | _JUNK, _JUNK,
                   _VALUES, st.none() | st.just(_CFG) | _JUNK, _SIG_MAPS, _SIG_MAPS),
         st.builds(QuorumCert, _SIG_MAPS),
@@ -1719,25 +1744,91 @@ _TREES = _output_certs(_CERTS) | st.recursive(st.sampled_from([{"kind": "any"}, 
                                               _planted_nodes, max_leaves=6)
 
 
-# a tenth of the profile's examples: 10 by default, 200 under the ci profile
-@settings(max_examples=settings.default.max_examples // 10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(_TREES)
-def test_a_planted_certificate_tree_raises_nothing_and_checks_alike_live_and_loaded(tmp_path_factory, tree):
-    # a correct client's return holds the planted value only if it can be
-    # written and read back as itself; either way the run raises nothing and
-    # every check passes, live and from a file, but the node bound: a planted
-    # OutputCert that is admitted adds its nodes to the returns that hold it
+def _forge_admin(slot, value, config, cacks, signers):
+    """An admin grant over value for the run's access-control object, signed
+    with plain_sign, which anyone can compute."""
+    pl = admin_payload(runner.ACL_OBJ, slot, value)
+    sigs = {s: LedgerFsOracle().plain_sign(s, pl).hex() for s in signers}
+    return AcCert("admin", runner.ACL_OBJ, slot, value, config, sigs, cacks)
+
+
+def _admin_grants(values):
+    """Forged admin grants over one of values, signed by an admin or not;
+    their slot, configuration and cacks well formed or junk."""
+    return st.builds(_forge_admin, st.just("s") | _JUNK, values, st.none() | st.just(_CFG) | _JUNK,
+                     st.just({}) | _SIG_MAPS, st.lists(st.sampled_from([*ADMINS, "d9"]), max_size=2, unique=True))
+
+
+# a value, and a certificate for it: one the app or the configuration
+# agreement admits, or a drawn value under the open token, a tree, or an
+# admin grant over that value or another
+_PLANTINGS = (st.sampled_from([(FinSet({"evil"}), OPEN_CERT), (_CFG, OPEN_CERT),
+                               (_CFG, _forge_admin("s", _CFG, None, {}, ADMINS))])
+              | _VALUES.flatmap(lambda v: st.tuples(st.just(v), st.just(OPEN_CERT) | _TREES
+                                                    | _admin_grants(st.just(v) | _VALUES))))
+
+
+def _recording_certs(monkeypatch) -> dict:
+    """{id(JSON): canon} of every OutputCert written from now on."""
+    written, to_jsonable = {}, OutputCert.to_jsonable
+
+    def recording(cert):
+        out = to_jsonable(cert)
+        written[id(out)] = cert.canon()
+        return out
+
+    monkeypatch.setattr(OutputCert, "to_jsonable", recording)
+    return written
+
+
+def _at_genesis(values, quorum):
+    """An output over values anchored at genesis, with quorum for both rounds."""
+    return OutputCert(values, _GENESIS, GENESIS_CERT, quorum, quorum)
+
+
+_GENESIS_INPUT = InputValue(_GENESIS.configs[0], GENESIS_CERT)
+
+
+# the profile's examples: 100 by default, 2000 under the ci profile. The
+# explicit ones reach a verifier past every check before it: an output over
+# the configuration agreement's genesis input whose quorums are not maps, or
+# whose input value is not one; an admin grant whose signatures are not a
+# map, or whose slot, configuration or cacks are not a str, None and none
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@example(planting=(_GENESIS, _at_genesis([_GENESIS_INPUT], 5)), obj="hist", acl="none")
+@example(planting=(_GENESIS, _at_genesis([_GENESIS_INPUT], ("r1", "r2", "r3"))), obj="hist", acl="none")
+@example(planting=(History([_CFG]), _at_genesis([5], {})), obj="hist", acl="none")
+@example(planting=(_CFG, AcCert("admin", runner.ACL_OBJ, "s", _CFG, None, ("d1",), {})), obj="conf", acl="admin")
+@example(planting=(_CFG, _forge_admin(b"s", _CFG, None, {}, ADMINS)), obj="conf", acl="admin")
+@example(planting=(_CFG, _forge_admin("s", _CFG, 5, {}, ADMINS)), obj="conf", acl="admin")
+@example(planting=(_CFG, _forge_admin("s", _CFG, None, {"x": 1}, ADMINS)), obj="conf", acl="admin")
+@given(_PLANTINGS, st.sampled_from(["obj", "conf", "hist"]), st.sampled_from(["none", "admin", "sanity", "quorum"]))
+def test_a_planted_certificate_tree_raises_nothing_and_checks_alike_live_and_loaded(tmp_path_factory, planting,
+                                                                                    obj, acl):
+    # a value and its certificate planted into any object, under any
+    # access-control mode: the object admits it only if its check verifies
+    # it, both correct proposals hold a planted set or neither does, the run
+    # raises nothing, every check passes, live and from a file, and each
+    # correct return's certificate reads back from the file as the
+    # certificate the run returned
+    value, cert = planting
     with pytest.MonkeyPatch.context() as monkeypatch:
-        bundle, returns = _plant(monkeypatch, tree)
-    admitted = {"evil" in returns[i].result["w"]["set"] for i in (1, 2)}
-    assert len(admitted) == 1
-    event(f"{type(tree).__name__} {'admitted' if True in admitted else 'refused'}")
-    expected = {"perf.cert_nodes_linear"} if admitted == {True} and type(tree) is OutputCert else set()
+        written = _recording_certs(monkeypatch)
+        bundle, returns = _plant(monkeypatch, cert, value, obj, acl)
+    assert len({"evil" in returns[i].result["w"]["set"] for i in (1, 2)}) == 1
+    view = checks.rebuild_view(bundle)
+    target = {"obj": view.app_obj, "conf": view.grp.conf_obj, "hist": view.grp.hist_obj}[obj]
+    event(f"g/{obj}, acl {acl}: {'admitted' if target.check_value(InputValue(value, cert)) else 'refused'}")
     path = tmp_path_factory.mktemp("plant") / "plant.trace"
     save_trace(path, bundle)
-    for checked in (bundle, load_trace(path)):
-        assert {name for name, ok, _ in run_checks(checked) if not ok} == expected
+    loaded = load_trace(path)
+    for checked in (bundle, loaded):
+        assert [name for name, ok, _ in run_checks(checked) if not ok] == []
+    back = read_ops(loaded["trace"], len(returns))[0]
+    for i in (1, 2, 3):
+        r = returns[i].result
+        if "cert" in r:
+            assert OutputCert.from_jsonable(back[i].result["cert"]).canon() == written[id(r["cert"])]
 
 
 # -- offline view ------------------------------------------------------------------

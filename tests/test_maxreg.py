@@ -5,9 +5,9 @@ from dynbla.dbla import (
     ClientHub,
     DynamicObject,
     DynamicReplica,
-    accept_all,
     check_plain_input,
     make_plain_input_cert,
+    open_input,
 )
 from dynbla.fscrypto import LedgerFsOracle
 from dynbla.lattice import ADD, Config, History, genesis_config
@@ -31,7 +31,7 @@ class World:
         self.oracle = LedgerFsOracle()
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
-        self.check_write = check_write or accept_all
+        self.check_write = check_write or open_input(lambda v: type(v) is int)
         hobj = DynamicObject("mr", self.genesis, check_history=check_authority_history(self.oracle, "grp"))
         roster = list(rids) + list(cids)
         self.replicas = {}
@@ -214,7 +214,8 @@ def test_bool_cell_from_a_byzantine_replica_does_not_count():
     w.read(Trigger(at=4), "c")
     assert w.sim.run()["verdict"] == "quiescent"
     assert w.returns.get("c") == [("read", None, None)]
-    # nor may state transfer plant it in a joining replica
-    store = MaxRegStore("mr", "mr", accept_all)
+    # nor may state transfer plant it in a joining replica, even past a
+    # write check that admits it
+    store = MaxRegStore("mr", "mr", open_input(lambda v: True))
     store.xfer_merge([True, {"kind": "any"}])
     assert store.cell is None

@@ -14,7 +14,7 @@ from dynbla.dbla import (
     DynamicObject,
     DynamicReplica,
     InputValue,
-    accept_all,
+    open_input,
     presp_payload,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle
@@ -49,7 +49,7 @@ class StubApi:
 
 
 def _dbla(hub, done):
-    s = DblaClient(hub, DynamicObject("obj", hub.genesis, check_value=accept_all))
+    s = DblaClient(hub, DynamicObject("obj", hub.genesis, check_value=open_input(lambda v: type(v) is FinSet)))
     s.propose(FinSet({"a"}), {"kind": "any"}, done)
 
     def reply(sig, sn):
@@ -59,7 +59,7 @@ def _dbla(hub, done):
 
 
 def _maxreg(hub, done):
-    s = MaxRegClient(hub, "mr", accept_all)
+    s = MaxRegClient(hub, "mr", open_input(lambda v: type(v) is int))
     s.write(5, {"kind": "any"}, done)
 
     def reply(sig, sn):
@@ -199,7 +199,7 @@ def joining_replica():
         oracle.register(pid)
     genesis = genesis_config(RIDS)
     c1 = genesis.join(Config([(ADD, "r5")]))
-    store = DblaStore("obj", DynamicObject("obj", genesis, check_value=accept_all))
+    store = DblaStore("obj", DynamicObject("obj", genesis, check_value=open_input(lambda v: type(v) is FinSet)))
     rep = DynamicReplica("grp", genesis, [store], lambda h, cert: True, [*RIDS, "r5"])
     api = RecordingApi(oracle, "r5")
     rep.bind(api)

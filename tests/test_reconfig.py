@@ -12,7 +12,7 @@ from dynbla.dbla import (
     DynamicObject,
     InputValue,
     OutputCert,
-    accept_all,
+    open_input,
     verify_output,
 )
 from dynbla.fscrypto import FsSig, LedgerFsOracle, LedgerVerifier
@@ -20,13 +20,15 @@ from dynbla.lattice import ADD, REMOVE, Config, FinSet, History, genesis_config
 from dynbla.reconfig import ReconfigClient, ReconfigGroup, make_hist_input_check, wrap_conf_cert
 from dynbla.simnet import Msg, Simulator, Trigger
 
+OPEN_CONFIGS = open_input(lambda v: type(v) is Config)
+
 
 def build(seed, rids, cids, genesis_rids=None, app=False, acl_mode=None):
     ns = SimpleNamespace()
     ns.oracle = LedgerFsOracle()
     ns.sim = Simulator(seed, ns.oracle)
     ns.genesis = genesis_config(genesis_rids or rids)
-    conf_check = None
+    conf_check = OPEN_CONFIGS
     ns.ac = None
     if acl_mode:
         ns.ac = AccessControl("grp/acl", acl_mode)
@@ -34,7 +36,8 @@ def build(seed, rids, cids, genesis_rids=None, app=False, acl_mode=None):
     ns.grp = ReconfigGroup("grp", ns.genesis, ns.oracle, conf_input_check=conf_check)
     ns.app_obj = None
     if app:
-        ns.app_obj = DynamicObject("grp/obj", ns.genesis, check_value=accept_all, check_history=ns.grp.certifies)
+        ns.app_obj = DynamicObject("grp/obj", ns.genesis, check_value=open_input(lambda v: type(v) is FinSet),
+                                   check_history=ns.grp.certifies)
     roster = list(rids) + list(cids)
     ns.replicas = {}
     for r in rids:
@@ -226,7 +229,7 @@ def test_noop_update_keeps_genesis():
 def test_hist_input_check_rejects_malformed():
     oracle = LedgerFsOracle()
     genesis = genesis_config(["r1", "r2", "r3", "r4"])
-    grp = ReconfigGroup("grp", genesis, oracle)
+    grp = ReconfigGroup("grp", genesis, oracle, OPEN_CONFIGS)
     check = grp.hist_obj._check_value
     c1 = grown(genesis, "r5")
     assert not check(History([genesis, c1]), {"kind": "confout", "oc": {}})
