@@ -100,7 +100,7 @@ from .broadcast import RbEndpoint, UrbEndpoint
 from .fscrypto import FsSig
 from .lattice import (Config, FinSet, History, Token, Value, _set_attr, canon, freeze, merkle_frame,
                       value_from_jsonable, value_to_jsonable)
-from .simnet import Msg
+from .simnet import Api, Msg
 
 GENESIS_CERT = freeze({"kind": "genesis"})
 # the open token: the certificate of an input no one vouches for beyond its type
@@ -175,11 +175,13 @@ def plain_verify_hex(oracle, payload: bytes, signer, hexsig) -> bool:
         return False
 
 
-def check_plain_input(oracle, object_id: str):
+def check_plain_input(oracle, object_id: str, admits):
+    """open_input's signed twin: a value that admits(value) accepts, under a plain signature over it."""
     def check(value, cert) -> bool:
         return (
             isinstance(cert, dict)
             and cert.get("kind") == "plain"
+            and admits(value)
             and plain_verify_hex(oracle, input_value_payload(object_id, value), cert.get("signer"), cert.get("sig"))
         )
 
@@ -864,7 +866,7 @@ WIRE = {
     # requests, served at "config" by DynamicReplica._route
     "bla.propose": {"sn": int, "config": Config, "values": [InputValue]},
     "bla.confirm": {"sn": int, "config": Config, "packs": QuorumCert},
-    "mr.set": {"sn": int, "config": Config, "v": int, "cert": CERTS},
+    "mr.set": {"sn": int, "config": Config, "iv": InputValue},
     "mr.get": {"sn": int, "config": Config},
     "ac.req": {"sn": int, "config": Config, "slot": str, "value": VALUES},
     "ac.confirm": {"sn": int, "config": Config, "slot": str, "value": VALUES, "approvals": QuorumCert},
@@ -873,7 +875,7 @@ WIRE = {
     "bla.presp": {"sn": int, "values": [InputValue], "sig": FsSig},
     "bla.cresp": {"sn": int, "sig": FsSig},
     "mr.setresp": {"sn": int, "sig": FsSig},
-    "mr.getresp": {"sn": int, "cell": (type(None), tuple, list)},
+    "mr.getresp": {"sn": int, "cell": (type(None), InputValue)},
     "ac.approve": {"sn": int, "sig": FsSig},
     "ac.deny": {"sn": int},
     "ac.cresp": {"sn": int, "sig": FsSig},
@@ -954,24 +956,23 @@ class XferSession(QuorumSession):
     REPLIES = {"xfer.resp": ("read", _on_resp)}
 
 
-class LocalLoop:
+class LocalLoop(Api):
     """A replica's Api, except that a message to the replica itself is
     queued in local for DynamicReplica.on_deliver instead of sent: the
-    simulator never schedules or traces it."""
+    simulator never schedules or traces it. It keeps the oracle, which
+    every signed answer reads, as an attribute."""
 
-    __slots__ = ("_api", "pid", "oracle", "local")
+    __slots__ = ("oracle", "local")
 
-    def __init__(self, api):
-        self._api = api
-        self.pid = api.pid
-        self.oracle = api.oracle
+    def __init__(self, api: Api):
+        self._sim, self.pid, self.oracle = api._sim, api.pid, api.oracle
         self.local: deque[Msg] = deque()
 
     def send(self, to: str, msg: Msg) -> None:
         if to == self.pid:
             self.local.append(msg)
         else:
-            self._api.send(to, msg)
+            super().send(to, msg)
 
     def send_all(self, tos, msg: Msg) -> None:
         """Send msg to each of tos, named once each, as one send; the
@@ -980,16 +981,7 @@ class LocalLoop:
         if pid in tos:
             self.local.append(msg)
             tos = [to for to in tos if to != pid]
-        self._api.send_all(tos, msg)
-
-    def requeue(self, frm: str, msg: Msg) -> None:
-        self._api.requeue(frm, msg)
-
-    def upcall(self, desc: str, detail: dict | None = None) -> None:
-        self._api.upcall(desc, detail)
-
-    def fact(self, name: str) -> None:
-        self._api.fact(name)
+        super().send_all(tos, msg)
 
 
 class DynamicReplica(Follower):

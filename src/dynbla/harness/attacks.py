@@ -78,7 +78,7 @@ def retainer_script(ctx):
         elif msg.desc == "bla.confirm":
             answer("bla.cresp", cresp_payload(msg.obj, body["config"], body["packs"]), {})
         elif msg.desc == "mr.set":
-            answer("mr.setresp", setresp_payload(msg.obj, body["config"], body["v"]), {})
+            answer("mr.setresp", setresp_payload(msg.obj, body["config"], body["iv"].value), {})
         elif msg.desc == "mr.get":
             answer("mr.getresp", None, {"cell": None})
         elif msg.desc == "xfer.read":

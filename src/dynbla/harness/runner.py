@@ -170,25 +170,28 @@ class World(SimpleNamespace):
 
 def build_objects(scn, oracle) -> World:
     """The scenario's group objects over oracle: genesis, the roster, access
-    control, the reconfiguration group and the app object, which trusts the
-    group's histories. The app admits sets of strs, and the configuration
-    agreement configurations whose replicas are all in the roster, the rule
-    URB's handle keeps, so a correct replica never sends outside it."""
+    control, the reconfiguration group and the app object. The app admits sets
+    of strs, trusting the group's histories, or ints for a max-register; the
+    configuration agreement admits configurations of the scenario's replicas
+    only, a subset of URB's roster, which also holds the clients for gossip."""
     genesis = genesis_config(scn["genesis"])
-    roster = [*scn["genesis"], *scn["extra_replicas"], *scn["clients"]]
-    known = frozenset(roster)
-    of_roster = lambda v: type(v) is Config and v.replicas() <= known
+    replicas = [*scn["genesis"], *scn["extra_replicas"]]
+    roster = [*replicas, *scn["clients"]]
+    known = frozenset(replicas)
+    of_replicas = lambda v: type(v) is Config and v.replicas() <= known
     ac = None
-    conf_check = open_input(of_roster)
+    conf_check = open_input(of_replicas)
     if scn["acl"]["mode"] != "none":
         ac = AccessControl(ACL_OBJ, scn["acl"]["mode"], admins=scn["acl"].get("admins", ()))
         granted = make_ac_input_check(ac, oracle)
-        conf_check = lambda v, cert: of_roster(v) and granted(v, cert)
+        conf_check = lambda v, cert: of_replicas(v) and granted(v, cert)
     grp = ReconfigGroup(GROUP, genesis, oracle, conf_check)
     app_obj = None
     if scn["app"]["kind"] == "dbla":
         app_obj = DynamicObject(APP_OBJ, genesis, check_history=grp.certifies, check_value=open_input(
             lambda v: type(v) is FinSet and all(type(e) is str for e in v.elems)))
+    elif scn["app"]["kind"] == "maxreg":
+        app_obj = DynamicObject(APP_OBJ, genesis, check_value=open_input(lambda v: type(v) is int))
     return World(genesis=genesis, roster=roster, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
 
@@ -203,7 +206,6 @@ def build_world(scn) -> World:
     ctx.app_kind = scn["app"]["kind"]
 
     rids = list(scn["genesis"]) + list(scn["extra_replicas"])
-    check_write = open_input(lambda v: type(v) is int)
     hook = _make_install_hook(weakref.proxy(ctx), rids)
     ctx.replicas = {}
     for r in rids:
@@ -211,7 +213,7 @@ def build_world(scn) -> World:
         if ctx.app_kind == "dbla":
             extra.append(DblaStore("obj", ctx.app_obj))
         elif ctx.app_kind == "maxreg":
-            extra.append(MaxRegStore("obj", APP_OBJ, check_write))
+            extra.append(MaxRegStore("obj", ctx.app_obj))
         if ctx.ac is not None and ctx.acl_mode != "admin":
             extra.append(AcStore("acl", ctx.ac))
         rep = ctx.grp.make_replica(ctx.roster, extra_stores=extra)
@@ -227,7 +229,7 @@ def build_world(scn) -> World:
         if ctx.app_kind == "dbla":
             ctx.apps[c] = DblaClient(hub, ctx.app_obj)
         elif ctx.app_kind == "maxreg":
-            ctx.apps[c] = MaxRegClient(hub, APP_OBJ, check_write)
+            ctx.apps[c] = MaxRegClient(hub, ctx.app_obj)
         if ctx.ac is not None and ctx.acl_mode != "admin":
             ctx.acls[c] = AcClient(hub, ctx.ac)
         ctx.sim.spawn(c, hub)

@@ -51,7 +51,7 @@ class World:
         self.obj = DynamicObject(
             "obj",
             self.genesis,
-            check_value=(check_plain_input(self.oracle, "obj") if plain_inputs
+            check_value=(check_plain_input(self.oracle, "obj", lambda v: type(v) is FinSet) if plain_inputs
                          else open_input(lambda v: type(v) is FinSet)),
             check_history=check_authority_history(self.oracle, "grp"),
         )
@@ -60,7 +60,8 @@ class World:
         for r in rids:
             stores = [DblaStore("la", self.obj)]
             if maxreg:
-                stores.append(MaxRegStore("mr", "mr", open_input(lambda v: type(v) is int)))
+                stores.append(MaxRegStore("mr", DynamicObject("mr", self.genesis, check_value=open_input(
+                    lambda v: type(v) is int))))
             rep = DynamicReplica("grp", self.genesis, stores, self.obj.check_history, roster)
             self.replicas[r] = rep
             self.sim.spawn(r, rep)
@@ -394,7 +395,7 @@ _MISSING = object()
     [
         ("bla.propose", "obj", {"values": []}),
         ("bla.confirm", "obj", {"packs": QuorumCert({})}),
-        ("mr.set", "mr", {"v": 1, "cert": {"kind": "any"}}),
+        ("mr.set", "mr", {"iv": InputValue(1, {"kind": "any"})}),
         ("mr.get", "mr", {}),
         ("xfer.read", "grp", {}),
     ],
@@ -531,7 +532,7 @@ def test_adversary_cannot_send_a_non_str_desc_or_obj(msg):
 )
 def test_malformed_plain_signatures_are_refused_not_raised(cert):
     oracle = LedgerFsOracle()
-    assert not check_plain_input(oracle, "obj")(FinSet({"a"}), cert)
+    assert not check_plain_input(oracle, "obj", lambda v: type(v) is FinSet)(FinSet({"a"}), cert)
     authority = {**cert, "kind": "authority"}
     assert not check_authority_history(oracle, "grp")(History([genesis_config(["r1"])]), authority)
 

@@ -2,9 +2,11 @@ import pytest
 from authority_history import check_authority_history, make_authority_history_cert
 
 from dynbla.dbla import (
+    OPEN_CERT,
     ClientHub,
     DynamicObject,
     DynamicReplica,
+    InputValue,
     check_plain_input,
     make_plain_input_cert,
     open_input,
@@ -26,18 +28,23 @@ class Probe:
         self.got.append((frm, msg))
 
 
+def is_int(v) -> bool:
+    return type(v) is int
+
+
 class World:
-    def __init__(self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, check_write=None):
+    def __init__(self, seed=7, rids=("r1", "r2", "r3", "r4"), cids=("p",), genesis_rids=None, plain_inputs=False):
         self.oracle = LedgerFsOracle()
         self.sim = Simulator(seed, self.oracle)
         self.genesis = genesis_config(genesis_rids or rids)
-        self.check_write = check_write or open_input(lambda v: type(v) is int)
+        self.obj = DynamicObject("mr", self.genesis, check_value=(
+            check_plain_input(self.oracle, "mr", is_int) if plain_inputs else open_input(is_int)))
         hobj = DynamicObject("mr", self.genesis, check_history=check_authority_history(self.oracle, "grp"))
         roster = list(rids) + list(cids)
         self.replicas = {}
         for r in rids:
             rep = DynamicReplica(
-                "grp", self.genesis, [MaxRegStore("mr", "mr", self.check_write)], hobj.check_history, roster
+                "grp", self.genesis, [MaxRegStore("mr", self.obj)], hobj.check_history, roster
             )
             self.replicas[r] = rep
             self.sim.spawn(r, rep)
@@ -46,15 +53,14 @@ class World:
         for c in cids:
             hub = ClientHub("grp", self.genesis, hobj.check_history, roster)
             self.hubs[c] = hub
-            self.clients[c] = MaxRegClient(hub, "mr", self.check_write)
+            self.clients[c] = MaxRegClient(hub, self.obj)
             self.sim.spawn(c, hub)
         self.returns = {}
 
     def cell(self, rid):
         return self.replicas[rid].stores[0].cell
 
-    def write(self, trigger, cid, v, cert=None):
-        cert = {"kind": "any"} if cert is None else cert
+    def write(self, trigger, cid, v, cert=OPEN_CERT):
 
         def fire():
             def done(ack):
@@ -116,20 +122,18 @@ def test_write_back_repairs_partial_write():
     assert res["verdict"] == "stalled"
     assert w.returns["a"][0][1] == 9
     assert w.returns["c"][0][1] == 9
-    assert w.cell("r4") is not None and w.cell("r4")[0] == 9
+    assert w.cell("r4") is not None and w.cell("r4").value == 9
 
 
 def test_uncertified_write_gets_no_ack_and_no_cell():
-    w = World(cids=("c",), check_write=None)
-    for rep in w.replicas.values():
-        rep.stores[0].check_write = check_plain_input(w.oracle, "mr")
+    w = World(cids=("c",), plain_inputs=True)
     probe = Probe()
     w.sim.spawn("z", probe)
     bogus = {"kind": "plain", "signer": "z", "sig": "00"}
     w.sim.add_external(
         Trigger(at=0),
         "invoke",
-        lambda: probe.api.send("r1", Msg("mr.set", "mr", {"v": 7, "cert": bogus, "sn": 1, "config": w.genesis})),
+        lambda: probe.api.send("r1", Msg("mr.set", "mr", {"iv": InputValue(7, bogus), "sn": 1, "config": w.genesis})),
         to="z",
         desc="bogus-set",
     )
@@ -139,13 +143,7 @@ def test_uncertified_write_gets_no_ack_and_no_cell():
 
 
 def test_certified_write_round_trip():
-    w = World(cids=("a", "c"))
-    check = check_plain_input(w.oracle, "mr")
-    w.check_write = check
-    for rep in w.replicas.values():
-        rep.stores[0].check_write = check
-    for cl in w.clients.values():
-        cl.check_write = check
+    w = World(cids=("a", "c"), plain_inputs=True)
     cert = make_plain_input_cert(w.oracle, "mr", "a", 4)
     w.write(Trigger(at=0), "a", 4, cert=cert)
     w.read(Trigger(fact="ret:a", offset=1), "c")
@@ -164,7 +162,7 @@ def test_value_survives_reconfiguration():
     kind, v, ack = w.returns["c"][0]
     assert v == 7
     assert ack["cid"] == c1.cid()
-    assert w.cell("r5") is not None and w.cell("r5")[0] == 7
+    assert w.cell("r5") is not None and w.cell("r5").value == 7
 
 
 def test_write_in_flight_restarts_at_new_configuration():
@@ -191,31 +189,33 @@ def test_reads_are_monotone():
 
 
 def test_client_rejects_uncertified_write():
-    w = World(cids=("a",), check_write=None)
-    w.clients["a"].check_write = check_plain_input(w.oracle, "mr")
+    w = World(cids=("a",), plain_inputs=True)
     with pytest.raises(ValueError):
         w.clients["a"].write(3, {"kind": "plain", "signer": "a", "sig": "00"}, lambda ack: None)
 
 
 def test_bool_cell_from_a_byzantine_replica_does_not_count():
-    # True passes isinstance(_, int) but no mr.set may carry it, so taking
-    # it as the largest cell would stall the read in its write-back round
-    w = World(cids=("c",))
+    # True passes isinstance(_, int) but the run's object admits only ints,
+    # so taking it as the largest cell would stall the read in its
+    # write-back round. As a list the cell does not fit the wire; as an
+    # InputValue the object refuses it
+    for cell in ([True, OPEN_CERT], InputValue(True, OPEN_CERT)):
+        w = World(cids=("c",))
 
-    def evil(adv, ev):
-        if ev.msg.desc == "mr.get":
-            body = {"sn": ev.msg.body["sn"], "cell": [True, {"kind": "any"}]}
-            adv.send("r4", ev.frm, Msg("mr.getresp", "mr", body))
+        def evil(adv, ev, cell=cell):
+            if ev.msg.desc == "mr.get":
+                body = {"sn": ev.msg.body["sn"], "cell": cell}
+                adv.send("r4", ev.frm, Msg("mr.getresp", "mr", body))
 
-    probe = Probe()
-    w.sim.spawn("z", probe)
-    w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "mr", {})), to="z", desc="kick")
-    w.sim.add_external(Trigger(at=3), "adversary", lambda: w.sim.corrupt("r4", evil), to="r4", desc="corrupt")
-    w.read(Trigger(at=4), "c")
-    assert w.sim.run()["verdict"] == "quiescent"
-    assert w.returns.get("c") == [("read", None, None)]
-    # nor may state transfer plant it in a joining replica, even past a
-    # write check that admits it
-    store = MaxRegStore("mr", "mr", open_input(lambda v: True))
-    store.xfer_merge([True, {"kind": "any"}])
-    assert store.cell is None
+        probe = Probe()
+        w.sim.spawn("z", probe)
+        w.sim.add_external(Trigger(at=0), "invoke", lambda: probe.api.send("r4", Msg("kick", "mr", {})), to="z",
+                           desc="kick")
+        w.sim.add_external(Trigger(at=3), "adversary", lambda: w.sim.corrupt("r4", evil), to="r4", desc="corrupt")
+        w.read(Trigger(at=4), "c")
+        assert w.sim.run()["verdict"] == "quiescent"
+        assert w.returns.get("c") == [("read", None, None)]
+        # nor may state transfer plant it in a joining replica
+        store = MaxRegStore("mr", w.obj)
+        store.xfer_merge(cell)
+        assert store.cell is None

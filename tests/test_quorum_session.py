@@ -20,7 +20,7 @@ from dynbla.dbla import (
 from dynbla.fscrypto import FsSig, LedgerFsOracle
 from dynbla.lattice import ADD, Config, FinSet, History, genesis_config
 from dynbla.maxreg import MaxRegClient, setresp_payload
-from dynbla.simnet import Msg
+from dynbla.simnet import Api, Msg
 
 RIDS = ("r1", "r2", "r3", "r4")
 
@@ -59,7 +59,7 @@ def _dbla(hub, done):
 
 
 def _maxreg(hub, done):
-    s = MaxRegClient(hub, "mr", open_input(lambda v: type(v) is int))
+    s = MaxRegClient(hub, DynamicObject("mr", hub.genesis, check_value=open_input(lambda v: type(v) is int)))
     s.write(5, {"kind": "any"}, done)
 
     def reply(sig, sn):
@@ -173,22 +173,21 @@ def test_a_rounds_payload_is_built_once(make, monkeypatch):
     assert len(calls) == 1
 
 
-class RecordingApi(StubApi):
-    def __init__(self, oracle, pid):
-        super().__init__(oracle)
-        self.pid = pid
+class RecordingSim:
+    """What a replica's Api reaches of its simulator, recording every message
+    it sends in sent."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
         self.sent = []
 
-    def send(self, to, msg):
-        self.sent.append((to, msg))
-
-    def send_all(self, tos, msg):
+    def _send(self, frm, tos, msg):
         self.sent.extend((to, msg) for to in tos)
 
-    def upcall(self, desc, detail=None):
+    def trace_aux(self, kind, pid, desc, detail):
         pass
 
-    def fact(self, name):
+    def note_fact(self, name):
         pass
 
 
@@ -201,8 +200,8 @@ def joining_replica():
     c1 = genesis.join(Config([(ADD, "r5")]))
     store = DblaStore("obj", DynamicObject("obj", genesis, check_value=open_input(lambda v: type(v) is FinSet)))
     rep = DynamicReplica("grp", genesis, [store], lambda h, cert: True, [*RIDS, "r5"])
-    api = RecordingApi(oracle, "r5")
-    rep.bind(api)
+    api = RecordingSim(oracle)
+    rep.bind(Api(api, "r5"))
     rep.history = History([genesis, c1])
     rep._advance_xfer()
     assert (rep.xfer.phase, rep.xfer.anchor) == ("read", genesis)
