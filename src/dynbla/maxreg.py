@@ -38,9 +38,8 @@ class MaxRegStore(Store):
 
     def _set(self, body):
         iv = body["iv"]
-        if not self._keep(iv):
-            return None  # uncertified writes earn no ack
-        return "mr.setresp", setresp_payload(self.object_id, body["config"], iv.value), {}
+        return (("mr.setresp", setresp_payload(self.object_id, body["config"], iv.value), {}) if self._keep(iv)
+                else None)  # uncertified writes earn no ack
 
     def _get(self, body):
         return "mr.getresp", None, {"cell": self.cell}
@@ -100,9 +99,8 @@ class MaxRegClient(QuorumSession):
 
     def _on_getresp(self, frm, msg) -> None:
         cell = msg.body["cell"]
-        if cell is not None and not self.obj.check_value(cell):
-            return  # cells the object does not admit do not count toward the quorum
-        self.got[frm] = cell
+        if cell is None or self.obj.check_value(cell):
+            self.got[frm] = cell  # a cell the object refuses does not count toward the quorum
         if self.anchor.is_quorum(self.got):
             best = max((c for c in self.got.values() if c is not None), key=lambda c: c.value, default=None)
             if best is None:
