@@ -9,8 +9,10 @@ pure data so scenarios can be stored, diffed and replayed.
 
 from __future__ import annotations
 
+import json
+
 from ..lattice import ADD, REMOVE, Config, fault_budget, genesis_config
-from ..simnet import DEFAULT_STEP_CAP, Trigger, _private
+from ..simnet import DEFAULT_STEP_CAP, Trigger
 
 SCHEMA_VERSION = 1
 APP_KINDS = ("dbla", "maxreg", "none")
@@ -71,8 +73,6 @@ def _pids(x) -> bool:
     return isinstance(x, list) and all(isinstance(p, str) for p in x)
 
 
-# Plain containers only: validate fills defaults in these parts, and _private
-# copies no subclass, so filling one would edit the caller's scenario.
 def _dicts(x) -> bool:
     return type(x) is list and all(type(d) is dict for d in x)
 
@@ -92,17 +92,17 @@ def _part(d, key, default, ok, errors, problem):
 
 
 def _check_tree(scn) -> None:
-    """Raise ScenarioError unless _private can copy scn as a tree of dicts,
-    lists and tuples at most MAX_NESTING levels deep, scn being level 1. A
-    dict or list held twice, in two places or in a cycle, is refused:
-    _private copies it once per path to it, and without end in a cycle."""
+    """Raise ScenarioError unless scn is a tree of dicts and lists (a tuple
+    is a list to JSON, and a subclass its base) at most MAX_NESTING levels
+    deep, scn being level 1. A dict or list held twice, in two places or in
+    a cycle, is refused: JSON writes it once per path to it, and without end
+    in a cycle."""
     level, seen, held = [scn], {id(scn)}, 1
     for _ in range(MAX_NESTING):
-        level = [v for c in level for v in (c.values() if type(c) is dict else c)
-                 if type(v) in (dict, list, tuple)]
-        mutable = [id(c) for c in level if type(c) is not tuple]
-        seen.update(mutable)
-        held += len(mutable)
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(v, (dict, list, tuple))]
+        seen.update(map(id, level))
+        held += len(level)
         if not level or len(seen) < held:
             break
     if level:
@@ -119,20 +119,24 @@ def validate(scn):
     dict belongs, a process id that is not a string) is reported, and the
     checks that would read inside it are skipped.
 
-    The copy is `simnet._private`'s: every dict, list, tuple and set is
-    copied, so editing the copy or the input leaves the other unchanged,
-    and every other object, a subclass of dict or list included, is
-    shared; so the scenario and the parts validate fills in must be plain
-    dicts and lists.  Before anything is copied, a scenario whose
-    containers nest more than MAX_NESTING deep is refused, and so is one
-    that holds a dict or list twice, which a scenario read from JSON never
-    does.
+    The copy is the scenario as JSON reads it back, the value save_trace
+    writes and load_trace reads, and it shares nothing with the input. A
+    scenario JSON cannot write (bytes, a set) or reads back as another
+    value (a tuple, a key that is not a str) is refused. Before anything is
+    copied, a scenario whose containers nest more than MAX_NESTING deep is
+    refused, and so is one that holds a dict or list twice, which a
+    scenario read from JSON never does.
     """
-    if type(scn) is not dict:
+    if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a dict")
     _check_tree(scn)
+    try:
+        out = json.loads(json.dumps(scn))
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"scenario is not JSON: {e}") from None
+    if out != scn:
+        raise ScenarioError("scenario reads back from JSON as another value: a tuple, or a key that is not a str")
     errors = []
-    out = _private(scn)
 
     if out.get("version") != SCHEMA_VERSION:
         errors.append(f"version must be {SCHEMA_VERSION}")

@@ -537,6 +537,15 @@ def test_malformed_plain_signatures_are_refused_not_raised(cert):
     assert not check_authority_history(oracle, "grp")(History([genesis_config(["r1"])]), authority)
 
 
+def test_a_plain_signed_value_outside_the_objects_lattice_is_refused():
+    # a plain signature vouches for who proposed a value, not for its type:
+    # the set object's check keeps its lattice predicate
+    w = World(cids=("p",), plain_inputs=True)
+    assert not w.obj.check_value(InputValue(5, make_plain_input_cert(w.oracle, "obj", "p", 5)))
+    ok = FinSet({"a"})
+    assert w.obj.check_value(InputValue(ok, make_plain_input_cert(w.oracle, "obj", "p", ok)))
+
+
 def test_invalid_input_cert_rejected_at_propose():
     w = World(cids=("p",), plain_inputs=True)
     with pytest.raises(ValueError):

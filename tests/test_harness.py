@@ -5,6 +5,7 @@ import gc
 import json
 import pathlib
 import tracemalloc
+import types
 import weakref
 
 import pytest
@@ -69,17 +70,17 @@ class _List(list):
     _Dict(version=1, name="t", genesis=["r1"], clients=["c"]),
     {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"], "adversary": _Dict()},
     {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"],
-     "adversary": {"corruptions": _List([{"pid": "r1"}])}},
+     "adversary": {"corruptions": _List([{"pid": "c"}])}},
     {"version": 1, "name": "t", "genesis": ["r1"], "clients": ["c"],
-     "adversary": {"corruptions": [_Dict(pid="r1")]}},
+     "adversary": {"corruptions": [_Dict(pid="c")]}},
 ], ids=["scenario", "adversary", "corruptions", "corruption"])
-def test_validate_refuses_a_dict_or_list_subclass_it_would_fill(scn):
-    # validate's copy shares a subclass, so filling its defaults in place
-    # would edit the caller's scenario
+def test_validate_leaves_a_dict_or_list_subclass_it_fills_untouched(scn):
+    # validate fills defaults in its JSON copy, which holds plain dicts and
+    # lists only, so the caller's scenario is not edited
     snap = copy.deepcopy(scn)
-    with pytest.raises(ScenarioError, match="must be a"):
-        validate(scn)
+    out = validate(scn)
     assert scn == snap and type(scn) is type(snap)
+    assert all(type(c) in (dict, list) for c in _containers(out).values())
 
 
 def _containers(x, found=None):
@@ -95,13 +96,13 @@ def _containers(x, found=None):
 
 def test_validate_output_shares_no_container_with_its_input():
     raw = {**FAMILIES["reconfig-dbla"](1),
-           "meta": {"tags": ["a", {"b": [1, 2]}], "seen": {"r1", "r2"}, "pair": ([3], 4)}}
+           "meta": {"tags": ["a", {"b": [1, 2]}], "seen": ["r1", "r2"], "pair": [[3], 4]}}
     out = validate(raw)
     assert out == raw
     assert not _containers(raw).keys() & _containers(out).keys()
     snap = copy.deepcopy(raw)
     out["meta"]["tags"][1]["b"].append(3)
-    out["meta"]["seen"].add("r9")
+    out["meta"]["seen"].append("r9")
     out["meta"]["pair"][0].append(5)
     out["ops"][0]["value"].append("z")
     out["adversary"]["holds"].append({})
@@ -132,8 +133,10 @@ def _every_built_scenario():
 
 
 def test_validate_copies_as_deepcopy_did(monkeypatch):
+    # every built scenario reads back from JSON as itself, so validate's
+    # JSON copy is deepcopy's
     ours = [(scn, validate(scn)) for scn in _every_built_scenario()]
-    monkeypatch.setattr(scenario, "_private", copy.deepcopy)
+    monkeypatch.setattr(scenario, "json", types.SimpleNamespace(dumps=copy.deepcopy, loads=lambda x: x))
     ref = [(scn, validate(scn)) for scn in _every_built_scenario()]
     assert len(ours) == len(ref) == 10 * (len(FAMILIES) + len(ATTACKS)) + len(list(SCENARIOS.glob("*.json")))
     assert ours == ref
@@ -169,16 +172,39 @@ def _shared():
     lambda scn: {**scn, "meta": _cycle()},
     lambda scn: {**scn, "adversary": _shared()},
     lambda scn: {**scn, "ops": scn["ops"][:1] * 2},
-], ids=["cycle", "shared-hold", "shared-op"])
+    lambda scn: {**scn, "meta": _Dict(_shared())},
+], ids=["cycle", "shared-hold", "shared-op", "shared-in-a-subclass"])
 def test_validate_refuses_a_dict_or_list_held_twice(part):
     with pytest.raises(ScenarioError, match="holds a dict or list twice"):
         validate(part(FAMILIES["dbla-smoke"](0)))
 
 
-def test_validate_takes_a_tuple_held_twice():
-    # the empty tuple is one object wherever it is written
+def test_validate_refuses_a_tuple_held_twice():
+    # the empty tuple is one object wherever it is written, but JSON writes
+    # it once per path, as a list
     scn = {**FAMILIES["dbla-smoke"](0), "meta": {"a": (), "b": [(), ()]}}
-    assert validate(scn) == scn
+    with pytest.raises(ScenarioError, match="holds a dict or list twice"):
+        validate(scn)
+
+
+@pytest.mark.parametrize("meta,msg", [
+    ({"x": b"1"}, "not JSON"),
+    ({"x": {"r1"}}, "not JSON"),
+    ({("r1",): 1}, "not JSON"),
+    ({1: "x"}, "another value"),
+    ({"x": ("r1", 2)}, "another value"),
+], ids=["bytes", "set", "tuple-key", "int-key", "tuple"])
+def test_validate_refuses_what_a_trace_cannot_write_or_reads_back_as_another_value(tmp_path, meta, msg):
+    # a run of such a scenario would either fail to save its trace or load
+    # back a scenario other than the one it ran
+    scn = {**FAMILIES["dbla-smoke"](0), "meta": meta}
+    for call in (validate, run_scenario):
+        with pytest.raises(ScenarioError, match=msg):
+            call(scn)
+    # the same scenario with a meta JSON writes runs, and reads back as run
+    rep = run_scenario({**scn, "meta": {"x": ["r1", 2]}})
+    save_trace(tmp_path / "t.trace", rep.bundle())
+    assert load_trace(tmp_path / "t.trace")["scenario"] == rep.scenario
 
 
 @pytest.mark.parametrize(
@@ -1675,13 +1701,27 @@ _GENESIS = History([genesis_config(["r1", "r2", "r3", "r4"])])
         "conf-outside-the-roster"])
 def test_a_planted_value_outside_the_objects_lattice_is_refused(tmp_path, monkeypatch, obj, value):
     # under the open token, the app admits only sets of strs and the
-    # configuration agreement only configurations of roster processes, so
-    # no correct client joins the planted value with its own, no correct
-    # replica sends to a process outside the roster, and the run and every
-    # check complete, live and from a file
+    # configuration agreement only configurations of the scenario's
+    # replicas, so no correct client joins the planted value with its own,
+    # no correct replica sends to a process outside the roster, and the run
+    # and every check complete, live and from a file
     bundle, returns = _plant(monkeypatch, OPEN_CERT, value, obj)
     assert all(set(returns[i].result["w"]["set"]) <= {"a", "b", "z"} for i in (1, 2))
     assert "r9" not in json.dumps(returns[3].result["hist"])
+    _every_check_passes_live_and_from_a_file(tmp_path, bundle)
+
+
+@pytest.mark.parametrize("clients", [["p"], ["p", "q"], ["p", "q", "z"]], ids=["p", "p-q", "p-q-z"])
+def test_a_planted_configuration_naming_clients_as_replicas_is_refused(tmp_path, monkeypatch, clients):
+    # the clients are in the roster, for gossip, but not among the
+    # scenario's replicas, so the configuration agreement refuses genesis
+    # plus any of them: no history names a client, both correct proposals
+    # return, and the run and every check complete, live and from a file
+    planted = _GENESIS.max_element().join(Config([("+", c) for c in clients]))
+    bundle, returns = _plant(monkeypatch, OPEN_CERT, planted, "conf")
+    assert all(returns[i].returned_at is not None for i in (1, 2))
+    hist = value_from_jsonable(returns[3].result["hist"])
+    assert all(c.replicas() <= {"r1", "r2", "r3", "r4", "r5"} for c in hist.configs)
     _every_check_passes_live_and_from_a_file(tmp_path, bundle)
 
 
