@@ -65,7 +65,8 @@ from_jsonable, and a token dict as itself; the key of its slot, never the
 token's content, says which. A quorum writes its height once and each
 signature as its data, in base64, under its signer (QuorumCert.to_jsonable),
 and reads back only the exact base64 of each signature's bytes. An
-object admits an input value only through its own check: a value of the
+object, a max-register's writes and cells included, admits an input value
+only through its own check, DynamicObject.check_value: a value of the
 object's lattice under the open token (OPEN_CERT), an access grant, or an
 output of another agreement. A verified grant or output has each field of
 the type its JSON takes, so no return holds one that JSON cannot write.

@@ -1,13 +1,14 @@
 """Dynamic max-register on the replicated core.
 
-A max-register is a DynamicObject over ints: a cell, a replica's or one a
-client counts, is the largest InputValue that obj.check_value admits, or
-None. A write collects a quorum of forward-secure acks for its InputValue at
-one configuration. A read collects a quorum of cells, then writes the largest
-value back at the same configuration before returning it; the write-back is
-what makes reads atomic. History growth restarts whichever round is in
-flight, and a restarted read goes back to the get phase so that the get and
-the write-back always share a configuration.
+A max-register is a DynamicObject over ints, and obj.check_value admits
+every write and every cell: a replica's cell, like each cell a client
+counts, is the largest admitted InputValue, or None. A write collects a
+quorum of forward-secure acks for its InputValue at one configuration. A
+read collects a quorum of cells, then writes the largest value back at the
+same configuration before returning it; the write-back is what makes reads
+atomic. History growth restarts whichever round is in flight, and a
+restarted read goes back to the get phase so that the get and the
+write-back always share a configuration.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class MaxRegStore(Store):
         return ok
 
     def _set(self, body):
+        # an uncertified write earns no ack
         iv = body["iv"]
-        return (("mr.setresp", setresp_payload(self.object_id, body["config"], iv.value), {}) if self._keep(iv)
-                else None)  # uncertified writes earn no ack
+        return (("mr.setresp", setresp_payload(self.object_id, body["config"], iv.value), {})
+                if self._keep(iv) else None)
 
     def _get(self, body):
         return "mr.getresp", None, {"cell": self.cell}
