@@ -101,8 +101,9 @@ class MaxRegClient(QuorumSession):
 
     def _on_getresp(self, frm, msg) -> None:
         cell = msg.body["cell"]
+        # a cell the object refuses does not count toward the quorum
         if cell is None or self.obj.check_value(cell):
-            self.got[frm] = cell  # a cell the object refuses does not count toward the quorum
+            self.got[frm] = cell
         if self.anchor.is_quorum(self.got):
             best = max((c for c in self.got.values() if c is not None), key=lambda c: c.value, default=None)
             if best is None:

@@ -61,7 +61,6 @@ class World:
         return self.replicas[rid].stores[0].cell
 
     def write(self, trigger, cid, v, cert=OPEN_CERT):
-
         def fire():
             def done(ack):
                 self.returns.setdefault(cid, []).append(("write", v, ack))
