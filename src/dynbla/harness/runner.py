@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 from ..access_control import AcClient, AcStore, AccessControl, make_ac_input_check, make_admin_cert
@@ -133,20 +132,17 @@ def read_ops(trace, count) -> tuple[dict, list, set]:
     return ops, installs, corrupted
 
 
-@dataclass
 class RunReport:
     """One run: its trace file's sections, the step count the simulator
     stopped at (load_trace reads it off the events) and ctx, the World it
     ran in."""
 
-    scenario: dict
-    verdict: str
-    steps: int
-    trace: list
-    final: dict
-    ledger: list
-    hash: str
-    ctx: object = field(repr=False, default=None)
+    FIELDS = ("scenario", "verdict", "steps", "trace", "final", "ledger", "hash")
+
+    def __init__(self, scenario: dict, verdict: str, steps: int, trace: list, final: dict, ledger: list, hash: str,
+                 ctx=None):
+        self.scenario, self.verdict, self.steps, self.trace = scenario, verdict, steps, trace
+        self.final, self.ledger, self.hash, self.ctx = final, ledger, hash, ctx
 
     @property
     def metrics(self) -> dict:
@@ -160,7 +156,7 @@ class RunReport:
 
     def bundle(self) -> dict:
         """The trace file's sections, for save_trace and the offline checks."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ctx"}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 class World(SimpleNamespace):

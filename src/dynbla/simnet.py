@@ -27,7 +27,8 @@ step to the earliest known due step. Steps before the wake step skip the
 scan, but an idle network scans at it, so what is due there fires now by
 the same rule. Registering an external or a hold, firing, releasing, a
 first message held by a rule and a new fact set it back to 0, so the next
-step scans again. A `Trigger` must therefore not be changed once registered.
+step scans again. A `Trigger` is a named tuple, so a registered one cannot
+change under the wake step.
 
 A process is idle (I) until its first delivery or invoke, then correct
 (C); `corrupt` hands a correct process to a script as Byzantine (B). That
@@ -56,7 +57,6 @@ import json
 import math
 import random
 import weakref
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lattice import digest
@@ -67,6 +67,9 @@ MIN_SLOTS = 64
 IDLE = "I"
 CORRECT = "C"
 BYZANTINE = "B"
+# a trace line's "st", the statuses of its two ends ("-" for no process), as
+# one shared string per pair: _ST[frm's][to's]
+_ST = {a: {b: a + b for b in ("-", IDLE, CORRECT, BYZANTINE)} for a in ("-", IDLE, CORRECT, BYZANTINE)}
 
 
 class Msg:
@@ -286,8 +289,7 @@ class PendingQueue:
         return ev
 
 
-@dataclass(slots=True)
-class Trigger:
+class Trigger(NamedTuple):
     """A not-before bound: an absolute step or a named fact plus offset."""
 
     at: int | None = None
@@ -303,17 +305,15 @@ class Trigger:
         return self.at
 
 
-@dataclass
 class HoldRule:
     """Diverts matching sends into a buffer until the release trigger.
     A released rule leaves the simulator's holds, the only rules a send
     consults."""
 
-    frm: set | None = None
-    to: set | None = None
-    desc: str = ""
-    until: Trigger | None = None
-    buffer: list = field(default_factory=list)
+    __slots__ = ("frm", "to", "desc", "until", "buffer")
+
+    def __init__(self, frm: set | None = None, to: set | None = None, desc: str = "", until: Trigger | None = None):
+        self.frm, self.to, self.desc, self.until, self.buffer = frm, to, desc, until, []
 
     def matches(self, frm, to, msg) -> bool:
         if self.frm is not None and frm not in self.frm:
@@ -323,8 +323,7 @@ class HoldRule:
         return msg.desc.startswith(self.desc)
 
 
-@dataclass(slots=True)
-class _External:
+class _External(NamedTuple):
     trigger: Trigger
     kind: str
     fire: object
@@ -333,12 +332,11 @@ class _External:
     detail: dict | None
 
 
-@dataclass(slots=True)
 class _Proc:
-    automaton: object
-    api: object
-    status: str = IDLE
-    script: object = None
+    __slots__ = ("automaton", "api", "status", "script")
+
+    def __init__(self, automaton, api):
+        self.automaton, self.api, self.status, self.script = automaton, api, IDLE, None
 
 
 class Api:
@@ -533,7 +531,7 @@ class Simulator:
 
     def trace_aux(self, kind, pid, desc, detail=None):
         st = self._st(pid)
-        self._trace(kind, pid, pid, desc, st + st, detail)
+        self._trace(kind, pid, pid, desc, _ST[st][st], detail)
 
     def _st(self, pid):
         proc = self._procs.get(pid)
@@ -548,7 +546,7 @@ class Simulator:
         self._wake = 0
         now = self.next_step
         self.pending.extend([(now, frm, to, msg) for frm, to, msg in events])
-        self._trace("adversary", "-", "-", "hold.release", self._st("-") + self._st("-"),
+        self._trace("adversary", "-", "-", "hold.release", _ST[self._st("-")][self._st("-")],
                     {"released": len(events), "desc": rule.desc})
         self.next_step += 1
         return "adversary"
@@ -556,7 +554,7 @@ class Simulator:
     def _fire(self, i: int) -> str:
         ext = self.externals.pop(i)
         self._wake = 0
-        self._trace(ext.kind, "-", ext.to, ext.desc, self._st("-") + self._st(ext.to), ext.detail)
+        self._trace(ext.kind, "-", ext.to, ext.desc, _ST[self._st("-")][self._st(ext.to)], ext.detail)
         if ext.kind == "invoke" and ext.to in self._procs:
             proc = self._procs[ext.to]
             if proc.status == IDLE:
@@ -582,7 +580,7 @@ class Simulator:
             "to": to,
             "desc": msg.desc,
             "hash": msg.mhash(),
-            "st": (src.status if src else "-") + proc.status,
+            "st": _ST[src.status if src else "-"][proc.status],
         })
         if proc.status == BYZANTINE:
             proc.script(self.adv_api, Event(enq, frm, to, msg.copy()))
