@@ -9,7 +9,7 @@ pure data so scenarios can be stored, diffed and replayed.
 
 from __future__ import annotations
 
-import json
+import sys
 
 from ..lattice import ADD, REMOVE, Config, fault_budget, genesis_config
 from ..simnet import DEFAULT_STEP_CAP, Trigger
@@ -20,6 +20,10 @@ ACL_MODES = ("none", "sanity", "quorum", "admin")
 ORACLE_KINDS = ("ledger", "keychain")
 OP_KINDS = ("propose", "write", "read", "update_config", "ac_request")
 MAX_NESTING = 100           # the scenario dict is level 1; the schema itself nests 5 deep
+# Leaves JSON reads back as the very object, which the copy shares
+_SHARED = frozenset((str, bool, type(None)))
+# The leaves JSON writes, each to what reads a subclass's leaf as its base type's value
+_LEAVES = {str: str.__str__, int: int.__int__, float: float.__float__, bool: None, type(None): None}
 
 
 class ScenarioError(ValueError):
@@ -91,23 +95,35 @@ def _part(d, key, default, ok, errors, problem):
     return type(default)()
 
 
-def _check_tree(scn) -> None:
-    """Raise ScenarioError unless scn is a tree of dicts and lists (a tuple
-    is a list to JSON, and a subclass its base) at most MAX_NESTING levels
-    deep, scn being level 1. A dict or list held twice, in two places or in
-    a cycle, is refused: JSON writes it once per path to it, and without end
-    in a cycle."""
-    level, seen, held = [scn], {id(scn)}, 1
-    for _ in range(MAX_NESTING):
-        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
-                 if isinstance(v, (dict, list, tuple))]
-        seen.update(map(id, level))
-        held += len(level)
-        if not level or len(seen) < held:
-            break
-    if level:
-        raise ScenarioError("scenario holds a dict or list twice, in two places or in a cycle" if len(seen) < held
-                            else f"scenario nests more than {MAX_NESTING} deep")
+def _copy(x, level, seen, bad, key=False):
+    """x, or with key the dict key x, as JSON writes and reads it back: plain
+    dicts and lists sharing x's leaves, a subclass's leaf as its base type's
+    value. x is at level of nesting; seen holds the ids of the dicts, lists
+    and tuples met. Each problem is appended to bad, rank first, and its part
+    copies as None: 0, a dict, list or tuple held twice; 1, one past
+    MAX_NESTING; 2, a leaf JSON cannot write; 3, one it reads back as
+    another value, a tuple or a key that is not a str."""
+    if key or not isinstance(x, (dict, list, tuple)):
+        base = type(x) if type(x) in _LEAVES else next((t for t in type(x).__mro__ if t in _LEAVES), None)
+        # the interpreter writes no int of more digits than its limit, which is at least 640, more
+        # than an int of 1,920 bits has; x - x is nan for inf, -inf and nan
+        why = ((2, f"is not JSON: it holds {'a key' if key else 'a value'} of type {type(x).__name__}") if base is None
+               else (2, f"is not JSON: it holds an int of more than {n} digits")
+               if base is int and x.bit_length() > 1920 and 0 < (n := sys.get_int_max_str_digits()) and abs(x) >= 10 ** n
+               else (3, "reads back from JSON as another value: a key that is not a str") if key and base is not str
+               else (2, f"is not JSON: it holds the float {float.__repr__(x)}") if base is float and x - x != 0
+               else None)
+        return bad.append(why) if why else x if type(x) is base else _LEAVES[base](x)
+    held = id(x) in seen
+    seen.add(id(x))
+    if held or level > MAX_NESTING:
+        return bad.append((0, "holds a dict or list twice, in two places or in a cycle") if held
+                          else (1, f"nests more than {MAX_NESTING} deep"))
+    if isinstance(x, dict):
+        return {k if type(k) is str else _copy(k, level, seen, bad, True):
+                v if type(v) in _SHARED else _copy(v, level + 1, seen, bad) for k, v in x.items()}
+    out = [v if type(v) in _SHARED else _copy(v, level + 1, seen, bad) for v in x]
+    return out if isinstance(x, list) else bad.append((3, "reads back from JSON as another value: a tuple"))
 
 
 def validate(scn):
@@ -120,22 +136,19 @@ def validate(scn):
     checks that would read inside it are skipped.
 
     The copy is the scenario as JSON reads it back, the value save_trace
-    writes and load_trace reads, and it shares nothing with the input. A
-    scenario JSON cannot write (bytes, a set) or reads back as another
-    value (a tuple, a key that is not a str) is refused. Before anything is
-    copied, a scenario whose containers nest more than MAX_NESTING deep is
-    refused, and so is one that holds a dict or list twice, which a
+    writes and load_trace reads, made in one walk: its dicts and lists are
+    its own, and it shares the input's leaves. A scenario JSON cannot write
+    (bytes, a set, inf or nan) or reads back as another value (a tuple, a
+    key that is not a str) is refused; before either, so is one that nests
+    more than MAX_NESTING deep or holds a dict or list twice, which a
     scenario read from JSON never does.
     """
     if not isinstance(scn, dict):
         raise ScenarioError("scenario must be a dict")
-    _check_tree(scn)
-    try:
-        out = json.loads(json.dumps(scn))
-    except (TypeError, ValueError) as e:
-        raise ScenarioError(f"scenario is not JSON: {e}") from None
-    if out != scn:
-        raise ScenarioError("scenario reads back from JSON as another value: a tuple, or a key that is not a str")
+    bad = []
+    out = _copy(scn, 1, set(), bad)
+    if bad:
+        raise ScenarioError("scenario " + min(bad)[1])
     errors = []
 
     if out.get("version") != SCHEMA_VERSION:

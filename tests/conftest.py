@@ -10,6 +10,9 @@ test_certificate_json_round_trips --hypothesis-profile=ci``), and the planted
 values and certificate trees (``pytest tests/test_harness.py -k
 test_a_planted_certificate_tree --hypothesis-profile=ci``), whose every
 example runs a scenario: about 2000 examples under ``ci`` and 100 by default.
+The same profile runs validate's copy against the JSON round trip over
+planted trees (``pytest tests/test_harness.py -k test_validate_copies_
+--hypothesis-profile=ci``).
 The profile's deadline is off: the steps check outputs, not per-example time."""
 
 from hypothesis import settings

@@ -3,9 +3,13 @@ import copy
 import functools
 import gc
 import json
+import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import tracemalloc
-import types
 import weakref
 
 import pytest
@@ -132,14 +136,166 @@ def _every_built_scenario():
         yield json.loads(path.read_text())
 
 
-def test_validate_copies_as_deepcopy_did(monkeypatch):
-    # every built scenario reads back from JSON as itself, so validate's
-    # JSON copy is deepcopy's
-    ours = [(scn, validate(scn)) for scn in _every_built_scenario()]
-    monkeypatch.setattr(scenario, "json", types.SimpleNamespace(dumps=copy.deepcopy, loads=lambda x: x))
-    ref = [(scn, validate(scn)) for scn in _every_built_scenario()]
-    assert len(ours) == len(ref) == 10 * (len(FAMILIES) + len(ATTACKS)) + len(list(SCENARIOS.glob("*.json")))
-    assert ours == ref
+# The phrase of each class of refusal of a scenario JSON cannot copy, the
+# first to report first
+_REFUSALS = ("holds a dict or list twice", "nests more than", "is not JSON", "another value")
+
+
+def _json_reference(scn):
+    """(refusal, copy): the phrase of the class of validate's refusal of scn,
+    or None and scn as JSON reads it back. The reference is the JSON round
+    trip after a tree check: a dict, list or tuple held twice within
+    MAX_NESTING + 1 levels is refused, else one at that level. A round trip
+    that raises is not JSON, and one that reads back another value is
+    refused; a non-finite float, which JSON writes as no number, is not
+    JSON."""
+    level, seen, held = [scn], {id(scn)}, 1
+    for _ in range(scenario.MAX_NESTING):
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(v, (dict, list, tuple))]
+        seen.update(map(id, level))
+        held += len(level)
+        if not level or len(seen) < held:
+            break
+    if level:
+        return _REFUSALS[0] if len(seen) < held else _REFUSALS[1], None
+    try:
+        out = json.loads(json.dumps(scn))
+    except (TypeError, ValueError):
+        return _REFUSALS[2], None
+    if _non_finite(scn):
+        return _REFUSALS[2], None
+    return (None, out) if out == scn else (_REFUSALS[3], None)
+
+
+def _non_finite(x) -> bool:
+    """Whether x holds inf, -inf or nan as a leaf, not as a key."""
+    if isinstance(x, (dict, list, tuple)):
+        return any(map(_non_finite, x.values() if isinstance(x, dict) else x))
+    return isinstance(x, float) and not math.isfinite(x)
+
+
+def _same(got, ref) -> bool:
+    """got equals ref in value and in exact type at every node, keys included."""
+    if type(got) is not type(ref):
+        return False
+    if type(ref) is dict:
+        return (list(got) == list(ref) and all(type(k) is str for k in got)
+                and all(map(_same, got.values(), ref.values())))
+    if type(ref) is list:
+        return len(got) == len(ref) and all(map(_same, got, ref))
+    return got == ref
+
+
+def _shares_leaves(got, src) -> bool:
+    """got shares no dict or list with src, and shares each of src's leaves
+    that is of the type JSON reads back."""
+    if type(got) in (dict, list):
+        return got is not src and all(map(_shares_leaves, *(
+            (x.values() if isinstance(x, dict) else x) for x in (got, src))))
+    return got is src or type(got) is not type(src)
+
+
+def _check_copy(scn):
+    """validate refuses scn as the reference does, or copies it as the
+    reference does, sharing its leaves; the refusal's phrase or None."""
+    refusal, ref = _json_reference(scn)
+    try:
+        out = validate(scn)
+    except ScenarioError as e:
+        assert refusal is not None and refusal in str(e), (refusal, str(e))
+        assert [r for r in _REFUSALS if r in str(e)] == [refusal], str(e)
+        return refusal
+    assert refusal is None, refusal
+    assert _same(out, ref)
+    assert _shares_leaves(out, scn)
+    return None
+
+
+def test_validate_copies_every_built_scenario_as_json_reads_it_back():
+    built = list(_every_built_scenario())
+    assert len(built) == 10 * (len(FAMILIES) + len(ATTACKS)) + len(list(SCENARIOS.glob("*.json")))
+    for scn in built:
+        assert _json_reference(scn)[0] is None
+        _check_copy(scn)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    # ints of 4,299 to 4,301 digits, about the interpreter's default limit of 4,300
+    st.builds(lambda e, d: 10 ** e + d, st.integers(4299, 4300), st.integers(-1, 1)), st.binary(max_size=2),
+    st.sets(st.integers(), max_size=2), st.text(max_size=3).map(_Str), st.integers().map(_Int),
+    st.floats().map(_Float))
+_JSON_KEYS = st.one_of(st.text(max_size=3), st.text(max_size=3).map(_Str), st.integers(), st.booleans(),
+                  st.none(), st.floats(), st.tuples(st.text(max_size=2)))
+_JSON_TREES = st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    # the empty tuple is one object, so two of them would be a tuple held twice
+    st.lists(kids, max_size=3), st.lists(kids, min_size=1, max_size=3).map(tuple), st.lists(kids, max_size=3).map(_List),
+    st.dictionaries(st.text(max_size=3), kids, max_size=3), st.dictionaries(_JSON_KEYS, kids, max_size=3),
+    st.dictionaries(st.text(max_size=3), kids, max_size=3).map(_Dict)), max_leaves=12)
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(meta=_JSON_TREES, planted=_JSON_TREES, twice=st.sampled_from([False, False, False, True]))
+@example(meta=10 ** 4300 - 1, planted=_Int(-10 ** 4300 + 1), twice=False)
+@example(meta=10 ** 4300, planted=None, twice=False)
+@example(meta={10 ** 4300: 1}, planted=None, twice=False)
+@example(meta={math.nan: 1, "x": math.inf}, planted=(b"",), twice=False)
+@example(meta=[(), ()], planted=b"", twice=False)
+@example(meta=[b"", ("x",)], planted=None, twice=True)
+def test_validate_copies_a_planted_tree_as_json_reads_it_back(meta, planted, twice):
+    # in meta and in an op, the two parts of a scenario that hold what a
+    # caller plants; with twice, the op holds meta's very tree
+    base = FAMILIES["dbla-smoke"](0)
+    planted = meta if twice else planted
+    event(_check_copy({**base, "meta": {"x": meta}, "ops": [{**base["ops"][0], "x": planted}, *base["ops"][1:]]})
+          or "copied")
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, _Float("-inf")], ids=["inf", "-inf", "nan", "subclass"])
+def test_validate_refuses_a_non_finite_float_and_names_it(x):
+    # a trace would write it as Infinity or NaN, which no JSON parser that
+    # follows RFC 8259 reads
+    base = FAMILIES["dbla-smoke"](0)
+    for scn in ({**base, "meta": {"x": x}}, {**base, "meta": {"y": [1.5, {"x": x}]}},
+                {**base, "ops": [{**base["ops"][0], "x": x}, *base["ops"][1:]]}):
+        for call in (validate, run_scenario):
+            with pytest.raises(ScenarioError, match=f"not JSON: it holds the float {re.escape(float.__repr__(x))}$"):
+                call(scn)
+
+
+# Run in a fresh interpreter: one run and its checks, then the names of the
+# modules the run needs no code of that are loaded
+_FRESH_RUN = """
+import sys
+from dynbla.harness import FAMILIES, run_checks, run_scenario
+
+rep = run_scenario(FAMILIES["dbla-smoke"](0))
+assert rep.verdict == "quiescent" and all(ok for _, ok, _ in run_checks(rep.bundle()))
+print(sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+"""
+
+
+def test_a_run_and_its_checks_load_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # 1 MiB of a run's peak memory that nothing else in a run loads
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    r = subprocess.run([sys.executable, "-c", _FRESH_RUN], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["[]"]
 
 
 @pytest.mark.parametrize("deep", [

@@ -27,7 +27,7 @@ import types
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "dynbla"
-LIMIT = 306
+LIMIT = 305
 
 
 def statement_lines(path: pathlib.Path) -> set[int]:
