@@ -109,18 +109,16 @@ class AcStore(Store):
     def __init__(self, store_id: str, ac: AccessControl, decide=None):
         if ac.mode == "admin":
             raise ValueError("admin mode has no replica store")
-        self.store_id = store_id
-        self.ac = ac
-        self.object_id = ac.object_id
+        super().__init__(store_id, ac)
         self.decide = decide
         self.approved: dict[str, object] = {}
 
     def _decide(self, slot: str, value) -> bool:
-        if self.ac.mode == "quorum" and slot in self.approved:
+        if self.obj.mode == "quorum" and slot in self.approved:
             return canon(self.approved[slot]) == canon(value)
         if self.decide is not None and not self.decide(slot, value):
             return False
-        if self.ac.mode == "quorum":
+        if self.obj.mode == "quorum":
             self.approved[slot] = value
         return True
 
@@ -137,12 +135,12 @@ class AcStore(Store):
     SERVES = {"ac.req": _req, "ac.confirm": _confirm}
 
     def xfer_snapshot(self):
-        if self.ac.mode != "quorum":
+        if self.obj.mode != "quorum":
             return None
         return sorted((s, v) for s, v in self.approved.items())
 
     def xfer_merge(self, payload) -> None:
-        if self.ac.mode != "quorum" or not isinstance(payload, list):
+        if self.obj.mode != "quorum" or not isinstance(payload, list):
             return
         for item in payload:
             if isinstance(item, (tuple, list)) and len(item) == 2 and isinstance(item[0], str):

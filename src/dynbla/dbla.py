@@ -348,15 +348,17 @@ class OutputCert(Value):
         hold and a slot with none of its keys raise KeyError; an entry of
         "cfgs" whose key is not its configuration's cid raises ValueError.
 
-        With a memo dict, shared across calls, a configuration is decoded
-        once per cid whose entries are alike, live or loaded, and a node
-        once per identity of its fields' JSON objects (see fields_jsonable)
-        and of the certificates and configurations it names: the returns of
-        a live run share those objects, so a node that many of them hold is
-        decoded and framed once, while a trace read from a file is decoded
-        return by return. The memo keeps each decoded dict and certificate,
-        and so every object keyed by id, alive while it is in use.
+        It decodes through memo, a fresh dict if none is given. A memo
+        shared across calls decodes a configuration once per cid whose
+        entries are alike, live or loaded, and a node once per identity of
+        its fields' JSON objects (see fields_jsonable) and of the
+        certificates and configurations it names: the returns of a live run
+        share those objects, so a node that many of them hold is decoded and
+        framed once, while a trace read from a file is decoded return by
+        return. The memo keeps each decoded dict and certificate, and so
+        every object keyed by id, alive while it is in use.
         """
+        memo = {} if memo is None else memo
         cfgs = {cid: _config_from_jsonable(cid, e, memo) for cid, e in d["cfgs"].items()}
         table = {}
         for i, entry in enumerate(d.get("shared", ())):
@@ -417,13 +419,12 @@ def _slot_jsonable(cert, keys: tuple, refs: dict, shared: list, cfgs: dict) -> d
 
 def _config_from_jsonable(cid, entry, memo) -> Config:
     """The configuration a "cfgs" entry writes, refused unless cid is its
-    cid; with a memo, built once per cid and entries alike."""
-    hit = None if memo is None else memo.get(("cfg", cid))
+    cid; built once per cid and entries alike in memo."""
+    hit = memo.get(("cfg", cid))
     if hit is not None and hit[0] == entry:
         return hit[1]
     config = _exact(Config.from_jsonable({"cfg": entry}), cid, Config.cid, "cid")
-    if memo is not None:
-        memo["cfg", cid] = (entry, config)
+    memo["cfg", cid] = (entry, config)
     return config
 
 
@@ -450,14 +451,13 @@ def _value_from_jsonable(v, cfgs: dict):
 def _node_from_jsonable(d, table: dict, cfgs: dict, memo) -> OutputCert:
     named = [_slot_from_jsonable(v, VALUE_SLOT, table) for v in d["values"]]
     hcert = _slot_from_jsonable(d, HIST_SLOT, table)
-    if memo is not None:
-        # every configuration the node names is looked up in this return's
-        # own table, whichever return's JSON the node was first decoded from
-        key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
-               *map(id, named), id(hcert), *[id(cfgs[c]) for c in _cids(d)])
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[1]
+    # every configuration the node names is looked up in this return's own
+    # table, whichever return's JSON the node was first decoded from
+    key = (id(d["hist"]), id(d["packs"]), id(d["cacks"]), *[id(v["v"]) for v in d["values"]],
+           *map(id, named), id(hcert), *[id(cfgs[c]) for c in _cids(d)])
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     cert = OutputCert(
         [InputValue(_value_from_jsonable(v["v"], cfgs), c) for v, c in zip(d["values"], named)],
         History([cfgs[c] for c in d["hist"]]),
@@ -465,8 +465,7 @@ def _node_from_jsonable(d, table: dict, cfgs: dict, memo) -> OutputCert:
         QuorumCert.from_jsonable(d["packs"]),
         QuorumCert.from_jsonable(d["cacks"]),
     )
-    if memo is not None:
-        memo[key] = (d, cert)
+    memo[key] = (d, cert)
     return cert
 
 
@@ -789,7 +788,8 @@ class DblaClient(QuorumSession):
 
 
 class Store:
-    """A replica's state for one object, answering the requests in SERVES.
+    """A replica's state for one object, obj, answering the requests in
+    SERVES sent to obj.object_id; a state transfer names it by store_id.
 
     SERVES maps each request kind to handler(store, body), which returns
     None (no answer) or (reply desc, payload to fs-sign or None, reply
@@ -797,7 +797,11 @@ class Store:
     """
 
     SERVES: dict = {}
-    object_id: str
+
+    def __init__(self, store_id: str, obj):
+        self.store_id = store_id
+        self.obj = obj
+        self.object_id = obj.object_id
 
     def handle(self, core, frm, msg) -> bool:
         if msg.obj != self.object_id or msg.desc not in self.SERVES:
@@ -812,9 +816,7 @@ class DblaStore(Store):
     """Replica value-set store for one lattice-agreement object."""
 
     def __init__(self, store_id: str, obj: DynamicObject):
-        self.store_id = store_id
-        self.obj = obj
-        self.object_id = obj.object_id
+        super().__init__(store_id, obj)
         self.vals: dict[bytes, InputValue] = {}
         for iv in obj.genesis_values:
             self.vals[iv.canon()] = iv

@@ -298,16 +298,16 @@ def check_cert_nodes(bundle, view):
     return ("perf.cert_nodes_linear", not bad, f"h0={h0}, over the bound (op, nodes, h): {bad}")
 
 
+# The checks of each app kind's own semantics
+APP_CHECKS = {"dbla": [check_dbla_outputs], "maxreg": [check_maxreg], "none": []}
+
+
 def run_checks(bundle):
     """All applicable checks for this bundle; (name, ok, info) triples."""
     scn = bundle["scenario"]
     view = rebuild_view(bundle)
-    checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit,
-              check_installs, check_convergence, check_xfer_bound, check_history_len]
-    if scn["app"]["kind"] == "dbla":
-        checks.append(check_dbla_outputs)
-    elif scn["app"]["kind"] == "maxreg":
-        checks.append(check_maxreg)
+    checks = [check_liveness, check_certificates, check_cert_nodes, check_key_update_audit, check_installs,
+              check_convergence, check_xfer_bound, check_history_len, *APP_CHECKS[scn["app"]["kind"]]]
     if scn["acl"]["mode"] == "quorum":
         checks.append(check_ac_at_most_one)
     return [c(bundle, view) for c in checks]

@@ -14,14 +14,21 @@ from .runner import TraceError, load_trace, run_scenario, save_trace
 from .scenario import FAMILIES, ScenarioError, validate
 
 
-def _emit(results, verdict=None, steps=None):
+def _emit(results, verdict, steps):
+    """Print a PASS or FAIL line per result and the run's verdict line, and exit 1 if any failed."""
     ok = True
     for name, passed, info in results:
         ok = ok and passed
         click.echo(f"{'PASS' if passed else 'FAIL'}  {name}  ({info})")
-    if verdict is not None:
-        click.echo(f"verdict={verdict} steps={steps} -> {'OK' if ok else 'VIOLATIONS'}")
-    return ok
+    click.echo(f"verdict={verdict} steps={steps} -> {'OK' if ok else 'VIOLATIONS'}")
+    sys.exit(0 if ok else 1)
+
+
+def _judge(report, trace_out, verifier=None):
+    """Save report's trace to trace_out if given, and _emit its checks' and verifier's (an attack's) results."""
+    if trace_out:
+        save_trace(trace_out, report.bundle())
+    _emit(run_checks(report.bundle()) + (verifier(report) if verifier else []), report.verdict, report.steps)
 
 
 def _load_scenario(path, family, seed, k):
@@ -73,12 +80,7 @@ def main():
 @click.option("--trace", "trace_out", type=click.Path(), help="write the run trace here")
 def run(path, family, seed, k, trace_out):
     """Run one scenario and check every invariant."""
-    report = run_scenario(_load_scenario(path, family, seed, k))
-    if trace_out:
-        save_trace(trace_out, report.bundle())
-    results = run_checks(report.bundle())
-    ok = _emit(results, report.verdict, report.steps)
-    sys.exit(0 if ok else 1)
+    _judge(run_scenario(_load_scenario(path, family, seed, k)), trace_out)
 
 
 @main.command()
@@ -110,12 +112,7 @@ def sweep(family, seeds, start, k):
 def attack(name, seed, trace_out):
     """Re-enact a scripted attack and verify the defenses held."""
     builder, verifier = ATTACKS[name]
-    report = run_scenario(builder(seed))
-    if trace_out:
-        save_trace(trace_out, report.bundle())
-    results = run_checks(report.bundle()) + verifier(report)
-    ok = _emit(results, report.verdict, report.steps)
-    sys.exit(0 if ok else 1)
+    _judge(run_scenario(builder(seed)), trace_out, verifier)
 
 
 @main.command()
@@ -127,8 +124,7 @@ def check(path):
     recomputed = trace_hash(bundle["trace"])
     results.append(("trace.hash_consistent", recomputed == bundle["hash"],
                     f"stored {bundle['hash'][:12]}.., recomputed {recomputed[:12]}.."))
-    ok = _emit(results, bundle["verdict"], bundle["steps"])
-    sys.exit(0 if ok else 1)
+    _emit(results, bundle["verdict"], bundle["steps"])
 
 
 # What replay compares with a re-run: the head's verdict, the step count, final, ledger and the events' hash.

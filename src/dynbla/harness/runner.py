@@ -88,11 +88,13 @@ OpRecord = namedtuple("OpRecord", "idx spec invoked_at returned_at result", defa
 
 
 # What the checks read of each line of a trace file, by the line's section
-# (its "t"), in dbla.WIRE's language (see dbla.fits). An event line is also
+# (its "t"), in dbla.WIRE's language (see dbla.fits). An event line is
 # checked against "ev:" + its kind, or + its desc for an upcall, where that
-# entry exists: op invokes, returns and install upcalls carry the detail the
-# checks read. A live run's lines are of these shapes as the simulator writes
-# them; load_trace checks each line of a file as it reads it.
+# entry exists, and against "ev" where it does not: op invokes, returns and
+# install upcalls carry the detail the checks read, and each of their
+# entries holds all of "ev". A live run's lines are of these shapes as the
+# simulator writes them; load_trace checks each line of a file as it reads
+# it, with one call of fits.
 _REPLICA = {"history": [str], "installed": [str], "ccurr": str, "cinst": str, "chighest": str, "member": bool}
 _EV = {"step": int, "kind": str, "frm": str, "to": str, "desc": str, "hash": (str, type(None)), "st": str}
 TRACE_SHAPES = {
@@ -164,16 +166,26 @@ class World(SimpleNamespace):
     SimpleNamespace it can be weakly referenced."""
 
 
+# One row per app kind: the values its object admits, under the open token,
+# and the classes of its replica store and client session. App kind "none"
+# has no row and builds no object.
+AppKind = namedtuple("AppKind", "admits store session")
+APPS = {
+    "dbla": AppKind(lambda v: type(v) is FinSet and all(type(e) is str for e in v.elems), DblaStore, DblaClient),
+    "maxreg": AppKind(lambda v: type(v) is int, MaxRegStore, MaxRegClient),
+}
+
+
 def build_objects(scn, oracle) -> World:
-    """The scenario's group objects over oracle: genesis, the roster, access
-    control, the reconfiguration group and the app object. The app admits sets
-    of strs, trusting the group's histories, or ints for a max-register; the
-    configuration agreement admits configurations of the scenario's replicas
-    only, a subset of URB's roster, which also holds the clients for gossip."""
+    """The scenario's group objects over oracle: genesis, the replica ids, the
+    roster, access control, the reconfiguration group and the app object,
+    which admits its kind's values (APPS) and trusts the group's histories.
+    The configuration agreement admits configurations of the scenario's
+    replicas only, a subset of URB's roster, which also holds the clients."""
     genesis = genesis_config(scn["genesis"])
-    replicas = [*scn["genesis"], *scn["extra_replicas"]]
-    roster = [*replicas, *scn["clients"]]
-    known = frozenset(replicas)
+    rids = [*scn["genesis"], *scn["extra_replicas"]]
+    roster = [*rids, *scn["clients"]]
+    known = frozenset(rids)
     of_replicas = lambda v: type(v) is Config and v.replicas() <= known
     ac = None
     conf_check = open_input(of_replicas)
@@ -182,13 +194,10 @@ def build_objects(scn, oracle) -> World:
         granted = make_ac_input_check(ac, oracle)
         conf_check = lambda v, cert: of_replicas(v) and granted(v, cert)
     grp = ReconfigGroup(GROUP, genesis, oracle, conf_check)
-    app_obj = None
-    if scn["app"]["kind"] == "dbla":
-        app_obj = DynamicObject(APP_OBJ, genesis, check_history=grp.certifies, check_value=open_input(
-            lambda v: type(v) is FinSet and all(type(e) is str for e in v.elems)))
-    elif scn["app"]["kind"] == "maxreg":
-        app_obj = DynamicObject(APP_OBJ, genesis, check_value=open_input(lambda v: type(v) is int))
-    return World(genesis=genesis, roster=roster, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
+    app = APPS.get(scn["app"]["kind"])
+    app_obj = (DynamicObject(APP_OBJ, genesis, check_value=open_input(app.admits), check_history=grp.certifies)
+               if app else None)
+    return World(genesis=genesis, rids=rids, roster=roster, grp=grp, app_obj=app_obj, ac=ac, oracle=oracle)
 
 
 def build_world(scn) -> World:
@@ -199,18 +208,15 @@ def build_world(scn) -> World:
     sim = weakref.proxy(ctx.sim)
     oracle.audit_hook = lambda: {"step": sim.next_step}
     ctx.acl_mode = scn["acl"]["mode"]
-    ctx.app_kind = scn["app"]["kind"]
+    app = APPS.get(scn["app"]["kind"])
+    # sanity and quorum access control run replica rounds; admin mode has none
+    rounds = ctx.acl_mode in ("sanity", "quorum")
 
-    rids = list(scn["genesis"]) + list(scn["extra_replicas"])
-    hook = _make_install_hook(weakref.proxy(ctx), rids)
+    hook = _make_install_hook(weakref.proxy(ctx), ctx.rids)
     ctx.replicas = {}
-    for r in rids:
-        extra = []
-        if ctx.app_kind == "dbla":
-            extra.append(DblaStore("obj", ctx.app_obj))
-        elif ctx.app_kind == "maxreg":
-            extra.append(MaxRegStore("obj", ctx.app_obj))
-        if ctx.ac is not None and ctx.acl_mode != "admin":
+    for r in ctx.rids:
+        extra = [app.store("obj", ctx.app_obj)] if app else []
+        if rounds:
             extra.append(AcStore("acl", ctx.ac))
         rep = ctx.grp.make_replica(ctx.roster, extra_stores=extra)
         rep.install_hook = hook
@@ -222,11 +228,9 @@ def build_world(scn) -> World:
         hub = ctx.grp.make_hub(ctx.roster)
         ctx.hubs[c] = hub
         ctx.rcs[c] = ReconfigClient(hub, ctx.grp)
-        if ctx.app_kind == "dbla":
-            ctx.apps[c] = DblaClient(hub, ctx.app_obj)
-        elif ctx.app_kind == "maxreg":
-            ctx.apps[c] = MaxRegClient(hub, ctx.app_obj)
-        if ctx.ac is not None and ctx.acl_mode != "admin":
+        if app:
+            ctx.apps[c] = app.session(hub, ctx.app_obj)
+        if rounds:
             ctx.acls[c] = AcClient(hub, ctx.ac)
         ctx.sim.spawn(c, hub)
     return ctx
@@ -455,9 +459,9 @@ def load_trace(path) -> dict:
                     raise TraceError(f"trace is {line.get('format')!r} version {line.get('version')!r};"
                                      f" this build reads only {TRACE_FORMAT!r} version {TRACE_VERSION}")
                 shape = TRACE_SHAPES[t]
-                if t == "ev" and fits(line, shape):
-                    key = line["desc"] if line["kind"] == "upcall" else line["kind"]
-                    shape = TRACE_SHAPES.get("ev:" + key, shape)
+                if t == "ev":
+                    key = line.get("desc") if line.get("kind") == "upcall" else line.get("kind")
+                    shape = TRACE_SHAPES.get(f"ev:{key}", shape)
                 if not fits(line, shape):
                     raise TraceError(f"trace line {n} is not of the shape the checks read")
                 if t == "head":

@@ -19,6 +19,8 @@ APP_KINDS = ("dbla", "maxreg", "none")
 ACL_MODES = ("none", "sanity", "quorum", "admin")
 ORACLE_KINDS = ("ledger", "keychain")
 OP_KINDS = ("propose", "write", "read", "update_config", "ac_request")
+# The app kind each app op needs; the other ops run under any app kind
+OP_APP = {"propose": "dbla", "write": "maxreg", "read": "maxreg"}
 MAX_NESTING = 100           # the scenario dict is level 1; the schema itself nests 5 deep
 # Leaves JSON reads back as the very object, which the copy shares
 _SHARED = frozenset((str, bool, type(None)))
@@ -173,6 +175,9 @@ def validate(scn):
     everyone = replicas + list(clients)
     if len(set(everyone)) != len(everyone):
         errors.append("process ids must be unique across genesis, extra_replicas and clients")
+    if "-" in everyone:
+        # a trace line names "-" where it has no process (simnet._ST)
+        errors.append("process id '-' is refused: a trace line names no process by it")
 
     app = _part(out, "app", {"kind": "dbla"}, _dict, errors, "app must be a dict")
     if app.get("kind") not in APP_KINDS:
@@ -198,19 +203,16 @@ def validate(scn):
         if op.get("client") not in clients:
             errors.append(f"{where}: client must be a declared client id")
         _check_trigger(op, where, errors)
+        if kind in OP_APP and app.get("kind") != OP_APP[kind]:
+            errors.append(f"{where}: {kind} needs app.kind {OP_APP[kind]}")
         if kind == "propose":
-            if app.get("kind") != "dbla":
-                errors.append(f"{where}: propose needs app.kind dbla")
             val = op.get("value")
             if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
                 errors.append(f"{where}: value must be a list of strings")
-        elif kind in ("write", "read"):
-            if app.get("kind") != "maxreg":
-                errors.append(f"{where}: {kind} needs app.kind maxreg")
-            if kind == "write":
-                v = op.get("value")
-                if not isinstance(v, int) or isinstance(v, bool):
-                    errors.append(f"{where}: value must be an int")
+        elif kind == "write":
+            v = op.get("value")
+            if not isinstance(v, int) or isinstance(v, bool):
+                errors.append(f"{where}: value must be an int")
         elif kind == "update_config":
             add = op.get("add", [])
             rem = op.get("remove", [])

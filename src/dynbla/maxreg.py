@@ -25,9 +25,7 @@ class MaxRegStore(Store):
     """Replica cell for one max-register object."""
 
     def __init__(self, store_id: str, obj: DynamicObject):
-        self.store_id = store_id
-        self.obj = obj
-        self.object_id = obj.object_id
+        super().__init__(store_id, obj)
         self.cell = None  # the largest admitted InputValue, or None
 
     def _keep(self, iv: InputValue) -> bool:

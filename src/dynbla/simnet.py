@@ -546,7 +546,7 @@ class Simulator:
         self._wake = 0
         now = self.next_step
         self.pending.extend([(now, frm, to, msg) for frm, to, msg in events])
-        self._trace("adversary", "-", "-", "hold.release", _ST[self._st("-")][self._st("-")],
+        self._trace("adversary", "-", "-", "hold.release", _ST["-"]["-"],
                     {"released": len(events), "desc": rule.desc})
         self.next_step += 1
         return "adversary"
@@ -554,7 +554,7 @@ class Simulator:
     def _fire(self, i: int) -> str:
         ext = self.externals.pop(i)
         self._wake = 0
-        self._trace(ext.kind, "-", ext.to, ext.desc, _ST[self._st("-")][self._st(ext.to)], ext.detail)
+        self._trace(ext.kind, "-", ext.to, ext.desc, _ST["-"][self._st(ext.to)], ext.detail)
         if ext.kind == "invoke" and ext.to in self._procs:
             proc = self._procs[ext.to]
             if proc.status == IDLE:

@@ -371,6 +371,8 @@ def test_validate_refuses_what_a_trace_cannot_write_or_reads_back_as_another_val
         ({"seed": -1}, "seed"),
         ({"genesis": []}, "genesis"),
         ({"clients": ["r1"]}, "unique"),
+        ({"clients": ["-", "p"]}, "process id '-' is refused"),
+        ({"genesis": ["r1", "-"]}, "process id '-' is refused"),
         ({"app": {"kind": "paxos"}}, "app.kind"),
         ({"acl": {"mode": "open"}}, "acl.mode"),
         ({"acl": {"mode": "admin"}}, "admins"),
@@ -392,7 +394,8 @@ def test_validate_rejects(patch, msg):
         ({"op": "propose", "client": "nobody", "value": ["x"]}, "declared client"),
         ({"op": "propose", "client": "c", "value": ["x"], "at": 1, "after": "f"}, "not both"),
         ({"op": "propose", "client": "c", "value": [1]}, "list of strings"),
-        ({"op": "write", "client": "c", "value": 1}, "app.kind maxreg"),
+        ({"op": "write", "client": "c", "value": 1}, "write needs app.kind maxreg"),
+        ({"op": "read", "client": "c"}, "read needs app.kind maxreg"),
         ({"op": "update_config", "client": "c"}, "add or remove"),
         ({"op": "update_config", "client": "c", "add": ["r9"]}, "unknown replica"),
         ({"op": "ac_request", "client": "c", "slot": "s", "value": "v"}, "acl.mode"),
@@ -1018,6 +1021,20 @@ def test_trace_roundtrip(tmp_path):
     assert all(ok for _, ok, _ in run_checks(bundle))
 
 
+def test_load_trace_checks_each_line_against_one_shape(tmp_path, monkeypatch):
+    """load_trace picks an event line's shape from its kind before it checks the line: one fits
+    call per line of a stored scenario's trace, and the op and install lines against their own."""
+    path = tmp_path / "run.trace"
+    save_trace(path, run_scenario(json.loads((SCENARIOS / "reconfig-maxreg.json").read_text())).bundle())
+    shapes, fits = [], runner.fits
+    monkeypatch.setattr(runner, "fits", lambda line, shape: shapes.append(shape) or fits(line, shape))
+    events = load_trace(path)["trace"]
+    assert len(shapes) == len(path.read_text().splitlines())
+    for key in ("invoke", "return", "install"):
+        mine = sum(key == (line["desc"] if line["kind"] == "upcall" else line["kind"]) for line in events)
+        assert mine and shapes.count(runner.TRACE_SHAPES["ev:" + key]) == mine, key
+
+
 def test_trace_file_is_line_json(tmp_path):
     rep = run_scenario(FAMILIES["dbla-smoke"](1))
     path = tmp_path / "run.trace"
@@ -1380,6 +1397,46 @@ def test_cli_chain_without_k_is_a_usage_error(args):
     assert r.exit_code == 2, r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
     assert "--k" in r.output
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["run", "--scenario", str(SCENARIOS / "dbla-smoke.json"), "--family", "chain"], "not both"),
+    (["run"], "need --scenario FILE or --family NAME"),
+    (["run", "--family", "paxos"], "unknown family 'paxos'"),
+    (["sweep", "--family", "paxos"], "unknown family 'paxos'"),
+], ids=["scenario-and-family", "neither", "run-unknown-family", "sweep-unknown-family"])
+def test_cli_usage_errors(args, msg):
+    r = CliRunner().invoke(cli.main, args)
+    assert r.exit_code == 2 and isinstance(r.exception, SystemExit), r.output
+    assert msg in r.output
+
+
+@pytest.mark.parametrize("family,k,meta", [("chain", 2, {}), ("ac-pattern", 5, {"mask": 5})])
+def test_cli_run_family_with_k(tmp_path, family, k, meta):
+    out = tmp_path / "run.trace"
+    r = CliRunner().invoke(cli.main, ["run", "--family", family, "--k", str(k), "--trace", str(out)])
+    assert r.exit_code == 0 and "FAIL" not in r.output, r.output
+    scn = load_trace(out)["scenario"]
+    assert scn["meta"] == meta
+    assert family != "chain" or scn["extra_replicas"] == ["r5", "r6"]
+
+
+def test_cli_sweep_reports_each_failing_seed(monkeypatch):
+    def failing_on_seed_1(bundle):
+        return [("x.seed_not_1", bundle["scenario"]["seed"] != 1, "")]
+    monkeypatch.setattr(cli, "run_checks", failing_on_seed_1)
+    r = CliRunner().invoke(cli.main, ["sweep", "--family", "dbla-smoke", "--seeds", "3"])
+    assert r.exit_code == 1, r.output
+    assert r.output.splitlines() == ["seed 1: FAIL ['x.seed_not_1']", "dbla-smoke: 2/3 seeds clean"]
+
+
+def test_cli_attack_trace_checks_offline(tmp_path):
+    out = tmp_path / "atk.trace"
+    rr = CliRunner()
+    r = rr.invoke(cli.main, ["attack", "--name", "slow-reader-maxreg", "--seed", "1", "--trace", str(out)])
+    assert r.exit_code == 0 and "FAIL" not in r.output, r.output
+    r = rr.invoke(cli.main, ["check", "--trace", str(out)])
+    assert r.exit_code == 0 and "PASS  trace.hash_consistent" in r.output, r.output
 
 
 def test_cli_run_scenario_file_seed_override(tmp_path):
